@@ -36,12 +36,17 @@ bench-est:
 	$(GO) run ./cmd/bench -check -suite est -seed 1 -out .
 
 # Validate the committed baselines against the current suite
-# definitions (schema intact, case list unchanged). Run by CI.
+# definitions (schema intact, case list unchanged) and against the
+# suites' gates: for the daemon suite, within that one run, a warm
+# cache hit must stay below 1/5 of a cold request's allocations and
+# 1/4 of its time (bench.GateDaemon). Run by CI.
 bench-json-check:
 	$(GO) run ./cmd/bench -check -seed 1 -out .
 
 # One-iteration smoke run of every suite into a scratch dir, then
-# validate what it wrote. Run by CI; does not touch committed files.
+# validate and gate what it wrote — the step that fails CI when this
+# tree's warm hit regresses against its own cold request. Does not
+# touch committed files.
 bench-json-smoke:
 	rm -rf /tmp/bench-smoke && $(GO) run ./cmd/bench -benchtime 1x -seed 1 -out /tmp/bench-smoke
 	$(GO) run ./cmd/bench -check -seed 1 -out /tmp/bench-smoke

@@ -9,8 +9,10 @@
 //
 //	bench -suite sim -benchtime 1x -out /tmp/bench
 //
-// Validate committed baselines against the current suite definitions
-// (what CI does — schema intact, case list unchanged):
+// Validate baselines against the current suite definitions and gate
+// them (what CI does — schema intact, case list unchanged, and for the
+// daemon suite the same-run relations of bench.GateDaemon: a warm
+// cache hit stays far below a cold request in allocations and time):
 //
 //	bench -check -out .
 package main
@@ -97,7 +99,10 @@ func selectSuites(arg string) ([]string, error) {
 
 // checkFiles validates each suite's committed baseline: parseable,
 // schema-consistent, and with exactly the case list the current code
-// defines — so a PR that changes a suite must regenerate its baseline.
+// defines — so a PR that changes a suite must regenerate its baseline —
+// and, where the suite has a gate, within the limits it sets on the
+// measured numbers, so a regression fails the check rather than
+// merely parsing.
 func checkFiles(dir string, seed uint64, suites []string, stdout io.Writer) error {
 	var failures []string
 	for _, name := range suites {
@@ -114,6 +119,16 @@ func checkFiles(dir string, seed uint64, suites []string, stdout io.Writer) erro
 		if err := f.Validate(name, bench.CaseNames(cases)); err != nil {
 			failures = append(failures, fmt.Sprintf("%s: %v", path, err))
 			continue
+		}
+		if name == "daemon" {
+			report, err := bench.GateDaemon(f)
+			for _, line := range report {
+				fmt.Fprintf(stdout, "%s: %s\n", path, line)
+			}
+			if err != nil {
+				failures = append(failures, fmt.Sprintf("%s: %v", path, err))
+				continue
+			}
 		}
 		fmt.Fprintf(stdout, "%s: ok (%d cases, %s, seed %d)\n", path, len(f.Results), f.GoVersion, f.Seed)
 	}

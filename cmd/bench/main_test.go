@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"budgetwf/internal/bench"
 )
 
 // TestRunSimSuiteThenCheck is the end-to-end smoke path CI exercises:
@@ -46,6 +48,45 @@ func TestRunSimSuiteThenCheck(t *testing.T) {
 	}
 	if err := run([]string{"-check", "-suite", "sim", "-out", dir}, &out); err == nil {
 		t.Fatal("tampered baseline passed -check")
+	}
+}
+
+// TestCheckGatesDaemonBaseline: -check is a gate, not a parser. The
+// committed daemon baseline passes it and prints the ratios; the same
+// file with schedule-warm's allocations raised to where a hit that
+// parses again would put them fails it.
+func TestCheckGatesDaemonBaseline(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_daemon.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH_daemon.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-check", "-suite", "daemon", "-out", dir}, &out); err != nil {
+		t.Fatalf("committed daemon baseline fails -check: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "warm/cold allocs_per_op") || !strings.Contains(out.String(), "fresh heftbudg plan") {
+		t.Errorf("check output lacks the gate report:\n%s", out.String())
+	}
+
+	f, err := bench.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range f.Results {
+		if f.Results[i].Case == "schedule-warm/montage/n0050" {
+			f.Results[i].AllocsPerOp *= 4
+		}
+	}
+	if err := f.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-check", "-suite", "daemon", "-out", dir}, &out); err == nil || !strings.Contains(err.Error(), "daemon gate") {
+		t.Fatalf("regressed daemon baseline passed -check: %v", err)
 	}
 }
 

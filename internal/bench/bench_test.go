@@ -173,3 +173,38 @@ func TestPlannerSuiteCoversTheGrid(t *testing.T) {
 		}
 	}
 }
+
+// TestGateDaemon: the gate passes a run in which a warm hit is far
+// cheaper than a cold request, and names the relation a run breaks:
+// warm allocations creeping back towards the parse (deterministic),
+// or warm time doing so.
+func TestGateDaemon(t *testing.T) {
+	run := func(warmAllocs int64, warmNs float64) *File {
+		res := func(name string, ns float64, allocs int64) Result {
+			return Result{Case: name, Iterations: 10, NsPerOp: ns, AllocsPerOp: allocs, OpsPerSec: 1e9 / ns}
+		}
+		return &File{SchemaVersion: SchemaVersion, Suite: "daemon", Results: []Result{
+			res("plan-fresh/heftbudg/montage/n0050", 60_000, 255),
+			res("schedule-cold/montage/n0050", 800_000, 830),
+			res("schedule-warm/montage/n0050", warmNs, warmAllocs),
+		}}
+	}
+	report, err := GateDaemon(run(116, 70_000))
+	if err != nil {
+		t.Fatalf("healthy run failed the gate: %v", err)
+	}
+	if joined := strings.Join(report, "\n"); !strings.Contains(joined, "116/830") || !strings.Contains(joined, "fresh heftbudg plan") {
+		t.Errorf("report lacks the ratios with their bases:\n%s", joined)
+	}
+	// The numbers a warm hit has when it parses again (the
+	// schedule-warm-canonical case of the committed baseline).
+	if _, err := GateDaemon(run(426, 70_000)); err == nil || !strings.Contains(err.Error(), "allocates") {
+		t.Errorf("warm allocations at half of cold passed the gate: %v", err)
+	}
+	if _, err := GateDaemon(run(116, 560_000)); err == nil || !strings.Contains(err.Error(), "ns per op") {
+		t.Errorf("warm time at 70%% of cold passed the gate: %v", err)
+	}
+	if _, err := GateDaemon(&File{Suite: "daemon"}); err == nil {
+		t.Error("a run without the gated cases passed the gate")
+	}
+}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,9 +11,14 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sort"
+	"strconv"
+	"sync/atomic"
 	"testing"
 
+	"budgetwf/internal/platform"
+	"budgetwf/internal/sched"
 	"budgetwf/internal/server"
+	"budgetwf/internal/wf"
 	"budgetwf/internal/wfgen"
 )
 
@@ -25,59 +31,161 @@ func discardLogger() *slog.Logger {
 // the serving stack's overhead.
 const daemonWorkflowSize = 50
 
-// Daemon builds the end-to-end budgetwfd suite: an in-process server
-// (httptest, no real network) driven over /v1/schedule.
+// Daemon builds the budgetwfd suite: an in-process server (httptest,
+// no real network) driven over /v1/schedule, and beside it the layers
+// a request crosses, measured alone on the same workflow so that the
+// end-to-end cases can be read against them.
 //
-//   - schedule-warm: the same request repeatedly — after the first op
-//     every response is a content-addressed cache hit, measuring the
-//     serving floor;
+//   - schedule-warm: the same body repeatedly — after the first op
+//     every response is a body-alias cache hit that parses nothing,
+//     measuring the serving floor;
+//   - schedule-warm-canonical: the same workflow under a fresh
+//     spelling every op (the workflow label changes), so the alias
+//     never matches and every op pays decode, validation and the
+//     canonical hash before it hits the cache;
 //   - schedule-cold: caching disabled (CacheSize -1), so every op runs
 //     the planner — the cache-miss cost;
 //   - schedule-parallel-warm: the warm case under GOMAXPROCS
 //     concurrent clients via b.RunParallel, measuring request
 //     throughput under the worker-pool admission control (ops_per_sec
-//     is the aggregate request rate).
+//     is the aggregate request rate);
+//   - wf-decode, wf-canonical-hash, plan-fresh/heftbudg: the library
+//     calls behind those, no server: parsing the workflow document,
+//     hashing it, and planning it from scratch — the last is what a
+//     warm hit has to beat for the cache to be worth having.
+//
+// GateDaemon holds the relations between these cases that
+// cmd/bench -check enforces.
 func Daemon(seed uint64) ([]Case, error) {
-	body, err := scheduleBody(seed)
+	w, err := wfgen.Generate(wfgen.Montage, daemonWorkflowSize, seed)
 	if err != nil {
 		return nil, err
 	}
+	w = w.WithSigmaRatio(0.5)
+	// The label is the one part of the body that varies between
+	// spellings; everything else is rendered once.
+	w.Name = spellingMark
+	var wfJSON bytes.Buffer
+	if err := w.WriteJSON(&wfJSON); err != nil {
+		return nil, err
+	}
+	const budget = 100.0 // generous
+	template, err := json.Marshal(map[string]any{
+		"workflow":  json.RawMessage(wfJSON.Bytes()),
+		"algorithm": sched.NameHeftBudg,
+		"budget":    budget,
+	})
+	if err != nil {
+		return nil, err
+	}
+	before, after, ok := bytes.Cut(template, []byte(spellingMark))
+	if !ok {
+		return nil, fmt.Errorf("bench: workflow label not found in the request template")
+	}
+	fixed := func(int64) []byte { return template }
+	respelled := func(i int64) []byte {
+		body := append([]byte(nil), before...)
+		body = strconv.AppendInt(body, i, 10)
+		return append(body, after...)
+	}
+	plat := platform.Default()
+	pooled := server.Config{Workers: runtime.GOMAXPROCS(0), QueueDepth: 1024}
+	uncached := pooled
+	uncached.CacheSize = -1
+
 	cases := []Case{
+		{Name: "plan-fresh/heftbudg/montage/n0050", Bench: func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := sched.PlanContext(context.Background(), sched.NameHeftBudg, w, plat, budget); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 		{Name: "schedule-cold/montage/n0050", Bench: func(b *testing.B) {
-			benchServer(b, body, server.Config{Workers: runtime.GOMAXPROCS(0), QueueDepth: 1024, CacheSize: -1}, false)
+			benchServer(b, fixed, uncached, false)
 		}},
 		{Name: "schedule-parallel-warm/montage/n0050", Bench: func(b *testing.B) {
-			benchServer(b, body, server.Config{Workers: runtime.GOMAXPROCS(0), QueueDepth: 1024}, true)
+			benchServer(b, fixed, pooled, true)
+		}},
+		{Name: "schedule-warm-canonical/montage/n0050", Bench: func(b *testing.B) {
+			benchServer(b, respelled, pooled, false)
 		}},
 		{Name: "schedule-warm/montage/n0050", Bench: func(b *testing.B) {
-			benchServer(b, body, server.Config{Workers: runtime.GOMAXPROCS(0), QueueDepth: 1024}, false)
+			benchServer(b, fixed, pooled, false)
+		}},
+		{Name: "wf-canonical-hash/montage/n0050", Bench: func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if w.CanonicalHash() == "" {
+					b.Fatal("empty hash")
+				}
+			}
+		}},
+		{Name: "wf-decode/montage/n0050", Bench: func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := wf.ReadJSON(bytes.NewReader(wfJSON.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}},
 	}
 	sort.Slice(cases, func(i, j int) bool { return cases[i].Name < cases[j].Name })
 	return cases, nil
 }
 
-// scheduleBody renders one /v1/schedule request for a seeded Montage
-// instance with a generous budget.
-func scheduleBody(seed uint64) ([]byte, error) {
-	w, err := wfgen.Generate(wfgen.Montage, daemonWorkflowSize, seed)
-	if err != nil {
-		return nil, err
+// spellingMark stands in the request template where the per-op
+// spelling number goes.
+const spellingMark = "@spelling@"
+
+// The daemon gate's limits, both ratios within one run and therefore
+// machine-independent. The in-process cases count the HTTP client's
+// and net/http's allocations too (about 80 of a warm op's 116), hence
+// a ratio and not the planner's absolute count; a warm hit that went
+// back to parsing its request would read 0.5 and 0.7 here.
+const (
+	maxWarmColdAllocs = 0.20
+	maxWarmColdTime   = 0.25
+)
+
+// GateDaemon checks, within one daemon-suite run, that a warm hit
+// stays well below a cold request in allocations (deterministic) and
+// in time, and reports the warm hit against planning the same workflow
+// from scratch — ROADMAP's "warm hit < fresh plan" figure, which
+// includes an HTTP round trip on one side only and is reported, not
+// enforced.
+func GateDaemon(f *File) (report []string, err error) {
+	byCase := make(map[string]Result, len(f.Results))
+	for _, r := range f.Results {
+		byCase[r.Case] = r
 	}
-	var wbuf bytes.Buffer
-	if err := w.WithSigmaRatio(0.5).WriteJSON(&wbuf); err != nil {
-		return nil, err
+	warm := byCase["schedule-warm/montage/n0050"]
+	cold := byCase["schedule-cold/montage/n0050"]
+	fresh := byCase["plan-fresh/heftbudg/montage/n0050"]
+	if warm.Case == "" || cold.Case == "" || fresh.Case == "" {
+		return nil, fmt.Errorf("bench: daemon gate: schedule-warm, schedule-cold or plan-fresh case missing")
 	}
-	return json.Marshal(map[string]any{
-		"workflow":  json.RawMessage(wbuf.Bytes()),
-		"algorithm": "heftbudg",
-		"budget":    100.0,
-	})
+	report = []string{
+		fmt.Sprintf("warm/cold allocs_per_op %d/%d = %.3f (limit %.2f)", warm.AllocsPerOp, cold.AllocsPerOp,
+			float64(warm.AllocsPerOp)/float64(cold.AllocsPerOp), maxWarmColdAllocs),
+		fmt.Sprintf("warm/cold ns_per_op %.0f/%.0f = %.3f (limit %.2f)", warm.NsPerOp, cold.NsPerOp,
+			warm.NsPerOp/cold.NsPerOp, maxWarmColdTime),
+		fmt.Sprintf("warm hit (with its HTTP round trip) / fresh heftbudg plan: ns_per_op %.0f/%.0f = %.2f, allocs_per_op %d/%d",
+			warm.NsPerOp, fresh.NsPerOp, warm.NsPerOp/fresh.NsPerOp, warm.AllocsPerOp, fresh.AllocsPerOp),
+	}
+	if float64(warm.AllocsPerOp) > maxWarmColdAllocs*float64(cold.AllocsPerOp) {
+		return report, fmt.Errorf("bench: daemon gate: schedule-warm allocates %d objects per op, more than %.0f%% of schedule-cold's %d",
+			warm.AllocsPerOp, 100*maxWarmColdAllocs, cold.AllocsPerOp)
+	}
+	if warm.NsPerOp > maxWarmColdTime*cold.NsPerOp {
+		return report, fmt.Errorf("bench: daemon gate: schedule-warm takes %.0f ns per op, more than %.0f%% of schedule-cold's %.0f",
+			warm.NsPerOp, 100*maxWarmColdTime, cold.NsPerOp)
+	}
+	return report, nil
 }
 
 // benchServer measures POST /v1/schedule round trips against a fresh
-// in-process server. One op = one request, fully read and checked.
-func benchServer(b *testing.B, body []byte, cfg server.Config, parallel bool) {
+// in-process server. One op = one request, fully read and checked;
+// bodyAt gives the body of the i-th op.
+func benchServer(b *testing.B, bodyAt func(i int64) []byte, cfg server.Config, parallel bool) {
 	b.Helper()
 	cfg.Logger = discardLogger()
 	s := server.New(cfg)
@@ -85,7 +193,9 @@ func benchServer(b *testing.B, body []byte, cfg server.Config, parallel bool) {
 	defer ts.Close()
 	client := ts.Client()
 
+	var ops atomic.Int64
 	post := func() error {
+		body := bodyAt(ops.Add(1))
 		resp, err := client.Post(ts.URL+"/v1/schedule", "application/json", bytes.NewReader(body))
 		if err != nil {
 			return err

@@ -10,40 +10,67 @@ import (
 	"sync/atomic"
 )
 
-// planCache is a content-addressed LRU cache of scheduling results.
-// Keys are canonical hashes of (workflow, platform, algorithm, budget)
-// — see cacheKey — so a repeated identical request, the common case
-// when clients sweep budgets or re-plan periodic workflows, skips the
-// planner (and the deterministic validation simulation) entirely. The
-// cached value is the final rendered response fragment, immutable by
-// construction, so hits are also free of serialization cost.
+// planCache is a content-addressed LRU cache of scheduling results,
+// addressed at two levels. The entries are keyed by canonical hashes
+// of (workflow, platform, algorithm, budget) — see cacheKey — so any
+// two requests the planner cannot tell apart share an entry and the
+// second skips the planner (and the deterministic validation
+// simulation). Computing that key means parsing the request, so on top
+// of it sits an alias index from the SHA-256 of a raw request body to
+// the entry that body resolved to: a body that repeats byte for byte,
+// the common case when clients sweep budgets or re-plan periodic
+// workflows, is answered without being parsed at all.
+//
+// An alias is only ever a shortcut to an entry the full path created
+// and that is still resident: it is recorded after that path answered
+// 200, it dies with its entry, and an entry keeps at most
+// maxBodyAliases of them (the oldest gives way), so the index is
+// bounded by the entry capacity. The cached value is the rendered
+// response, immutable by construction, so hits are also free of
+// serialization cost.
 //
 // All methods are safe for concurrent use. A capacity ≤ 0 disables
-// caching (every lookup misses, stores are dropped).
+// caching (every lookup misses, stores and aliases are dropped).
 type planCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
+	mu      sync.Mutex
+	cap     int
+	ll      *list.List // front = most recently used
+	items   map[string]*list.Element
+	aliases map[bodyDigest]*list.Element
 
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	hits     atomic.Uint64 // all hits, by canonical key or by body
+	bodyHits atomic.Uint64 // the hits that came through an alias
+	misses   atomic.Uint64
 }
+
+// bodyDigest is the SHA-256 of a raw request body. It has to stay a
+// collision-resistant hash: a collision would hand one client another
+// client's plan.
+type bodyDigest = [sha256.Size]byte
+
+// maxBodyAliases bounds the spellings remembered per entry. One client
+// re-sending its request needs one; a few more cover several clients
+// serializing the same workflow differently.
+const maxBodyAliases = 4
 
 // cacheEntry is one cached scheduling outcome.
 type cacheEntry struct {
-	key          string
-	scheduleJSON []byte
-	numVMs       int
-	estMakespan  float64
-	estCost      float64
+	key       string
+	algorithm string // as the request spelled it, for the hit's counter and span
+	// head is the rendered cached:true response up to and including the
+	// opening quote of the requestId value; see renderHit and writeHit.
+	head []byte
+	// bodies are the digests aliased to this entry, oldest first.
+	// Guarded by planCache.mu.
+	bodies []bodyDigest
 }
 
 func newPlanCache(capacity int) *planCache {
 	return &planCache{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[string]*list.Element),
+		cap:     capacity,
+		ll:      list.New(),
+		items:   make(map[string]*list.Element),
+		aliases: make(map[bodyDigest]*list.Element),
 	}
 }
 
@@ -75,8 +102,58 @@ func (c *planCache) get(key string) (*cacheEntry, bool) {
 	return e, true
 }
 
-// put stores the entry, evicting the least-recently-used one when the
-// cache is full. Storing an existing key refreshes its recency.
+// getBody returns the entry a byte-identical earlier body resolved to,
+// promoting it to most-recently-used. An unknown digest is not a miss:
+// the request goes on to the canonical key, and get counts it there.
+func (c *planCache) getBody(d bodyDigest) (*cacheEntry, bool) {
+	if c.cap <= 0 {
+		return nil, false
+	}
+	c.mu.Lock()
+	el, ok := c.aliases[d]
+	var e *cacheEntry
+	if ok {
+		c.ll.MoveToFront(el)
+		e = el.Value.(*cacheEntry)
+	}
+	c.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	c.hits.Add(1)
+	c.bodyHits.Add(1)
+	return e, true
+}
+
+// aliasBody records d as a spelling of the entry under key, if that
+// entry is still resident. At the cap the oldest spelling is dropped:
+// the newest is the one most likely to come again.
+func (c *planCache) aliasBody(key string, d bodyDigest) {
+	if c.cap <= 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return
+	}
+	if _, dup := c.aliases[d]; dup {
+		return
+	}
+	e := el.Value.(*cacheEntry)
+	if len(e.bodies) == maxBodyAliases {
+		delete(c.aliases, e.bodies[0])
+		e.bodies = append(e.bodies[:0], e.bodies[1:]...)
+	}
+	e.bodies = append(e.bodies, d)
+	c.aliases[d] = el
+}
+
+// put stores the entry, evicting the least-recently-used one — and its
+// aliases — when the cache is full. Storing an existing key (two
+// concurrent misses on it) refreshes its recency and hands the
+// aliases, which point at the list element, over to the new entry.
 func (c *planCache) put(e *cacheEntry) {
 	if c.cap <= 0 {
 		return
@@ -84,6 +161,7 @@ func (c *planCache) put(e *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[e.key]; ok {
+		e.bodies = el.Value.(*cacheEntry).bodies
 		el.Value = e
 		c.ll.MoveToFront(el)
 		return
@@ -92,7 +170,11 @@ func (c *planCache) put(e *cacheEntry) {
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
+		evicted := oldest.Value.(*cacheEntry)
+		delete(c.items, evicted.key)
+		for _, d := range evicted.bodies {
+			delete(c.aliases, d)
+		}
 	}
 }
 
@@ -107,9 +189,19 @@ func (c *planCache) Len() int {
 // false, lookups bypass the hit/miss counters entirely.
 func (c *planCache) Enabled() bool { return c.cap > 0 }
 
-// Hits and Misses expose the lookup counters.
-func (c *planCache) Hits() uint64   { return c.hits.Load() }
-func (c *planCache) Misses() uint64 { return c.misses.Load() }
+// Aliases returns the number of body digests currently aliased to
+// entries; at most maxBodyAliases × Len().
+func (c *planCache) Aliases() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.aliases)
+}
+
+// Hits and Misses expose the lookup counters; BodyHits is the share of
+// Hits that came through a body alias and so skipped the parse.
+func (c *planCache) Hits() uint64     { return c.hits.Load() }
+func (c *planCache) BodyHits() uint64 { return c.bodyHits.Load() }
+func (c *planCache) Misses() uint64   { return c.misses.Load() }
 
 // HitRate returns hits / lookups, or 0 before the first lookup.
 func (c *planCache) HitRate() float64 {

@@ -11,13 +11,13 @@ func TestPlanCacheBasics(t *testing.T) {
 	if _, ok := c.get("a"); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.put(&cacheEntry{key: "a", numVMs: 1})
-	c.put(&cacheEntry{key: "b", numVMs: 2})
-	if e, ok := c.get("a"); !ok || e.numVMs != 1 {
+	c.put(&cacheEntry{key: "a", algorithm: "1"})
+	c.put(&cacheEntry{key: "b", algorithm: "2"})
+	if e, ok := c.get("a"); !ok || e.algorithm != "1" {
 		t.Fatal("lost entry a")
 	}
 	// a was just used, so inserting c evicts b.
-	c.put(&cacheEntry{key: "c", numVMs: 3})
+	c.put(&cacheEntry{key: "c", algorithm: "3"})
 	if _, ok := c.get("b"); ok {
 		t.Error("b should have been evicted as LRU")
 	}
@@ -40,14 +40,14 @@ func TestPlanCacheBasics(t *testing.T) {
 
 func TestPlanCacheUpdateRefreshesRecency(t *testing.T) {
 	c := newPlanCache(2)
-	c.put(&cacheEntry{key: "a", numVMs: 1})
-	c.put(&cacheEntry{key: "b", numVMs: 1})
-	c.put(&cacheEntry{key: "a", numVMs: 9}) // update, promotes a
-	c.put(&cacheEntry{key: "c", numVMs: 1}) // evicts b
+	c.put(&cacheEntry{key: "a", algorithm: "1"})
+	c.put(&cacheEntry{key: "b", algorithm: "1"})
+	c.put(&cacheEntry{key: "a", algorithm: "9"}) // update, promotes a
+	c.put(&cacheEntry{key: "c", algorithm: "1"}) // evicts b
 	if _, ok := c.get("b"); ok {
 		t.Error("b survived eviction")
 	}
-	if e, ok := c.get("a"); !ok || e.numVMs != 9 {
+	if e, ok := c.get("a"); !ok || e.algorithm != "9" {
 		t.Error("a not updated in place")
 	}
 }
@@ -118,7 +118,7 @@ func TestPlanCacheConcurrentHammer(t *testing.T) {
 			for i := 0; i < opsEach; i++ {
 				k := keys[(g*31+i*7)%keySpace]
 				if (g+i)%3 == 0 {
-					c.put(&cacheEntry{key: k, numVMs: g})
+					c.put(&cacheEntry{key: k})
 				} else if e, ok := c.get(k); ok {
 					if e.key != k {
 						t.Errorf("get(%q) returned entry for %q", k, e.key)

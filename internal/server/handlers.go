@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"budgetwf/internal/est"
@@ -99,13 +101,41 @@ func wantsPrometheus(r *http.Request) bool {
 }
 
 // handleSchedule plans one workflow: the daemon's hot endpoint, and
-// the cached one — repeated identical requests are served from the
-// content-addressed LRU without touching the planner.
+// the cached one. A body that repeats byte for byte is answered from
+// its alias without being parsed; any other spelling of a request
+// already planned is answered from the canonical key after decode and
+// validation; the rest run the planner.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r.Context())
+	deep := traceRequested(r)
+
+	// Only this endpoint buffers its body: it needs the bytes twice (the
+	// digest, then the decoder) and they are small next to a plan. The
+	// limit is the middleware's MaxBytesReader, so it binds before the
+	// digest is taken.
+	buf := bodyBuffers.Get().(*bytes.Buffer)
+	defer releaseBody(buf)
+	if _, err := buf.ReadFrom(r.Body); err != nil {
+		writeDecodeError(w, err, reqID)
+		return
+	}
+	// A deep-traced request wants the spans of the full path, and a
+	// disabled cache has nothing to alias to.
+	aliasing := s.cache.Enabled() && !deep
+	var digest bodyDigest
+	if aliasing {
+		digest = sha256.Sum256(buf.Bytes())
+		if e, ok := s.cache.getBody(digest); ok {
+			s.metrics.observeAlgorithm(e.algorithm)
+			rootSpan(r.Context()).Set(obs.Str("algorithm", e.algorithm))
+			writeHit(w, r, e, true, nil)
+			return
+		}
+	}
+
 	var req scheduleRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed request body: "+err.Error(), reqID)
+	if err := decodeStrict(bytes.NewReader(buf.Bytes()), &req); err != nil {
+		writeDecodeError(w, err, reqID)
 		return
 	}
 	wfl, err := parseWorkflow(req.Workflow)
@@ -130,25 +160,17 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 
 	root := rootSpan(r.Context())
 	root.Set(obs.Str("algorithm", req.Algorithm))
-	deep := traceRequested(r)
 
 	key := cacheKey(wfl.CanonicalHash(), plat.CanonicalHash(), req.Algorithm, req.Budget)
 	if e, ok := s.cache.get(key); ok {
-		root.Event("cache-hit", obs.Str("algorithm", req.Algorithm))
-		resp := any(scheduleResponse{
-			Algorithm:   req.Algorithm,
-			Budget:      req.Budget,
-			Schedule:    json.RawMessage(e.scheduleJSON),
-			NumVMs:      e.numVMs,
-			EstMakespan: e.estMakespan,
-			EstCost:     e.estCost,
-			Cached:      true,
-			RequestID:   reqID,
-		})
-		if deep {
-			resp = attachTrace(resp, requestTrace(r.Context()))
+		if aliasing {
+			s.cache.aliasBody(key, digest)
 		}
-		writeJSON(w, http.StatusOK, resp)
+		var inline *obs.Trace
+		if deep {
+			inline = requestTrace(r.Context())
+		}
+		writeHit(w, r, e, false, inline)
 		return
 	}
 	root.Event("cache-miss", obs.Str("algorithm", req.Algorithm))
@@ -175,35 +197,87 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		var buf bytes.Buffer
-		if err := schedule.WriteJSON(&buf); err != nil {
+		var plan bytes.Buffer
+		if err := schedule.WriteJSON(&plan); err != nil {
 			return nil, err
 		}
-		e := &cacheEntry{
-			key:          key,
-			scheduleJSON: buf.Bytes(),
-			numVMs:       schedule.NumVMs(),
-			estMakespan:  det.Makespan,
-			estCost:      det.TotalCost,
-		}
-		s.cache.put(e)
-		return scheduleResponse{
+		resp := scheduleResponse{
 			Algorithm:   req.Algorithm,
 			Budget:      req.Budget,
-			Schedule:    json.RawMessage(e.scheduleJSON),
-			NumVMs:      e.numVMs,
-			EstMakespan: e.estMakespan,
-			EstCost:     e.estCost,
-			PlanMillis:  float64(time.Since(start)) / float64(time.Millisecond),
+			Schedule:    json.RawMessage(plan.Bytes()),
+			NumVMs:      schedule.NumVMs(),
+			EstMakespan: det.Makespan,
+			EstCost:     det.TotalCost,
 			RequestID:   reqID,
-		}, nil
+		}
+		head, err := renderHit(resp)
+		if err != nil {
+			return nil, err
+		}
+		s.cache.put(&cacheEntry{key: key, algorithm: req.Algorithm, head: head})
+		resp.PlanMillis = float64(time.Since(start)) / float64(time.Millisecond)
+		return resp, nil
 	})
 	if ok {
+		if aliasing {
+			// Only now has the full path vouched for these bytes.
+			s.cache.aliasBody(key, digest)
+		}
 		if deep {
 			resp = attachTrace(resp, requestTrace(r.Context()))
 		}
 		writeJSON(w, http.StatusOK, resp)
 	}
+}
+
+// bodyBuffers recycles /v1/schedule's request-body buffers.
+var bodyBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody keeps one rare huge request from pinning its buffer in
+// the pool for good.
+const maxPooledBody = 1 << 20
+
+func releaseBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		buf.Reset()
+		bodyBuffers.Put(buf)
+	}
+}
+
+// renderHit renders the response every later hit on this plan gets —
+// cached, no plan time — up to and including the opening quote of the
+// requestId value, the only part that differs between hits.
+func renderHit(resp scheduleResponse) ([]byte, error) {
+	resp.Cached, resp.PlanMillis, resp.RequestID = true, 0, ""
+	b, err := json.Marshal(resp)
+	if err != nil {
+		return nil, err
+	}
+	// requestId is the last field (the trace is omitted when nil), so
+	// the document ends `"requestId":""}`.
+	return b[:len(b)-len(`"}`)], nil
+}
+
+// writeHit answers from a cache entry: the one writer of body-alias
+// hits (fast) and canonical-key hits, which therefore differ only in
+// the request id. Request ids are hex digits and a dash and need no
+// escaping. inline, when non-nil, is the deep-traced request's own
+// trace, appended as the trace field.
+func writeHit(w http.ResponseWriter, r *http.Request, e *cacheEntry, fast bool, inline *obs.Trace) {
+	rootSpan(r.Context()).Event("cache-hit", obs.Str("algorithm", e.algorithm), obs.Bool("fast", fast))
+	tail := "\"}\n"
+	if inline != nil {
+		if tree, err := json.Marshal(inline.Tree()); err == nil {
+			tail = `","trace":` + string(tree) + "}\n"
+		}
+	}
+	id := requestID(r.Context())
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(e.head)+len(id)+len(tail)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(e.head)
+	_, _ = io.WriteString(w, id)
+	_, _ = io.WriteString(w, tail)
 }
 
 // handleSimulate replays a plan under realized stochastic weights and
@@ -212,7 +286,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r.Context())
 	var req simulateRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed request body: "+err.Error(), reqID)
+		writeDecodeError(w, err, reqID)
 		return
 	}
 	wfl, err := parseWorkflow(req.Workflow)
@@ -464,7 +538,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r.Context())
 	var req sweepRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed request body: "+err.Error(), reqID)
+		writeDecodeError(w, err, reqID)
 		return
 	}
 	typ, err := wfgen.ParseType(req.WorkflowType)

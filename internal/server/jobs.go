@@ -160,7 +160,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r.Context())
 	var spec dist.JobSpec
 	if err := decodeStrict(r.Body, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed request body: "+err.Error(), reqID)
+		writeDecodeError(w, err, reqID)
 		return
 	}
 	spec.Normalize()
@@ -237,7 +237,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r.Context())
 	var req dist.ShardRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed request body: "+err.Error(), reqID)
+		writeDecodeError(w, err, reqID)
 		return
 	}
 	req.Normalize()

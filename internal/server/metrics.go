@@ -104,13 +104,17 @@ func newMetrics(cache *planCache, pool *workerPool) *Metrics {
 		}
 	}))
 	m.root.Set("panics", &m.panics)
+	// cache.hits counts every hit; bodyHits is the part of them that
+	// came through a body alias and skipped the parse.
 	m.root.Set("cache", expvar.Func(func() any {
 		return map[string]any{
-			"enabled": cache.Enabled(),
-			"hits":    cache.Hits(),
-			"misses":  cache.Misses(),
-			"hitRate": cache.HitRate(),
-			"size":    cache.Len(),
+			"enabled":  cache.Enabled(),
+			"hits":     cache.Hits(),
+			"bodyHits": cache.BodyHits(),
+			"misses":   cache.Misses(),
+			"hitRate":  cache.HitRate(),
+			"size":     cache.Len(),
+			"aliases":  cache.Aliases(),
 		}
 	}))
 	m.root.Set("pool", expvar.Func(func() any {
@@ -264,8 +268,10 @@ func (m *Metrics) histogram(endpoint string) *latencyHist {
 }
 
 // CacheHits, CacheMisses and CacheHitRate expose the plan-cache
-// counters (the proof that repeated requests skip the planner).
+// counters (the proof that repeated requests skip the planner);
+// CacheBodyHits counts the hits that skipped the parse as well.
 func (m *Metrics) CacheHits() uint64     { return m.cache.Hits() }
+func (m *Metrics) CacheBodyHits() uint64 { return m.cache.BodyHits() }
 func (m *Metrics) CacheMisses() uint64   { return m.cache.Misses() }
 func (m *Metrics) CacheHitRate() float64 { return m.cache.HitRate() }
 

@@ -126,7 +126,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r.Context())
 	var req submitRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed request body: "+err.Error(), reqID)
+		writeDecodeError(w, err, reqID)
 		return
 	}
 	wfl, err := parseWorkflow(req.Workflow)

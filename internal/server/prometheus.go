@@ -128,12 +128,18 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintln(w, "# HELP budgetwfd_cache_hits_total Plan-cache hits.")
 	fmt.Fprintln(w, "# TYPE budgetwfd_cache_hits_total counter")
 	fmt.Fprintf(w, "budgetwfd_cache_hits_total %d\n", m.cache.Hits())
+	fmt.Fprintln(w, "# HELP budgetwfd_cache_body_hits_total Plan-cache hits answered from a body alias, without parsing the request (a subset of budgetwfd_cache_hits_total).")
+	fmt.Fprintln(w, "# TYPE budgetwfd_cache_body_hits_total counter")
+	fmt.Fprintf(w, "budgetwfd_cache_body_hits_total %d\n", m.cache.BodyHits())
 	fmt.Fprintln(w, "# HELP budgetwfd_cache_misses_total Plan-cache misses.")
 	fmt.Fprintln(w, "# TYPE budgetwfd_cache_misses_total counter")
 	fmt.Fprintf(w, "budgetwfd_cache_misses_total %d\n", m.cache.Misses())
 	fmt.Fprintln(w, "# HELP budgetwfd_cache_entries Plan-cache resident entries.")
 	fmt.Fprintln(w, "# TYPE budgetwfd_cache_entries gauge")
 	fmt.Fprintf(w, "budgetwfd_cache_entries %d\n", m.cache.Len())
+	fmt.Fprintln(w, "# HELP budgetwfd_cache_aliases Request-body digests aliased to resident plan-cache entries.")
+	fmt.Fprintln(w, "# TYPE budgetwfd_cache_aliases gauge")
+	fmt.Fprintf(w, "budgetwfd_cache_aliases %d\n", m.cache.Aliases())
 	fmt.Fprintln(w, "# HELP budgetwfd_cache_enabled Whether the plan cache is enabled (1) or disabled (0).")
 	fmt.Fprintln(w, "# TYPE budgetwfd_cache_enabled gauge")
 	enabled := 0

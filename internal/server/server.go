@@ -25,7 +25,9 @@
 //   - a bounded worker pool with a bounded admission queue: overload
 //     yields 429 + Retry-After instead of goroutine/memory blow-up;
 //   - a content-addressed LRU plan cache keyed by canonical hashes of
-//     (workflow, platform, algorithm, budget), with hit/miss counters;
+//     (workflow, platform, algorithm, budget), with an alias from the
+//     digest of a raw request body to its entry so that a byte-identical
+//     repeat is answered unparsed, and hit/miss counters;
 //   - per-request timeouts threaded through context into the planning
 //     and simulation hot paths, and graceful shutdown that flips
 //     /readyz, stops admission and drains in-flight work;

@@ -38,9 +38,16 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 // workflowJSON renders a generated Montage instance in the wire format.
 func workflowJSON(t *testing.T, n int, seed uint64) json.RawMessage {
 	t.Helper()
-	w, err := wfgen.Generate(wfgen.Montage, n, seed)
+	return familyWorkflowJSON(t, wfgen.Montage, n, seed)
+}
+
+// familyWorkflowJSON renders a generated instance of any family in the
+// wire format.
+func familyWorkflowJSON(t *testing.T, typ wfgen.Type, n int, seed uint64) json.RawMessage {
+	t.Helper()
+	w, err := wfgen.Generate(typ, n, seed)
 	if err != nil {
-		t.Fatalf("generate workflow: %v", err)
+		t.Fatalf("generate %s workflow: %v", typ, err)
 	}
 	var buf bytes.Buffer
 	if err := w.WithSigmaRatio(0.5).WriteJSON(&buf); err != nil {
@@ -221,7 +228,7 @@ func TestScheduleHappyPathAndCache(t *testing.T) {
 // TestMetricsCacheDisabledServer: a cache-off server (CacheSize -1)
 // must report enabled=false with zero hit/miss counters even under
 // schedule traffic — not a misleading 0% hit rate over nonzero
-// lookups.
+// lookups — and must not alias the bodies it sees.
 func TestMetricsCacheDisabledServer(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, CacheSize: -1})
 	ts := httptest.NewServer(s.Handler())
@@ -263,6 +270,10 @@ func TestMetricsCacheDisabledServer(t *testing.T) {
 	if mv.Cache.Hits != 0 || mv.Cache.Misses != 0 {
 		t.Errorf("expvar cache hits/misses = %d/%d, want 0/0 on a disabled cache",
 			mv.Cache.Hits, mv.Cache.Misses)
+	}
+	if s.cache.Aliases() != 0 || s.Metrics().CacheBodyHits() != 0 {
+		t.Errorf("disabled cache: %d aliases, %d body hits, want none",
+			s.cache.Aliases(), s.Metrics().CacheBodyHits())
 	}
 }
 
@@ -671,15 +682,55 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
+// TestBodyTooLargeRejected: a body over MaxBodyBytes is a 413 that
+// says so on every endpoint that decodes one — not a 400 blaming the
+// client's JSON — whether the endpoint buffers the body (/v1/schedule)
+// or streams it into the decoder (the rest).
 func TestBodyTooLargeRejected(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, MaxBodyBytes: 256})
+	s := newTestServer(t, Config{Workers: 1, MaxBodyBytes: 256,
+		EnablePool: true, PoolBillingQuantum: 3600, PoolTimeToShutdown: 360})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	big := fmt.Sprintf(`{"workflow": {"name": %q}, "algorithm": "heft"}`,
-		strings.Repeat("x", 1024))
-	code, _, _ := post(t, ts, "/v1/schedule", []byte(big))
-	if code != http.StatusBadRequest {
-		t.Fatalf("oversized body = %d, want 400", code)
+	// Well-formed JSON that is merely long, and a body the decoder has
+	// to read to the limit before it could object to anything else.
+	long := fmt.Sprintf(`{"workflow": {"name": %q}, "algorithm": "heft"}`, strings.Repeat("x", 1024))
+	padded := strings.Repeat(" ", 1024) + "{}"
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/schedule", long},
+		{"/v1/schedule", padded},
+		{"/v1/simulate", long},
+		{"/v1/sweep", padded},
+		{"/v1/jobs", padded},
+		{"/v1/shards", padded},
+		{"/v1/workers", padded},
+		{"/v1/submit", long},
+	} {
+		code, data, _ := post(t, ts, tc.path, []byte(tc.body))
+		if code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body = %d, want 413 (%s)", tc.path, code, data)
+			continue
+		}
+		var e apiError
+		if err := json.Unmarshal(data, &e); err != nil {
+			t.Errorf("%s: 413 body is not the error JSON: %s", tc.path, data)
+			continue
+		}
+		if !strings.Contains(e.Error, "exceeds the limit of 256 bytes") || strings.Contains(e.Error, "malformed") || e.RequestID == "" {
+			t.Errorf("%s: 413 says %q (request id %q)", tc.path, e.Error, e.RequestID)
+		}
+	}
+	if got := s.Metrics().StatusCount(http.StatusRequestEntityTooLarge); got != 8 {
+		t.Errorf("413 count = %d, want 8", got)
+	}
+	if s.cache.Aliases() != 0 {
+		t.Error("an oversized body was aliased")
+	}
+
+	// A body at the limit is still judged on its JSON.
+	atLimit := `{"workflow": ` + strings.Repeat(" ", 256-len(`{"workflow": `))
+	if code, data, _ := post(t, ts, "/v1/schedule", []byte(atLimit)); code != http.StatusBadRequest ||
+		!strings.Contains(string(data), "malformed request body") {
+		t.Errorf("truncated body at the limit = %d (%s), want the 400 for malformed JSON", code, data)
 	}
 }

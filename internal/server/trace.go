@@ -31,6 +31,9 @@ func rootSpan(ctx context.Context) *obs.Span {
 // inline in the response (?trace=1). It also switches the planner and
 // simulator to deep tracing for this request.
 func traceRequested(r *http.Request) bool {
+	if r.URL.RawQuery == "" {
+		return false // the usual case, without building the query map
+	}
 	switch r.URL.Query().Get("trace") {
 	case "1", "true":
 		return true

@@ -31,8 +31,9 @@ import (
 // timeout, an out-of-range fault-spec field — is a 400; a body whose
 // values are well-formed but that describes something semantically
 // unusable — a cyclic DAG, an unknown algorithm, a schedule
-// inconsistent with its workflow — is a 422. Overload is a 429 with
-// Retry-After, and a server-side deadline expiry is a 504.
+// inconsistent with its workflow — is a 422. A body over MaxBodyBytes
+// is a 413 whatever it contains. Overload is a 429 with Retry-After,
+// and a server-side deadline expiry is a 504.
 
 // scheduleRequest is the body of POST /v1/schedule.
 type scheduleRequest struct {
@@ -264,7 +265,8 @@ type apiError struct {
 }
 
 // decodeStrict decodes JSON from r into v, rejecting unknown fields
-// and trailing garbage. Errors from it are syntactic (HTTP 400).
+// and trailing garbage. Errors from it are syntactic (HTTP 400) or the
+// body limit's (HTTP 413); writeDecodeError tells them apart.
 func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -275,6 +277,20 @@ func decodeStrict(r io.Reader, v any) error {
 		return fmt.Errorf("trailing data after JSON body")
 	}
 	return nil
+}
+
+// writeDecodeError answers a request whose body could not be read or
+// strictly decoded: 413 when it ran into the MaxBodyBytes limit — the
+// JSON may be fine, there is just too much of it — and 400 with the
+// decoder's message otherwise.
+func writeDecodeError(w http.ResponseWriter, err error, reqID string) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds the limit of %d bytes", tooLarge.Limit), reqID)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "malformed request body: "+err.Error(), reqID)
 }
 
 // parseWorkflow parses and validates the workflow sub-object. Errors

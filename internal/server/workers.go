@@ -25,7 +25,7 @@ func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r.Context())
 	var req dist.RegisterRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed request body: "+err.Error(), reqID)
+		writeDecodeError(w, err, reqID)
 		return
 	}
 	if err := validateWorkerURL(req.URL); err != "" {

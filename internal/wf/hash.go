@@ -1,11 +1,12 @@
 package wf
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"sort"
+	"slices"
 )
 
 // CanonicalHash returns a hex-encoded SHA-256 digest identifying the
@@ -27,17 +28,33 @@ import (
 // that position in the DAG — not just local content — is captured.
 // Float parameters are hashed through their IEEE-754 bit patterns,
 // which Go's encoding/json round-trips exactly.
+//
+// The byte stream fed to SHA-256 is fixed (canonicalHashReference in
+// the tests spells it out and the two are compared digest for digest);
+// this implementation only arranges to produce it without garbage:
+// digests in flat arenas and every record assembled in one reused
+// buffer, so a call allocates a constant number of objects whatever
+// the workflow's size.
 func (w *Workflow) CanonicalHash() string {
 	n := len(w.tasks)
-	cur := make([][]byte, n)
+	maxDeg := 0
+	for i := range w.tasks {
+		maxDeg = max(maxDeg, len(w.pred[i]), len(w.succ[i]))
+	}
+	cur := make([][sha256.Size]byte, n)
+	next := make([][sha256.Size]byte, n)
+	items := make([]neighbor, maxDeg)
+	// The longest record is a refinement one: own digest, two tags and
+	// both neighbourhoods.
+	rec := make([]byte, 0, sha256.Size+8+2*maxDeg*len(neighbor{}))
+
 	for i, t := range w.tasks {
-		h := sha256.New()
-		h.Write([]byte("task"))
-		writeF64(h, t.Weight.Mean)
-		writeF64(h, t.Weight.Sigma)
-		writeF64(h, t.ExternalIn)
-		writeF64(h, t.ExternalOut)
-		cur[i] = h.Sum(nil)
+		rec = append(rec[:0], "task"...)
+		rec = appendF64(rec, t.Weight.Mean)
+		rec = appendF64(rec, t.Weight.Sigma)
+		rec = appendF64(rec, t.ExternalIn)
+		rec = appendF64(rec, t.ExternalOut)
+		cur[i] = sha256.Sum256(rec)
 	}
 
 	// Refine: absorb predecessor and successor digests (with edge
@@ -45,50 +62,43 @@ func (w *Workflow) CanonicalHash() string {
 	// hashRounds-hop neighborhoods, ample to distinguish any two
 	// non-isomorphic workflows that scheduling could treat differently;
 	// genuinely isomorphic ones should collide, by design.
-	next := make([][]byte, n)
 	for round := 0; round < hashRounds; round++ {
 		for i := range w.tasks {
-			h := sha256.New()
-			h.Write(cur[i])
-			h.Write([]byte("pred"))
-			writeSortedNeighborhood(h, w.edgesOf(w.pred[i]), cur, true)
-			h.Write([]byte("succ"))
-			writeSortedNeighborhood(h, w.edgesOf(w.succ[i]), cur, false)
-			next[i] = h.Sum(nil)
+			rec = append(rec[:0], cur[i][:]...)
+			rec = append(rec, "pred"...)
+			rec = w.appendSortedNeighborhood(rec, items, w.pred[i], cur, true)
+			rec = append(rec, "succ"...)
+			rec = w.appendSortedNeighborhood(rec, items, w.succ[i], cur, false)
+			next[i] = sha256.Sum256(rec)
 		}
 		cur, next = next, cur
 	}
 
 	// Aggregate: the sorted multiset of final task digests plus the
-	// sorted multiset of edge digests.
-	taskDigests := make([]string, n)
-	for i, d := range cur {
-		taskDigests[i] = string(d)
-	}
-	sort.Strings(taskDigests)
-	edgeDigests := make([]string, len(w.edges))
+	// sorted multiset of edge digests. The edge digests read the task
+	// digests by index, so they are taken before those are sorted.
+	edgeDigests := make([][sha256.Size]byte, len(w.edges))
 	for i, e := range w.edges {
-		h := sha256.New()
-		h.Write([]byte("edge"))
-		h.Write(cur[e.From])
-		h.Write(cur[e.To])
-		writeF64(h, e.Size)
-		edgeDigests[i] = string(h.Sum(nil))
+		rec = append(rec[:0], "edge"...)
+		rec = append(rec, cur[e.From][:]...)
+		rec = append(rec, cur[e.To][:]...)
+		rec = appendF64(rec, e.Size)
+		edgeDigests[i] = sha256.Sum256(rec)
 	}
-	sort.Strings(edgeDigests)
+	slices.SortFunc(cur, compareDigests)
+	slices.SortFunc(edgeDigests, compareDigests)
 
 	h := sha256.New()
-	h.Write([]byte("workflow"))
-	var count [8]byte
-	binary.BigEndian.PutUint64(count[:], uint64(n))
-	h.Write(count[:])
-	for _, d := range taskDigests {
-		h.Write([]byte(d))
+	rec = append(rec[:0], "workflow"...)
+	rec = binary.BigEndian.AppendUint64(rec, uint64(n))
+	h.Write(rec)
+	for i := range cur {
+		h.Write(cur[i][:])
 	}
-	for _, d := range edgeDigests {
-		h.Write([]byte(d))
+	for i := range edgeDigests {
+		h.Write(edgeDigests[i][:])
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(rec[:0]))
 }
 
 // hashRounds is the neighborhood radius of the refinement. Eight hops
@@ -97,39 +107,35 @@ func (w *Workflow) CanonicalHash() string {
 // digest multisets anyway.
 const hashRounds = 8
 
-// edgesOf resolves edge indices to Edge values.
-func (w *Workflow) edgesOf(idxs []int) []Edge {
-	out := make([]Edge, len(idxs))
-	for i, e := range idxs {
-		out[i] = w.edges[e]
-	}
-	return out
-}
+// neighbor is one element of a task's neighbourhood multiset: the
+// neighbour's digest followed by the big-endian bits of the edge size.
+type neighbor [sha256.Size + 8]byte
 
-// writeSortedNeighborhood hashes the multiset of (neighbor digest,
+// appendSortedNeighborhood appends the multiset of (neighbor digest,
 // payload size) pairs in sorted order, so sibling enumeration order
 // cannot leak into the digest. fromSide selects which endpoint of each
-// edge is the neighbor.
-func writeSortedNeighborhood(h interface{ Write([]byte) (int, error) }, edges []Edge, digests [][]byte, fromSide bool) {
-	items := make([]string, len(edges))
-	for i, e := range edges {
-		neighbor := e.To
+// edge is the neighbor; items is scratch at least len(edgeIdxs) long.
+func (w *Workflow) appendSortedNeighborhood(rec []byte, items []neighbor, edgeIdxs []int, digests [][sha256.Size]byte, fromSide bool) []byte {
+	items = items[:len(edgeIdxs)]
+	for k, idx := range edgeIdxs {
+		e := w.edges[idx]
+		nb := e.To
 		if fromSide {
-			neighbor = e.From
+			nb = e.From
 		}
-		var size [8]byte
-		binary.BigEndian.PutUint64(size[:], math.Float64bits(e.Size))
-		items[i] = string(digests[neighbor]) + string(size[:])
+		copy(items[k][:], digests[nb][:])
+		binary.BigEndian.PutUint64(items[k][sha256.Size:], math.Float64bits(e.Size))
 	}
-	sort.Strings(items)
-	for _, it := range items {
-		h.Write([]byte(it))
+	slices.SortFunc(items, func(a, b neighbor) int { return bytes.Compare(a[:], b[:]) })
+	for k := range items {
+		rec = append(rec, items[k][:]...)
 	}
+	return rec
 }
 
-// writeF64 hashes the exact IEEE-754 bit pattern of v.
-func writeF64(h interface{ Write([]byte) (int, error) }, v float64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], math.Float64bits(v))
-	h.Write(b[:])
+func compareDigests(a, b [sha256.Size]byte) int { return bytes.Compare(a[:], b[:]) }
+
+// appendF64 appends the exact IEEE-754 bit pattern of v.
+func appendF64(rec []byte, v float64) []byte {
+	return binary.BigEndian.AppendUint64(rec, math.Float64bits(v))
 }
