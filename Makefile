@@ -39,14 +39,17 @@ bench-est:
 # definitions (schema intact, case list unchanged) and against the
 # suites' gates: for the daemon suite, within that one run, a warm
 # cache hit must stay below 1/5 of a cold request's allocations and
-# 1/4 of its time (bench.GateDaemon). Run by CI.
+# 1/4 of its time (bench.GateDaemon); for the planner suite, a
+# HEFTBUDG+ plan must allocate at most 4x the HEFTBUDG plan it refines
+# (bench.GatePlanner). Run by CI.
 bench-json-check:
 	$(GO) run ./cmd/bench -check -seed 1 -out .
 
 # One-iteration smoke run of every suite into a scratch dir, then
 # validate and gate what it wrote — the step that fails CI when this
-# tree's warm hit regresses against its own cold request. Does not
-# touch committed files.
+# tree's warm hit regresses against its own cold request, or a
+# refinement plan allocates per candidate again. Does not touch
+# committed files.
 bench-json-smoke:
 	rm -rf /tmp/bench-smoke && $(GO) run ./cmd/bench -benchtime 1x -seed 1 -out /tmp/bench-smoke
 	$(GO) run ./cmd/bench -check -seed 1 -out /tmp/bench-smoke
@@ -91,6 +94,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadDAX -fuzztime 30s ./internal/wf/
 	$(GO) test -fuzz FuzzReadJSON -fuzztime 30s ./internal/plan/
 	$(GO) test -fuzz FuzzSpecJSON -fuzztime 30s ./internal/fault/
+	$(GO) test -fuzz FuzzRefineMatchesReference -fuzztime 30s ./internal/sched/
 
 clean:
 	rm -rf results-quick

@@ -10,9 +10,10 @@
 //	bench -suite sim -benchtime 1x -out /tmp/bench
 //
 // Validate baselines against the current suite definitions and gate
-// them (what CI does — schema intact, case list unchanged, and for the
-// daemon suite the same-run relations of bench.GateDaemon: a warm
-// cache hit stays far below a cold request in allocations and time):
+// them (what CI does — schema intact, case list unchanged, and the
+// same-run relations of bench.GateDaemon — a warm cache hit stays far
+// below a cold request in allocations and time — and bench.GatePlanner
+// — a HEFTBUDG+ plan allocates like a list planner, not per candidate):
 //
 //	bench -check -out .
 package main
@@ -97,6 +98,12 @@ func selectSuites(arg string) ([]string, error) {
 	return out, nil
 }
 
+// gates holds the same-run relations a suite's numbers must satisfy.
+var gates = map[string]func(*bench.File) ([]string, error){
+	"daemon":  bench.GateDaemon,
+	"planner": bench.GatePlanner,
+}
+
 // checkFiles validates each suite's committed baseline: parseable,
 // schema-consistent, and with exactly the case list the current code
 // defines — so a PR that changes a suite must regenerate its baseline —
@@ -120,8 +127,8 @@ func checkFiles(dir string, seed uint64, suites []string, stdout io.Writer) erro
 			failures = append(failures, fmt.Sprintf("%s: %v", path, err))
 			continue
 		}
-		if name == "daemon" {
-			report, err := bench.GateDaemon(f)
+		if gate := gates[name]; gate != nil {
+			report, err := gate(f)
 			for _, line := range report {
 				fmt.Fprintf(stdout, "%s: %s\n", path, line)
 			}

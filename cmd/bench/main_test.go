@@ -90,6 +90,46 @@ func TestCheckGatesDaemonBaseline(t *testing.T) {
 	}
 }
 
+// TestCheckGatesPlannerBaseline: the committed planner baseline passes
+// -check and prints one ratio line per family; the same file with a
+// HEFTBUDG+ case allocating per candidate again (a clone and an engine
+// for each of its moves — what the suite read before the in-place
+// evaluator) fails it.
+func TestCheckGatesPlannerBaseline(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_planner.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH_planner.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-check", "-suite", "planner", "-out", dir}, &out); err != nil {
+		t.Fatalf("committed planner baseline fails -check: %v\n%s", err, out.String())
+	}
+	if got := strings.Count(out.String(), "allocs_per_op"); got != 3 {
+		t.Errorf("check output has %d gate lines, want one per family:\n%s", got, out.String())
+	}
+
+	f, err := bench.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range f.Results {
+		if f.Results[i].Case == "heftbudg+/ligo/n0050" {
+			f.Results[i].AllocsPerOp = 390_000
+		}
+	}
+	if err := f.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-check", "-suite", "planner", "-out", dir}, &out); err == nil || !strings.Contains(err.Error(), "planner gate") {
+		t.Fatalf("regressed planner baseline passed -check: %v", err)
+	}
+}
+
 func TestCheckMissingFile(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-check", "-suite", "sim", "-out", t.TempDir()}, &out)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -153,9 +154,9 @@ func TestSuiteDefinitionsAreStable(t *testing.T) {
 	}
 }
 
-// TestPlannerSuiteCoversTheGrid pins the advertised coverage: six
-// algorithms, three families, sizes {50, 300, 1000} with the
-// refinement algorithms capped at n=50.
+// TestPlannerSuiteCoversTheGrid pins the advertised coverage: seven
+// algorithms, three families, sizes {50, 300, 1000} with the three
+// refinement algorithms capped at n=300.
 func TestPlannerSuiteCoversTheGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds planner instances and anchors")
@@ -164,13 +165,63 @@ func TestPlannerSuiteCoversTheGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 4*3*3 + 2*3; len(cases) != want {
+	if want := 4*3*3 + 3*3*2; len(cases) != want {
 		t.Fatalf("%d cases, want %d", len(cases), want)
 	}
+	refined := 0
 	for _, c := range cases {
-		if strings.HasPrefix(c.Name, "heftbudg+") && !strings.HasSuffix(c.Name, "/n0050") {
-			t.Errorf("refinement case above the cap: %s", c.Name)
+		if strings.HasPrefix(c.Name, "heftbudg+") || strings.HasPrefix(c.Name, "cg+") {
+			refined++
+			if strings.HasSuffix(c.Name, "/n1000") {
+				t.Errorf("refinement case above the cap: %s", c.Name)
+			}
 		}
+	}
+	if refined != 3*3*2 {
+		t.Errorf("%d refinement cases, want %d", refined, 3*3*2)
+	}
+}
+
+// TestGatePlanner: the gate passes a run in which HEFTBUDG+ allocates
+// like the list planner it starts from, fails one in which a
+// refinement plan allocates per candidate again — on whichever family
+// — and rejects a run that lacks the cases it reads.
+func TestGatePlanner(t *testing.T) {
+	run := func(refinedAllocs map[string]int64) *File {
+		f := &File{SchemaVersion: SchemaVersion, Suite: "planner"}
+		for _, typ := range plannerFamilies {
+			f.Results = append(f.Results,
+				Result{Case: fmt.Sprintf("heftbudg/%s/n0050", typ), Iterations: 10, NsPerOp: 60e3, AllocsPerOp: 240, OpsPerSec: 1},
+				Result{Case: fmt.Sprintf("heftbudg+/%s/n0050", typ), Iterations: 10, NsPerOp: 12e6, AllocsPerOp: refinedAllocs[string(typ)], OpsPerSec: 1})
+		}
+		return f
+	}
+	report, err := GatePlanner(run(map[string]int64{"cybershake": 410, "ligo": 520, "montage": 700}))
+	if err != nil {
+		t.Errorf("healthy run rejected: %v", err)
+	}
+	if len(report) != len(plannerFamilies) {
+		t.Errorf("report has %d lines, want one per family: %q", len(report), report)
+	}
+	// One clone and one engine per candidate: what the suite measured
+	// before the in-place evaluator.
+	_, err = GatePlanner(run(map[string]int64{"cybershake": 410, "ligo": 520, "montage": 315_000}))
+	if err == nil || !strings.Contains(err.Error(), "heftbudg+/montage/n0050 allocates 315000") {
+		t.Errorf("per-candidate allocation not reported: %v", err)
+	}
+	if strings.Contains(err.Error(), "ligo") {
+		t.Errorf("healthy family reported: %v", err)
+	}
+	if _, err := GatePlanner(run(map[string]int64{"cybershake": 961, "ligo": 520, "montage": 700})); err == nil {
+		t.Error("4.004x the list planner's allocations accepted")
+	}
+	if _, err := GatePlanner(run(map[string]int64{"cybershake": 960, "ligo": 520, "montage": 700})); err != nil {
+		t.Errorf("exactly 4x rejected: %v", err)
+	}
+	missing := run(map[string]int64{"cybershake": 410, "ligo": 520, "montage": 700})
+	missing.Results = missing.Results[:len(missing.Results)-1]
+	if _, err := GatePlanner(missing); err == nil || !strings.Contains(err.Error(), "missing") {
+		t.Errorf("missing case not reported: %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"budgetwf/internal/exp"
@@ -18,12 +19,12 @@ const plannerSigma = 0.5
 // plannerSizes is the workflow-size axis of the planner grid.
 var plannerSizes = []int{50, 300, 1000}
 
-// refineCap caps HEFTBUDG+ / HEFTBUDG+INV at the smallest size: the
-// refinement re-simulates the whole schedule per candidate move, which
-// is ~two orders of magnitude costlier than the list schedulers; at
-// n=1000 a single iteration would take minutes. The cap is a
-// documented property of the suite, not a silent truncation.
-const refineCap = 50
+// refineCap caps the refinement planners (HEFTBUDG+, HEFTBUDG+INV,
+// CG+) at n=300: they simulate the whole schedule once per candidate
+// move — O(n·VMs) simulations of O(n) events each — so a single plan
+// at n=1000 would take minutes. The cap is a documented property of
+// the suite, not a silent truncation.
+const refineCap = 300
 
 var plannerFamilies = []wfgen.Type{wfgen.CyberShake, wfgen.Ligo, wfgen.Montage}
 
@@ -34,11 +35,16 @@ var plannerAlgs = []sched.Name{
 	sched.NameMinMinBudg,
 	sched.NameBDT,
 	sched.NameCG,
+	sched.NameCGPlus,
+}
+
+var refinePlanners = map[sched.Name]bool{
+	sched.NameHeftBudgPlus: true, sched.NameHeftBudgPlusInv: true, sched.NameCGPlus: true,
 }
 
 // Planner builds the planner suite: every budget-aware algorithm of
 // the paper over CyberShake/LIGO/Montage at n ∈ {50, 300, 1000}
-// (refinement algorithms capped at n=50, see refineCap). Each case
+// (refinement algorithms capped at n=300, see refineCap). Each case
 // plans one fixed seeded instance at the mid-range budget
 // (CheapCost+High)/2, where the budget actually constrains placement.
 func Planner(seed uint64) ([]Case, error) {
@@ -59,7 +65,7 @@ func Planner(seed uint64) ([]Case, error) {
 			}
 			budget := (anchors.CheapCost + anchors.High) / 2
 			for _, alg := range plannerAlgs {
-				if (alg == sched.NameHeftBudgPlus || alg == sched.NameHeftBudgPlusInv) && n > refineCap {
+				if refinePlanners[alg] && n > refineCap {
 					continue
 				}
 				a, err := sched.ByName(alg)
@@ -82,4 +88,48 @@ func Planner(seed uint64) ([]Case, error) {
 	}
 	sort.Slice(cases, func(i, j int) bool { return cases[i].Name < cases[j].Name })
 	return cases, nil
+}
+
+// maxRefineListAllocs bounds, within one planner-suite run, what a
+// HEFTBUDG+ plan may allocate relative to the HEFTBUDG plan it starts
+// from. Refinement evaluates its candidate moves in place on one
+// reusable engine, so it adds the evaluator's buffers and a clone per
+// accepted move: 1.4–1.8× the list planner at n=50. Allocating per
+// candidate again — it was a cloned schedule and a fresh engine each,
+// ≈ 1 200× — fails this by orders of magnitude, on any machine.
+const maxRefineListAllocs = 4
+
+// gateSize is the planner-suite size GatePlanner reads.
+const gateSize = 50
+
+// GatePlanner checks, within one planner-suite run, that HEFTBUDG+
+// allocates at most maxRefineListAllocs times what HEFTBUDG does on
+// every family at n=50 (allocation counts are deterministic), and
+// reports the time ratio — Table III's refinement factor, which grows
+// with n and the machine and is not enforced.
+func GatePlanner(f *File) (report []string, err error) {
+	byCase := make(map[string]Result, len(f.Results))
+	for _, r := range f.Results {
+		byCase[r.Case] = r
+	}
+	var broken []string
+	for _, typ := range plannerFamilies {
+		name := func(alg sched.Name) string { return fmt.Sprintf("%s/%s/n%04d", alg, typ, gateSize) }
+		list, refined := byCase[name(sched.NameHeftBudg)], byCase[name(sched.NameHeftBudgPlus)]
+		if list.Case == "" || refined.Case == "" {
+			return report, fmt.Errorf("bench: planner gate: %s or %s case missing", name(sched.NameHeftBudg), name(sched.NameHeftBudgPlus))
+		}
+		ratio := float64(refined.AllocsPerOp) / float64(list.AllocsPerOp)
+		report = append(report, fmt.Sprintf("%s / %s: allocs_per_op %d/%d = %.2f (limit %d), ns_per_op %.0f/%.0f = %.0f (reported)",
+			refined.Case, list.Case, refined.AllocsPerOp, list.AllocsPerOp, ratio, maxRefineListAllocs,
+			refined.NsPerOp, list.NsPerOp, refined.NsPerOp/list.NsPerOp))
+		if refined.AllocsPerOp > maxRefineListAllocs*list.AllocsPerOp {
+			broken = append(broken, fmt.Sprintf("%s allocates %d objects per op, more than %d× %s's %d",
+				refined.Case, refined.AllocsPerOp, maxRefineListAllocs, list.Case, list.AllocsPerOp))
+		}
+	}
+	if len(broken) > 0 {
+		return report, fmt.Errorf("bench: planner gate: %s", strings.Join(broken, "; "))
+	}
+	return report, nil
 }

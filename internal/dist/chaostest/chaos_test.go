@@ -46,3 +46,33 @@ func TestChaosCluster(t *testing.T) {
 		rep.JobID, rep.UnitsTotal, rep.Elapsed, rep.KilledWorker, rep.Reconnects,
 		rep.SnapshotBytes, rep.TailRecords, rep.Dispatched, rep.Requeued, rep.Stolen, rep.Duplicates)
 }
+
+// TestParseStitchedTrace: worker lanes come from the process_name of
+// pids that own spans; credit comes from the coordinator's shard spans
+// that ended without an error, remote ones only.
+func TestParseStitchedTrace(t *testing.T) {
+	const doc = `{"traceEvents":[
+	 {"name":"process_name","ph":"M","pid":0,"args":{"name":"coordinator"}},
+	 {"name":"process_name","ph":"M","pid":1,"args":{"name":"http://w0"}},
+	 {"name":"process_name","ph":"M","pid":2,"args":{"name":"http://w2"}},
+	 {"name":"job","ph":"X","pid":0},
+	 {"name":"shard","ph":"X","pid":0,"args":{"worker":"http://w0","start":0,"end":4}},
+	 {"name":"compute","ph":"X","pid":1},
+	 {"name":"shard","ph":"X","pid":0,"args":{"worker":"http://w1","error":"connection refused"}},
+	 {"name":"shard","ph":"X","pid":0,"args":{"mode":"fallback"}},
+	 {"name":"upgrade","ph":"i","pid":2}
+	]}`
+	tr, err := parseStitchedTrace([]byte(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.spans != 5 || !tr.coordSeen {
+		t.Errorf("spans = %d, coordSeen = %v; want 5, true", tr.spans, tr.coordSeen)
+	}
+	if got := sortedKeys(tr.lanes); len(got) != 1 || got[0] != "http://w0" {
+		t.Errorf("lanes = %v, want [http://w0]", got)
+	}
+	if got := sortedKeys(tr.credited); len(got) != 1 || got[0] != "http://w0" {
+		t.Errorf("credited = %v, want [http://w0]", got)
+	}
+}

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"os"
+	"sort"
 	"time"
 )
 
@@ -62,19 +64,20 @@ type Report struct {
 }
 
 // DefaultSweep returns a sweep spec sized so a 3-worker cluster chews
-// on it for a few seconds — long enough that a worker SIGKILL and a
-// coordinator restart both land strictly mid-run.
+// on it for over a second (96 units, ~25 status polls) — long enough
+// that a worker SIGKILL and a coordinator restart both land strictly
+// mid-run, with shards left for the restarted coordinator to dispatch.
 func DefaultSweep(size int) map[string]any {
 	if size <= 0 {
-		size = 60
+		size = 90
 	}
 	return map[string]any{
 		"workflowType": "montage",
 		"n":            size,
 		"algorithms":   []string{"heft", "heftbudg"},
 		"gridK":        6,
-		"instances":    2,
-		"replications": 300,
+		"instances":    8,
+		"replications": 400,
 		"seed":         42,
 	}
 }
@@ -91,8 +94,10 @@ func DefaultSweep(size int) map[string]any {
 //  6. check the journal was compacted: a snapshot exists and the tail
 //     is bounded by the snapshot-every threshold, and
 //  7. fetch the job's stitched trace from the restarted coordinator
-//     and check it carries spans from the coordinator and from at
-//     least two distinct surviving workers.
+//     and check it carries spans from the coordinator and one lane for
+//     exactly each worker the coordinator's own shard spans credit
+//     with a completed shard (at least one; how the restarted
+//     coordinator spreads what was left is not part of the contract).
 //
 // Any violated property is an error; a nil error means the
 // survivable-crash contract held.
@@ -198,7 +203,7 @@ func Run(sc Scenario) (*Report, error) {
 			killedWorker = true
 			logf("chaostest: killed worker%d at %d/%d units", victim, view.UnitsDone, view.UnitsTotal)
 		}
-		if killedWorker && !restarted && view.UnitsTotal > 0 && view.UnitsDone >= view.UnitsTotal/3 {
+		if killedWorker && !restarted && view.UnitsDone >= view.UnitsTotal/3 && view.UnitsDone < view.UnitsTotal {
 			// Kill first, poll the dead coordinator, then restart: the
 			// poll is guaranteed to land inside the outage window, so the
 			// scenario always exercises the reconnect path a polling
@@ -297,65 +302,101 @@ func Run(sc Scenario) (*Report, error) {
 	if sub.TraceID == "" {
 		return rep, fmt.Errorf("submit response carried no traceId")
 	}
-	spans, workerPids, coordSeen, err := fetchStitchedTrace(client, cluster.CoordURL(), sub.TraceID)
+	tr, err := fetchStitchedTrace(client, cluster.CoordURL(), sub.TraceID)
 	if err != nil {
 		return rep, err
 	}
-	rep.TraceSpans = spans
-	rep.TraceWorkerPids = workerPids
-	if !coordSeen {
+	rep.TraceSpans = tr.spans
+	rep.TraceWorkerPids = len(tr.lanes)
+	if !tr.coordSeen {
 		return rep, fmt.Errorf("stitched trace %s has no coordinator (pid 0) spans", sub.TraceID)
 	}
-	minWorkers := 2
-	if sc.Workers < 3 {
-		// With fewer than three workers only one survives the kill.
-		minWorkers = 1
+	if len(tr.credited) == 0 {
+		return rep, fmt.Errorf("stitched trace %s: the restarted coordinator completed no remote shard", sub.TraceID)
 	}
-	if workerPids < minWorkers {
-		return rep, fmt.Errorf("stitched trace %s attributes spans to %d worker processes, want >= %d",
-			sub.TraceID, workerPids, minWorkers)
+	if !maps.Equal(tr.lanes, tr.credited) {
+		return rep, fmt.Errorf("stitched trace %s attributes spans to worker processes %v, but the coordinator's shard spans credit %v with a completed shard",
+			sub.TraceID, sortedKeys(tr.lanes), sortedKeys(tr.credited))
 	}
-	logf("chaostest: stitched trace %s: %d spans across coordinator + %d workers", sub.TraceID, spans, workerPids)
+	logf("chaostest: stitched trace %s: %d spans across coordinator + %d workers", sub.TraceID, tr.spans, len(tr.lanes))
 	keepDir = false
 	return rep, nil
 }
 
+// stitchedTrace is what the chaos contract reads off the Chrome export
+// of a job trace.
+type stitchedTrace struct {
+	spans     int  // complete ("X") span events
+	coordSeen bool // pid 0 (the coordinator) contributed spans
+	// lanes is the worker processes (by advertised URL, the lane's
+	// process_name) that own at least one span.
+	lanes map[string]bool
+	// credited is the workers named by a coordinator "shard" span that
+	// ended without an error: the coordinator's own record of who
+	// completed a shard for it.
+	credited map[string]bool
+}
+
 // fetchStitchedTrace pulls the Chrome export of one trace and reduces
-// it to what the chaos contract checks: the number of complete ("X")
-// span events, how many distinct non-zero pids (remote workers) they
-// span, and whether pid 0 (the coordinator) contributed any.
-func fetchStitchedTrace(client *http.Client, baseURL, traceID string) (spans, workerPids int, coordSeen bool, err error) {
+// it to a stitchedTrace.
+func fetchStitchedTrace(client *http.Client, baseURL, traceID string) (*stitchedTrace, error) {
 	resp, err := client.Get(baseURL + "/v1/traces/" + traceID + "?format=chrome")
 	if err != nil {
-		return 0, 0, false, fmt.Errorf("trace fetch: %w", err)
+		return nil, fmt.Errorf("trace fetch: %w", err)
 	}
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return 0, 0, false, fmt.Errorf("trace fetch: status %d: %s", resp.StatusCode, raw)
+		return nil, fmt.Errorf("trace fetch: status %d: %s", resp.StatusCode, raw)
 	}
+	return parseStitchedTrace(raw)
+}
+
+func parseStitchedTrace(raw []byte) (*stitchedTrace, error) {
 	var doc struct {
 		TraceEvents []struct {
-			Ph  string `json:"ph"`
-			PID int    `json:"pid"`
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			PID  int    `json:"pid"`
+			Args struct {
+				Name   string  `json:"name"`   // process_name metadata
+				Worker string  `json:"worker"` // coordinator shard spans
+				Error  *string `json:"error"`
+			} `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
-		return 0, 0, false, fmt.Errorf("trace fetch: bad body: %w", err)
+		return nil, fmt.Errorf("trace fetch: bad body: %w", err)
 	}
-	pids := map[int]bool{}
+	tr := &stitchedTrace{lanes: map[string]bool{}, credited: map[string]bool{}}
+	procName := map[int]string{}
 	for _, ev := range doc.TraceEvents {
-		if ev.Ph != "X" {
-			continue
-		}
-		spans++
-		if ev.PID == 0 {
-			coordSeen = true
-		} else {
-			pids[ev.PID] = true
+		if ev.Ph == "M" && ev.Name == "process_name" {
+			procName[ev.PID] = ev.Args.Name
 		}
 	}
-	return spans, len(pids), coordSeen, nil
+	for _, ev := range doc.TraceEvents {
+		switch {
+		case ev.Ph != "X":
+			continue
+		case ev.PID != 0:
+			tr.lanes[procName[ev.PID]] = true
+		case ev.Name == "shard" && ev.Args.Worker != "" && ev.Args.Error == nil:
+			tr.credited[ev.Args.Worker] = true
+		}
+		tr.spans++
+		tr.coordSeen = tr.coordSeen || ev.PID == 0
+	}
+	return tr, nil
+}
+
+func sortedKeys(m map[string]bool) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // normalizeResponse strips the request-scoped requestId from a sweep

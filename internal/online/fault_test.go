@@ -9,6 +9,7 @@ import (
 
 	"budgetwf/internal/fault"
 	"budgetwf/internal/plan"
+	"budgetwf/internal/plan/plantest"
 	"budgetwf/internal/platform"
 	"budgetwf/internal/rng"
 	"budgetwf/internal/sim"
@@ -87,7 +88,7 @@ func chainCase(n int) (*wf.Workflow, *plan.Schedule) {
 		s.ListT = append(s.ListT, wf.TaskID(i))
 		s.TaskVM[i] = 0
 	}
-	s.CompactVMs()
+	plantest.CompactVMs(s)
 	return w, s
 }
 

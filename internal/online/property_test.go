@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"budgetwf/internal/plan"
+	"budgetwf/internal/plan/plantest"
 	"budgetwf/internal/platform"
 	"budgetwf/internal/rng"
 	"budgetwf/internal/sim"
@@ -52,7 +53,7 @@ func randomOnlineCase(r *rand.Rand) (*wf.Workflow, *plan.Schedule, *platform.Pla
 		s.ListT = append(s.ListT, wf.TaskID(i))
 		s.TaskVM[i] = r.Intn(numVMs)
 	}
-	s.CompactVMs()
+	plantest.CompactVMs(s)
 	return w, s, p
 }
 

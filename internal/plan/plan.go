@@ -11,7 +11,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 
 	"budgetwf/internal/wf"
 )
@@ -66,7 +65,8 @@ func (s *Schedule) Assign(t wf.TaskID, vmIdx int) {
 	s.Order[vmIdx] = append(s.Order[vmIdx], t)
 }
 
-// Clone returns a deep copy of the schedule.
+// Clone returns a deep copy of the schedule. The copy's per-VM orders
+// share one backing array, each capped at its own length.
 func (s *Schedule) Clone() *Schedule {
 	c := &Schedule{
 		VMCats:      append([]int(nil), s.VMCats...),
@@ -76,74 +76,80 @@ func (s *Schedule) Clone() *Schedule {
 		EstCost:     s.EstCost,
 	}
 	c.Order = make([][]wf.TaskID, len(s.Order))
+	total := 0
+	for _, o := range s.Order {
+		total += len(o)
+	}
+	arena := make([]wf.TaskID, 0, total)
 	for i, o := range s.Order {
-		c.Order[i] = append([]wf.TaskID(nil), o...)
+		if len(o) > 0 {
+			start := len(arena)
+			arena = append(arena, o...)
+			c.Order[i] = arena[start:len(arena):len(arena)]
+		}
 	}
 	return c
 }
 
 // RebuildOrder recomputes every VM's execution order from TaskVM and
-// ListT: tasks on one VM run in ListT-rank order. The refinement
-// algorithms call this after moving a task between VMs. Tasks missing
-// from ListT keep relative ID order after listed ones; in practice
-// ListT always covers all tasks.
+// ListT: tasks on one VM run in ListT-rank order (a task listed twice
+// ranks at its last occurrence). Tasks missing from ListT keep
+// relative ID order after listed ones; in practice ListT always covers
+// all tasks. The orders share one backing array.
 func (s *Schedule) RebuildOrder() {
-	rank := make(map[wf.TaskID]int, len(s.ListT))
-	for i, t := range s.ListT {
-		rank[t] = i
-	}
+	n := len(s.TaskVM)
 	s.Order = make([][]wf.TaskID, len(s.VMCats))
-	for task, vm := range s.TaskVM {
-		if vm == Unassigned {
-			continue
-		}
-		s.Order[vm] = append(s.Order[vm], wf.TaskID(task))
-	}
-	for _, o := range s.Order {
-		sort.SliceStable(o, func(a, b int) bool {
-			ra, oka := rank[o[a]]
-			rb, okb := rank[o[b]]
-			switch {
-			case oka && okb:
-				return ra < rb
-			case oka:
-				return true
-			case okb:
-				return false
-			default:
-				return o[a] < o[b]
-			}
-		})
-	}
+	s.fillOrder(make([]int, n), make([]int, len(s.VMCats)+1), make([]wf.TaskID, n))
 }
 
-// CompactVMs removes VMs with no assigned task, renumbering TaskVM.
-// The refinement algorithms can leave a VM empty after moving its last
-// task away; an empty VM must not be billed.
-func (s *Schedule) CompactVMs() {
-	used := make([]bool, len(s.VMCats))
+// fillOrder is RebuildOrder on caller-owned scratch — rank and arena of
+// len(TaskVM), start of len(VMCats)+1, and s.Order already len(VMCats)
+// — so the refinement planners (Mover) rebuild the orders of every
+// candidate move without allocating. It is a linear bucket fill: each
+// VM owns the arena segment sized by its task count, and walking ListT
+// in order appends each task to its VM's segment.
+func (s *Schedule) fillOrder(rank, start []int, arena []wf.TaskID) {
+	n := len(s.TaskVM)
+	for t := range rank {
+		rank[t] = -1
+	}
+	for i, t := range s.ListT {
+		if t >= 0 && int(t) < n {
+			rank[t] = i
+		}
+	}
+	for v := range start {
+		start[v] = 0
+	}
 	for _, vm := range s.TaskVM {
 		if vm != Unassigned {
-			used[vm] = true
+			start[vm+1]++
 		}
 	}
-	remap := make([]int, len(s.VMCats))
-	var cats []int
-	for i, u := range used {
-		if u {
-			remap[i] = len(cats)
-			cats = append(cats, s.VMCats[i])
-		} else {
-			remap[i] = Unassigned
+	for v := range s.Order {
+		start[v+1] += start[v]
+		s.Order[v] = nil
+		if start[v+1] > start[v] {
+			// Capacity stops at the segment's end: appends below fill it
+			// exactly, and a later Assign cannot spill into the next VM.
+			s.Order[v] = arena[start[v]:start[v]:start[v+1]]
 		}
 	}
-	for t, vm := range s.TaskVM {
-		if vm != Unassigned {
-			s.TaskVM[t] = remap[vm]
+	place := func(t wf.TaskID) {
+		if vm := s.TaskVM[t]; vm != Unassigned {
+			s.Order[vm] = append(s.Order[vm], t)
 		}
 	}
-	s.VMCats = cats
-	s.RebuildOrder()
+	for i, t := range s.ListT {
+		if t >= 0 && int(t) < n && rank[t] == i {
+			place(t)
+		}
+	}
+	for t := range rank {
+		if rank[t] < 0 {
+			place(wf.TaskID(t))
+		}
+	}
 }
 
 // Validate checks the schedule against a workflow and a category
@@ -152,6 +158,13 @@ func (s *Schedule) CompactVMs() {
 // consistent (no task placed after one of its descendants on the same
 // VM, which would deadlock execution).
 func (s *Schedule) Validate(w *wf.Workflow, numCats int) error {
+	return s.ValidateBuf(w, numCats, nil)
+}
+
+// ValidateBuf is Validate on a caller-owned scratch slice (allocated
+// here when shorter than the task count), for callers that validate
+// many schedules of one workflow.
+func (s *Schedule) ValidateBuf(w *wf.Workflow, numCats int, pos []int) error {
 	n := w.NumTasks()
 	if len(s.TaskVM) != n {
 		return fmt.Errorf("plan: TaskVM has %d entries, workflow has %d tasks", len(s.TaskVM), n)
@@ -172,34 +185,35 @@ func (s *Schedule) Validate(w *wf.Workflow, numCats int) error {
 	if len(s.Order) != len(s.VMCats) {
 		return fmt.Errorf("plan: Order has %d VMs, VMCats has %d", len(s.Order), len(s.VMCats))
 	}
-	seen := make([]bool, n)
+	// pos[t] is t's position in its VM's order, -1 until seen.
+	if len(pos) < n {
+		pos = make([]int, n)
+	}
+	pos = pos[:n]
+	for t := range pos {
+		pos[t] = -1
+	}
 	for vmIdx, order := range s.Order {
-		for _, t := range order {
+		for i, t := range order {
 			if int(t) < 0 || int(t) >= n {
 				return fmt.Errorf("plan: VM %d order mentions invalid task %d", vmIdx, t)
 			}
-			if seen[t] {
+			if pos[t] >= 0 {
 				return fmt.Errorf("plan: task %d appears twice in orders", t)
 			}
-			seen[t] = true
+			pos[t] = i
 			if s.TaskVM[t] != vmIdx {
 				return fmt.Errorf("plan: task %d in VM %d order but TaskVM says %d", t, vmIdx, s.TaskVM[t])
 			}
 		}
 	}
 	for t := 0; t < n; t++ {
-		if !seen[t] {
+		if pos[t] < 0 {
 			return fmt.Errorf("plan: task %d missing from VM orders", t)
 		}
 	}
 	// Per-VM order must respect the precedence relation restricted to
 	// tasks sharing a VM; otherwise the FIFO executor deadlocks.
-	pos := make([]int, n)
-	for _, order := range s.Order {
-		for i, t := range order {
-			pos[t] = i
-		}
-	}
 	for _, e := range w.EdgesView() {
 		if s.TaskVM[e.From] == s.TaskVM[e.To] && pos[e.From] >= pos[e.To] {
 			return fmt.Errorf("plan: VM %d runs task %d before its predecessor %d", s.TaskVM[e.To], e.To, e.From)

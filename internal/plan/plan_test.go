@@ -99,29 +99,6 @@ func TestRebuildOrderFollowsListT(t *testing.T) {
 	}
 }
 
-func TestCompactVMs(t *testing.T) {
-	s := validChainSchedule()
-	// Move everything off VM 0.
-	s.TaskVM[0] = 1
-	s.TaskVM[2] = 1
-	s.CompactVMs()
-	if s.NumVMs() != 1 {
-		t.Fatalf("NumVMs = %d after compaction", s.NumVMs())
-	}
-	if s.VMCats[0] != 1 {
-		t.Errorf("surviving VM category = %d", s.VMCats[0])
-	}
-	for task, vm := range s.TaskVM {
-		if vm != 0 {
-			t.Errorf("task %d on VM %d", task, vm)
-		}
-	}
-	w := chainWF(t)
-	if err := s.Validate(w, 3); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	s := validChainSchedule()
 	c := s.Clone()

@@ -52,51 +52,6 @@ func TestRebuildOrderProperty(t *testing.T) {
 	}
 }
 
-// Property: CompactVMs removes exactly the empty VMs, preserves every
-// task's category, and is idempotent.
-func TestCompactVMsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		w, s := randomPlanCase(r)
-		s.RebuildOrder()
-		catOf := make(map[wf.TaskID]int)
-		for task, vm := range s.TaskVM {
-			catOf[wf.TaskID(task)] = s.VMCats[vm]
-		}
-		used := map[int]bool{}
-		for _, vm := range s.TaskVM {
-			used[vm] = true
-		}
-		s.CompactVMs()
-		if s.NumVMs() != len(used) {
-			t.Logf("seed %d: %d VMs after compaction, want %d", seed, s.NumVMs(), len(used))
-			return false
-		}
-		for task, vm := range s.TaskVM {
-			if s.VMCats[vm] != catOf[wf.TaskID(task)] {
-				t.Logf("seed %d: task %d changed category", seed, task)
-				return false
-			}
-		}
-		if err := s.Validate(w, 3); err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		before := append([]int(nil), s.TaskVM...)
-		s.CompactVMs()
-		for i := range before {
-			if s.TaskVM[i] != before[i] {
-				t.Logf("seed %d: CompactVMs not idempotent", seed)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: Clone is observationally equal and fully detached.
 func TestCloneProperty(t *testing.T) {
 	f := func(seed int64) bool {

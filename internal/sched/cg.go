@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"budgetwf/internal/obs"
 	"budgetwf/internal/plan"
 	"budgetwf/internal/platform"
 	"budgetwf/internal/sim"
@@ -130,45 +131,48 @@ func cgPlusOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.RunDeterministic(w, p, cur)
+	ev, res, err := newMoveEval(w, p, cur, opt)
 	if err != nil {
 		return nil, fmt.Errorf("sched: simulating CG schedule: %w", err)
 	}
+	defer ev.span.End()
+	// The incumbent's figures are copied out of res: the evaluator's
+	// next simulation overwrites it.
+	makespan, cost, path := res.Makespan, res.TotalCost, res.CriticalPath()
+	ev.span.Set(obs.Float("baseMakespan", makespan))
 
 	maxIters := 4 * w.NumTasks()
 	for iter := 0; iter < maxIters; iter++ {
-		type move struct {
-			sched *plan.Schedule
-			res   *sim.Result
-			ratio float64
+		var best struct {
+			sched                 *plan.Schedule
+			task                  wf.TaskID
+			path                  []wf.TaskID
+			makespan, cost, ratio float64
 		}
-		var best *move
-		for _, t := range res.CriticalPath() {
-			for _, cand := range moveCandidates(cur, t, p.NumCategories()) {
-				if err := opt.stopErr(); err != nil {
-					return nil, err
-				}
-				r, err := sim.RunDeterministic(w, p, cand)
-				if err != nil {
-					continue
-				}
-				dT := res.Makespan - r.Makespan
-				dC := r.TotalCost - res.TotalCost
+		for _, t := range path {
+			err := ev.eachMove(cur, t, func(cand *plan.Schedule, r *sim.Result) {
+				dT := makespan - r.Makespan
+				dC := r.TotalCost - cost
 				if dT <= 0 || dC <= 0 || r.TotalCost > budget {
-					continue
+					return
 				}
-				ratio := dT / dC
-				if best == nil || ratio > best.ratio {
-					best = &move{sched: cand, res: r, ratio: ratio}
+				if ratio := dT / dC; best.sched == nil || ratio > best.ratio {
+					best.sched, best.task, best.path = cand.Clone(), t, r.CriticalPath()
+					best.makespan, best.cost, best.ratio = r.Makespan, r.TotalCost, ratio
 				}
+			})
+			if err != nil {
+				return nil, err
 			}
 		}
-		if best == nil {
+		if best.sched == nil {
 			break
 		}
-		cur, res = best.sched, best.res
+		ev.upgrade(best.task, best.sched, makespan, best.makespan, best.cost)
+		cur, path, makespan, cost = best.sched, best.path, best.makespan, best.cost
 	}
-	cur.EstMakespan = res.Makespan
-	cur.EstCost = res.TotalCost
+	ev.finish(makespan)
+	cur.EstMakespan = makespan
+	cur.EstCost = cost
 	return cur, nil
 }

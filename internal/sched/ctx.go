@@ -27,7 +27,7 @@ import (
 // their decision trace into it: per-task candidate evaluations with
 // EFT and charged cost, budget-guard admit/reject verdicts with the
 // remaining pot, the Algorithm 1 budget decomposition, and the
-// refinement upgrades of HEFTBUDG+/+INV. Without a span in the
+// refinement upgrades of HEFTBUDG+/+INV and CG+. Without a span in the
 // context the instrumentation is a nil check per placement step.
 func PlanContext(ctx stdcontext.Context, name Name, w *wf.Workflow, p *platform.Platform, budget float64) (*plan.Schedule, error) {
 	if err := ctx.Err(); err != nil {

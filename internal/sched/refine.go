@@ -34,20 +34,13 @@ func refine(w *wf.Workflow, p *platform.Platform, budget float64, inverse bool, 
 	if err != nil {
 		return nil, err
 	}
-	// One weights vector serves every candidate simulation below:
-	// refine evaluates O(n·(VMs+cats)) candidates, and re-deriving the
-	// conservative weights per candidate was a measurable share of its
-	// allocations.
-	weights := sim.ConservativeWeights(w)
-	res, err := sim.Run(w, p, cur, weights)
+	ev, res, err := newMoveEval(w, p, cur, opt)
 	if err != nil {
 		return nil, fmt.Errorf("sched: simulating HEFTBUDG schedule: %w", err)
 	}
+	defer ev.span.End()
 	minMakespan := res.Makespan
-
-	span := opt.span.Child("refine")
-	span.Set(obs.Bool("inverse", inverse), obs.Float("baseMakespan", minMakespan))
-	defer span.End()
+	ev.span.Set(obs.Bool("inverse", inverse), obs.Float("baseMakespan", minMakespan))
 
 	order := append([]wf.TaskID(nil), cur.ListT...)
 	if inverse {
@@ -56,64 +49,113 @@ func refine(w *wf.Workflow, p *platform.Platform, budget float64, inverse bool, 
 		}
 	}
 
-	moves, upgrades := 0, 0
 	for _, t := range order {
 		best := cur
-		for _, cand := range moveCandidates(cur, t, p.NumCategories()) {
-			if err := opt.stopErr(); err != nil {
-				return nil, err
-			}
-			moves++
-			r, err := sim.Run(w, p, cand, weights)
-			if err != nil {
-				// A malformed candidate (should not happen: moves keep
-				// ListT-derived orders topological) is simply skipped.
-				continue
-			}
+		err := ev.eachMove(cur, t, func(cand *plan.Schedule, r *sim.Result) {
 			if r.Makespan < minMakespan && r.TotalCost < budget {
-				best = cand
-				if span != nil {
-					upgrades++
-					span.Event("upgrade",
-						obs.Int("task", int(t)),
-						obs.Int("toVM", best.TaskVM[t]),
-						obs.Float("makespanBefore", minMakespan),
-						obs.Float("makespanAfter", r.Makespan),
-						obs.Float("cost", r.TotalCost))
-				}
+				best = cand.Clone()
+				ev.upgrade(t, best, minMakespan, r.Makespan, r.TotalCost)
 				minMakespan = r.Makespan
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
 		cur = best
 	}
-	span.Set(obs.Int("movesTried", moves), obs.Int("upgrades", upgrades),
-		obs.Float("finalMakespan", minMakespan))
+	ev.finish(minMakespan)
 	cur.EstMakespan = minMakespan
 	return cur, nil
 }
 
-// moveCandidates generates every schedule obtained by moving task t to
-// a different used VM or to a fresh VM of each category (Algorithm 5,
-// line 7: (UsedVM \ sched(T)) ∪ NewVM). Each candidate is compacted
-// (a VM left empty by the move is deprovisioned) and its per-VM orders
-// rebuilt from ListT.
-func moveCandidates(s *plan.Schedule, t wf.TaskID, numCats int) []*plan.Schedule {
-	var out []*plan.Schedule
-	curVM := s.TaskVM[t]
-	for vm := range s.VMCats {
-		if vm == curVM {
+// moveEval evaluates the candidate moves of the refinement planners
+// (HEFTBUDG+, HEFTBUDG+INV, CG+) for one plan on buffers built once:
+// the scratch schedule each move is written into (plan.Mover), one
+// simulation engine re-pointed at it (sim.Runner.Rebind, which
+// validates it in full) and one conservative-weights vector. The
+// candidate schedule and its sim.Result are overwritten by the next
+// evaluation: a planner that accepts a move clones the one and copies
+// what it needs of the other first.
+type moveEval struct {
+	mover   *plan.Mover
+	run     *sim.Runner
+	weights []float64
+	numCats int
+	opt     Options
+
+	// The "refine" span and its totals; the span is nil when untraced.
+	span            *obs.Span
+	moves, upgrades int
+}
+
+// newMoveEval builds the evaluator and simulates the base schedule; the
+// returned Result is valid until the first eachMove.
+func newMoveEval(w *wf.Workflow, p *platform.Platform, base *plan.Schedule, opt Options) (*moveEval, *sim.Result, error) {
+	run, err := sim.NewRunner(w, p, base)
+	if err != nil {
+		return nil, nil, err
+	}
+	ev := &moveEval{
+		mover:   plan.NewMover(w.NumTasks()),
+		run:     run,
+		weights: sim.ConservativeWeights(w),
+		numCats: p.NumCategories(),
+		opt:     opt,
+	}
+	res, err := run.Run(ev.weights)
+	if err != nil {
+		return nil, nil, err
+	}
+	ev.span = opt.span.Child("refine")
+	return ev, res, nil
+}
+
+// eachMove simulates every schedule obtained by moving task t of cur
+// to a different used VM or to a fresh VM of each category (Algorithm
+// 5, line 7: (UsedVM \ sched(T)) ∪ NewVM), in that order, and hands
+// each to visit. The cancellation hook is polled once per candidate; a
+// malformed candidate (should not happen: moves keep ListT-derived
+// orders topological) is simply skipped.
+func (ev *moveEval) eachMove(cur *plan.Schedule, t wf.TaskID, visit func(cand *plan.Schedule, r *sim.Result)) error {
+	used := cur.NumVMs()
+	for target := 0; target < used+ev.numCats; target++ {
+		if target == cur.TaskVM[t] {
 			continue
 		}
-		c := s.Clone()
-		c.TaskVM[t] = vm
-		c.CompactVMs()
-		out = append(out, c)
+		if err := ev.opt.stopErr(); err != nil {
+			return err
+		}
+		ev.moves++
+		vm, cat := target, 0
+		if target >= used {
+			vm, cat = -1, target-used
+		}
+		cand := ev.mover.Move(cur, t, vm, cat)
+		if ev.run.Rebind(cand) != nil {
+			continue
+		}
+		if r, err := ev.run.Run(ev.weights); err == nil {
+			visit(cand, r)
+		}
 	}
-	for cat := 0; cat < numCats; cat++ {
-		c := s.Clone()
-		c.TaskVM[t] = c.AddVM(cat)
-		c.CompactVMs()
-		out = append(out, c)
+	return nil
+}
+
+// upgrade records that moving t made s the incumbent.
+func (ev *moveEval) upgrade(t wf.TaskID, s *plan.Schedule, makespanBefore, makespanAfter, cost float64) {
+	ev.upgrades++
+	if ev.span != nil {
+		ev.span.Event("upgrade",
+			obs.Int("task", int(t)),
+			obs.Int("toVM", s.TaskVM[t]),
+			obs.Float("makespanBefore", makespanBefore),
+			obs.Float("makespanAfter", makespanAfter),
+			obs.Float("cost", cost))
 	}
-	return out
+}
+
+// finish records the refinement's totals on its span.
+func (ev *moveEval) finish(makespan float64) {
+	ev.span.Set(obs.Int("movesTried", ev.moves), obs.Int("upgrades", ev.upgrades),
+		obs.Float("finalMakespan", makespan))
 }

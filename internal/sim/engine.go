@@ -122,7 +122,8 @@ type vmState struct {
 // engineStatic is the schedule-dependent, run-independent part of the
 // engine: cached graph structure, staging volumes and the validation
 // outcome. A Runner computes it once and replays many executions
-// against it; the one-shot entry points build it per call.
+// against it — or re-points it at another schedule with bind, keeping
+// the graph caches; the one-shot entry points build it per call.
 type engineStatic struct {
 	w     *wf.Workflow
 	p     *platform.Platform
@@ -135,45 +136,63 @@ type engineStatic struct {
 	missing0  []int       // initial count of crossing inputs per task
 	flowCap   int         // upper bound on flows per run, sizing the arena
 	maxSteps  int
+	pos       []int // plan.Schedule.ValidateBuf scratch
 }
 
 func newEngineStatic(w *wf.Workflow, p *platform.Platform, s *plan.Schedule) (*engineStatic, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if err := s.Validate(w, p.NumCategories()); err != nil {
-		return nil, err
-	}
 	n := w.NumTasks()
 	st := &engineStatic{
 		w:         w,
 		p:         p,
-		s:         s,
 		fluid:     p.DCBandwidth > 0,
 		outEdges:  make([][]wf.Edge, n),
 		extOut:    make([]float64, n),
 		stageSize: make([]float64, n),
 		missing0:  make([]int, n),
-		maxSteps:  16 * (n + w.NumEdges() + s.NumVMs() + 16),
+		pos:       make([]int, n),
 	}
-	crossEdges := 0
-	for t := 0; t < n; t++ {
-		task := w.Task(wf.TaskID(t))
-		st.stageSize[t] = task.ExternalIn
+	for t, task := range w.TasksView() {
 		st.extOut[t] = task.ExternalOut
 		st.outEdges[t] = w.Succ(wf.TaskID(t))
-		for _, edge := range w.Pred(wf.TaskID(t)) {
-			if s.TaskVM[edge.From] != s.TaskVM[edge.To] {
-				st.stageSize[t] += edge.Size
-				st.missing0[t]++
-				crossEdges++
-			}
+	}
+	if err := st.bind(s); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// bind validates s and points the static at it, recomputing what
+// depends on the schedule: staging volumes, crossing-input counts and
+// the flow and step bounds. The graph caches are kept. Staging volumes
+// add up a task's crossing inputs in edge-index order, as wf.Pred
+// lists them. On error the static is unchanged.
+func (st *engineStatic) bind(s *plan.Schedule) error {
+	if err := s.ValidateBuf(st.w, st.p.NumCategories(), st.pos); err != nil {
+		return err
+	}
+	st.s = s
+	tasks := st.w.TasksView()
+	for t := range tasks {
+		st.stageSize[t] = tasks[t].ExternalIn
+		st.missing0[t] = 0
+	}
+	crossEdges := 0
+	for _, edge := range st.w.EdgesView() {
+		if s.TaskVM[edge.From] != s.TaskVM[edge.To] {
+			st.stageSize[edge.To] += edge.Size
+			st.missing0[edge.To]++
+			crossEdges++
 		}
 	}
+	n := st.w.NumTasks()
 	// One staging flow per task, one upload per crossing edge, one
 	// external-output upload per task, at most.
 	st.flowCap = 2*n + crossEdges
-	return st, nil
+	st.maxSteps = 16 * (n + st.w.NumEdges() + s.NumVMs() + 16)
+	return nil
 }
 
 // engine is the per-run mutable state. Reset() rewinds it so one
@@ -207,10 +226,8 @@ type engine struct {
 
 func newEngineFromStatic(st *engineStatic) *engine {
 	n := st.w.NumTasks()
-	return &engine{
+	e := &engine{
 		st:           st,
-		flowArena:    make([]flow, 0, st.flowCap),
-		vms:          make([]vmState, st.s.NumVMs()),
 		missing:      make([]int, n),
 		dcReadyTime:  make([]float64, n),
 		dcReadyPred:  make([]wf.TaskID, n),
@@ -218,6 +235,22 @@ func newEngineFromStatic(st *engineStatic) *engine {
 		times:        make([]TaskTimes, n),
 		blames:       make([]Blame, n),
 		finishedTask: make([]bool, n),
+	}
+	e.fit()
+	return e
+}
+
+// fit sizes the buffers that depend on the bound schedule: one vmState
+// per VM and a flow arena of the static's flow bound. It runs between
+// executions only, when no flow pointer is live.
+func (e *engine) fit() {
+	if nv := e.st.s.NumVMs(); nv <= cap(e.vms) {
+		e.vms = e.vms[:nv]
+	} else {
+		e.vms = make([]vmState, nv)
+	}
+	if cap(e.flowArena) < e.st.flowCap {
+		e.flowArena = make([]flow, 0, e.st.flowCap)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"budgetwf/internal/plan"
+	"budgetwf/internal/plan/plantest"
 	"budgetwf/internal/platform"
 	"budgetwf/internal/rng"
 	"budgetwf/internal/stoch"
@@ -56,7 +57,7 @@ func randomCase(r *rand.Rand) (*wf.Workflow, *plan.Schedule, *platform.Platform)
 	for i := 0; i < n; i++ {
 		s.TaskVM[i] = r.Intn(numVMs)
 	}
-	s.CompactVMs()
+	plantest.CompactVMs(s)
 	return w, s, p
 }
 

@@ -60,6 +60,23 @@ func NewRunner(w *wf.Workflow, p *platform.Platform, s *plan.Schedule) (*Runner,
 	return r, nil
 }
 
+// Rebind points the Runner at another schedule of the same workflow
+// and platform — or at the same *plan.Schedule after the caller rewrote
+// it in place — keeping the graph caches, event heap, flow arena and
+// result buffers. s gets the full plan.Schedule.Validate; only what
+// depends on the schedule is recomputed.
+//
+// The Runner reads s during every later execution, so a caller that
+// rewrites s must Rebind before the next Run — also after a failed
+// Rebind, which leaves the Runner bound to the schedule it had.
+func (r *Runner) Rebind(s *plan.Schedule) error {
+	if err := r.eng.st.bind(s); err != nil {
+		return err
+	}
+	r.eng.fit()
+	return nil
+}
+
 // Run simulates one execution under the given realized weights. The
 // weights slice is only read during the call.
 func (r *Runner) Run(weights []float64) (*Result, error) {
