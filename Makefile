@@ -41,15 +41,18 @@ bench-est:
 # cache hit must stay below 1/5 of a cold request's allocations and
 # 1/4 of its time (bench.GateDaemon); for the planner suite, a
 # HEFTBUDG+ plan must allocate at most 4x the HEFTBUDG plan it refines
-# (bench.GatePlanner). Run by CI.
+# (bench.GatePlanner); for the sim suite, a 25-replication batch must
+# allocate at most 32 objects and a scored batch take at most half the
+# time of the simulated one (bench.GateSim). Run by CI.
 bench-json-check:
 	$(GO) run ./cmd/bench -check -seed 1 -out .
 
 # One-iteration smoke run of every suite into a scratch dir, then
 # validate and gate what it wrote — the step that fails CI when this
-# tree's warm hit regresses against its own cold request, or a
-# refinement plan allocates per candidate again. Does not touch
-# committed files.
+# tree's warm hit regresses against its own cold request, a
+# refinement plan allocates per candidate again, or scoring a
+# replication allocates or is no faster than simulating it. Does not
+# touch committed files.
 bench-json-smoke:
 	rm -rf /tmp/bench-smoke && $(GO) run ./cmd/bench -benchtime 1x -seed 1 -out /tmp/bench-smoke
 	$(GO) run ./cmd/bench -check -seed 1 -out /tmp/bench-smoke
@@ -95,6 +98,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadJSON -fuzztime 30s ./internal/plan/
 	$(GO) test -fuzz FuzzSpecJSON -fuzztime 30s ./internal/fault/
 	$(GO) test -fuzz FuzzRefineMatchesReference -fuzztime 30s ./internal/sched/
+	$(GO) test -fuzz FuzzScoreMatchesRun -fuzztime 30s ./internal/sim/
 
 clean:
 	rm -rf results-quick

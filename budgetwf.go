@@ -259,7 +259,8 @@ func ReplicateBudget(w *Workflow, p *Platform, s *Schedule, n int, seed uint64, 
 // cancellation being polled between stochastic executions.
 func ReplicateBudgetContext(ctx context.Context, w *Workflow, p *Platform, s *Schedule, n int, seed uint64, budget float64) (*Replication, error) {
 	stream := rng.New(seed)
-	var mk, cost []float64
+	mks := make([]float64, 0, max(n, 0))
+	costs := make([]float64, 0, max(n, 0))
 	valid := 0
 	runner, err := sim.NewRunner(w, p, s)
 	if err != nil {
@@ -269,19 +270,19 @@ func ReplicateBudgetContext(ctx context.Context, w *Workflow, p *Platform, s *Sc
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r, err := runner.RunStochastic(stream.Split(uint64(i)))
+		mk, cost, err := runner.Score(runner.Sample(stream.Split(uint64(i))))
 		if err != nil {
 			return nil, err
 		}
-		mk = append(mk, r.Makespan)
-		cost = append(cost, r.TotalCost)
-		if budget <= 0 || r.TotalCost <= budget {
+		mks = append(mks, mk)
+		costs = append(costs, cost)
+		if budget <= 0 || cost <= budget {
 			valid++
 		}
 	}
 	out := &Replication{
-		Makespan: stats.Summarize(mk),
-		Cost:     stats.Summarize(cost),
+		Makespan: stats.Summarize(mks),
+		Cost:     stats.Summarize(costs),
 		Budget:   budget,
 	}
 	if n > 0 {

@@ -12,8 +12,10 @@
 // Validate baselines against the current suite definitions and gate
 // them (what CI does — schema intact, case list unchanged, and the
 // same-run relations of bench.GateDaemon — a warm cache hit stays far
-// below a cold request in allocations and time — and bench.GatePlanner
-// — a HEFTBUDG+ plan allocates like a list planner, not per candidate):
+// below a cold request in allocations and time — bench.GatePlanner — a
+// HEFTBUDG+ plan allocates like a list planner, not per candidate —
+// and bench.GateSim — a replication batch allocates per batch, not per
+// execution, and scoring it takes at most half of simulating it):
 //
 //	bench -check -out .
 package main
@@ -102,6 +104,7 @@ func selectSuites(arg string) ([]string, error) {
 var gates = map[string]func(*bench.File) ([]string, error){
 	"daemon":  bench.GateDaemon,
 	"planner": bench.GatePlanner,
+	"sim":     bench.GateSim,
 }
 
 // checkFiles validates each suite's committed baseline: parseable,

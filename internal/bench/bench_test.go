@@ -259,3 +259,44 @@ func TestGateDaemon(t *testing.T) {
 		t.Error("a run without the gated cases passed the gate")
 	}
 }
+
+// TestGateSim: the gate passes a run in which scoring is far cheaper
+// than the event engine and neither allocates per execution, names
+// each relation a run breaks, and rejects a run that lacks a case.
+func TestGateSim(t *testing.T) {
+	run := func(mcAllocs, scoreAllocs int64, scoreNs float64) *File {
+		f := &File{SchemaVersion: SchemaVersion, Suite: "sim"}
+		for _, sigma := range simSigmas {
+			f.Results = append(f.Results,
+				Result{Case: fmt.Sprintf("mc25/montage/n0300/sigma%.2f", sigma), Iterations: 10, NsPerOp: 3e6, AllocsPerOp: mcAllocs, OpsPerSec: 1},
+				Result{Case: fmt.Sprintf("score25/montage/n0300/sigma%.2f", sigma), Iterations: 10, NsPerOp: scoreNs, AllocsPerOp: scoreAllocs, OpsPerSec: 1})
+		}
+		return f
+	}
+	report, err := GateSim(run(26, 25, 250e3))
+	if err != nil {
+		t.Errorf("healthy run rejected: %v", err)
+	}
+	if len(report) != len(simSigmas) || !strings.Contains(report[0], "250000/3000000 = 0.083") {
+		t.Errorf("report lacks one ratio with its base per σ: %q", report)
+	}
+	// One allocation per scored execution on top of the split stream.
+	if _, err := GateSim(run(26, 50, 250e3)); err == nil || !strings.Contains(err.Error(), "score25/montage/n0300/sigma0.00 allocates 50") {
+		t.Errorf("scoring that allocates per call passed the gate: %v", err)
+	}
+	if _, err := GateSim(run(33, 25, 250e3)); err == nil || !strings.Contains(err.Error(), "mc25/montage/n0300/sigma0.00 allocates 33") {
+		t.Errorf("an engine batch over the ceiling passed the gate: %v", err)
+	}
+	if _, err := GateSim(run(32, 32, 1.5e6)); err != nil {
+		t.Errorf("exactly the ceiling and exactly half the time rejected: %v", err)
+	}
+	// Scoring no faster than the engine.
+	if _, err := GateSim(run(26, 25, 3e6)); err == nil || !strings.Contains(err.Error(), "ns per op") {
+		t.Errorf("scoring as slow as the engine passed the gate: %v", err)
+	}
+	missing := run(26, 25, 250e3)
+	missing.Results = missing.Results[:len(missing.Results)-1]
+	if _, err := GateSim(missing); err == nil || !strings.Contains(err.Error(), "missing") {
+		t.Errorf("missing case not reported: %v", err)
+	}
+}

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"budgetwf/internal/exp"
@@ -22,10 +23,13 @@ var simSigmas = []float64{0, 0.5, 1.0}
 
 // Sim builds the Monte Carlo suite: batches of simReps stochastic
 // executions of a fixed HEFTBUDG schedule (Montage, n=300) at
-// σ/w̄ ∈ {0, 0.5, 1.0}, replayed through a sim.Runner exactly like the
-// experiment sweeps do. σ=0 isolates the engine (sampling degenerates
-// to the mean); larger σ adds the truncated-Gaussian sampling cost and
-// shifts the realized timelines.
+// σ/w̄ ∈ {0, 0.5, 1.0}, replayed through a sim.Runner. The mc cases
+// run the event engine (Runner.RunStochastic, a full Result per
+// execution); the score cases draw the same weights and read makespan
+// and cost through Runner.Score, exactly like the experiment sweeps
+// do. σ=0 isolates the evaluator (sampling degenerates to the mean);
+// larger σ adds the truncated-Gaussian sampling cost and shifts the
+// realized timelines.
 func Sim(seed uint64) ([]Case, error) {
 	var cases []Case
 	for _, sigma := range simSigmas {
@@ -43,25 +47,83 @@ func Sim(seed uint64) ([]Case, error) {
 		if err != nil {
 			return nil, err
 		}
-		cases = append(cases, Case{
-			Name: fmt.Sprintf("mc%d/montage/n0300/sigma%.2f", simReps, sigma),
-			Bench: func(b *testing.B) {
-				runner, err := sim.NewRunner(w, p, s)
-				if err != nil {
-					b.Fatal(err)
-				}
-				stream := rng.New(seed).Split(uint64(sigma * 100))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for rep := 0; rep < simReps; rep++ {
-						if _, err := runner.RunStochastic(stream.Split(uint64(rep))); err != nil {
-							b.Fatal(err)
+		batch := func(name string, one func(r *sim.Runner, rand *rng.RNG) error) {
+			cases = append(cases, Case{
+				Name: fmt.Sprintf("%s%d/montage/n0300/sigma%.2f", name, simReps, sigma),
+				Bench: func(b *testing.B) {
+					runner, err := sim.NewRunner(w, p, s)
+					if err != nil {
+						b.Fatal(err)
+					}
+					stream := rng.New(seed).Split(uint64(sigma * 100))
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						for rep := 0; rep < simReps; rep++ {
+							if err := one(runner, stream.Split(uint64(rep))); err != nil {
+								b.Fatal(err)
+							}
 						}
 					}
-				}
-			},
+				},
+			})
+		}
+		batch("mc", func(r *sim.Runner, rand *rng.RNG) error {
+			_, err := r.RunStochastic(rand)
+			return err
+		})
+		batch("score", func(r *sim.Runner, rand *rng.RNG) error {
+			_, _, err := r.Score(r.Sample(rand))
+			return err
 		})
 	}
 	sort.Slice(cases, func(i, j int) bool { return cases[i].Name < cases[j].Name })
 	return cases, nil
+}
+
+// What GateSim holds a sim-suite run to. A batch draws one split RNG
+// stream per replication and nothing else (26 allocations at most), so
+// the ceiling catches an evaluator that allocates even once per call
+// (≥ 50), deterministically. The time ratio is between two cases of the
+// same run on the same weights, which makes it machine-independent
+// enough to gate: scoring measures about 1/20 to 1/10 of the event
+// engine here (the rest is sampling); at 1/2 it would no longer be
+// worth a second code path.
+const (
+	maxSimBatchAllocs = 32
+	maxScoreRunTime   = 0.5
+)
+
+// GateSim checks, within one sim-suite run, that no replication batch
+// allocates per execution and that scoring a batch takes at most
+// maxScoreRunTime of simulating it in full at equal σ.
+func GateSim(f *File) (report []string, err error) {
+	byCase := make(map[string]Result, len(f.Results))
+	for _, r := range f.Results {
+		byCase[r.Case] = r
+	}
+	var broken []string
+	for _, sigma := range simSigmas {
+		name := func(kind string) string { return fmt.Sprintf("%s%d/montage/n0300/sigma%.2f", kind, simReps, sigma) }
+		run, score := byCase[name("mc")], byCase[name("score")]
+		if run.Case == "" || score.Case == "" {
+			return report, fmt.Errorf("bench: sim gate: %s or %s case missing", name("mc"), name("score"))
+		}
+		report = append(report, fmt.Sprintf("%s / %s: ns_per_op %.0f/%.0f = %.3f (limit %.2f), allocs_per_op %d and %d (limit %d)",
+			score.Case, run.Case, score.NsPerOp, run.NsPerOp, score.NsPerOp/run.NsPerOp, maxScoreRunTime,
+			score.AllocsPerOp, run.AllocsPerOp, maxSimBatchAllocs))
+		for _, r := range []Result{run, score} {
+			if r.AllocsPerOp > maxSimBatchAllocs {
+				broken = append(broken, fmt.Sprintf("%s allocates %d objects per batch of %d, more than %d",
+					r.Case, r.AllocsPerOp, simReps, maxSimBatchAllocs))
+			}
+		}
+		if score.NsPerOp > maxScoreRunTime*run.NsPerOp {
+			broken = append(broken, fmt.Sprintf("%s takes %.0f ns per op, more than %.0f%% of %s's %.0f",
+				score.Case, score.NsPerOp, 100*maxScoreRunTime, run.Case, run.NsPerOp))
+		}
+	}
+	if len(broken) > 0 {
+		return report, fmt.Errorf("bench: sim gate: %s", strings.Join(broken, "; "))
+	}
+	return report, nil
 }

@@ -78,15 +78,15 @@ func DeadlineFrontier(cfg FigureConfig, typ wfgen.Type, alg sched.Name) (*Table,
 				return nil, err
 			}
 			for rep := 0; rep < sc.Reps; rep++ {
-				r, err := runner.RunStochastic(stream.Split(uint64(rep)))
+				mk, cost, err := runner.Score(runner.Sample(stream.Split(uint64(rep))))
 				if err != nil {
 					return nil, err
 				}
 				total++
-				if r.TotalCost <= budget {
+				if cost <= budget {
 					budgetMet++
 					for di, df := range deadlineFactors {
-						if r.Makespan <= df*insts[i].anchors.BaselineMakespan {
+						if mk <= df*insts[i].anchors.BaselineMakespan {
 							met[di]++
 						}
 					}

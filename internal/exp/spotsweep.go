@@ -206,14 +206,14 @@ func RunSpotSweepCtx(ctx context.Context, scIn SpotScenario) (*SpotSweepResult, 
 		}
 		weightStream := spotWeightStream(sc.Seed, i)
 		for rep := 0; rep < sc.Reps; rep++ {
-			r, err := runner.Run(sim.SampleWeights(inst.w, weightStream.Split(uint64(rep))))
+			mk, cost, err := runner.Score(runner.Sample(weightStream.Split(uint64(rep))))
 			if err != nil {
 				return nil, err
 			}
-			baseCosts = append(baseCosts, r.TotalCost)
-			baseMks = append(baseMks, r.Makespan)
+			baseCosts = append(baseCosts, cost)
+			baseMks = append(baseMks, mk)
 			baseReps++
-			if r.TotalCost <= inst.budget {
+			if cost <= inst.budget {
 				baseInBudget++
 			}
 		}

@@ -8,6 +8,8 @@ import (
 
 	"budgetwf/internal/platform"
 	"budgetwf/internal/sched"
+	"budgetwf/internal/sim"
+	"budgetwf/internal/stats"
 	"budgetwf/internal/wfgen"
 )
 
@@ -40,6 +42,37 @@ func TestRunSpotSweepGrid(t *testing.T) {
 	}
 	if res.BaselineCost.Mean <= 0 {
 		t.Fatalf("baseline cost %v, want > 0", res.BaselineCost.Mean)
+	}
+	// The baseline scores each execution on weights drawn into the
+	// Runner's buffer; it must summarize exactly what one-shot
+	// simulations of freshly sampled vectors report.
+	var costs, mks []float64
+	for i := 0; i < sc.Instances; i++ {
+		w, err := res.Scenario.Instance(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := ComputeAnchors(w, res.Scenario.Platform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := res.Scenario.Alg.Plan(w, res.Scenario.Platform, res.Scenario.BudgetFactor*a.CheapCost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < sc.Reps; rep++ {
+			r, err := sim.Run(w, res.Scenario.Platform, s, sim.SampleWeights(w, spotWeightStream(sc.Seed, i).Split(uint64(rep))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			costs, mks = append(costs, r.TotalCost), append(mks, r.Makespan)
+		}
+	}
+	if want := stats.Summarize(costs); res.BaselineCost != want {
+		t.Errorf("baseline cost %+v, one-shot reference %+v", res.BaselineCost, want)
+	}
+	if want := stats.Summarize(mks); res.BaselineMakespan != want {
+		t.Errorf("baseline makespan %+v, one-shot reference %+v", res.BaselineMakespan, want)
 	}
 	for _, pt := range res.Points {
 		if pt.SuccessRate < 0 || pt.SuccessRate > 1 || pt.WithinBudget < 0 || pt.WithinBudget > 1 {

@@ -391,6 +391,8 @@ func runCellRange(p *sweepPrep, c cell, repStart, repEnd int) cellResult {
 		return res
 	}
 	res.numVMs = float64(s.NumVMs())
+	res.makespans = make([]float64, 0, max(repEnd-repStart, 0))
+	res.costs = make([]float64, 0, max(repEnd-repStart, 0))
 	simP := sc.Platform
 	if sc.SimPlatform != nil {
 		simP = sc.SimPlatform
@@ -471,15 +473,15 @@ func runCellRange(p *sweepPrep, c cell, repStart, repEnd int) cellResult {
 		return res
 	}
 	for rep := repStart; rep < repEnd; rep++ {
-		r, err := runner.RunStochastic(stream.Split(uint64(rep)))
+		mk, cost, err := runner.Score(runner.Sample(stream.Split(uint64(rep))))
 		if err != nil {
 			res.err = err
 			return res
 		}
-		res.makespans = append(res.makespans, r.Makespan)
-		res.costs = append(res.costs, r.TotalCost)
+		res.makespans = append(res.makespans, mk)
+		res.costs = append(res.costs, cost)
 		res.completed++
-		if r.WithinBudget(budget) {
+		if cost <= budget {
 			res.valid++
 		}
 	}

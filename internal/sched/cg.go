@@ -7,7 +7,6 @@ import (
 	"budgetwf/internal/obs"
 	"budgetwf/internal/plan"
 	"budgetwf/internal/platform"
-	"budgetwf/internal/sim"
 	"budgetwf/internal/wf"
 )
 
@@ -124,8 +123,9 @@ func CGPlus(w *wf.Workflow, p *platform.Platform, budget float64) (*plan.Schedul
 }
 
 // cgPlusOpt is CGPlus with a cancellation hook, polled once per
-// candidate move (each move costs a full deterministic simulation, so
-// this is the granularity that bounds cancellation latency).
+// candidate move (each move costs one deterministic evaluation of the
+// whole schedule, so this is the granularity that bounds cancellation
+// latency).
 func cgPlusOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options) (*plan.Schedule, error) {
 	cur, err := cgOpt(w, p, budget, opt)
 	if err != nil {
@@ -150,15 +150,21 @@ func cgPlusOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options
 			makespan, cost, ratio float64
 		}
 		for _, t := range path {
-			err := ev.eachMove(cur, t, func(cand *plan.Schedule, r *sim.Result) {
-				dT := makespan - r.Makespan
-				dC := r.TotalCost - cost
-				if dT <= 0 || dC <= 0 || r.TotalCost > budget {
+			err := ev.eachMove(cur, t, func(cand *plan.Schedule, candMakespan, candCost float64) {
+				dT := makespan - candMakespan
+				dC := candCost - cost
+				if dT <= 0 || dC <= 0 || candCost > budget {
 					return
 				}
 				if ratio := dT / dC; best.sched == nil || ratio > best.ratio {
+					// Only a new best needs its critical path, which
+					// takes the event engine's blames.
+					r, err := ev.run.Run(ev.weights)
+					if err != nil {
+						return
+					}
 					best.sched, best.task, best.path = cand.Clone(), t, r.CriticalPath()
-					best.makespan, best.cost, best.ratio = r.Makespan, r.TotalCost, ratio
+					best.makespan, best.cost, best.ratio = candMakespan, candCost, ratio
 				}
 			})
 			if err != nil {

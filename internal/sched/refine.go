@@ -51,11 +51,11 @@ func refine(w *wf.Workflow, p *platform.Platform, budget float64, inverse bool, 
 
 	for _, t := range order {
 		best := cur
-		err := ev.eachMove(cur, t, func(cand *plan.Schedule, r *sim.Result) {
-			if r.Makespan < minMakespan && r.TotalCost < budget {
+		err := ev.eachMove(cur, t, func(cand *plan.Schedule, makespan, cost float64) {
+			if makespan < minMakespan && cost < budget {
 				best = cand.Clone()
-				ev.upgrade(t, best, minMakespan, r.Makespan, r.TotalCost)
-				minMakespan = r.Makespan
+				ev.upgrade(t, best, minMakespan, makespan, cost)
+				minMakespan = makespan
 			}
 		})
 		if err != nil {
@@ -72,10 +72,10 @@ func refine(w *wf.Workflow, p *platform.Platform, budget float64, inverse bool, 
 // (HEFTBUDG+, HEFTBUDG+INV, CG+) for one plan on buffers built once:
 // the scratch schedule each move is written into (plan.Mover), one
 // simulation engine re-pointed at it (sim.Runner.Rebind, which
-// validates it in full) and one conservative-weights vector. The
-// candidate schedule and its sim.Result are overwritten by the next
-// evaluation: a planner that accepts a move clones the one and copies
-// what it needs of the other first.
+// validates it in full) and one conservative-weights vector. Candidates
+// are scored (sim.Runner.Score: makespan and cost, no event loop where
+// the platform allows); the candidate schedule is overwritten by the
+// next evaluation, so a planner that accepts a move clones it first.
 type moveEval struct {
 	mover   *plan.Mover
 	run     *sim.Runner
@@ -110,13 +110,14 @@ func newMoveEval(w *wf.Workflow, p *platform.Platform, base *plan.Schedule, opt 
 	return ev, res, nil
 }
 
-// eachMove simulates every schedule obtained by moving task t of cur
-// to a different used VM or to a fresh VM of each category (Algorithm
-// 5, line 7: (UsedVM \ sched(T)) ∪ NewVM), in that order, and hands
-// each to visit. The cancellation hook is polled once per candidate; a
-// malformed candidate (should not happen: moves keep ListT-derived
-// orders topological) is simply skipped.
-func (ev *moveEval) eachMove(cur *plan.Schedule, t wf.TaskID, visit func(cand *plan.Schedule, r *sim.Result)) error {
+// eachMove scores every schedule obtained by moving task t of cur to a
+// different used VM or to a fresh VM of each category (Algorithm 5,
+// line 7: (UsedVM \ sched(T)) ∪ NewVM), in that order, and hands each
+// to visit with its makespan and cost. The Runner stays bound to the
+// candidate during visit. The cancellation hook is polled once per
+// candidate; a malformed candidate (should not happen: moves keep
+// ListT-derived orders topological) is simply skipped.
+func (ev *moveEval) eachMove(cur *plan.Schedule, t wf.TaskID, visit func(cand *plan.Schedule, makespan, cost float64)) error {
 	used := cur.NumVMs()
 	for target := 0; target < used+ev.numCats; target++ {
 		if target == cur.TaskVM[t] {
@@ -134,8 +135,8 @@ func (ev *moveEval) eachMove(cur *plan.Schedule, t wf.TaskID, visit func(cand *p
 		if ev.run.Rebind(cand) != nil {
 			continue
 		}
-		if r, err := ev.run.Run(ev.weights); err == nil {
-			visit(cand, r)
+		if makespan, cost, err := ev.run.Score(ev.weights); err == nil {
+			visit(cand, makespan, cost)
 		}
 	}
 	return nil

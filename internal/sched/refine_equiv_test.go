@@ -85,7 +85,7 @@ func checkMovesMatchReference(t testing.TB, w *wf.Workflow, p *platform.Platform
 		tid := wf.TaskID(task)
 		want := moveCandidatesReference(base, tid, p.NumCategories())
 		i := 0
-		err := ev.eachMove(base, tid, func(cand *plan.Schedule, r *sim.Result) {
+		err := ev.eachMove(base, tid, func(cand *plan.Schedule, makespan, cost float64) {
 			ref := want[i]
 			i++
 			st.moves++
@@ -97,9 +97,16 @@ func checkMovesMatchReference(t testing.TB, w *wf.Workflow, p *platform.Platform
 			if err != nil {
 				t.Fatalf("task %d, candidate %d: reference simulation: %v", task, i-1, err)
 			}
-			if !sameResult(r, rr) {
-				t.Fatalf("task %d, candidate %d: makespan %v cost %v, reference %v %v (or VMs/Blames/Tasks differ)",
-					task, i-1, r.Makespan, r.TotalCost, rr.Makespan, rr.TotalCost)
+			// The evaluator scored the candidate; its engine, still bound
+			// to it, must also reproduce the reference's full Result (CG+
+			// reads the critical path off it).
+			r, err := ev.run.Run(ev.weights)
+			if err != nil {
+				t.Fatalf("task %d, candidate %d: in-place simulation: %v", task, i-1, err)
+			}
+			if makespan != rr.Makespan || cost != rr.TotalCost || !sameResult(r, rr) {
+				t.Fatalf("task %d, candidate %d: scored %v %v, simulated %v %v, reference %v %v (or VMs/Blames/Tasks differ)",
+					task, i-1, makespan, cost, r.Makespan, r.TotalCost, rr.Makespan, rr.TotalCost)
 			}
 			if fresh := i-1 >= len(want)-p.NumCategories(); ref.NumVMs() < base.NumVMs() || (fresh && ref.NumVMs() == base.NumVMs()) {
 				st.emptied++

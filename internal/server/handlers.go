@@ -479,13 +479,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 				}
 				continue
 			}
-			res, err := runner.RunStochastic(stream.Split(uint64(i)))
+			m, c, err := runner.Score(runner.Sample(stream.Split(uint64(i))))
 			if err != nil {
 				return nil, err
 			}
-			mk = append(mk, res.Makespan)
-			cost = append(cost, res.TotalCost)
-			if req.Budget <= 0 || res.TotalCost <= req.Budget {
+			mk = append(mk, m)
+			cost = append(cost, c)
+			if req.Budget <= 0 || c <= req.Budget {
 				valid++
 			}
 		}

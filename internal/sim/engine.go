@@ -129,9 +129,14 @@ type engineStatic struct {
 	p     *platform.Platform
 	s     *plan.Schedule
 	fluid bool
+	// exact says the scoring pass (score.go) reproduces the event loop's
+	// makespan and cost bit for bit on this platform.
+	exact bool
 
 	outEdges  [][]wf.Edge // cached successor edges (wf.Succ allocates)
 	extOut    []float64   // cached external output volumes
+	dcIn      float64     // cached w.ExternalInSize(), billed by DCCost
+	dcOut     float64     // cached w.ExternalOutSize()
 	stageSize []float64   // bytes to stage before computing (incl. external in)
 	missing0  []int       // initial count of crossing inputs per task
 	flowCap   int         // upper bound on flows per run, sizing the arena
@@ -148,8 +153,11 @@ func newEngineStatic(w *wf.Workflow, p *platform.Platform, s *plan.Schedule) (*e
 		w:         w,
 		p:         p,
 		fluid:     p.DCBandwidth > 0,
+		exact:     p.DCBandwidth == 0 && p.MaxXferCostPerByte() == 0,
 		outEdges:  make([][]wf.Edge, n),
 		extOut:    make([]float64, n),
+		dcIn:      w.ExternalInSize(),
+		dcOut:     w.ExternalOutSize(),
 		stageSize: make([]float64, n),
 		missing0:  make([]int, n),
 		pos:       make([]int, n),
@@ -208,7 +216,8 @@ type engine struct {
 	flowArena []flow  // backing store; cap is fixed so pointers stay stable
 	doneBuf   []*flow // scratch for advanceFlows
 
-	vms []vmState
+	vms   []vmState
+	ready []int // scoring worklist: VMs whose head task has its inputs
 
 	// Per-task bookkeeping.
 	missing      []int // crossing inputs not yet at the datacenter
@@ -269,12 +278,9 @@ func newEngine(w *wf.Workflow, p *platform.Platform, s *plan.Schedule, weights [
 // reset rewinds the engine to time zero with the given realized
 // weights, reusing every buffer allocated by newEngineFromStatic.
 func (e *engine) reset(weights []float64) error {
-	for t, wt := range weights {
-		if wt <= 0 || math.IsNaN(wt) || math.IsInf(wt, 0) {
-			return fmt.Errorf("sim: task %d has invalid weight %v", t, wt)
-		}
+	if err := e.rewind(weights); err != nil {
+		return err
 	}
-	e.weights = weights
 	e.now = 0
 	e.seq = 0
 	e.events = e.events[:0]
@@ -282,19 +288,32 @@ func (e *engine) reset(weights []float64) error {
 	e.flowArena = e.flowArena[:0]
 	e.doneCount = 0
 	e.xferCost = 0
-	s := e.st.s
-	for i := range e.vms {
-		e.vms[i] = vmState{cat: s.VMCats[i], queue: s.Order[i]}
-	}
-	copy(e.missing, e.st.missing0)
-	for t := range e.dcReadyTime {
-		e.dcReadyTime[t] = 0
+	for t := range e.times {
 		e.dcReadyPred[t] = 0
 		e.hasDCPred[t] = false
 		e.times[t] = TaskTimes{}
 		e.blames[t] = Blame{}
 		e.finishedTask[t] = false
 	}
+	return nil
+}
+
+// rewind checks the weights and rewinds the state the event loop and
+// the scoring pass (score.go) share: the VM table, the outstanding
+// crossing inputs and the datacenter arrival times.
+func (e *engine) rewind(weights []float64) error {
+	for t, wt := range weights {
+		if wt <= 0 || math.IsNaN(wt) || math.IsInf(wt, 0) {
+			return fmt.Errorf("sim: task %d has invalid weight %v", t, wt)
+		}
+	}
+	e.weights = weights
+	s := e.st.s
+	for i := range e.vms {
+		e.vms[i] = vmState{cat: s.VMCats[i], queue: s.Order[i]}
+	}
+	copy(e.missing, e.st.missing0)
+	clear(e.dcReadyTime)
 	return nil
 }
 
@@ -548,7 +567,7 @@ func (e *engine) run() (*Result, error) {
 		}
 		if len(e.events) == 0 {
 			if e.doneCount < n && len(e.flows) == 0 {
-				return nil, fmt.Errorf("sim: deadlock with %d/%d tasks finished", e.doneCount, n)
+				return nil, errDeadlock(e.doneCount, n)
 			}
 			continue
 		}
@@ -572,9 +591,15 @@ func (e *engine) run() (*Result, error) {
 		}
 	}
 	if e.doneCount < n {
-		return nil, fmt.Errorf("sim: deadlock with %d/%d tasks finished", e.doneCount, n)
+		return nil, errDeadlock(e.doneCount, n)
 	}
 	return e.collect(), nil
+}
+
+// errDeadlock reports a schedule whose per-VM orders wait on each other
+// across VMs: only done of its n tasks can ever run.
+func errDeadlock(done, n int) error {
+	return fmt.Errorf("sim: deadlock with %d/%d tasks finished", done, n)
 }
 
 // collect assembles the engine's reused Result. Its slices alias the
@@ -615,7 +640,7 @@ func (e *engine) collect() *Result {
 	res.FirstBook = firstBook
 	res.LastEvent = lastEvent
 	res.Makespan = lastEvent - firstBook
-	res.DCCost = e.st.p.DCCost(e.st.w.ExternalInSize(), e.st.w.ExternalOutSize(), firstBook, lastEvent)
+	res.DCCost = e.st.p.DCCost(e.st.dcIn, e.st.dcOut, firstBook, lastEvent)
 	res.XferCost = e.xferCost
 	res.TotalCost = res.DCCost + res.VMCost() + res.XferCost
 	return res

@@ -16,18 +16,18 @@ import (
 // are built once and rewound per execution. Monte Carlo replication
 // loops (exp sweeps, the daemon's /v1/simulate, replication-based
 // objectives) should prefer a Runner over the package-level Run*
-// functions, which pay the full engine construction per call.
+// functions, which pay the full engine construction per call — and a
+// loop that reads only makespan and cost should call Score, which skips
+// the event loop wherever that cannot change either number.
 //
 // A Runner is NOT safe for concurrent use, and each *Result it returns
 // aliases the Runner's internal buffers: it is valid only until the
-// next Run/RunStochastic call. Callers that need to keep a Result
-// across replications must copy the fields they care about (the usual
-// pattern — appending r.Makespan, r.TotalCost, r.NumVMs() to
-// accumulators — never retains the Result).
+// next Run/RunStochastic/Score call. Callers that need to keep a Result
+// across replications must copy the fields they care about.
 type Runner struct {
 	eng   *engine
 	dists []stoch.Dist // per-task weight distributions, cached once
-	buf   []float64    // scratch realized weights for RunStochastic
+	buf   []float64    // scratch realized weights, see Sample
 
 	span *obs.Span // optional tracing parent, see SetSpan
 	reps int       // executions since SetSpan, numbers the children
@@ -80,48 +80,89 @@ func (r *Runner) Rebind(s *plan.Schedule) error {
 // Run simulates one execution under the given realized weights. The
 // weights slice is only read during the call.
 func (r *Runner) Run(weights []float64) (*Result, error) {
+	sp, err := r.begin(weights, r.eng.reset)
+	if err != nil {
+		return nil, err
+	}
+	res, err := r.eng.run()
+	if err != nil {
+		endReplication(sp, 0, 0, 0, err)
+	} else {
+		endReplication(sp, res.Makespan, res.TotalCost, res.NumVMs(), nil)
+	}
+	return res, err
+}
+
+// Score returns exactly the Makespan and TotalCost that Run would
+// report for these weights, bit for bit, for callers that read nothing
+// else of a Result. Where event order cannot change a float — no
+// datacenter bandwidth sharing and no per-byte transfer surcharge — it
+// is one forward pass over the schedule with no event loop (score.go);
+// on any other platform it runs Run. Either way it applies Run's
+// checks, records the same "replication" span and invalidates the
+// previous Result.
+func (r *Runner) Score(weights []float64) (makespan, cost float64, err error) {
+	if !r.eng.st.exact {
+		res, err := r.Run(weights)
+		if err != nil {
+			return 0, 0, err
+		}
+		return res.Makespan, res.TotalCost, nil
+	}
+	sp, err := r.begin(weights, r.eng.rewind)
+	if err != nil {
+		return 0, 0, err
+	}
+	makespan, cost, vms, err := r.eng.score()
+	endReplication(sp, makespan, cost, vms, err)
+	return makespan, cost, err
+}
+
+// begin checks the weights, rewinds the engine and, when tracing, opens
+// the execution's numbered "replication" span.
+func (r *Runner) begin(weights []float64, rewind func([]float64) error) (*obs.Span, error) {
 	if len(weights) != len(r.buf) {
 		return nil, fmt.Errorf("sim: %d weights for %d tasks", len(weights), len(r.buf))
 	}
-	if err := r.eng.reset(weights); err != nil {
+	if err := rewind(weights); err != nil {
 		return nil, err
 	}
 	if r.span == nil {
-		return r.eng.run()
+		return nil, nil
 	}
 	sp := r.span.Child("replication")
 	sp.Set(obs.Int("rep", r.reps))
 	r.reps++
-	res, err := r.eng.run()
+	return sp, nil
+}
+
+// endReplication records an execution's outcome on its span, if any.
+func endReplication(sp *obs.Span, makespan, cost float64, vms int, err error) {
+	if sp == nil {
+		return
+	}
 	if err != nil {
 		sp.Set(obs.Str("error", err.Error()))
 	} else {
-		sp.Set(obs.Float("makespan", res.Makespan),
-			obs.Float("cost", res.TotalCost),
-			obs.Int("vms", res.NumVMs()))
+		sp.Set(obs.Float("makespan", makespan), obs.Float("cost", cost), obs.Int("vms", vms))
 	}
 	sp.End()
-	return res, err
+}
+
+// Sample draws one realization of every task weight into the Runner's
+// weight buffer and returns it, for Run or Score; the next Sample or
+// RunDeterministic overwrites it.
+func (r *Runner) Sample(rand *rng.RNG) []float64 {
+	for t, d := range r.dists {
+		r.buf[t] = d.Sample(rand)
+	}
+	return r.buf
 }
 
 // RunStochastic samples every task weight from its distribution and
 // simulates one execution.
 func (r *Runner) RunStochastic(rand *rng.RNG) (*Result, error) {
-	for t, d := range r.dists {
-		r.buf[t] = d.Sample(rand)
-	}
-	return r.Run(r.buf)
-}
-
-// RunStochasticOutliers is RunStochastic under the heavy-tail outlier
-// model (see stoch.Outliers). Decisions draw from a stream split off
-// rand so the weight stream matches RunStochastic exactly (CRN).
-func (r *Runner) RunStochasticOutliers(rand *rng.RNG, o stoch.Outliers) (*Result, error) {
-	decisions := rand.Split(stoch.OutlierStreamLabel)
-	for t, d := range r.dists {
-		r.buf[t] = o.Sample(d, rand, decisions)
-	}
-	return r.Run(r.buf)
+	return r.Run(r.Sample(rand))
 }
 
 // RunDeterministic simulates under conservative weights (w̄+σ).

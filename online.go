@@ -26,11 +26,11 @@ func ReplicateObjective(w *Workflow, p *Platform, s *Schedule, n int, seed uint6
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		r, err := runner.RunStochastic(stream.Split(uint64(i)))
+		mk, cost, err := runner.Score(runner.Sample(stream.Split(uint64(i))))
 		if err != nil {
 			return nil, err
 		}
-		stats.Observe(obj, r)
+		stats.Observe(obj, &sim.Result{Makespan: mk, TotalCost: cost})
 	}
 	return &stats, nil
 }
