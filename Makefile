@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all build vet test bench figs figs-quick report fuzz serve serve-pool \
 	loadtest loadtest-tenants chaos clean bench-json bench-json-check bench-json-smoke \
-	bench-est
+	bench-est results-check
 
 all: build vet test
 
@@ -64,6 +64,14 @@ figs:
 # Reduced-scale smoke reproduction (seconds).
 figs-quick:
 	$(GO) run ./cmd/paperfigs -all -quick -out results-quick
+
+# The committed example outputs are assertions: each example must
+# print its RESULTS.txt byte for byte (multitenant's file opens with
+# the `$ go run …` line that produced it, which the program does not
+# print). Run by CI.
+results-check:
+	$(GO) run ./examples/spotmarket | diff - examples/spotmarket/RESULTS.txt
+	bash -c 'diff <($(GO) run ./examples/multitenant) <(tail -n +2 examples/multitenant/RESULTS.txt)'
 
 # Run the scheduling-as-a-service daemon on :8080.
 serve:

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -189,6 +190,26 @@ func TestRunFaultSweepCLI(t *testing.T) {
 	}
 	if got := strings.Count(out.String(), "\n"); got != 4 { // header + column row + 2 rates
 		t.Errorf("want 4 lines, got %d:\n%s", got, out.String())
+	}
+
+	// The table the README documents is an assertion: the command it
+	// shows must print the block under it, line for line.
+	const cmdLine = "$ go run ./cmd/simulate -type ligo -n 30 -fault-sweep 0,0.01,0.1,0.5\n"
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, found := strings.Cut(string(readme), cmdLine)
+	want, _, closed := strings.Cut(block, "```")
+	if !found || !closed {
+		t.Fatalf("README.md no longer documents %q", cmdLine)
+	}
+	out.Reset()
+	if err := run([]string{"-type", "ligo", "-n", "30", "-fault-sweep", "0,0.01,0.1,0.5"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != want {
+		t.Errorf("README.md documents\n%s\nbut the command prints\n%s", want, out.String())
 	}
 }
 

@@ -56,9 +56,6 @@ type Coordinator struct {
 	// UnitsPerShard sets the shard granularity; default sizes shards
 	// so each worker receives about four.
 	UnitsPerShard int
-	// RepBlock is the replication-block size of the unit grid; 0 keeps
-	// each cell's replications together (coarsest split).
-	RepBlock int
 	// MaxAttempts is the remote attempts per shard before the local
 	// fallback; default 3.
 	MaxAttempts int
@@ -149,9 +146,8 @@ type RunOptions struct {
 	Epoch int
 }
 
-// RunSweep executes the sweep across the fleet and merges the partial
-// aggregates; the result is bit-identical to exp.RunSweepCtx on the
-// same spec.
+// RunSweep executes the sweep across the fleet and merges the units;
+// the result is bit-identical to exp.RunSweepCtx on the same spec.
 func (c *Coordinator) RunSweep(ctx context.Context, spec *SweepSpec, opt RunOptions) (*exp.SweepResult, error) {
 	s := *spec
 	s.normalize()
@@ -162,14 +158,12 @@ func (c *Coordinator) RunSweep(ctx context.Context, spec *SweepSpec, opt RunOpti
 	if err != nil {
 		return nil, err
 	}
-	g := exp.SweepGridFor(sc, len(algs), gridK, c.RepBlock)
-	base := ShardRequest{Kind: KindSweep, Sweep: &s, RepBlock: c.RepBlock}
-	resp, err := c.runShards(ctx, base, g.Units(), opt)
+	resp, err := c.runShards(ctx, ShardRequest{Kind: KindSweep, Sweep: &s}, opt)
 	if err != nil {
 		return nil, err
 	}
 	sc.Workers = 1 // merge is sequential; keep the echo deterministic
-	return exp.MergeSweepUnits(sc, algs, gridK, c.RepBlock, resp.SweepUnits)
+	return exp.MergeSweepUnits(sc, algs, gridK, resp.SweepUnits)
 }
 
 // RunFaultSweep is RunSweep for λ-grid robustness sweeps.
@@ -183,17 +177,12 @@ func (c *Coordinator) RunFaultSweep(ctx context.Context, spec *FaultSweepSpec, o
 	if err != nil {
 		return nil, err
 	}
-	g, err := exp.FaultGridFor(sc, c.RepBlock)
-	if err != nil {
-		return nil, err
-	}
-	base := ShardRequest{Kind: KindFaultSweep, FaultSweep: &s, RepBlock: c.RepBlock}
-	resp, err := c.runShards(ctx, base, g.Units(), opt)
+	resp, err := c.runShards(ctx, ShardRequest{Kind: KindFaultSweep, FaultSweep: &s}, opt)
 	if err != nil {
 		return nil, err
 	}
 	sc.Workers = 1
-	return exp.MergeFaultSweepUnits(sc, c.RepBlock, resp.FaultUnits)
+	return exp.MergeFaultSweepUnits(sc, resp.FaultUnits)
 }
 
 // SweepRunner adapts the coordinator to exp.SweepRunner so figure
@@ -345,9 +334,13 @@ type flight struct {
 // steals, or local fallbacks. Unit coverage is the single source of
 // truth: a result is accepted only if none of its units are covered
 // yet, so duplicates from steals or previous incarnations can never
-// double-merge. It returns only when every unit of [0, total) is
-// covered exactly once, or on the first unrecoverable error.
-func (c *Coordinator) runShards(ctx context.Context, base ShardRequest, total int, opt RunOptions) (*ShardResponse, error) {
+// double-merge. It returns only when every unit of the campaign's grid
+// is covered exactly once, or on the first unrecoverable error.
+func (c *Coordinator) runShards(ctx context.Context, base ShardRequest, opt RunOptions) (*ShardResponse, error) {
+	total, err := base.Cells()
+	if err != nil {
+		return nil, err
+	}
 	merged := &ShardResponse{}
 	if total == 0 {
 		return merged, nil
@@ -365,7 +358,7 @@ func (c *Coordinator) runShards(ctx context.Context, base ShardRequest, total in
 		if err := json.Unmarshal(sr.Units, &resp); err != nil {
 			continue
 		}
-		if len(resp.SweepUnits)+len(resp.FaultUnits) != sr.End-sr.Start {
+		if base.covers(&resp, sr.Start, sr.End) != nil {
 			continue
 		}
 		overlap := false
@@ -382,8 +375,7 @@ func (c *Coordinator) runShards(ctx context.Context, base ShardRequest, total in
 			covered[i] = true
 		}
 		coveredCount += sr.End - sr.Start
-		merged.SweepUnits = append(merged.SweepUnits, resp.SweepUnits...)
-		merged.FaultUnits = append(merged.FaultUnits, resp.FaultUnits...)
+		merged.absorb(&resp)
 	}
 	if coveredCount > 0 {
 		c.logf("dist: resuming with %d/%d units from journalled shards", coveredCount, total)
@@ -407,8 +399,7 @@ func (c *Coordinator) runShards(ctx context.Context, base ShardRequest, total in
 			if err != nil {
 				return nil, err
 			}
-			merged.SweepUnits = append(merged.SweepUnits, resp.SweepUnits...)
-			merged.FaultUnits = append(merged.FaultUnits, resp.FaultUnits...)
+			merged.absorb(resp)
 			coveredCount += gap.end - gap.start
 			emitShard(opt, gap.start, gap.end, resp)
 			if opt.Progress != nil {
@@ -503,8 +494,7 @@ func (c *Coordinator) runShards(ctx context.Context, base ShardRequest, total in
 			covered[i] = true
 		}
 		coveredCount += sh.end - sh.start
-		merged.SweepUnits = append(merged.SweepUnits, resp.SweepUnits...)
-		merged.FaultUnits = append(merged.FaultUnits, resp.FaultUnits...)
+		merged.absorb(resp)
 		done := coveredCount
 		complete := coveredCount == total
 		mu.Unlock()
@@ -931,8 +921,8 @@ func (c *Coordinator) callWorker(ctx context.Context, baseURL string, req *Shard
 	if err := json.NewDecoder(hresp.Body).Decode(&resp); err != nil {
 		return nil, 0, fmt.Errorf("dist: worker %s: decoding shard response: %w", baseURL, err)
 	}
-	if got, want := len(resp.SweepUnits)+len(resp.FaultUnits), req.Units(); got != want {
-		return nil, 0, fmt.Errorf("dist: worker %s returned %d units for shard of %d", baseURL, got, want)
+	if err := req.covers(&resp, req.Start, req.End); err != nil {
+		return nil, 0, fmt.Errorf("dist: worker %s: %w", baseURL, err)
 	}
 	return &resp, 0, nil
 }

@@ -210,3 +210,99 @@ func TestCoordinatorCancellation(t *testing.T) {
 		t.Fatal("RunSweep with cancelled context succeeded")
 	}
 }
+
+// TestCoordinatorRejectsMiscoveringWorker: a worker whose response has
+// the right number of units but not the right content — indices shifted
+// off the requested range, a truncated makespans array — is a failed
+// attempt like any other: its shards re-run elsewhere and the job still
+// completes bit-identical to the single-process run, instead of failing
+// at merge or merging into a wrong aggregate.
+func TestCoordinatorRejectsMiscoveringWorker(t *testing.T) {
+	for name, corrupt := range map[string]func(*ShardResponse){
+		"shifted indices": func(r *ShardResponse) {
+			for i := range r.SweepUnits {
+				r.SweepUnits[i].Unit++
+			}
+		},
+		"truncated makespans": func(r *ShardResponse) {
+			u := &r.SweepUnits[len(r.SweepUnits)-1]
+			u.Makespans = u.Makespans[:len(u.Makespans)-1]
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var served atomic.Int64
+			bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				var req ShardRequest
+				if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := ExecuteShard(r.Context(), &req, 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				corrupt(resp)
+				served.Add(1)
+				json.NewEncoder(w).Encode(resp)
+			}))
+			t.Cleanup(bad.Close)
+			good := testWorker(t)
+			c := &Coordinator{
+				Workers:       []string{bad.URL, good.URL},
+				UnitsPerShard: 2,
+				RetryBase:     time.Millisecond,
+				RetryCap:      5 * time.Millisecond,
+			}
+			got, err := c.RunSweep(context.Background(), testSweepSpec(), RunOptions{})
+			if err != nil {
+				t.Fatalf("RunSweep: %v", err)
+			}
+			if !reflect.DeepEqual(stripTiming(got), stripTiming(monolithic(t, testSweepSpec()))) {
+				t.Fatal("sweep with a miscovering worker differs from single-process run")
+			}
+			if served.Load() == 0 || c.Stats().Requeued == 0 {
+				t.Errorf("bad worker served %d shards, %d requeued: the rejection path did not run", served.Load(), c.Stats().Requeued)
+			}
+		})
+	}
+}
+
+// TestCoordinatorRecomputesMalformedJournalledShard: a journalled shard
+// whose payload would merge wrongly (a short costs array) is ignored and
+// its range recomputed; the well-formed one beside it is adopted.
+func TestCoordinatorRecomputesMalformedJournalledShard(t *testing.T) {
+	s := *testSweepSpec()
+	s.normalize()
+	journalled := func(start, end int, corrupt func(*ShardResponse)) ShardResult {
+		resp, err := ExecuteShard(context.Background(), &ShardRequest{Kind: KindSweep, Sweep: &s, Start: start, End: end}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(resp)
+		raw, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ShardResult{Start: start, End: end, Units: raw}
+	}
+	completed := []ShardResult{
+		journalled(0, 2, func(*ShardResponse) {}),
+		journalled(2, 4, func(r *ShardResponse) { r.SweepUnits[0].Costs = r.SweepUnits[0].Costs[:1] }),
+	}
+	var fresh [][2]int
+	c := &Coordinator{LocalWorkers: 1}
+	got, err := c.RunSweep(context.Background(), testSweepSpec(), RunOptions{
+		Completed: completed,
+		OnShard:   func(r ShardResult) { fresh = append(fresh, [2]int{r.Start, r.End}) },
+	})
+	if err != nil {
+		t.Fatalf("RunSweep: %v", err)
+	}
+	if !reflect.DeepEqual(stripTiming(got), stripTiming(monolithic(t, testSweepSpec()))) {
+		t.Fatal("resumed sweep differs from single-process run")
+	}
+	if want := [][2]int{{2, 12}}; !reflect.DeepEqual(fresh, want) {
+		t.Errorf("recomputed ranges %v, want %v (only the well-formed shard adopted)", fresh, want)
+	}
+}

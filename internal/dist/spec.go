@@ -1,7 +1,7 @@
 // Package dist is the distributed execution subsystem: asynchronous
 // jobs over the experiment campaigns (budget sweeps, fault sweeps,
 // whole figure reproductions) and coordinator/worker sharding of their
-// embarrassingly parallel cell × replication spaces.
+// embarrassingly parallel cell grids.
 //
 // The two halves:
 //
@@ -15,16 +15,17 @@
 //
 //   - Coordinator/worker sharding (coordinator.go, worker.go): a
 //     Coordinator decomposes a campaign into deterministic shards
-//     (contiguous unit ranges of the internal/exp enumeration:
-//     budget-grid cells × replication blocks), dispatches them to
-//     workers over HTTP (POST /v1/shards) with bounded in-flight
-//     fan-out, retries failed or slow workers with capped jittered
-//     backoff, splits a failed shard so its work redistributes across
-//     the surviving fleet, falls back to local execution when every
-//     worker is gone, and merges the partial aggregates with
-//     exp.MergeSweepUnits. Because every replication's random streams
-//     derive from its coordinates alone, the merged result is
-//     bit-identical to the single-process exp.RunSweepCtx — a killed
+//     (contiguous unit ranges of the internal/exp enumeration; a
+//     unit is one grid cell, all its replications included),
+//     dispatches them to workers over HTTP (POST /v1/shards) with
+//     bounded in-flight fan-out, retries failed or slow workers with
+//     capped jittered backoff, splits a failed shard so its work
+//     redistributes across the surviving fleet, falls back to local
+//     execution when every worker is gone, and merges the units with
+//     exp.MergeSweepUnits. The single-process exp.RunSweepCtx is
+//     itself "run every unit, then aggregate" on the same driver, and
+//     every replication's random streams derive from its coordinates
+//     alone, so the merged result is bit-identical to it — a killed
 //     worker can cost time, never correctness.
 //
 // Everything is stdlib-only, like the rest of the repository.

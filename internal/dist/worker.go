@@ -2,25 +2,24 @@ package dist
 
 import (
 	"context"
+	"fmt"
 
 	"budgetwf/internal/exp"
 	"budgetwf/internal/obs"
 )
 
 // ShardRequest is the body of POST /v1/shards: one contiguous unit
-// range [Start, End) of a campaign's deterministic enumeration (see
-// exp.SweepGrid / exp.FaultGrid). The worker recomputes the full
-// scenario state from the spec, so a shard is self-contained — any
-// worker, stateless, can evaluate any shard.
+// range [Start, End) of a campaign's deterministic enumeration. A unit
+// is one cell of the grid, replications included (exp.SweepCells /
+// exp.FaultCells). The worker recomputes the full scenario state from
+// the spec, so a shard is self-contained — any worker, stateless, can
+// evaluate any shard.
 type ShardRequest struct {
 	Kind       JobKind         `json:"kind"` // sweep or faultSweep
 	Sweep      *SweepSpec      `json:"sweep,omitempty"`
 	FaultSweep *FaultSweepSpec `json:"faultSweep,omitempty"`
-	// RepBlock is the replication-block size of the unit grid; it must
-	// match the coordinator's or the unit indices mean different work.
-	RepBlock int `json:"repBlock,omitempty"`
-	Start    int `json:"start"`
-	End      int `json:"end"`
+	Start      int             `json:"start"`
+	End        int             `json:"end"`
 	// Trace asks the worker to export its compute span subtree in the
 	// response so the coordinator can stitch it into the job trace.
 	Trace bool `json:"trace,omitempty"`
@@ -67,13 +66,51 @@ func (r *ShardRequest) Validate() error {
 	return nil
 }
 
-// Units is the number of units the shard covers.
-func (r *ShardRequest) Units() int { return r.End - r.Start }
+// Cells is the size of the campaign's unit grid — the bound on End. It
+// is the one place a shard request's grid is sized: the coordinator
+// splits [0, Cells) into shards and a worker validates ranges against
+// it. The spec must be normalized and valid.
+func (r *ShardRequest) Cells() (int, error) {
+	switch r.Kind {
+	case KindSweep:
+		sc, algs, gridK, err := r.Sweep.Scenario()
+		if err != nil {
+			return 0, err
+		}
+		return exp.SweepCells(sc, len(algs), gridK), nil
+	case KindFaultSweep:
+		sc, err := r.FaultSweep.Scenario()
+		if err != nil {
+			return 0, err
+		}
+		return exp.FaultCells(sc)
+	}
+	return 0, fieldErrf("kind", "unknown shard kind %q", r.Kind)
+}
 
-// ShardResponse carries the mergeable partial aggregates back to the
-// coordinator. Exactly one slice is populated, matching the request
-// kind. encoding/json round-trips float64 exactly, so the transport
-// cannot perturb the merge.
+// covers reports whether resp is a well-formed answer to the unit range
+// [start, end) of r's campaign: units of r's kind only, exactly the
+// cells of the range, each payload consistent with the spec's
+// replication count (exp.OrderUnits). Both places a payload enters from
+// outside the process — a worker's response, a journalled shard — ask
+// it, so what the merge would refuse or mis-aggregate is re-run instead.
+func (r *ShardRequest) covers(resp *ShardResponse, start, end int) error {
+	var err error
+	switch {
+	case r.Kind == KindSweep && len(resp.FaultUnits) == 0:
+		_, err = exp.OrderUnits(resp.SweepUnits, start, end, r.Sweep.Replications)
+	case r.Kind == KindFaultSweep && len(resp.SweepUnits) == 0:
+		_, err = exp.OrderUnits(resp.FaultUnits, start, end, r.FaultSweep.Replications)
+	default:
+		err = fmt.Errorf("dist: units of the wrong kind for a %s shard", r.Kind)
+	}
+	return err
+}
+
+// ShardResponse carries the shard's units back to the coordinator.
+// Exactly one slice is populated, matching the request kind.
+// encoding/json round-trips float64 exactly, so the transport cannot
+// perturb the merge.
 type ShardResponse struct {
 	SweepUnits []exp.SweepUnitResult `json:"sweepUnits,omitempty"`
 	FaultUnits []exp.FaultUnitResult `json:"faultUnits,omitempty"`
@@ -82,6 +119,12 @@ type ShardResponse struct {
 	// which the coordinator's stitcher aligns. The coordinator strips
 	// it before merging/journalling the payload.
 	Trace *obs.SpanWire `json:"trace,omitempty"`
+}
+
+// absorb appends o's units to r's.
+func (r *ShardResponse) absorb(o *ShardResponse) {
+	r.SweepUnits = append(r.SweepUnits, o.SweepUnits...)
+	r.FaultUnits = append(r.FaultUnits, o.FaultUnits...)
 }
 
 // ExecuteShard evaluates the shard on the local machine with at most
@@ -97,7 +140,7 @@ func ExecuteShard(ctx context.Context, req *ShardRequest, workers int) (*ShardRe
 			return nil, err
 		}
 		sc.Workers = workers
-		units, err := exp.RunSweepUnitsCtx(ctx, sc, algs, gridK, req.RepBlock, req.Start, req.End)
+		units, err := exp.RunSweepUnitsCtx(ctx, sc, algs, gridK, req.Start, req.End)
 		if err != nil {
 			return nil, err
 		}
@@ -108,7 +151,7 @@ func ExecuteShard(ctx context.Context, req *ShardRequest, workers int) (*ShardRe
 			return nil, err
 		}
 		sc.Workers = workers
-		units, err := exp.RunFaultSweepUnitsCtx(ctx, sc, req.RepBlock, req.Start, req.End)
+		units, err := exp.RunFaultSweepUnitsCtx(ctx, sc, req.Start, req.End)
 		if err != nil {
 			return nil, err
 		}

@@ -46,27 +46,24 @@ func BudgetGapTable(cfg FigureConfig, sizes []int) (*Table, error) {
 	}
 	for _, typ := range wfgen.AllPaperTypes() {
 		for _, n := range sizes {
+			sc := cfg.scenario(typ)
+			sc.N, sc.Platform = n, p
+			insts, err := sc.materialize()
+			if err != nil {
+				return nil, err
+			}
 			var hb, mm []float64
-			for i := 0; i < cfg.Instances; i++ {
-				w, err := wfgen.Generate(typ, n, cfg.Seed*1000+uint64(i))
+			for _, in := range insts {
+				bH, _, err := BudgetToBaseline(in.w, p, heftBudg)
 				if err != nil {
 					return nil, err
 				}
-				w = w.WithSigmaRatio(cfg.SigmaRatio)
-				anchors, err := ComputeAnchors(w, p)
+				bM, _, err := BudgetToBaseline(in.w, p, minMinBudg)
 				if err != nil {
 					return nil, err
 				}
-				bH, _, err := BudgetToBaseline(w, p, heftBudg)
-				if err != nil {
-					return nil, err
-				}
-				bM, _, err := BudgetToBaseline(w, p, minMinBudg)
-				if err != nil {
-					return nil, err
-				}
-				hb = append(hb, bH/anchors.CheapCost)
-				mm = append(mm, bM/anchors.CheapCost)
+				hb = append(hb, bH/in.a.CheapCost)
+				mm = append(mm, bM/in.a.CheapCost)
 			}
 			betaH, betaM := stats.Mean(hb), stats.Mean(mm)
 			gap := 0.0

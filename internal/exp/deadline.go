@@ -33,47 +33,26 @@ func DeadlineFrontier(cfg FigureConfig, typ wfgen.Type, alg sched.Name) (*Table,
 		},
 	}
 
-	sc := cfg.scenario(typ)
-	sc = sc.Defaults()
-	// Materialize instances and shared anchors.
-	type inst struct {
-		anchors *Anchors
-		factors []float64
+	sc := cfg.scenario(typ).Defaults()
+	insts, err := sc.materialize()
+	if err != nil {
+		return nil, err
 	}
-	insts := make([]inst, sc.Instances)
-	var commonFactors []float64
-	for i := range insts {
-		w, err := sc.Instance(i)
-		if err != nil {
-			return nil, err
-		}
-		an, err := ComputeAnchors(w, sc.Platform)
-		if err != nil {
-			return nil, err
-		}
-		insts[i] = inst{anchors: an, factors: an.BudgetFactors(cfg.GridK)}
-		if commonFactors == nil || insts[i].factors[cfg.GridK-1] > commonFactors[cfg.GridK-1] {
-			commonFactors = insts[i].factors
-		}
-	}
+	factors := commonFactors(insts, cfg.GridK)
 
 	for b := 0; b < cfg.GridK; b++ {
 		met := make([]int, len(deadlineFactors))
 		budgetMet, total := 0, 0
 		budgetSum := 0.0
-		for i := 0; i < sc.Instances; i++ {
-			w, err := sc.Instance(i)
-			if err != nil {
-				return nil, err
-			}
-			budget := commonFactors[b] * insts[i].anchors.CheapCost
+		for i, in := range insts {
+			budget := factors[b] * in.a.CheapCost
 			budgetSum += budget
-			s, err := a.Plan(w, sc.Platform, budget)
+			s, err := a.Plan(in.w, sc.Platform, budget)
 			if err != nil {
 				return nil, err
 			}
 			stream := rng.New(sc.Seed).Split(uint64(i)<<20 | uint64(b))
-			runner, err := sim.NewRunner(w, sc.Platform, s)
+			runner, err := sim.NewRunner(in.w, sc.Platform, s)
 			if err != nil {
 				return nil, err
 			}
@@ -86,14 +65,14 @@ func DeadlineFrontier(cfg FigureConfig, typ wfgen.Type, alg sched.Name) (*Table,
 				if cost <= budget {
 					budgetMet++
 					for di, df := range deadlineFactors {
-						if mk <= df*insts[i].anchors.BaselineMakespan {
+						if mk <= df*in.a.BaselineMakespan {
 							met[di]++
 						}
 					}
 				}
 			}
 		}
-		row := []interface{}{string(typ), commonFactors[b], budgetSum / float64(sc.Instances)}
+		row := []interface{}{string(typ), factors[b], budgetSum / float64(sc.Instances)}
 		for _, m := range met {
 			row = append(row, float64(m)/float64(total))
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"budgetwf/internal/fault"
 	"budgetwf/internal/online"
@@ -50,14 +49,10 @@ type FaultScenario struct {
 // and algorithm defaults applied, and the spec template validated. It
 // is exported because a distributed worker must normalize the same
 // wire spec to exactly the coordinator's scenario before indexing into
-// the unit enumeration (shard.go).
+// the unit enumeration (driver.go).
 func (sc FaultScenario) Normalize() (FaultScenario, error) {
 	sc.Scenario = sc.Scenario.Defaults()
-	if len(sc.Rates) == 0 {
-		sc.Rates = append([]float64(nil), DefaultFaultRates...)
-	} else {
-		sc.Rates = append([]float64(nil), sc.Rates...)
-	}
+	sc.Rates = gridOr(sc.Rates, DefaultFaultRates)
 	sort.Float64s(sc.Rates)
 	if sc.Rates[0] != 0 {
 		sc.Rates = append([]float64{0}, sc.Rates...)
@@ -70,12 +65,9 @@ func (sc FaultScenario) Normalize() (FaultScenario, error) {
 	if sc.BudgetFactor == 0 {
 		sc.BudgetFactor = 1.5
 	}
-	if sc.Alg.Plan == nil {
-		alg, err := sched.ByName(sched.NameHeftBudg)
-		if err != nil {
-			return sc, err
-		}
-		sc.Alg = alg
+	var err error
+	if sc.Alg, err = algOrHeftBudg(sc.Alg); err != nil {
+		return sc, err
 	}
 	// The template's own rate grid is overridden per point; validate
 	// the fields that are taken as given.
@@ -85,6 +77,23 @@ func (sc FaultScenario) Normalize() (FaultScenario, error) {
 		return sc, err
 	}
 	return sc, nil
+}
+
+// gridOr returns a private copy of the grid axis, or of its default
+// when the scenario leaves it empty.
+func gridOr(axis, def []float64) []float64 {
+	if len(axis) == 0 {
+		axis = def
+	}
+	return append([]float64(nil), axis...)
+}
+
+// algOrHeftBudg defaults a scenario's zero-value algorithm to HEFTBUDG.
+func algOrHeftBudg(alg sched.Algorithm) (sched.Algorithm, error) {
+	if alg.Plan != nil {
+		return alg, nil
+	}
+	return sched.ByName(sched.NameHeftBudg)
 }
 
 // FaultPoint aggregates one crash rate across all instances and
@@ -130,27 +139,34 @@ type FaultSweepResult struct {
 	Points []FaultPoint
 }
 
-// faultCell is one unit of parallel work: every replication of one
-// instance at one crash rate.
-type faultCell struct {
-	instance int
-	rateIdx  int
+// FaultUnitResult is the outcome of one fault-sweep unit — every
+// replication of one (instance, rate) cell: what the fault kernel
+// returns, what the aggregator folds, and the shard wire format.
+type FaultUnitResult struct {
+	Unit          int       `json:"unit"`
+	Makespans     []float64 `json:"makespans"` // completed runs only
+	Costs         []float64 `json:"costs"`     // all runs
+	Completed     int       `json:"completed"`
+	InBudget      int       `json:"inBudget"`
+	Reps          int       `json:"reps"`
+	Crashes       int       `json:"crashes"`
+	BootFailures  int       `json:"bootFailures"`
+	TaskFailures  int       `json:"taskFailures"`
+	Recoveries    int       `json:"recoveries"`
+	Vetoed        int       `json:"vetoed"`
+	WastedSeconds float64   `json:"wastedSeconds"`
 }
 
-type faultCellResult struct {
-	faultCell
-	makespans []float64 // completed runs only
-	costs     []float64 // all runs
-	completed int
-	inBudget  int
-	reps      int
-	crashes   int
-	bootFails int
-	taskFails int
-	recovered int
-	vetoed    int
-	wasted    float64
-	err       error
+func (u FaultUnitResult) cell() int { return u.Unit }
+
+// check: every replication records a cost, only completed ones a
+// makespan, and the counts the rates divide by must agree with both.
+func (u FaultUnitResult) check(reps int) error {
+	if u.Reps != reps || len(u.Costs) != reps || len(u.Makespans) != u.Completed || u.Completed > reps {
+		return fmt.Errorf("reps %d, %d costs, completed %d, %d makespans for %d replications",
+			u.Reps, len(u.Costs), u.Completed, len(u.Makespans), reps)
+	}
+	return nil
 }
 
 // faultInst is one planned instance of a fault sweep.
@@ -176,41 +192,40 @@ func prepFaultSweep(sc FaultScenario) (*faultPrep, error) {
 	if err != nil {
 		return nil, err
 	}
+	insts, err := sc.materialize()
+	if err != nil {
+		return nil, err
+	}
 	p := &faultPrep{sc: sc, instances: make([]faultInst, sc.Instances)}
-	for i := range p.instances {
-		w, err := sc.Instance(i)
-		if err != nil {
-			return nil, err
-		}
-		a, err := ComputeAnchors(w, sc.Platform)
-		if err != nil {
-			return nil, err
-		}
-		budget := sc.BudgetFactor * a.CheapCost
+	for i, in := range insts {
+		budget := sc.BudgetFactor * in.a.CheapCost
 		if sc.BudgetFactor < 0 {
 			budget = 0 // guard lifted
 		}
-		s, err := sc.Alg.Plan(w, sc.Platform, planBudget(budget, a.CheapCost))
+		s, err := sc.Alg.Plan(in.w, sc.Platform, planBudget(budget, in.a.CheapCost))
 		if err != nil {
 			return nil, fmt.Errorf("exp: planning instance %d: %w", i, err)
 		}
-		p.instances[i] = faultInst{w: w, s: s, budget: budget}
+		p.instances[i] = faultInst{w: in.w, s: s, budget: budget}
 		p.meanBudget += budget / float64(sc.Instances)
 	}
 	return p, nil
 }
 
-// cells enumerates the cell space in the canonical order
-// (instance-major, then rate index).
-func (p *faultPrep) cells() []faultCell {
-	out := make([]faultCell, 0, p.sc.Instances*len(p.sc.Rates))
-	for i := 0; i < p.sc.Instances; i++ {
-		for ri := range p.sc.Rates {
-			out = append(out, faultCell{instance: i, rateIdx: ri})
-		}
+// FaultCells is the number of (instance, rate) cells — and therefore of
+// units — in the fault sweep's grid, normalized exactly as
+// RunFaultSweepCtx does. Cells are enumerated instance-major, then rate
+// index.
+func FaultCells(sc FaultScenario) (int, error) {
+	n, err := sc.Normalize()
+	if err != nil {
+		return 0, err
 	}
-	return out
+	return n.cells(), nil
 }
+
+// cells is the grid size of a normalized scenario.
+func (sc FaultScenario) cells() int { return sc.Instances * len(sc.Rates) }
 
 // RunFaultSweep evaluates the scenario's schedule under every crash
 // rate of the grid: per instance it plans once, then replays Reps
@@ -229,82 +244,86 @@ func RunFaultSweepCtx(ctx context.Context, sc FaultScenario) (*FaultSweepResult,
 	if err != nil {
 		return nil, err
 	}
-	cells := p.cells()
-	results := make([]faultCellResult, len(cells))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for wkr := 0; wkr < p.sc.Workers; wkr++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range work {
-				if err := ctx.Err(); err != nil {
-					results[ci] = faultCellResult{faultCell: cells[ci], err: err}
-					continue
-				}
-				results[ci] = runFaultCellRange(p, cells[ci], 0, p.sc.Reps)
-			}
-		}()
+	units, err := runCells(ctx, p.sc.Workers, 0, p.sc.cells(), p.runCell)
+	if err != nil {
+		return nil, err
 	}
-	for ci := range cells {
-		work <- ci
-	}
-	close(work)
-	wg.Wait()
-
-	return aggregateFaultCells(p, results)
+	return p.aggregate(units), nil
 }
 
-// aggregateFaultCells merges per-cell results into per-rate points.
-// The iteration order — every cell in enumeration order, filtered per
-// rate — fixes the order observations enter each summary, so a merged
-// distributed run aggregates identically to the single-process path.
-func aggregateFaultCells(p *faultPrep, results []faultCellResult) (*FaultSweepResult, error) {
+// RunFaultSweepUnitsCtx evaluates units [start, end) of the fault
+// sweep's enumeration and returns their outcomes ordered by unit
+// index.
+func RunFaultSweepUnitsCtx(ctx context.Context, sc FaultScenario, start, end int) ([]FaultUnitResult, error) {
+	p, err := prepFaultSweep(sc)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkRange(start, end, p.sc.cells()); err != nil {
+		return nil, err
+	}
+	return runCells(ctx, p.sc.Workers, start, end, p.runCell)
+}
+
+// MergeFaultSweepUnits reassembles fault-sweep unit outcomes into the
+// FaultSweepResult the single-process RunFaultSweepCtx produces for
+// the same scenario.
+func MergeFaultSweepUnits(sc FaultScenario, units []FaultUnitResult) (*FaultSweepResult, error) {
+	p, err := prepFaultSweep(sc)
+	if err != nil {
+		return nil, err
+	}
+	ordered, err := OrderUnits(units, 0, p.sc.cells(), p.sc.Reps)
+	if err != nil {
+		return nil, err
+	}
+	return p.aggregate(ordered), nil
+}
+
+// aggregate folds the full grid's units into per-rate points. Each
+// rate reads its cells by index, in instance order — the order
+// observations enter each summary, and the same whether the units came
+// from this process or from a merge.
+func (p *faultPrep) aggregate(units []FaultUnitResult) *FaultSweepResult {
 	sc := p.sc
 	out := &FaultSweepResult{Scenario: sc, Budget: p.meanBudget}
 	for ri, lam := range sc.Rates {
-		var agg faultCellResult
-		for _, r := range results {
-			if r.err != nil {
-				return nil, r.err
-			}
-			if r.rateIdx != ri {
-				continue
-			}
-			agg.makespans = append(agg.makespans, r.makespans...)
-			agg.costs = append(agg.costs, r.costs...)
-			agg.completed += r.completed
-			agg.inBudget += r.inBudget
-			agg.reps += r.reps
-			agg.crashes += r.crashes
-			agg.bootFails += r.bootFails
-			agg.taskFails += r.taskFails
-			agg.recovered += r.recovered
-			agg.vetoed += r.vetoed
-			agg.wasted += r.wasted
+		var agg FaultUnitResult
+		for i := 0; i < sc.Instances; i++ {
+			u := &units[i*len(sc.Rates)+ri]
+			agg.Makespans = append(agg.Makespans, u.Makespans...)
+			agg.Costs = append(agg.Costs, u.Costs...)
+			agg.Completed += u.Completed
+			agg.InBudget += u.InBudget
+			agg.Reps += u.Reps
+			agg.Crashes += u.Crashes
+			agg.BootFailures += u.BootFailures
+			agg.TaskFailures += u.TaskFailures
+			agg.Recoveries += u.Recoveries
+			agg.Vetoed += u.Vetoed
+			agg.WastedSeconds += u.WastedSeconds
 		}
-		n := float64(agg.reps)
-		pt := FaultPoint{
+		n := float64(agg.Reps)
+		out.Points = append(out.Points, FaultPoint{
 			Rate:             lam,
-			SuccessRate:      float64(agg.completed) / n,
-			WithinBudget:     float64(agg.inBudget) / n,
-			Makespan:         stats.Summarize(agg.makespans),
-			Cost:             stats.Summarize(agg.costs),
-			Crashes:          float64(agg.crashes) / n,
-			BootFailures:     float64(agg.bootFails) / n,
-			TaskFailures:     float64(agg.taskFails) / n,
-			Recoveries:       float64(agg.recovered) / n,
-			RecoveriesVetoed: float64(agg.vetoed) / n,
-			WastedSeconds:    agg.wasted / n,
-		}
-		out.Points = append(out.Points, pt)
+			SuccessRate:      float64(agg.Completed) / n,
+			WithinBudget:     float64(agg.InBudget) / n,
+			Makespan:         stats.Summarize(agg.Makespans),
+			Cost:             stats.Summarize(agg.Costs),
+			Crashes:          float64(agg.Crashes) / n,
+			BootFailures:     float64(agg.BootFailures) / n,
+			TaskFailures:     float64(agg.TaskFailures) / n,
+			Recoveries:       float64(agg.Recoveries) / n,
+			RecoveriesVetoed: float64(agg.Vetoed) / n,
+			WastedSeconds:    agg.WastedSeconds / n,
+		})
 	}
 	base := out.Points[0]
 	for i := range out.Points {
 		out.Points[i].MakespanFactor = stats.Ratio(out.Points[i].Makespan.Mean, base.Makespan.Mean)
 		out.Points[i].CostFactor = stats.Ratio(out.Points[i].Cost.Mean, base.Cost.Mean)
 	}
-	return out, nil
+	return out
 }
 
 // planBudget is the budget handed to the planner: when the guard is
@@ -318,46 +337,45 @@ func planBudget(budget, cheapCost float64) float64 {
 	return 1.5 * cheapCost
 }
 
-// runFaultCellRange replays replications [repStart, repEnd) of one
+// runCell is the fault kernel: it replays every replication of one
 // instance at one crash rate. Weight streams and fault seeds are
 // derived without the rate, so the same replication index draws the
 // same weights and the same underlying fault randomness at every λ
 // (common random numbers) — and, because each replication's streams
-// are split by index from a stream fixed per (instance), a rep range
-// computed in isolation is bit-identical to the same range inside a
-// full-cell run (the sharding guarantee).
-func runFaultCellRange(p *faultPrep, c faultCell, repStart, repEnd int) faultCellResult {
+// are split by index from a stream fixed per (instance), a cell
+// computed in isolation is bit-identical to the same cell inside a
+// full run (the sharding guarantee).
+func (p *faultPrep) runCell(ci int) (FaultUnitResult, error) {
 	sc := p.sc
-	inst := p.instances[c.instance]
-	res := faultCellResult{faultCell: c}
-	lam := sc.Rates[c.rateIdx]
-	weightStream := rng.New(sc.Seed).Split(uint64(c.instance)<<32 | hashName("fault-weights"))
-	seedStream := rng.New(sc.Seed).Split(uint64(c.instance)<<32 | hashName("fault-trace"))
-	for rep := repStart; rep < repEnd; rep++ {
+	instance, lam := ci/len(sc.Rates), sc.Rates[ci%len(sc.Rates)]
+	inst := p.instances[instance]
+	res := FaultUnitResult{Unit: ci}
+	weightStream := rng.New(sc.Seed).Split(uint64(instance)<<32 | hashName("fault-weights"))
+	seedStream := rng.New(sc.Seed).Split(uint64(instance)<<32 | hashName("fault-trace"))
+	for rep := 0; rep < sc.Reps; rep++ {
 		weights := sim.SampleWeights(inst.w, weightStream.Split(uint64(rep)))
 		spec := sc.Spec
 		spec.CrashRatePerHour = []float64{lam} // broadcast over categories
 		spec.Seed = seedStream.Split(uint64(rep)).Uint64()
 		r, err := online.ExecuteFaulty(inst.w, sc.Platform, inst.s, weights, &spec, inst.budget)
 		if err != nil {
-			res.err = fmt.Errorf("exp: instance %d rate %g rep %d: %w", c.instance, lam, rep, err)
-			return res
+			return res, fmt.Errorf("exp: instance %d rate %g rep %d: %w", instance, lam, rep, err)
 		}
-		res.reps++
-		res.costs = append(res.costs, r.TotalCost)
+		res.Reps++
+		res.Costs = append(res.Costs, r.TotalCost)
 		if r.Completed {
-			res.completed++
-			res.makespans = append(res.makespans, r.Makespan)
+			res.Completed++
+			res.Makespans = append(res.Makespans, r.Makespan)
 		}
 		if inst.budget <= 0 || r.TotalCost <= inst.budget {
-			res.inBudget++
+			res.InBudget++
 		}
-		res.crashes += r.Crashes
-		res.bootFails += r.BootFailures
-		res.taskFails += r.TaskFailures
-		res.recovered += r.Recoveries
-		res.vetoed += r.RecoveriesVetoed
-		res.wasted += r.WastedSeconds
+		res.Crashes += r.Crashes
+		res.BootFailures += r.BootFailures
+		res.TaskFailures += r.TaskFailures
+		res.Recoveries += r.Recoveries
+		res.Vetoed += r.RecoveriesVetoed
+		res.WastedSeconds += r.WastedSeconds
 	}
-	return res
+	return res, nil
 }

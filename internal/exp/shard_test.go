@@ -66,11 +66,11 @@ func randomShards(rnd *rand.Rand, units int) [][2]int {
 }
 
 // TestShardMergeMatchesMonolithic is the sharding property test: over
-// ≥100 random (scenario, shard-size, rep-block, worker-count) cases,
+// ≥100 random (scenario, unit-range partition, worker-count) cases,
 // decomposing a sweep into units, evaluating the shards independently
 // (in shuffled order, as a cluster of workers would) and merging the
-// partial aggregates must reproduce the single-process RunSweepCtx
-// result bit-for-bit.
+// units must reproduce the single-process RunSweepCtx result
+// bit-for-bit.
 func TestShardMergeMatchesMonolithic(t *testing.T) {
 	t.Parallel()
 	rnd := rand.New(rand.NewSource(7))
@@ -82,15 +82,13 @@ func TestShardMergeMatchesMonolithic(t *testing.T) {
 		sc := randomScenario(rnd)
 		algs := pickAlgs(rnd)
 		gridK := 1 + rnd.Intn(3)
-		repBlock := rnd.Intn(sc.Reps + 2) // 0 = whole cell, may exceed Reps
 
 		want, err := RunSweepCtx(context.Background(), sc, algs, gridK)
 		if err != nil {
 			t.Fatalf("case %d: monolithic: %v", i, err)
 		}
 
-		g := SweepGridFor(sc, len(algs), gridK, repBlock)
-		shards := randomShards(rnd, g.Units())
+		shards := randomShards(rnd, SweepCells(sc, len(algs), gridK))
 		rnd.Shuffle(len(shards), func(a, b int) { shards[a], shards[b] = shards[b], shards[a] })
 		var units []SweepUnitResult
 		for _, sh := range shards {
@@ -98,19 +96,19 @@ func TestShardMergeMatchesMonolithic(t *testing.T) {
 			// heterogeneous worker fleet.
 			shardSc := sc
 			shardSc.Workers = 1 + rnd.Intn(4)
-			got, err := RunSweepUnitsCtx(context.Background(), shardSc, algs, gridK, repBlock, sh[0], sh[1])
+			got, err := RunSweepUnitsCtx(context.Background(), shardSc, algs, gridK, sh[0], sh[1])
 			if err != nil {
 				t.Fatalf("case %d: shard [%d,%d): %v", i, sh[0], sh[1], err)
 			}
 			units = append(units, got...)
 		}
-		merged, err := MergeSweepUnits(sc, algs, gridK, repBlock, units)
+		merged, err := MergeSweepUnits(sc, algs, gridK, units)
 		if err != nil {
 			t.Fatalf("case %d: merge: %v", i, err)
 		}
 		if !reflect.DeepEqual(stripTiming(merged), stripTiming(want)) {
-			t.Fatalf("case %d (%s n=%d algs=%d gridK=%d reps=%d repBlock=%d): merged result differs from monolithic",
-				i, sc.Type, sc.N, len(algs), gridK, sc.Reps, repBlock)
+			t.Fatalf("case %d (%s n=%d algs=%d gridK=%d reps=%d): merged result differs from monolithic",
+				i, sc.Type, sc.N, len(algs), gridK, sc.Reps)
 		}
 	}
 }
@@ -141,28 +139,27 @@ func TestFaultShardMergeMatchesMonolithic(t *testing.T) {
 			BudgetFactor: 1.5,
 			Spec:         fault.Spec{BootFailProb: 0.1},
 		}
-		repBlock := rnd.Intn(sc.Reps + 1)
 
 		want, err := RunFaultSweepCtx(context.Background(), sc)
 		if err != nil {
 			t.Fatalf("case %d: monolithic: %v", i, err)
 		}
 
-		g, err := FaultGridFor(sc, repBlock)
+		cells, err := FaultCells(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shards := randomShards(rnd, g.Units())
+		shards := randomShards(rnd, cells)
 		rnd.Shuffle(len(shards), func(a, b int) { shards[a], shards[b] = shards[b], shards[a] })
 		var units []FaultUnitResult
 		for _, sh := range shards {
-			got, err := RunFaultSweepUnitsCtx(context.Background(), sc, repBlock, sh[0], sh[1])
+			got, err := RunFaultSweepUnitsCtx(context.Background(), sc, sh[0], sh[1])
 			if err != nil {
 				t.Fatalf("case %d: shard [%d,%d): %v", i, sh[0], sh[1], err)
 			}
 			units = append(units, got...)
 		}
-		merged, err := MergeFaultSweepUnits(sc, repBlock, units)
+		merged, err := MergeFaultSweepUnits(sc, units)
 		if err != nil {
 			t.Fatalf("case %d: merge: %v", i, err)
 		}
@@ -172,48 +169,6 @@ func TestFaultShardMergeMatchesMonolithic(t *testing.T) {
 		want.Scenario = FaultScenario{}
 		if !reflect.DeepEqual(merged, want) {
 			t.Fatalf("case %d: merged fault sweep differs from monolithic", i)
-		}
-	}
-}
-
-// TestSweepGridPartition checks the unit enumeration is a partition:
-// every cell's replication space is covered exactly once, in order.
-func TestSweepGridPartition(t *testing.T) {
-	t.Parallel()
-	for _, g := range []SweepGrid{
-		{Algs: 2, Instances: 3, GridK: 4, Reps: 25, RepBlock: 7},
-		{Algs: 1, Instances: 1, GridK: 1, Reps: 1, RepBlock: 1},
-		{Algs: 3, Instances: 2, GridK: 5, Reps: 10, RepBlock: 10},
-		{Algs: 2, Instances: 1, GridK: 2, Reps: 9, RepBlock: 2},
-	} {
-		covered := make(map[int][]bool)
-		for u := 0; u < g.Units(); u++ {
-			ci, r0, r1 := g.Unit(u)
-			if ci < 0 || ci >= g.Cells() {
-				t.Fatalf("unit %d maps to cell %d outside [0, %d)", u, ci, g.Cells())
-			}
-			if covered[ci] == nil {
-				covered[ci] = make([]bool, g.Reps)
-			}
-			if r1 <= r0 {
-				t.Fatalf("unit %d has empty rep range [%d, %d)", u, r0, r1)
-			}
-			for r := r0; r < r1; r++ {
-				if covered[ci][r] {
-					t.Fatalf("rep %d of cell %d covered twice", r, ci)
-				}
-				covered[ci][r] = true
-			}
-		}
-		if len(covered) != g.Cells() {
-			t.Fatalf("covered %d cells, want %d", len(covered), g.Cells())
-		}
-		for ci, reps := range covered {
-			for r, ok := range reps {
-				if !ok {
-					t.Fatalf("rep %d of cell %d never covered", r, ci)
-				}
-			}
 		}
 	}
 }
@@ -253,11 +208,8 @@ func TestSweepDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		}
 
 		// The unit enumeration itself must also be invariant.
-		g := SweepGridFor(scp, len(algs), 3, 2)
-		want := SweepGridFor(sc, len(algs), 3, 2)
-		want.Instances = g.Instances // Workers is not part of the grid
-		if g != want {
-			t.Fatalf("GOMAXPROCS=%d: grid %+v differs from %+v", procs, g, want)
+		if g, want := SweepCells(scp, len(algs), 3), SweepCells(sc, len(algs), 3); g != want {
+			t.Fatalf("GOMAXPROCS=%d: grid of %d cells, want %d", procs, g, want)
 		}
 	}
 }

@@ -3,15 +3,11 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sync"
 
-	"budgetwf/internal/market"
-	"budgetwf/internal/online"
 	"budgetwf/internal/rng"
 	"budgetwf/internal/sched"
 	"budgetwf/internal/sim"
 	"budgetwf/internal/stats"
-	"budgetwf/internal/wf"
 )
 
 // Spot-market robustness/economy sweep: one workflow scenario replayed
@@ -60,16 +56,8 @@ func (sc SpotScenario) Normalize() (SpotScenario, error) {
 	if sc.Estimator != EstimatorMC {
 		return sc, fmt.Errorf("exp: spot sweep requires estimator=mc (revocations are Monte Carlo events)")
 	}
-	if len(sc.Discounts) == 0 {
-		sc.Discounts = append([]float64(nil), DefaultSpotDiscounts...)
-	} else {
-		sc.Discounts = append([]float64(nil), sc.Discounts...)
-	}
-	if len(sc.Rates) == 0 {
-		sc.Rates = append([]float64(nil), DefaultSpotRates...)
-	} else {
-		sc.Rates = append([]float64(nil), sc.Rates...)
-	}
+	sc.Discounts = gridOr(sc.Discounts, DefaultSpotDiscounts)
+	sc.Rates = gridOr(sc.Rates, DefaultSpotRates)
 	for _, d := range sc.Discounts {
 		if d < 0 || d >= 1 {
 			return sc, fmt.Errorf("exp: spot discount %g outside [0, 1)", d)
@@ -83,14 +71,9 @@ func (sc SpotScenario) Normalize() (SpotScenario, error) {
 	if sc.BudgetFactor == 0 {
 		sc.BudgetFactor = 1.5
 	}
-	if sc.Alg.Plan == nil {
-		alg, err := sched.ByName(sched.NameHeftBudg)
-		if err != nil {
-			return sc, err
-		}
-		sc.Alg = alg
-	}
-	return sc, nil
+	var err error
+	sc.Alg, err = algOrHeftBudg(sc.Alg)
+	return sc, err
 }
 
 // SpotPoint aggregates one (discount, rate) market condition across
@@ -134,20 +117,9 @@ type SpotSweepResult struct {
 	Points []SpotPoint
 }
 
-// spotInst is one instance's shared state: the workflow and its budget.
-type spotInst struct {
-	w      *wf.Workflow
-	budget float64
-}
-
-// spotCell is one unit of parallel work: every replication of one
-// instance under one market condition.
-type spotCell struct {
-	point    int // index into the flattened (discount, rate) grid
-	instance int
-}
-
-type spotCellResult struct {
+// spotUnit is the outcome of one spot-sweep cell: every replication of
+// one instance under one market condition.
+type spotUnit struct {
 	makespans   []float64 // completed runs only
 	costs       []float64 // all runs
 	completed   int
@@ -156,8 +128,21 @@ type spotCellResult struct {
 	spotVMs     int
 	revocations int
 	rework      float64
-	err         error
 }
+
+// spotPrep is the per-scenario state of a spot sweep: the normalized
+// scenario, its instances and the flattened market grid.
+type spotPrep struct {
+	sc      SpotScenario // after Normalize()
+	insts   []instance
+	spotAlg sched.Algorithm
+	// grid is the (discount, rate) conditions, discount-major. Cells are
+	// enumerated condition-major, then instance.
+	grid [][2]float64
+}
+
+// budget is the instance's budget: β × CheapCost.
+func (p *spotPrep) budget(i int) float64 { return p.sc.BudgetFactor * p.insts[i].a.CheapCost }
 
 // RunSpotSweep evaluates the market grid: per (discount, rate) it
 // derives the spot twins, plans each instance with the spot-aware
@@ -176,113 +161,85 @@ func RunSpotSweepCtx(ctx context.Context, scIn SpotScenario) (*SpotSweepResult, 
 	if err != nil {
 		return nil, err
 	}
-	insts := make([]spotInst, sc.Instances)
-	out := &SpotSweepResult{Scenario: sc}
-	for i := range insts {
-		w, err := sc.Instance(i)
-		if err != nil {
-			return nil, err
-		}
-		a, err := ComputeAnchors(w, sc.Platform)
-		if err != nil {
-			return nil, err
-		}
-		insts[i] = spotInst{w: w, budget: sc.BudgetFactor * a.CheapCost}
-		out.Budget += insts[i].budget / float64(sc.Instances)
+	insts, err := sc.materialize()
+	if err != nil {
+		return nil, err
 	}
+	p := &spotPrep{sc: sc, insts: insts, spotAlg: sched.SpotVariant(sc.Alg)}
+	for _, d := range sc.Discounts {
+		for _, r := range sc.Rates {
+			p.grid = append(p.grid, [2]float64{d, r})
+		}
+	}
+	out := &SpotSweepResult{Scenario: sc}
+	if err := p.baseline(out); err != nil {
+		return nil, err
+	}
+	units, err := runCells(ctx, sc.Workers, 0, len(p.grid)*sc.Instances, p.runCell)
+	if err != nil {
+		return nil, err
+	}
+	p.aggregate(out, units)
+	return out, nil
+}
 
-	// Baseline: the base algorithm on the on-demand platform, plain
-	// simulation (nothing can revoke), same weight streams as the grid.
-	var baseCosts, baseMks []float64
-	baseInBudget, baseReps := 0, 0
-	for i, inst := range insts {
-		s, err := sc.Alg.Plan(inst.w, sc.Platform, inst.budget)
+// baseline fills the on-demand reference: the base algorithm on the
+// unmodified platform, plain simulation (nothing can revoke), same
+// weight streams as the grid.
+func (p *spotPrep) baseline(out *SpotSweepResult) error {
+	sc := p.sc
+	var costs, mks []float64
+	inBudget := 0
+	for i, inst := range p.insts {
+		budget := p.budget(i)
+		out.Budget += budget / float64(sc.Instances)
+		s, err := sc.Alg.Plan(inst.w, sc.Platform, budget)
 		if err != nil {
-			return nil, fmt.Errorf("exp: baseline planning instance %d: %w", i, err)
+			return fmt.Errorf("exp: baseline planning instance %d: %w", i, err)
 		}
 		runner, err := sim.NewRunner(inst.w, sc.Platform, s)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		weightStream := spotWeightStream(sc.Seed, i)
 		for rep := 0; rep < sc.Reps; rep++ {
 			mk, cost, err := runner.Score(runner.Sample(weightStream.Split(uint64(rep))))
 			if err != nil {
-				return nil, err
+				return err
 			}
-			baseCosts = append(baseCosts, cost)
-			baseMks = append(baseMks, mk)
-			baseReps++
-			if cost <= inst.budget {
-				baseInBudget++
+			costs = append(costs, cost)
+			mks = append(mks, mk)
+			if cost <= budget {
+				inBudget++
 			}
 		}
 	}
-	out.BaselineCost = stats.Summarize(baseCosts)
-	out.BaselineMakespan = stats.Summarize(baseMks)
-	out.BaselineWithinBudget = float64(baseInBudget) / float64(baseReps)
+	out.BaselineCost = stats.Summarize(costs)
+	out.BaselineMakespan = stats.Summarize(mks)
+	out.BaselineWithinBudget = float64(inBudget) / float64(len(costs))
+	return nil
+}
 
-	type cond struct{ discount, rate float64 }
-	var grid []cond
-	for _, d := range sc.Discounts {
-		for _, r := range sc.Rates {
-			grid = append(grid, cond{d, r})
-		}
-	}
-	spotAlg := sched.SpotVariant(sc.Alg)
-	cells := make([]spotCell, 0, len(grid)*sc.Instances)
-	for pi := range grid {
-		for i := 0; i < sc.Instances; i++ {
-			cells = append(cells, spotCell{point: pi, instance: i})
-		}
-	}
-	results := make([]spotCellResult, len(cells))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for wkr := 0; wkr < sc.Workers; wkr++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range work {
-				if err := ctx.Err(); err != nil {
-					results[ci] = spotCellResult{err: err}
-					continue
-				}
-				c := cells[ci]
-				g := grid[c.point]
-				results[ci] = runSpotCell(sc, insts[c.instance], c.instance, spotAlg, g.discount, g.rate)
-			}
-		}()
-	}
-	for ci := range cells {
-		work <- ci
-	}
-	close(work)
-	wg.Wait()
-
-	for pi, g := range grid {
-		var agg spotCellResult
-		for ci, c := range cells {
-			r := results[ci]
-			if r.err != nil {
-				return nil, fmt.Errorf("exp: spot condition (d=%g, λ=%g) instance %d: %w", g.discount, g.rate, c.instance, r.err)
-			}
-			if c.point != pi {
-				continue
-			}
-			agg.makespans = append(agg.makespans, r.makespans...)
-			agg.costs = append(agg.costs, r.costs...)
-			agg.completed += r.completed
-			agg.inBudget += r.inBudget
-			agg.reps += r.reps
-			agg.spotVMs += r.spotVMs
-			agg.revocations += r.revocations
-			agg.rework += r.rework
+// aggregate folds the full grid's units into one point per market
+// condition, reading each condition's cells by index in instance order.
+func (p *spotPrep) aggregate(out *SpotSweepResult, units []spotUnit) {
+	instances := p.sc.Instances
+	for pi, g := range p.grid {
+		var agg spotUnit
+		for _, u := range units[pi*instances : (pi+1)*instances] {
+			agg.makespans = append(agg.makespans, u.makespans...)
+			agg.costs = append(agg.costs, u.costs...)
+			agg.completed += u.completed
+			agg.inBudget += u.inBudget
+			agg.reps += u.reps
+			agg.spotVMs += u.spotVMs
+			agg.revocations += u.revocations
+			agg.rework += u.rework
 		}
 		n := float64(agg.reps)
 		pt := SpotPoint{
-			Discount:     g.discount,
-			Rate:         g.rate,
+			Discount:     g[0],
+			Rate:         g[1],
 			SuccessRate:  float64(agg.completed) / n,
 			WithinBudget: float64(agg.inBudget) / n,
 			Makespan:     stats.Summarize(agg.makespans),
@@ -296,34 +253,30 @@ func RunSpotSweepCtx(ctx context.Context, scIn SpotScenario) (*SpotSweepResult, 
 		}
 		out.Points = append(out.Points, pt)
 	}
-	return out, nil
 }
 
-// runSpotCell plans one instance under one market condition and
-// replays every replication.
-func runSpotCell(sc SpotScenario, inst spotInst, instance int, spotAlg sched.Algorithm, discount, rate float64) spotCellResult {
-	var res spotCellResult
-	p := sc.Platform.WithSpotTwins(discount, rate)
-	s, err := spotAlg.Plan(inst.w, p, inst.budget)
+// runCell is the spot kernel: it plans one instance under one market
+// condition and replays every replication.
+func (p *spotPrep) runCell(ci int) (spotUnit, error) {
+	sc := p.sc
+	g, instance := p.grid[ci/sc.Instances], ci%sc.Instances
+	var res spotUnit
+	fail := func(err error) (spotUnit, error) {
+		return res, fmt.Errorf("exp: spot condition (d=%g, λ=%g) instance %d: %w", g[0], g[1], instance, err)
+	}
+	w, budget := p.insts[instance].w, p.budget(instance)
+	twins := sc.Platform.WithSpotTwins(g[0], g[1])
+	s, err := p.spotAlg.Plan(w, twins, budget)
 	if err != nil {
-		res.err = err
-		return res
+		return fail(err)
 	}
 	weightStream := spotWeightStream(sc.Seed, instance)
 	seedStream := rng.New(sc.Seed).Split(uint64(instance)<<32 | hashName("spot-trace"))
 	for rep := 0; rep < sc.Reps; rep++ {
-		weights := sim.SampleWeights(inst.w, weightStream.Split(uint64(rep)))
-		seed := seedStream.Split(uint64(rep)).Uint64()
-		var r *online.Report
-		var err error
-		if spec := market.RevocationSpec(p, seed); spec != nil {
-			r, err = online.ExecuteFaulty(inst.w, p, s, weights, spec, inst.budget)
-		} else {
-			r, err = online.Execute(inst.w, p, s, weights, online.Policy{Budget: inst.budget})
-		}
+		weights := sim.SampleWeights(w, weightStream.Split(uint64(rep)))
+		r, err := replaySpot(w, twins, s, weights, seedStream.Split(uint64(rep)).Uint64(), budget)
 		if err != nil {
-			res.err = err
-			return res
+			return fail(err)
 		}
 		res.reps++
 		res.costs = append(res.costs, r.TotalCost)
@@ -331,14 +284,14 @@ func runSpotCell(sc SpotScenario, inst spotInst, instance int, spotAlg sched.Alg
 			res.completed++
 			res.makespans = append(res.makespans, r.Makespan)
 		}
-		if r.TotalCost <= inst.budget {
+		if r.TotalCost <= budget {
 			res.inBudget++
 		}
 		res.spotVMs += r.SpotVMs
 		res.revocations += r.Revocations
 		res.rework += r.SpotReworkCost
 	}
-	return res
+	return res, nil
 }
 
 // spotWeightStream derives the weight stream of one instance: a pure

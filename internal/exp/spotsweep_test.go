@@ -205,24 +205,23 @@ func TestShardMergeSpotPlatform(t *testing.T) {
 	}
 	algs := []sched.Algorithm{alg}
 	sc := Scenario{Type: wfgen.ForkJoin, N: 10, Platform: p, Instances: 2, Reps: 5, Workers: 2, Seed: 11}
-	const gridK, repBlock = 3, 2
+	const gridK = 3
 
 	mono, err := RunSweepCtx(context.Background(), sc, algs, gridK)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := SweepGridFor(sc, len(algs), gridK, repBlock)
 	rnd := rand.New(rand.NewSource(13))
 	var units []SweepUnitResult
-	for _, shard := range randomShards(rnd, g.Units()) {
-		part, err := RunSweepUnitsCtx(context.Background(), sc, algs, gridK, repBlock, shard[0], shard[1])
+	for _, shard := range randomShards(rnd, SweepCells(sc, len(algs), gridK)) {
+		part, err := RunSweepUnitsCtx(context.Background(), sc, algs, gridK, shard[0], shard[1])
 		if err != nil {
 			t.Fatal(err)
 		}
 		units = append(units, part...)
 	}
 	rnd.Shuffle(len(units), func(i, j int) { units[i], units[j] = units[j], units[i] })
-	merged, err := MergeSweepUnits(sc, algs, gridK, repBlock, units)
+	merged, err := MergeSweepUnits(sc, algs, gridK, units)
 	if err != nil {
 		t.Fatal(err)
 	}

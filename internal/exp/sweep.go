@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"budgetwf/internal/est"
 	"budgetwf/internal/market"
 	"budgetwf/internal/online"
+	"budgetwf/internal/plan"
 	"budgetwf/internal/platform"
 	"budgetwf/internal/rng"
 	"budgetwf/internal/sched"
@@ -152,67 +152,64 @@ type SweepResult struct {
 	Series           []Series
 }
 
-// cell is one unit of parallel work: schedule one instance at one
-// budget with one algorithm, then run all stochastic replications.
-type cell struct {
-	alg      sched.Algorithm
-	algIdx   int
-	instance int
-	budgetIx int
-}
-
-type cellResult struct {
-	cell
-	makespans []float64
-	costs     []float64
-	numVMs    float64
-	valid     int
-	planTime  float64
-	// completed counts executions that finished every task (== the rep
+// SweepUnitResult is the outcome of one sweep unit — one (algorithm,
+// instance, budget) cell: the raw per-replication observations plus the
+// per-cell plan facts. It is what the sweep kernel returns, what the
+// aggregator folds, and the shard wire format (JSON round-trips float64
+// exactly, so transport cannot perturb the merge).
+type SweepUnitResult struct {
+	Unit        int       `json:"unit"`
+	Makespans   []float64 `json:"makespans"`
+	Costs       []float64 `json:"costs"`
+	NumVMs      float64   `json:"numVMs"`
+	Valid       int       `json:"valid"`
+	PlanSeconds float64   `json:"planSeconds"`
+	// Completed counts executions that finished every task (== the rep
 	// count except on spot platforms); the spot counters sum the
-	// per-execution revocation outcome over the cell's replications.
-	completed   int
-	spotVMs     int
-	revocations int
-	reworkCost  float64
-	err         error
+	// per-execution revocation outcome over the cell's replications on
+	// market platforms, omitted from revocation-free payloads.
+	Completed   int     `json:"completed,omitempty"`
+	SpotVMs     int     `json:"spotVMs,omitempty"`
+	Revocations int     `json:"revocations,omitempty"`
+	ReworkCost  float64 `json:"reworkCost,omitempty"`
 }
 
-// sweepPrep is the deterministic per-scenario state every cell
-// evaluation needs: the materialized workflow instances, their budget
-// anchors and the common budget-factor grid. Because it is a pure
-// function of (Scenario, gridK), a distributed worker recomputing it
-// from the spec arrives at exactly the state the coordinator holds —
-// the foundation of the bit-identical sharding in shard.go.
-type sweepPrep struct {
-	sc        Scenario // after Defaults()
-	gridK     int
-	instances []*wf.Workflow
-	anchors   []*Anchors
-	common    []float64
-	minCostMk float64
-	minCostB  float64
-	baseMk    float64
+func (u SweepUnitResult) cell() int { return u.Unit }
+
+// record adds one replication's outcome.
+func (u *SweepUnitResult) record(makespan, cost, budget float64, completed bool) {
+	u.Makespans = append(u.Makespans, makespan)
+	u.Costs = append(u.Costs, cost)
+	if cost <= budget {
+		u.Valid++
+	}
+	if completed {
+		u.Completed++
+	}
 }
 
-// prepSweep normalizes the scenario and materializes instances,
-// anchors and the factor grid.
-func prepSweep(sc Scenario, gridK int) (*sweepPrep, error) {
-	sc = sc.Defaults()
-	if !ValidEstimator(sc.Estimator) {
-		return nil, fmt.Errorf("exp: unknown estimator %q (want %q or %q)", sc.Estimator, EstimatorMC, EstimatorAnalytic)
+// check: every replication of a sweep cell, completed or not, records a
+// makespan and a cost.
+func (u SweepUnitResult) check(reps int) error {
+	if len(u.Makespans) != reps || len(u.Costs) != reps {
+		return fmt.Errorf("%d makespans and %d costs for %d replications", len(u.Makespans), len(u.Costs), reps)
 	}
-	if gridK <= 0 {
-		gridK = 8
-	}
-	p := &sweepPrep{
-		sc:        sc,
-		gridK:     gridK,
-		instances: make([]*wf.Workflow, sc.Instances),
-		anchors:   make([]*Anchors, sc.Instances),
-	}
-	factorGrid := make([][]float64, sc.Instances)
-	for i := range p.instances {
+	return nil
+}
+
+// instance is one materialized workflow of a scenario with its budget
+// anchors.
+type instance struct {
+	w *wf.Workflow
+	a *Anchors
+}
+
+// materialize generates the scenario's workflow instances and computes
+// their anchors: the deterministic state every kind of sweep starts
+// from. sc must already carry its defaults.
+func (sc Scenario) materialize() ([]instance, error) {
+	insts := make([]instance, sc.Instances)
+	for i := range insts {
 		w, err := sc.Instance(i)
 		if err != nil {
 			return nil, err
@@ -221,45 +218,72 @@ func prepSweep(sc Scenario, gridK int) (*sweepPrep, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.instances[i] = w
-		p.anchors[i] = a
-		factorGrid[i] = a.BudgetFactors(gridK)
-		if p.common == nil || factorGrid[i][gridK-1] > p.common[gridK-1] {
-			p.common = factorGrid[i]
-		}
-		p.minCostMk += a.CheapMakespan / float64(sc.Instances)
-		p.minCostB += a.CheapCost / float64(sc.Instances)
-		p.baseMk += a.BaselineMakespan / float64(sc.Instances)
+		insts[i] = instance{w: w, a: a}
 	}
-	return p, nil
+	return insts, nil
 }
 
-// cells enumerates the full cell space in the canonical order
-// (algorithm-major, then instance, then budget index). The order is a
-// pure function of the counts — never of scheduling, worker
-// interleaving or GOMAXPROCS — which is what makes shard
-// decomposition deterministic.
-func (p *sweepPrep) cells(algs []sched.Algorithm) []cell {
-	out := make([]cell, 0, len(algs)*p.sc.Instances*p.gridK)
-	for ai := range algs {
-		for i := 0; i < p.sc.Instances; i++ {
-			for b := 0; b < p.gridK; b++ {
-				out = append(out, cell{alg: algs[ai], algIdx: ai, instance: i, budgetIx: b})
-			}
+// commonFactors is the budget-factor grid all instances share: the
+// per-instance grid that reaches the highest factor.
+func commonFactors(insts []instance, gridK int) []float64 {
+	var common []float64
+	for _, in := range insts {
+		if f := in.a.BudgetFactors(gridK); common == nil || f[gridK-1] > common[gridK-1] {
+			common = f
 		}
 	}
-	return out
+	return common
 }
 
-// result assembles the SweepResult envelope around aggregated series.
-func (p *sweepPrep) result() *SweepResult {
-	return &SweepResult{
-		Scenario:         p.sc,
-		MinCostMakespan:  p.minCostMk,
-		MinCostBudget:    p.minCostB,
-		BaselineMakespan: p.baseMk,
-	}
+// sweepPrep is the deterministic per-scenario state every cell
+// evaluation needs: the materialized workflow instances with their
+// budget anchors and the common budget-factor grid. Because it is a
+// pure function of (Scenario, algorithms, gridK), a distributed worker
+// recomputing it from the spec arrives at exactly the state the
+// coordinator holds — the foundation of the bit-identical sharding
+// (driver.go).
+type sweepPrep struct {
+	sc     Scenario // after Defaults()
+	algs   []sched.Algorithm
+	gridK  int
+	insts  []instance
+	common []float64
 }
+
+// normGridK applies the default budget-grid size.
+func normGridK(gridK int) int {
+	if gridK <= 0 {
+		return 8
+	}
+	return gridK
+}
+
+// prepSweep normalizes the scenario and materializes instances,
+// anchors and the factor grid.
+func prepSweep(sc Scenario, algs []sched.Algorithm, gridK int) (*sweepPrep, error) {
+	sc = sc.Defaults()
+	if !ValidEstimator(sc.Estimator) {
+		return nil, fmt.Errorf("exp: unknown estimator %q (want %q or %q)", sc.Estimator, EstimatorMC, EstimatorAnalytic)
+	}
+	gridK = normGridK(gridK)
+	insts, err := sc.materialize()
+	if err != nil {
+		return nil, err
+	}
+	return &sweepPrep{sc: sc, algs: algs, gridK: gridK, insts: insts, common: commonFactors(insts, gridK)}, nil
+}
+
+// SweepCells is the number of (algorithm, instance, budget) cells —
+// and therefore of units — in the sweep's grid, normalized exactly as
+// RunSweepCtx does. Cells are enumerated algorithm-major, then
+// instance, then budget index: a pure function of the counts, never of
+// scheduling, worker interleaving or GOMAXPROCS, which is what makes
+// shard decomposition deterministic.
+func SweepCells(sc Scenario, numAlgs, gridK int) int {
+	return numAlgs * sc.Defaults().Instances * normGridK(gridK)
+}
+
+func (p *sweepPrep) cells() int { return SweepCells(p.sc, len(p.algs), p.gridK) }
 
 // RunSweep evaluates the given algorithms over a normalized budget
 // grid with gridK points, reproducing the paper's methodology: per
@@ -273,126 +297,160 @@ func RunSweep(sc Scenario, algs []sched.Algorithm, gridK int) (*SweepResult, err
 // RunSweepCtx is RunSweep under a context: cancellation is polled
 // before each cell (one plan plus Reps simulated executions), so a
 // timed-out or abandoned sweep request stops burning the worker pool
-// within one cell. The first context error aborts the whole sweep.
+// within one cell. It is every unit run and then aggregated.
 func RunSweepCtx(ctx context.Context, sc Scenario, algs []sched.Algorithm, gridK int) (*SweepResult, error) {
-	p, err := prepSweep(sc, gridK)
+	p, err := prepSweep(sc, algs, gridK)
 	if err != nil {
 		return nil, err
 	}
-	cells := p.cells(algs)
-	results := make([]cellResult, len(cells))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for wkr := 0; wkr < p.sc.Workers; wkr++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range work {
-				if err := ctx.Err(); err != nil {
-					results[ci] = cellResult{cell: cells[ci], err: err}
-					continue
-				}
-				results[ci] = runCellRange(p, cells[ci], 0, p.sc.Reps)
-			}
-		}()
-	}
-	for ci := range cells {
-		work <- ci
-	}
-	close(work)
-	wg.Wait()
-
-	out := p.result()
-	if err := aggregateCells(out, algs, p.sc.Instances, p.gridK, p.anchors, p.common, results); err != nil {
+	units, err := p.runUnits(ctx, 0, p.cells())
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return p.aggregate(units), nil
+}
+
+// RunSweepUnitsCtx evaluates units [start, end) of the scenario's
+// enumeration on a bounded local pool (sc.Workers goroutines) and
+// returns their outcomes ordered by unit index: the worker half of a
+// distributed sweep.
+func RunSweepUnitsCtx(ctx context.Context, sc Scenario, algs []sched.Algorithm, gridK, start, end int) ([]SweepUnitResult, error) {
+	p, err := prepSweep(sc, algs, gridK)
+	if err != nil {
+		return nil, err
+	}
+	return p.runUnits(ctx, start, end)
+}
+
+// MergeSweepUnits reassembles unit outcomes — arriving in any order,
+// from any mix of workers — into the SweepResult the single-process
+// RunSweepCtx produces for the same scenario. Every unit of the grid
+// must be present exactly once. Plan wall-time is the one inherently
+// non-deterministic observable; everything else is bit-identical.
+func MergeSweepUnits(sc Scenario, algs []sched.Algorithm, gridK int, units []SweepUnitResult) (*SweepResult, error) {
+	p, err := prepSweep(sc, algs, gridK)
+	if err != nil {
+		return nil, err
+	}
+	ordered, err := OrderUnits(units, 0, p.cells(), p.sc.Reps)
+	if err != nil {
+		return nil, err
+	}
+	return p.aggregate(ordered), nil
+}
+
+// runUnits drives the sweep kernel over cells [start, end), naming the
+// cell in any error.
+func (p *sweepPrep) runUnits(ctx context.Context, start, end int) ([]SweepUnitResult, error) {
+	if err := checkRange(start, end, p.cells()); err != nil {
+		return nil, err
+	}
+	return runCells(ctx, p.sc.Workers, start, end, func(ci int) (SweepUnitResult, error) {
+		alg, i, b := p.algs[ci/(p.sc.Instances*p.gridK)], ci/p.gridK%p.sc.Instances, ci%p.gridK
+		u, err := p.runCell(alg, i, b)
+		if err != nil {
+			return u, fmt.Errorf("exp: %s instance %d budget %d: %w", alg.Name, i, b, err)
+		}
+		u.Unit = ci
+		return u, nil
+	})
 }
 
 // cellIndex locates the (algorithm, instance, budget) cell in the
-// enumeration order of RunSweepCtx.
+// enumeration order.
 func cellIndex(ai, i, b, instances, gridK int) int {
 	return (ai*instances+i)*gridK + b
 }
 
-// aggregateCells folds per-cell results into per-(algorithm, budget)
-// Points. Cells are addressed by cellIndex, so the whole aggregation
-// is O(cells); a previous version rescanned the full results slice for
-// every (algorithm × instance × budget) triple, which made large
-// sweeps quadratic in the number of cells
+// aggregate folds the full grid's units, in enumeration order, into
+// per-(algorithm, budget) Points. Cells are addressed by cellIndex, so
+// the whole aggregation is O(cells); a previous version rescanned the
+// full results slice for every (algorithm × instance × budget) triple,
+// which made large sweeps quadratic in the number of cells
 // (TestAggregateCellsLinearInCells pins the fix).
-func aggregateCells(out *SweepResult, algs []sched.Algorithm, instances, gridK int, anchors []*Anchors, commonFactors []float64, results []cellResult) error {
-	for ai, alg := range algs {
+func (p *sweepPrep) aggregate(units []SweepUnitResult) *SweepResult {
+	instances := p.sc.Instances
+	out := &SweepResult{Scenario: p.sc}
+	for _, in := range p.insts {
+		out.MinCostMakespan += in.a.CheapMakespan / float64(instances)
+		out.MinCostBudget += in.a.CheapCost / float64(instances)
+		out.BaselineMakespan += in.a.BaselineMakespan / float64(instances)
+	}
+	for ai, alg := range p.algs {
 		series := Series{Algorithm: alg.Name}
-		for b := 0; b < gridK; b++ {
-			var mk, cost, vms, pt []float64
+		for b := 0; b < p.gridK; b++ {
+			var mk, cost, vms, planT []float64
 			valid, total, completed := 0, 0, 0
 			spotVMs, revocations := 0, 0
 			rework := 0.0
 			budgetSum := 0.0
 			for i := 0; i < instances; i++ {
-				r := results[cellIndex(ai, i, b, instances, gridK)]
-				if r.err != nil {
-					return fmt.Errorf("exp: %s instance %d budget %d: %w", alg.Name, i, b, r.err)
-				}
-				mk = append(mk, r.makespans...)
-				cost = append(cost, r.costs...)
-				vms = append(vms, r.numVMs)
-				pt = append(pt, r.planTime)
-				valid += r.valid
-				completed += r.completed
-				spotVMs += r.spotVMs
-				revocations += r.revocations
-				rework += r.reworkCost
-				total += len(r.makespans)
-				budgetSum += commonFactors[b] * anchors[i].CheapCost
+				u := &units[cellIndex(ai, i, b, instances, p.gridK)]
+				mk = append(mk, u.Makespans...)
+				cost = append(cost, u.Costs...)
+				vms = append(vms, u.NumVMs)
+				planT = append(planT, u.PlanSeconds)
+				valid += u.Valid
+				completed += u.Completed
+				spotVMs += u.SpotVMs
+				revocations += u.Revocations
+				rework += u.ReworkCost
+				total += len(u.Makespans)
+				budgetSum += p.common[b] * p.insts[i].a.CheapCost
 			}
-			p := Point{
-				Factor:   commonFactors[b],
+			pt := Point{
+				Factor:   p.common[b],
 				Budget:   budgetSum / float64(instances),
 				Makespan: stats.Summarize(mk),
 				Cost:     stats.Summarize(cost),
 				NumVMs:   stats.Summarize(vms),
-				PlanTime: stats.Summarize(pt),
+				PlanTime: stats.Summarize(planT),
 			}
 			if total > 0 {
-				p.ValidFrac = float64(valid) / float64(total)
-				p.SuccessFrac = float64(completed) / float64(total)
-				p.SpotVMs = float64(spotVMs) / float64(total)
-				p.Revocations = float64(revocations) / float64(total)
-				p.ReworkCost = rework / float64(total)
+				pt.ValidFrac = float64(valid) / float64(total)
+				pt.SuccessFrac = float64(completed) / float64(total)
+				pt.SpotVMs = float64(spotVMs) / float64(total)
+				pt.Revocations = float64(revocations) / float64(total)
+				pt.ReworkCost = rework / float64(total)
 			}
-			series.Points = append(series.Points, p)
+			series.Points = append(series.Points, pt)
 		}
 		out.Series = append(out.Series, series)
 	}
-	return nil
+	return out
 }
 
-// runCellRange plans one instance at one budget and replays the
-// replications [repStart, repEnd) with stochastic weights. Each
-// replication's weight stream is derived solely from the scenario seed
-// and the (instance, budget, algorithm, rep) coordinates — never from
-// which block, worker or process computes it — so a cell evaluated as
-// several disjoint rep ranges concatenates to exactly the full-cell
-// run (the bit-identical sharding guarantee, pinned by the property
-// test in shard_test.go).
-func runCellRange(p *sweepPrep, c cell, repStart, repEnd int) cellResult {
+// replaySpot executes one replication on a platform with spot
+// categories through the online executor — plain simulation cannot
+// revoke a VM. seed drives the revocation trace; categories with zero
+// hazard are discounted but never revoked, which needs no fault spec.
+func replaySpot(w *wf.Workflow, p *platform.Platform, s *plan.Schedule, weights []float64, seed uint64, budget float64) (*online.Report, error) {
+	if spec := market.RevocationSpec(p, seed); spec != nil {
+		return online.ExecuteFaulty(w, p, s, weights, spec, budget)
+	}
+	return online.Execute(w, p, s, weights, online.Policy{Budget: budget})
+}
+
+// runCell is the sweep kernel: it plans one instance at one budget and
+// replays every replication with stochastic weights. Each replication's
+// weight stream is derived solely from the scenario seed and the
+// (instance, budget, algorithm, rep) coordinates — never from which
+// worker or process computes it.
+func (p *sweepPrep) runCell(alg sched.Algorithm, inst, budgetIx int) (SweepUnitResult, error) {
 	sc := p.sc
-	res := cellResult{cell: c}
-	w := p.instances[c.instance]
-	budget := p.common[c.budgetIx] * p.anchors[c.instance].CheapCost
+	var res SweepUnitResult
+	w := p.insts[inst].w
+	budget := p.common[budgetIx] * p.insts[inst].a.CheapCost
 
 	start := time.Now()
-	s, err := c.alg.Plan(w, sc.Platform, budget)
-	res.planTime = time.Since(start).Seconds()
+	s, err := alg.Plan(w, sc.Platform, budget)
+	res.PlanSeconds = time.Since(start).Seconds()
 	if err != nil {
-		res.err = err
-		return res
+		return res, err
 	}
-	res.numVMs = float64(s.NumVMs())
-	res.makespans = make([]float64, 0, max(repEnd-repStart, 0))
-	res.costs = make([]float64, 0, max(repEnd-repStart, 0))
+	res.NumVMs = float64(s.NumVMs())
+	res.Makespans = make([]float64, 0, sc.Reps)
+	res.Costs = make([]float64, 0, sc.Reps)
 	simP := sc.Platform
 	if sc.SimPlatform != nil {
 		simP = sc.SimPlatform
@@ -402,90 +460,57 @@ func runCellRange(p *sweepPrep, c cell, repStart, repEnd int) cellResult {
 		// One closed-form propagation per cell instead of Reps simulated
 		// executions. Pseudo-samples are the estimate's quantiles at the
 		// rep midpoints (rep + ½)/Reps — a deterministic function of the
-		// cell coordinates alone, so disjoint rep ranges concatenate to
-		// exactly the full-cell run, the same sharding contract the MC
-		// path gets from its split RNG streams.
+		// cell coordinates alone, the same contract the MC path gets from
+		// its split RNG streams.
 		e, err := est.Compute(w, simP, s)
 		if err != nil {
-			res.err = err
-			return res
+			return res, err
 		}
-		for rep := repStart; rep < repEnd; rep++ {
+		for rep := 0; rep < sc.Reps; rep++ {
 			q := (float64(rep) + 0.5) / float64(sc.Reps)
-			cost := e.CostQuantile(q)
-			res.makespans = append(res.makespans, e.MakespanQuantile(q))
-			res.costs = append(res.costs, cost)
-			res.completed++
-			if cost <= budget {
-				res.valid++
-			}
+			res.record(e.MakespanQuantile(q), e.CostQuantile(q), budget, true)
 		}
-		return res
+		return res, nil
 	}
 
 	// One decorrelated stream per cell, stable across worker
 	// interleavings: derived from scenario seed, instance, budget
 	// index and algorithm name.
-	stream := rng.New(sc.Seed).Split(uint64(c.instance)<<32 | uint64(c.budgetIx)<<16 | hashName(string(c.alg.Name)))
+	stream := rng.New(sc.Seed).Split(uint64(inst)<<32 | uint64(budgetIx)<<16 | hashName(string(alg.Name)))
 
 	if simP.HasSpot() {
-		// Spot platforms replay through the online executor — plain
-		// simulation cannot revoke a VM. Weights reuse the cell stream's
-		// derivation, and revocation-trace seeds come from a stream that
-		// involves neither the discount nor the hazard rate, so a
-		// discount×rate grid over the same scenario seed is a paired
-		// comparison (common random numbers), mirroring faultsweep.go.
-		seedStream := rng.New(sc.Seed).Split(uint64(c.instance)<<32 | uint64(c.budgetIx)<<16 | hashName("spot-trace"))
-		for rep := repStart; rep < repEnd; rep++ {
+		// Weights reuse the cell stream's derivation, and revocation-trace
+		// seeds come from a stream that involves neither the discount nor
+		// the hazard rate, so a discount×rate grid over the same scenario
+		// seed is a paired comparison (common random numbers), mirroring
+		// faultsweep.go.
+		seedStream := rng.New(sc.Seed).Split(uint64(inst)<<32 | uint64(budgetIx)<<16 | hashName("spot-trace"))
+		for rep := 0; rep < sc.Reps; rep++ {
 			weights := sim.SampleWeights(w, stream.Split(uint64(rep)))
-			seed := seedStream.Split(uint64(rep)).Uint64()
-			var r *online.Report
-			var err error
-			if spec := market.RevocationSpec(simP, seed); spec != nil {
-				r, err = online.ExecuteFaulty(w, simP, s, weights, spec, budget)
-			} else {
-				// Spot categories with zero hazard: discounted, never
-				// revoked.
-				r, err = online.Execute(w, simP, s, weights, online.Policy{Budget: budget})
-			}
+			r, err := replaySpot(w, simP, s, weights, seedStream.Split(uint64(rep)).Uint64(), budget)
 			if err != nil {
-				res.err = err
-				return res
+				return res, err
 			}
-			res.makespans = append(res.makespans, r.Makespan)
-			res.costs = append(res.costs, r.TotalCost)
-			if r.TotalCost <= budget {
-				res.valid++
-			}
-			if r.Completed {
-				res.completed++
-			}
-			res.spotVMs += r.SpotVMs
-			res.revocations += r.Revocations
-			res.reworkCost += r.SpotReworkCost
+			res.record(r.Makespan, r.TotalCost, budget, r.Completed)
+			res.SpotVMs += r.SpotVMs
+			res.Revocations += r.Revocations
+			res.ReworkCost += r.SpotReworkCost
 		}
-		return res
+		return res, nil
 	}
 
 	runner, err := sim.NewRunner(w, simP, s)
 	if err != nil {
-		res.err = err
-		return res
+		return res, err
 	}
-	for rep := repStart; rep < repEnd; rep++ {
+	for rep := 0; rep < sc.Reps; rep++ {
 		mk, cost, err := runner.Score(runner.Sample(stream.Split(uint64(rep))))
 		if err != nil {
-			res.err = err
-			return res
+			return res, err
 		}
-		res.makespans = append(res.makespans, mk)
-		res.costs = append(res.costs, cost)
-		res.completed++
-		if cost <= budget {
-			res.valid++
-		}
+		res.record(mk, cost, budget, true)
 	}
-	return res
+	return res, nil
 }
 
 func hashName(s string) uint64 {

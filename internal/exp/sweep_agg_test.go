@@ -1,101 +1,117 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"budgetwf/internal/plan"
+	"budgetwf/internal/platform"
 	"budgetwf/internal/sched"
+	"budgetwf/internal/wf"
+	"budgetwf/internal/wfgen"
 )
 
-// syntheticSweepInputs builds a results slice in RunSweepCtx's cell
-// enumeration order, with per-cell values derived from the cell
+// syntheticSweepInputs builds a prepared sweep and a unit slice in the
+// cell enumeration order, with per-cell values derived from the cell
 // coordinates so the aggregation can be checked exactly.
-func syntheticSweepInputs(numAlgs, instances, gridK int) ([]sched.Algorithm, []*Anchors, []float64, []cellResult) {
+func syntheticSweepInputs(numAlgs, instances, gridK int) (*sweepPrep, []SweepUnitResult) {
 	algs := make([]sched.Algorithm, numAlgs)
 	for ai := range algs {
 		algs[ai] = sched.Algorithm{Name: sched.Name(fmt.Sprintf("alg%d", ai))}
 	}
-	anchors := make([]*Anchors, instances)
-	for i := range anchors {
-		anchors[i] = &Anchors{CheapCost: 10 + float64(i)}
+	p := &sweepPrep{sc: Scenario{Instances: instances}, algs: algs, gridK: gridK, insts: make([]instance, instances), common: make([]float64, gridK)}
+	for i := range p.insts {
+		p.insts[i].a = &Anchors{CheapCost: 10 + float64(i)}
 	}
-	factors := make([]float64, gridK)
-	for b := range factors {
-		factors[b] = 1 + float64(b)
+	for b := range p.common {
+		p.common[b] = 1 + float64(b)
 	}
-	results := make([]cellResult, numAlgs*instances*gridK)
+	units := make([]SweepUnitResult, numAlgs*instances*gridK)
 	for ai := 0; ai < numAlgs; ai++ {
 		for i := 0; i < instances; i++ {
 			for b := 0; b < gridK; b++ {
 				base := float64(ai + i + b)
-				results[cellIndex(ai, i, b, instances, gridK)] = cellResult{
-					cell:      cell{algIdx: ai, instance: i, budgetIx: b},
-					makespans: []float64{base, base + 2},
-					costs:     []float64{base, base + 1},
-					numVMs:    float64(ai + 1),
-					valid:     1,
-					planTime:  0.5,
+				ci := cellIndex(ai, i, b, instances, gridK)
+				units[ci] = SweepUnitResult{
+					Unit:        ci,
+					Makespans:   []float64{base, base + 2},
+					Costs:       []float64{base, base + 1},
+					NumVMs:      float64(ai + 1),
+					Valid:       1,
+					PlanSeconds: 0.5,
 				}
 			}
 		}
 	}
-	return algs, anchors, factors, results
+	return p, units
 }
 
 func TestAggregateCellsValues(t *testing.T) {
 	const numAlgs, instances, gridK = 3, 4, 5
-	algs, anchors, factors, results := syntheticSweepInputs(numAlgs, instances, gridK)
-	out := &SweepResult{}
-	if err := aggregateCells(out, algs, instances, gridK, anchors, factors, results); err != nil {
-		t.Fatal(err)
-	}
+	p, units := syntheticSweepInputs(numAlgs, instances, gridK)
+	out := p.aggregate(units)
 	if len(out.Series) != numAlgs {
 		t.Fatalf("series = %d, want %d", len(out.Series), numAlgs)
 	}
 	for ai, series := range out.Series {
-		if series.Algorithm != algs[ai].Name {
-			t.Errorf("series %d is %q, want %q", ai, series.Algorithm, algs[ai].Name)
+		if series.Algorithm != p.algs[ai].Name {
+			t.Errorf("series %d is %q, want %q", ai, series.Algorithm, p.algs[ai].Name)
 		}
 		if len(series.Points) != gridK {
 			t.Fatalf("series %d has %d points, want %d", ai, len(series.Points), gridK)
 		}
-		for b, p := range series.Points {
-			if p.Factor != factors[b] {
-				t.Errorf("alg %d point %d factor = %v, want %v", ai, b, p.Factor, factors[b])
+		for b, pt := range series.Points {
+			if pt.Factor != p.common[b] {
+				t.Errorf("alg %d point %d factor = %v, want %v", ai, b, pt.Factor, p.common[b])
 			}
 			// Each cell contributed 2 makespans with mean ai+i+b+1.
 			wantMean := 0.0
 			wantBudget := 0.0
 			for i := 0; i < instances; i++ {
 				wantMean += (float64(ai+i+b) + 1) / float64(instances)
-				wantBudget += factors[b] * anchors[i].CheapCost / float64(instances)
+				wantBudget += p.common[b] * p.insts[i].a.CheapCost / float64(instances)
 			}
-			if diff := p.Makespan.Mean - wantMean; diff > 1e-9 || diff < -1e-9 {
-				t.Errorf("alg %d point %d makespan mean = %v, want %v", ai, b, p.Makespan.Mean, wantMean)
+			if diff := pt.Makespan.Mean - wantMean; diff > 1e-9 || diff < -1e-9 {
+				t.Errorf("alg %d point %d makespan mean = %v, want %v", ai, b, pt.Makespan.Mean, wantMean)
 			}
-			if diff := p.Budget - wantBudget; diff > 1e-9 || diff < -1e-9 {
-				t.Errorf("alg %d point %d budget = %v, want %v", ai, b, p.Budget, wantBudget)
+			if diff := pt.Budget - wantBudget; diff > 1e-9 || diff < -1e-9 {
+				t.Errorf("alg %d point %d budget = %v, want %v", ai, b, pt.Budget, wantBudget)
 			}
 			// Each cell had 1 valid of 2 replications.
-			if p.ValidFrac != 0.5 {
-				t.Errorf("alg %d point %d validFrac = %v, want 0.5", ai, b, p.ValidFrac)
+			if pt.ValidFrac != 0.5 {
+				t.Errorf("alg %d point %d validFrac = %v, want 0.5", ai, b, pt.ValidFrac)
 			}
-			if p.PlanTime.Mean != 0.5 {
-				t.Errorf("alg %d point %d planTime mean = %v, want 0.5", ai, b, p.PlanTime.Mean)
+			if pt.PlanTime.Mean != 0.5 {
+				t.Errorf("alg %d point %d planTime mean = %v, want 0.5", ai, b, pt.PlanTime.Mean)
 			}
 		}
 	}
 }
 
+// TestAggregateCellsPropagatesCellError: units carry no error — a
+// failed cell never reaches the aggregator — so the property is checked
+// where it now lives: a sweep whose planner fails in one cell returns
+// that cell's error, naming its coordinates and wrapping the cause.
 func TestAggregateCellsPropagatesCellError(t *testing.T) {
-	algs, anchors, factors, results := syntheticSweepInputs(2, 3, 4)
-	results[cellIndex(1, 2, 3, 3, 4)].err = fmt.Errorf("boom")
-	out := &SweepResult{}
-	err := aggregateCells(out, algs, 3, 4, anchors, factors, results)
-	if err == nil {
-		t.Fatal("cell error not propagated")
+	const instances, gridK = 3, 4
+	heft := mustAlg(t, sched.NameHeft)
+	boom := errors.New("boom")
+	calls := 0 // Workers is 1: alg1's cells run one after another, in cell order
+	failing := sched.Algorithm{Name: "alg1", Plan: func(w *wf.Workflow, p *platform.Platform, budget float64) (*plan.Schedule, error) {
+		calls++
+		if calls == cellIndex(0, 2, 3, instances, gridK)+1 {
+			return nil, boom
+		}
+		return heft.Plan(w, p, budget)
+	}}
+	algs := []sched.Algorithm{{Name: "alg0", Plan: heft.Plan}, failing}
+	sc := Scenario{Type: wfgen.Chain, N: 6, Instances: instances, Reps: 1, Workers: 1}
+	_, err := RunSweep(sc, algs, gridK)
+	if !errors.Is(err, boom) {
+		t.Fatalf("cell error not propagated: %v", err)
 	}
 	if want := "alg1 instance 2 budget 3"; !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not identify the cell (%s)", err, want)
@@ -114,15 +130,12 @@ func TestAggregateCellsLinearInCells(t *testing.T) {
 		t.Skip("large synthetic sweep")
 	}
 	const numAlgs, instances, gridK = 10, 100, 80 // 80 000 cells
-	algs, anchors, factors, results := syntheticSweepInputs(numAlgs, instances, gridK)
-	out := &SweepResult{}
+	p, units := syntheticSweepInputs(numAlgs, instances, gridK)
 	start := time.Now()
-	if err := aggregateCells(out, algs, instances, gridK, anchors, factors, results); err != nil {
-		t.Fatal(err)
-	}
+	out := p.aggregate(units)
 	elapsed := time.Since(start)
 	if elapsed > 5*time.Second {
-		t.Fatalf("aggregating %d cells took %v; aggregation has gone quadratic", len(results), elapsed)
+		t.Fatalf("aggregating %d cells took %v; aggregation has gone quadratic", len(units), elapsed)
 	}
 	if len(out.Series) != numAlgs || len(out.Series[0].Points) != gridK {
 		t.Fatalf("unexpected shape: %d series × %d points", len(out.Series), len(out.Series[0].Points))

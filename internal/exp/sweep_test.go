@@ -233,9 +233,9 @@ func TestAnalyticSweepTracksMC(t *testing.T) {
 	}
 }
 
-// TestAnalyticSweepShardIdentity: splitting analytic cells into
-// replication blocks and merging must be bit-identical to the
-// monolithic run — the pseudo-samples depend only on (rep, Reps).
+// TestAnalyticSweepShardIdentity: running the analytic cells as units
+// and merging must be bit-identical to the monolithic run — the
+// pseudo-samples depend only on (rep, Reps).
 func TestAnalyticSweepShardIdentity(t *testing.T) {
 	sc := quickScenario(wfgen.CyberShake)
 	sc.Estimator = EstimatorAnalytic
@@ -244,11 +244,11 @@ func TestAnalyticSweepShardIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, err := RunSweepUnitsCtx(context.Background(), sc, algs, 3, 1, 0, SweepGridFor(sc, len(algs), 3, 1).Units())
+	units, err := RunSweepUnitsCtx(context.Background(), sc, algs, 3, 0, SweepCells(sc, len(algs), 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := MergeSweepUnits(sc, algs, 3, 1, units)
+	merged, err := MergeSweepUnits(sc, algs, 3, units)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,21 +72,17 @@ func (c TimingConfig) defaults() TimingConfig {
 // measurePlan times alg on the given instances/budgets and returns a
 // summary in seconds.
 func measurePlan(cfg TimingConfig, alg sched.Algorithm, n int, level BudgetLevel, sigma float64) (stats.Summary, error) {
+	p := defaultPlatform()
+	insts, err := Scenario{Type: cfg.Type, N: n, SigmaRatio: sigma, Platform: p, Instances: cfg.Instances, Seed: cfg.Seed}.materialize()
+	if err != nil {
+		return stats.Summary{}, err
+	}
 	var xs []float64
-	for i := 0; i < cfg.Instances; i++ {
-		w, err := wfgen.Generate(cfg.Type, n, cfg.Seed*1000+uint64(i))
-		if err != nil {
-			return stats.Summary{}, err
-		}
-		w = w.WithSigmaRatio(sigma)
-		a, err := ComputeAnchors(w, defaultPlatform())
-		if err != nil {
-			return stats.Summary{}, err
-		}
-		budget := levelBudget(level, a)
+	for _, in := range insts {
+		budget := levelBudget(level, in.a)
 		for r := 0; r < cfg.Repeats; r++ {
 			start := time.Now()
-			if _, err := alg.Plan(w, defaultPlatform(), budget); err != nil {
+			if _, err := alg.Plan(in.w, p, budget); err != nil {
 				return stats.Summary{}, err
 			}
 			xs = append(xs, time.Since(start).Seconds())

@@ -245,7 +245,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		writeFieldError(w, err, reqID)
 		return
 	}
-	units, err := shardUnits(&req)
+	units, err := req.Cells()
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err.Error(), reqID)
 		return
@@ -282,29 +282,6 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	if ok {
 		writeJSON(w, http.StatusOK, resp)
 	}
-}
-
-// shardUnits sizes the request's unit grid for range validation.
-func shardUnits(req *dist.ShardRequest) (int, error) {
-	switch req.Kind {
-	case dist.KindSweep:
-		sc, algs, gridK, err := req.Sweep.Scenario()
-		if err != nil {
-			return 0, err
-		}
-		return exp.SweepGridFor(sc, len(algs), gridK, req.RepBlock).Units(), nil
-	case dist.KindFaultSweep:
-		sc, err := req.FaultSweep.Scenario()
-		if err != nil {
-			return 0, err
-		}
-		g, err := exp.FaultGridFor(sc, req.RepBlock)
-		if err != nil {
-			return 0, err
-		}
-		return g.Units(), nil
-	}
-	return 0, errors.New("unknown shard kind")
 }
 
 // runJob is the store's RunFunc: it executes one campaign incarnation
@@ -374,10 +351,7 @@ func (s *Server) runJob(ctx context.Context, run dist.JobRun) (any, error) {
 		}
 		// The three family sweeps have identical grids; progress spans
 		// all of them.
-		perFam := exp.SweepGridFor(exp.Scenario{
-			Type: wfgen.AllPaperTypes()[0], N: f.N, SigmaRatio: f.SigmaRatio,
-			Instances: f.Instances, Reps: f.Replications, Seed: f.Seed,
-		}, len(names), f.GridK, s.coord.RepBlock).Units()
+		perFam := exp.SweepCells(exp.Scenario{Instances: f.Instances}, len(names), f.GridK)
 		total := len(wfgen.AllPaperTypes()) * perFam
 		offset := 0
 		runner := func(sc exp.Scenario, algs []sched.Algorithm, gridK int) (*exp.SweepResult, error) {

@@ -151,3 +151,26 @@ func TestDynamicWorkerJob(t *testing.T) {
 		}
 	}
 }
+
+// TestShardRequestEdges: a unit is a cell, so a range is bounded by the
+// grid's cell count (422), and the replication-block field that once
+// subdivided cells is now an unknown field like any other (400).
+func TestShardRequestEdges(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const sweep = `"kind":"sweep","sweep":{"workflowType":"chain","n":6,"algorithms":["heft"],"gridK":2,"instances":1,"replications":4}`
+	for name, tc := range map[string]struct {
+		body string
+		want int
+	}{
+		"whole grid":      {`{` + sweep + `,"start":0,"end":2}`, http.StatusOK},
+		"beyond the grid": {`{` + sweep + `,"start":0,"end":3}`, http.StatusUnprocessableEntity},
+		"repBlock":        {`{` + sweep + `,"repBlock":2,"start":0,"end":2}`, http.StatusBadRequest},
+	} {
+		if code, data, _ := post(t, ts, "/v1/shards", []byte(tc.body)); code != tc.want {
+			t.Errorf("%s: /v1/shards = %d, want %d (%s)", name, code, tc.want, data)
+		}
+	}
+}
