@@ -105,6 +105,8 @@ fuzz:
 	$(GO) test -fuzz FuzzReadDAX -fuzztime 30s ./internal/wf/
 	$(GO) test -fuzz FuzzReadJSON -fuzztime 30s ./internal/plan/
 	$(GO) test -fuzz FuzzSpecJSON -fuzztime 30s ./internal/fault/
+	$(GO) test -fuzz FuzzMarketSpecJSON -fuzztime 30s ./internal/market/
+	$(GO) test -fuzz FuzzJobSpecJSON -fuzztime 30s ./internal/dist/
 	$(GO) test -fuzz FuzzRefineMatchesReference -fuzztime 30s ./internal/sched/
 	$(GO) test -fuzz FuzzScoreMatchesRun -fuzztime 30s ./internal/sim/
 

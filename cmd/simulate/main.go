@@ -71,13 +71,13 @@ func run(args []string, stdout io.Writer) error {
 		typ       = fs.String("type", "montage", "generated workflow family")
 		n         = fs.Int("n", 30, "generated workflow size")
 		seed      = fs.Uint64("seed", 0, "generator seed")
-		sigma     = fs.Float64("sigma", 0.5, "σ/w̄ ratio")
+		sigma     = fs.Float64("sigma", exp.DefaultSigmaRatio, "σ/w̄ ratio")
 		schedPath = fs.String("sched", "", "schedule JSON from cmd/schedule")
 		algName   = fs.String("alg", "heftbudg", "algorithm used when -sched is absent")
 		budget    = fs.Float64("budget", 0, "budget in dollars")
-		factor    = fs.Float64("budget-factor", 1.5, "budget as a multiple of the cheapest-schedule cost")
+		factor    = fs.Float64("budget-factor", exp.DefaultBudgetFactor, "budget as a multiple of the cheapest-schedule cost")
 		deadline  = fs.Float64("deadline", 0, "deadline in seconds (0 = unconstrained)")
-		reps      = fs.Int("reps", 25, "number of stochastic executions")
+		reps      = fs.Int("reps", exp.DefaultReps, "number of stochastic executions")
 		simSeed   = fs.Uint64("sim-seed", 42, "simulation RNG seed")
 		estName   = fs.String("estimator", "mc", `estimator: "mc" (Monte Carlo replication) or "analytic" (moment propagation, internal/est)`)
 		gantt     = fs.Bool("gantt", false, "render an ASCII Gantt chart of the first execution")
@@ -99,16 +99,17 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	if !exp.ValidEstimator(*estName) {
-		return fmt.Errorf("-estimator: must be %q or %q", exp.EstimatorMC, exp.EstimatorAnalytic)
+	// Every run is on the paper's platform, so all the estimator rule can
+	// decline here is fault injection.
+	faulty := *faultSweep != "" || *faultRate > 0 || *faultBoot > 0 || *faultTask > 0
+	if err := exp.CheckEstimator(*estName, nil, faulty); err != nil {
+		return err
 	}
 	if *estName == exp.EstimatorAnalytic {
 		// The analytic estimator produces distributions, not executions:
-		// there is no realized timeline to visualize, no fault trace, and
-		// no joint (makespan, cost) sample for the bi-criteria objective.
+		// there is no realized timeline to visualize and no joint
+		// (makespan, cost) sample for the bi-criteria objective.
 		switch {
-		case *faultSweep != "" || *faultRate > 0 || *faultBoot > 0 || *faultTask > 0:
-			return fmt.Errorf("-estimator analytic is incompatible with fault injection; use -estimator mc")
 		case *gantt || *prTrace || *chrome != "" || *svgGantt != "":
 			return fmt.Errorf("visualization flags need a realized execution; use -estimator mc")
 		case *deadline > 0:
@@ -179,7 +180,7 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("schedule does not fit workflow: %w", err)
 	}
 
-	if *faultRate > 0 || *faultBoot > 0 || *faultTask > 0 {
+	if faulty {
 		if *gantt || *prTrace || *chrome != "" || *svgGantt != "" {
 			return fmt.Errorf("visualization flags are not supported under fault injection")
 		}

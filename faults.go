@@ -3,6 +3,7 @@ package budgetwf
 import (
 	"budgetwf/internal/fault"
 	"budgetwf/internal/online"
+	"budgetwf/internal/reqerr"
 	"budgetwf/internal/rng"
 	"budgetwf/internal/sim"
 )
@@ -14,8 +15,10 @@ import (
 // nothing.
 type FaultSpec = fault.Spec
 
-// FaultFieldError names the offending field of an invalid FaultSpec.
-type FaultFieldError = fault.FieldError
+// FaultFieldError names the offending field of an invalid FaultSpec
+// ("faults.bootFailProb") — the repository's one request-validation
+// error type.
+type FaultFieldError = reqerr.Error
 
 // TaskStatus is the per-task outcome of a fault-injected execution.
 type TaskStatus = fault.TaskStatus

@@ -150,15 +150,12 @@ type RunOptions struct {
 // the result is bit-identical to exp.RunSweepCtx on the same spec.
 func (c *Coordinator) RunSweep(ctx context.Context, spec *SweepSpec, opt RunOptions) (*exp.SweepResult, error) {
 	s := *spec
-	s.normalize()
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
+	s.Normalize()
 	sc, algs, gridK, err := s.Scenario()
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.runShards(ctx, ShardRequest{Kind: KindSweep, Sweep: &s}, opt)
+	resp, err := c.runShards(ctx, ShardRequest{JobSpec: JobSpec{Kind: KindSweep, Sweep: &s}}, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -169,15 +166,12 @@ func (c *Coordinator) RunSweep(ctx context.Context, spec *SweepSpec, opt RunOpti
 // RunFaultSweep is RunSweep for λ-grid robustness sweeps.
 func (c *Coordinator) RunFaultSweep(ctx context.Context, spec *FaultSweepSpec, opt RunOptions) (*exp.FaultSweepResult, error) {
 	s := *spec
-	s.normalize()
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
+	s.Normalize()
 	sc, err := s.Scenario()
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.runShards(ctx, ShardRequest{Kind: KindFaultSweep, FaultSweep: &s}, opt)
+	resp, err := c.runShards(ctx, ShardRequest{JobSpec: JobSpec{Kind: KindFaultSweep, FaultSweep: &s}}, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -72,7 +72,7 @@ func stripTiming(r *exp.SweepResult) *exp.SweepResult {
 func monolithic(t *testing.T, spec *SweepSpec) *exp.SweepResult {
 	t.Helper()
 	s := *spec
-	s.normalize()
+	s.Normalize()
 	sc, algs, gridK, err := s.Scenario()
 	if err != nil {
 		t.Fatalf("scenario: %v", err)
@@ -273,9 +273,9 @@ func TestCoordinatorRejectsMiscoveringWorker(t *testing.T) {
 // its range recomputed; the well-formed one beside it is adopted.
 func TestCoordinatorRecomputesMalformedJournalledShard(t *testing.T) {
 	s := *testSweepSpec()
-	s.normalize()
+	s.Normalize()
 	journalled := func(start, end int, corrupt func(*ShardResponse)) ShardResult {
-		resp, err := ExecuteShard(context.Background(), &ShardRequest{Kind: KindSweep, Sweep: &s, Start: start, End: end}, 1)
+		resp, err := ExecuteShard(context.Background(), &ShardRequest{JobSpec: JobSpec{Kind: KindSweep, Sweep: &s}, Start: start, End: end}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

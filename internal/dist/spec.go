@@ -41,6 +41,7 @@ import (
 	"budgetwf/internal/fault"
 	"budgetwf/internal/market"
 	"budgetwf/internal/platform"
+	"budgetwf/internal/reqerr"
 	"budgetwf/internal/sched"
 	"budgetwf/internal/wfgen"
 )
@@ -55,6 +56,7 @@ const (
 	MaxInstances    = 400
 	MaxReplications = 400
 	MaxRates        = 64
+	MaxSigmaRatio   = 10
 )
 
 // JobKind discriminates the JobSpec payload.
@@ -66,29 +68,74 @@ const (
 	KindFigure     JobKind = "figure"
 )
 
-// FieldError names the spec field that failed validation, so the HTTP
-// layer can emit per-field 400s. Semantic distinguishes the repo's two
-// rejection classes: false is a scalar-domain violation (HTTP 400),
-// true a well-formed value naming something unusable — an unknown
-// algorithm, an unsatisfiable generator constraint (HTTP 422).
-type FieldError struct {
-	Field    string
-	Msg      string
-	Semantic bool
+// Every spec goes through Normalize, then Validate (or Scenario, which
+// validates and resolves in one pass). Normalize fills defaults in place
+// so that equivalent specs hash identically and every execution site
+// (coordinator, worker, local fallback) resolves the same scenario;
+// validation assumes a normalized spec and returns *reqerr.Error values
+// — scalar-domain violations (400) or Semantic ones (422).
+
+func setDefault[T comparable](field *T, def T) {
+	var zero T
+	if *field == zero {
+		*field = def
+	}
 }
 
-func (e *FieldError) Error() string { return fmt.Sprintf("%s: %s", e.Field, e.Msg) }
-
-func fieldErrf(field, format string, args ...any) error {
-	return &FieldError{Field: field, Msg: fmt.Sprintf(format, args...)}
+// normalizeCommon and checkCommon cover the fields all three campaign
+// kinds share: the defaults are the paper's methodology (exp.Default*),
+// the ranges the spec ceilings. minN is the kind's smallest workflow.
+func normalizeCommon(sigmaRatio *float64, instances, replications *int) {
+	setDefault(sigmaRatio, exp.DefaultSigmaRatio)
+	setDefault(instances, exp.DefaultInstances)
+	setDefault(replications, exp.DefaultReps)
 }
 
-func semErrf(field, format string, args ...any) error {
-	return &FieldError{Field: field, Msg: fmt.Sprintf(format, args...), Semantic: true}
+func checkCommon(n, minN, instances, replications int, sigmaRatio float64) error {
+	switch {
+	case n < minN || n > MaxTasks:
+		return reqerr.Invalid("n", "must be in [%d, %d]", minN, MaxTasks)
+	case instances < 1 || instances > MaxInstances:
+		return reqerr.Invalid("instances", "must be in [1, %d]", MaxInstances)
+	case replications < 1 || replications > MaxReplications:
+		return reqerr.Invalid("replications", "must be in [1, %d]", MaxReplications)
+	case !(sigmaRatio >= 0 && sigmaRatio <= MaxSigmaRatio): // NaN fails both
+		return reqerr.Invalid("sigmaRatio", "must be in [0, %d]", MaxSigmaRatio)
+	}
+	return nil
 }
 
-// SweepSpec is the wire description of one budget sweep — the async
-// counterpart of POST /v1/sweep, with an optional explicit platform.
+// normalizeBudgetGrid and checkBudgetGrid cover the two fields a budget
+// sweep and a figure have and a fault sweep does not. p is the platform
+// the estimator has to support, nil for the paper's.
+func normalizeBudgetGrid(gridK *int, estimator *string) {
+	setDefault(gridK, exp.DefaultGridK)
+	setDefault(estimator, exp.EstimatorMC)
+}
+
+func checkBudgetGrid(gridK int, estimator string, p *platform.Platform) error {
+	if gridK < 1 || gridK > MaxGridK {
+		return reqerr.Invalid("gridK", "must be in [1, %d]", MaxGridK)
+	}
+	return exp.CheckEstimator(estimator, p, false)
+}
+
+// generatorType resolves the family name and probes the generator, so
+// family-specific constraints (Montage needing ≥ 12 tasks) surface at
+// submission, not mid-job. n must already be within the ceilings.
+func generatorType(name string, n int, seed uint64) (wfgen.Type, error) {
+	typ, err := wfgen.ParseType(name)
+	if err != nil {
+		return "", reqerr.Unusable("workflowType", "%v", err)
+	}
+	if _, err := wfgen.Generate(typ, n, seed); err != nil {
+		return "", reqerr.Unusable("n", "%v", err)
+	}
+	return typ, nil
+}
+
+// SweepSpec is the wire description of one budget sweep: the body of
+// POST /v1/sweep and the sweep object of a job.
 type SweepSpec struct {
 	// WorkflowType is a generator family name (cybershake, ligo,
 	// montage, epigenomics, sipht, random, chain, forkjoin, bagoftasks).
@@ -118,107 +165,28 @@ type SweepSpec struct {
 	Estimator string `json:"estimator,omitempty"`
 }
 
-// normalize fills defaults in place so that equivalent specs hash
-// identically and every execution site (coordinator, worker, local
-// fallback) resolves the same scenario.
-func (s *SweepSpec) normalize() {
-	if s.SigmaRatio == 0 {
-		s.SigmaRatio = 0.5
-	}
-	if s.GridK == 0 {
-		s.GridK = 8
-	}
-	if s.Instances == 0 {
-		s.Instances = 5
-	}
-	if s.Replications == 0 {
-		s.Replications = 25
-	}
+// Normalize fills the spec's defaults in place.
+func (s *SweepSpec) Normalize() {
+	normalizeCommon(&s.SigmaRatio, &s.Instances, &s.Replications)
+	normalizeBudgetGrid(&s.GridK, &s.Estimator)
 	if len(s.Algorithms) == 0 {
 		for _, a := range sched.All() {
 			s.Algorithms = append(s.Algorithms, string(a.Name))
 		}
 	}
-	if s.Estimator == "" {
-		s.Estimator = exp.EstimatorMC
-	}
 }
 
-// Validate checks every field, returning *FieldError values.
+// Validate checks the normalized spec: Scenario, result discarded.
 func (s *SweepSpec) Validate() error {
-	typ, err := wfgen.ParseType(s.WorkflowType)
-	if err != nil {
-		return semErrf("workflowType", "%v", err)
-	}
-	switch {
-	case s.N < 4 || s.N > MaxTasks:
-		return fieldErrf("n", "must be in [4, %d]", MaxTasks)
-	case s.GridK < 0 || s.GridK > MaxGridK:
-		return fieldErrf("gridK", "must be in [1, %d]", MaxGridK)
-	case s.Instances < 0 || s.Instances > MaxInstances:
-		return fieldErrf("instances", "must be in [1, %d]", MaxInstances)
-	case s.Replications < 0 || s.Replications > MaxReplications:
-		return fieldErrf("replications", "must be in [1, %d]", MaxReplications)
-	case s.SigmaRatio < 0 || s.SigmaRatio > 10 || s.SigmaRatio != s.SigmaRatio:
-		return fieldErrf("sigmaRatio", "must be in [0, 10]")
-	case !exp.ValidEstimator(s.Estimator):
-		return fieldErrf("estimator", "must be %q or %q", exp.EstimatorMC, exp.EstimatorAnalytic)
-	}
-	for _, name := range s.Algorithms {
-		if _, err := sched.ByName(sched.Name(name)); err != nil {
-			return semErrf("algorithms", "%v", err)
-		}
-	}
-	if s.Market != nil && s.Platform != nil {
-		return fieldErrf("market", "mutually exclusive with platform")
-	}
-	if s.Platform != nil {
-		if err := s.Platform.Validate(); err != nil {
-			return semErrf("platform", "%v", err)
-		}
-		// The analytic estimator refuses fluid bandwidth sharing
-		// (est.ErrContention); reject the combination at submission
-		// rather than mid-job.
-		if s.Estimator == exp.EstimatorAnalytic && s.Platform.DCBandwidth > 0 {
-			return semErrf("estimator", "analytic estimator cannot model bandwidth contention (platform.dcBandwidth > 0)")
-		}
-		if s.Estimator == exp.EstimatorAnalytic && s.Platform.MarketDistinct() {
-			return semErrf("estimator", "analytic estimator cannot model market platforms (est.ErrMarket); use estimator=mc")
-		}
-	}
-	if s.Market != nil {
-		p, err := s.Market.Compile()
-		if err != nil {
-			return marketFieldError(err)
-		}
-		if s.Estimator == exp.EstimatorAnalytic && p.MarketDistinct() {
-			return semErrf("estimator", "analytic estimator cannot model market platforms (est.ErrMarket); use estimator=mc")
-		}
-	}
-	// Probe the generator: family-specific constraints (e.g. Montage
-	// needing ≥ 12 tasks) surface at submission, not mid-job.
-	if _, err := wfgen.Generate(typ, s.N, s.Seed); err != nil {
-		return semErrf("n", "%v", err)
-	}
-	return nil
+	_, _, _, err := s.Scenario()
+	return err
 }
 
-// Scenario resolves the spec into the experiment-harness types.
+// Scenario validates the spec and resolves it into the experiment-
+// harness types. It is the one place the spec's names are looked up and
+// its market compiled.
 func (s *SweepSpec) Scenario() (exp.Scenario, []sched.Algorithm, int, error) {
-	typ, err := wfgen.ParseType(s.WorkflowType)
-	if err != nil {
-		return exp.Scenario{}, nil, 0, err
-	}
-	algs := make([]sched.Algorithm, 0, len(s.Algorithms))
-	for _, name := range s.Algorithms {
-		a, err := sched.ByName(sched.Name(name))
-		if err != nil {
-			return exp.Scenario{}, nil, 0, err
-		}
-		algs = append(algs, a)
-	}
 	sc := exp.Scenario{
-		Type:       typ,
 		N:          s.N,
 		SigmaRatio: s.SigmaRatio,
 		Platform:   s.Platform,
@@ -227,23 +195,33 @@ func (s *SweepSpec) Scenario() (exp.Scenario, []sched.Algorithm, int, error) {
 		Seed:       s.Seed,
 		Estimator:  s.Estimator,
 	}
-	if s.Market != nil {
-		p, err := s.Market.Compile()
-		if err != nil {
-			return exp.Scenario{}, nil, 0, err
+	if err := checkCommon(s.N, 4, s.Instances, s.Replications, s.SigmaRatio); err != nil {
+		return sc, nil, 0, err
+	}
+	var err error
+	algs := make([]sched.Algorithm, len(s.Algorithms))
+	for i, name := range s.Algorithms {
+		if algs[i], err = sched.ByName(sched.Name(name)); err != nil {
+			return sc, nil, 0, reqerr.Unusable("algorithms", "%v", err)
 		}
-		sc.Platform = p
 	}
-	return sc, algs, s.GridK, nil
-}
-
-// marketFieldError maps a market.FieldError onto the dist error shape,
-// keeping the per-field path and the 400-vs-422 class.
-func marketFieldError(err error) error {
-	if me, ok := err.(*market.FieldError); ok {
-		return &FieldError{Field: "market." + me.Field, Msg: me.Msg, Semantic: me.Semantic}
+	switch {
+	case s.Market != nil && s.Platform != nil:
+		return sc, nil, 0, reqerr.Invalid("market", "mutually exclusive with platform")
+	case s.Market != nil:
+		if sc.Platform, err = s.Market.Compile(); err != nil {
+			return sc, nil, 0, err
+		}
+	case s.Platform != nil:
+		if err := s.Platform.Validate(); err != nil {
+			return sc, nil, 0, reqerr.Unusable("platform", "%v", err)
+		}
 	}
-	return semErrf("market", "%v", err)
+	if err := checkBudgetGrid(s.GridK, s.Estimator, sc.Platform); err != nil {
+		return sc, nil, 0, err
+	}
+	sc.Type, err = generatorType(s.WorkflowType, s.N, s.Seed)
+	return sc, algs, s.GridK, err
 }
 
 // FaultSweepSpec is the wire description of one λ-grid robustness
@@ -258,7 +236,9 @@ type FaultSweepSpec struct {
 	// default 1.5, negative lifts the budget guard.
 	BudgetFactor float64 `json:"budgetFactor,omitempty"`
 	// Rates is the λ grid in crashes per VM-hour; default
-	// exp.DefaultFaultRates. A zero anchor is prepended when absent.
+	// exp.DefaultFaultRates. Normalization sorts it and prepends the
+	// λ = 0 anchor when absent (exp.NormalizeFaultRates), so MaxRates
+	// counts the anchor.
 	Rates        []float64 `json:"rates,omitempty"`
 	Instances    int       `json:"instances,omitempty"`
 	Replications int       `json:"replications,omitempty"`
@@ -267,97 +247,62 @@ type FaultSweepSpec struct {
 	Faults *fault.Spec `json:"faults,omitempty"`
 }
 
-func (s *FaultSweepSpec) normalize() {
-	if s.SigmaRatio == 0 {
-		s.SigmaRatio = 0.5
-	}
-	if s.Instances == 0 {
-		s.Instances = 5
-	}
-	if s.Replications == 0 {
-		s.Replications = 25
-	}
-	if s.Algorithm == "" {
-		s.Algorithm = string(sched.NameHeftBudg)
-	}
-	if s.BudgetFactor == 0 {
-		s.BudgetFactor = 1.5
-	}
-	if len(s.Rates) == 0 {
-		s.Rates = append([]float64(nil), exp.DefaultFaultRates...)
-	}
+// Normalize fills the spec's defaults in place and puts the rate grid
+// in the order it runs in.
+func (s *FaultSweepSpec) Normalize() {
+	normalizeCommon(&s.SigmaRatio, &s.Instances, &s.Replications)
+	setDefault(&s.Algorithm, string(sched.NameHeftBudg))
+	setDefault(&s.BudgetFactor, exp.DefaultBudgetFactor)
+	s.Rates = exp.NormalizeFaultRates(s.Rates)
 }
 
-// Validate checks every field, returning *FieldError values.
+// Validate checks the normalized spec: Scenario, result discarded.
 func (s *FaultSweepSpec) Validate() error {
-	typ, err := wfgen.ParseType(s.WorkflowType)
-	if err != nil {
-		return semErrf("workflowType", "%v", err)
-	}
-	switch {
-	case s.N < 4 || s.N > MaxTasks:
-		return fieldErrf("n", "must be in [4, %d]", MaxTasks)
-	case s.Instances < 0 || s.Instances > MaxInstances:
-		return fieldErrf("instances", "must be in [1, %d]", MaxInstances)
-	case s.Replications < 0 || s.Replications > MaxReplications:
-		return fieldErrf("replications", "must be in [1, %d]", MaxReplications)
-	case s.SigmaRatio < 0 || s.SigmaRatio > 10 || s.SigmaRatio != s.SigmaRatio:
-		return fieldErrf("sigmaRatio", "must be in [0, 10]")
-	case len(s.Rates) > MaxRates:
-		return fieldErrf("rates", "at most %d rates", MaxRates)
-	}
-	for _, lam := range s.Rates {
-		if lam < 0 || lam != lam {
-			return fieldErrf("rates", "rates must be non-negative, got %g", lam)
-		}
-	}
-	if s.Algorithm != "" {
-		if _, err := sched.ByName(sched.Name(s.Algorithm)); err != nil {
-			return semErrf("algorithm", "%v", err)
-		}
-	}
-	if s.Faults != nil {
-		tmpl := *s.Faults
-		tmpl.CrashRatePerHour = nil
-		if err := tmpl.Validate(platform.Default().NumCategories()); err != nil {
-			return semErrf("faults", "%v", err)
-		}
-	}
-	if _, err := wfgen.Generate(typ, s.N, s.Seed); err != nil {
-		return semErrf("n", "%v", err)
-	}
-	return nil
+	_, err := s.Scenario()
+	return err
 }
 
-// Scenario resolves the spec into the experiment-harness type.
+// Scenario validates the spec and resolves it into the experiment-
+// harness type.
 func (s *FaultSweepSpec) Scenario() (exp.FaultScenario, error) {
-	typ, err := wfgen.ParseType(s.WorkflowType)
-	if err != nil {
-		return exp.FaultScenario{}, err
-	}
 	sc := exp.FaultScenario{
 		Scenario: exp.Scenario{
-			Type:       typ,
 			N:          s.N,
 			SigmaRatio: s.SigmaRatio,
 			Instances:  s.Instances,
 			Reps:       s.Replications,
 			Seed:       s.Seed,
 		},
-		Rates:        append([]float64(nil), s.Rates...),
+		Rates:        s.Rates,
 		BudgetFactor: s.BudgetFactor,
 	}
-	if s.Algorithm != "" {
-		alg, err := sched.ByName(sched.Name(s.Algorithm))
-		if err != nil {
-			return exp.FaultScenario{}, err
+	if err := checkCommon(s.N, 4, s.Instances, s.Replications, s.SigmaRatio); err != nil {
+		return sc, err
+	}
+	if len(s.Rates) > MaxRates {
+		return sc, reqerr.Invalid("rates", "at most %d rates, the λ = 0 anchor included", MaxRates)
+	}
+	for _, lam := range s.Rates {
+		if !(lam >= 0) {
+			return sc, reqerr.Invalid("rates", "rates must be non-negative, got %g", lam)
 		}
-		sc.Alg = alg
+	}
+	var err error
+	if sc.Alg, err = sched.ByName(sched.Name(s.Algorithm)); err != nil {
+		return sc, reqerr.Unusable("algorithm", "%v", err)
 	}
 	if s.Faults != nil {
 		sc.Spec = *s.Faults
+		// The template's own rate grid is overridden per point; validate
+		// the fields that are taken as given.
+		tmpl := sc.Spec
+		tmpl.CrashRatePerHour = nil
+		if err := tmpl.Validate(platform.Default().NumCategories()); err != nil {
+			return sc, err
+		}
 	}
-	return sc, nil
+	sc.Type, err = generatorType(s.WorkflowType, s.N, s.Seed)
+	return sc, err
 }
 
 // FigureSpec asks for a whole paper-figure campaign: the figure's
@@ -378,52 +323,27 @@ type FigureSpec struct {
 	Estimator string `json:"estimator,omitempty"`
 }
 
-func (s *FigureSpec) normalize() {
-	if s.N == 0 {
-		s.N = 90
-	}
-	if s.SigmaRatio == 0 {
-		s.SigmaRatio = 0.5
-	}
-	if s.GridK == 0 {
-		s.GridK = 8
-	}
-	if s.Instances == 0 {
-		s.Instances = 5
-	}
-	if s.Replications == 0 {
-		s.Replications = 25
-	}
-	if s.Estimator == "" {
-		s.Estimator = exp.EstimatorMC
-	}
+// Normalize fills the spec's defaults in place.
+func (s *FigureSpec) Normalize() {
+	setDefault(&s.N, exp.DefaultFigureTasks)
+	normalizeCommon(&s.SigmaRatio, &s.Instances, &s.Replications)
+	normalizeBudgetGrid(&s.GridK, &s.Estimator)
 }
 
-// Validate checks every field, returning *FieldError values.
+// Validate checks the normalized spec.
 func (s *FigureSpec) Validate() error {
 	if _, err := exp.FigureAlgorithms(s.Figure); err != nil {
-		return semErrf("figure", "must be 1–4")
+		return reqerr.Unusable("figure", "must be 1–4")
 	}
-	switch {
-	case s.N < 12 || s.N > MaxTasks:
-		// 12 is the Montage minimum; every figure sweeps Montage.
-		return fieldErrf("n", "must be in [12, %d]", MaxTasks)
-	case s.GridK < 0 || s.GridK > MaxGridK:
-		return fieldErrf("gridK", "must be in [1, %d]", MaxGridK)
-	case s.Instances < 0 || s.Instances > MaxInstances:
-		return fieldErrf("instances", "must be in [1, %d]", MaxInstances)
-	case s.Replications < 0 || s.Replications > MaxReplications:
-		return fieldErrf("replications", "must be in [1, %d]", MaxReplications)
-	case s.SigmaRatio < 0 || s.SigmaRatio > 10 || s.SigmaRatio != s.SigmaRatio:
-		return fieldErrf("sigmaRatio", "must be in [0, 10]")
-	case !exp.ValidEstimator(s.Estimator):
-		return fieldErrf("estimator", "must be %q or %q", exp.EstimatorMC, exp.EstimatorAnalytic)
+	// 12 is the Montage minimum; every figure sweeps Montage.
+	if err := checkCommon(s.N, 12, s.Instances, s.Replications, s.SigmaRatio); err != nil {
+		return err
 	}
-	return nil
+	return checkBudgetGrid(s.GridK, s.Estimator, nil)
 }
 
 // JobSpec is the body of POST /v1/jobs: exactly one of the payloads,
-// selected by Kind.
+// selected by Kind. A shard request embeds it.
 type JobSpec struct {
 	Kind       JobKind         `json:"kind"`
 	Sweep      *SweepSpec      `json:"sweep,omitempty"`
@@ -431,75 +351,54 @@ type JobSpec struct {
 	Figure     *FigureSpec     `json:"figure,omitempty"`
 }
 
+// payload is what the envelope needs of the campaign spec it carries.
+type payload interface {
+	Normalize()
+	Validate() error
+}
+
+// selected checks the envelope and returns the payload Kind names: the
+// one switch a new job kind adds a case to here.
+func (s *JobSpec) selected() (payload, error) {
+	present := 0
+	for _, set := range []bool{s.Sweep != nil, s.FaultSweep != nil, s.Figure != nil} {
+		if set {
+			present++
+		}
+	}
+	if present > 1 {
+		return nil, reqerr.Invalid("kind", "exactly one of sweep, faultSweep, figure may be set")
+	}
+	switch {
+	case s.Kind == KindSweep && s.Sweep != nil:
+		return s.Sweep, nil
+	case s.Kind == KindFaultSweep && s.FaultSweep != nil:
+		return s.FaultSweep, nil
+	case s.Kind == KindFigure && s.Figure != nil:
+		return s.Figure, nil
+	case s.Kind == KindSweep, s.Kind == KindFaultSweep, s.Kind == KindFigure:
+		// The payload's JSON key is the kind's name.
+		return nil, reqerr.Invalid(string(s.Kind), "required for kind %q", s.Kind)
+	}
+	return nil, reqerr.Invalid("kind", "unknown kind %q (want sweep, faultSweep or figure)", s.Kind)
+}
+
 // Normalize fills every defaulted field in place. Hash assumes a
 // normalized spec, so equivalent submissions dedupe to one job.
 func (s *JobSpec) Normalize() {
-	switch s.Kind {
-	case KindSweep:
-		if s.Sweep != nil {
-			s.Sweep.normalize()
-		}
-	case KindFaultSweep:
-		if s.FaultSweep != nil {
-			s.FaultSweep.normalize()
-		}
-	case KindFigure:
-		if s.Figure != nil {
-			s.Figure.normalize()
-		}
+	if p, err := s.selected(); err == nil {
+		p.Normalize()
 	}
 }
 
-// Validate checks the envelope and the selected payload. Errors are
-// *FieldError values with dotted paths ("sweep.gridK").
+// Validate checks the envelope and the selected payload; payload errors
+// carry dotted paths ("sweep.gridK").
 func (s *JobSpec) Validate() error {
-	present := 0
-	if s.Sweep != nil {
-		present++
+	p, err := s.selected()
+	if err != nil {
+		return err
 	}
-	if s.FaultSweep != nil {
-		present++
-	}
-	if s.Figure != nil {
-		present++
-	}
-	if present > 1 {
-		return fieldErrf("kind", "exactly one of sweep, faultSweep, figure may be set")
-	}
-	switch s.Kind {
-	case KindSweep:
-		if s.Sweep == nil {
-			return fieldErrf("sweep", "required for kind %q", s.Kind)
-		}
-		if err := s.Sweep.Validate(); err != nil {
-			return prefixField("sweep", err)
-		}
-	case KindFaultSweep:
-		if s.FaultSweep == nil {
-			return fieldErrf("faultSweep", "required for kind %q", s.Kind)
-		}
-		if err := s.FaultSweep.Validate(); err != nil {
-			return prefixField("faultSweep", err)
-		}
-	case KindFigure:
-		if s.Figure == nil {
-			return fieldErrf("figure", "required for kind %q", s.Kind)
-		}
-		if err := s.Figure.Validate(); err != nil {
-			return prefixField("figure", err)
-		}
-	default:
-		return fieldErrf("kind", "unknown kind %q (want sweep, faultSweep or figure)", s.Kind)
-	}
-	return nil
-}
-
-// prefixField dots a payload prefix onto a nested FieldError.
-func prefixField(prefix string, err error) error {
-	if fe, ok := err.(*FieldError); ok {
-		return &FieldError{Field: prefix + "." + fe.Field, Msg: fe.Msg, Semantic: fe.Semantic}
-	}
-	return fmt.Errorf("%s: %w", prefix, err)
+	return reqerr.Under(string(s.Kind), p.Validate())
 }
 
 // Hash is the canonical content hash of the (normalized) spec:

@@ -227,7 +227,7 @@ func TestDispatchTagsLateDuplicate(t *testing.T) {
 		unspeculate: func(int64) {},
 		settled:     func() bool { return false },
 	}
-	base := ShardRequest{Kind: KindSweep, Sweep: testSweepSpec()}
+	base := ShardRequest{JobSpec: JobSpec{Kind: KindSweep, Sweep: testSweepSpec()}}
 	base.Normalize()
 	c.dispatch(context.Background(), context.Background(), base,
 		shard{start: 0, end: 2, speculative: true}, RunOptions{Span: tr.Root()}, h)

@@ -6,6 +6,7 @@ import (
 
 	"budgetwf/internal/exp"
 	"budgetwf/internal/obs"
+	"budgetwf/internal/reqerr"
 )
 
 // ShardRequest is the body of POST /v1/shards: one contiguous unit
@@ -15,77 +16,55 @@ import (
 // the spec, so a shard is self-contained — any worker, stateless, can
 // evaluate any shard.
 type ShardRequest struct {
-	Kind       JobKind         `json:"kind"` // sweep or faultSweep
-	Sweep      *SweepSpec      `json:"sweep,omitempty"`
-	FaultSweep *FaultSweepSpec `json:"faultSweep,omitempty"`
-	Start      int             `json:"start"`
-	End        int             `json:"end"`
+	// JobSpec is the campaign, kind sweep or faultSweep (a figure job is
+	// three sweeps, sharded one at a time). Normalize is the job's.
+	JobSpec
+	Start int `json:"start"`
+	End   int `json:"end"`
 	// Trace asks the worker to export its compute span subtree in the
 	// response so the coordinator can stitch it into the job trace.
 	Trace bool `json:"trace,omitempty"`
 }
 
-// Normalize resolves the payload spec's defaults in place, so a hand-
-// written shard request and a coordinator-built one validate alike.
-func (r *ShardRequest) Normalize() {
-	switch r.Kind {
-	case KindSweep:
-		if r.Sweep != nil {
-			r.Sweep.normalize()
-		}
-	case KindFaultSweep:
-		if r.FaultSweep != nil {
-			r.FaultSweep.normalize()
-		}
-	}
-}
-
-// Validate checks the envelope and spec, returning *FieldError values.
+// Validate checks the (normalized) campaign and the range against its
+// grid.
 func (r *ShardRequest) Validate() error {
-	switch r.Kind {
-	case KindSweep:
-		if r.Sweep == nil {
-			return fieldErrf("sweep", "required for kind %q", r.Kind)
-		}
-		if err := r.Sweep.Validate(); err != nil {
-			return prefixField("sweep", err)
-		}
-	case KindFaultSweep:
-		if r.FaultSweep == nil {
-			return fieldErrf("faultSweep", "required for kind %q", r.Kind)
-		}
-		if err := r.FaultSweep.Validate(); err != nil {
-			return prefixField("faultSweep", err)
-		}
-	default:
-		return fieldErrf("kind", "unknown shard kind %q (want sweep or faultSweep)", r.Kind)
-	}
-	if r.Start < 0 || r.End <= r.Start {
-		return fieldErrf("start", "want 0 <= start < end, got [%d, %d)", r.Start, r.End)
+	cells, err := r.Cells()
+	switch {
+	case err != nil:
+		return err
+	case r.Start < 0 || r.End <= r.Start:
+		return reqerr.Invalid("start", "want 0 <= start < end, got [%d, %d)", r.Start, r.End)
+	case r.End > cells:
+		return reqerr.Unusable("end", "shard range [%d, %d) exceeds the grid's %d units", r.Start, r.End, cells)
 	}
 	return nil
 }
 
-// Cells is the size of the campaign's unit grid — the bound on End. It
-// is the one place a shard request's grid is sized: the coordinator
-// splits [0, Cells) into shards and a worker validates ranges against
-// it. The spec must be normalized and valid.
+// Cells validates the (normalized) campaign and sizes its unit grid —
+// the bound on End. It is the one place a shard request's grid is
+// sized: the coordinator splits [0, Cells) into shards and a worker
+// validates ranges against it.
 func (r *ShardRequest) Cells() (int, error) {
+	if _, err := r.selected(); err != nil {
+		return 0, err
+	}
 	switch r.Kind {
 	case KindSweep:
 		sc, algs, gridK, err := r.Sweep.Scenario()
 		if err != nil {
-			return 0, err
+			return 0, reqerr.Under("sweep", err)
 		}
 		return exp.SweepCells(sc, len(algs), gridK), nil
 	case KindFaultSweep:
 		sc, err := r.FaultSweep.Scenario()
 		if err != nil {
-			return 0, err
+			return 0, reqerr.Under("faultSweep", err)
 		}
-		return exp.FaultCells(sc)
+		cells, err := exp.FaultCells(sc)
+		return cells, reqerr.Under("faultSweep", err)
 	}
-	return 0, fieldErrf("kind", "unknown shard kind %q", r.Kind)
+	return 0, reqerr.Invalid("kind", "unknown shard kind %q (want sweep or faultSweep)", r.Kind)
 }
 
 // covers reports whether resp is a well-formed answer to the unit range
@@ -157,5 +136,5 @@ func ExecuteShard(ctx context.Context, req *ShardRequest, workers int) (*ShardRe
 		}
 		return &ShardResponse{FaultUnits: units}, nil
 	}
-	return nil, fieldErrf("kind", "unknown shard kind %q", req.Kind)
+	return nil, reqerr.Invalid("kind", "unknown shard kind %q", req.Kind)
 }

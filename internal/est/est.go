@@ -23,6 +23,22 @@ var ErrContention = fmt.Errorf("est: analytic estimator requires unbounded datac
 // Carlo there.
 var ErrMarket = fmt.Errorf("est: analytic estimator does not support market platforms (providers, transfer matrices, spot categories); use estimator=mc")
 
+// Supports is the estimator's domain of validity over platforms — the
+// one place the rule is written: ErrContention for fluid bandwidth
+// sharing, ErrMarket for market platforms, nil otherwise. Compute asks
+// it, and so does every entry point that accepts estimator=analytic
+// (through exp.CheckEstimator, which adds the fault-injection clause),
+// so an unsupported request is refused up front instead of mid-sweep.
+func Supports(p *platform.Platform) error {
+	switch {
+	case p.DCBandwidth > 0:
+		return ErrContention
+	case p.MarketDistinct():
+		return ErrMarket
+	}
+	return nil
+}
+
 // Estimate is the analytic distribution estimate for one schedule.
 type Estimate struct {
 	// Makespan approximates the distribution of Result.Makespan
@@ -172,9 +188,8 @@ func newArena(n, nVMs, m, maxEdges int) *arena {
 // platform and schedule the same way the simulator does, mirrors the
 // engine's timing rules (VM booked when the head task's cross-VM
 // inputs reach the datacenter, boot delay, serialized staging before
-// compute, asynchronous uploads extending VM life), and returns
-// ErrContention for fluid-bandwidth platforms and ErrMarket for
-// multi-provider or spot market platforms.
+// compute, asynchronous uploads extending VM life), and refuses the
+// platforms Supports does.
 func Compute(w *wf.Workflow, p *platform.Platform, s *plan.Schedule) (*Estimate, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -182,11 +197,8 @@ func Compute(w *wf.Workflow, p *platform.Platform, s *plan.Schedule) (*Estimate,
 	if err := s.Validate(w, p.NumCategories()); err != nil {
 		return nil, err
 	}
-	if p.DCBandwidth > 0 {
-		return nil, ErrContention
-	}
-	if p.MarketDistinct() {
-		return nil, ErrMarket
+	if err := Supports(p); err != nil {
+		return nil, err
 	}
 	tablesOnce.Do(buildTables)
 

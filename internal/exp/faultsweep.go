@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"budgetwf/internal/fault"
@@ -52,18 +53,14 @@ type FaultScenario struct {
 // the unit enumeration (driver.go).
 func (sc FaultScenario) Normalize() (FaultScenario, error) {
 	sc.Scenario = sc.Scenario.Defaults()
-	sc.Rates = gridOr(sc.Rates, DefaultFaultRates)
-	sort.Float64s(sc.Rates)
-	if sc.Rates[0] != 0 {
-		sc.Rates = append([]float64{0}, sc.Rates...)
-	}
+	sc.Rates = NormalizeFaultRates(sc.Rates)
 	for _, lam := range sc.Rates {
 		if lam < 0 {
 			return sc, fmt.Errorf("exp: negative crash rate %g", lam)
 		}
 	}
 	if sc.BudgetFactor == 0 {
-		sc.BudgetFactor = 1.5
+		sc.BudgetFactor = DefaultBudgetFactor
 	}
 	var err error
 	if sc.Alg, err = algOrHeftBudg(sc.Alg); err != nil {
@@ -77,6 +74,19 @@ func (sc FaultScenario) Normalize() (FaultScenario, error) {
 		return sc, err
 	}
 	return sc, nil
+}
+
+// NormalizeFaultRates is the λ grid a fault sweep runs for the rates it
+// was given: a private copy (of DefaultFaultRates when empty), sorted
+// ascending and anchored at λ = 0. Job specs normalize with it too, so
+// two spellings of one grid are one campaign, with one hash.
+func NormalizeFaultRates(rates []float64) []float64 {
+	rates = gridOr(rates, DefaultFaultRates)
+	if !slices.Contains(rates, 0) {
+		rates = append(rates, 0)
+	}
+	sort.Float64s(rates)
+	return rates
 }
 
 // gridOr returns a private copy of the grid axis, or of its default
@@ -334,7 +344,7 @@ func planBudget(budget, cheapCost float64) float64 {
 	if budget > 0 {
 		return budget
 	}
-	return 1.5 * cheapCost
+	return DefaultBudgetFactor * cheapCost
 }
 
 // runCell is the fault kernel: it replays every replication of one

@@ -28,19 +28,19 @@ type FigureConfig struct {
 // Defaults fills zero fields with the paper's values.
 func (c FigureConfig) Defaults() FigureConfig {
 	if c.N == 0 {
-		c.N = 90
+		c.N = DefaultFigureTasks
 	}
 	if c.SigmaRatio == 0 {
-		c.SigmaRatio = 0.5
+		c.SigmaRatio = DefaultSigmaRatio
 	}
 	if c.Instances == 0 {
-		c.Instances = 5
+		c.Instances = DefaultInstances
 	}
 	if c.Reps == 0 {
-		c.Reps = 25
+		c.Reps = DefaultReps
 	}
 	if c.GridK == 0 {
-		c.GridK = 8
+		c.GridK = DefaultGridK
 	}
 	return c
 }

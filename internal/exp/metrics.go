@@ -20,7 +20,7 @@ func MetricsTable(types []wfgen.Type, n, instances int, seed uint64) (*Table, er
 		types = append(wfgen.AllPaperTypes(), wfgen.ExtendedTypes()...)
 	}
 	if instances <= 0 {
-		instances = 5
+		instances = DefaultInstances
 	}
 	p := platform.Default()
 	t := &Table{

@@ -53,8 +53,9 @@ func (sc SpotScenario) Normalize() (SpotScenario, error) {
 	if sc.Platform.HasSpot() {
 		return sc, fmt.Errorf("exp: spot sweep platform must be on-demand only; the grid derives the spot categories")
 	}
-	if sc.Estimator != EstimatorMC {
-		return sc, fmt.Errorf("exp: spot sweep requires estimator=mc (revocations are Monte Carlo events)")
+	// Revocations are fault injections, whatever the platform.
+	if err := CheckEstimator(sc.Estimator, sc.Platform, true); err != nil {
+		return sc, err
 	}
 	sc.Discounts = gridOr(sc.Discounts, DefaultSpotDiscounts)
 	sc.Rates = gridOr(sc.Rates, DefaultSpotRates)
@@ -69,7 +70,7 @@ func (sc SpotScenario) Normalize() (SpotScenario, error) {
 		}
 	}
 	if sc.BudgetFactor == 0 {
-		sc.BudgetFactor = 1.5
+		sc.BudgetFactor = DefaultBudgetFactor
 	}
 	var err error
 	sc.Alg, err = algOrHeftBudg(sc.Alg)

@@ -11,6 +11,7 @@ import (
 	"budgetwf/internal/online"
 	"budgetwf/internal/plan"
 	"budgetwf/internal/platform"
+	"budgetwf/internal/reqerr"
 	"budgetwf/internal/rng"
 	"budgetwf/internal/sched"
 	"budgetwf/internal/sim"
@@ -54,6 +55,18 @@ type Scenario struct {
 	Estimator string
 }
 
+// The paper's methodology (§V-A), which every zero field of a Scenario,
+// FigureConfig, job spec or request resolves to. This is the only place
+// the values are written.
+const (
+	DefaultSigmaRatio   = 0.5 // σ/w̄, the paper's central uncertainty level
+	DefaultGridK        = 8   // budget levels per sweep
+	DefaultInstances    = 5   // workflow instances per condition
+	DefaultReps         = 25  // stochastic executions per cell
+	DefaultBudgetFactor = 1.5 // β × CheapCost, where one budget stands for a grid
+	DefaultFigureTasks  = 90  // tasks per workflow in Figures 1–4
+)
+
 // Estimator values for Scenario.Estimator.
 const (
 	EstimatorMC       = "mc"
@@ -70,19 +83,43 @@ func ValidEstimator(name string) bool {
 	return false
 }
 
+// CheckEstimator is the one statement of which estimator may evaluate
+// what, asked before anything runs by every entry point that takes an
+// estimator name (the daemon's endpoints, job specs, cmd/simulate, the
+// sweep harness itself). The name must exist (a scalar-domain error);
+// Monte Carlo evaluates everything; the analytic estimator declines
+// fault-injected executions — crashes and revocations are events of one
+// execution, which moment propagation over a fixed precedence structure
+// does not have — and the platforms est.Supports declines (Semantic
+// errors: there is no silent fallback to Monte Carlo). A nil p is the
+// paper's platform. Errors are *reqerr.Error on field "estimator".
+func CheckEstimator(name string, p *platform.Platform, faults bool) error {
+	switch {
+	case !ValidEstimator(name):
+		return reqerr.Invalid("estimator", "must be %q or %q", EstimatorMC, EstimatorAnalytic)
+	case name != EstimatorAnalytic:
+		return nil
+	case faults:
+		return reqerr.Unusable("estimator", "fault injection requires the Monte Carlo estimator; use estimator=mc")
+	case p == nil:
+		return nil
+	}
+	return reqerr.Under("estimator", est.Supports(p))
+}
+
 // Defaults fills zero fields with the paper's methodology values.
 func (sc Scenario) Defaults() Scenario {
 	if sc.SigmaRatio == 0 {
-		sc.SigmaRatio = 0.5
+		sc.SigmaRatio = DefaultSigmaRatio
 	}
 	if sc.Platform == nil {
 		sc.Platform = platform.Default()
 	}
 	if sc.Instances == 0 {
-		sc.Instances = 5
+		sc.Instances = DefaultInstances
 	}
 	if sc.Reps == 0 {
-		sc.Reps = 25
+		sc.Reps = DefaultReps
 	}
 	if sc.Workers == 0 {
 		sc.Workers = runtime.GOMAXPROCS(0)
@@ -91,6 +128,14 @@ func (sc Scenario) Defaults() Scenario {
 		sc.Estimator = EstimatorMC
 	}
 	return sc
+}
+
+// simPlatform is the platform executions are evaluated on.
+func (sc Scenario) simPlatform() *platform.Platform {
+	if sc.SimPlatform != nil {
+		return sc.SimPlatform
+	}
+	return sc.Platform
 }
 
 // Instance materializes the i-th workflow instance of the scenario.
@@ -253,7 +298,7 @@ type sweepPrep struct {
 // normGridK applies the default budget-grid size.
 func normGridK(gridK int) int {
 	if gridK <= 0 {
-		return 8
+		return DefaultGridK
 	}
 	return gridK
 }
@@ -262,8 +307,8 @@ func normGridK(gridK int) int {
 // anchors and the factor grid.
 func prepSweep(sc Scenario, algs []sched.Algorithm, gridK int) (*sweepPrep, error) {
 	sc = sc.Defaults()
-	if !ValidEstimator(sc.Estimator) {
-		return nil, fmt.Errorf("exp: unknown estimator %q (want %q or %q)", sc.Estimator, EstimatorMC, EstimatorAnalytic)
+	if err := CheckEstimator(sc.Estimator, sc.simPlatform(), false); err != nil {
+		return nil, err
 	}
 	gridK = normGridK(gridK)
 	insts, err := sc.materialize()
@@ -451,10 +496,7 @@ func (p *sweepPrep) runCell(alg sched.Algorithm, inst, budgetIx int) (SweepUnitR
 	res.NumVMs = float64(s.NumVMs())
 	res.Makespans = make([]float64, 0, sc.Reps)
 	res.Costs = make([]float64, 0, sc.Reps)
-	simP := sc.Platform
-	if sc.SimPlatform != nil {
-		simP = sc.SimPlatform
-	}
+	simP := sc.simPlatform()
 
 	if sc.Estimator == EstimatorAnalytic {
 		// One closed-form propagation per cell instead of Reps simulated

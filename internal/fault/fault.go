@@ -29,6 +29,8 @@ import (
 	"io"
 	"math"
 	"strings"
+
+	"budgetwf/internal/reqerr"
 )
 
 // Spec is the wire- and CLI-facing description of a fault environment.
@@ -66,17 +68,10 @@ type Spec struct {
 	MaxBackoffSec float64 `json:"maxBackoffSec,omitempty"`
 }
 
-// FieldError reports which Spec field was invalid, so HTTP layers can
-// emit per-field 400s.
-type FieldError struct {
-	Field string
-	Msg   string
-}
-
-func (e *FieldError) Error() string { return fmt.Sprintf("faults.%s: %s", e.Field, e.Msg) }
-
+// fieldErrf is a scalar-domain violation of one Spec field, rooted at
+// the "faults" key every request body and CLI carries the spec under.
 func fieldErrf(field, format string, args ...any) error {
-	return &FieldError{Field: field, Msg: fmt.Sprintf(format, args...)}
+	return reqerr.Invalid("faults."+field, format, args...)
 }
 
 // IsZero reports whether the spec injects no faults at all (every rate
@@ -95,7 +90,7 @@ func (s *Spec) IsZero() bool {
 }
 
 // Validate checks every field against the platform's category count.
-// Errors are *FieldError values naming the offending field.
+// Errors are *reqerr.Error values naming the offending field.
 func (s *Spec) Validate(numCategories int) error {
 	if s == nil {
 		return nil

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"budgetwf/internal/reqerr"
 )
 
 func TestSpecValidateTable(t *testing.T) {
@@ -41,12 +43,12 @@ func TestSpecValidateTable(t *testing.T) {
 				}
 				return
 			}
-			var fe *FieldError
+			var fe *reqerr.Error
 			if !errors.As(err, &fe) {
-				t.Fatalf("want *FieldError for %s, got %v", tc.field, err)
+				t.Fatalf("want *reqerr.Error for %s, got %v", tc.field, err)
 			}
-			if fe.Field != tc.field {
-				t.Fatalf("field = %q, want %q (err: %v)", fe.Field, tc.field, err)
+			if fe.Field != "faults."+tc.field || fe.Semantic {
+				t.Fatalf("field = %q (semantic %v), want faults.%s as a scalar-domain error (err: %v)", fe.Field, fe.Semantic, tc.field, err)
 			}
 		})
 	}

@@ -30,6 +30,7 @@ import (
 
 	"budgetwf/internal/fault"
 	"budgetwf/internal/platform"
+	"budgetwf/internal/reqerr"
 )
 
 // bytesPerGB converts the spec's $/GB transfer prices to the
@@ -110,28 +111,15 @@ type Spec struct {
 	BillingQuantumSec float64 `json:"billingQuantumSec,omitempty"`
 }
 
-// FieldError names the offending spec field, with the repo's standard
-// syntactic/semantic split: scalar-domain violations map to HTTP 400,
-// semantic ones (an unknown home provider) to 422.
-type FieldError struct {
-	Field    string
-	Msg      string
-	Semantic bool
-}
-
-func (e *FieldError) Error() string { return "market." + e.Field + ": " + e.Msg }
-
+// fieldErrf is a scalar-domain violation of one spec field, rooted at
+// the "market" key every request body carries the spec under.
 func fieldErrf(field, format string, args ...any) error {
-	return &FieldError{Field: field, Msg: fmt.Sprintf(format, args...)}
-}
-
-func semanticErrf(field, format string, args ...any) error {
-	return &FieldError{Field: field, Msg: fmt.Sprintf(format, args...), Semantic: true}
+	return reqerr.Invalid("market."+field, format, args...)
 }
 
 func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// Validate checks the spec. Errors are *FieldError values.
+// Validate checks the spec. Errors are *reqerr.Error values.
 func (s *Spec) Validate() error {
 	if len(s.Providers) == 0 {
 		return fieldErrf("providers", "at least one provider is required")
@@ -207,7 +195,7 @@ func (s *Spec) Validate() error {
 		}
 	}
 	if s.Home != "" && s.providerIndex(s.Home) < 0 {
-		return semanticErrf("home", "unknown provider %q", s.Home)
+		return reqerr.Unusable("market.home", "unknown provider %q", s.Home)
 	}
 	if s.Bandwidth < 0 || math.IsNaN(s.Bandwidth) || math.IsInf(s.Bandwidth, 0) {
 		return fieldErrf("bandwidth", "must be a finite non-negative number, got %v", s.Bandwidth)
@@ -352,7 +340,7 @@ func (s *Spec) Compile() (*platform.Platform, error) {
 	}
 
 	if err := out.Validate(); err != nil {
-		return nil, fmt.Errorf("market: compiled platform invalid: %w", err)
+		return nil, reqerr.Unusable("market", "compiled platform invalid: %v", err)
 	}
 	return out, nil
 }

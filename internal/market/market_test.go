@@ -10,6 +10,7 @@ import (
 	"budgetwf/internal/fault"
 	"budgetwf/internal/online"
 	"budgetwf/internal/platform"
+	"budgetwf/internal/reqerr"
 	"budgetwf/internal/rng"
 	"budgetwf/internal/sched"
 	"budgetwf/internal/sim"
@@ -91,12 +92,12 @@ func TestValidateErrors(t *testing.T) {
 			if err == nil {
 				t.Fatal("want error, got nil")
 			}
-			var fe *FieldError
+			var fe *reqerr.Error
 			if !errors.As(err, &fe) {
-				t.Fatalf("want *FieldError, got %T: %v", err, err)
+				t.Fatalf("want *reqerr.Error, got %T: %v", err, err)
 			}
-			if fe.Field != tc.field {
-				t.Errorf("field = %q, want %q", fe.Field, tc.field)
+			if fe.Field != "market."+tc.field {
+				t.Errorf("field = %q, want %q", fe.Field, "market."+tc.field)
 			}
 			if fe.Semantic != tc.semantic {
 				t.Errorf("semantic = %v, want %v", fe.Semantic, tc.semantic)

@@ -44,30 +44,12 @@ import (
 	"budgetwf/internal/online"
 	"budgetwf/internal/plan"
 	"budgetwf/internal/platform"
+	"budgetwf/internal/reqerr"
 	"budgetwf/internal/rng"
 	"budgetwf/internal/sched"
 	"budgetwf/internal/sim"
 	"budgetwf/internal/wf"
 )
-
-// ValidationError is a scalar-domain violation in a spec field — a
-// NaN budget, a zero-rate arrival spec, a negative cap. The HTTP
-// layer maps it to a per-field 400.
-type ValidationError struct {
-	Field string
-	Msg   string
-}
-
-func (e *ValidationError) Error() string { return e.Field + ": " + e.Msg }
-
-// SemanticError is a well-formed but unusable spec — an unknown
-// algorithm, a cyclic workflow, a tenant re-registered with
-// conflicting limits. The HTTP layer maps it to a 422.
-type SemanticError struct {
-	Msg string
-}
-
-func (e *SemanticError) Error() string { return e.Msg }
 
 // Config parameterizes a Pool. The zero value is usable.
 type Config struct {
@@ -112,7 +94,7 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("pool: datacenter contention mode is not supported")
 	}
 	if math.IsNaN(c.TimeToShutdown) || math.IsInf(c.TimeToShutdown, 0) || c.TimeToShutdown < 0 {
-		return c, &ValidationError{Field: "timeToShutdown", Msg: fmt.Sprintf("must be a finite non-negative duration, got %v", c.TimeToShutdown)}
+		return c, reqerr.Invalid("timeToShutdown", "must be a finite non-negative duration, got %v", c.TimeToShutdown)
 	}
 	if c.TimeToShutdown == 0 {
 		c.TimeToShutdown = 0.1 * c.Platform.BillingQuantum
@@ -315,27 +297,27 @@ func (p *Pool) decide(d Decision) {
 
 // Enqueue validates and plans a submission and schedules its arrival.
 // Validation and planning errors are returned immediately (and
-// classified: *ValidationError for scalar-domain violations,
-// *SemanticError for unusable specs); admission verdicts — fair-share
+// classified, as *reqerr.Error: scalar-domain violations name their
+// field, unusable specs are Semantic); admission verdicts — fair-share
 // caps, exhausted tenant budgets — are Outcome rejections decided at
 // the arrival instant, not errors.
 func (p *Pool) Enqueue(ctx context.Context, sub Submission) (*Outcome, error) {
 	if sub.Workflow == nil {
-		return nil, &SemanticError{Msg: "missing workflow"}
+		return nil, reqerr.Unusable("", "missing workflow")
 	}
 	if math.IsNaN(sub.At) || math.IsInf(sub.At, 0) || sub.At < 0 {
-		return nil, &ValidationError{Field: "at", Msg: fmt.Sprintf("must be a finite non-negative instant, got %v", sub.At)}
+		return nil, reqerr.Invalid("at", "must be a finite non-negative instant, got %v", sub.At)
 	}
 	if err := checkBudgetField("budget", sub.Budget); err != nil {
 		return nil, err
 	}
 	if sub.Weights != nil {
 		if len(sub.Weights) != sub.Workflow.NumTasks() {
-			return nil, &ValidationError{Field: "weights", Msg: fmt.Sprintf("%d weights for %d tasks", len(sub.Weights), sub.Workflow.NumTasks())}
+			return nil, reqerr.Invalid("weights", "%d weights for %d tasks", len(sub.Weights), sub.Workflow.NumTasks())
 		}
 		for i, wt := range sub.Weights {
 			if wt <= 0 || math.IsNaN(wt) || math.IsInf(wt, 0) {
-				return nil, &ValidationError{Field: "weights", Msg: fmt.Sprintf("task %d has invalid weight %v", i, wt)}
+				return nil, reqerr.Invalid("weights", "task %d has invalid weight %v", i, wt)
 			}
 		}
 	}
@@ -345,7 +327,7 @@ func (p *Pool) Enqueue(ctx context.Context, sub Submission) (*Outcome, error) {
 	}
 	alg, err := sched.ByName(sched.Name(sub.Algorithm))
 	if err != nil {
-		return nil, &SemanticError{Msg: err.Error()}
+		return nil, reqerr.Unusable("", "%v", err)
 	}
 	// The pool plans directly — never through the server's plan cache:
 	// a cached plan's estimates assume a private pool of fresh VMs,
@@ -353,7 +335,7 @@ func (p *Pool) Enqueue(ctx context.Context, sub Submission) (*Outcome, error) {
 	// the cache-bypass test in internal/server).
 	schedule, err := sched.PlanContext(ctx, alg.Name, sub.Workflow, p.plat, sub.Budget)
 	if err != nil {
-		return nil, &SemanticError{Msg: err.Error()}
+		return nil, reqerr.Unusable("", "%v", err)
 	}
 	id := len(p.subs)
 	weights := sub.Weights
@@ -780,7 +762,7 @@ func (p *Pool) deprovision(pv *poolVM) {
 // checkBudgetField rejects budgets outside the field's domain.
 func checkBudgetField(field string, b float64) error {
 	if b < 0 || math.IsNaN(b) || math.IsInf(b, 0) {
-		return &ValidationError{Field: field, Msg: fmt.Sprintf("must be a finite non-negative amount, got %v", b)}
+		return reqerr.Invalid(field, "must be a finite non-negative amount, got %v", b)
 	}
 	return nil
 }

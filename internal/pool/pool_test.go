@@ -10,6 +10,7 @@ import (
 
 	"budgetwf/internal/online"
 	"budgetwf/internal/platform"
+	"budgetwf/internal/reqerr"
 	"budgetwf/internal/rng"
 	"budgetwf/internal/sched"
 	"budgetwf/internal/sim"
@@ -314,7 +315,7 @@ func TestAdmission(t *testing.T) {
 }
 
 // TestEnqueueValidation classifies spec defects: scalar-domain
-// violations as *ValidationError, unusable specs as *SemanticError.
+// violations name their field, unusable specs are Semantic.
 func TestEnqueueValidation(t *testing.T) {
 	w, err := wfgen.Generate(wfgen.Chain, 6, 1)
 	if err != nil {
@@ -330,7 +331,7 @@ func TestEnqueueValidation(t *testing.T) {
 	cases := []struct {
 		name       string
 		mutate     func(*Submission)
-		wantField  string // non-empty → *ValidationError with this field
+		wantField  string // non-empty → scalar-domain error on this field
 		wantSemErr bool
 	}{
 		{"nan budget", func(s *Submission) { s.Budget = math.NaN() }, "budget", false},
@@ -351,17 +352,9 @@ func TestEnqueueValidation(t *testing.T) {
 			if err == nil {
 				t.Fatal("no error")
 			}
-			var ve *ValidationError
-			var se *SemanticError
-			switch {
-			case tc.wantField != "":
-				if !errors.As(err, &ve) || ve.Field != tc.wantField {
-					t.Fatalf("want ValidationError on %q, got %v", tc.wantField, err)
-				}
-			case tc.wantSemErr:
-				if !errors.As(err, &se) {
-					t.Fatalf("want SemanticError, got %v", err)
-				}
+			var re *reqerr.Error
+			if !errors.As(err, &re) || re.Field != tc.wantField || re.Semantic != tc.wantSemErr {
+				t.Fatalf("want field %q, semantic %v; got %#v", tc.wantField, tc.wantSemErr, err)
 			}
 		})
 	}
@@ -372,9 +365,9 @@ func TestEnqueueValidation(t *testing.T) {
 	}
 	conflict := good
 	conflict.Tenant.MaxVMs = 3
-	var se *SemanticError
-	if _, err := pl.Enqueue(ctx, conflict); !errors.As(err, &se) {
-		t.Fatalf("conflicting tenant limits: want SemanticError, got %v", err)
+	var re *reqerr.Error
+	if _, err := pl.Enqueue(ctx, conflict); !errors.As(err, &re) || !re.Semantic {
+		t.Fatalf("conflicting tenant limits: want a semantic error, got %v", err)
 	}
 }
 
@@ -386,8 +379,8 @@ func TestTraceSpecValidation(t *testing.T) {
 		spec := base
 		spec.Tenants = append([]TenantTraffic(nil), base.Tenants...)
 		spec.Tenants[1].Rate = 0
-		var ve *ValidationError
-		if err := spec.Validate(); !errors.As(err, &ve) || ve.Field != "tenants[1].rate" {
+		var re *reqerr.Error
+		if err := spec.Validate(); !errors.As(err, &re) || re.Semantic || re.Field != "tenants[1].rate" {
 			t.Fatalf("got %v", err)
 		}
 	})
@@ -395,8 +388,8 @@ func TestTraceSpecValidation(t *testing.T) {
 		spec := base
 		spec.Tenants = append([]TenantTraffic(nil), base.Tenants...)
 		spec.Tenants[0].Tenant.Budget = math.Inf(1)
-		var ve *ValidationError
-		if err := spec.Validate(); !errors.As(err, &ve) || ve.Field != "tenants[0].tenant.budget" {
+		var re *reqerr.Error
+		if err := spec.Validate(); !errors.As(err, &re) || re.Semantic || re.Field != "tenants[0].tenant.budget" {
 			t.Fatalf("got %v", err)
 		}
 	})
@@ -404,8 +397,8 @@ func TestTraceSpecValidation(t *testing.T) {
 		spec := base
 		spec.Tenants = append([]TenantTraffic(nil), base.Tenants...)
 		spec.Tenants[1].Tenant.ID = spec.Tenants[0].Tenant.ID
-		var se *SemanticError
-		if err := spec.Validate(); !errors.As(err, &se) {
+		var re *reqerr.Error
+		if err := spec.Validate(); !errors.As(err, &re) || !re.Semantic {
 			t.Fatalf("got %v", err)
 		}
 	})
@@ -413,8 +406,8 @@ func TestTraceSpecValidation(t *testing.T) {
 		spec := base
 		spec.Tenants = append([]TenantTraffic(nil), base.Tenants...)
 		spec.Tenants[0].WorkflowType = "spiral"
-		var se *SemanticError
-		if err := spec.Validate(); !errors.As(err, &se) {
+		var re *reqerr.Error
+		if err := spec.Validate(); !errors.As(err, &re) || !re.Semantic {
 			t.Fatalf("got %v", err)
 		}
 	})

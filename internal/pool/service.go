@@ -27,7 +27,7 @@ func NewService(cfg Config) (*Service, error) {
 
 // Submit enqueues one submission at the frontier and runs it to a
 // terminal state. The error covers validation/planning failures
-// (classified as *ValidationError or *SemanticError); admission
+// (classified, as *reqerr.Error); admission
 // rejections come back as a non-nil Outcome in StateRejected.
 func (s *Service) Submit(ctx context.Context, sub Submission) (*Outcome, error) {
 	s.mu.Lock()

@@ -1,8 +1,9 @@
 package pool
 
 import (
-	"fmt"
 	"math"
+
+	"budgetwf/internal/reqerr"
 )
 
 // TenantSpec identifies and configures a tenant. The first submission
@@ -29,16 +30,16 @@ type TenantSpec struct {
 // Validate classifies scalar-domain violations field by field.
 func (t TenantSpec) Validate() error {
 	if t.ID == "" {
-		return &ValidationError{Field: "tenant.id", Msg: "required"}
+		return reqerr.Invalid("tenant.id", "required")
 	}
 	if err := checkBudgetField("tenant.budget", t.Budget); err != nil {
 		return err
 	}
 	if t.MaxVMs < 0 {
-		return &ValidationError{Field: "tenant.maxVMs", Msg: fmt.Sprintf("must be non-negative, got %d", t.MaxVMs)}
+		return reqerr.Invalid("tenant.maxVMs", "must be non-negative, got %d", t.MaxVMs)
 	}
 	if t.MaxQueued < 0 {
-		return &ValidationError{Field: "tenant.maxQueued", Msg: fmt.Sprintf("must be non-negative, got %d", t.MaxQueued)}
+		return reqerr.Invalid("tenant.maxQueued", "must be non-negative, got %d", t.MaxQueued)
 	}
 	return nil
 }
@@ -77,9 +78,9 @@ func (p *Pool) registerTenant(spec TenantSpec) (*tenant, error) {
 		if (spec.Budget != 0 && spec.Budget != ten.budget) ||
 			(spec.MaxVMs != 0 && spec.MaxVMs != ten.maxVMs) ||
 			(spec.MaxQueued != 0 && spec.MaxQueued != ten.maxQueued) {
-			return nil, &SemanticError{Msg: fmt.Sprintf(
+			return nil, reqerr.Unusable("",
 				"tenant %q already registered with different limits (budget=%v maxVMs=%d maxQueued=%d)",
-				spec.ID, ten.budget, ten.maxVMs, ten.maxQueued)}
+				spec.ID, ten.budget, ten.maxVMs, ten.maxQueued)
 		}
 		return ten, nil
 	}

@@ -2,12 +2,12 @@ package pool
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"budgetwf/internal/obs"
+	"budgetwf/internal/reqerr"
 	"budgetwf/internal/rng"
 	"budgetwf/internal/sched"
 	"budgetwf/internal/wfgen"
@@ -59,46 +59,41 @@ func (tt TenantTraffic) withDefaults() TenantTraffic {
 	return tt
 }
 
-// Validate classifies every defect in the spec: scalar-domain
-// violations (*ValidationError → 400) field by field, then semantic
-// ones (*SemanticError → 422) such as duplicate tenant IDs or unknown
-// families/algorithms.
+// Validate classifies every defect in the spec (*reqerr.Error):
+// scalar-domain violations field by field, then semantic ones such as
+// duplicate tenant IDs or unknown families/algorithms.
 func (ts TraceSpec) Validate() error {
 	if len(ts.Tenants) == 0 {
-		return &ValidationError{Field: "tenants", Msg: "at least one tenant required"}
+		return reqerr.Invalid("tenants", "at least one tenant required")
 	}
 	seen := make(map[string]bool)
 	for i, raw := range ts.Tenants {
 		tt := raw.withDefaults()
 		field := func(name string) string { return fmt.Sprintf("tenants[%d].%s", i, name) }
 		if err := tt.Tenant.Validate(); err != nil {
-			var ve *ValidationError
-			if errors.As(err, &ve) {
-				return &ValidationError{Field: field(ve.Field), Msg: ve.Msg}
-			}
-			return err
+			return reqerr.Under(fmt.Sprintf("tenants[%d]", i), err)
 		}
 		if tt.Rate <= 0 || math.IsNaN(tt.Rate) || math.IsInf(tt.Rate, 0) {
-			return &ValidationError{Field: field("rate"), Msg: fmt.Sprintf("must be a positive finite arrival rate, got %v", tt.Rate)}
+			return reqerr.Invalid(field("rate"), "must be a positive finite arrival rate, got %v", tt.Rate)
 		}
 		if tt.Count < 1 || tt.Count > maxTraceCount {
-			return &ValidationError{Field: field("count"), Msg: fmt.Sprintf("must be in [1, %d], got %d", maxTraceCount, tt.Count)}
+			return reqerr.Invalid(field("count"), "must be in [1, %d], got %d", maxTraceCount, tt.Count)
 		}
 		if tt.Tasks < 4 {
-			return &ValidationError{Field: field("tasks"), Msg: fmt.Sprintf("must be at least 4, got %d", tt.Tasks)}
+			return reqerr.Invalid(field("tasks"), "must be at least 4, got %d", tt.Tasks)
 		}
 		if err := checkBudgetField(field("budget"), tt.Budget); err != nil {
 			return err
 		}
 		if seen[tt.Tenant.ID] {
-			return &SemanticError{Msg: fmt.Sprintf("duplicate tenant ID %q in trace", tt.Tenant.ID)}
+			return reqerr.Unusable("", "duplicate tenant ID %q in trace", tt.Tenant.ID)
 		}
 		seen[tt.Tenant.ID] = true
 		if _, err := wfgen.ParseType(tt.WorkflowType); err != nil {
-			return &SemanticError{Msg: err.Error()}
+			return reqerr.Unusable("", "%v", err)
 		}
 		if _, err := sched.ByName(sched.Name(tt.Algorithm)); err != nil {
-			return &SemanticError{Msg: err.Error()}
+			return reqerr.Unusable("", "%v", err)
 		}
 	}
 	return nil
@@ -128,7 +123,7 @@ func (ts TraceSpec) Generate() ([]Submission, error) {
 			at += r.ExpFloat64() * 1000 / tt.Rate
 			w, err := wfgen.Generate(family, tt.Tasks, ts.Seed^uint64(i)<<32^uint64(j))
 			if err != nil {
-				return nil, &SemanticError{Msg: err.Error()}
+				return nil, reqerr.Unusable("", "%v", err)
 			}
 			keys[len(subs)] = key{at: at, tenant: i, idx: j}
 			subs = append(subs, Submission{

@@ -45,6 +45,7 @@ func TestSimulateMalformedValuesAre400(t *testing.T) {
 	}{
 		{"negative budget", `,"budget":-4`, "budget"},
 		{"negative timeout", `,"timeoutMillis":-5`, "timeoutMillis"},
+		{"replications over the ceiling", `,"replications":10001`, "replications"},
 		{"negative crash rate", `,"faults":{"crashRatePerHour":[-1]}`, "faults.crashRatePerHour"},
 		{"too many crash rates", `,"faults":{"crashRatePerHour":[1,1,1,1,1,1,1]}`, "faults.crashRatePerHour"},
 		{"certain boot failure", `,"faults":{"bootFailProb":1}`, "faults.bootFailProb"},
@@ -71,19 +72,13 @@ func TestSimulateMalformedValuesAre400(t *testing.T) {
 // (NaN, ±Inf arrive only through in-process misuse).
 func TestScalarDomainChecks(t *testing.T) {
 	for _, b := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if checkBudget(b) == nil {
-			t.Errorf("checkBudget(%v) accepted", b)
-		}
-		if checkTimeoutMillis(b) == nil {
-			t.Errorf("checkTimeoutMillis(%v) accepted", b)
+		if checkNonNegative("budget", b) == nil {
+			t.Errorf("checkNonNegative(%v) accepted", b)
 		}
 	}
 	for _, b := range []float64{0, 1, 1e12} {
-		if err := checkBudget(b); err != nil {
-			t.Errorf("checkBudget(%v) = %v", b, err)
-		}
-		if err := checkTimeoutMillis(b); err != nil {
-			t.Errorf("checkTimeoutMillis(%v) = %v", b, err)
+		if err := checkNonNegative("budget", b); err != nil {
+			t.Errorf("checkNonNegative(%v) = %v", b, err)
 		}
 	}
 }

@@ -6,40 +6,32 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"budgetwf/internal/dist"
 	"budgetwf/internal/est"
 	"budgetwf/internal/exp"
 	"budgetwf/internal/market"
 	"budgetwf/internal/obs"
 	"budgetwf/internal/online"
-	"budgetwf/internal/platform"
+	"budgetwf/internal/reqerr"
 	"budgetwf/internal/rng"
 	"budgetwf/internal/sched"
 	"budgetwf/internal/sim"
 	"budgetwf/internal/stats"
-	"budgetwf/internal/wfgen"
 )
 
-// Request-size ceilings: semantic validation limits that keep one
-// request from monopolizing the pool. Violations are 422s, except the
-// grid dimensions (gridK, replications): those are plain scalar-domain
-// checks and get per-field 400s, mirroring internal/dist job-spec
-// validation, which shares the same 400 ceilings.
+// Request-size ceilings that keep one synchronous request from
+// monopolizing the pool; violations are per-field 400s. A sweep's other
+// dimensions are bounded by the job spec it is (internal/dist).
 const (
-	maxReplications  = 10000
-	maxSweepTasks    = 500
-	maxSweepGridK    = 400
-	maxSweepRuns     = 10  // instances
-	maxSweepReps     = 400 // replications per cell
-	maxMaxSigmaRatio = 10.0
+	maxReplications = 10000 // /v1/simulate
+	maxSweepRuns    = 10    // /v1/sweep instances
 )
 
 // handleHealthz is liveness: the process is up and serving.
@@ -140,20 +132,21 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	wfl, err := parseWorkflow(req.Workflow)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "workflow: "+err.Error(), reqID)
+		s.fail(w, reqID, err)
 		return
 	}
-	plat, ok := resolvePlatform(w, reqID, req.Platform, req.Market)
-	if !ok {
+	plat, err := resolvePlatform(req.Platform, req.Market)
+	if err != nil {
+		s.fail(w, reqID, err)
 		return
 	}
 	alg, err := sched.ByName(sched.Name(req.Algorithm))
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err.Error(), reqID)
+		s.fail(w, reqID, reqerr.Under("algorithm", err))
 		return
 	}
-	if err := checkBudget(req.Budget); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), reqID)
+	if err := checkNonNegative("budget", req.Budget); err != nil {
+		s.fail(w, reqID, err)
 		return
 	}
 	s.metrics.observeAlgorithm(req.Algorithm)
@@ -291,41 +284,35 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	wfl, err := parseWorkflow(req.Workflow)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "workflow: "+err.Error(), reqID)
+		s.fail(w, reqID, err)
 		return
 	}
-	plat, ok := resolvePlatform(w, reqID, req.Platform, req.Market)
-	if !ok {
+	plat, err := resolvePlatform(req.Platform, req.Market)
+	if err != nil {
+		s.fail(w, reqID, err)
 		return
 	}
 	schedule, err := parseSchedule(req.Schedule, wfl, plat)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "schedule: "+err.Error(), reqID)
+		s.fail(w, reqID, err)
 		return
 	}
-	if err := checkBudget(req.Budget); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), reqID)
+	if err := checkNonNegative("budget", req.Budget); err != nil {
+		s.fail(w, reqID, err)
 		return
 	}
-	if err := checkTimeoutMillis(req.TimeoutMillis); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), reqID)
+	if err := checkNonNegative("timeoutMillis", req.TimeoutMillis); err != nil {
+		s.fail(w, reqID, err)
 		return
 	}
-	estimator, err := normalizeEstimator(req.Estimator)
+	if err := req.Faults.Validate(plat.NumCategories()); err != nil {
+		s.fail(w, reqID, err)
+		return
+	}
+	estimator, err := parseEstimator(req.Estimator, plat, req.Faults != nil)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), reqID)
+		s.fail(w, reqID, err)
 		return
-	}
-	if req.Faults != nil {
-		if err := req.Faults.Validate(plat.NumCategories()); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error(), reqID)
-			return
-		}
-		if estimator == exp.EstimatorAnalytic {
-			writeError(w, http.StatusUnprocessableEntity,
-				"estimator: fault injection requires the Monte Carlo estimator", reqID)
-			return
-		}
 	}
 	// Spot revocation hazards superpose onto the explicit fault spec: a
 	// platform with revocable spot categories replays through the
@@ -333,27 +320,15 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// faults of its own.
 	faults := market.MergeRevocations(req.Faults, plat, req.Seed)
 	if faults != nil && plat.DCBandwidth > 0 {
-		writeError(w, http.StatusUnprocessableEntity,
-			"fault injection does not support the datacenter contention mode", reqID)
-		return
-	}
-	if estimator == exp.EstimatorAnalytic && plat.MarketDistinct() {
-		writeError(w, http.StatusUnprocessableEntity,
-			"estimator: the analytic estimator cannot model market platforms (providers, transfer matrices, spot categories); use estimator=mc", reqID)
-		return
-	}
-	if estimator == exp.EstimatorAnalytic && plat.DCBandwidth > 0 {
-		writeError(w, http.StatusUnprocessableEntity,
-			"estimator: the analytic estimator cannot model bandwidth contention (platform dcBandwidth > 0)", reqID)
+		s.fail(w, reqID, reqerr.Unusable("faults", "fault injection does not support the datacenter contention mode"))
 		return
 	}
 	reps := req.Replications
 	if reps == 0 {
-		reps = 25 // the paper's methodology
+		reps = exp.DefaultReps
 	}
 	if reps < 1 || reps > maxReplications {
-		writeError(w, http.StatusUnprocessableEntity,
-			fmt.Sprintf("replications must be in [1, %d]", maxReplications), reqID)
+		s.fail(w, reqID, reqerr.Invalid("replications", "must be in [1, %d]", maxReplications))
 		return
 	}
 	s.metrics.observeEstimator(estimator)
@@ -531,98 +506,33 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSweep runs a Figure-1-style budget sweep over generated
-// instances of one workflow family. The heaviest endpoint: bounded by
-// the request ceilings and by Workers=1 inside the experiment harness
-// so one sweep occupies exactly one pool slot.
+// instances of one workflow family. The body is the sweep object of a
+// job (dist.SweepSpec), validated by the same code, with one
+// difference: a synchronous sweep holds a connection and a pool slot for
+// its whole run — Workers=1 inside the harness, so exactly one slot —
+// and takes fewer instances; larger campaigns go to /v1/jobs.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r.Context())
-	var req sweepRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
+	var spec dist.SweepSpec
+	if err := decodeStrict(r.Body, &spec); err != nil {
 		writeDecodeError(w, err, reqID)
 		return
 	}
-	typ, err := wfgen.ParseType(req.WorkflowType)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err.Error(), reqID)
-		return
-	}
-	// Grid dimensions are scalar-domain violations: per-field 400s.
-	switch {
-	case req.GridK < 0 || req.GridK > maxSweepGridK:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("gridK: must be in [1, %d]", maxSweepGridK), reqID)
-		return
-	case req.Replications < 0 || req.Replications > maxSweepReps:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("replications: must be in [1, %d]", maxSweepReps), reqID)
-		return
-	}
-	estimator, err := normalizeEstimator(req.Estimator)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), reqID)
-		return
-	}
-	// A market spec swaps the sweep's platform for the compiled
-	// multi-provider one; absent, the scenario keeps its nil-platform
-	// default (the paper's Table II catalog).
-	var marketPlat *platform.Platform
-	if rawPresent(req.Market) {
-		p, ok := resolvePlatform(w, reqID, nil, req.Market)
-		if !ok {
-			return
-		}
-		if estimator == exp.EstimatorAnalytic && p.MarketDistinct() {
-			writeError(w, http.StatusUnprocessableEntity,
-				"estimator: the analytic estimator cannot model market platforms (providers, transfer matrices, spot categories); use estimator=mc", reqID)
-			return
-		}
-		marketPlat = p
-	}
-	switch {
-	case req.N < 4 || req.N > maxSweepTasks:
-		err = fmt.Errorf("n must be in [4, %d]", maxSweepTasks)
-	case req.Instances < 0 || req.Instances > maxSweepRuns:
-		err = fmt.Errorf("instances must be in [1, %d]", maxSweepRuns)
-	case req.SigmaRatio < 0 || req.SigmaRatio > maxMaxSigmaRatio || math.IsNaN(req.SigmaRatio):
-		err = fmt.Errorf("sigmaRatio must be in [0, %v]", maxMaxSigmaRatio)
+	spec.Normalize()
+	sc, algs, gridK, err := spec.Scenario()
+	if err == nil && spec.Instances > maxSweepRuns {
+		err = reqerr.Invalid("instances", "must be in [1, %d] on /v1/sweep; submit larger sweeps to /v1/jobs", maxSweepRuns)
 	}
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err.Error(), reqID)
+		s.fail(w, reqID, err)
 		return
 	}
-	// Probe the generator: family-specific constraints (e.g. Montage
-	// needing ≥ 12 tasks) are semantic errors, not server faults.
-	if _, err := wfgen.Generate(typ, req.N, req.Seed); err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err.Error(), reqID)
-		return
-	}
-	algs := sched.All()
-	if len(req.Algorithms) > 0 {
-		algs = algs[:0:0]
-		for _, name := range req.Algorithms {
-			a, err := sched.ByName(sched.Name(name))
-			if err != nil {
-				writeError(w, http.StatusUnprocessableEntity, err.Error(), reqID)
-				return
-			}
-			algs = append(algs, a)
-		}
-	}
+	s.metrics.observeEstimator(spec.Estimator)
+	rootSpan(r.Context()).Set(obs.Str("estimator", spec.Estimator))
 
-	s.metrics.observeEstimator(estimator)
-	rootSpan(r.Context()).Set(obs.Str("estimator", estimator))
-
+	sc.Workers = 1 // concurrency is the pool's job, not the sweep's
 	resp, ok := s.runPooled(w, r, func(ctx context.Context) (any, error) {
-		sc := exp.Scenario{
-			Type:       typ,
-			N:          req.N,
-			SigmaRatio: req.SigmaRatio,
-			Platform:   marketPlat,
-			Instances:  req.Instances,
-			Reps:       req.Replications,
-			Seed:       req.Seed,
-			Workers:    1, // concurrency is the pool's job, not the sweep's
-			Estimator:  estimator,
-		}
-		res, err := exp.RunSweepCtx(ctx, sc, algs, req.GridK)
+		res, err := exp.RunSweepCtx(ctx, sc, algs, gridK)
 		if err != nil {
 			return nil, err
 		}
@@ -686,15 +596,7 @@ func (s *Server) runPooledTimeout(w http.ResponseWriter, r *http.Request, timeou
 	select {
 	case o := <-done:
 		if o.err != nil {
-			switch {
-			case errors.Is(o.err, context.DeadlineExceeded):
-				writeError(w, http.StatusGatewayTimeout, "request timed out", reqID)
-			case errors.Is(o.err, context.Canceled):
-				// Client went away; nothing useful to write.
-			default:
-				s.log.Error("request failed", "requestId", reqID, "error", o.err.Error())
-				writeError(w, http.StatusInternalServerError, "internal error", reqID)
-			}
+			s.fail(w, reqID, o.err)
 			return nil, false
 		}
 		return o.resp, true
@@ -702,10 +604,33 @@ func (s *Server) runPooledTimeout(w http.ResponseWriter, r *http.Request, timeou
 		// Deadline or disconnect while the job is still queued or
 		// running; the job observes the same context and exits promptly
 		// into the buffered channel.
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			writeError(w, http.StatusGatewayTimeout, "request timed out", reqID)
-		}
+		s.fail(w, reqID, ctx.Err())
 		return nil, false
+	}
+}
+
+// fail answers a request that cannot be served because of err — the one
+// place an error becomes a status. A validation error (*reqerr.Error,
+// whichever package validated) is a 400 when a scalar is outside its
+// domain and a 422 when well-formed input describes something unusable;
+// an expired deadline is a 504; a client that went away gets nothing;
+// anything else is logged and answered 500.
+func (s *Server) fail(w http.ResponseWriter, reqID string, err error) {
+	var invalid *reqerr.Error
+	switch {
+	case errors.As(err, &invalid):
+		status := http.StatusBadRequest
+		if invalid.Semantic {
+			status = http.StatusUnprocessableEntity
+		}
+		writeError(w, status, err.Error(), reqID)
+	case errors.Is(err, context.DeadlineExceeded):
+		writeError(w, http.StatusGatewayTimeout, "request timed out", reqID)
+	case errors.Is(err, context.Canceled):
+		// Client went away; nothing useful to write.
+	default:
+		s.log.Error("request failed", "requestId", reqID, "error", err.Error())
+		writeError(w, http.StatusInternalServerError, "internal error", reqID)
 	}
 }
 

@@ -141,18 +141,6 @@ func faultSweepResponseFrom(res *exp.FaultSweepResult) faultSweepResponse {
 // content-addressed, like the job itself.
 func jobTraceID(spec *dist.JobSpec) string { return "job-" + spec.Hash()[:12] }
 
-// writeFieldError maps a dist validation error onto the repo's error
-// discipline: scalar-domain violations are per-field 400s, semantic
-// ones (unknown algorithm, unsatisfiable generator constraint) 422s.
-func writeFieldError(w http.ResponseWriter, err error, reqID string) {
-	status := http.StatusBadRequest
-	var fe *dist.FieldError
-	if errors.As(err, &fe) && fe.Semantic {
-		status = http.StatusUnprocessableEntity
-	}
-	writeError(w, status, err.Error(), reqID)
-}
-
 // handleJobSubmit accepts one campaign spec and returns 202 with the
 // job id — freshly started, or deduplicated onto an equivalent
 // existing job.
@@ -165,7 +153,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
-		writeFieldError(w, err, reqID)
+		s.fail(w, reqID, err)
 		return
 	}
 	view, created, err := s.jobs.Submit(spec)
@@ -242,17 +230,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	req.Normalize()
 	if err := req.Validate(); err != nil {
-		writeFieldError(w, err, reqID)
-		return
-	}
-	units, err := req.Cells()
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err.Error(), reqID)
-		return
-	}
-	if req.End > units {
-		writeError(w, http.StatusUnprocessableEntity,
-			"end: shard range ["+strconv.Itoa(req.Start)+", "+strconv.Itoa(req.End)+") exceeds the grid's "+strconv.Itoa(units)+" units", reqID)
+		s.fail(w, reqID, err)
 		return
 	}
 

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"strconv"
 
@@ -113,14 +112,6 @@ func toSubmitResponse(o *pool.Outcome, reqID string) submitResponse {
 	}
 }
 
-// submitResult carries the classified HTTP outcome of a submission out
-// of the worker pool (runPooled maps raw errors to 500s; the pool's
-// validation taxonomy deserves better).
-type submitResult struct {
-	status int
-	body   any
-}
-
 // handleSubmit serves POST /v1/submit.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r.Context())
@@ -131,11 +122,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	wfl, err := parseWorkflow(req.Workflow)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "workflow: "+err.Error(), reqID)
+		s.fail(w, reqID, err)
 		return
 	}
-	if err := checkTimeoutMillis(req.TimeoutMillis); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), reqID)
+	if err := checkNonNegative("timeoutMillis", req.TimeoutMillis); err != nil {
+		s.fail(w, reqID, err)
 		return
 	}
 	root := rootSpan(r.Context())
@@ -147,38 +138,26 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			span = root.Child("pool-submit")
 			defer span.End()
 		}
-		o, err := s.poolSvc.Submit(ctx, pool.Submission{
+		// The pool validates and plans under its own lock; the defects
+		// it classifies (*reqerr.Error) reach Server.fail as they are.
+		return s.poolSvc.Submit(ctx, pool.Submission{
 			Tenant:    req.Tenant,
 			Workflow:  wfl,
 			Algorithm: req.Algorithm,
 			Budget:    req.Budget,
 			Span:      span,
 		})
-		if err != nil {
-			var ve *pool.ValidationError
-			var se *pool.SemanticError
-			switch {
-			case errors.As(err, &ve):
-				return submitResult{status: http.StatusBadRequest, body: apiError{Error: ve.Error(), RequestID: reqID}}, nil
-			case errors.As(err, &se):
-				return submitResult{status: http.StatusUnprocessableEntity, body: apiError{Error: se.Error(), RequestID: reqID}}, nil
-			}
-			return nil, err
-		}
-		status := http.StatusOK
-		if o.State == pool.StateRejected {
-			status = http.StatusTooManyRequests
-		}
-		return submitResult{status: status, body: toSubmitResponse(o, reqID)}, nil
 	})
 	if !ok {
 		return
 	}
-	sr := resp.(submitResult)
-	if sr.status == http.StatusTooManyRequests {
+	o := resp.(*pool.Outcome)
+	status := http.StatusOK
+	if o.State == pool.StateRejected {
+		status = http.StatusTooManyRequests
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 	}
-	writeJSON(w, sr.status, sr.body)
+	writeJSON(w, status, toSubmitResponse(o, reqID))
 }
 
 // handleTenants serves GET /v1/tenants: every registered tenant's

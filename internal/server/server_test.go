@@ -421,15 +421,15 @@ func TestSweepValidation(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Semantic violations are 422s; grid-dimension (scalar-domain)
-	// violations are per-field 400s.
+	// Semantic violations are 422s; scalar-domain violations (every
+	// dimension over its ceiling) are per-field 400s.
 	cases := map[string]struct {
 		body map[string]any
 		want int
 	}{
 		"unknown type":  {map[string]any{"workflowType": "escher", "n": 10}, http.StatusUnprocessableEntity},
-		"n too small":   {map[string]any{"workflowType": "montage", "n": 2}, http.StatusUnprocessableEntity},
-		"n too large":   {map[string]any{"workflowType": "montage", "n": 100000}, http.StatusUnprocessableEntity},
+		"n too small":   {map[string]any{"workflowType": "montage", "n": 2}, http.StatusBadRequest},
+		"n too large":   {map[string]any{"workflowType": "montage", "n": 100000}, http.StatusBadRequest},
 		"bad alg":       {map[string]any{"workflowType": "montage", "n": 15, "algorithms": []string{"nope"}}, http.StatusUnprocessableEntity},
 		"reps too big":  {map[string]any{"workflowType": "montage", "n": 15, "replications": 100000}, http.StatusBadRequest},
 		"gridK too big": {map[string]any{"workflowType": "montage", "n": 15, "gridK": 100000}, http.StatusBadRequest},

@@ -15,6 +15,7 @@ import (
 	"budgetwf/internal/obs"
 	"budgetwf/internal/plan"
 	"budgetwf/internal/platform"
+	"budgetwf/internal/reqerr"
 	"budgetwf/internal/stats"
 	"budgetwf/internal/wf"
 )
@@ -25,15 +26,15 @@ import (
 // by cmd/wfgen posts unchanged and a schedule response feeds straight
 // into cmd/simulate.
 //
-// Error discipline: a request whose body is not syntactically valid
-// JSON (or has unknown fields), or whose scalar fields are outside
-// their domain — a NaN, infinite or negative budget, a negative
-// timeout, an out-of-range fault-spec field — is a 400; a body whose
-// values are well-formed but that describes something semantically
-// unusable — a cyclic DAG, an unknown algorithm, a schedule
-// inconsistent with its workflow — is a 422. A body over MaxBodyBytes
-// is a 413 whatever it contains. Overload is a 429 with Retry-After,
-// and a server-side deadline expiry is a 504.
+// Error discipline (stated once, in DESIGN §4.1): a body the strict
+// decoder refuses, or a scalar field outside its domain, is a 400; a
+// well-formed body that describes something unusable — a cyclic DAG, an
+// unknown algorithm, a schedule inconsistent with its workflow — is a
+// 422. Every validator, here and in fault, market, pool and dist, says
+// which with one type (*reqerr.Error), and Server.fail is the one place
+// that turns it into the status. A body over MaxBodyBytes is a 413
+// whatever it contains. Overload is a 429 with Retry-After, and a
+// server-side deadline expiry is a 504.
 
 // scheduleRequest is the body of POST /v1/schedule.
 type scheduleRequest struct {
@@ -189,33 +190,6 @@ type spotSummaryJSON struct {
 	ReworkCostPerRun  float64 `json:"reworkCostPerRun"`
 }
 
-// sweepRequest is the body of POST /v1/sweep: a Figure-1-style budget
-// sweep over generated workflow instances.
-type sweepRequest struct {
-	// WorkflowType is a generator family name (cybershake, ligo,
-	// montage, epigenomics, sipht, random, chain, forkjoin, bagoftasks).
-	WorkflowType string `json:"workflowType"`
-	// N is the number of tasks per instance.
-	N int `json:"n"`
-	// SigmaRatio is σ/w̄; default 0.5 (the paper's central value).
-	SigmaRatio float64 `json:"sigmaRatio,omitempty"`
-	// Algorithms defaults to the paper's nine.
-	Algorithms []string `json:"algorithms,omitempty"`
-	// GridK is the number of budget levels; default 8.
-	GridK int `json:"gridK,omitempty"`
-	// Instances and Replications default to the paper's 5 and 25.
-	Instances    int    `json:"instances,omitempty"`
-	Replications int    `json:"replications,omitempty"`
-	Seed         uint64 `json:"seed,omitempty"`
-	// Estimator is "mc" (default) or "analytic", as in /v1/simulate.
-	Estimator string `json:"estimator,omitempty"`
-	// Market is an internal/market spec; the sweep then runs on the
-	// compiled multi-provider platform, and spot categories divert the
-	// harness to the revocation-aware online executor. The analytic
-	// estimator cannot model market platforms (422).
-	Market json.RawMessage `json:"market,omitempty"`
-}
-
 // sweepPoint is one (algorithm, budget) cell of the sweep response.
 type sweepPoint struct {
 	Factor    float64     `json:"factor"`
@@ -293,34 +267,18 @@ func writeDecodeError(w http.ResponseWriter, err error, reqID string) {
 	writeError(w, http.StatusBadRequest, "malformed request body: "+err.Error(), reqID)
 }
 
-// parseWorkflow parses and validates the workflow sub-object. Errors
-// from it are semantic (HTTP 422): the envelope already proved the
-// bytes are well-formed JSON.
+// The helpers below validate one part of a request each and return
+// *reqerr.Error values naming it.
+
+// parseWorkflow parses and validates the workflow sub-object: the
+// envelope already proved the bytes are well-formed JSON, so what is
+// wrong with them is semantic.
 func parseWorkflow(raw json.RawMessage) (*wf.Workflow, error) {
 	if len(raw) == 0 {
-		return nil, fmt.Errorf("missing workflow")
+		return nil, reqerr.Unusable("workflow", "missing workflow")
 	}
 	w, err := wf.ReadJSON(bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// parsePlatform parses and validates the optional platform sub-object,
-// defaulting to the paper's Table II platform.
-func parsePlatform(raw json.RawMessage) (*platform.Platform, error) {
-	if len(raw) == 0 || bytes.Equal(bytes.TrimSpace(raw), []byte("null")) {
-		return platform.Default(), nil
-	}
-	var p platform.Platform
-	if err := decodeStrict(bytes.NewReader(raw), &p); err != nil {
-		return nil, fmt.Errorf("platform: %w", err)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return &p, nil
+	return w, reqerr.Under("workflow", err)
 }
 
 // rawPresent reports whether an optional raw sub-object was actually
@@ -330,87 +288,59 @@ func rawPresent(raw json.RawMessage) bool {
 }
 
 // resolvePlatform resolves a request's platform/market pair: at most
-// one may be present (a 400 otherwise — the combination is malformed,
-// not merely unusable), a market spec compiles through internal/market
-// with its per-field 400/422 discipline, and an absent pair defaults
-// to the paper's Table II platform. It writes the error response
-// itself; ok is false when the request has already been answered.
-func resolvePlatform(w http.ResponseWriter, reqID string, platformRaw, marketRaw json.RawMessage) (*platform.Platform, bool) {
-	if rawPresent(marketRaw) {
-		if rawPresent(platformRaw) {
-			writeError(w, http.StatusBadRequest, "market: mutually exclusive with platform", reqID)
-			return nil, false
-		}
+// one may be present (the combination is malformed, not merely
+// unusable), a market spec compiles through internal/market, and an
+// absent pair defaults to the paper's Table II platform.
+func resolvePlatform(platformRaw, marketRaw json.RawMessage) (*platform.Platform, error) {
+	switch {
+	case rawPresent(marketRaw) && rawPresent(platformRaw):
+		return nil, reqerr.Invalid("market", "mutually exclusive with platform")
+	case rawPresent(marketRaw):
 		spec, err := market.ParseSpecBytes(marketRaw)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "market: "+err.Error(), reqID)
-			return nil, false
+			return nil, reqerr.Invalid("market", "%v", err)
 		}
-		p, err := spec.Compile()
-		if err != nil {
-			status := http.StatusBadRequest
-			var fe *market.FieldError
-			if errors.As(err, &fe) && fe.Semantic {
-				status = http.StatusUnprocessableEntity
-			}
-			writeError(w, status, err.Error(), reqID)
-			return nil, false
-		}
-		return p, true
+		return spec.Compile()
+	case !rawPresent(platformRaw):
+		return platform.Default(), nil
 	}
-	p, err := parsePlatform(platformRaw)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "platform: "+err.Error(), reqID)
-		return nil, false
+	var p platform.Platform
+	err := decodeStrict(bytes.NewReader(platformRaw), &p)
+	if err == nil {
+		err = p.Validate()
 	}
-	return p, true
+	return &p, reqerr.Under("platform", err)
 }
 
 // parseSchedule parses the schedule sub-object and validates it
 // against the workflow and platform it claims to schedule.
 func parseSchedule(raw json.RawMessage, w *wf.Workflow, p *platform.Platform) (*plan.Schedule, error) {
 	if len(raw) == 0 {
-		return nil, fmt.Errorf("missing schedule")
+		return nil, reqerr.Unusable("schedule", "missing schedule")
 	}
 	s, err := plan.ReadJSON(bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = s.Validate(w, p.NumCategories())
 	}
-	if err := s.Validate(w, p.NumCategories()); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return s, reqerr.Under("schedule", err)
 }
 
-// checkBudget rejects budgets outside the field's domain — negative,
-// NaN or infinite in either direction — with a clearer message than
-// the planners' and without spending a pool slot. Errors from it are
-// malformed-value errors (HTTP 400).
-func checkBudget(b float64) error {
-	if b < 0 || math.IsNaN(b) || math.IsInf(b, 0) {
-		return fmt.Errorf("invalid budget %v", b)
+// checkNonNegative rejects a scalar outside the domain budgets and
+// timeouts share — negative, NaN or infinite in either direction —
+// without spending a pool slot. Zero means "none" for both.
+func checkNonNegative(field string, v float64) error {
+	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		return reqerr.Invalid(field, "must be a finite non-negative number, got %v", v)
 	}
 	return nil
 }
 
-// normalizeEstimator resolves an optional estimator field to its
-// canonical name (empty defaults to "mc"). Unknown names are
-// malformed-value errors (HTTP 400), named per field.
-func normalizeEstimator(name string) (string, error) {
+// parseEstimator resolves the optional estimator field to its canonical
+// name (empty defaults to "mc") once exp.CheckEstimator has said it can
+// evaluate executions on plat, fault-injected or not.
+func parseEstimator(name string, plat *platform.Platform, faults bool) (string, error) {
 	if name == "" {
-		return exp.EstimatorMC, nil
+		name = exp.EstimatorMC
 	}
-	if !exp.ValidEstimator(name) {
-		return "", fmt.Errorf("estimator: must be %q or %q", exp.EstimatorMC, exp.EstimatorAnalytic)
-	}
-	return name, nil
-}
-
-// checkTimeoutMillis rejects malformed per-request timeouts (HTTP
-// 400). Zero means "server default"; positive values tighten it.
-func checkTimeoutMillis(ms float64) error {
-	if ms < 0 || math.IsNaN(ms) || math.IsInf(ms, 0) {
-		return fmt.Errorf("invalid timeoutMillis %v", ms)
-	}
-	return nil
+	return name, exp.CheckEstimator(name, plat, faults)
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"budgetwf/internal/dist"
+	"budgetwf/internal/reqerr"
 )
 
 // Dynamic worker membership (the coordinator side):
@@ -28,12 +29,12 @@ func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
 		writeDecodeError(w, err, reqID)
 		return
 	}
-	if err := validateWorkerURL(req.URL); err != "" {
-		writeError(w, http.StatusBadRequest, "url: "+err, reqID)
-		return
+	err := validateWorkerURL(req.URL)
+	if err == nil && req.Nonce == "" {
+		err = reqerr.Invalid("nonce", "must be non-empty")
 	}
-	if req.Nonce == "" {
-		writeError(w, http.StatusBadRequest, "nonce: must be non-empty", reqID)
+	if err != nil {
+		s.fail(w, reqID, err)
 		return
 	}
 	info := s.registry.Register(req.URL, req.Nonce)
@@ -67,7 +68,7 @@ func (s *Server) handleWorkerDeregister(w http.ResponseWriter, r *http.Request) 
 	reqID := requestID(r.Context())
 	target := r.URL.Query().Get("url")
 	if target == "" {
-		writeError(w, http.StatusBadRequest, "url: query parameter required", reqID)
+		s.fail(w, reqID, reqerr.Invalid("url", "query parameter required"))
 		return
 	}
 	s.registry.Deregister(target)
@@ -77,22 +78,19 @@ func (s *Server) handleWorkerDeregister(w http.ResponseWriter, r *http.Request) 
 // validateWorkerURL sanity-checks an advertised worker base URL; it
 // must be absolute http(s) with a host and no trailing slash the
 // coordinator would double.
-func validateWorkerURL(raw string) string {
-	if raw == "" {
-		return "must be non-empty"
-	}
+func validateWorkerURL(raw string) error {
 	u, err := url.Parse(raw)
-	if err != nil {
-		return "not a valid URL: " + err.Error()
+	switch {
+	case raw == "":
+		return reqerr.Invalid("url", "must be non-empty")
+	case err != nil:
+		return reqerr.Invalid("url", "not a valid URL: %v", err)
+	case u.Scheme != "http" && u.Scheme != "https":
+		return reqerr.Invalid("url", "scheme must be http or https")
+	case u.Host == "":
+		return reqerr.Invalid("url", "must include a host")
+	case strings.HasSuffix(raw, "/"):
+		return reqerr.Invalid("url", "must not end in a slash")
 	}
-	if u.Scheme != "http" && u.Scheme != "https" {
-		return "scheme must be http or https"
-	}
-	if u.Host == "" {
-		return "must include a host"
-	}
-	if strings.HasSuffix(raw, "/") {
-		return "must not end in a slash"
-	}
-	return ""
+	return nil
 }
