@@ -41,6 +41,7 @@ import (
 	"context"
 	"strings"
 
+	"budgetwf/internal/exp"
 	"budgetwf/internal/plan"
 	"budgetwf/internal/platform"
 	"budgetwf/internal/rng"
@@ -256,37 +257,29 @@ func ReplicateBudget(w *Workflow, p *Platform, s *Schedule, n int, seed uint64, 
 }
 
 // ReplicateBudgetContext is ReplicateBudget under a context,
-// cancellation being polled between stochastic executions.
+// cancellation being polled between stochastic executions. n must be at
+// least 1. On a platform with spot categories the executions run
+// through the online executor, revocations included (replication i
+// under revocation seed seed + i), and Makespan summarizes the
+// executions that completed.
 func ReplicateBudgetContext(ctx context.Context, w *Workflow, p *Platform, s *Schedule, n int, seed uint64, budget float64) (*Replication, error) {
-	stream := rng.New(seed)
-	mks := make([]float64, 0, max(n, 0))
-	costs := make([]float64, 0, max(n, 0))
-	valid := 0
-	runner, err := sim.NewRunner(w, p, s)
+	b, err := replicate(ctx, w, p, s, n, seed, budget)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		mk, cost, err := runner.Score(runner.Sample(stream.Split(uint64(i))))
-		if err != nil {
-			return nil, err
-		}
-		mks = append(mks, mk)
-		costs = append(costs, cost)
-		if budget <= 0 || cost <= budget {
-			valid++
-		}
-	}
-	out := &Replication{
-		Makespan: stats.Summarize(mks),
-		Cost:     stats.Summarize(costs),
-		Budget:   budget,
-	}
-	if n > 0 {
-		out.ValidFrac = float64(valid) / float64(n)
-	}
-	return out, nil
+	return &Replication{
+		Makespan:  stats.Summarize(b.Makespans),
+		Cost:      stats.Summarize(b.Costs),
+		ValidFrac: b.Frac(b.InBudget),
+		Budget:    budget,
+	}, nil
+}
+
+// replicate is the facade's use of the repository's one replication
+// loop (DESIGN §2): Monte Carlo, weights from seed.
+func replicate(ctx context.Context, w *Workflow, p *Platform, s *Schedule, n int, seed uint64, budget float64) (exp.Batch, error) {
+	return exp.Replay{
+		Workflow: w, Platform: p, Schedule: s, Budget: budget, Reps: n,
+		Weights: rng.New(seed), FaultSeed: seed,
+	}.Run(ctx)
 }

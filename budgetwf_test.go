@@ -1,6 +1,7 @@
 package budgetwf_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -154,6 +155,16 @@ func TestReplicateWithoutBudget(t *testing.T) {
 	}
 	if rep.Cost.N != 6 {
 		t.Errorf("n = %d", rep.Cost.N)
+	}
+	// Nothing to summarize is an error, not an empty Replication.
+	for _, n := range []int{0, -2} {
+		var invalid *budgetwf.FaultFieldError
+		if rep, err := budgetwf.ReplicateBudget(w, p, s, n, 9, 1); !errors.As(err, &invalid) || invalid.Field != "replications" || rep != nil {
+			t.Errorf("ReplicateBudget(n=%d) = %+v, %v; want a replications error", n, rep, err)
+		}
+		if st, err := budgetwf.ReplicateObjective(w, p, s, n, 9, budgetwf.Objective{Budget: 1}); err == nil || st != nil {
+			t.Errorf("ReplicateObjective(n=%d) = %+v, %v; want an error", n, st, err)
+		}
 	}
 }
 

@@ -45,7 +45,6 @@ import (
 	"budgetwf/internal/exp"
 	"budgetwf/internal/fault"
 	"budgetwf/internal/obs"
-	"budgetwf/internal/online"
 	"budgetwf/internal/plan"
 	"budgetwf/internal/platform"
 	"budgetwf/internal/rng"
@@ -105,12 +104,13 @@ func run(args []string, stdout io.Writer) error {
 	if err := exp.CheckEstimator(*estName, nil, faulty); err != nil {
 		return err
 	}
+	views := *gantt || *prTrace || *chrome != "" || *svgGantt != ""
 	if *estName == exp.EstimatorAnalytic {
 		// The analytic estimator produces distributions, not executions:
 		// there is no realized timeline to visualize and no joint
 		// (makespan, cost) sample for the bi-criteria objective.
 		switch {
-		case *gantt || *prTrace || *chrome != "" || *svgGantt != "":
+		case views:
 			return fmt.Errorf("visualization flags need a realized execution; use -estimator mc")
 		case *deadline > 0:
 			return fmt.Errorf("-deadline (the Eq. 3 bi-criteria objective) needs joint samples; use -estimator mc")
@@ -180,113 +180,132 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("schedule does not fit workflow: %w", err)
 	}
 
-	if faulty {
-		if *gantt || *prTrace || *chrome != "" || *svgGantt != "" {
-			return fmt.Errorf("visualization flags are not supported under fault injection")
-		}
-		spec.CrashRatePerHour = []float64{*faultRate}
-		if err := runFaulty(stdout, w, p, s, spec, b, *reps, *simSeed, tr); err != nil {
-			return err
-		}
-		return writeSpanTrace(stdout, tr, *traceTo)
+	if faulty && views {
+		return fmt.Errorf("visualization flags are not supported under fault injection")
 	}
 
-	if *estName == exp.EstimatorAnalytic {
+	// The three modes are one replication loop (DESIGN §2): the fault flags
+	// and the estimator decide how the schedule is replayed, on the same
+	// weight streams in all of them, so λ → 0 reproduces the plain report.
+	replay := exp.Replay{
+		Workflow: w, Platform: p, Schedule: s, Budget: b, Reps: *reps, Estimator: *estName,
+		Weights: rng.New(*simSeed),
+	}
+	if faulty {
+		spec.CrashRatePerHour = []float64{*faultRate}
+		replay.Faults = spec // a fresh fault trace per replication: -fault-seed + i
+	}
+	if tr != nil {
+		replay.Span = tr.Root()
+	}
+	batch, err := replay.Run(context.Background())
+	if err != nil {
+		return err
+	}
+	if views {
+		// The first execution, event by event; Score equals it bit for bit.
+		r, err := sim.RunStochastic(w, p, s, rng.New(*simSeed).Split(0))
+		if err != nil {
+			return err
+		}
+		if err := writeViews(stdout, w, s, r, *gantt, *prTrace, *svgGantt, *chrome); err != nil {
+			return err
+		}
+	}
+
+	mk, cost := stats.Summarize(batch.Makespans), stats.Summarize(batch.Costs)
+	runs := float64(batch.Reps)
+	switch {
+	case faulty:
+		// Budget-exhausted replications degrade to partial results and lower
+		// the success rate; they are not errors.
+		fmt.Fprintf(stdout, "workflow   %s, schedule with %d VMs, %d fault-injected executions\n", w.Name, s.NumVMs(), batch.Reps)
+		fmt.Fprintf(stdout, "budget     $%.4f\n", b)
+		fmt.Fprintf(stdout, "faults     λ=%g/hour, boot-fail %.3f, task-fail %.3f, recovery %s\n",
+			spec.CrashRatePerHour[0], spec.BootFailProb, spec.TaskFailProb, spec.RecoveryPolicy().Kind)
+		fmt.Fprintf(stdout, "success    %.1f%% completed all tasks; %.1f%% within budget\n",
+			100*float64(batch.Completed)/runs, 100*float64(batch.InBudget)/runs)
+		fmt.Fprintf(stdout, "makespan   %s s (completed runs)\n", mk)
+		fmt.Fprintf(stdout, "cost       %s $\n", cost)
+		fmt.Fprintf(stdout, "failures   %.2f crashes, %.2f boot failures, %.2f transient failures per run\n",
+			batch.Frac(batch.Crashes), batch.Frac(batch.BootFailures), batch.Frac(batch.TaskFailures))
+		fmt.Fprintf(stdout, "recovery   %.2f recoveries, %.2f vetoed by the budget guard, %.1f s wasted per run\n",
+			batch.Frac(batch.Recoveries), batch.Frac(batch.Vetoed), batch.WastedSeconds/runs)
+
+	case *estName == exp.EstimatorAnalytic:
+		// The tail probability is read off the fitted distribution itself,
+		// not off the quantile samples.
 		e, err := est.Compute(w, p, s)
 		if err != nil {
 			return err
 		}
-		// Pseudo-samples off the fitted quantile grid — the same
-		// construction the sweep harness and /v1/simulate use, so the
-		// summaries below aggregate identically everywhere.
-		var mk, cost []float64
-		valid := 0
-		for i := 0; i < *reps; i++ {
-			q := (float64(i) + 0.5) / float64(*reps)
-			c := e.CostQuantile(q)
-			mk = append(mk, e.MakespanQuantile(q))
-			cost = append(cost, c)
-			if b <= 0 || c <= b {
-				valid++
-			}
-		}
-		fmt.Fprintf(stdout, "workflow   %s, schedule with %d VMs, analytic estimate over %d quantile samples\n", w.Name, s.NumVMs(), *reps)
+		fmt.Fprintf(stdout, "workflow   %s, schedule with %d VMs, analytic estimate over %d quantile samples\n", w.Name, s.NumVMs(), batch.Reps)
 		fmt.Fprintf(stdout, "budget     $%.4f\n", b)
-		fmt.Fprintf(stdout, "makespan   %s s\n", stats.Summarize(mk))
-		fmt.Fprintf(stdout, "cost       %s $\n", stats.Summarize(cost))
+		fmt.Fprintf(stdout, "makespan   %s s\n", mk)
+		fmt.Fprintf(stdout, "cost       %s $\n", cost)
 		fmt.Fprintf(stdout, "valid      %.1f%% of quantile samples within budget (P(cost > budget) = %.3f)\n",
-			100*float64(valid)/float64(*reps), e.OverrunProb(b))
-		return writeSpanTrace(stdout, tr, *traceTo)
-	}
+			100*float64(batch.InBudget)/runs, e.OverrunProb(b))
 
-	obj := sim.Objective{Deadline: *deadline, Budget: b}
-	var objStats sim.ObjectiveStats
-	stream := rng.New(*simSeed)
-	runner, err := sim.NewRunner(w, p, s)
-	if err != nil {
-		return err
+	default:
+		fmt.Fprintf(stdout, "workflow   %s, schedule with %d VMs, %d stochastic executions\n", w.Name, s.NumVMs(), batch.Reps)
+		fmt.Fprintf(stdout, "budget     $%.4f\n", b)
+		fmt.Fprintf(stdout, "makespan   %s s\n", mk)
+		fmt.Fprintf(stdout, "cost       %s $\n", cost)
+		fmt.Fprintf(stdout, "valid      %.1f%% of executions within budget\n", 100*batch.Frac(batch.InBudget))
+		if *deadline > 0 {
+			objStats, err := batch.Objective(sim.Objective{Deadline: *deadline, Budget: b})
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "deadline   %.1f%% met the %.0f s deadline; %.1f%% met the full objective (Eq. 3)\n",
+				100*objStats.Frac(objStats.DeadlineMet), *deadline, 100*objStats.Frac(objStats.BothMet))
+		}
 	}
-	if tr != nil {
-		runner.SetSpan(tr.Root())
+	return writeSpanTrace(stdout, tr, *traceTo)
+}
+
+// writeViews renders one realized execution in every form asked for:
+// ASCII Gantt and per-task trace on stdout, SVG Gantt and Chrome
+// trace-event timeline into their files.
+func writeViews(stdout io.Writer, w *wf.Workflow, s *plan.Schedule, r *sim.Result, gantt, prTrace bool, svgGantt, chrome string) error {
+	if gantt {
+		if err := r.WriteGantt(stdout, w, s, 100); err != nil {
+			return err
+		}
 	}
-	var mk, cost []float64
-	for i := 0; i < *reps; i++ {
-		r, err := runner.RunStochastic(stream.Split(uint64(i)))
+	if prTrace {
+		if err := r.WriteTrace(stdout, w, s); err != nil {
+			return err
+		}
+	}
+	if svgGantt != "" {
+		err := writeFile(svgGantt, func(f io.Writer) error { return viz.RenderGanttSVG(f, w, s, r, "Gantt — "+w.Name) })
 		if err != nil {
 			return err
 		}
-		if i == 0 && *gantt {
-			if err := r.WriteGantt(stdout, w, s, 100); err != nil {
-				return err
-			}
-		}
-		if i == 0 && *prTrace {
-			if err := r.WriteTrace(stdout, w, s); err != nil {
-				return err
-			}
-		}
-		if i == 0 && *svgGantt != "" {
-			f, err := os.Create(*svgGantt)
-			if err != nil {
-				return err
-			}
-			if err := viz.RenderGanttSVG(f, w, s, r, "Gantt — "+w.Name); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "SVG gantt written to %s\n", *svgGantt)
-		}
-		if i == 0 && *chrome != "" {
-			f, err := os.Create(*chrome)
-			if err != nil {
-				return err
-			}
-			if err := r.WriteChromeTrace(f, w, s); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "chrome trace written to %s (load in chrome://tracing)\n", *chrome)
-		}
-		mk = append(mk, r.Makespan)
-		cost = append(cost, r.TotalCost)
-		objStats.Observe(obj, r)
+		fmt.Fprintf(stdout, "SVG gantt written to %s\n", svgGantt)
 	}
-	fmt.Fprintf(stdout, "workflow   %s, schedule with %d VMs, %d stochastic executions\n", w.Name, s.NumVMs(), *reps)
-	fmt.Fprintf(stdout, "budget     $%.4f\n", b)
-	fmt.Fprintf(stdout, "makespan   %s s\n", stats.Summarize(mk))
-	fmt.Fprintf(stdout, "cost       %s $\n", stats.Summarize(cost))
-	fmt.Fprintf(stdout, "valid      %.1f%% of executions within budget\n", 100*objStats.Frac(objStats.BudgetMet))
-	if *deadline > 0 {
-		fmt.Fprintf(stdout, "deadline   %.1f%% met the %.0f s deadline; %.1f%% met the full objective (Eq. 3)\n",
-			100*objStats.Frac(objStats.DeadlineMet), *deadline, 100*objStats.Frac(objStats.BothMet))
+	if chrome != "" {
+		if err := writeFile(chrome, func(f io.Writer) error { return r.WriteChromeTrace(f, w, s) }); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "chrome trace written to %s (load in chrome://tracing)\n", chrome)
 	}
-	return writeSpanTrace(stdout, tr, *traceTo)
+	return nil
+}
+
+// writeFile creates path and fills it with render, reporting the first
+// of the create, render and close errors.
+func writeFile(path string, render func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := render(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // writeSpanTrace closes the tracer and writes its span tree as Chrome
@@ -296,74 +315,10 @@ func writeSpanTrace(stdout io.Writer, tr *obs.Trace, path string) error {
 		return nil
 	}
 	tr.EndAll()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFile(path, tr.WriteChrome); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "span trace written to %s (load in chrome://tracing)\n", path)
-	return nil
-}
-
-// runFaulty replays the schedule reps times under fault injection and
-// reports robustness statistics. Budget-exhausted replications degrade
-// to partial results and lower the success rate; they are not errors.
-func runFaulty(stdout io.Writer, w *wf.Workflow, p *platform.Platform, s *plan.Schedule, spec *fault.Spec, budget float64, reps int, simSeed uint64, tr *obs.Trace) error {
-	stream := rng.New(simSeed)
-	var mk, cost []float64
-	var completed, inBudget int
-	var crashes, bootFails, taskFails, recov, vetoed int
-	var wasted float64
-	for i := 0; i < reps; i++ {
-		// Same weight streams as the fault-free path, so λ → 0
-		// reproduces the plain report.
-		weights := sim.SampleWeights(w, stream.Split(uint64(i)))
-		fs := *spec
-		fs.Seed = spec.Seed + uint64(i) // fresh fault trace per replication
-		var repSpan *obs.Span
-		if tr != nil {
-			repSpan = tr.Root().Child("replication")
-			repSpan.Set(obs.Int("rep", i))
-		}
-		r, err := online.ExecuteFaultySpan(w, p, s, weights, &fs, budget, repSpan)
-		repSpan.End()
-		if err != nil {
-			return err
-		}
-		cost = append(cost, r.TotalCost)
-		if r.Completed {
-			completed++
-			mk = append(mk, r.Makespan)
-		}
-		if budget <= 0 || r.TotalCost <= budget {
-			inBudget++
-		}
-		crashes += r.Crashes
-		bootFails += r.BootFailures
-		taskFails += r.TaskFailures
-		recov += r.Recoveries
-		vetoed += r.RecoveriesVetoed
-		wasted += r.WastedSeconds
-	}
-	n := float64(reps)
-	fmt.Fprintf(stdout, "workflow   %s, schedule with %d VMs, %d fault-injected executions\n", w.Name, s.NumVMs(), reps)
-	fmt.Fprintf(stdout, "budget     $%.4f\n", budget)
-	fmt.Fprintf(stdout, "faults     λ=%g/hour, boot-fail %.3f, task-fail %.3f, recovery %s\n",
-		spec.CrashRatePerHour[0], spec.BootFailProb, spec.TaskFailProb, spec.RecoveryPolicy().Kind)
-	fmt.Fprintf(stdout, "success    %.1f%% completed all tasks; %.1f%% within budget\n",
-		100*float64(completed)/n, 100*float64(inBudget)/n)
-	fmt.Fprintf(stdout, "makespan   %s s (completed runs)\n", stats.Summarize(mk))
-	fmt.Fprintf(stdout, "cost       %s $\n", stats.Summarize(cost))
-	fmt.Fprintf(stdout, "failures   %.2f crashes, %.2f boot failures, %.2f transient failures per run\n",
-		float64(crashes)/n, float64(bootFails)/n, float64(taskFails)/n)
-	fmt.Fprintf(stdout, "recovery   %.2f recoveries, %.2f vetoed by the budget guard, %.1f s wasted per run\n",
-		float64(recov)/n, float64(vetoed)/n, wasted/n)
 	return nil
 }
 

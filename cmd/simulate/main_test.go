@@ -1,9 +1,18 @@
 package main
 
 import (
+	"context"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
+
+	"budgetwf/internal/exp"
+	"budgetwf/internal/fault"
+	"budgetwf/internal/platform"
+	"budgetwf/internal/rng"
+	"budgetwf/internal/sched"
+	"budgetwf/internal/stats"
 )
 
 func TestRunPlansAndSimulates(t *testing.T) {
@@ -230,6 +239,27 @@ func TestRunFaultFlagErrors(t *testing.T) {
 	}
 }
 
+// TestRunRefusesNonPositiveReps: a replication count below 1 is an error
+// in every mode — naming the field, before anything is printed — where
+// the analytic and fault modes used to report NaN% and -0.00 per run.
+func TestRunRefusesNonPositiveReps(t *testing.T) {
+	for _, args := range [][]string{
+		{"-n", "20", "-reps", "0"},
+		{"-n", "20", "-reps", "0", "-estimator", "analytic"},
+		{"-n", "20", "-reps", "-3", "-fault-rate", "0.1"},
+		{"-n", "20", "-reps", "-3", "-fault-sweep", "0,0.1"},
+	} {
+		var out strings.Builder
+		err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), "replications") {
+			t.Errorf("args %v: error %v, want one naming replications", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("args %v: printed a report before refusing:\n%s", args, out.String())
+		}
+	}
+}
+
 func TestRunWritesSpanTrace(t *testing.T) {
 	path := t.TempDir() + "/spans.json"
 	var out strings.Builder
@@ -304,6 +334,55 @@ func TestRunAnalyticEstimatorFlagErrors(t *testing.T) {
 		var out strings.Builder
 		if err := run(args, &out); err == nil {
 			t.Errorf("%s: run succeeded, want an error", name)
+		}
+	}
+}
+
+// TestRunPrintsReplayBatch: in each mode the report's makespan and cost
+// lines are stats.Summarize of the exp.Batch the same Replay returns —
+// the CLI prints the one replication loop's tally, it does not keep one
+// of its own.
+func TestRunPrintsReplayBatch(t *testing.T) {
+	w, err := loadWorkflow("", "montage", 20, 0, exp.DefaultSigmaRatio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := platform.Default()
+	a, err := exp.ComputeAnchors(w, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := exp.DefaultBudgetFactor * a.CheapCost
+	s, err := sched.HeftBudg(w, p, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		args   []string
+		replay exp.Replay
+	}{
+		"mc":       {nil, exp.Replay{}},
+		"analytic": {[]string{"-estimator", "analytic"}, exp.Replay{Estimator: exp.EstimatorAnalytic}},
+		"faults": {[]string{"-fault-rate", "5", "-fault-seed", "3"},
+			exp.Replay{Faults: &fault.Spec{CrashRatePerHour: []float64{5}, Seed: 3, Recovery: "retry-same"}}},
+	} {
+		var out strings.Builder
+		if err := run(append([]string{"-type", "montage", "-n", "20", "-reps", "7", "-sim-seed", "5"}, tc.args...), &out); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		r := tc.replay
+		r.Workflow, r.Platform, r.Schedule, r.Budget, r.Reps, r.Weights = w, p, s, budget, 7, rng.New(5)
+		b, err := r.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, want := range []string{
+			fmt.Sprintf("makespan   %s s", stats.Summarize(b.Makespans)),
+			fmt.Sprintf("cost       %s $\n", stats.Summarize(b.Costs)),
+		} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("%s: report lacks %q:\n%s", name, want, out.String())
+			}
 		}
 	}
 }

@@ -8,6 +8,9 @@ import (
 	"testing"
 
 	"budgetwf"
+	"budgetwf/internal/exp"
+	"budgetwf/internal/rng"
+	"budgetwf/internal/stats"
 )
 
 const testDAX = `<adag name="pair">
@@ -256,5 +259,44 @@ func TestScheduleWithContextCancellation(t *testing.T) {
 	// An un-cancelled context schedules normally.
 	if _, err := budgetwf.ScheduleWithContext(context.Background(), "heftbudg", w, p, 1e6); err != nil {
 		t.Errorf("ScheduleWithContext with live context failed: %v", err)
+	}
+}
+
+// TestReplicateSummarizesReplayBatch: the facade's Replication is
+// stats.Summarize of the exp.Batch the same Replay returns — on the
+// paper's platform and on a revocable market, where the executions run
+// through the online executor under revocation seed seed + i.
+func TestReplicateSummarizesReplayBatch(t *testing.T) {
+	w, err := budgetwf.Generate(budgetwf.Montage, 20, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w = w.WithSigmaRatio(0.5)
+	const n, seed, budget = 9, 42, 0.012
+	for name, p := range map[string]*budgetwf.Platform{
+		"default":  budgetwf.DefaultPlatform(),
+		"spot 6/h": budgetwf.DefaultPlatform().WithSpotTwins(0.6, 6),
+	} {
+		s, err := budgetwf.HeftBudg(w, p, budget)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		b, err := exp.Replay{Workflow: w, Platform: p, Schedule: s, Budget: budget, Reps: n,
+			Weights: rng.New(seed), FaultSeed: seed}.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rep, err := budgetwf.ReplicateBudget(w, p, s, n, seed, budget)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := budgetwf.Replication{Makespan: stats.Summarize(b.Makespans), Cost: stats.Summarize(b.Costs),
+			ValidFrac: b.Frac(b.InBudget), Budget: budget}
+		if *rep != want {
+			t.Errorf("%s: ReplicateBudget = %+v, the batch summarizes to %+v", name, *rep, want)
+		}
+		if name != "default" && (b.Revocations == 0 || b.Completed == n) {
+			t.Errorf("%s: %d revocations, %d of %d executions completed: the case no longer exercises partial runs", name, b.Revocations, b.Completed, n)
+		}
 	}
 }

@@ -50,5 +50,5 @@ const (
 // degrades to a partial OnlineReport (Completed false, per-task
 // TaskStatus) — it is not an error.
 func ExecuteFaulty(w *Workflow, p *Platform, s *Schedule, seed uint64, spec *FaultSpec, budget float64) (*OnlineReport, error) {
-	return online.ExecuteFaulty(w, p, s, sim.SampleWeights(w, rng.New(seed)), spec, budget)
+	return online.ExecuteFaulty(w, p, s, sim.SampleWeights(w, rng.New(seed)), spec, budget, nil)
 }

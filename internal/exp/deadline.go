@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"budgetwf/internal/rng"
@@ -51,25 +52,21 @@ func DeadlineFrontier(cfg FigureConfig, typ wfgen.Type, alg sched.Name) (*Table,
 			if err != nil {
 				return nil, err
 			}
-			stream := rng.New(sc.Seed).Split(uint64(i)<<20 | uint64(b))
-			runner, err := sim.NewRunner(in.w, sc.Platform, s)
+			batch, err := Replay{
+				Workflow: in.w, Platform: sc.Platform, Schedule: s, Budget: budget, Reps: sc.Reps,
+				Weights: rng.New(sc.Seed).Split(uint64(i)<<20 | uint64(b)),
+			}.Run(context.Background())
 			if err != nil {
 				return nil, err
 			}
-			for rep := 0; rep < sc.Reps; rep++ {
-				mk, cost, err := runner.Score(runner.Sample(stream.Split(uint64(rep))))
+			total += batch.Reps
+			budgetMet += batch.InBudget
+			for di, df := range deadlineFactors {
+				st, err := batch.Objective(sim.Objective{Deadline: df * in.a.BaselineMakespan, Budget: budget})
 				if err != nil {
 					return nil, err
 				}
-				total++
-				if cost <= budget {
-					budgetMet++
-					for di, df := range deadlineFactors {
-						if mk <= df*in.a.BaselineMakespan {
-							met[di]++
-						}
-					}
-				}
+				met[di] += st.BothMet
 			}
 		}
 		row := []interface{}{string(typ), factors[b], budgetSum / float64(sc.Instances)}

@@ -28,13 +28,14 @@ import (
 
 // runCells evaluates kernel on cells [start, end) with at most workers
 // goroutines and returns the outcomes in cell order. Cancellation is
-// polled before each cell. The first failure stops the feed (cells
-// already handed out finish), and the error returned is that of the
-// lowest-numbered failed cell: cells are handed out in ascending order,
-// so every cell below a failed one has run, and the answer does not
-// depend on which goroutine lost the race. Kernels wrap their own
-// errors with the cell's coordinates; a context error is returned bare.
-func runCells[R any](ctx context.Context, workers, start, end int, kernel func(cell int) (R, error)) ([]R, error) {
+// polled before each cell and, by the kernel through the ctx it is
+// handed, before each replication. The first failure stops the feed
+// (cells already handed out finish), and the error returned is that of
+// the lowest-numbered failed cell: cells are handed out in ascending
+// order, so every cell below a failed one has run, and the answer does
+// not depend on which goroutine lost the race. Kernels wrap their errors
+// with the cell's coordinates; the driver's own context error is bare.
+func runCells[R any](ctx context.Context, workers, start, end int, kernel func(ctx context.Context, cell int) (R, error)) ([]R, error) {
 	out := make([]R, end-start)
 	var (
 		mu       sync.Mutex
@@ -55,7 +56,7 @@ func runCells[R any](ctx context.Context, workers, start, end int, kernel func(c
 			for c := range work {
 				err := ctx.Err()
 				if err == nil {
-					out[c-start], err = kernel(c)
+					out[c-start], err = kernel(ctx, c)
 				}
 				if err != nil {
 					mu.Lock()

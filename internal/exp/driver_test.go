@@ -60,7 +60,7 @@ func TestFailingCellStopsSweep(t *testing.T) {
 // pool, the error is always the lowest-numbered failed cell's; a
 // cancelled context surfaces as its own error.
 func TestRunCellsErrorPolicy(t *testing.T) {
-	kernel := func(c int) (int, error) {
+	kernel := func(_ context.Context, c int) (int, error) {
 		if c == 3 || c == 4 || c == 9 {
 			return 0, fmt.Errorf("cell %d", c)
 		}
@@ -79,7 +79,7 @@ func TestRunCellsErrorPolicy(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	_, err = runCells(ctx, 2, 0, 10, func(int) (int, error) { ran = true; return 0, nil })
+	_, err = runCells(ctx, 2, 0, 10, func(context.Context, int) (int, error) { ran = true; return 0, nil })
 	if !errors.Is(err, ctx.Err()) || ran {
 		t.Fatalf("cancelled run: err %v, kernel ran %v", err, ran)
 	}
@@ -90,7 +90,7 @@ func TestRunCellsErrorPolicy(t *testing.T) {
 // aggregate wrongly.
 func TestOrderUnits(t *testing.T) {
 	sweepUnit := func(c, reps int) SweepUnitResult {
-		return SweepUnitResult{Unit: c, Makespans: make([]float64, reps), Costs: make([]float64, reps)}
+		return SweepUnitResult{Unit: c, Batch: Batch{Reps: reps, Completed: reps, Makespans: make([]float64, reps), Costs: make([]float64, reps)}}
 	}
 	got, err := OrderUnits([]SweepUnitResult{sweepUnit(6, 2), sweepUnit(4, 2), sweepUnit(5, 2)}, 4, 7, 2)
 	if err != nil || got[0].Unit != 4 || got[1].Unit != 5 || got[2].Unit != 6 {
@@ -110,7 +110,7 @@ func TestOrderUnits(t *testing.T) {
 		}
 	}
 
-	ok := FaultUnitResult{Unit: 0, Reps: 3, Completed: 2, Makespans: make([]float64, 2), Costs: make([]float64, 3)}
+	ok := FaultUnitResult{Unit: 0, Batch: Batch{Reps: 3, Completed: 2, Makespans: make([]float64, 2), Costs: make([]float64, 3)}}
 	if _, err := OrderUnits([]FaultUnitResult{ok}, 0, 1, 3); err != nil {
 		t.Fatalf("consistent fault unit refused: %v", err)
 	}
@@ -138,7 +138,7 @@ func TestFaultAggregateIndexing(t *testing.T) {
 	for i := 0; i < instances; i++ {
 		for ri := 0; ri < rates; ri++ {
 			v := float64(10*ri + i)
-			units[i*rates+ri] = FaultUnitResult{Unit: i*rates + ri, Reps: 1, Completed: 1, Makespans: []float64{v}, Costs: []float64{v}, Crashes: ri}
+			units[i*rates+ri] = FaultUnitResult{Unit: i*rates + ri, Batch: Batch{Reps: 1, Completed: 1, Makespans: []float64{v}, Costs: []float64{v}, Crashes: ri}}
 		}
 	}
 	out := p.aggregate(units)

@@ -7,11 +7,9 @@ import (
 	"sort"
 
 	"budgetwf/internal/fault"
-	"budgetwf/internal/online"
 	"budgetwf/internal/plan"
 	"budgetwf/internal/rng"
 	"budgetwf/internal/sched"
-	"budgetwf/internal/sim"
 	"budgetwf/internal/stats"
 	"budgetwf/internal/wf"
 )
@@ -149,35 +147,15 @@ type FaultSweepResult struct {
 	Points []FaultPoint
 }
 
-// FaultUnitResult is the outcome of one fault-sweep unit — every
-// replication of one (instance, rate) cell: what the fault kernel
+// FaultUnitResult is the outcome of one fault-sweep unit — the tally of
+// every replication of one (instance, rate) cell: what the fault kernel
 // returns, what the aggregator folds, and the shard wire format.
 type FaultUnitResult struct {
-	Unit          int       `json:"unit"`
-	Makespans     []float64 `json:"makespans"` // completed runs only
-	Costs         []float64 `json:"costs"`     // all runs
-	Completed     int       `json:"completed"`
-	InBudget      int       `json:"inBudget"`
-	Reps          int       `json:"reps"`
-	Crashes       int       `json:"crashes"`
-	BootFailures  int       `json:"bootFailures"`
-	TaskFailures  int       `json:"taskFailures"`
-	Recoveries    int       `json:"recoveries"`
-	Vetoed        int       `json:"vetoed"`
-	WastedSeconds float64   `json:"wastedSeconds"`
+	Unit int `json:"unit"`
+	Batch
 }
 
 func (u FaultUnitResult) cell() int { return u.Unit }
-
-// check: every replication records a cost, only completed ones a
-// makespan, and the counts the rates divide by must agree with both.
-func (u FaultUnitResult) check(reps int) error {
-	if u.Reps != reps || len(u.Costs) != reps || len(u.Makespans) != u.Completed || u.Completed > reps {
-		return fmt.Errorf("reps %d, %d costs, completed %d, %d makespans for %d replications",
-			u.Reps, len(u.Costs), u.Completed, len(u.Makespans), reps)
-	}
-	return nil
-}
 
 // faultInst is one planned instance of a fault sweep.
 type faultInst struct {
@@ -298,34 +276,22 @@ func (p *faultPrep) aggregate(units []FaultUnitResult) *FaultSweepResult {
 	sc := p.sc
 	out := &FaultSweepResult{Scenario: sc, Budget: p.meanBudget}
 	for ri, lam := range sc.Rates {
-		var agg FaultUnitResult
+		var agg Batch
 		for i := 0; i < sc.Instances; i++ {
-			u := &units[i*len(sc.Rates)+ri]
-			agg.Makespans = append(agg.Makespans, u.Makespans...)
-			agg.Costs = append(agg.Costs, u.Costs...)
-			agg.Completed += u.Completed
-			agg.InBudget += u.InBudget
-			agg.Reps += u.Reps
-			agg.Crashes += u.Crashes
-			agg.BootFailures += u.BootFailures
-			agg.TaskFailures += u.TaskFailures
-			agg.Recoveries += u.Recoveries
-			agg.Vetoed += u.Vetoed
-			agg.WastedSeconds += u.WastedSeconds
+			agg.Add(units[i*len(sc.Rates)+ri].Batch)
 		}
-		n := float64(agg.Reps)
 		out.Points = append(out.Points, FaultPoint{
 			Rate:             lam,
-			SuccessRate:      float64(agg.Completed) / n,
-			WithinBudget:     float64(agg.InBudget) / n,
+			SuccessRate:      agg.Frac(agg.Completed),
+			WithinBudget:     agg.Frac(agg.InBudget),
 			Makespan:         stats.Summarize(agg.Makespans),
 			Cost:             stats.Summarize(agg.Costs),
-			Crashes:          float64(agg.Crashes) / n,
-			BootFailures:     float64(agg.BootFailures) / n,
-			TaskFailures:     float64(agg.TaskFailures) / n,
-			Recoveries:       float64(agg.Recoveries) / n,
-			RecoveriesVetoed: float64(agg.Vetoed) / n,
-			WastedSeconds:    agg.WastedSeconds / n,
+			Crashes:          agg.Frac(agg.Crashes),
+			BootFailures:     agg.Frac(agg.BootFailures),
+			TaskFailures:     agg.Frac(agg.TaskFailures),
+			Recoveries:       agg.Frac(agg.Recoveries),
+			RecoveriesVetoed: agg.Frac(agg.Vetoed),
+			WastedSeconds:    agg.WastedSeconds / float64(agg.Reps),
 		})
 	}
 	base := out.Points[0]
@@ -355,37 +321,20 @@ func planBudget(budget, cheapCost float64) float64 {
 // are split by index from a stream fixed per (instance), a cell
 // computed in isolation is bit-identical to the same cell inside a
 // full run (the sharding guarantee).
-func (p *faultPrep) runCell(ci int) (FaultUnitResult, error) {
+func (p *faultPrep) runCell(ctx context.Context, ci int) (FaultUnitResult, error) {
 	sc := p.sc
 	instance, lam := ci/len(sc.Rates), sc.Rates[ci%len(sc.Rates)]
 	inst := p.instances[instance]
-	res := FaultUnitResult{Unit: ci}
-	weightStream := rng.New(sc.Seed).Split(uint64(instance)<<32 | hashName("fault-weights"))
-	seedStream := rng.New(sc.Seed).Split(uint64(instance)<<32 | hashName("fault-trace"))
-	for rep := 0; rep < sc.Reps; rep++ {
-		weights := sim.SampleWeights(inst.w, weightStream.Split(uint64(rep)))
-		spec := sc.Spec
-		spec.CrashRatePerHour = []float64{lam} // broadcast over categories
-		spec.Seed = seedStream.Split(uint64(rep)).Uint64()
-		r, err := online.ExecuteFaulty(inst.w, sc.Platform, inst.s, weights, &spec, inst.budget)
-		if err != nil {
-			return res, fmt.Errorf("exp: instance %d rate %g rep %d: %w", instance, lam, rep, err)
-		}
-		res.Reps++
-		res.Costs = append(res.Costs, r.TotalCost)
-		if r.Completed {
-			res.Completed++
-			res.Makespans = append(res.Makespans, r.Makespan)
-		}
-		if inst.budget <= 0 || r.TotalCost <= inst.budget {
-			res.InBudget++
-		}
-		res.Crashes += r.Crashes
-		res.BootFailures += r.BootFailures
-		res.TaskFailures += r.TaskFailures
-		res.Recoveries += r.Recoveries
-		res.Vetoed += r.RecoveriesVetoed
-		res.WastedSeconds += r.WastedSeconds
+	spec := sc.Spec
+	spec.CrashRatePerHour = []float64{lam} // broadcast over categories
+	b, err := Replay{
+		Workflow: inst.w, Platform: sc.Platform, Schedule: inst.s,
+		Budget: inst.budget, Reps: sc.Reps, Faults: &spec,
+		Weights:    rng.New(sc.Seed).Split(uint64(instance)<<32 | hashName("fault-weights")),
+		FaultSeeds: rng.New(sc.Seed).Split(uint64(instance)<<32 | hashName("fault-trace")),
+	}.Run(ctx)
+	if err != nil {
+		return FaultUnitResult{}, fmt.Errorf("exp: instance %d rate %g: %w", instance, lam, err)
 	}
-	return res, nil
+	return FaultUnitResult{Unit: ci, Batch: b}, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"budgetwf/internal/rng"
 	"budgetwf/internal/sched"
-	"budgetwf/internal/sim"
 	"budgetwf/internal/stats"
 )
 
@@ -118,19 +117,6 @@ type SpotSweepResult struct {
 	Points []SpotPoint
 }
 
-// spotUnit is the outcome of one spot-sweep cell: every replication of
-// one instance under one market condition.
-type spotUnit struct {
-	makespans   []float64 // completed runs only
-	costs       []float64 // all runs
-	completed   int
-	inBudget    int
-	reps        int
-	spotVMs     int
-	revocations int
-	rework      float64
-}
-
 // spotPrep is the per-scenario state of a spot sweep: the normalized
 // scenario, its instances and the flattened market grid.
 type spotPrep struct {
@@ -173,7 +159,7 @@ func RunSpotSweepCtx(ctx context.Context, scIn SpotScenario) (*SpotSweepResult, 
 		}
 	}
 	out := &SpotSweepResult{Scenario: sc}
-	if err := p.baseline(out); err != nil {
+	if err := p.baseline(ctx, out); err != nil {
 		return nil, err
 	}
 	units, err := runCells(ctx, sc.Workers, 0, len(p.grid)*sc.Instances, p.runCell)
@@ -185,12 +171,11 @@ func RunSpotSweepCtx(ctx context.Context, scIn SpotScenario) (*SpotSweepResult, 
 }
 
 // baseline fills the on-demand reference: the base algorithm on the
-// unmodified platform, plain simulation (nothing can revoke), same
-// weight streams as the grid.
-func (p *spotPrep) baseline(out *SpotSweepResult) error {
+// unmodified platform (nothing can revoke), same weight streams as the
+// grid.
+func (p *spotPrep) baseline(ctx context.Context, out *SpotSweepResult) error {
 	sc := p.sc
-	var costs, mks []float64
-	inBudget := 0
+	var agg Batch
 	for i, inst := range p.insts {
 		budget := p.budget(i)
 		out.Budget += budget / float64(sc.Instances)
@@ -198,56 +183,40 @@ func (p *spotPrep) baseline(out *SpotSweepResult) error {
 		if err != nil {
 			return fmt.Errorf("exp: baseline planning instance %d: %w", i, err)
 		}
-		runner, err := sim.NewRunner(inst.w, sc.Platform, s)
+		b, err := Replay{
+			Workflow: inst.w, Platform: sc.Platform, Schedule: s,
+			Budget: budget, Reps: sc.Reps, Weights: spotWeightStream(sc.Seed, i),
+		}.Run(ctx)
 		if err != nil {
 			return err
 		}
-		weightStream := spotWeightStream(sc.Seed, i)
-		for rep := 0; rep < sc.Reps; rep++ {
-			mk, cost, err := runner.Score(runner.Sample(weightStream.Split(uint64(rep))))
-			if err != nil {
-				return err
-			}
-			costs = append(costs, cost)
-			mks = append(mks, mk)
-			if cost <= budget {
-				inBudget++
-			}
-		}
+		agg.Add(b)
 	}
-	out.BaselineCost = stats.Summarize(costs)
-	out.BaselineMakespan = stats.Summarize(mks)
-	out.BaselineWithinBudget = float64(inBudget) / float64(len(costs))
+	out.BaselineCost = stats.Summarize(agg.Costs)
+	out.BaselineMakespan = stats.Summarize(agg.Makespans)
+	out.BaselineWithinBudget = agg.Frac(agg.InBudget)
 	return nil
 }
 
 // aggregate folds the full grid's units into one point per market
 // condition, reading each condition's cells by index in instance order.
-func (p *spotPrep) aggregate(out *SpotSweepResult, units []spotUnit) {
+func (p *spotPrep) aggregate(out *SpotSweepResult, units []Batch) {
 	instances := p.sc.Instances
 	for pi, g := range p.grid {
-		var agg spotUnit
+		var agg Batch
 		for _, u := range units[pi*instances : (pi+1)*instances] {
-			agg.makespans = append(agg.makespans, u.makespans...)
-			agg.costs = append(agg.costs, u.costs...)
-			agg.completed += u.completed
-			agg.inBudget += u.inBudget
-			agg.reps += u.reps
-			agg.spotVMs += u.spotVMs
-			agg.revocations += u.revocations
-			agg.rework += u.rework
+			agg.Add(u)
 		}
-		n := float64(agg.reps)
 		pt := SpotPoint{
 			Discount:     g[0],
 			Rate:         g[1],
-			SuccessRate:  float64(agg.completed) / n,
-			WithinBudget: float64(agg.inBudget) / n,
-			Makespan:     stats.Summarize(agg.makespans),
-			Cost:         stats.Summarize(agg.costs),
-			SpotVMs:      float64(agg.spotVMs) / n,
-			Revocations:  float64(agg.revocations) / n,
-			ReworkCost:   agg.rework / n,
+			SuccessRate:  agg.Frac(agg.Completed),
+			WithinBudget: agg.Frac(agg.InBudget),
+			Makespan:     stats.Summarize(agg.Makespans),
+			Cost:         stats.Summarize(agg.Costs),
+			SpotVMs:      agg.Frac(agg.SpotVMs),
+			Revocations:  agg.Frac(agg.Revocations),
+			ReworkCost:   agg.ReworkCost / float64(agg.Reps),
 		}
 		if out.BaselineCost.Mean > 0 {
 			pt.CostSaving = 1 - pt.Cost.Mean/out.BaselineCost.Mean
@@ -257,13 +226,13 @@ func (p *spotPrep) aggregate(out *SpotSweepResult, units []spotUnit) {
 }
 
 // runCell is the spot kernel: it plans one instance under one market
-// condition and replays every replication.
-func (p *spotPrep) runCell(ci int) (spotUnit, error) {
+// condition and replays the plan, the budget guard set to the instance
+// budget. A cell's outcome is the Batch of its replications.
+func (p *spotPrep) runCell(ctx context.Context, ci int) (Batch, error) {
 	sc := p.sc
 	g, instance := p.grid[ci/sc.Instances], ci%sc.Instances
-	var res spotUnit
-	fail := func(err error) (spotUnit, error) {
-		return res, fmt.Errorf("exp: spot condition (d=%g, λ=%g) instance %d: %w", g[0], g[1], instance, err)
+	fail := func(err error) (Batch, error) {
+		return Batch{}, fmt.Errorf("exp: spot condition (d=%g, λ=%g) instance %d: %w", g[0], g[1], instance, err)
 	}
 	w, budget := p.insts[instance].w, p.budget(instance)
 	twins := sc.Platform.WithSpotTwins(g[0], g[1])
@@ -271,28 +240,15 @@ func (p *spotPrep) runCell(ci int) (spotUnit, error) {
 	if err != nil {
 		return fail(err)
 	}
-	weightStream := spotWeightStream(sc.Seed, instance)
-	seedStream := rng.New(sc.Seed).Split(uint64(instance)<<32 | hashName("spot-trace"))
-	for rep := 0; rep < sc.Reps; rep++ {
-		weights := sim.SampleWeights(w, weightStream.Split(uint64(rep)))
-		r, err := replaySpot(w, twins, s, weights, seedStream.Split(uint64(rep)).Uint64(), budget)
-		if err != nil {
-			return fail(err)
-		}
-		res.reps++
-		res.costs = append(res.costs, r.TotalCost)
-		if r.Completed {
-			res.completed++
-			res.makespans = append(res.makespans, r.Makespan)
-		}
-		if r.TotalCost <= budget {
-			res.inBudget++
-		}
-		res.spotVMs += r.SpotVMs
-		res.revocations += r.Revocations
-		res.rework += r.SpotReworkCost
+	b, err := Replay{
+		Workflow: w, Platform: twins, Schedule: s, Budget: budget, Reps: sc.Reps,
+		Weights:    spotWeightStream(sc.Seed, instance),
+		FaultSeeds: rng.New(sc.Seed).Split(uint64(instance)<<32 | hashName("spot-trace")),
+	}.Run(ctx)
+	if err != nil {
+		return fail(err)
 	}
-	return res, nil
+	return b, nil
 }
 
 // spotWeightStream derives the weight stream of one instance: a pure

@@ -2,10 +2,12 @@ package exp
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"budgetwf/internal/market"
 	"budgetwf/internal/platform"
 	"budgetwf/internal/sched"
 	"budgetwf/internal/sim"
@@ -227,5 +229,61 @@ func TestShardMergeSpotPlatform(t *testing.T) {
 	}
 	if !reflect.DeepEqual(stripTiming(mono), stripTiming(merged)) {
 		t.Fatal("sharded spot sweep diverges from monolithic run")
+	}
+}
+
+// TestSweepSpotMakespanCompletedOnly: on a revocable market platform a
+// budget too tight to pay for the rework cuts some executions short,
+// and the horizon of such a partial run is not a makespan —
+// Point.Makespan summarises the completed executions only, as
+// FaultPoint, SpotPoint and /v1/simulate do; Cost still counts them all.
+func TestSweepSpotMakespanCompletedOnly(t *testing.T) {
+	t.Parallel()
+	spec, err := market.ParseSpecBytes([]byte(`{
+	  "providers": [
+	    {"name": "alpha", "categories": [
+	      {"name": "small", "speed": 1e9, "costPerSec": 6.444e-6, "initCost": 0.0001,
+	       "spot": {"discount": 0.6, "revocationsPerHour": 6}},
+	      {"name": "large", "speed": 4e9, "costPerSec": 5.155e-5, "initCost": 0.0001}
+	    ]},
+	    {"name": "beta", "categories": [
+	      {"name": "std", "speed": 2e9, "costPerSec": 1.823e-5, "initCost": 0.0001}
+	    ]}
+	  ],
+	  "transfer": [[{}, {"costPerGB": 0.02, "latencySec": 0.5}],
+	               [{"costPerGB": 0.02, "latencySec": 0.5}, {}]]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := spec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg, err := sched.ByName(sched.NameHeftBudg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := Scenario{Type: wfgen.Montage, N: 20, Platform: p, Instances: 2, Reps: 8, Workers: 2, Seed: 5}
+	res, err := RunSweep(sc, []sched.Algorithm{alg}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	execs := sc.Instances * sc.Reps
+	partial := false
+	for _, pt := range res.Series[0].Points {
+		completed := int(math.Round(pt.SuccessFrac * float64(execs)))
+		if completed < execs {
+			partial = true
+		}
+		if pt.Makespan.N != completed {
+			t.Errorf("β=%.2f: makespan summarises %d executions, %d of %d completed", pt.Factor, pt.Makespan.N, completed, execs)
+		}
+		if pt.Cost.N != execs {
+			t.Errorf("β=%.2f: cost summarises %d executions, want all %d", pt.Factor, pt.Cost.N, execs)
+		}
+	}
+	if !partial {
+		t.Fatal("every execution completed: the scenario no longer exercises partial runs")
 	}
 }

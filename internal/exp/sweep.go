@@ -7,14 +7,10 @@ import (
 	"time"
 
 	"budgetwf/internal/est"
-	"budgetwf/internal/market"
-	"budgetwf/internal/online"
-	"budgetwf/internal/plan"
 	"budgetwf/internal/platform"
 	"budgetwf/internal/reqerr"
 	"budgetwf/internal/rng"
 	"budgetwf/internal/sched"
-	"budgetwf/internal/sim"
 	"budgetwf/internal/stats"
 	"budgetwf/internal/wf"
 	"budgetwf/internal/wfgen"
@@ -156,7 +152,11 @@ type Point struct {
 	// Budget is the mean actual budget across instances (the x-axis
 	// value when plotting in dollars, as the paper does).
 	Budget float64
-	// Makespan, Cost and NumVMs summarize the realized executions.
+	// Makespan summarizes the executions that completed every task — all
+	// of them on a revocation-free platform; on a spot platform a run the
+	// budget guard cut short has a horizon, not a makespan, and counts
+	// only against SuccessFrac. Cost summarizes every execution, complete
+	// or not; NumVMs the planned VM count, one observation per instance.
 	Makespan stats.Summary
 	Cost     stats.Summary
 	NumVMs   stats.Summary
@@ -195,52 +195,23 @@ type SweepResult struct {
 	// BaselineMakespan is the mean budget-blind HEFT makespan.
 	BaselineMakespan float64
 	Series           []Series
+	// Tally is every cell's Batch folded together, counters only (the
+	// observations are in the Points): the daemon's process counters add it.
+	Tally Batch
 }
 
 // SweepUnitResult is the outcome of one sweep unit — one (algorithm,
-// instance, budget) cell: the raw per-replication observations plus the
-// per-cell plan facts. It is what the sweep kernel returns, what the
-// aggregator folds, and the shard wire format (JSON round-trips float64
-// exactly, so transport cannot perturb the merge).
+// instance, budget) cell: the per-cell plan facts plus the tally of its
+// replications. It is what the sweep kernel returns, what the
+// aggregator folds, and the shard wire format.
 type SweepUnitResult struct {
-	Unit        int       `json:"unit"`
-	Makespans   []float64 `json:"makespans"`
-	Costs       []float64 `json:"costs"`
-	NumVMs      float64   `json:"numVMs"`
-	Valid       int       `json:"valid"`
-	PlanSeconds float64   `json:"planSeconds"`
-	// Completed counts executions that finished every task (== the rep
-	// count except on spot platforms); the spot counters sum the
-	// per-execution revocation outcome over the cell's replications on
-	// market platforms, omitted from revocation-free payloads.
-	Completed   int     `json:"completed,omitempty"`
-	SpotVMs     int     `json:"spotVMs,omitempty"`
-	Revocations int     `json:"revocations,omitempty"`
-	ReworkCost  float64 `json:"reworkCost,omitempty"`
+	Unit        int     `json:"unit"`
+	NumVMs      float64 `json:"numVMs"`
+	PlanSeconds float64 `json:"planSeconds"`
+	Batch
 }
 
 func (u SweepUnitResult) cell() int { return u.Unit }
-
-// record adds one replication's outcome.
-func (u *SweepUnitResult) record(makespan, cost, budget float64, completed bool) {
-	u.Makespans = append(u.Makespans, makespan)
-	u.Costs = append(u.Costs, cost)
-	if cost <= budget {
-		u.Valid++
-	}
-	if completed {
-		u.Completed++
-	}
-}
-
-// check: every replication of a sweep cell, completed or not, records a
-// makespan and a cost.
-func (u SweepUnitResult) check(reps int) error {
-	if len(u.Makespans) != reps || len(u.Costs) != reps {
-		return fmt.Errorf("%d makespans and %d costs for %d replications", len(u.Makespans), len(u.Costs), reps)
-	}
-	return nil
-}
 
 // instance is one materialized workflow of a scenario with its budget
 // anchors.
@@ -348,7 +319,7 @@ func RunSweepCtx(ctx context.Context, sc Scenario, algs []sched.Algorithm, gridK
 	if err != nil {
 		return nil, err
 	}
-	units, err := p.runUnits(ctx, 0, p.cells())
+	units, err := runCells(ctx, p.sc.Workers, 0, p.cells(), p.runCell)
 	if err != nil {
 		return nil, err
 	}
@@ -364,7 +335,10 @@ func RunSweepUnitsCtx(ctx context.Context, sc Scenario, algs []sched.Algorithm, 
 	if err != nil {
 		return nil, err
 	}
-	return p.runUnits(ctx, start, end)
+	if err := checkRange(start, end, p.cells()); err != nil {
+		return nil, err
+	}
+	return runCells(ctx, p.sc.Workers, start, end, p.runCell)
 }
 
 // MergeSweepUnits reassembles unit outcomes — arriving in any order,
@@ -384,23 +358,6 @@ func MergeSweepUnits(sc Scenario, algs []sched.Algorithm, gridK int, units []Swe
 	return p.aggregate(ordered), nil
 }
 
-// runUnits drives the sweep kernel over cells [start, end), naming the
-// cell in any error.
-func (p *sweepPrep) runUnits(ctx context.Context, start, end int) ([]SweepUnitResult, error) {
-	if err := checkRange(start, end, p.cells()); err != nil {
-		return nil, err
-	}
-	return runCells(ctx, p.sc.Workers, start, end, func(ci int) (SweepUnitResult, error) {
-		alg, i, b := p.algs[ci/(p.sc.Instances*p.gridK)], ci/p.gridK%p.sc.Instances, ci%p.gridK
-		u, err := p.runCell(alg, i, b)
-		if err != nil {
-			return u, fmt.Errorf("exp: %s instance %d budget %d: %w", alg.Name, i, b, err)
-		}
-		u.Unit = ci
-		return u, nil
-	})
-}
-
 // cellIndex locates the (algorithm, instance, budget) cell in the
 // enumeration order.
 func cellIndex(ai, i, b, instances, gridK int) int {
@@ -409,10 +366,8 @@ func cellIndex(ai, i, b, instances, gridK int) int {
 
 // aggregate folds the full grid's units, in enumeration order, into
 // per-(algorithm, budget) Points. Cells are addressed by cellIndex, so
-// the whole aggregation is O(cells); a previous version rescanned the
-// full results slice for every (algorithm × instance × budget) triple,
-// which made large sweeps quadratic in the number of cells
-// (TestAggregateCellsLinearInCells pins the fix).
+// the whole aggregation is O(cells), not a rescan of the units per point
+// (TestAggregateCellsLinearInCells).
 func (p *sweepPrep) aggregate(units []SweepUnitResult) *SweepResult {
 	instances := p.sc.Instances
 	out := &SweepResult{Scenario: p.sc}
@@ -424,40 +379,32 @@ func (p *sweepPrep) aggregate(units []SweepUnitResult) *SweepResult {
 	for ai, alg := range p.algs {
 		series := Series{Algorithm: alg.Name}
 		for b := 0; b < p.gridK; b++ {
-			var mk, cost, vms, planT []float64
-			valid, total, completed := 0, 0, 0
-			spotVMs, revocations := 0, 0
-			rework := 0.0
+			var agg Batch
+			var vms, planT []float64
 			budgetSum := 0.0
 			for i := 0; i < instances; i++ {
 				u := &units[cellIndex(ai, i, b, instances, p.gridK)]
-				mk = append(mk, u.Makespans...)
-				cost = append(cost, u.Costs...)
+				agg.Add(u.Batch)
 				vms = append(vms, u.NumVMs)
 				planT = append(planT, u.PlanSeconds)
-				valid += u.Valid
-				completed += u.Completed
-				spotVMs += u.SpotVMs
-				revocations += u.Revocations
-				rework += u.ReworkCost
-				total += len(u.Makespans)
 				budgetSum += p.common[b] * p.insts[i].a.CheapCost
 			}
 			pt := Point{
 				Factor:   p.common[b],
 				Budget:   budgetSum / float64(instances),
-				Makespan: stats.Summarize(mk),
-				Cost:     stats.Summarize(cost),
+				Makespan: stats.Summarize(agg.Makespans),
+				Cost:     stats.Summarize(agg.Costs),
 				NumVMs:   stats.Summarize(vms),
 				PlanTime: stats.Summarize(planT),
+
+				ValidFrac:   agg.Frac(agg.InBudget),
+				SuccessFrac: agg.Frac(agg.Completed),
+				SpotVMs:     agg.Frac(agg.SpotVMs),
+				Revocations: agg.Frac(agg.Revocations),
+				ReworkCost:  agg.ReworkCost / float64(agg.Reps),
 			}
-			if total > 0 {
-				pt.ValidFrac = float64(valid) / float64(total)
-				pt.SuccessFrac = float64(completed) / float64(total)
-				pt.SpotVMs = float64(spotVMs) / float64(total)
-				pt.Revocations = float64(revocations) / float64(total)
-				pt.ReworkCost = rework / float64(total)
-			}
+			agg.Makespans, agg.Costs = nil, nil
+			out.Tally.Add(agg)
 			series.Points = append(series.Points, pt)
 		}
 		out.Series = append(out.Series, series)
@@ -465,94 +412,44 @@ func (p *sweepPrep) aggregate(units []SweepUnitResult) *SweepResult {
 	return out
 }
 
-// replaySpot executes one replication on a platform with spot
-// categories through the online executor — plain simulation cannot
-// revoke a VM. seed drives the revocation trace; categories with zero
-// hazard are discounted but never revoked, which needs no fault spec.
-func replaySpot(w *wf.Workflow, p *platform.Platform, s *plan.Schedule, weights []float64, seed uint64, budget float64) (*online.Report, error) {
-	if spec := market.RevocationSpec(p, seed); spec != nil {
-		return online.ExecuteFaulty(w, p, s, weights, spec, budget)
-	}
-	return online.Execute(w, p, s, weights, online.Policy{Budget: budget})
-}
-
 // runCell is the sweep kernel: it plans one instance at one budget and
-// replays every replication with stochastic weights. Each replication's
+// replays the plan, naming the cell in any error. Each replication's
 // weight stream is derived solely from the scenario seed and the
 // (instance, budget, algorithm, rep) coordinates — never from which
 // worker or process computes it.
-func (p *sweepPrep) runCell(alg sched.Algorithm, inst, budgetIx int) (SweepUnitResult, error) {
+func (p *sweepPrep) runCell(ctx context.Context, ci int) (SweepUnitResult, error) {
 	sc := p.sc
-	var res SweepUnitResult
+	alg, inst, budgetIx := p.algs[ci/(sc.Instances*p.gridK)], ci/p.gridK%sc.Instances, ci%p.gridK
+	fail := func(err error) (SweepUnitResult, error) {
+		return SweepUnitResult{}, fmt.Errorf("exp: %s instance %d budget %d: %w", alg.Name, inst, budgetIx, err)
+	}
 	w := p.insts[inst].w
 	budget := p.common[budgetIx] * p.insts[inst].a.CheapCost
 
 	start := time.Now()
 	s, err := alg.Plan(w, sc.Platform, budget)
-	res.PlanSeconds = time.Since(start).Seconds()
+	planSeconds := time.Since(start).Seconds()
 	if err != nil {
-		return res, err
+		return fail(err)
 	}
-	res.NumVMs = float64(s.NumVMs())
-	res.Makespans = make([]float64, 0, sc.Reps)
-	res.Costs = make([]float64, 0, sc.Reps)
-	simP := sc.simPlatform()
-
-	if sc.Estimator == EstimatorAnalytic {
-		// One closed-form propagation per cell instead of Reps simulated
-		// executions. Pseudo-samples are the estimate's quantiles at the
-		// rep midpoints (rep + ½)/Reps — a deterministic function of the
-		// cell coordinates alone, the same contract the MC path gets from
-		// its split RNG streams.
-		e, err := est.Compute(w, simP, s)
-		if err != nil {
-			return res, err
-		}
-		for rep := 0; rep < sc.Reps; rep++ {
-			q := (float64(rep) + 0.5) / float64(sc.Reps)
-			res.record(e.MakespanQuantile(q), e.CostQuantile(q), budget, true)
-		}
-		return res, nil
-	}
-
-	// One decorrelated stream per cell, stable across worker
-	// interleavings: derived from scenario seed, instance, budget
-	// index and algorithm name.
-	stream := rng.New(sc.Seed).Split(uint64(inst)<<32 | uint64(budgetIx)<<16 | hashName(string(alg.Name)))
-
-	if simP.HasSpot() {
-		// Weights reuse the cell stream's derivation, and revocation-trace
-		// seeds come from a stream that involves neither the discount nor
-		// the hazard rate, so a discount×rate grid over the same scenario
-		// seed is a paired comparison (common random numbers), mirroring
-		// faultsweep.go.
-		seedStream := rng.New(sc.Seed).Split(uint64(inst)<<32 | uint64(budgetIx)<<16 | hashName("spot-trace"))
-		for rep := 0; rep < sc.Reps; rep++ {
-			weights := sim.SampleWeights(w, stream.Split(uint64(rep)))
-			r, err := replaySpot(w, simP, s, weights, seedStream.Split(uint64(rep)).Uint64(), budget)
-			if err != nil {
-				return res, err
-			}
-			res.record(r.Makespan, r.TotalCost, budget, r.Completed)
-			res.SpotVMs += r.SpotVMs
-			res.Revocations += r.Revocations
-			res.ReworkCost += r.SpotReworkCost
-		}
-		return res, nil
-	}
-
-	runner, err := sim.NewRunner(w, simP, s)
+	cell := uint64(inst)<<32 | uint64(budgetIx)<<16
+	b, err := Replay{
+		Workflow: w, Platform: sc.simPlatform(), Schedule: s,
+		Budget: budget, Reps: sc.Reps, Estimator: sc.Estimator,
+		// One decorrelated stream per cell, stable across worker
+		// interleavings: derived from scenario seed, instance, budget
+		// index and algorithm name.
+		Weights: rng.New(sc.Seed).Split(cell | hashName(string(alg.Name))),
+		// On a spot platform the revocation-trace seeds involve neither
+		// the discount nor the hazard rate, so a discount×rate grid over
+		// the same scenario seed is a paired comparison (common random
+		// numbers), mirroring faultsweep.go.
+		FaultSeeds: rng.New(sc.Seed).Split(cell | hashName("spot-trace")),
+	}.Run(ctx)
 	if err != nil {
-		return res, err
+		return fail(err)
 	}
-	for rep := 0; rep < sc.Reps; rep++ {
-		mk, cost, err := runner.Score(runner.Sample(stream.Split(uint64(rep))))
-		if err != nil {
-			return res, err
-		}
-		res.record(mk, cost, budget, true)
-	}
-	return res, nil
+	return SweepUnitResult{Unit: ci, NumVMs: float64(s.NumVMs()), PlanSeconds: planSeconds, Batch: b}, nil
 }
 
 func hashName(s string) uint64 {

@@ -37,11 +37,15 @@ func syntheticSweepInputs(numAlgs, instances, gridK int) (*sweepPrep, []SweepUni
 				ci := cellIndex(ai, i, b, instances, gridK)
 				units[ci] = SweepUnitResult{
 					Unit:        ci,
-					Makespans:   []float64{base, base + 2},
-					Costs:       []float64{base, base + 1},
 					NumVMs:      float64(ai + 1),
-					Valid:       1,
 					PlanSeconds: 0.5,
+					Batch: Batch{
+						Makespans: []float64{base, base + 2},
+						Costs:     []float64{base, base + 1},
+						Reps:      2,
+						Completed: 2,
+						InBudget:  1,
+					},
 				}
 			}
 		}

@@ -375,46 +375,34 @@ func stableSortByCost(cats []platform.Category) {
 	}
 }
 
-// RevocationSpec derives the fault.Spec driving a platform's spot
-// revocation process: a per-category crash process whose rate is
-// nonzero exactly on the spot categories. Nil when the platform has
-// no revocation hazard. The executor then samples revocation times
-// from CRN streams split per VM provisioning index, exactly like
-// crashes — paired sweeps across discount or rate axes stay
-// variance-reduced.
-func RevocationSpec(p *platform.Platform, seed uint64) *fault.Spec {
-	rates := p.RevocationRates()
-	if rates == nil {
-		return nil
-	}
-	return &fault.Spec{CrashRatePerHour: rates, Seed: seed}
-}
-
-// MergeRevocations folds the platform's revocation process into a
-// user fault spec: per-category crash rates add elementwise (the two
-// exponential processes superpose), every other field keeps the
-// user's value. Either argument may be nil; the result is nil only
+// MergeRevocations folds the platform's spot revocation process into a
+// user fault spec. The process is a per-category crash process whose
+// rate is nonzero exactly on the spot categories, seeded seed; the
+// executor samples revocation times from CRN streams split per VM
+// provisioning index, exactly like crashes, so paired sweeps across
+// discount or rate axes stay variance-reduced. Per-category crash rates
+// add elementwise (the two exponential processes superpose), every
+// other field keeps the user's value. Either side may be absent — a nil
+// user, a platform without revocation hazard; the result is nil only
 // when both are.
 func MergeRevocations(user *fault.Spec, p *platform.Platform, seed uint64) *fault.Spec {
-	rev := RevocationSpec(p, seed)
-	if user == nil {
-		return rev
-	}
+	rev := p.RevocationRates()
 	if rev == nil {
 		return user
 	}
+	if user == nil {
+		return &fault.Spec{CrashRatePerHour: rev, Seed: seed}
+	}
 	merged := *user
-	rates := make([]float64, len(rev.CrashRatePerHour))
-	for i := range rates {
-		rates[i] = rev.CrashRatePerHour[i]
+	for i := range rev {
 		switch {
 		case len(user.CrashRatePerHour) == 1:
-			rates[i] += user.CrashRatePerHour[0]
+			rev[i] += user.CrashRatePerHour[0]
 		case i < len(user.CrashRatePerHour):
-			rates[i] += user.CrashRatePerHour[i]
+			rev[i] += user.CrashRatePerHour[i]
 		}
 	}
-	merged.CrashRatePerHour = rates
+	merged.CrashRatePerHour = rev
 	return &merged
 }
 

@@ -192,15 +192,10 @@ func ExecuteStochastic(w *wf.Workflow, p *platform.Platform, s *plan.Schedule, r
 // ExecuteFaulty validates a fault spec against the platform and runs
 // one execution under it with the budget guard set to budget (0 lifts
 // the guard). Budget-exhausted recoveries degrade the run to a partial
-// Report — they are not errors.
-func ExecuteFaulty(w *wf.Workflow, p *platform.Platform, s *plan.Schedule, weights []float64, spec *fault.Spec, budget float64) (*Report, error) {
-	return ExecuteFaultySpan(w, p, s, weights, spec, budget, nil)
-}
-
-// ExecuteFaultySpan is ExecuteFaulty with a tracing span attached:
-// the execution's fault-lifecycle events land on span (see
-// Policy.Span). A nil span is exactly ExecuteFaulty.
-func ExecuteFaultySpan(w *wf.Workflow, p *platform.Platform, s *plan.Schedule, weights []float64, spec *fault.Spec, budget float64, span *obs.Span) (*Report, error) {
+// Report — they are not errors. A nil spec injects nothing. The
+// execution's fault-lifecycle events land on span (see Policy.Span);
+// nil means no tracing.
+func ExecuteFaulty(w *wf.Workflow, p *platform.Platform, s *plan.Schedule, weights []float64, spec *fault.Spec, budget float64, span *obs.Span) (*Report, error) {
 	if err := spec.Validate(p.NumCategories()); err != nil {
 		return nil, err
 	}

@@ -114,14 +114,14 @@ func TestCheckpointRestoreTraced(t *testing.T) {
 		got[0].Attrs["policy"] != fault.ResubmitFastest.String() {
 		t.Errorf("recovery events = %v", got)
 	}
-	// ExecuteFaultySpan wires the same plumbing through the public API.
+	// ExecuteFaulty wires the same plumbing through the public API.
 	tr2 := obs.New("exec2")
 	spec := &fault.Spec{}
-	if _, err := ExecuteFaultySpan(w, p, s, []float64{100, 100}, spec, 0, tr2.Root()); err != nil {
-		t.Fatalf("ExecuteFaultySpan: %v", err)
+	if _, err := ExecuteFaulty(w, p, s, []float64{100, 100}, spec, 0, tr2.Root()); err != nil {
+		t.Fatalf("ExecuteFaulty: %v", err)
 	}
 	tr2.EndAll()
 	if tr2.Tree().Root.Attrs["completed"] != true {
-		t.Errorf("ExecuteFaultySpan summary missing: %v", tr2.Tree().Root.Attrs)
+		t.Errorf("ExecuteFaulty summary missing: %v", tr2.Tree().Root.Attrs)
 	}
 }

@@ -107,16 +107,12 @@ func (p *Platform) MaxRevocationRate() float64 {
 // the revocation process reuses the fault injector's CRN trace
 // splitting and paired sweeps stay variance-reduced.
 func (p *Platform) RevocationRates() []float64 {
-	any := false
+	if p.MaxRevocationRate() == 0 {
+		return nil // asked once per replayed cell: nothing to allocate
+	}
 	rates := make([]float64, len(p.Categories))
 	for i, c := range p.Categories {
 		rates[i] = c.RevocationRatePerHour
-		if c.RevocationRatePerHour > 0 {
-			any = true
-		}
-	}
-	if !any {
-		return nil
 	}
 	return rates
 }

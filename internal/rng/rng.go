@@ -37,6 +37,14 @@ func splitmix64(state *uint64) uint64 {
 // generators with the same seed produce identical streams.
 func New(seed uint64) *RNG {
 	r := &RNG{}
+	r.seed(seed)
+	return r
+}
+
+// seed is New's work, out of line so that New and Split are small enough
+// to inline: a generator that does not outlive its caller — one Split per
+// replication of a Monte Carlo loop — then lives on the caller's stack.
+func (r *RNG) seed(seed uint64) {
 	sm := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&sm)
@@ -46,7 +54,6 @@ func New(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 1
 	}
-	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
@@ -139,9 +146,16 @@ func (r *RNG) ExpFloat64() float64 {
 // time of the call and of the label, so sibling streams obtained with
 // distinct labels are decorrelated and reproducible.
 func (r *RNG) Split(label uint64) *RNG {
-	// Mix the current state with the label through splitmix64.
-	seed := r.s[0] ^ rotl(r.s[1], 13) ^ rotl(r.s[2], 29) ^ rotl(r.s[3], 43) ^ (label * 0x9e3779b97f4a7c15)
-	return New(seed)
+	child := &RNG{}
+	child.seedFrom(r, label)
+	return child
+}
+
+// seedFrom is Split's work, out of line for the same reason as seed.
+func (r *RNG) seedFrom(parent *RNG, label uint64) {
+	// Mix the parent's state with the label through splitmix64.
+	p := &parent.s
+	r.seed(p[0] ^ rotl(p[1], 13) ^ rotl(p[2], 29) ^ rotl(p[3], 43) ^ (label * 0x9e3779b97f4a7c15))
 }
 
 // Shuffle pseudo-randomly permutes indices [0, n) using swap.

@@ -1,12 +1,18 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"budgetwf/internal/exp"
+	"budgetwf/internal/fault"
+	"budgetwf/internal/rng"
+	"budgetwf/internal/stats"
 )
 
 // plannedPair schedules a workflow and returns (workflow JSON,
@@ -194,5 +200,90 @@ func TestSimulateTimeoutMillis(t *testing.T) {
 	code, data, _ := post(t, ts, "/v1/simulate", body)
 	if code != http.StatusGatewayTimeout {
 		t.Errorf("timeoutMillis=0.001 with 10000 reps = %d, want 504 (body %s)", code, data)
+	}
+}
+
+// TestSimulateRendersReplayBatch: in every mode the response is a
+// rendering of the exp.Batch the same Replay returns — its summaries
+// are stats.Summarize of the batch's observations, its per-run means the
+// batch's counters over its executions — and the spot section appears
+// exactly where something can take a spot VM away.
+func TestSimulateRendersReplayBatch(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	wfJSON := workflowJSON(t, 20, 3)
+	wfl, err := parseWorkflow(wfJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashes := &fault.Spec{CrashRatePerHour: []float64{5}, BootFailProb: 0.05, Seed: 9}
+	for name, tc := range map[string]struct {
+		market    json.RawMessage
+		estimator string
+		faults    *fault.Spec
+		spot      bool
+	}{
+		"mc":                 {},
+		"analytic":           {estimator: exp.EstimatorAnalytic},
+		"faults":             {faults: crashes},
+		"revocable market":   {market: spotMarketJSON(6), spot: true},
+		"zero-hazard market": {market: spotMarketJSON(0)},
+		"market and faults":  {market: spotMarketJSON(0), faults: crashes, spot: true},
+	} {
+		plat, err := resolvePlatform(nil, tc.market)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		req := map[string]any{"workflow": wfJSON, "algorithm": "heftbudg", "budget": 0.01}
+		if tc.market != nil {
+			req["market"] = tc.market
+		}
+		body, _ := json.Marshal(req)
+		code, data, _ := post(t, ts, "/v1/schedule", body)
+		var planned scheduleResponse
+		if err := json.Unmarshal(data, &planned); code != http.StatusOK || err != nil {
+			t.Fatalf("%s: schedule = %d, %v: %s", name, code, err, data)
+		}
+		schedule, err := parseSchedule(planned.Schedule, wfl, plat)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+
+		delete(req, "algorithm")
+		req["schedule"], req["replications"], req["seed"], req["budget"] = planned.Schedule, 8, 42, 0.012
+		replay := exp.Replay{Workflow: wfl, Platform: plat, Schedule: schedule, Budget: 0.012, Reps: 8,
+			Estimator: tc.estimator, Faults: tc.faults, Weights: rng.New(42), FaultSeed: 42}
+		if tc.estimator != "" {
+			req["estimator"] = tc.estimator
+		}
+		if tc.faults != nil {
+			req["faults"] = tc.faults
+		}
+		body, _ = json.Marshal(req)
+		code, data, _ = post(t, ts, "/v1/simulate", body)
+		var resp simulateResponse
+		if err := json.Unmarshal(data, &resp); code != http.StatusOK || err != nil {
+			t.Fatalf("%s: simulate = %d, %v: %s", name, code, err, data)
+		}
+		b, err := replay.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if resp.Replications != b.Reps || resp.Makespan != toSummaryJSON(stats.Summarize(b.Makespans)) ||
+			resp.Cost != toSummaryJSON(stats.Summarize(b.Costs)) || resp.ValidFrac != b.Frac(b.InBudget) {
+			t.Errorf("%s: response %s\ndoes not summarize batch %+v", name, data, b)
+		}
+		if (resp.Faults != nil) != (tc.faults != nil) || (resp.Spot != nil) != tc.spot {
+			t.Errorf("%s: faults section %v, spot section %v: %s", name, resp.Faults != nil, resp.Spot != nil, data)
+		}
+		if f := resp.Faults; f != nil && (f.Completed != b.Completed || f.CrashesPerRun != b.Frac(b.Crashes) ||
+			f.RecoveriesVetoedPerRun != b.Frac(b.Vetoed) || f.WastedSecondsPerRun != b.WastedSeconds/8) {
+			t.Errorf("%s: faults section %+v does not render batch %+v", name, *f, b)
+		}
+		if sp := resp.Spot; sp != nil && (sp.Completed != b.Completed || sp.SpotVMsPerRun != b.Frac(b.SpotVMs) ||
+			sp.RevocationsPerRun != b.Frac(b.Revocations) || sp.SpotCostPerRun != b.SpotCost/8 || sp.ReworkCostPerRun != b.ReworkCost/8) {
+			t.Errorf("%s: spot section %+v does not render batch %+v", name, *sp, b)
+		}
 	}
 }

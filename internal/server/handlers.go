@@ -14,11 +14,8 @@ import (
 	"time"
 
 	"budgetwf/internal/dist"
-	"budgetwf/internal/est"
 	"budgetwf/internal/exp"
-	"budgetwf/internal/market"
 	"budgetwf/internal/obs"
-	"budgetwf/internal/online"
 	"budgetwf/internal/reqerr"
 	"budgetwf/internal/rng"
 	"budgetwf/internal/sched"
@@ -273,8 +270,9 @@ func writeHit(w http.ResponseWriter, r *http.Request, e *cacheEntry, fast bool, 
 	_, _ = io.WriteString(w, tail)
 }
 
-// handleSimulate replays a plan under realized stochastic weights and
-// aggregates the replications.
+// handleSimulate replays a plan and summarizes the replications:
+// decode, validate, exp.Replay (which picks the back end — DESIGN §2,
+// "One replication loop"), render.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r.Context())
 	var req simulateRequest
@@ -305,30 +303,28 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, reqID, err)
 		return
 	}
-	if err := req.Faults.Validate(plat.NumCategories()); err != nil {
-		s.fail(w, reqID, err)
-		return
-	}
-	estimator, err := parseEstimator(req.Estimator, plat, req.Faults != nil)
-	if err != nil {
-		s.fail(w, reqID, err)
-		return
-	}
-	// Spot revocation hazards superpose onto the explicit fault spec: a
-	// platform with revocable spot categories replays through the
-	// fault-injecting online executor even when the request carries no
-	// faults of its own.
-	faults := market.MergeRevocations(req.Faults, plat, req.Seed)
-	if faults != nil && plat.DCBandwidth > 0 {
-		s.fail(w, reqID, reqerr.Unusable("faults", "fault injection does not support the datacenter contention mode"))
-		return
-	}
 	reps := req.Replications
 	if reps == 0 {
 		reps = exp.DefaultReps
 	}
-	if reps < 1 || reps > maxReplications {
-		s.fail(w, reqID, reqerr.Invalid("replications", "must be in [1, %d]", maxReplications))
+	estimator := req.Estimator
+	if estimator == "" {
+		estimator = exp.EstimatorMC
+	}
+	// The weight streams do not depend on faults, so a zero fault spec
+	// reproduces the plain response; each replication gets a fresh fault
+	// trace, seeded from the spec's seed or, without a spec, the request's.
+	replay := exp.Replay{
+		Workflow: wfl, Platform: plat, Schedule: schedule,
+		Budget: req.Budget, Reps: reps, Estimator: estimator, Faults: req.Faults,
+		Weights: rng.New(req.Seed), FaultSeed: req.Seed,
+	}
+	err = replay.Check()
+	if err == nil && reps > maxReplications {
+		err = reqerr.Invalid("replications", "must be in [1, %d]", maxReplications)
+	}
+	if err != nil {
+		s.fail(w, reqID, err)
 		return
 	}
 	s.metrics.observeEstimator(estimator)
@@ -336,164 +332,62 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	root := rootSpan(r.Context())
 	root.Set(obs.Str("estimator", estimator))
 	deep := traceRequested(r)
+	// Spot revocation hazards superpose onto the explicit fault spec: a
+	// platform with revocable spot categories injects faults even when the
+	// request carries none of its own.
+	injects := replay.Injects()
 
-	if estimator == exp.EstimatorAnalytic {
-		resp, ok := s.runPooledTimeout(w, r, s.requestTimeout(req.TimeoutMillis), func(ctx context.Context) (any, error) {
-			span := root.Child("estimate-analytic")
-			span.Set(obs.Int("replications", reps))
-			e, err := est.Compute(wfl, plat, schedule)
-			span.End()
-			if err != nil {
-				return nil, err
-			}
-			// The replications are deterministic pseudo-samples read off
-			// the fitted quantile grid — the same construction the sweep
-			// harness uses, so summaries aggregate identically.
-			mk := make([]float64, 0, reps)
-			cost := make([]float64, 0, reps)
-			valid := 0
-			for i := 0; i < reps; i++ {
-				q := (float64(i) + 0.5) / float64(reps)
-				c := e.CostQuantile(q)
-				mk = append(mk, e.MakespanQuantile(q))
-				cost = append(cost, c)
-				if req.Budget <= 0 || c <= req.Budget {
-					valid++
-				}
-			}
-			return simulateResponse{
-				Replications: reps,
-				Makespan:     toSummaryJSON(stats.Summarize(mk)),
-				Cost:         toSummaryJSON(stats.Summarize(cost)),
-				ValidFrac:    float64(valid) / float64(reps),
-				Budget:       req.Budget,
-				RequestID:    reqID,
-			}, nil
-		})
-		if ok {
-			if deep {
-				resp = attachTrace(resp, requestTrace(r.Context()))
-			}
-			writeJSON(w, http.StatusOK, resp)
-		}
-		return
-	}
-
-	// Spot bookings are tracked by the online executor, which runs
-	// exactly when there is a fault process to inject — a zero-hazard
-	// spot platform without explicit faults replays through the plain
-	// simulator and reports no spot section.
-	hasSpot := faults != nil && plat.HasSpot()
 	resp, ok := s.runPooledTimeout(w, r, s.requestTimeout(req.TimeoutMillis), func(ctx context.Context) (any, error) {
-		batchSpan := root.Child("simulate-batch")
-		batchSpan.Set(obs.Int("replications", reps), obs.Bool("faults", faults != nil))
-		defer batchSpan.End()
-		stream := rng.New(req.Seed)
-		mk := make([]float64, 0, reps)
-		cost := make([]float64, 0, reps)
-		valid := 0
-		var fs faultSummaryJSON
-		var ss spotSummaryJSON
-		// Plain replications reuse one simulation engine across the
-		// whole batch; the fault path re-plans recoveries and keeps the
-		// one-shot API.
-		var runner *sim.Runner
-		if faults == nil {
-			var err error
-			if runner, err = sim.NewRunner(wfl, plat, schedule); err != nil {
-				return nil, err
-			}
-			if deep {
-				// Deep tracing: one replication child span per execution.
-				runner.SetSpan(batchSpan)
-			}
+		var span *obs.Span
+		if estimator == exp.EstimatorAnalytic {
+			span = root.Child("estimate-analytic")
+			span.Set(obs.Int("replications", reps))
+		} else {
+			span = root.Child("simulate-batch")
+			span.Set(obs.Int("replications", reps), obs.Bool("faults", injects))
 		}
-		for i := 0; i < reps; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			// The weight streams are the same with and without fault
-			// injection, so a zero fault spec reproduces the plain
-			// response.
-			if faults != nil {
-				spec := *faults
-				spec.Seed = faults.Seed + uint64(i) // fresh fault trace per replication
-				var repSpan *obs.Span
-				if deep {
-					repSpan = batchSpan.Child("replication")
-					repSpan.Set(obs.Int("rep", i))
-				}
-				res, err := online.ExecuteFaultySpan(wfl, plat, schedule,
-					sim.SampleWeights(wfl, stream.Split(uint64(i))), &spec, req.Budget, repSpan)
-				repSpan.End()
-				if err != nil {
-					return nil, err
-				}
-				cost = append(cost, res.TotalCost)
-				if res.Completed {
-					fs.Completed++
-					mk = append(mk, res.Makespan)
-				}
-				if req.Budget <= 0 || res.TotalCost <= req.Budget {
-					valid++
-				}
-				fs.CrashesPerRun += float64(res.Crashes)
-				fs.BootFailuresPerRun += float64(res.BootFailures)
-				fs.TaskFailuresPerRun += float64(res.TaskFailures)
-				fs.RecoveriesPerRun += float64(res.Recoveries)
-				fs.RecoveriesVetoedPerRun += float64(res.RecoveriesVetoed)
-				fs.WastedSecondsPerRun += res.WastedSeconds
-				if hasSpot {
-					if res.Completed {
-						ss.Completed++
-					}
-					ss.SpotVMsPerRun += float64(res.SpotVMs)
-					ss.RevocationsPerRun += float64(res.Revocations)
-					ss.SpotCostPerRun += res.SpotCost
-					ss.ReworkCostPerRun += res.SpotReworkCost
-				}
-				continue
-			}
-			m, c, err := runner.Score(runner.Sample(stream.Split(uint64(i))))
-			if err != nil {
-				return nil, err
-			}
-			mk = append(mk, m)
-			cost = append(cost, c)
-			if req.Budget <= 0 || c <= req.Budget {
-				valid++
-			}
+		defer span.End()
+		if deep {
+			// Deep tracing: one replication child span per execution.
+			replay.Span = span
 		}
+		b, err := replay.Run(ctx)
+		if err != nil {
+			return nil, err
+		}
+		s.metrics.observeSpot(b)
+		n := float64(b.Reps)
 		out := simulateResponse{
-			Replications: reps,
-			Makespan:     toSummaryJSON(stats.Summarize(mk)),
-			Cost:         toSummaryJSON(stats.Summarize(cost)),
-			ValidFrac:    float64(valid) / float64(reps),
+			Replications: b.Reps,
+			Makespan:     toSummaryJSON(stats.Summarize(b.Makespans)),
+			Cost:         toSummaryJSON(stats.Summarize(b.Costs)),
+			ValidFrac:    b.Frac(b.InBudget),
 			Budget:       req.Budget,
 			RequestID:    reqID,
 		}
 		if req.Faults != nil {
-			n := float64(reps)
-			fs.SuccessRate = float64(fs.Completed) / n
-			fs.CrashesPerRun /= n
-			fs.BootFailuresPerRun /= n
-			fs.TaskFailuresPerRun /= n
-			fs.RecoveriesPerRun /= n
-			fs.RecoveriesVetoedPerRun /= n
-			fs.WastedSecondsPerRun /= n
-			out.Faults = &fs
+			out.Faults = &faultSummaryJSON{
+				SuccessRate:            b.Frac(b.Completed),
+				Completed:              b.Completed,
+				CrashesPerRun:          b.Frac(b.Crashes),
+				BootFailuresPerRun:     b.Frac(b.BootFailures),
+				TaskFailuresPerRun:     b.Frac(b.TaskFailures),
+				RecoveriesPerRun:       b.Frac(b.Recoveries),
+				RecoveriesVetoedPerRun: b.Frac(b.Vetoed),
+				WastedSecondsPerRun:    b.WastedSeconds / n,
+			}
 		}
-		if hasSpot {
-			// The accumulators hold batch totals here — feed them to the
-			// process counters before normalizing to per-run means.
-			s.metrics.observeSpot(ss.SpotVMsPerRun, ss.RevocationsPerRun, ss.ReworkCostPerRun)
-			n := float64(reps)
-			ss.SuccessRate = float64(ss.Completed) / n
-			ss.SpotVMsPerRun /= n
-			ss.RevocationsPerRun /= n
-			ss.SpotCostPerRun /= n
-			ss.ReworkCostPerRun /= n
-			out.Spot = &ss
+		// Where nothing can take a spot VM away, the bookings are part of
+		// the plan, not an outcome: no spot section.
+		if injects && plat.HasSpot() {
+			out.Spot = &spotSummaryJSON{
+				SuccessRate:       b.Frac(b.Completed),
+				Completed:         b.Completed,
+				SpotVMsPerRun:     b.Frac(b.SpotVMs),
+				RevocationsPerRun: b.Frac(b.Revocations),
+				SpotCostPerRun:    b.SpotCost / n,
+				ReworkCostPerRun:  b.ReworkCost / n,
+			}
 		}
 		return out, nil
 	})
@@ -536,7 +430,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		s.metrics.observeSpotSweep(res)
+		s.metrics.observeSpot(res.Tally)
 		return sweepResponseFrom(res, reqID), nil
 	})
 	if ok {

@@ -245,7 +245,9 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		s.metrics.observeSpotUnits(out.SweepUnits)
+		for _, u := range out.SweepUnits {
+			s.metrics.observeSpot(u.Batch)
+		}
 		if req.Trace {
 			// Export the compute subtree for the coordinator's stitcher;
 			// timestamps stay on this process's monotonic clock.
@@ -304,7 +306,7 @@ func (s *Server) runJob(ctx context.Context, run dist.JobRun) (any, error) {
 			return nil, err
 		}
 		s.metrics.observeJob("completed")
-		s.metrics.observeSpotSweep(res)
+		s.metrics.observeSpot(res.Tally)
 		return sweepResponseFrom(res, ""), nil
 
 	case dist.KindFaultSweep:

@@ -159,47 +159,15 @@ func (m *Metrics) observeJob(event string) { m.jobs.Add(event, 1) }
 // observeShard counts one shard served via POST /v1/shards.
 func (m *Metrics) observeShard() { m.shards.Add(1) }
 
-// observeSpot folds one batch of spot-market activity — VM bookings,
-// revocations, rework cost — into the process counters. The counts
-// arrive as floats because sweep results carry per-execution means
-// that are scaled back to totals.
-func (m *Metrics) observeSpot(vms, revocations, reworkCost float64) {
-	if vms == 0 && revocations == 0 && reworkCost == 0 {
+// observeSpot folds one batch's spot-market activity — VM bookings,
+// revocations, rework cost — into the process counters.
+func (m *Metrics) observeSpot(b exp.Batch) {
+	if b.SpotVMs == 0 && b.Revocations == 0 && b.ReworkCost == 0 {
 		return
 	}
-	m.spotVMs.Add(vms)
-	m.spotRevocations.Add(revocations)
-	m.spotReworkCost.Add(reworkCost)
-}
-
-// observeSpotSweep folds one sweep result's spot activity into the
-// process counters. The points hold per-execution means, so they are
-// scaled back to totals by the executions-per-point count before
-// accumulating.
-func (m *Metrics) observeSpotSweep(res *exp.SweepResult) {
-	execs := float64(res.Scenario.Instances * res.Scenario.Reps)
-	var vms, revs, rework float64
-	for _, series := range res.Series {
-		for _, p := range series.Points {
-			vms += p.SpotVMs * execs
-			revs += p.Revocations * execs
-			rework += p.ReworkCost * execs
-		}
-	}
-	m.observeSpot(vms, revs, rework)
-}
-
-// observeSpotUnits folds shard-evaluated sweep units into the spot
-// counters (the worker side, where the counts are exact integers).
-func (m *Metrics) observeSpotUnits(units []exp.SweepUnitResult) {
-	var vms, revs int
-	var rework float64
-	for _, u := range units {
-		vms += u.SpotVMs
-		revs += u.Revocations
-		rework += u.ReworkCost
-	}
-	m.observeSpot(float64(vms), float64(revs), rework)
+	m.spotVMs.Add(float64(b.SpotVMs))
+	m.spotRevocations.Add(float64(b.Revocations))
+	m.spotReworkCost.Add(b.ReworkCost)
 }
 
 // SpotRevocations returns the revocation counter (tests assert the

@@ -9,7 +9,6 @@ import (
 	"math"
 	"net/http"
 
-	"budgetwf/internal/exp"
 	"budgetwf/internal/fault"
 	"budgetwf/internal/market"
 	"budgetwf/internal/obs"
@@ -333,14 +332,4 @@ func checkNonNegative(field string, v float64) error {
 		return reqerr.Invalid(field, "must be a finite non-negative number, got %v", v)
 	}
 	return nil
-}
-
-// parseEstimator resolves the optional estimator field to its canonical
-// name (empty defaults to "mc") once exp.CheckEstimator has said it can
-// evaluate executions on plat, fault-injected or not.
-func parseEstimator(name string, plat *platform.Platform, faults bool) (string, error) {
-	if name == "" {
-		name = exp.EstimatorMC
-	}
-	return name, exp.CheckEstimator(name, plat, faults)
 }

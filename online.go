@@ -1,6 +1,8 @@
 package budgetwf
 
 import (
+	"context"
+
 	"budgetwf/internal/online"
 	"budgetwf/internal/rng"
 	"budgetwf/internal/sim"
@@ -16,21 +18,16 @@ type Objective = sim.Objective
 // executions.
 type ObjectiveStats = sim.ObjectiveStats
 
-// ReplicateObjective runs n stochastic executions of the schedule and
-// reports how often each criterion of the objective held.
+// ReplicateObjective runs n (at least 1) stochastic executions of the
+// schedule and reports how often each criterion of the objective held.
 func ReplicateObjective(w *Workflow, p *Platform, s *Schedule, n int, seed uint64, obj Objective) (*ObjectiveStats, error) {
-	stream := rng.New(seed)
-	var stats ObjectiveStats
-	runner, err := sim.NewRunner(w, p, s)
+	b, err := replicate(context.Background(), w, p, s, n, seed, obj.Budget)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		mk, cost, err := runner.Score(runner.Sample(stream.Split(uint64(i))))
-		if err != nil {
-			return nil, err
-		}
-		stats.Observe(obj, &sim.Result{Makespan: mk, TotalCost: cost})
+	stats, err := b.Objective(obj)
+	if err != nil {
+		return nil, err
 	}
 	return &stats, nil
 }
