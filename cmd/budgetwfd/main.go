@@ -37,11 +37,12 @@
 // tenants within their already-paid billing period and deprovisioned
 // when the next billing boundary is closer than -time-to-shutdown.
 // Per-tenant billing ledgers appear at GET /v1/tenants and as
-// budgetwfd_tenant_* series in GET /metrics?format=prometheus.
+// per-tenant series in GET /metrics?format=prometheus.
 //
 // The daemon applies admission control (429 + Retry-After when the
-// worker queue is full), caches plans by content hash, publishes
-// expvar metrics under "budgetwfd" (also at GET /metrics), and drains
+// worker queue is full), caches plans by content hash, publishes its
+// metrics document under expvar's "budgetwfd" (also at GET /metrics;
+// ?format=prometheus for the text exposition), and drains
 // gracefully on SIGINT/SIGTERM — in-flight async jobs are re-queued to
 // the -journal so the next start resumes them.
 package main
@@ -240,7 +241,7 @@ func flagSet(fs *flag.FlagSet, name string) bool {
 
 // newDebugServer builds the optional -debug-addr listener: the full
 // net/http/pprof surface plus the process's expvar page (which carries
-// the daemon's "budgetwfd" metrics map). It is mounted on its own
+// the daemon's "budgetwfd" metrics document). It is mounted on its own
 // http.Server so the profiling surface never shares a port with the
 // public API; nothing here is authenticated.
 func newDebugServer(addr string) *http.Server {

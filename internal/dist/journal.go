@@ -48,6 +48,12 @@ type Journal struct {
 	tailBytes   int64
 	snapBytes   int64
 	snapTime    time.Time
+
+	// appendErrors counts failed Appends; lossy is set by a failed
+	// Append or Compact and cleared by the next Compact that succeeds
+	// (the snapshot then holds everything the failed writes would have).
+	appendErrors int64
+	lossy        bool
 }
 
 // Journal operations. submit carries the spec; done/failed/cancelled
@@ -137,14 +143,19 @@ type snapshotFile struct {
 }
 
 // JournalStats snapshots the journal's durability posture for metrics:
-// how big the live tail is (what a restart must replay) and how big
-// and old the snapshot is.
+// how big the live tail is (what a restart must replay), how big and
+// old the snapshot is, how many appends have failed, and whether the
+// disk still holds every acknowledged job: Durable is false from a
+// failed append or compaction until the next compaction succeeds. The
+// zero value — no journal — is not durable.
 type JournalStats struct {
 	Seq           int64     `json:"seq"`
 	TailRecords   int       `json:"tailRecords"`
 	TailBytes     int64     `json:"tailBytes"`
 	SnapshotBytes int64     `json:"snapshotBytes"`
 	SnapshotTime  time.Time `json:"snapshotTime,omitzero"`
+	AppendErrors  int64     `json:"appendErrors"`
+	Durable       bool      `json:"durable"`
 }
 
 // JournalOptions configures OpenJournalWith.
@@ -291,9 +302,15 @@ func applyRecord(byID map[string]*RestoredJob, rec journalRecord) {
 // Append writes one record and syncs it to disk before returning, so
 // an acknowledged submit survives an immediate crash. The record's
 // monotonic sequence number is assigned here.
-func (j *Journal) Append(rec journalRecord) error {
+func (j *Journal) Append(rec journalRecord) (err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	defer func() {
+		if err != nil {
+			j.appendErrors++
+			j.lossy = true
+		}
+	}()
 	rec.Seq = j.seq + 1
 	b, err := json.Marshal(rec)
 	if err != nil {
@@ -328,6 +345,8 @@ func (j *Journal) Stats() JournalStats {
 		TailBytes:     j.tailBytes,
 		SnapshotBytes: j.snapBytes,
 		SnapshotTime:  j.snapTime,
+		AppendErrors:  j.appendErrors,
+		Durable:       !j.lossy,
 	}
 }
 
@@ -338,9 +357,10 @@ func (j *Journal) Stats() JournalStats {
 // file; only after the rename does the journal truncate. A crash
 // between the two steps replays the new snapshot plus a stale tail,
 // which the sequence-number dedupe ignores.
-func (j *Journal) Compact(jobs []RestoredJob) error {
+func (j *Journal) Compact(jobs []RestoredJob) (err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	defer func() { j.lossy = err != nil }()
 	snap := snapshotFile{Version: 1, Seq: j.seq, Time: time.Now().UTC(), Jobs: jobs}
 	b, err := json.Marshal(&snap)
 	if err != nil {

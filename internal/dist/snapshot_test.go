@@ -291,3 +291,59 @@ func mustJSON(t *testing.T, v any) string {
 	}
 	return string(b)
 }
+
+// TestJournalWriteFailureIsCounted closes the journal's file under a
+// live store: the submission is still acknowledged and runs (durability
+// degrades, sweeps are not rejected), but the journal counts the failed
+// appends and stops calling itself durable until a compaction succeeds.
+func TestJournalWriteFailureIsCounted(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	j, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if st := j.Stats(); st.AppendErrors != 0 || !st.Durable {
+		t.Fatalf("fresh journal: %+v, want no errors and durable", st)
+	}
+	if (JournalStats{}).Durable {
+		t.Fatal("the zero JournalStats (no journal) must not read durable")
+	}
+	release := make(chan struct{})
+	close(release)
+	s := NewStore(StoreOptions{Run: blockingRun(release), Journal: j})
+
+	j.mu.Lock()
+	j.f.Close()
+	j.mu.Unlock()
+	v, _, err := s.Submit(sweepJobSpec(1))
+	if err != nil {
+		t.Fatalf("submit with a broken journal: %v", err)
+	}
+	waitState(t, s, v.ID, StateDone)
+	st := j.Stats()
+	if st.AppendErrors == 0 || st.Durable {
+		t.Fatalf("after failed appends: %+v, want errors counted and not durable", st)
+	}
+
+	// A failed compaction keeps it lossy; one that succeeds checkpoints
+	// the whole store, so nothing the failed appends carried is missing.
+	s.mu.Lock()
+	s.compactLocked()
+	s.mu.Unlock()
+	if j.Stats().Durable {
+		t.Fatal("durable after a compaction that could not truncate the journal")
+	}
+	j.mu.Lock()
+	j.f, err = os.OpenFile(path, os.O_RDWR, 0o644)
+	j.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.compactLocked()
+	s.mu.Unlock()
+	if got := j.Stats(); !got.Durable || got.AppendErrors != st.AppendErrors {
+		t.Fatalf("after a successful compaction: %+v, want durable and the error count kept", got)
+	}
+}

@@ -39,7 +39,7 @@ const ProcessAttr = "obs.process"
 const DroppedAttr = "obs.droppedSpans"
 
 // droppedTotal counts node-cap drops across every trace in the
-// process, feeding the budgetwfd_trace_spans_dropped_total counter.
+// process; the daemon declares a counter family over it.
 var droppedTotal atomic.Int64
 
 // DroppedTotal reports the process-wide number of spans/events

@@ -19,7 +19,8 @@ import (
 // serving daemon (internal/server) relies on this to enforce
 // per-request timeouts.
 //
-// A background context makes PlanContext equivalent to
+// The name resolves through ByName, "<base>-spot" twins included, and
+// a background context makes PlanContext equivalent to
 // ByName(name).Plan — the hook then costs one nil check per step.
 //
 // When the context carries an obs span (obs.WithSpan), PlanContext
@@ -33,6 +34,10 @@ func PlanContext(ctx stdcontext.Context, name Name, w *wf.Workflow, p *platform.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	a, err := ByName(name)
+	if err != nil {
+		return nil, err
+	}
 	opt := Options{stop: ctx.Err}
 	if parent := obs.SpanFromContext(ctx); parent != nil {
 		span := parent.Child("plan:" + string(name))
@@ -42,34 +47,5 @@ func PlanContext(ctx stdcontext.Context, name Name, w *wf.Workflow, p *platform.
 		defer span.End()
 		opt.span = span
 	}
-	switch name {
-	case NameMinMin:
-		return minMinPlan(w, p, nil, opt)
-	case NameHeft:
-		return heftPlan(w, p, nil, opt)
-	case NameMinMinBudg:
-		return MinMinBudgOpt(w, p, budget, opt)
-	case NameHeftBudg:
-		return HeftBudgOpt(w, p, budget, opt)
-	case NameHeftBudgPlus:
-		return refine(w, p, budget, false, opt)
-	case NameHeftBudgPlusInv:
-		return refine(w, p, budget, true, opt)
-	case NameBDT:
-		return bdtOpt(w, p, budget, opt)
-	case NameCG:
-		return cgOpt(w, p, budget, opt)
-	case NameCGPlus:
-		return cgPlusOpt(w, p, budget, opt)
-	case NamePeft:
-		return peftOpt(w, p, opt)
-	}
-	// Unknown names fall through to the registry for its error message;
-	// a future algorithm registered there but not wired above still
-	// plans, just without cooperative cancellation.
-	a, err := ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return a.Plan(w, p, budget)
+	return a.planOpt(w, p, budget, opt)
 }

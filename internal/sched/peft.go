@@ -140,17 +140,5 @@ func octTable(ctx *context) ([][]float64, error) {
 	return oct, nil
 }
 
-// AllExtended returns the paper's nine algorithms plus the extension
-// baselines (currently PEFT).
-func AllExtended() []Algorithm {
-	return append(All(), Algorithm{
-		Name:        NamePeft,
-		NeedsBudget: false,
-		Plan: func(w *wf.Workflow, p *platform.Platform, _ float64) (*plan.Schedule, error) {
-			return Peft(w, p)
-		},
-	})
-}
-
 // NamePeft identifies the PEFT extension baseline.
 const NamePeft Name = "peft"

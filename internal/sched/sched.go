@@ -49,32 +49,69 @@ type Algorithm struct {
 	// Plan computes a schedule for the workflow on the platform under
 	// the given initial budget B_ini.
 	Plan func(w *wf.Workflow, p *platform.Platform, budget float64) (*plan.Schedule, error)
+	// plan is Plan taking Options — PlanContext's cancellation hook and
+	// trace span. Every registry entry carries it; an Algorithm built
+	// outside the package sets only Plan and plans without either.
+	plan planFunc
 }
 
-// All returns the full algorithm registry in the paper's order.
-func All() []Algorithm {
-	return []Algorithm{
-		{NameMinMin, false, func(w *wf.Workflow, p *platform.Platform, _ float64) (*plan.Schedule, error) {
-			return MinMin(w, p)
-		}},
-		{NameHeft, false, func(w *wf.Workflow, p *platform.Platform, _ float64) (*plan.Schedule, error) {
-			return Heft(w, p)
-		}},
-		{NameMinMinBudg, true, MinMinBudg},
-		{NameHeftBudg, true, HeftBudg},
-		{NameHeftBudgPlus, true, HeftBudgPlus},
-		{NameHeftBudgPlusInv, true, HeftBudgPlusInv},
-		{NameBDT, true, BDT},
-		{NameCG, true, CG},
-		{NameCGPlus, true, CGPlus},
-	}
+// planFunc is the form every registered planner is written in.
+type planFunc func(w *wf.Workflow, p *platform.Platform, budget float64, opt Options) (*plan.Schedule, error)
+
+// registered builds a registry entry: Plan is fn under zero Options.
+func registered(name Name, needsBudget bool, fn planFunc) Algorithm {
+	return Algorithm{name, needsBudget, func(w *wf.Workflow, p *platform.Platform, budget float64) (*plan.Schedule, error) {
+		return fn(w, p, budget, Options{})
+	}, fn}
 }
+
+// planOpt plans under opt where the algorithm can honour it.
+func (a Algorithm) planOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options) (*plan.Schedule, error) {
+	if a.plan == nil {
+		return a.Plan(w, p, budget)
+	}
+	return a.plan(w, p, budget, opt)
+}
+
+// paper holds the paper's nine algorithms in the paper's order; registry
+// adds the extension baselines (PEFT). Both are built once: ByName sits
+// on the daemon's request path.
+var paper = []Algorithm{
+	registered(NameMinMin, false, func(w *wf.Workflow, p *platform.Platform, _ float64, opt Options) (*plan.Schedule, error) {
+		return minMinPlan(w, p, nil, opt)
+	}),
+	registered(NameHeft, false, func(w *wf.Workflow, p *platform.Platform, _ float64, opt Options) (*plan.Schedule, error) {
+		return heftPlan(w, p, nil, opt)
+	}),
+	registered(NameMinMinBudg, true, MinMinBudgOpt),
+	registered(NameHeftBudg, true, HeftBudgOpt),
+	registered(NameHeftBudgPlus, true, func(w *wf.Workflow, p *platform.Platform, budget float64, opt Options) (*plan.Schedule, error) {
+		return refine(w, p, budget, false, opt)
+	}),
+	registered(NameHeftBudgPlusInv, true, func(w *wf.Workflow, p *platform.Platform, budget float64, opt Options) (*plan.Schedule, error) {
+		return refine(w, p, budget, true, opt)
+	}),
+	registered(NameBDT, true, bdtOpt),
+	registered(NameCG, true, cgOpt),
+	registered(NameCGPlus, true, cgPlusOpt),
+}
+
+var registry = append(All(), registered(NamePeft, false, func(w *wf.Workflow, p *platform.Platform, _ float64, opt Options) (*plan.Schedule, error) {
+	return peftOpt(w, p, opt)
+}))
+
+// All returns the paper's nine algorithms in the paper's order.
+func All() []Algorithm { return append([]Algorithm(nil), paper...) }
+
+// AllExtended returns the paper's nine algorithms plus the extension
+// baselines (currently PEFT).
+func AllExtended() []Algorithm { return append([]Algorithm(nil), registry...) }
 
 // ByName returns the named algorithm, searching the paper's registry
 // and the extension baselines (e.g. PEFT). A "<base>-spot" name
 // resolves to the base algorithm's spot-aware variant (see spot.go).
 func ByName(n Name) (Algorithm, error) {
-	for _, a := range AllExtended() {
+	for _, a := range registry {
 		if a.Name == n {
 			return a, nil
 		}

@@ -44,29 +44,27 @@ func spotBase(n Name) (Name, bool) {
 	return Name(strings.TrimSuffix(s, spotSuffix)), true
 }
 
-// SpotVariant wraps a base algorithm into its spot-aware twin.
+// SpotVariant wraps a base algorithm into its spot-aware twin. The
+// twin hands its Options to the base, so it is cancelled and traced
+// exactly as the base is.
 func SpotVariant(base Algorithm) Algorithm {
-	return Algorithm{
-		Name:        base.Name + Name(spotSuffix),
-		NeedsBudget: base.NeedsBudget,
-		Plan: func(w *wf.Workflow, p *platform.Platform, budget float64) (*plan.Schedule, error) {
-			if !p.HasSpot() {
-				return base.Plan(w, p, budget)
-			}
-			eff, toOrig := reworkInflated(w, p)
-			s, err := base.Plan(w, eff, budget)
-			if err != nil {
-				return nil, err
-			}
-			// The effective platform re-sorts categories by inflated
-			// cost; map the plan back onto the caller's indices.
-			for i, cat := range s.VMCats {
-				s.VMCats[i] = toOrig[cat]
-			}
-			demoteSinksToOnDemand(w, p, s)
-			return s, nil
-		},
-	}
+	return registered(base.Name+Name(spotSuffix), base.NeedsBudget, func(w *wf.Workflow, p *platform.Platform, budget float64, opt Options) (*plan.Schedule, error) {
+		if !p.HasSpot() {
+			return base.planOpt(w, p, budget, opt)
+		}
+		eff, toOrig := reworkInflated(w, p)
+		s, err := base.planOpt(w, eff, budget, opt)
+		if err != nil {
+			return nil, err
+		}
+		// The effective platform re-sorts categories by inflated
+		// cost; map the plan back onto the caller's indices.
+		for i, cat := range s.VMCats {
+			s.VMCats[i] = toOrig[cat]
+		}
+		demoteSinksToOnDemand(w, p, s)
+		return s, nil
+	})
 }
 
 // reworkInflated returns a copy of the platform whose spot categories

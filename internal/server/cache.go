@@ -178,38 +178,35 @@ func (c *planCache) put(e *cacheEntry) {
 	}
 }
 
-// Len returns the number of cached entries.
-func (c *planCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Enabled reports whether caching is active (capacity > 0). When
 // false, lookups bypass the hit/miss counters entirely.
 func (c *planCache) Enabled() bool { return c.cap > 0 }
 
-// Aliases returns the number of body digests currently aliased to
-// entries; at most maxBodyAliases × Len().
-func (c *planCache) Aliases() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.aliases)
+// cacheStats is the "cache" entry of the JSON metrics document and the
+// cache's one read API. Hits counts every hit; BodyHits is the part of
+// them that came through a body alias and so skipped the parse; HitRate
+// is hits / lookups, 0 before the first lookup; Size is resident
+// entries; Aliases is body digests aliased to them, at most
+// maxBodyAliases × Size.
+type cacheStats struct {
+	Enabled  bool    `json:"enabled"`
+	Hits     uint64  `json:"hits"`
+	BodyHits uint64  `json:"bodyHits"`
+	Misses   uint64  `json:"misses"`
+	HitRate  float64 `json:"hitRate"`
+	Size     int     `json:"size"`
+	Aliases  int     `json:"aliases"`
 }
 
-// Hits and Misses expose the lookup counters; BodyHits is the share of
-// Hits that came through a body alias and so skipped the parse.
-func (c *planCache) Hits() uint64     { return c.hits.Load() }
-func (c *planCache) BodyHits() uint64 { return c.bodyHits.Load() }
-func (c *planCache) Misses() uint64   { return c.misses.Load() }
-
-// HitRate returns hits / lookups, or 0 before the first lookup.
-func (c *planCache) HitRate() float64 {
-	h, m := c.hits.Load(), c.misses.Load()
-	if h+m == 0 {
-		return 0
+func (c *planCache) stats() cacheStats {
+	st := cacheStats{Enabled: c.Enabled(), Hits: c.hits.Load(), BodyHits: c.bodyHits.Load(), Misses: c.misses.Load()}
+	c.mu.Lock()
+	st.Size, st.Aliases = c.ll.Len(), len(c.aliases)
+	c.mu.Unlock()
+	if lookups := st.Hits + st.Misses; lookups > 0 {
+		st.HitRate = float64(st.Hits) / float64(lookups)
 	}
-	return float64(h) / float64(h+m)
+	return st
 }
 
 // cacheKey derives the content address of one scheduling request from

@@ -27,13 +27,13 @@ func TestPlanCacheBasics(t *testing.T) {
 	if _, ok := c.get("c"); !ok {
 		t.Error("c should be present")
 	}
-	if c.Len() != 2 {
-		t.Errorf("len = %d, want 2", c.Len())
+	if c.stats().Size != 2 {
+		t.Errorf("len = %d, want 2", c.stats().Size)
 	}
-	if c.Hits() != 3 || c.Misses() != 2 {
-		t.Errorf("hits/misses = %d/%d, want 3/2", c.Hits(), c.Misses())
+	if c.stats().Hits != 3 || c.stats().Misses != 2 {
+		t.Errorf("hits/misses = %d/%d, want 3/2", c.stats().Hits, c.stats().Misses)
 	}
-	if got, want := c.HitRate(), 3.0/5.0; got != want {
+	if got, want := c.stats().HitRate, 3.0/5.0; got != want {
 		t.Errorf("hit rate = %v, want %v", got, want)
 	}
 }
@@ -59,7 +59,7 @@ func TestPlanCacheDisabled(t *testing.T) {
 		if _, ok := c.get("a"); ok {
 			t.Fatal("disabled cache returned a hit")
 		}
-		if c.Len() != 0 {
+		if c.stats().Size != 0 {
 			t.Fatal("disabled cache stored an entry")
 		}
 		if c.Enabled() {
@@ -76,10 +76,10 @@ func TestPlanCacheDisabledCountsNothing(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.get(fmt.Sprintf("key%d", i))
 	}
-	if h, m := c.Hits(), c.Misses(); h != 0 || m != 0 {
+	if h, m := c.stats().Hits, c.stats().Misses; h != 0 || m != 0 {
 		t.Errorf("disabled cache counted hits/misses = %d/%d, want 0/0", h, m)
 	}
-	if rate := c.HitRate(); rate != 0 {
+	if rate := c.stats().HitRate; rate != 0 {
 		t.Errorf("disabled cache hit rate = %v, want 0", rate)
 	}
 	enabled := newPlanCache(4)
@@ -87,8 +87,8 @@ func TestPlanCacheDisabledCountsNothing(t *testing.T) {
 		t.Fatal("Enabled() = false for capacity 4")
 	}
 	enabled.get("nope")
-	if enabled.Misses() != 1 {
-		t.Errorf("enabled cache misses = %d, want 1", enabled.Misses())
+	if enabled.stats().Misses != 1 {
+		t.Errorf("enabled cache misses = %d, want 1", enabled.stats().Misses)
 	}
 }
 
@@ -130,8 +130,8 @@ func TestPlanCacheConcurrentHammer(t *testing.T) {
 	}
 	wg.Wait()
 
-	if c.Len() > capacity {
-		t.Errorf("len = %d exceeds capacity %d", c.Len(), capacity)
+	if c.stats().Size > capacity {
+		t.Errorf("len = %d exceeds capacity %d", c.stats().Size, capacity)
 	}
 	gets := uint64(0)
 	for g := 0; g < goroutines; g++ {
@@ -141,8 +141,8 @@ func TestPlanCacheConcurrentHammer(t *testing.T) {
 			}
 		}
 	}
-	if c.Hits()+c.Misses() != gets {
-		t.Errorf("hits+misses = %d, want %d", c.Hits()+c.Misses(), gets)
+	if c.stats().Hits+c.stats().Misses != gets {
+		t.Errorf("hits+misses = %d, want %d", c.stats().Hits+c.stats().Misses, gets)
 	}
 	// Every surviving entry must still be retrievable.
 	for _, k := range keys {

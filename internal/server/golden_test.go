@@ -21,21 +21,27 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/metrics.{prom,js
 // maskedProm and maskedJSON name every value the golden comparison
 // ignores, with the reason; everything else in both /metrics renderings
 // is compared byte for byte (Prometheus) or path by path (JSON).
-var maskedProm = []struct{ re, why string }{
-	{`^budgetwfd_request_duration_seconds_(bucket|sum)\{`, "wall-clock request latency"},
-	{`^budgetwfd_journal_snapshot_age_seconds `, "wall-clock age of the snapshot"},
-	{`^budgetwfd_journal_tail_bytes `, "journal records carry RFC 3339 timestamps whose length varies with trailing zeros"},
-	{`^budgetwfd_trace_spans_dropped_total `, "process-wide obs.DroppedTotal, moved by other tests in the binary"},
-	{`^budgetwfd_pool_in_flight `, "a worker slot is released after its response is written, so the last request may still hold it"},
-	{`^go_`, "Go runtime state"},
+var maskedProm = []struct {
+	re  *regexp.Regexp
+	why string
+}{
+	{regexp.MustCompile(`^budgetwfd_request_duration_seconds_(bucket|sum)\{`), "wall-clock request latency"},
+	{regexp.MustCompile(`^budgetwfd_journal_snapshot_age_seconds `), "wall-clock age of the snapshot"},
+	{regexp.MustCompile(`^budgetwfd_journal_tail_bytes `), "journal records carry RFC 3339 timestamps whose length varies with trailing zeros"},
+	{regexp.MustCompile(`^budgetwfd_trace_spans_dropped_total `), "process-wide obs.DroppedTotal, moved by other tests in the binary"},
+	{regexp.MustCompile(`^budgetwfd_pool_in_flight `), "a worker slot is released after its response is written, so the last request may still hold it"},
+	{regexp.MustCompile(`^go_`), "Go runtime state"},
 }
 
-var maskedJSON = []struct{ re, why string }{
-	{`^latencyMs\.[^.]+\.(sumMs|le[0-9.]+|inf|p50|p95|p99)$`, "wall-clock request latency"},
-	{`^cluster\.journal\.tailBytes$`, "journal records carry RFC 3339 timestamps whose length varies with trailing zeros"},
-	{`^traces\.spansDropped$`, "process-wide obs.DroppedTotal, moved by other tests in the binary"},
-	{`^pool\.inFlight$`, "a worker slot is released after its response is written, so the last request may still hold it"},
-	{`^runtime\.`, "Go runtime state"},
+var maskedJSON = []struct {
+	re  *regexp.Regexp
+	why string
+}{
+	{regexp.MustCompile(`^latencyMs\.[^.]+\.(sumMs|le[0-9.]+|inf|p50|p95|p99)$`), "wall-clock request latency"},
+	{regexp.MustCompile(`^cluster\.journal\.tailBytes$`), "journal records carry RFC 3339 timestamps whose length varies with trailing zeros"},
+	{regexp.MustCompile(`^traces\.spansDropped$`), "process-wide obs.DroppedTotal, moved by other tests in the binary"},
+	{regexp.MustCompile(`^pool\.inFlight$`), "a worker slot is released after its response is written, so the last request may still hold it"},
+	{regexp.MustCompile(`^runtime\.`), "Go runtime state"},
 }
 
 // TestMetricsGolden drives one fixed request script through a server
@@ -147,7 +153,7 @@ func maskPrometheus(body []byte) []byte {
 	lines := strings.Split(string(body), "\n")
 	for i, l := range lines {
 		for _, m := range maskedProm {
-			if regexp.MustCompile(m.re).MatchString(l) {
+			if m.re.MatchString(l) {
 				lines[i] = l[:strings.LastIndexByte(l, ' ')] + " *"
 			}
 		}
@@ -180,7 +186,7 @@ func flattenJSON(t *testing.T, doc []byte) []byte {
 		default:
 			val, _ := json.Marshal(v)
 			for _, m := range maskedJSON {
-				if regexp.MustCompile(m.re).MatchString(path) {
+				if m.re.MatchString(path) {
 					val = []byte("*")
 				}
 			}

@@ -43,7 +43,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining", requestID(r.Context()))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	body := map[string]any{"status": "ready"}
+	if s.cfg.JournalPath != "" {
+		// Still 200: a daemon that lost durability degrades, it does not
+		// stop serving. The journal's durable gauge carries the same bit.
+		body["durable"] = s.journalStats().Durable
+	}
+	writeJSON(w, http.StatusOK, body)
 }
 
 // handleAlgorithms lists the registry (the paper's nine plus
@@ -57,19 +63,20 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"algorithms": out})
 }
 
-// handleMetrics serves this server's metrics. The default body is the
-// expvar map as JSON (the same content cmd/budgetwfd publishes under
-// /debug/vars); ?format=prometheus — or an Accept header asking for
-// text/plain or OpenMetrics — selects the Prometheus text exposition
-// instead. The explicit query parameter wins over the header.
+// handleMetrics serves this server's metrics, both renderings from the
+// one registry. The default body is the JSON document (the same content
+// cmd/budgetwfd publishes under /debug/vars); ?format=prometheus — or
+// an Accept header asking for text/plain or OpenMetrics — selects the
+// Prometheus text exposition instead. The explicit query parameter wins
+// over the header.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if wantsPrometheus(r) {
-		w.Header().Set("Content-Type", prometheusContentType)
-		s.metrics.WritePrometheus(w)
+		w.Header().Set("Content-Type", obs.PrometheusContentType)
+		s.metrics.reg.WritePrometheus(w)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	io.WriteString(w, s.metrics.Var().String())
+	io.WriteString(w, s.metrics.reg.String())
 }
 
 // wantsPrometheus decides the /metrics rendering: the format query
@@ -115,7 +122,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if aliasing {
 		digest = sha256.Sum256(buf.Bytes())
 		if e, ok := s.cache.getBody(digest); ok {
-			s.metrics.observeAlgorithm(e.algorithm)
+			s.metrics.algorithms.With(e.algorithm).Inc()
 			rootSpan(r.Context()).Set(obs.Str("algorithm", e.algorithm))
 			writeHit(w, r, e, true, nil)
 			return
@@ -146,7 +153,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, reqID, err)
 		return
 	}
-	s.metrics.observeAlgorithm(req.Algorithm)
+	s.metrics.algorithms.With(req.Algorithm).Inc()
 
 	root := rootSpan(r.Context())
 	root.Set(obs.Str("algorithm", req.Algorithm))
@@ -327,7 +334,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, reqID, err)
 		return
 	}
-	s.metrics.observeEstimator(estimator)
+	s.metrics.estimators.With(estimator).Inc()
 
 	root := rootSpan(r.Context())
 	root.Set(obs.Str("estimator", estimator))
@@ -421,7 +428,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, reqID, err)
 		return
 	}
-	s.metrics.observeEstimator(spec.Estimator)
+	s.metrics.estimators.With(spec.Estimator).Inc()
 	rootSpan(r.Context()).Set(obs.Str("estimator", spec.Estimator))
 
 	sc.Workers = 1 // concurrency is the pool's job, not the sweep's

@@ -170,9 +170,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "internal error", reqID)
 		return
 	}
-	s.metrics.observeJob("submitted")
+	s.metrics.jobEvents.With("submitted").Inc()
 	if !created {
-		s.metrics.observeJob("deduped")
+		s.metrics.jobEvents.With("deduped").Inc()
 	}
 	writeJSON(w, http.StatusAccepted, jobSubmitResponse{
 		JobID:     view.ID,
@@ -213,7 +213,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job", requestID(r.Context()))
 		return
 	}
-	s.metrics.observeJob("cancelRequested")
+	s.metrics.jobEvents.With("cancelRequested").Inc()
 	writeJSON(w, http.StatusOK, view)
 }
 
@@ -253,10 +253,10 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 			// timestamps stay on this process's monotonic clock.
 			if wire := sp.Export(); wire != nil {
 				out.Trace = wire
-				s.metrics.observeTraceExported(wire.Nodes())
+				s.metrics.traceExported.Add(float64(wire.Nodes()))
 			}
 		}
-		s.metrics.observeShard()
+		s.metrics.shards.Inc()
 		return out, nil
 	})
 	if ok {
@@ -302,20 +302,20 @@ func (s *Server) runJob(ctx context.Context, run dist.JobRun) (any, error) {
 	case dist.KindSweep:
 		res, err := s.coord.RunSweep(ctx, spec.Sweep, opt)
 		if err != nil {
-			s.metrics.observeJob("failed")
+			s.metrics.jobEvents.With("failed").Inc()
 			return nil, err
 		}
-		s.metrics.observeJob("completed")
+		s.metrics.jobEvents.With("completed").Inc()
 		s.metrics.observeSpot(res.Tally)
 		return sweepResponseFrom(res, ""), nil
 
 	case dist.KindFaultSweep:
 		res, err := s.coord.RunFaultSweep(ctx, spec.FaultSweep, opt)
 		if err != nil {
-			s.metrics.observeJob("failed")
+			s.metrics.jobEvents.With("failed").Inc()
 			return nil, err
 		}
-		s.metrics.observeJob("completed")
+		s.metrics.jobEvents.With("completed").Inc()
 		return faultSweepResponseFrom(res), nil
 
 	case dist.KindFigure:
@@ -346,14 +346,14 @@ func (s *Server) runJob(ctx context.Context, run dist.JobRun) (any, error) {
 		}
 		sweeps, err := exp.RunFigureSweepsUsing(cfg, names, runner)
 		if err != nil {
-			s.metrics.observeJob("failed")
+			s.metrics.jobEvents.With("failed").Inc()
 			return nil, err
 		}
 		out := figureJobResponse{Figure: f.Figure}
 		for _, res := range sweeps {
 			out.Sweeps = append(out.Sweeps, sweepResponseFrom(res, ""))
 		}
-		s.metrics.observeJob("completed")
+		s.metrics.jobEvents.With("completed").Inc()
 		return out, nil
 	}
 	return nil, errors.New("unknown job kind")

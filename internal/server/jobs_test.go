@@ -123,8 +123,8 @@ func TestJobLifecycle(t *testing.T) {
 	if !sub2.Deduped || sub2.JobID != sub.JobID {
 		t.Errorf("resubmit: deduped=%v id=%s, want dedupe onto %s", sub2.Deduped, sub2.JobID, sub.JobID)
 	}
-	if n := s.Metrics().JobEventCount("deduped"); n != 1 {
-		t.Errorf("deduped metric = %d, want 1", n)
+	if n := s.Metrics().Value("budgetwfd_jobs_total", "deduped"); n != 1 {
+		t.Errorf("deduped metric = %v, want 1", n)
 	}
 
 	// The job's trace is retained in the ring under its trace id.
@@ -180,7 +180,7 @@ func TestClusterJobMatchesLocal(t *testing.T) {
 	if view.State != dist.StateDone {
 		t.Fatalf("cluster job = %s (%s), want done", view.State, view.Error)
 	}
-	if n := w1.Metrics().RequestCount("shards") + w2.Metrics().RequestCount("shards"); n == 0 {
+	if n := w1.Metrics().Value("budgetwfd_requests_total", "shards") + w2.Metrics().Value("budgetwfd_requests_total", "shards"); n == 0 {
 		t.Error("no shards reached the workers — the job did not distribute")
 	}
 
@@ -353,5 +353,64 @@ func TestServerDrainRequeuesJobs(t *testing.T) {
 	j.Close()
 	if len(restored) != 1 || restored[0].State != dist.StatePending || restored[0].ID != sub.JobID {
 		t.Fatalf("journal replay = %+v, want job %s pending", restored, sub.JobID)
+	}
+}
+
+// TestJournalFailureIsVisible: a journal write that fails no longer
+// degrades durability silently. With the journal's file closed under a
+// live server a job is still accepted and completes, but the append
+// error counter moves, the durable gauge drops to 0 and /readyz says
+// durable:false — still 200. A journal that never opened reads the same
+// way, and a daemon without -journal reports no durable bit at all.
+func TestJournalFailureIsVisible(t *testing.T) {
+	readyz := func(ts *httptest.Server) map[string]any {
+		t.Helper()
+		code, data := get(t, ts, "/readyz")
+		var body map[string]any
+		if err := json.Unmarshal(data, &body); err != nil || code != http.StatusOK || body["status"] != "ready" {
+			t.Fatalf("readyz = %d %s (%v)", code, data, err)
+		}
+		return body
+	}
+
+	s := newTestServer(t, Config{Workers: 1, JournalPath: filepath.Join(t.TempDir(), "jobs.jsonl")})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	m := s.Metrics()
+	if readyz(ts)["durable"] != true || m.Value("budgetwfd_journal_durable", "") != 1 || m.Value("budgetwfd_journal_append_errors_total", "") != 0 {
+		t.Fatalf("healthy journal: readyz %v, durable gauge %v, append errors %v", readyz(ts),
+			m.Value("budgetwfd_journal_durable", ""), m.Value("budgetwfd_journal_append_errors_total", ""))
+	}
+	s.journal.Close()
+	code, data, _ := post(t, ts, "/v1/jobs", sweepJobBody(3))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit with a broken journal = %d: %s", code, data)
+	}
+	var sub jobSubmitResponse
+	if err := json.Unmarshal(data, &sub); err != nil {
+		t.Fatal(err)
+	}
+	if v := pollJob(t, ts, sub.JobID); v.State != dist.StateDone {
+		t.Fatalf("job on a broken journal ended %s: %s", v.State, v.Error)
+	}
+	if readyz(ts)["durable"] != false || m.Value("budgetwfd_journal_durable", "") != 0 || m.Value("budgetwfd_journal_append_errors_total", "") == 0 {
+		t.Errorf("broken journal: readyz %v, durable gauge %v, append errors %v", readyz(ts),
+			m.Value("budgetwfd_journal_durable", ""), m.Value("budgetwfd_journal_append_errors_total", ""))
+	}
+
+	unopened := newTestServer(t, Config{Workers: 1, JournalPath: filepath.Join(t.TempDir(), "no-such-dir", "jobs.jsonl")})
+	tsU := httptest.NewServer(unopened.Handler())
+	defer tsU.Close()
+	if readyz(tsU)["durable"] != false || unopened.Metrics().Value("budgetwfd_journal_durable", "") != 0 {
+		t.Errorf("journal that did not open: readyz %v, durable gauge %v", readyz(tsU), unopened.Metrics().Value("budgetwfd_journal_durable", ""))
+	}
+
+	plain := newTestServer(t, Config{Workers: 1})
+	tsP := httptest.NewServer(plain.Handler())
+	defer tsP.Close()
+	_, prom := get(t, tsP, "/metrics?format=prometheus")
+	if _, has := readyz(tsP)["durable"]; has || bytes.Contains(prom, []byte("budgetwfd_journal_durable")) ||
+		!bytes.Contains(prom, []byte("\nbudgetwfd_journal_append_errors_total 0\n")) {
+		t.Errorf("no journal asked for: readyz %v; want no durable bit, no durable gauge, append errors 0", readyz(tsP))
 	}
 }

@@ -1,11 +1,7 @@
 package server
 
 import (
-	"expvar"
-	"fmt"
-	"strings"
-	"sync"
-	"sync/atomic"
+	"strconv"
 	"time"
 
 	"budgetwf/internal/dist"
@@ -14,52 +10,32 @@ import (
 	"budgetwf/internal/pool"
 )
 
-// Metrics aggregates the daemon's observability counters as expvar
-// variables. Each Server owns an unpublished instance (so tests can
-// run many servers in one process without colliding in the global
-// expvar namespace); cmd/budgetwfd publishes the daemon's instance
-// under "budgetwfd" and the same JSON is always available from the
-// server's own GET /metrics endpoint.
-type Metrics struct {
-	requests   *expvar.Map // endpoint → request count
-	statuses   *expvar.Map // HTTP status → response count
-	algorithms *expvar.Map // algorithm → schedule requests (hits + plans)
-	estimators *expvar.Map // estimator (mc, analytic) → simulate/sweep requests
-	latencies  *expvar.Map // endpoint → latency histogram
-	jobs       *expvar.Map // async-job lifecycle event → count
-	shards     expvar.Int  // shards served via POST /v1/shards
+// metrics is the daemon's declaration table. newMetrics declares every
+// family GET /metrics serves exactly once, in exposition order, in an
+// unpublished obs.Registry (so tests can run many servers in one
+// process); the fields are the handles the handlers move. Everything
+// read from another component at scrape time is a snapshot group.
+type metrics struct {
+	reg        *obs.Registry
+	requests   *obs.CounterVec
+	statuses   *obs.CounterVec
+	byStatus   [500]*obs.Counter // statuses' handles for 100..599: the request path formats nothing
+	algorithms *obs.CounterVec   // schedule requests (hits + plans)
+	estimators *obs.CounterVec   // simulate/sweep requests by resolved estimator
+	jobEvents  *obs.CounterVec   // submitted, deduped, completed, failed, cancelRequested
+	latency    *obs.HistogramVec
+	shards     *obs.Counter
 	// Spot-market activity computed by this process (simulate
-	// replications, sweep cells, shard units): VMs booked on spot
-	// categories, revocations suffered, and rework cost paid. Sweep
-	// results merged from remote workers count on the worker that
-	// computed them and again on the coordinator that served the job —
-	// these are per-process activity counters, not a fleet ledger.
-	spotVMs         expvar.Float
-	spotRevocations expvar.Float
-	spotReworkCost  expvar.Float
-	// traceExported counts spans exported into shard responses for
-	// coordinator-side stitching.
-	traceExported expvar.Int
-	panics        expvar.Int
-
-	mu        sync.Mutex // guards lazy histogram creation
-	cache     *planCache
-	pool      *workerPool
-	root      *expvar.Map
-	jobStates func() map[string]int // live job-state gauge, nil until set
-
-	// Shared-pool gauges, nil unless the multi-tenant service is on.
-	poolStats   func() pool.Stats
-	poolTenants func() []pool.TenantView
-
-	// Cluster control-plane gauges (worker membership, shard dispatch,
-	// journal durability), nil until set.
-	cluster func() clusterStats
+	// replications, sweep cells, shard units). Sweep results merged from
+	// remote workers count on the worker that computed them and again on
+	// the coordinator that served the job — these are per-process
+	// activity counters, not a fleet ledger.
+	spotVMs, spotRevocations, spotReworkCost *obs.Counter
+	traceExported, panics                    *obs.Counter
 }
 
 // clusterStats is one consistent snapshot of the cluster control
-// plane, feeding the "cluster" expvar entry and the budgetwfd_workers/
-// budgetwfd_shards/budgetwfd_journal Prometheus families.
+// plane: the "cluster" entry of the JSON document, field for field.
 type clusterStats struct {
 	WorkersLive    int             `json:"workersLive"`
 	WorkersSuspect int             `json:"workersSuspect"`
@@ -71,282 +47,152 @@ type clusterStats struct {
 	HasJournal bool              `json:"hasJournal"`
 }
 
-func newMetrics(cache *planCache, pool *workerPool) *Metrics {
-	m := &Metrics{
-		requests:   new(expvar.Map).Init(),
-		statuses:   new(expvar.Map).Init(),
-		algorithms: new(expvar.Map).Init(),
-		estimators: new(expvar.Map).Init(),
-		latencies:  new(expvar.Map).Init(),
-		jobs:       new(expvar.Map).Init(),
-		cache:      cache,
-		pool:       pool,
+func (s *Server) clusterStats() clusterStats {
+	live, suspect := s.registry.Counts()
+	return clusterStats{
+		WorkersLive: live, WorkersSuspect: suspect, Coordinator: s.coord.Stats(), LateShards: s.jobs.LateShards(),
+		Journal: s.journalStats(), HasJournal: s.journal != nil,
 	}
-	m.root = new(expvar.Map).Init()
-	m.root.Set("requests", m.requests)
-	m.root.Set("statuses", m.statuses)
-	m.root.Set("algorithms", m.algorithms)
-	m.root.Set("estimators", m.estimators)
-	m.root.Set("latencyMs", m.latencies)
-	m.root.Set("jobs", m.jobs)
-	m.root.Set("shardsServed", &m.shards)
-	m.root.Set("spot", expvar.Func(func() any {
-		return map[string]any{
-			"vms":         m.spotVMs.Value(),
-			"revocations": m.spotRevocations.Value(),
-			"reworkCost":  m.spotReworkCost.Value(),
-		}
-	}))
-	m.root.Set("traces", expvar.Func(func() any {
-		return map[string]any{
-			"spansExported": m.traceExported.Value(),
-			"spansDropped":  obs.DroppedTotal(),
-		}
-	}))
-	m.root.Set("panics", &m.panics)
-	// cache.hits counts every hit; bodyHits is the part of them that
-	// came through a body alias and skipped the parse.
-	m.root.Set("cache", expvar.Func(func() any {
-		return map[string]any{
-			"enabled":  cache.Enabled(),
-			"hits":     cache.Hits(),
-			"bodyHits": cache.BodyHits(),
-			"misses":   cache.Misses(),
-			"hitRate":  cache.HitRate(),
-			"size":     cache.Len(),
-			"aliases":  cache.Aliases(),
-		}
-	}))
-	m.root.Set("pool", expvar.Func(func() any {
-		return map[string]any{
-			"queueDepth": pool.queueDepth(),
-			"inFlight":   pool.inFlightCount(),
-		}
-	}))
-	return m
 }
 
-// Var returns the assembled expvar map, suitable for expvar.Publish.
-func (m *Metrics) Var() expvar.Var { return m.root }
-
-// observe records one finished request.
-func (m *Metrics) observe(endpoint string, status int, d time.Duration) {
-	m.requests.Add(endpoint, 1)
-	m.statuses.Add(fmt.Sprintf("%d", status), 1)
-	m.histogram(endpoint).observe(d)
+// journalStats reads all zero without a journal — one not asked for, or
+// one that did not open: nothing is durable.
+func (s *Server) journalStats() dist.JournalStats {
+	if s.journal == nil {
+		return dist.JournalStats{}
+	}
+	return s.journal.Stats()
 }
 
-// observeAlgorithm counts one /v1/schedule request per algorithm.
-func (m *Metrics) observeAlgorithm(name string) { m.algorithms.Add(name, 1) }
-
-// observeEstimator counts one /v1/simulate or /v1/sweep request per
-// resolved estimator ("mc" or "analytic").
-func (m *Metrics) observeEstimator(name string) { m.estimators.Add(name, 1) }
-
-// EstimatorCount returns the number of simulate/sweep requests served
-// with the given estimator (tests assert the counter moves).
-func (m *Metrics) EstimatorCount(name string) int64 {
-	if v, ok := m.estimators.Get(name).(*expvar.Int); ok {
-		return v.Value()
+func boolGauge(b bool) float64 {
+	if b {
+		return 1
 	}
 	return 0
 }
 
-// observeJob counts one async-job lifecycle event (submitted, deduped,
-// completed, failed, cancelRequested).
-func (m *Metrics) observeJob(event string) { m.jobs.Add(event, 1) }
+// latencyBoundsMs are the request-latency bucket upper bounds.
+var latencyBoundsMs = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
 
-// observeShard counts one shard served via POST /v1/shards.
-func (m *Metrics) observeShard() { m.shards.Add(1) }
+func newMetrics(s *Server) *metrics {
+	r := obs.NewRegistry()
+	m := &metrics{reg: r}
+	counter := func(name, help string) obs.Desc { return obs.Desc{Name: name, Help: help, Type: "counter"} }
+	gauge := func(name, help string) obs.Desc { return obs.Desc{Name: name, Help: help, Type: "gauge"} }
+	fractional := func(d obs.Desc) obs.Desc { d.Float = true; return d }
+	by := func(label string, d obs.Desc) obs.Desc { d.Label = label; return d }
+
+	m.requests = r.CounterVec("budgetwfd_requests_total", "endpoint", "requests", "Requests received, by endpoint.")
+	m.statuses = r.CounterVec("budgetwfd_responses_total", "status", "statuses", "Responses sent, by HTTP status.")
+	for i := range m.byStatus {
+		m.byStatus[i] = m.statuses.With(strconv.Itoa(100 + i))
+	}
+	m.algorithms = r.CounterVec("budgetwfd_schedule_algorithms_total", "algorithm", "algorithms", "Schedule requests (cache hits included), by algorithm.")
+	m.estimators = r.CounterVec("budgetwfd_estimator_requests_total", "estimator", "estimators", "Simulate/sweep requests, by estimator (mc, analytic).")
+	m.jobEvents = r.CounterVec("budgetwfd_jobs_total", "event", "jobs", "Async-job lifecycle events, by event.")
+	jobStates := obs.NewGroup(r, "jobStates", s.jobs.Counts)
+	jobStates.Series(by("state", gauge("budgetwfd_jobs", "Retained async jobs, by state.")), func(states map[dist.State]int, emit func(string, float64)) {
+		for st, n := range states {
+			emit(string(st), float64(n))
+		}
+	})
+	m.shards = r.Counter("budgetwfd_shards_served_total", "shardsServed", "Shards evaluated via POST /v1/shards.")
+	m.spotVMs = r.FloatCounter("budgetwfd_spot_vms_total", "spot.vms", "VMs booked on spot (preemptible) categories by this process's executions.")
+	m.spotRevocations = r.FloatCounter("budgetwfd_spot_revocations_total", "spot.revocations", "Spot VM revocations suffered by this process's executions.")
+	m.spotReworkCost = r.FloatCounter("budgetwfd_spot_rework_cost_total", "spot.reworkCost", "Rework cost paid for revocations: wasted spot billing plus replacement init fees.")
+
+	cluster := obs.NewGroup(r, "cluster", s.clusterStats)
+	m.traceExported = r.Counter("budgetwfd_trace_spans_exported_total", "traces.spansExported", "Spans exported into shard responses for coordinator-side stitching.")
+	cluster.Value(counter("budgetwfd_trace_spans_stitched_total", "Worker spans grafted into stitched job traces."), func(c clusterStats) float64 { return float64(c.Coordinator.SpansStitched) })
+	r.Func(obs.Desc{Name: "budgetwfd_trace_spans_dropped_total", Type: "counter", JSON: "traces.spansDropped", Help: "Spans/events discarded at the per-trace node cap, process-wide."}, func() float64 { return float64(obs.DroppedTotal()) })
+	cluster.Value(gauge("budgetwfd_workers_live", "Registered workers with a heartbeat inside the TTL."), func(c clusterStats) float64 { return float64(c.WorkersLive) })
+	cluster.Value(gauge("budgetwfd_workers_suspect", "Registered workers past their heartbeat TTL."), func(c clusterStats) float64 { return float64(c.WorkersSuspect) })
+	cluster.Value(counter("budgetwfd_shards_dispatched_total", "Remote shard attempts issued by the coordinator."), func(c clusterStats) float64 { return float64(c.Coordinator.Dispatched) })
+	cluster.Value(counter("budgetwfd_shards_requeued_total", "Failed shard attempts fed back into the dispatch queue."), func(c clusterStats) float64 { return float64(c.Coordinator.Requeued) })
+	cluster.Value(counter("budgetwfd_shards_stolen_total", "Slow or orphaned shards speculatively re-issued to another worker."), func(c clusterStats) float64 { return float64(c.Coordinator.Stolen) })
+	// Exposition only: the JSON document keeps the two addends apart.
+	cluster.Value(counter("budgetwfd_shards_duplicate_dropped_total", "Shard results dropped because their units were already covered."), func(c clusterStats) float64 { return float64(c.Coordinator.LateDuplicates + c.LateShards) })
+	cluster.Value(counter("budgetwfd_shards_local_fallback_total", "Shards that exhausted remote attempts and ran on the coordinator."), func(c clusterStats) float64 { return float64(c.Coordinator.LocalFallbacks) })
+	cluster.Value(counter("budgetwfd_journal_append_errors_total", "Journal appends that failed; the job went on without the record."), func(c clusterStats) float64 { return float64(c.Journal.AppendErrors) })
+	if s.cfg.JournalPath != "" { // the journal's JSON form is cluster.journal
+		journal := obs.NewGroup(r, "", s.journalStats)
+		journal.Value(gauge("budgetwfd_journal_tail_records", "Journal records a restart would replay on top of the snapshot."), func(j dist.JournalStats) float64 { return float64(j.TailRecords) })
+		journal.Value(gauge("budgetwfd_journal_tail_bytes", "Size of the live journal tail."), func(j dist.JournalStats) float64 { return float64(j.TailBytes) })
+		journal.Value(gauge("budgetwfd_journal_snapshot_bytes", "Size of the last journal snapshot."), func(j dist.JournalStats) float64 { return float64(j.SnapshotBytes) })
+		// Exposition only: the JSON document carries snapshotTime itself.
+		journal.Value(fractional(gauge("budgetwfd_journal_snapshot_age_seconds", "Seconds since the last journal snapshot (-1 if none).")), func(j dist.JournalStats) float64 {
+			if j.SnapshotTime.IsZero() {
+				return -1
+			}
+			return time.Since(j.SnapshotTime).Seconds()
+		})
+		journal.Value(gauge("budgetwfd_journal_durable", "Whether the disk holds every acknowledged job (1), or the journal did not open or a write has failed since the last compaction (0)."), func(j dist.JournalStats) float64 { return boolGauge(j.Durable) })
+	}
+	m.panics = r.Counter("budgetwfd_panics_total", "panics", "Handler panics recovered by the middleware.")
+	m.latency = r.HistogramVec("budgetwfd_request_duration_seconds", "endpoint", "latencyMs", "Request latency, by endpoint.", latencyBoundsMs)
+
+	cache := obs.NewGroup(r, "cache", s.cache.stats)
+	cache.Value(counter("budgetwfd_cache_hits_total", "Plan-cache hits."), func(c cacheStats) float64 { return float64(c.Hits) })
+	cache.Value(counter("budgetwfd_cache_body_hits_total", "Plan-cache hits answered from a body alias, without parsing the request (a subset of budgetwfd_cache_hits_total)."), func(c cacheStats) float64 { return float64(c.BodyHits) })
+	cache.Value(counter("budgetwfd_cache_misses_total", "Plan-cache misses."), func(c cacheStats) float64 { return float64(c.Misses) })
+	cache.Value(gauge("budgetwfd_cache_entries", "Plan-cache resident entries."), func(c cacheStats) float64 { return float64(c.Size) })
+	cache.Value(gauge("budgetwfd_cache_aliases", "Request-body digests aliased to resident plan-cache entries."), func(c cacheStats) float64 { return float64(c.Aliases) })
+	cache.Value(gauge("budgetwfd_cache_enabled", "Whether the plan cache is enabled (1) or disabled (0)."), func(c cacheStats) float64 { return boolGauge(c.Enabled) })
+	r.Func(obs.Desc{Name: "budgetwfd_pool_queue_depth", Type: "gauge", JSON: "pool.queueDepth", Help: "Admitted requests waiting for a worker."}, func() float64 { return float64(s.pool.queueDepth()) })
+	r.Func(obs.Desc{Name: "budgetwfd_pool_in_flight", Type: "gauge", JSON: "pool.inFlight", Help: "Requests currently executing on a worker."}, func() float64 { return float64(s.pool.inFlightCount()) })
+
+	if svc := s.poolSvc; svc != nil { // the multi-tenant pool
+		shared := obs.NewGroup(r, "sharedPool", svc.Stats)
+		shared.Value(counter("budgetwfd_shared_pool_submissions_total", "Workflow submissions accepted by the shared pool."), func(p pool.Stats) float64 { return float64(p.Submissions) })
+		shared.Value(counter("budgetwfd_shared_pool_completed_total", "Submissions settled successfully."), func(p pool.Stats) float64 { return float64(p.Completed) })
+		shared.Value(counter("budgetwfd_shared_pool_rejected_total", "Submissions rejected by fair-share admission."), func(p pool.Stats) float64 { return float64(p.Rejected) })
+		shared.Value(counter("budgetwfd_shared_pool_failed_total", "Submissions that failed during execution."), func(p pool.Stats) float64 { return float64(p.Failed) })
+		shared.Value(counter("budgetwfd_shared_pool_provisioned_total", "Fresh VMs provisioned."), func(p pool.Stats) float64 { return float64(p.Provisioned) })
+		shared.Value(counter("budgetwfd_shared_pool_reused_total", "Idle VMs leased to a new submission within their paid billing period."), func(p pool.Stats) float64 { return float64(p.Reused) })
+		shared.Value(counter("budgetwfd_shared_pool_deprovisioned_total", "VMs released at (or below) the time-to-shutdown threshold."), func(p pool.Stats) float64 { return float64(p.Deprovisioned) })
+		shared.Value(gauge("budgetwfd_shared_pool_active_vms", "VMs currently held by running submissions."), func(p pool.Stats) float64 { return float64(p.ActiveVMs) })
+		shared.Value(gauge("budgetwfd_shared_pool_idle_vms", "Idle VMs parked inside an already-paid billing period."), func(p pool.Stats) float64 { return float64(p.IdleVMs) })
+		shared.Value(fractional(counter("budgetwfd_shared_pool_billed_total", "Total amount billed across all tenants.")), func(p pool.Stats) float64 { return p.BilledTotal })
+		shared.Value(fractional(counter("budgetwfd_shared_pool_saved_init_cost_total", "Setup fees avoided by VM reuse.")), func(p pool.Stats) float64 { return p.SavedInitCost })
+		shared.Value(fractional(counter("budgetwfd_shared_pool_idle_waste_seconds_total", "Paid-but-idle VM seconds.")), func(p pool.Stats) float64 { return p.IdleWasteSeconds })
+		shared.Value(fractional(gauge("budgetwfd_shared_pool_virtual_now_seconds", "The pool's virtual-time frontier.")), func(p pool.Stats) float64 { return p.Now })
+
+		tenants := obs.NewGroup(r, "tenants", svc.Tenants)
+		tenant := func(d obs.Desc, value func(pool.TenantView) float64) {
+			tenants.Series(by("tenant", d), func(views []pool.TenantView, emit func(string, float64)) {
+				for _, v := range views {
+					emit(v.ID, value(v))
+				}
+			})
+		}
+		tenant(fractional(counter("budgetwfd_tenant_billed", "Amount billed to the tenant (authoritative, from settled Reports).")), func(v pool.TenantView) float64 { return v.Billed })
+		tenant(fractional(gauge("budgetwfd_tenant_live_spend", "Live billing estimate for the tenant's in-flight executions.")), func(v pool.TenantView) float64 { return v.LiveSpend })
+		tenant(counter("budgetwfd_tenant_submissions_total", "Workflow submissions by the tenant."), func(v pool.TenantView) float64 { return float64(v.Submissions) })
+		tenant(counter("budgetwfd_tenant_rejected_total", "Submissions rejected by fair-share admission."), func(v pool.TenantView) float64 { return float64(v.Rejected) })
+		tenant(gauge("budgetwfd_tenant_active_vms", "VMs currently held by the tenant's executions."), func(v pool.TenantView) float64 { return float64(v.ActiveVMs) })
+		tenant(counter("budgetwfd_tenant_reused_vms_total", "Pooled VMs the tenant leased within their paid billing period."), func(v pool.TenantView) float64 { return float64(v.ReusedVMs) })
+		tenant(fractional(counter("budgetwfd_tenant_saved_init_cost_total", "Setup fees the tenant avoided through reuse.")), func(v pool.TenantView) float64 { return v.SavedInitCost })
+		tenant(fractional(counter("budgetwfd_tenant_idle_waste_seconds_total", "Paid-but-idle VM seconds attributed to the tenant.")), func(v pool.TenantView) float64 { return v.IdleWasteSeconds })
+	}
+	obs.DeclareRuntime(r)
+	return m
+}
+
+// status returns the response counter of one HTTP status code.
+func (m *metrics) status(code int) *obs.Counter {
+	if i := code - 100; i >= 0 && i < len(m.byStatus) {
+		return m.byStatus[i]
+	}
+	return m.statuses.With(strconv.Itoa(code))
+}
 
 // observeSpot folds one batch's spot-market activity — VM bookings,
 // revocations, rework cost — into the process counters.
-func (m *Metrics) observeSpot(b exp.Batch) {
+func (m *metrics) observeSpot(b exp.Batch) {
 	if b.SpotVMs == 0 && b.Revocations == 0 && b.ReworkCost == 0 {
 		return
 	}
 	m.spotVMs.Add(float64(b.SpotVMs))
 	m.spotRevocations.Add(float64(b.Revocations))
 	m.spotReworkCost.Add(b.ReworkCost)
-}
-
-// SpotRevocations returns the revocation counter (tests assert the
-// spot families move).
-func (m *Metrics) SpotRevocations() float64 { return m.spotRevocations.Value() }
-
-// observeTraceExported counts spans exported into a shard response.
-func (m *Metrics) observeTraceExported(n int) { m.traceExported.Add(int64(n)) }
-
-// TraceSpansExported returns the exported-span counter (tests).
-func (m *Metrics) TraceSpansExported() int64 { return m.traceExported.Value() }
-
-// setJobStates installs the live job-state gauge (state → count) and
-// publishes it under "jobStates" in the expvar map.
-func (m *Metrics) setJobStates(fn func() map[string]int) {
-	m.jobStates = fn
-	m.root.Set("jobStates", expvar.Func(func() any { return fn() }))
-}
-
-// setCluster installs the cluster control-plane gauge and publishes it
-// under "cluster" in the expvar map, plus the budgetwfd_workers_*,
-// budgetwfd_shards_*_total and budgetwfd_journal_snapshot_* families
-// in the Prometheus exposition.
-func (m *Metrics) setCluster(fn func() clusterStats) {
-	m.cluster = fn
-	m.root.Set("cluster", expvar.Func(func() any { return fn() }))
-}
-
-// setSharedPool installs the multi-tenant pool gauges: the pool-wide
-// snapshot under "sharedPool" and the per-tenant billing ledgers under
-// "tenants" in the expvar map, plus the budgetwfd_shared_pool_* and
-// budgetwfd_tenant_* families in the Prometheus exposition.
-func (m *Metrics) setSharedPool(stats func() pool.Stats, tenants func() []pool.TenantView) {
-	m.poolStats = stats
-	m.poolTenants = tenants
-	m.root.Set("sharedPool", expvar.Func(func() any { return stats() }))
-	m.root.Set("tenants", expvar.Func(func() any { return tenants() }))
-}
-
-// JobEventCount returns the number of observed job lifecycle events of
-// one kind (tests assert on submissions and dedupes through it).
-func (m *Metrics) JobEventCount(event string) int64 {
-	if v, ok := m.jobs.Get(event).(*expvar.Int); ok {
-		return v.Value()
-	}
-	return 0
-}
-
-// observePanic counts one recovered handler panic.
-func (m *Metrics) observePanic() { m.panics.Add(1) }
-
-// histogram returns the endpoint's latency histogram, creating it on
-// first use.
-func (m *Metrics) histogram(endpoint string) *latencyHist {
-	if v := m.latencies.Get(endpoint); v != nil {
-		return v.(*latencyHist)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if v := m.latencies.Get(endpoint); v != nil {
-		return v.(*latencyHist)
-	}
-	h := &latencyHist{}
-	m.latencies.Set(endpoint, h)
-	return h
-}
-
-// CacheHits, CacheMisses and CacheHitRate expose the plan-cache
-// counters (the proof that repeated requests skip the planner);
-// CacheBodyHits counts the hits that skipped the parse as well.
-func (m *Metrics) CacheHits() uint64     { return m.cache.Hits() }
-func (m *Metrics) CacheBodyHits() uint64 { return m.cache.BodyHits() }
-func (m *Metrics) CacheMisses() uint64   { return m.cache.Misses() }
-func (m *Metrics) CacheHitRate() float64 { return m.cache.HitRate() }
-
-// RequestCount returns the number of requests observed on an endpoint.
-func (m *Metrics) RequestCount(endpoint string) int64 {
-	if v, ok := m.requests.Get(endpoint).(*expvar.Int); ok {
-		return v.Value()
-	}
-	return 0
-}
-
-// StatusCount returns the number of responses with the given status.
-func (m *Metrics) StatusCount(status int) int64 {
-	if v, ok := m.statuses.Get(fmt.Sprintf("%d", status)).(*expvar.Int); ok {
-		return v.Value()
-	}
-	return 0
-}
-
-// latencyBoundsMs are the histogram bucket upper bounds, in
-// milliseconds; a final unbounded bucket catches the tail.
-var latencyBoundsMs = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
-
-// latencyHist is a fixed-bucket latency histogram implementing
-// expvar.Var. All fields are manipulated atomically. There is
-// deliberately no separate count field: the count is derived from the
-// bucket sums at snapshot time, so a reader can never observe a count
-// that disagrees with the buckets it just read (the earlier design
-// kept an independent counter, and String could render count=N with
-// N-1 bucketed observations mid-update). The sum is kept in
-// nanoseconds: sub-microsecond requests (healthz under load) must
-// advance the sum, not silently add zero.
-type latencyHist struct {
-	sumNs   atomic.Uint64
-	buckets [13]atomic.Uint64 // len(latencyBoundsMs) + 1 overflow
-}
-
-func (h *latencyHist) observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	h.sumNs.Add(uint64(d))
-	ms := float64(d) / float64(time.Millisecond)
-	for i, bound := range latencyBoundsMs {
-		if ms <= bound {
-			h.buckets[i].Add(1)
-			return
-		}
-	}
-	h.buckets[len(latencyBoundsMs)].Add(1)
-}
-
-// histSnapshot is one self-consistent view of a latencyHist, shared by
-// the JSON (String) and Prometheus renderers. Buckets holds per-bucket
-// (non-cumulative) counts; Count is exactly their sum.
-type histSnapshot struct {
-	Count   uint64
-	SumMs   float64
-	Buckets [13]uint64
-}
-
-// Snapshot reads the histogram once. Concurrent observes may land
-// between bucket loads, but Count always equals the sum of the Buckets
-// returned — the renderers can never disagree with themselves.
-func (h *latencyHist) Snapshot() histSnapshot {
-	var s histSnapshot
-	for i := range h.buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-		s.Count += s.Buckets[i]
-	}
-	s.SumMs = float64(h.sumNs.Load()) / 1e6
-	return s
-}
-
-// Quantile estimates the q-quantile (0 < q < 1) in milliseconds by
-// linear interpolation within the bucket containing the rank. The
-// overflow bucket reports the last finite bound (the histogram cannot
-// see past it).
-func (s histSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := q * float64(s.Count)
-	cum, lower := 0.0, 0.0
-	for i, bound := range latencyBoundsMs {
-		c := float64(s.Buckets[i])
-		if c > 0 && cum+c >= rank {
-			return lower + (rank-cum)/c*(bound-lower)
-		}
-		cum += c
-		lower = bound
-	}
-	return lower
-}
-
-// String renders the histogram as JSON, as expvar requires, including
-// estimated p50/p95/p99.
-func (h *latencyHist) String() string {
-	s := h.Snapshot()
-	var b strings.Builder
-	fmt.Fprintf(&b, `{"count":%d,"sumMs":%.3f`, s.Count, s.SumMs)
-	for i, bound := range latencyBoundsMs {
-		fmt.Fprintf(&b, `,"le%g":%d`, bound, s.Buckets[i])
-	}
-	fmt.Fprintf(&b, `,"inf":%d`, s.Buckets[len(latencyBoundsMs)])
-	fmt.Fprintf(&b, `,"p50":%.3f,"p95":%.3f,"p99":%.3f`,
-		s.Quantile(0.50), s.Quantile(0.95), s.Quantile(0.99))
-	b.WriteString("}")
-	return b.String()
 }

@@ -2,15 +2,25 @@ package server
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"budgetwf/internal/obs"
 )
 
 // TestLatencyHistSnapshotConsistency: the count reported by a snapshot
@@ -18,7 +28,7 @@ import (
 // racing the reader. (The earlier implementation kept an independent
 // count atomic, so a reader could see count ≠ Σ buckets.)
 func TestLatencyHistSnapshotConsistency(t *testing.T) {
-	h := &latencyHist{}
+	h := newLatencyHist()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
@@ -31,7 +41,7 @@ func TestLatencyHistSnapshotConsistency(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					h.observe(d)
+					h.Observe(d)
 				}
 			}
 		}(g)
@@ -53,9 +63,9 @@ func TestLatencyHistSnapshotConsistency(t *testing.T) {
 // TestLatencyHistSubMicrosecond: durations under a microsecond must
 // still advance the sum (the old µs-granular sum added zero for them).
 func TestLatencyHistSubMicrosecond(t *testing.T) {
-	h := &latencyHist{}
+	h := newLatencyHist()
 	for i := 0; i < 1000; i++ {
-		h.observe(100 * time.Nanosecond)
+		h.Observe(100 * time.Nanosecond)
 	}
 	s := h.Snapshot()
 	if s.Count != 1000 {
@@ -87,9 +97,9 @@ func TestHistSnapshotQuantile(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h := &latencyHist{}
+			h := newLatencyHist()
 			for _, d := range tc.observe {
-				h.observe(d)
+				h.Observe(d)
 			}
 			got := h.Snapshot().Quantile(tc.q)
 			if math.Abs(got-tc.want) > 1e-9 {
@@ -97,9 +107,15 @@ func TestHistSnapshotQuantile(t *testing.T) {
 			}
 		})
 	}
-	if got := (histSnapshot{}).Quantile(0.5); got != 0 {
+	if got := (obs.HistSnapshot{}).Quantile(0.5); got != 0 {
 		t.Errorf("empty snapshot quantile = %g, want 0", got)
 	}
+}
+
+// newLatencyHist returns a request-latency histogram as the server
+// declares it, outside any server.
+func newLatencyHist() *obs.Histogram {
+	return obs.NewRegistry().HistogramVec("test_duration_seconds", "endpoint", "", "", latencyBoundsMs).With("x")
 }
 
 func repeat(d time.Duration, n int) []time.Duration {
@@ -170,8 +186,8 @@ func TestPrometheusExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if got := resp.Header.Get("Content-Type"); got != prometheusContentType {
-		t.Errorf("Content-Type = %q, want %q", got, prometheusContentType)
+	if got := resp.Header.Get("Content-Type"); got != obs.PrometheusContentType {
+		t.Errorf("Content-Type = %q, want %q", got, obs.PrometheusContentType)
 	}
 
 	lines := map[string]bool{}
@@ -290,16 +306,127 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	if ct, body := fetch("/metrics", ""); ct != "application/json" || !strings.HasPrefix(body, "{") {
 		t.Errorf("default /metrics: ct=%q bodyPrefix=%.20q, want JSON", ct, body)
 	}
-	if ct, _ := fetch("/metrics", "text/plain; version=0.0.4"); ct != prometheusContentType {
+	if ct, _ := fetch("/metrics", "text/plain; version=0.0.4"); ct != obs.PrometheusContentType {
 		t.Errorf("Accept: text/plain got ct=%q, want exposition", ct)
 	}
-	if ct, _ := fetch("/metrics", "application/openmetrics-text"); ct != prometheusContentType {
+	if ct, _ := fetch("/metrics", "application/openmetrics-text"); ct != obs.PrometheusContentType {
 		t.Errorf("Accept: openmetrics got ct=%q, want exposition", ct)
 	}
 	if ct, _ := fetch("/metrics?format=json", "text/plain"); ct != "application/json" {
 		t.Errorf("format=json must override Accept, got ct=%q", ct)
 	}
-	if ct, _ := fetch("/metrics?format=prometheus", "application/json"); ct != prometheusContentType {
+	if ct, _ := fetch("/metrics?format=prometheus", "application/json"); ct != obs.PrometheusContentType {
 		t.Errorf("format=prometheus must override Accept, got ct=%q", ct)
+	}
+}
+
+// TestPrometheusLabelEscaping: a label value is escaped once, as the
+// exposition format defines (backslash, double quote, line feed), so a
+// hostile tenant ID scraped back and unescaped is the ID that was
+// submitted. (Tenant IDs are only checked non-empty.)
+func TestPrometheusLabelEscaping(t *testing.T) {
+	s := poolTestServer(t)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	ids := []string{`a"b`, "a\nb", "a\x01b", `a\b`, `a\nb`, "plain"}
+	for i, id := range ids {
+		body := submitBody(t, map[string]any{"id": id}, workflowJSON(t, 12, uint64(i+1)), "heftbudg", 50)
+		if code, data, _ := post(t, ts, "/v1/submit", body); code != http.StatusOK {
+			t.Fatalf("submit as %q = %d: %s", id, code, data)
+		}
+	}
+	_, text := get(t, ts, "/metrics?format=prometheus")
+	var got []string
+	const prefix = `budgetwfd_tenant_submissions_total{tenant="`
+	for _, line := range strings.Split(string(text), "\n") {
+		if !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		// Unescape per the format: the value ends at the first quote a
+		// backslash does not precede.
+		var id strings.Builder
+		rest := line[len(prefix):]
+		for i := 0; i < len(rest) && rest[i] != '"'; i++ {
+			if rest[i] != '\\' {
+				id.WriteByte(rest[i])
+				continue
+			}
+			i++
+			switch rest[i] {
+			case 'n':
+				id.WriteByte('\n')
+			case '\\', '"':
+				id.WriteByte(rest[i])
+			default:
+				t.Errorf("escape \\%c is not defined by the exposition format: %s", rest[i], line)
+			}
+		}
+		got = append(got, id.String())
+	}
+	sort.Strings(ids)
+	sort.Strings(got)
+	if !slices.Equal(got, ids) {
+		t.Errorf("scraped tenants %q, submitted %q", got, ids)
+	}
+}
+
+// BenchmarkObserveRequest is the metrics work wrap does per request —
+// endpoint counter, status counter, latency histogram — with the
+// handles resolved as wrap resolves them. It formats nothing and
+// allocates nothing.
+func BenchmarkObserveRequest(b *testing.B) {
+	s := New(Config{Workers: 1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	defer s.Shutdown(context.Background())
+	requests, latency := s.metrics.requests.With("schedule"), s.metrics.latency.With("schedule")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		requests.Inc()
+		s.metrics.status(200 + i%5*100).Inc()
+		latency.Observe(150 * time.Microsecond)
+	}
+}
+
+// TestReadmeListsEveryFamily guards the README's "Metrics reference"
+// table: it has one row per declared family, no more and no fewer.
+func TestReadmeListsEveryFamily(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, found := strings.Cut(string(readme), "\n### Metrics reference\n")
+	if !found {
+		t.Fatal(`README.md has no "### Metrics reference" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if name, _, ok := strings.Cut(strings.TrimPrefix(line, "| `"), "` |"); ok && strings.HasPrefix(line, "| `") {
+			documented[name] = true
+		}
+	}
+
+	// Every family is present on a server with a journal and the pool.
+	s := newTestServer(t, Config{Workers: 1, EnablePool: true, JournalPath: filepath.Join(t.TempDir(), "jobs.jsonl")})
+	var buf bytes.Buffer
+	s.Metrics().WritePrometheus(&buf)
+	declared := map[string]bool{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			declared[name] = true
+			if !documented[name] {
+				t.Errorf("family %s is declared but has no row in the README's Metrics reference", name)
+			}
+		}
+	}
+	for name := range documented {
+		if !declared[name] {
+			t.Errorf("the README's Metrics reference lists %s, which no declaration serves", name)
+		}
+	}
+	if len(declared) < 60 {
+		t.Errorf("only %d families scraped; the fully enabled server should expose them all", len(declared))
 	}
 }

@@ -50,6 +50,7 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 // panicking handler produces a 500 and a log line, never a crashed
 // daemon), structured request logging, and latency/status metrics.
 func (s *Server) wrap(endpoint string, h http.HandlerFunc) http.Handler {
+	requests, latency := s.metrics.requests.With(endpoint), s.metrics.latency.With(endpoint)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		id := s.nextRequestID()
@@ -80,7 +81,7 @@ func (s *Server) wrap(endpoint string, h http.HandlerFunc) http.Handler {
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		defer func() {
 			if p := recover(); p != nil {
-				s.metrics.observePanic()
+				s.metrics.panics.Inc()
 				s.log.Error("handler panic",
 					"requestId", id, "endpoint", endpoint,
 					"panic", fmt.Sprint(p), "stack", string(debug.Stack()))
@@ -89,7 +90,9 @@ func (s *Server) wrap(endpoint string, h http.HandlerFunc) http.Handler {
 				}
 			}
 			d := time.Since(start)
-			s.metrics.observe(endpoint, rec.status, d)
+			requests.Inc()
+			s.metrics.status(rec.status).Inc()
+			latency.Observe(d)
 			root.Set(obs.Int("status", rec.status))
 			tr.EndAll()
 			if ringEndpoints[endpoint] {

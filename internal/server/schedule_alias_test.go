@@ -131,7 +131,7 @@ func postOK(t *testing.T, ts *httptest.Server, path string, body []byte) (data [
 // bounded by the entry capacity.
 func checkAliasBound(t *testing.T, c *planCache) {
 	t.Helper()
-	if a, n := c.Aliases(), c.Len(); a > maxBodyAliases*n {
+	if a, n := c.stats().Aliases, c.stats().Size; a > maxBodyAliases*n {
 		t.Fatalf("%d aliases for %d entries, bound is %d per entry", a, n, maxBodyAliases)
 	}
 }
@@ -154,19 +154,19 @@ func TestAliasHitEqualsCanonicalHit(t *testing.T) {
 			body := scheduleBody(t, wfJSON, string(alg.Name), budget)
 			want := referencePlan(t, wfJSON, alg.Name, budget)
 
-			bodyHits := s.Metrics().CacheBodyHits()
+			bodyHits := s.Metrics().Value("budgetwfd_cache_body_hits_total", "")
 			first, cached := postOK(t, ts, "/v1/schedule", body)
 			if cached {
 				t.Fatalf("%s: first request reported cached", name)
 			}
 			aliasHit, cached := postOK(t, ts, "/v1/schedule", body)
-			if !cached || s.Metrics().CacheBodyHits() != bodyHits+1 {
+			if !cached || s.Metrics().Value("budgetwfd_cache_body_hits_total", "") != bodyHits+1 {
 				t.Fatalf("%s: byte-identical repeat did not take the alias", name)
 			}
 			canonicalHit, cached := postOK(t, ts, "/v1/schedule", respell(t, body, 1))
-			if !cached || s.Metrics().CacheBodyHits() != bodyHits+1 {
+			if !cached || s.Metrics().Value("budgetwfd_cache_body_hits_total", "") != bodyHits+1 {
 				t.Fatalf("%s: re-spelled repeat: cached=%v, body hits moved=%v", name,
-					cached, s.Metrics().CacheBodyHits() != bodyHits+1)
+					cached, s.Metrics().Value("budgetwfd_cache_body_hits_total", "") != bodyHits+1)
 			}
 			if !bytes.Equal(sansRequestID(aliasHit), sansRequestID(canonicalHit)) {
 				t.Errorf("%s: alias hit and canonical hit differ beyond the request id:\n%.200s\n%.200s",
@@ -205,48 +205,48 @@ func TestRespelledBodyBecomesAlias(t *testing.T) {
 
 	original := scheduleBody(t, workflowJSON(t, 20, 7), "heftbudg", 50)
 	postOK(t, ts, "/v1/schedule", original)
-	if s.cache.Len() != 1 || s.cache.Aliases() != 1 {
-		t.Fatalf("after one plan: %d entries, %d aliases, want 1 and 1", s.cache.Len(), s.cache.Aliases())
+	if s.cache.stats().Size != 1 || s.cache.stats().Aliases != 1 {
+		t.Fatalf("after one plan: %d entries, %d aliases, want 1 and 1", s.cache.stats().Size, s.cache.stats().Aliases)
 	}
 
 	spelling := respell(t, original, 1)
 	if bytes.Equal(spelling, original) {
 		t.Fatal("respell returned the same bytes")
 	}
-	if _, cached := postOK(t, ts, "/v1/schedule", spelling); !cached || m.CacheBodyHits() != 0 {
-		t.Fatalf("new spelling: cached=%v bodyHits=%d, want a canonical-key hit", cached, m.CacheBodyHits())
+	if _, cached := postOK(t, ts, "/v1/schedule", spelling); !cached || m.Value("budgetwfd_cache_body_hits_total", "") != 0 {
+		t.Fatalf("new spelling: cached=%v bodyHits=%v, want a canonical-key hit", cached, m.Value("budgetwfd_cache_body_hits_total", ""))
 	}
-	if _, cached := postOK(t, ts, "/v1/schedule", spelling); !cached || m.CacheBodyHits() != 1 {
-		t.Fatalf("repeated spelling: cached=%v bodyHits=%d, want an alias hit", cached, m.CacheBodyHits())
+	if _, cached := postOK(t, ts, "/v1/schedule", spelling); !cached || m.Value("budgetwfd_cache_body_hits_total", "") != 1 {
+		t.Fatalf("repeated spelling: cached=%v bodyHits=%v, want an alias hit", cached, m.Value("budgetwfd_cache_body_hits_total", ""))
 	}
-	if s.cache.Len() != 1 || s.cache.Aliases() != 2 {
-		t.Fatalf("two spellings: %d entries, %d aliases, want 1 and 2", s.cache.Len(), s.cache.Aliases())
+	if s.cache.stats().Size != 1 || s.cache.stats().Aliases != 2 {
+		t.Fatalf("two spellings: %d entries, %d aliases, want 1 and 2", s.cache.stats().Size, s.cache.stats().Aliases)
 	}
 
 	// Fill to one spelling past the cap: every new one still hits, by
 	// the canonical key, and the index does not grow past the cap.
 	for v := 2; v <= maxBodyAliases; v++ {
-		before := m.CacheBodyHits()
-		if _, cached := postOK(t, ts, "/v1/schedule", respell(t, original, v)); !cached || m.CacheBodyHits() != before {
+		before := m.Value("budgetwfd_cache_body_hits_total", "")
+		if _, cached := postOK(t, ts, "/v1/schedule", respell(t, original, v)); !cached || m.Value("budgetwfd_cache_body_hits_total", "") != before {
 			t.Fatalf("spelling %d: cached=%v, want a canonical-key hit", v, cached)
 		}
 		checkAliasBound(t, s.cache)
 	}
-	if s.cache.Len() != 1 || s.cache.Aliases() != maxBodyAliases {
-		t.Fatalf("past the cap: %d entries, %d aliases, want 1 and %d", s.cache.Len(), s.cache.Aliases(), maxBodyAliases)
+	if s.cache.stats().Size != 1 || s.cache.stats().Aliases != maxBodyAliases {
+		t.Fatalf("past the cap: %d entries, %d aliases, want 1 and %d", s.cache.stats().Size, s.cache.stats().Aliases, maxBodyAliases)
 	}
 	// The newest spelling is remembered, the oldest was dropped — and is
 	// still a hit, the slower way.
-	before := m.CacheBodyHits()
-	if _, cached := postOK(t, ts, "/v1/schedule", respell(t, original, maxBodyAliases)); !cached || m.CacheBodyHits() != before+1 {
+	before := m.Value("budgetwfd_cache_body_hits_total", "")
+	if _, cached := postOK(t, ts, "/v1/schedule", respell(t, original, maxBodyAliases)); !cached || m.Value("budgetwfd_cache_body_hits_total", "") != before+1 {
 		t.Errorf("newest spelling is not an alias")
 	}
-	if _, cached := postOK(t, ts, "/v1/schedule", original); !cached || m.CacheBodyHits() != before+1 {
+	if _, cached := postOK(t, ts, "/v1/schedule", original); !cached || m.Value("budgetwfd_cache_body_hits_total", "") != before+1 {
 		t.Errorf("oldest spelling: cached=%v, body hits moved=%v; want a canonical-key hit",
-			cached, m.CacheBodyHits() != before+1)
+			cached, m.Value("budgetwfd_cache_body_hits_total", "") != before+1)
 	}
-	if misses := m.CacheMisses(); misses != 1 {
-		t.Errorf("misses = %d, want only the first plan", misses)
+	if misses := m.Value("budgetwfd_cache_misses_total", ""); misses != 1 {
+		t.Errorf("misses = %v, want only the first plan", misses)
 	}
 }
 
@@ -271,8 +271,8 @@ func TestEvictionRemovesAliases(t *testing.T) {
 			postOK(t, ts, "/v1/schedule", respell(t, bodyAt(i), i))
 		}
 		checkAliasBound(t, s.cache)
-		if s.cache.Len() > capacity {
-			t.Fatalf("%d entries, capacity %d", s.cache.Len(), capacity)
+		if s.cache.stats().Size > capacity {
+			t.Fatalf("%d entries, capacity %d", s.cache.stats().Size, capacity)
 		}
 	}
 	// Resident: the last three bodies, of which the even-numbered carry
@@ -281,7 +281,7 @@ func TestEvictionRemovesAliases(t *testing.T) {
 	for i := 10*capacity - capacity; i < 10*capacity; i++ {
 		wantAliases += 1 + (i+1)%2
 	}
-	if got := s.cache.Aliases(); got != wantAliases {
+	if got := s.cache.stats().Aliases; got != wantAliases {
 		t.Errorf("%d aliases left for the %d resident entries, want %d", got, capacity, wantAliases)
 	}
 	if _, cached := postOK(t, ts, "/v1/schedule", bodyAt(0)); cached {
@@ -296,7 +296,7 @@ func TestPlanCacheAliasLifecycle(t *testing.T) {
 	digest := func(s string) bodyDigest { return sha256.Sum256([]byte(s)) }
 	c := newPlanCache(2)
 	c.aliasBody("absent", digest("orphan"))
-	if c.Aliases() != 0 {
+	if c.stats().Aliases != 0 {
 		t.Fatal("alias recorded for a key that is not resident")
 	}
 
@@ -304,8 +304,8 @@ func TestPlanCacheAliasLifecycle(t *testing.T) {
 	c.aliasBody("a", digest("a1"))
 	c.aliasBody("a", digest("a1")) // the second of two concurrent identical cold bodies
 	c.aliasBody("a", digest("a2"))
-	if c.Aliases() != 2 {
-		t.Fatalf("aliases = %d, want 2", c.Aliases())
+	if c.stats().Aliases != 2 {
+		t.Fatalf("aliases = %d, want 2", c.stats().Aliases)
 	}
 	// Two concurrent misses on one key: the second put replaces the
 	// entry. Its aliases must keep working and answer from the new one.
@@ -315,13 +315,13 @@ func TestPlanCacheAliasLifecycle(t *testing.T) {
 			t.Fatalf("alias %s after replacement: ok=%v entry=%+v", d, ok, e)
 		}
 	}
-	if c.Aliases() != 2 || c.Len() != 1 {
-		t.Fatalf("after replacement: %d aliases, %d entries, want 2 and 1", c.Aliases(), c.Len())
+	if c.stats().Aliases != 2 || c.stats().Size != 1 {
+		t.Fatalf("after replacement: %d aliases, %d entries, want 2 and 1", c.stats().Aliases, c.stats().Size)
 	}
-	if c.Hits() != 2 || c.BodyHits() != 2 || c.Misses() != 0 {
-		t.Errorf("hits/bodyHits/misses = %d/%d/%d, want 2/2/0", c.Hits(), c.BodyHits(), c.Misses())
+	if c.stats().Hits != 2 || c.stats().BodyHits != 2 || c.stats().Misses != 0 {
+		t.Errorf("hits/bodyHits/misses = %d/%d/%d, want 2/2/0", c.stats().Hits, c.stats().BodyHits, c.stats().Misses)
 	}
-	if _, ok := c.getBody(digest("never seen")); ok || c.Misses() != 0 {
+	if _, ok := c.getBody(digest("never seen")); ok || c.stats().Misses != 0 {
 		t.Error("an unknown digest must be neither a hit nor a miss")
 	}
 
@@ -332,8 +332,8 @@ func TestPlanCacheAliasLifecycle(t *testing.T) {
 	if _, ok := c.getBody(digest("a1")); ok {
 		t.Error("alias of an evicted entry still resolves")
 	}
-	if c.Aliases() != 1 {
-		t.Errorf("aliases = %d after eviction, want only b's", c.Aliases())
+	if c.stats().Aliases != 1 {
+		t.Errorf("aliases = %d after eviction, want only b's", c.stats().Aliases)
 	}
 
 	// An alias hit refreshes recency like any other hit: b, just used,
@@ -352,7 +352,7 @@ func TestPlanCacheAliasLifecycle(t *testing.T) {
 	off := newPlanCache(0)
 	off.put(&cacheEntry{key: "a"})
 	off.aliasBody("a", digest("a1"))
-	if _, ok := off.getBody(digest("a1")); ok || off.Aliases() != 0 || off.Hits() != 0 || off.Misses() != 0 {
+	if _, ok := off.getBody(digest("a1")); ok || off.stats().Aliases != 0 || off.stats().Hits != 0 || off.stats().Misses != 0 {
 		t.Error("a disabled cache aliased or counted")
 	}
 }
@@ -396,8 +396,8 @@ func TestPlanCacheAliasHammer(t *testing.T) {
 	}
 	wg.Wait()
 	checkAliasBound(t, c)
-	if c.Len() > capacity {
-		t.Errorf("len = %d exceeds capacity %d", c.Len(), capacity)
+	if c.stats().Size > capacity {
+		t.Errorf("len = %d exceeds capacity %d", c.stats().Size, capacity)
 	}
 }
 
@@ -448,14 +448,14 @@ func TestConcurrentIdenticalColdBodies(t *testing.T) {
 			t.Errorf("client %d got a different plan", c)
 		}
 	}
-	if s.cache.Len() != 1 || s.cache.Aliases() != 1 {
-		t.Errorf("%d entries, %d aliases, want 1 and 1", s.cache.Len(), s.cache.Aliases())
+	if s.cache.stats().Size != 1 || s.cache.stats().Aliases != 1 {
+		t.Errorf("%d entries, %d aliases, want 1 and 1", s.cache.stats().Size, s.cache.stats().Aliases)
 	}
 	m := s.Metrics()
-	if m.CacheHits()+m.CacheMisses() != clients {
-		t.Errorf("hits %d + misses %d != %d requests", m.CacheHits(), m.CacheMisses(), clients)
+	if m.Value("budgetwfd_cache_hits_total", "")+m.Value("budgetwfd_cache_misses_total", "") != clients {
+		t.Errorf("hits %v + misses %v != %v requests", m.Value("budgetwfd_cache_hits_total", ""), m.Value("budgetwfd_cache_misses_total", ""), clients)
 	}
-	if _, cached := postOK(t, ts, "/v1/schedule", body); !cached || m.CacheBodyHits() == 0 {
+	if _, cached := postOK(t, ts, "/v1/schedule", body); !cached || m.Value("budgetwfd_cache_body_hits_total", "") == 0 {
 		t.Error("the body is not an alias after the stampede")
 	}
 }
@@ -501,11 +501,11 @@ func TestRejectedBodiesAreNeverAliased(t *testing.T) {
 			t.Errorf("%s: refused differently the second time: %q vs %q", tc.name, messages[0], messages[1])
 		}
 	}
-	if s.cache.Aliases() != 0 || s.cache.Len() != 0 {
-		t.Errorf("rejected bodies left %d aliases and %d entries", s.cache.Aliases(), s.cache.Len())
+	if s.cache.stats().Aliases != 0 || s.cache.stats().Size != 0 {
+		t.Errorf("rejected bodies left %d aliases and %d entries", s.cache.stats().Aliases, s.cache.stats().Size)
 	}
-	if h := s.Metrics().CacheHits(); h != 0 {
-		t.Errorf("rejected bodies counted %d hits", h)
+	if h := s.Metrics().Value("budgetwfd_cache_hits_total", ""); h != 0 {
+		t.Errorf("rejected bodies counted %v hits", h)
 	}
 }
 
@@ -520,16 +520,16 @@ func TestTraceRequestSkipsAlias(t *testing.T) {
 	body := scheduleBody(t, workflowJSON(t, 15, 6), "heftbudg", 50)
 	postOK(t, ts, "/v1/schedule", body)
 	plain, _ := postOK(t, ts, "/v1/schedule", body)
-	if got := s.Metrics().CacheBodyHits(); got != 1 {
-		t.Fatalf("body hits = %d, want 1 before the traced request", got)
+	if got := s.Metrics().Value("budgetwfd_cache_body_hits_total", ""); got != 1 {
+		t.Fatalf("body hits = %v, want 1 before the traced request", got)
 	}
 
 	data, cached := postOK(t, ts, "/v1/schedule?trace=1", body)
 	if !cached {
 		t.Fatal("traced repeat was not a cache hit")
 	}
-	if got := s.Metrics().CacheBodyHits(); got != 1 {
-		t.Errorf("traced request took the alias (body hits = %d)", got)
+	if got := s.Metrics().Value("budgetwfd_cache_body_hits_total", ""); got != 1 {
+		t.Errorf("traced request took the alias (body hits = %v)", got)
 	}
 	var resp scheduleResponse
 	if err := json.Unmarshal(data, &resp); err != nil {
@@ -586,12 +586,12 @@ func TestMarketRequestTakesAlias(t *testing.T) {
 		t.Fatal("first market request reported cached")
 	}
 	aliasHit, cached := postOK(t, ts, "/v1/schedule", body)
-	if !cached || s.Metrics().CacheBodyHits() != 1 {
-		t.Fatalf("market repeat: cached=%v bodyHits=%d", cached, s.Metrics().CacheBodyHits())
+	if !cached || s.Metrics().Value("budgetwfd_cache_body_hits_total", "") != 1 {
+		t.Fatalf("market repeat: cached=%v bodyHits=%v", cached, s.Metrics().Value("budgetwfd_cache_body_hits_total", ""))
 	}
 	canonicalHit, cached := postOK(t, ts, "/v1/schedule", respell(t, body, 5))
-	if !cached || s.Metrics().CacheBodyHits() != 1 {
-		t.Fatalf("re-spelled market repeat: cached=%v bodyHits=%d", cached, s.Metrics().CacheBodyHits())
+	if !cached || s.Metrics().Value("budgetwfd_cache_body_hits_total", "") != 1 {
+		t.Fatalf("re-spelled market repeat: cached=%v bodyHits=%v", cached, s.Metrics().Value("budgetwfd_cache_body_hits_total", ""))
 	}
 	if !bytes.Equal(sansRequestID(aliasHit), sansRequestID(canonicalHit)) {
 		t.Error("market alias hit and canonical hit differ beyond the request id")
@@ -634,8 +634,8 @@ func TestAliasHitKeepsMiddleware(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("alias hit = %d", code)
 	}
-	if m.CacheHits() != 1 || m.CacheBodyHits() != 1 {
-		t.Fatalf("hits=%d bodyHits=%d, want 1 and 1", m.CacheHits(), m.CacheBodyHits())
+	if m.Value("budgetwfd_cache_hits_total", "") != 1 || m.Value("budgetwfd_cache_body_hits_total", "") != 1 {
+		t.Fatalf("hits=%v bodyHits=%v, want 1 and 1", m.Value("budgetwfd_cache_hits_total", ""), m.Value("budgetwfd_cache_body_hits_total", ""))
 	}
 	var resp scheduleResponse
 	if err := json.Unmarshal(data, &resp); err != nil {
@@ -652,14 +652,14 @@ func TestAliasHitKeepsMiddleware(t *testing.T) {
 		t.Errorf("alias hit does not end like an encoded response: %q", data[len(data)-10:])
 	}
 
-	if got := m.RequestCount("schedule"); got != 2 {
-		t.Errorf("schedule request count = %d, want 2", got)
+	if got := m.Value("budgetwfd_requests_total", "schedule"); got != 2 {
+		t.Errorf("schedule request count = %v, want 2", got)
 	}
-	if got := m.StatusCount(http.StatusOK); got != 2 {
-		t.Errorf("200 count = %d, want 2", got)
+	if got := m.Value("budgetwfd_responses_total", "200"); got != 2 {
+		t.Errorf("200 count = %v, want 2", got)
 	}
-	if got := m.histogram("schedule").Snapshot().Count; got != 2 {
-		t.Errorf("schedule latency samples = %d, want 2", got)
+	if got := m.Value("budgetwfd_request_duration_seconds", "schedule"); got != 2 {
+		t.Errorf("schedule latency samples = %v, want 2", got)
 	}
 	var mv struct {
 		Algorithms map[string]int `json:"algorithms"`
@@ -739,11 +739,11 @@ func TestAliasHitAllocations(t *testing.T) {
 	if rec := serve(); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"cached":true`) {
 		t.Fatalf("repeat = %d, not a cached response", rec.Code)
 	}
-	before := s.Metrics().CacheBodyHits()
+	before := s.Metrics().Value("budgetwfd_cache_body_hits_total", "")
 	const runs = 50
 	allocs := testing.AllocsPerRun(runs, func() { serve() })
-	if got := s.Metrics().CacheBodyHits() - before; got != runs+1 { // AllocsPerRun warms up once
-		t.Fatalf("%d of %d measured requests took the alias", got, runs+1)
+	if got := s.Metrics().Value("budgetwfd_cache_body_hits_total", "") - before; got != runs+1 { // AllocsPerRun warms up once
+		t.Fatalf("%v of %v measured requests took the alias", got, runs+1)
 	}
 	if allocs > 64 {
 		t.Errorf("an alias hit allocates %v objects, want ≤ 64", allocs)

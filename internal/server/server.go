@@ -18,7 +18,7 @@
 //	GET  /v1/algorithms registered algorithms
 //	GET  /healthz       liveness
 //	GET  /readyz        readiness (503 while draining)
-//	GET  /metrics       this server's expvar metrics as JSON
+//	GET  /metrics       this server's metrics: JSON, or ?format=prometheus
 //
 // Production plumbing, which is the point of the package:
 //
@@ -32,7 +32,8 @@
 //     and simulation hot paths, and graceful shutdown that flips
 //     /readyz, stops admission and drains in-flight work;
 //   - panic-isolating middleware, structured request logs with request
-//     IDs, and expvar metrics (request/status/algorithm counters,
+//     IDs, and metrics declared once in an obs.Registry and served as
+//     JSON or Prometheus text (request/status/algorithm counters,
 //     per-endpoint latency histograms, cache hit rate, queue depth,
 //     in-flight gauge), plus optional net/http/pprof.
 package server
@@ -175,7 +176,7 @@ type Server struct {
 	log      *slog.Logger
 	pool     *workerPool
 	cache    *planCache
-	metrics  *Metrics
+	metrics  *metrics
 	traces   *obs.Ring
 	jobs     *dist.Store
 	coord    *dist.Coordinator
@@ -202,7 +203,6 @@ func New(cfg Config) *Server {
 		traces: obs.NewRing(cfg.TraceRingSize),
 		nonce:  fmt.Sprintf("%x", time.Now().UnixNano()&0xffffff),
 	}
-	s.metrics = newMetrics(s.cache, s.pool)
 	s.registry = dist.NewRegistry(cfg.HeartbeatTTL)
 	s.coord = &dist.Coordinator{
 		Workers:      cfg.Peers,
@@ -236,27 +236,6 @@ func New(cfg Config) *Server {
 			s.log.Warn("jobs: " + fmt.Sprintf(format, args...))
 		},
 	})
-	s.metrics.setJobStates(func() map[string]int {
-		out := make(map[string]int)
-		for st, n := range s.jobs.Counts() {
-			out[string(st)] = n
-		}
-		return out
-	})
-	s.metrics.setCluster(func() clusterStats {
-		live, suspect := s.registry.Counts()
-		cs := clusterStats{
-			WorkersLive:    live,
-			WorkersSuspect: suspect,
-			Coordinator:    s.coord.Stats(),
-			LateShards:     s.jobs.LateShards(),
-		}
-		if s.journal != nil {
-			cs.Journal = s.journal.Stats()
-			cs.HasJournal = true
-		}
-		return cs
-	})
 	if cfg.EnablePool {
 		plat := platform.Default()
 		plat.BillingQuantum = cfg.PoolBillingQuantum
@@ -273,9 +252,9 @@ func New(cfg Config) *Server {
 			s.log.Error("shared pool unavailable", "error", err.Error())
 		} else {
 			s.poolSvc = svc
-			s.metrics.setSharedPool(svc.Stats, svc.Tenants)
 		}
 	}
+	s.metrics = newMetrics(s)
 	s.mux = http.NewServeMux()
 	s.routes()
 	s.jobs.Restore(restored)
@@ -319,21 +298,21 @@ func (s *Server) routes() {
 // Handler returns the root handler (for httptest and for embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Metrics exposes the server's metrics (tests assert on cache
-// hit/miss counters through it).
-func (s *Server) Metrics() *Metrics { return s.metrics }
+// Metrics exposes the server's metrics registry (tests read series
+// through its Value).
+func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 
 // Traces exposes the server's trace ring, so the daemon can seed it
 // with process-level traces (a worker's heartbeat flight recorder).
 func (s *Server) Traces() *obs.Ring { return s.traces }
 
-// PublishExpvar publishes the server's metrics map into the global
+// PublishExpvar publishes the server's metrics document into the global
 // expvar namespace under the given name, once per process; repeated
 // calls (or name collisions from tests) are ignored rather than
 // panicking, as expvar.Publish would.
 func (s *Server) PublishExpvar(name string) {
 	if expvar.Get(name) == nil {
-		expvar.Publish(name, s.metrics.Var())
+		expvar.Publish(name, s.metrics.reg)
 	}
 }
 
