@@ -275,15 +275,26 @@ func FuzzReplayBackendsAgree(f *testing.F) {
 
 		const reps = 5
 		replay := Replay{Workflow: w, Platform: p, Schedule: s, Budget: budget, Reps: reps, Weights: rng.New(seed)}
-		scored, err := replay.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
+		// Each back end replays twice and must repeat itself bit for bit:
+		// the check that catches state leaking from one execution into the
+		// next through a reused engine.
+		twice := func() Batch {
+			first, err := replay.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := replay.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bits(first) != bits(again) {
+				t.Fatalf("%s n=%d %s β=%g σ=%g seed %d: two replays differ:\n%s\n%s", typ, w.NumTasks(), alg, factor, sigma, seed, bits(first), bits(again))
+			}
+			return first
 		}
+		scored := twice()
 		replay.Platform, replay.Schedule = twins, onTwins
-		executed, err := replay.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+		executed := twice()
 		if executed.SpotVMs != reps*s.NumVMs() {
 			t.Fatalf("the twin schedule booked %d spot VMs over %d executions of %d VMs: not routed through online", executed.SpotVMs, reps, s.NumVMs())
 		}

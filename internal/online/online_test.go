@@ -16,8 +16,8 @@ import (
 
 // TestParityWithSimulatorWhenDisabled is the key correctness anchor:
 // with monitoring disabled, the online executor must reproduce the
-// discrete-event simulator's makespan and cost exactly, across all
-// workflow families and stochastic weights.
+// discrete-event simulator's makespan, cost and task times bit for bit,
+// across all workflow families and stochastic weights.
 func TestParityWithSimulatorWhenDisabled(t *testing.T) {
 	p := platform.Default()
 	for _, typ := range wfgen.AllPaperTypes() {
@@ -36,11 +36,9 @@ func TestParityWithSimulatorWhenDisabled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if math.Abs(got.Makespan-want.Makespan) > 1e-6*(1+want.Makespan) {
-				t.Errorf("%s seed %d: makespan %v (online) vs %v (sim)", typ, seed, got.Makespan, want.Makespan)
-			}
-			if math.Abs(got.TotalCost-want.TotalCost) > 1e-6*(1+want.TotalCost) {
-				t.Errorf("%s seed %d: cost %v (online) vs %v (sim)", typ, seed, got.TotalCost, want.TotalCost)
+			if !sameBits(got, want) {
+				t.Errorf("%s seed %d: makespan %v, cost %v (online) vs %v, %v (sim), or a task time differs",
+					typ, seed, got.Makespan, got.TotalCost, want.Makespan, want.TotalCost)
 			}
 			if len(got.Migrations) != 0 || got.Vetoed != 0 {
 				t.Errorf("%s seed %d: disabled policy intervened", typ, seed)

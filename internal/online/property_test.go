@@ -16,7 +16,9 @@ import (
 )
 
 // randomOnlineCase mirrors the simulator's property-test generator:
-// random DAG, random valid schedule, random two-category platform.
+// random DAG, random valid schedule, random two-category platform —
+// half of them spread over two providers, with an inter-provider
+// transfer surcharge, latency and bandwidth on the far one.
 func randomOnlineCase(r *rand.Rand) (*wf.Workflow, *plan.Schedule, *platform.Platform) {
 	n := 2 + r.Intn(20)
 	w := wf.New("prop")
@@ -35,14 +37,15 @@ func randomOnlineCase(r *rand.Rand) (*wf.Workflow, *plan.Schedule, *platform.Pla
 			_ = w.SetExternalIO(wf.TaskID(i), r.Float64()*500, r.Float64()*200)
 		}
 	}
-	p := &platform.Platform{
-		Categories: []platform.Category{
-			{Name: "s", Speed: 10, CostPerSec: 1, InitCost: 1},
-			{Name: "l", Speed: 40, CostPerSec: 5, InitCost: 1},
-		},
-		Bandwidth:    50,
-		BootTime:     float64(r.Intn(10)),
-		DCCostPerSec: 0.01, TransferCostPerByte: 0.001,
+	p := scalarPlatform(r)
+	if r.Intn(2) == 0 {
+		far := r.Intn(2) // the category hosted away from the datacenter
+		p.Providers = []string{"dc", "far"}
+		p.Categories[far].Provider = 1
+		lat, cost := 5*r.Float64(), 0.01*r.Float64()
+		p.XferLatencySec = [][]float64{{0, lat}, {lat, 0}}
+		p.XferCostPerByte = [][]float64{{0, cost}, {cost, 0}}
+		p.ProviderBandwidth = []float64{50, 10 + 90*r.Float64()}
 	}
 	numVMs := 1 + r.Intn(4)
 	s := plan.New(n)
@@ -57,8 +60,41 @@ func randomOnlineCase(r *rand.Rand) (*wf.Workflow, *plan.Schedule, *platform.Pla
 	return w, s, p
 }
 
+// scalarPlatform draws the generator's single-provider platform.
+func scalarPlatform(r *rand.Rand) *platform.Platform {
+	return &platform.Platform{
+		Categories: []platform.Category{
+			{Name: "s", Speed: 10, CostPerSec: 1, InitCost: 1},
+			{Name: "l", Speed: 40, CostPerSec: 5, InitCost: 1},
+		},
+		Bandwidth:    50,
+		BootTime:     float64(r.Intn(10)),
+		DCCostPerSec: 0.01, TransferCostPerByte: 0.001,
+	}
+}
+
+// sameBits reports whether a Report and a Result agree bit for bit on
+// makespan, cost and every task's realized times.
+func sameBits(got *Report, want *sim.Result) bool {
+	if math.Float64bits(got.Makespan) != math.Float64bits(want.Makespan) ||
+		math.Float64bits(got.TotalCost) != math.Float64bits(want.TotalCost) ||
+		got.NumVMs != want.NumVMs() || len(got.Tasks) != len(want.Tasks) {
+		return false
+	}
+	for i, tt := range got.Tasks {
+		w := want.Tasks[i]
+		for _, pair := range [][2]float64{{tt.StageStart, w.StageStart}, {tt.ComputeStart, w.ComputeStart}, {tt.Finish, w.Finish}} {
+			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestParityFuzz extends the disabled-policy parity check to random
-// DAGs, schedules and platforms.
+// DAGs, schedules and platforms, single- and two-provider: makespan,
+// cost and every task time agree bit for bit.
 func TestParityFuzz(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -69,11 +105,13 @@ func TestParityFuzz(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return (err1 == nil) == (err2 == nil)
 		}
-		return math.Abs(got.Makespan-want.Makespan) <= 1e-6*(1+want.Makespan) &&
-			math.Abs(got.TotalCost-want.TotalCost) <= 1e-6*(1+want.TotalCost) &&
-			got.NumVMs == want.NumVMs()
+		if !sameBits(got, want) {
+			t.Logf("seed %d: online %v/%v, sim %v/%v", seed, got.Makespan, got.TotalCost, want.Makespan, want.TotalCost)
+			return false
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
