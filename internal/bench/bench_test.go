@@ -261,9 +261,11 @@ func TestGateDaemon(t *testing.T) {
 }
 
 // TestGateSim: the gate passes a run in which scoring is far cheaper
-// than the event engine and neither allocates per execution, names
-// each relation a run breaks, and rejects a run that lacks a case.
+// than the event engine and neither allocates per execution and online
+// executions stay within their time and allocation bounds, names each
+// relation a run breaks, and rejects a run that lacks a case.
 func TestGateSim(t *testing.T) {
+	online := Result{Case: "online25/montage/n0300/sigma0.50", Iterations: 10, NsPerOp: 5e6, AllocsPerOp: 25 * 45, OpsPerSec: 1}
 	run := func(mcAllocs, scoreAllocs int64, scoreNs float64) *File {
 		f := &File{SchemaVersion: SchemaVersion, Suite: "sim"}
 		for _, sigma := range simSigmas {
@@ -271,14 +273,27 @@ func TestGateSim(t *testing.T) {
 				Result{Case: fmt.Sprintf("mc25/montage/n0300/sigma%.2f", sigma), Iterations: 10, NsPerOp: 3e6, AllocsPerOp: mcAllocs, OpsPerSec: 1},
 				Result{Case: fmt.Sprintf("score25/montage/n0300/sigma%.2f", sigma), Iterations: 10, NsPerOp: scoreNs, AllocsPerOp: scoreAllocs, OpsPerSec: 1})
 		}
+		f.Results = append(f.Results, online)
 		return f
 	}
 	report, err := GateSim(run(26, 25, 250e3))
 	if err != nil {
 		t.Errorf("healthy run rejected: %v", err)
 	}
-	if len(report) != len(simSigmas) || !strings.Contains(report[0], "250000/3000000 = 0.083") {
-		t.Errorf("report lacks one ratio with its base per σ: %q", report)
+	if len(report) != len(simSigmas)+1 || !strings.Contains(report[0], "250000/3000000 = 0.083") ||
+		!strings.Contains(report[len(simSigmas)], "5000000/3000000 = 1.667 (limit 2), 45 allocations per execution") {
+		t.Errorf("report lacks one ratio with its base per σ and the online relation: %q", report)
+	}
+	// The parent's executor: ≈ 5× the engine and ≈ 2 145 allocations per
+	// execution.
+	online.NsPerOp, online.AllocsPerOp = 15e6, 25*2145
+	if _, err := GateSim(run(26, 25, 250e3)); err == nil || !strings.Contains(err.Error(), "more than 2× mc25") ||
+		!strings.Contains(err.Error(), "more than 400 per execution") {
+		t.Errorf("an online executor 5× slower and allocating per event passed the gate: %v", err)
+	}
+	online.NsPerOp, online.AllocsPerOp = 6e6, 25*400
+	if _, err := GateSim(run(26, 25, 250e3)); err != nil {
+		t.Errorf("online exactly at both limits rejected: %v", err)
 	}
 	// One allocation per scored execution on top of the split stream.
 	if _, err := GateSim(run(26, 50, 250e3)); err == nil || !strings.Contains(err.Error(), "score25/montage/n0300/sigma0.00 allocates 50") {

@@ -1,82 +1,152 @@
-// Package evloop is the deterministic discrete-event substrate shared
-// by the single-workflow online executor (internal/online) and the
-// multi-tenant shared-pool service (internal/pool).
+// Package evloop is the deterministic discrete-event substrate of the
+// execution engine (internal/sim, which runs every online execution
+// too) and of the multi-tenant shared pool (internal/pool).
 //
-// Determinism is the whole point: events are dispatched in strict
-// (time, insertion-sequence) order, so two runs that push the same
-// events in the same order dispatch them in the same order, tied
-// instants included. The insertion sequence is assigned by Push — the
-// caller never supplies it — which makes the tie-break a pure function
-// of program order and lets a host loop (the pool) interleave events
-// from many producers (one hosted executor per in-flight workflow,
-// plus its own billing-boundary and deprovision timers) while keeping
-// every producer's internal order intact. That property is what makes
-// a single-tenant pool run bit-identical to a standalone
-// internal/online execution: same events, same relative order, same
-// floating-point arithmetic.
+// Events are dispatched in strict (time, insertion-sequence) order, and
+// Push assigns the sequence: the tie-break is a pure function of program
+// order. A host loop (the pool) can therefore interleave events from
+// many producers — one hosted execution per in-flight workflow, plus its
+// own timers — while keeping every producer's internal order intact,
+// which is what makes a single-tenant pool run bit-identical to a
+// standalone internal/online execution.
 package evloop
 
 import "fmt"
 
-// Item is one schedulable event. When is the virtual instant the event
-// fires; EvSeq/SetEvSeq expose the loop-assigned insertion sequence
-// used to break ties deterministically.
+// Queue is a binary min-heap of values ordered by (time, insertion
+// sequence): the only event heap in the repository. Once its backing
+// array has grown a push allocates nothing. The zero value is ready to
+// use; it is not safe for concurrent use.
+type Queue[V any] struct {
+	seq int
+	h   []slot[V]
+}
+
+type slot[V any] struct {
+	at  float64
+	seq int
+	v   V
+}
+
+// Len returns the number of pending events.
+func (q *Queue[V]) Len() int { return len(q.h) }
+
+// Reset empties the queue and restarts the sequence, keeping the
+// backing array.
+func (q *Queue[V]) Reset() {
+	clear(q.h)
+	q.h = q.h[:0]
+	q.seq = 0
+}
+
+// Push schedules v at instant at and returns the insertion sequence it
+// was assigned.
+func (q *Queue[V]) Push(at float64, v V) int {
+	in := slot[V]{at: at, seq: q.seq, v: v}
+	q.seq++
+	q.h = append(q.h, in)
+	i := len(q.h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !in.before(&q.h[parent]) {
+			break
+		}
+		q.h[i] = q.h[parent]
+		i = parent
+	}
+	q.h[i] = in
+	return in.seq
+}
+
+// Peek returns the earliest pending event and its instant without
+// removing it; ok is false when the queue is empty.
+func (q *Queue[V]) Peek() (at float64, v V, ok bool) {
+	if len(q.h) == 0 {
+		return 0, v, false
+	}
+	return q.h[0].at, q.h[0].v, true
+}
+
+// Pop removes and returns the earliest pending event and its instant;
+// ok is false when the queue is empty.
+func (q *Queue[V]) Pop() (at float64, v V, ok bool) {
+	if len(q.h) == 0 {
+		return 0, v, false
+	}
+	top := q.h[0]
+	n := len(q.h) - 1
+	last := q.h[n]
+	q.h[n] = slot[V]{} // release any reference the value holds
+	q.h = q.h[:n]
+	if n > 0 {
+		// Sift the hole left at the root down, then drop last into it.
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && q.h[c+1].before(&q.h[c]) {
+				c++
+			}
+			if !q.h[c].before(&last) {
+				break
+			}
+			q.h[i] = q.h[c]
+			i = c
+		}
+		q.h[i] = last
+	}
+	return top.at, top.v, true
+}
+
+func (s *slot[V]) before(o *slot[V]) bool {
+	if s.at != o.at {
+		return s.at < o.at
+	}
+	return s.seq < o.seq
+}
+
+// Item is one schedulable event of a Loop. When is the virtual instant
+// the event fires, read once at Push: it must not change while the
+// event is queued. EvSeq/SetEvSeq expose the loop-assigned insertion
+// sequence that breaks ties.
 type Item interface {
 	When() float64
 	EvSeq() int
 	SetEvSeq(int)
 }
 
-// Loop is a deterministic event loop: a binary min-heap ordered by
-// (When, EvSeq) plus a monotonic virtual clock. The zero value is
-// ready to use. Loop is not safe for concurrent use; hosts serialize
-// access (the pool's HTTP service holds a mutex across a drain).
+// Loop is a deterministic event loop: a Queue of items plus a monotonic
+// virtual clock. The zero value is ready to use. Loop is not safe for
+// concurrent use; hosts serialize access (the pool's HTTP service holds
+// a mutex across a drain).
 type Loop[E Item] struct {
 	now float64
-	seq int
-	h   []E
+	q   Queue[E]
 }
 
 // Now returns the virtual clock.
 func (l *Loop[E]) Now() float64 { return l.now }
 
 // Len returns the number of pending events.
-func (l *Loop[E]) Len() int { return len(l.h) }
+func (l *Loop[E]) Len() int { return l.q.Len() }
 
 // Push schedules an event, assigning it the next insertion sequence.
 // Scheduling in the past is legal at push time (the error surfaces at
 // Advance, where the contract is actually violated).
-func (l *Loop[E]) Push(e E) {
-	e.SetEvSeq(l.seq)
-	l.seq++
-	l.h = append(l.h, e)
-	l.up(len(l.h) - 1)
-}
+func (l *Loop[E]) Push(e E) { e.SetEvSeq(l.q.Push(e.When(), e)) }
 
 // Pop removes and returns the earliest pending event.
 func (l *Loop[E]) Pop() (E, bool) {
-	var zero E
-	if len(l.h) == 0 {
-		return zero, false
-	}
-	top := l.h[0]
-	last := len(l.h) - 1
-	l.h[0] = l.h[last]
-	l.h[last] = zero // release the reference
-	l.h = l.h[:last]
-	if len(l.h) > 0 {
-		l.down(0)
-	}
-	return top, true
+	_, e, ok := l.q.Pop()
+	return e, ok
 }
 
 // Peek returns the earliest pending event without removing it.
 func (l *Loop[E]) Peek() (E, bool) {
-	var zero E
-	if len(l.h) == 0 {
-		return zero, false
-	}
-	return l.h[0], true
+	_, e, ok := l.q.Peek()
+	return e, ok
 }
 
 // Advance moves the clock to t. Moving backwards (beyond a small
@@ -90,42 +160,4 @@ func (l *Loop[E]) Advance(t float64) error {
 		l.now = t
 	}
 	return nil
-}
-
-func (l *Loop[E]) less(i, j int) bool {
-	ti, tj := l.h[i].When(), l.h[j].When()
-	if ti != tj {
-		return ti < tj
-	}
-	return l.h[i].EvSeq() < l.h[j].EvSeq()
-}
-
-func (l *Loop[E]) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !l.less(i, parent) {
-			return
-		}
-		l.h[i], l.h[parent] = l.h[parent], l.h[i]
-		i = parent
-	}
-}
-
-func (l *Loop[E]) down(i int) {
-	n := len(l.h)
-	for {
-		left, right := 2*i+1, 2*i+2
-		smallest := i
-		if left < n && l.less(left, smallest) {
-			smallest = left
-		}
-		if right < n && l.less(right, smallest) {
-			smallest = right
-		}
-		if smallest == i {
-			return
-		}
-		l.h[i], l.h[smallest] = l.h[smallest], l.h[i]
-		i = smallest
-	}
 }

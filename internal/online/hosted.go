@@ -2,24 +2,20 @@ package online
 
 import (
 	"fmt"
+	"math"
 
 	"budgetwf/internal/plan"
 	"budgetwf/internal/platform"
+	"budgetwf/internal/sim"
 	"budgetwf/internal/wf"
 )
 
-// This file is the hosting surface of the executor: the API
-// internal/pool uses to run many workflow executions inside one shared
-// event loop. A hosted execution is the very same state machine as
-// Execute — same dispatch function, same event kinds, same arithmetic —
-// with its event queue externalized: instead of popping from its own
-// loop, the executor hands every pushed event to the host (Emit) and
-// the host feeds events back one at a time (Step) in the host loop's
-// global (time, sequence) order. Because evloop assigns sequence
-// numbers in push order, a host running a single submission dispatches
-// the exact event sequence Execute would, which is what pins the
-// pool's single-tenant runs bit-for-bit to this package (see
-// internal/pool's property tests).
+// This file is the hosting surface internal/pool uses to run many
+// executions inside one shared event loop: the same engine and
+// controller as Execute, with the engine's event queue externalized —
+// every event goes to the host (Emit), which hands them back one at a
+// time (Step) in its loop's (time, sequence) order. A host running a
+// single submission thus dispatches exactly Execute's event sequence.
 
 // Lease hands an already-booted shared-pool VM to a hosted execution
 // at booking time. Age is the VM's age — seconds since its original
@@ -34,7 +30,8 @@ type Lease struct {
 // through HostHooks.Emit and returned through Step. The host orders
 // them; it never inspects them.
 type Ev struct {
-	ev *event
+	at float64
+	ev sim.Event
 }
 
 // HostHooks connects a hosted execution to its host loop. Emit is
@@ -59,8 +56,7 @@ type HostHooks struct {
 // Hosted is one workflow execution driven by an external event loop.
 // Not safe for concurrent use; the host serializes all calls.
 type Hosted struct {
-	e     *executor
-	steps int
+	c *controller
 }
 
 // NewHosted builds a hosted execution. Fault injection is not
@@ -69,12 +65,6 @@ type Hosted struct {
 // datacenter-contention mode is rejected exactly as Execute rejects
 // it.
 func NewHosted(w *wf.Workflow, p *platform.Platform, s *plan.Schedule, weights []float64, policy Policy, hooks HostHooks) (*Hosted, error) {
-	if p.DCBandwidth > 0 {
-		return nil, fmt.Errorf("online: datacenter contention mode is not supported")
-	}
-	if len(weights) != w.NumTasks() {
-		return nil, fmt.Errorf("online: %d weights for %d tasks", len(weights), w.NumTasks())
-	}
 	if policy.Faults != nil && policy.Faults.Model != nil {
 		return nil, fmt.Errorf("online: fault injection is not supported in hosted executions")
 	}
@@ -82,45 +72,40 @@ func NewHosted(w *wf.Workflow, p *platform.Platform, s *plan.Schedule, weights [
 		return nil, fmt.Errorf("online: hosted execution requires an Emit hook")
 	}
 	policy.Faults = nil
-	e, err := newExecutor(w, p, s, weights, policy)
+	c, err := newController(w, p, s, weights, policy)
 	if err != nil {
 		return nil, err
 	}
-	e.emit = func(ev *event) { hooks.Emit(ev.time, Ev{ev: ev}) }
-	e.acquire = hooks.Acquire
-	e.onProvision = hooks.OnProvision
-	return &Hosted{e: e}, nil
+	c.Emit = func(at float64, ev sim.Event) { hooks.Emit(at, Ev{at: at, ev: ev}) }
+	if hooks.Acquire != nil {
+		c.Acquire = func(cat int, at float64) (float64, bool) {
+			lease, ok := hooks.Acquire(cat, at)
+			return lease.Age, ok
+		}
+	}
+	c.OnProvision = hooks.OnProvision
+	return &Hosted{c: c}, nil
 }
 
 // Start performs the initial scheduling pass (booking VMs whose first
 // inputs are ready), emitting the first events to the host.
-func (h *Hosted) Start() { h.e.tryAdvanceAll() }
+func (h *Hosted) Start() { h.c.AdvanceAll() }
 
 // Step dispatches one event previously emitted to the host. The host
 // must deliver events in nondecreasing time order (its loop's order);
 // a livelocked execution fails rather than spinning.
-func (h *Hosted) Step(ev Ev) error {
-	h.steps++
-	if maxSteps := h.e.maxSteps(); h.steps > maxSteps {
-		return fmt.Errorf("online: exceeded %d steps; execution is livelocked", maxSteps)
-	}
-	if err := h.e.stepTo(ev.ev.time); err != nil {
-		return err
-	}
-	h.e.dispatch(ev.ev)
-	return nil
-}
+func (h *Hosted) Step(ev Ev) error { return h.c.Step(ev.at, ev.ev) }
 
 // Settled reports whether every task has reached a terminal state.
-func (h *Hosted) Settled() bool { return h.e.settled() }
+func (h *Hosted) Settled() bool { return h.c.Settled() }
 
 // Now returns the execution-relative clock.
-func (h *Hosted) Now() float64 { return h.e.now }
+func (h *Hosted) Now() float64 { return h.c.Now() }
 
 // Finish collects the Report — identical in shape and, for a lone
 // submission on an empty pool, in every bit to Execute's. Call it
 // exactly once, after Settled.
-func (h *Hosted) Finish() *Report { return h.e.collect() }
+func (h *Hosted) Finish() *Report { return h.c.finish() }
 
 // Release describes one VM the execution booked, for return to the
 // host's pool when the execution settles. All instants are
@@ -147,24 +132,20 @@ type Release struct {
 // provisioning order. Valid once the execution has settled.
 func (h *Hosted) Releases() []Release {
 	var out []Release
-	for v := range h.e.vms {
-		vm := &h.e.vms[v]
-		if !vm.booked || vm.bootFailed || vm.dead {
+	for v, vm := range h.c.VMs {
+		if !vm.Booked || vm.BootFailed || vm.Dead {
 			continue
 		}
-		end := vm.end
-		if end < vm.bootDone {
-			end = vm.bootDone
-		}
+		end := math.Max(vm.End, vm.BootDone)
 		out = append(out, Release{
 			VM:       v,
-			Cat:      vm.cat,
-			Leased:   vm.leased,
-			LeaseAge: vm.leaseAge,
-			BookedAt: vm.bookTime,
-			BootDone: vm.bootDone,
+			Cat:      vm.Cat,
+			Leased:   vm.Leased,
+			LeaseAge: vm.LeaseAge,
+			BookedAt: vm.BookTime,
+			BootDone: vm.BootDone,
 			End:      end,
-			AgeAtEnd: vm.leaseAge + (end - vm.bootDone),
+			AgeAtEnd: vm.LeaseAge + (end - vm.BootDone),
 		})
 	}
 	return out
@@ -172,4 +153,7 @@ func (h *Hosted) Releases() []Release {
 
 // Dump renders the execution's internal state for deadlock
 // diagnostics.
-func (h *Hosted) Dump() string { return h.e.stateDump() }
+func (h *Hosted) Dump() string {
+	return fmt.Sprintf("done %v\nfailed %v\ncur %v\nreplica %v\nvms %+v\nedges %v",
+		h.c.Done, h.c.Failed, h.c.Cur, h.c.Replica, h.c.VMs, h.c.EdgeState)
+}

@@ -15,14 +15,12 @@
 // spend to stay within the initial budget, the task is not already on
 // the fastest category, and its migration allowance is not exhausted.
 //
-// The executor reproduces the execution semantics of internal/sim
-// exactly (a test asserts equality when the controller never fires),
-// with the additional mechanics interruption requires: data produced
-// locally for a migrated consumer is uploaded to the datacenter on
-// demand, and the abandoned VM proceeds with its remaining queue.
-// The fluid datacenter-contention mode is not supported here.
+// This package is a policy layer, not an engine: every execution runs
+// on sim.Exec, the engine behind sim.Run, and the controller here
+// implements its decision points (sim.Controller). A controller that
+// never intervenes leaves the execution the simulation, bit for bit.
 //
-// The executor is also the failure-aware engine behind internal/fault:
+// The controller is also the failure-aware layer behind internal/fault:
 // Policy.Faults injects VM crash-stops, boot failures and transient
 // task failures. A crash kills its VM mid-task — in-progress work and
 // data that never reached the datacenter are lost, while outputs
@@ -31,12 +29,11 @@
 // configured recovery policy under the same budget guard as
 // migrations; when the guard refuses a recovery, or a task exhausts
 // its retries, the execution degrades gracefully to a partial Report
-// with per-task statuses instead of an error.
+// with per-task statuses instead of an error. Executions under
+// datacenter contention are refused.
 package online
 
 import (
-	"fmt"
-
 	"budgetwf/internal/fault"
 	"budgetwf/internal/obs"
 	"budgetwf/internal/plan"
@@ -171,17 +168,14 @@ type Report struct {
 // Execute runs the schedule with the given realized weights under the
 // online controller.
 func Execute(w *wf.Workflow, p *platform.Platform, s *plan.Schedule, weights []float64, policy Policy) (*Report, error) {
-	if p.DCBandwidth > 0 {
-		return nil, fmt.Errorf("online: datacenter contention mode is not supported")
-	}
-	if len(weights) != w.NumTasks() {
-		return nil, fmt.Errorf("online: %d weights for %d tasks", len(weights), w.NumTasks())
-	}
-	e, err := newExecutor(w, p, s, weights, policy)
+	c, err := newController(w, p, s, weights, policy)
 	if err != nil {
 		return nil, err
 	}
-	return e.run()
+	if err := c.Run(); err != nil {
+		return nil, err
+	}
+	return c.finish(), nil
 }
 
 // ExecuteStochastic samples weights and runs one monitored execution.

@@ -4,126 +4,127 @@ import (
 	"fmt"
 	"math"
 
+	"budgetwf/internal/evloop"
 	"budgetwf/internal/plan"
 	"budgetwf/internal/platform"
 	"budgetwf/internal/wf"
 )
 
-// eventKind discriminates entries of the fixed-event heap.
-type eventKind int
+// evKind discriminates events.
+type evKind uint8
 
 const (
-	evBootDone eventKind = iota
-	evComputeDone
-	evFlowDone // only used when the datacenter bandwidth is unbounded
+	evBoot      evKind = iota // a VM finished booting
+	evStage                   // a task's inputs are staged on its VM
+	evCompute                 // a computation completed
+	evInterrupt               // a monitoring timeout fired (Controller.Timeout)
+	evUpload                  // an edge's payload reached the datacenter
+	evCrash                   // a VM crash-stop (ScheduleCrash)
+	evWake                    // a VM's reboot backoff elapsed
 )
 
-type event struct {
-	time float64
-	seq  int // insertion order, for deterministic tie-breaking
-	kind eventKind
-	vm   int
-	task wf.TaskID
-	flow *flow
+// Event is one pending event of an execution. Outside this package it
+// is opaque: a host loop (internal/pool, through online.Hosted) queues
+// it at the instant Emit names and hands it back to Exec.Step. It is
+// small because the event heap moves it on every push and pop.
+type Event struct {
+	kind evKind
+	id   int32 // the VM, or the edge of an upload
+	task int32
+	// stamp is the VM's epoch (stage, compute, interrupt) or the edge's
+	// upload generation (upload) at push time; an event whose stamp no
+	// longer matches is stale and dropped.
+	stamp int32
 }
 
-// eventHeap is a hand-rolled binary min-heap of event values ordered
-// by (time, seq). container/heap would box every Push/Pop through
-// interface{}, allocating per event on the Monte Carlo hot path; this
-// keeps events in one reusable backing array.
-type eventHeap []event
-
-func (h eventHeap) before(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.before(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // drop the flow pointer
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && s.before(l, smallest) {
-			smallest = l
-		}
-		if r < n && s.before(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
-	}
-	return top
-}
-
-// flowKind discriminates data movements.
+// flowKind discriminates data movements under datacenter contention.
 type flowKind int
 
 const (
 	flowStaging flowKind = iota // datacenter → VM, serialized before compute
-	flowUpload                  // VM → datacenter, asynchronous
+	flowUpload                  // VM → datacenter for a consumer elsewhere
+	flowOutput                  // VM → datacenter, an external output
 )
 
-// flow is one data movement. In unbounded-DC mode its completion time
-// is known at creation; in fluid mode remaining/rate evolve.
+// flow is one data movement in the fluid model: its completion time is
+// not known when it starts, since remaining/rate evolve with sharing.
 type flow struct {
 	kind      flowKind
-	vm        int       // staging: destination; upload: source
-	task      wf.TaskID // staging: consumer; upload: producer
-	edge      int       // upload: edge index, or -1 for an external output
+	vm        int       // staging: destination; upload/output: source
+	task      wf.TaskID // staging: consumer
+	edge      int       // upload: edge index
 	remaining float64
 	rate      float64
-	seq       int
-	done      bool
 }
 
-// vmState tracks one VM through the simulation.
-type vmState struct {
-	cat      int
-	queue    []wf.TaskID
-	next     int
-	booked   bool
-	booting  bool
-	bookTime float64
-	bootDone float64
-	busy     bool // staging or computing
-	freeAt   float64
-	prevTask wf.TaskID // last completed task, for blame
-	hasPrev  bool
-	end      float64 // H_end,v so far
-	busyTime float64 // accumulated staging + compute time
+// EdgeState is where one edge's payload currently lives.
+type EdgeState uint8
+
+// Edge states.
+const (
+	EdgePending   EdgeState = iota // producer not finished (or its output was lost)
+	EdgeLocal                      // payload only on the producer's VM
+	EdgeUploading                  // on its way to the datacenter
+	EdgeAtDC                       // available at the datacenter
+)
+
+// VM is one VM's state during an execution.
+type VM struct {
+	Cat          int
+	Queue        []wf.TaskID // tasks in service order; never modified
+	Next         int         // index in Queue of the task in service or next up
+	Booked       bool
+	BookTime     float64
+	BootDone     float64 // H_start,v: end of boot, beginning of billing
+	End          float64 // H_end,v so far
+	Busy         bool    // staging or computing Current
+	Computing    bool
+	Current      wf.TaskID
+	ComputeStart float64
+	// A leased VM came from a host's pool already booted, LeaseAge old:
+	// Invoice charges only the billing units past those already paid.
+	Leased   bool
+	LeaseAge float64
+	// Epoch invalidates the VM's in-flight activity events when it
+	// abandons them; crash events check Dead instead.
+	Epoch      int
+	Dead       bool
+	BootFailed bool
+
+	booting    bool
+	notBefore  float64 // reboot backoff: earliest booking instant
+	wakeQueued bool
+	freeAt     float64   // when the VM last became idle, for blame
+	prevTask   wf.TaskID // last completed task, for blame
+	hasPrev    bool
+	busyTime   float64 // accumulated staging + compute time
 }
 
-// engineStatic is the schedule-dependent, run-independent part of the
-// engine: cached graph structure, staging volumes and the validation
-// outcome. A Runner computes it once and replays many executions
-// against it — or re-points it at another schedule with bind, keeping
-// the graph caches; the one-shot entry points build it per call.
+// Controller is the policy layer an execution consults at its decision
+// points: internal/online's monitoring, budget guard and failure
+// recovery. An execution without one runs the schedule as planned.
+type Controller interface {
+	// Timeout returns how long t may compute on v before Interrupt fires,
+	// if its computation is monitored there.
+	Timeout(v int, t wf.TaskID) (float64, bool)
+	// Interrupt handles a fired timeout of t, still computing on v, and
+	// reports whether it took the task away; if not, the computation
+	// runs to completion.
+	Interrupt(v int, t wf.TaskID) bool
+	// Booted and Computed report whether v's boot, or t's computation on
+	// v, succeeded; on false the controller has handled the failure.
+	Booted(v int) bool
+	Computed(v int, t wf.TaskID) bool
+	// Crash handles a crash of v scheduled with ScheduleCrash.
+	Crash(v int)
+	// Reruns bounds how many times one task may run, scaling the
+	// livelock guard.
+	Reruns() int
+}
+
+// engineStatic is the schedule-dependent, run-independent part of an
+// execution: cached graph structure, staging volumes and the validation
+// outcome. A Runner builds it once and re-points it with bind.
 type engineStatic struct {
 	w     *wf.Workflow
 	p     *platform.Platform
@@ -133,175 +134,230 @@ type engineStatic struct {
 	// makespan and cost bit for bit on this platform.
 	exact bool
 
-	outEdges  [][]wf.Edge // cached successor edges (wf.Succ allocates)
-	extOut    []float64   // cached external output volumes
-	dcIn      float64     // cached w.ExternalInSize(), billed by DCCost
-	dcOut     float64     // cached w.ExternalOutSize()
-	stageSize []float64   // bytes to stage before computing (incl. external in)
-	missing0  []int       // initial count of crossing inputs per task
-	flowCap   int         // upper bound on flows per run, sizing the arena
-	maxSteps  int
-	pos       []int // plan.Schedule.ValidateBuf scratch
+	edges     []wf.Edge // the workflow's edges, read-only
+	in, out   adjacency // edge indices per consumer / producer
+	dcIn      float64   // cached w.ExternalInSize(), billed by DCCost
+	dcOut     float64   // cached w.ExternalOutSize()
+	stageSize []float64 // bytes to stage before computing (incl. external in)
+	missing0  []int     // initial count of crossing inputs per task
+	pos       []int     // plan.Schedule.ValidateBuf scratch
+}
+
+// adjacency lists, per task, the indices of its edges at one endpoint in
+// edge-index order — the order wf.Succ and wf.Pred use — in one array.
+type adjacency struct{ start, idx []int }
+
+func (a adjacency) of(t wf.TaskID) []int { return a.idx[a.start[t]:a.start[t+1]] }
+
+// adjacencies indexes edges by consumer (in) and by producer (out).
+func adjacencies(n int, edges []wf.Edge) (in, out adjacency) {
+	starts, idx := make([]int, 2*(n+1)), make([]int, 2*len(edges))
+	in = adjacency{start: starts[:n+1], idx: idx[:len(edges)]}
+	out = adjacency{start: starts[n+1:], idx: idx[len(edges):]}
+	for _, e := range edges {
+		in.start[e.To+1]++
+		out.start[e.From+1]++
+	}
+	for t := 0; t < n; t++ {
+		in.start[t+1] += in.start[t]
+		out.start[t+1] += out.start[t]
+	}
+	fill := make([]int, 2*n)
+	copy(fill, in.start[:n])
+	copy(fill[n:], out.start[:n])
+	for i, e := range edges {
+		in.idx[fill[e.To]] = i
+		fill[e.To]++
+		out.idx[fill[n+int(e.From)]] = i
+		fill[n+int(e.From)]++
+	}
+	return in, out
 }
 
 func newEngineStatic(w *wf.Workflow, p *platform.Platform, s *plan.Schedule) (*engineStatic, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	n := w.NumTasks()
+	n, edges := w.NumTasks(), w.EdgesView()
 	st := &engineStatic{
 		w:         w,
 		p:         p,
 		fluid:     p.DCBandwidth > 0,
 		exact:     p.DCBandwidth == 0 && p.MaxXferCostPerByte() == 0,
-		outEdges:  make([][]wf.Edge, n),
-		extOut:    make([]float64, n),
+		edges:     edges,
 		dcIn:      w.ExternalInSize(),
 		dcOut:     w.ExternalOutSize(),
 		stageSize: make([]float64, n),
 		missing0:  make([]int, n),
 		pos:       make([]int, n),
 	}
-	for t, task := range w.TasksView() {
-		st.extOut[t] = task.ExternalOut
-		st.outEdges[t] = w.Succ(wf.TaskID(t))
-	}
+	st.in, st.out = adjacencies(n, edges)
 	if err := st.bind(s); err != nil {
 		return nil, err
 	}
 	return st, nil
 }
 
-// bind validates s and points the static at it, recomputing what
-// depends on the schedule: staging volumes, crossing-input counts and
-// the flow and step bounds. The graph caches are kept. Staging volumes
-// add up a task's crossing inputs in edge-index order, as wf.Pred
-// lists them. On error the static is unchanged.
+// bind validates s and points the static at it, recomputing staging
+// volumes and crossing-input counts; the graph caches are kept. Staging
+// volumes add up a task's crossing inputs in edge-index order, as
+// wf.Pred lists them. On error the static is unchanged.
 func (st *engineStatic) bind(s *plan.Schedule) error {
 	if err := s.ValidateBuf(st.w, st.p.NumCategories(), st.pos); err != nil {
 		return err
 	}
 	st.s = s
-	tasks := st.w.TasksView()
-	for t := range tasks {
-		st.stageSize[t] = tasks[t].ExternalIn
+	for t, task := range st.w.TasksView() {
+		st.stageSize[t] = task.ExternalIn
 		st.missing0[t] = 0
 	}
-	crossEdges := 0
-	for _, edge := range st.w.EdgesView() {
+	for _, edge := range st.edges {
 		if s.TaskVM[edge.From] != s.TaskVM[edge.To] {
 			st.stageSize[edge.To] += edge.Size
 			st.missing0[edge.To]++
-			crossEdges++
 		}
 	}
-	n := st.w.NumTasks()
-	// One staging flow per task, one upload per crossing edge, one
-	// external-output upload per task, at most.
-	st.flowCap = 2*n + crossEdges
-	st.maxSteps = 16 * (n + st.w.NumEdges() + s.NumVMs() + 16)
 	return nil
 }
 
-// engine is the per-run mutable state. Reset() rewinds it so one
-// allocation of every buffer serves a whole replication batch.
-type engine struct {
+// Exec is the execution engine: the one VM / transfer / task state
+// machine of the §III-C model, which every simulation (Run, Runner) and
+// every online execution (internal/online, internal/pool) replays.
+// Events and flows are values and every table lives in buffers a Runner
+// rewinds, so a replayed execution allocates nothing.
+//
+// Without a Controller or a host it is the paper's simulator. A
+// Controller drives it through the exported state and verbs below. The
+// first intervention that moves, kills or abandons work switches the
+// engine from waking only the VMs an event can unblock to sweeping every
+// VM after each event. An Exec is not safe for concurrent use.
+type Exec struct {
 	st      *engineStatic
 	weights []float64
+	ctl     Controller
 
-	now       float64
-	seq       int
-	events    eventHeap
-	flows     []*flow // active fluid flows (fluid mode only)
-	flowArena []flow  // backing store; cap is fixed so pointers stay stable
-	doneBuf   []*flow // scratch for advanceFlows
+	// Host hooks, nil for a standalone execution: Emit diverts every
+	// event to the host's loop; Acquire offers an already-booted pooled
+	// VM at booking time, returning its age; OnProvision observes every
+	// booking, fresh or leased.
+	Emit        func(at float64, ev Event)
+	Acquire     func(cat int, at float64) (age float64, ok bool)
+	OnProvision func(at float64, vm, cat int, leased bool, bootDone float64)
 
-	vms   []vmState
+	now      float64
+	steps    int
+	maxSteps int // livelock guard, see step
+	events   evloop.Queue[Event]
+	flows    []flow // active flows under datacenter contention
+	doneBuf  []flow // scratch for advanceFlows
+	sweep    bool   // wake every VM after each event (see Exec)
+
+	VMs   []VM
 	ready []int // scoring worklist: VMs whose head task has its inputs
 
-	// Per-task bookkeeping.
-	missing      []int // crossing inputs not yet at the datacenter
-	dcReadyTime  []float64
-	dcReadyPred  []wf.TaskID
-	hasDCPred    []bool
-	times        []TaskTimes
-	blames       []Blame
-	doneCount    int
-	finishedTask []bool
-	xferCost     float64 // inter-provider per-byte surcharges accrued
+	// Per task, indexed by TaskID.
+	Cur         []int  // the VM a task runs on: its planned one until moved
+	Replica     []int  // a second VM racing the task, -1 if none
+	Done        []bool // finished (and not lost since)
+	Failed      []bool // permanently failed
+	DoneCount   int
+	FailedCount int
+	Times       []TaskTimes
+	ExtDone     []float64 // when a finished task's external output reached the datacenter
+	started     []bool
+	missing     []int // crossing inputs not yet at the datacenter
+	dcReadyTime []float64
+	dcReadyPred []wf.TaskID
+	hasDCPred   []bool
+	blames      []Blame
 
-	result Result // reused by collect()
+	// Per edge, indexed like the workflow's edges.
+	EdgeState []EdgeState
+	EdgeVM    []int // the VM holding the payload while EdgeLocal
+	upSrc     []int // the VM sending the payload while EdgeUploading
+	upSeq     []int // upload generation, bumped by Drop
+
+	XferCost float64 // inter-provider surcharges accrued, at launch
+	Wasted   float64 // billed VM time thrown away (controllers add theirs)
+
+	result Result // reused by Collect
 }
 
-func newEngineFromStatic(st *engineStatic) *engine {
-	n := st.w.NumTasks()
-	e := &engine{
-		st:           st,
-		missing:      make([]int, n),
-		dcReadyTime:  make([]float64, n),
-		dcReadyPred:  make([]wf.TaskID, n),
-		hasDCPred:    make([]bool, n),
-		times:        make([]TaskTimes, n),
-		blames:       make([]Blame, n),
-		finishedTask: make([]bool, n),
-	}
-	e.fit()
-	return e
-}
-
-// fit sizes the buffers that depend on the bound schedule: one vmState
-// per VM and a flow arena of the static's flow bound. It runs between
-// executions only, when no flow pointer is live.
-func (e *engine) fit() {
-	if nv := e.st.s.NumVMs(); nv <= cap(e.vms) {
-		e.vms = e.vms[:nv]
-	} else {
-		e.vms = make([]vmState, nv)
-	}
-	if cap(e.flowArena) < e.st.flowCap {
-		e.flowArena = make([]flow, 0, e.st.flowCap)
+func newExec(st *engineStatic) *Exec {
+	n, ne := st.w.NumTasks(), len(st.edges)
+	ints, bools, floats := make([]int, 3*n), make([]bool, 4*n), make([]float64, 2*n)
+	edgeInts := make([]int, 3*ne)
+	return &Exec{
+		st:          st,
+		missing:     ints[:n:n],
+		Cur:         ints[n : 2*n : 2*n],
+		Replica:     ints[2*n:],
+		Done:        bools[:n:n],
+		Failed:      bools[n : 2*n : 2*n],
+		started:     bools[2*n : 3*n : 3*n],
+		hasDCPred:   bools[3*n:],
+		dcReadyTime: floats[:n:n],
+		ExtDone:     floats[n:],
+		dcReadyPred: make([]wf.TaskID, n),
+		Times:       make([]TaskTimes, n),
+		blames:      make([]Blame, n),
+		EdgeState:   make([]EdgeState, ne),
+		EdgeVM:      edgeInts[:ne:ne],
+		upSrc:       edgeInts[ne : 2*ne : 2*ne],
+		upSeq:       edgeInts[2*ne:],
 	}
 }
 
-func newEngine(w *wf.Workflow, p *platform.Platform, s *plan.Schedule, weights []float64) (*engine, error) {
+// NewExec validates the workflow, platform, schedule and weights and
+// returns an execution at time zero, to Run or to drive from a host
+// loop (AdvanceAll, then Step). The weights slice is read throughout.
+func NewExec(w *wf.Workflow, p *platform.Platform, s *plan.Schedule, weights []float64) (*Exec, error) {
+	if len(weights) != w.NumTasks() {
+		return nil, fmt.Errorf("sim: %d weights for %d tasks", len(weights), w.NumTasks())
+	}
 	st, err := newEngineStatic(w, p, s)
 	if err != nil {
 		return nil, err
 	}
-	e := newEngineFromStatic(st)
+	e := newExec(st)
 	if err := e.reset(weights); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
+// SetController attaches the policy layer, before the first event.
+func (e *Exec) SetController(c Controller) { e.ctl = c }
+
 // reset rewinds the engine to time zero with the given realized
-// weights, reusing every buffer allocated by newEngineFromStatic.
-func (e *engine) reset(weights []float64) error {
+// weights, reusing every buffer.
+func (e *Exec) reset(weights []float64) error {
 	if err := e.rewind(weights); err != nil {
 		return err
 	}
-	e.now = 0
-	e.seq = 0
-	e.events = e.events[:0]
+	e.now, e.steps, e.maxSteps, e.sweep = 0, 0, 0, false
+	e.events.Reset()
 	e.flows = e.flows[:0]
-	e.flowArena = e.flowArena[:0]
-	e.doneCount = 0
-	e.xferCost = 0
-	for t := range e.times {
+	e.DoneCount, e.FailedCount = 0, 0
+	e.XferCost, e.Wasted = 0, 0
+	copy(e.Cur, e.st.s.TaskVM)
+	for t := range e.Times {
+		e.Replica[t] = -1
+		e.Done[t], e.Failed[t], e.started[t], e.hasDCPred[t] = false, false, false, false
+		e.ExtDone[t] = 0
 		e.dcReadyPred[t] = 0
-		e.hasDCPred[t] = false
-		e.times[t] = TaskTimes{}
+		e.Times[t] = TaskTimes{}
 		e.blames[t] = Blame{}
-		e.finishedTask[t] = false
 	}
+	clear(e.EdgeState)
+	clear(e.upSeq)
 	return nil
 }
 
 // rewind checks the weights and rewinds the state the event loop and
 // the scoring pass (score.go) share: the VM table, the outstanding
 // crossing inputs and the datacenter arrival times.
-func (e *engine) rewind(weights []float64) error {
+func (e *Exec) rewind(weights []float64) error {
 	for t, wt := range weights {
 		if wt <= 0 || math.IsNaN(wt) || math.IsInf(wt, 0) {
 			return fmt.Errorf("sim: task %d has invalid weight %v", t, wt)
@@ -309,89 +365,76 @@ func (e *engine) rewind(weights []float64) error {
 	}
 	e.weights = weights
 	s := e.st.s
-	for i := range e.vms {
-		e.vms[i] = vmState{cat: s.VMCats[i], queue: s.Order[i]}
+	if cap(e.VMs) < s.NumVMs() {
+		e.VMs = make([]VM, s.NumVMs())
+	}
+	e.VMs = e.VMs[:s.NumVMs()]
+	for i := range e.VMs {
+		e.VMs[i] = VM{Cat: s.VMCats[i], Queue: s.Order[i]}
 	}
 	copy(e.missing, e.st.missing0)
 	clear(e.dcReadyTime)
 	return nil
 }
 
-func (e *engine) push(ev event) {
-	ev.seq = e.seq
-	e.seq++
-	e.events.push(ev)
-}
+// Now returns the execution's clock.
+func (e *Exec) Now() float64 { return e.now }
 
-// newFlow places f in the arena and returns a stable pointer. The
-// arena capacity bounds the flows any run can create, so append never
-// reallocates; the defensive overflow branch heap-allocates instead of
-// invalidating existing pointers.
-func (e *engine) newFlow(f flow) *flow {
-	var p *flow
-	if len(e.flowArena) < cap(e.flowArena) {
-		e.flowArena = e.flowArena[:len(e.flowArena)+1]
-		p = &e.flowArena[len(e.flowArena)-1]
-	} else {
-		p = new(flow)
-	}
-	// Copy through the pointer rather than returning &f: taking the
-	// parameter's address would force a heap allocation at every call
-	// site, arena hit or not.
-	*p = f
-	return p
-}
+// Edges returns the workflow's edges; In and Out list the indices of a
+// task's incoming and outgoing ones, in edge-index order. All three are
+// read-only.
+func (e *Exec) Edges() []wf.Edge      { return e.st.edges }
+func (e *Exec) In(t wf.TaskID) []int  { return e.st.in.of(t) }
+func (e *Exec) Out(t wf.TaskID) []int { return e.st.out.of(t) }
 
-// startFlow begins a data movement of size bytes. Zero-size flows
-// complete synchronously via the caller's follow-up logic, so callers
-// must not create them.
-func (e *engine) startFlow(f *flow) {
-	f.seq = e.seq
-	e.seq++
-	// Every flow crosses the VM↔DC link of the flow's VM; on a market
-	// platform that means the VM provider's bandwidth, a fixed
-	// inter-provider latency, and a per-byte transfer surcharge. All
-	// three degenerate to the scalar model (latency 0, surcharge 0,
-	// CatBandwidth == Bandwidth) on single-provider platforms.
-	cat := e.vms[f.vm].cat
-	e.xferCost += f.remaining * e.st.p.XferCost(cat)
-	if !e.st.fluid {
-		e.push(event{time: e.now + e.st.p.XferLat(cat) + f.remaining/e.st.p.CatBandwidth(cat), kind: evFlowDone, flow: f})
+// push schedules an event of the given kind at instant at.
+func (e *Exec) push(at float64, kind evKind, id int, t wf.TaskID, stamp int) {
+	ev := Event{kind: kind, id: int32(id), task: int32(t), stamp: int32(stamp)}
+	if e.Emit != nil {
+		e.Emit(at, ev)
 		return
 	}
-	e.flows = append(e.flows, f)
+	e.events.Push(at, ev)
 }
 
-// assignRates implements max-min fair sharing of the datacenter
-// bandwidth across active flows, each additionally capped by the
-// per-VM link bandwidth.
-func (e *engine) assignRates() {
-	k := len(e.flows)
-	if k == 0 {
-		return
+// send starts moving size bytes between VM v and the datacenter and
+// returns when they arrive. Every transfer crosses the VM↔DC link of
+// its VM: on a market platform that means the VM provider's bandwidth,
+// a fixed inter-provider latency and a per-byte surcharge, all three
+// degenerating to the scalar model on single-provider platforms. Under
+// datacenter contention the arrival is not known yet: f joins the
+// fluid flows and send returns +Inf.
+func (e *Exec) send(v int, size float64, f flow) float64 {
+	cat := e.VMs[v].Cat
+	e.XferCost += size * e.st.p.XferCost(cat)
+	if e.st.fluid {
+		f.vm, f.remaining = v, size
+		e.flows = append(e.flows, f)
+		return math.Inf(1)
 	}
-	share := e.st.p.DCBandwidth / float64(k)
-	rate := math.Min(e.st.p.Bandwidth, share)
-	// If the per-link cap binds for every flow, the aggregate is under
-	// the DC cap and everyone gets the link rate; otherwise the equal
-	// DC share applies (all flows have the same cap, so max-min fair
-	// sharing reduces to the minimum of the two).
-	for _, f := range e.flows {
-		f.rate = rate
+	return e.now + e.st.p.XferLat(cat) + size/e.st.p.CatBandwidth(cat)
+}
+
+// upload ships edge ei's payload from VM src to the datacenter.
+func (e *Exec) upload(ei, src int) {
+	e.EdgeState[ei] = EdgeUploading
+	e.upSrc[ei] = src
+	if at := e.send(src, e.st.edges[ei].Size, flow{kind: flowUpload, edge: ei}); !e.st.fluid {
+		e.push(at, evUpload, ei, 0, e.upSeq[ei])
 	}
 }
 
-// advanceFlows moves fluid flows forward by dt and returns those that
-// completed, preserving creation order for determinism. The returned
+// advanceFlows moves the fluid flows forward by dt under max-min fair
+// sharing of the datacenter bandwidth, each flow capped by its VM link,
+// and returns those that completed, in creation order. The returned
 // slice is scratch, valid until the next call.
-func (e *engine) advanceFlows(dt float64) []*flow {
+func (e *Exec) advanceFlows(dt float64) []flow {
 	done := e.doneBuf[:0]
 	remainingFlows := e.flows[:0]
 	for _, f := range e.flows {
 		f.remaining -= f.rate * dt
 		if f.remaining <= 1e-9 {
 			f.remaining = 0
-			f.done = true
 			done = append(done, f)
 		} else {
 			remainingFlows = append(remainingFlows, f)
@@ -402,99 +445,296 @@ func (e *engine) advanceFlows(dt float64) []*flow {
 	return done
 }
 
-// tryAdvance examines the head task of VM v and starts whatever phase
-// can start now: booking, staging, or computing.
-func (e *engine) tryAdvance(v int) {
-	vm := &e.vms[v]
-	if vm.next >= len(vm.queue) || vm.busy || vm.booting {
-		return
+func (e *Exec) flowDone(f flow) {
+	switch f.kind {
+	case flowStaging:
+		e.staged(f.vm, f.task)
+	case flowUpload:
+		e.uploaded(f.edge)
+	case flowOutput:
+		if e.now > e.VMs[f.vm].End {
+			e.VMs[f.vm].End = e.now
+		}
 	}
-	t := vm.queue[vm.next]
-	if e.missing[t] > 0 {
+}
+
+// AdvanceAll gives every VM, in index order, the chance to move on.
+func (e *Exec) AdvanceAll() {
+	for v := range e.VMs {
+		e.tryAdvance(v)
+	}
+}
+
+// tryAdvance examines the task at the head of VM v's queue and starts
+// whatever phase can start now: booking, staging, or computing.
+func (e *Exec) tryAdvance(v int) {
+	vm := &e.VMs[v]
+	var t wf.TaskID
+	for {
+		if vm.Dead || vm.Busy || vm.booting || vm.Next >= len(vm.Queue) {
+			return
+		}
+		t = vm.Queue[vm.Next]
+		if !e.Done[t] && !e.Failed[t] && (e.Cur[t] == v || e.Replica[t] == v) {
+			break
+		}
+		vm.Next++ // finished elsewhere, abandoned, or moved away: skip it
+	}
+	stage := e.st.stageSize[t]
+	if e.sweep {
+		var ok bool
+		if stage, ok = e.stageIn(v, t); !ok {
+			return
+		}
+	} else if e.missing[t] > 0 {
 		return // inputs still on their way to the datacenter
 	}
-	if !vm.booked {
-		// Book the VM now: its first task's data is at the datacenter.
-		vm.booked = true
-		vm.booting = true
-		vm.bookTime = e.now
-		vm.bootDone = e.now + e.st.p.CatBootTime(vm.cat)
-		e.push(event{time: vm.bootDone, kind: evBootDone, vm: v})
+	if !vm.Booked {
+		e.book(v)
 		return
 	}
 	// VM is booted and idle: start staging (or compute directly).
-	vm.busy = true
-	e.times[t].StageStart = e.now
+	vm.Busy = true
+	vm.Current = t
+	e.started[t] = true
+	e.Times[t].StageStart = e.now
 	e.blames[t] = e.blameFor(v, t)
-	if e.st.stageSize[t] > 0 {
-		e.startFlow(e.newFlow(flow{kind: flowStaging, vm: v, task: t, edge: -1, remaining: e.st.stageSize[t]}))
+	if stage > 0 {
+		if at := e.send(v, stage, flow{kind: flowStaging, task: t}); !e.st.fluid {
+			e.push(at, evStage, v, t, vm.Epoch)
+		}
 		return
 	}
-	e.startCompute(v, t)
+	e.StartCompute(v, t)
+}
+
+// stageIn checks t's inputs from their edges' states, for a task that
+// may have moved since the plan, and returns the bytes to stage onto v.
+// A payload left on another live VM is shipped via the datacenter
+// first; one that died with its VM waits for its producer's recovery.
+func (e *Exec) stageIn(v int, t wf.TaskID) (float64, bool) {
+	stage := e.st.w.TasksView()[t].ExternalIn
+	for _, ei := range e.st.in.of(t) {
+		switch e.EdgeState[ei] {
+		case EdgePending, EdgeUploading:
+			return 0, false
+		case EdgeLocal:
+			if src := e.EdgeVM[ei]; src != v {
+				if !e.VMs[src].Dead {
+					e.upload(ei, src)
+				}
+				return 0, false
+			}
+		case EdgeAtDC:
+			stage += e.st.edges[ei].Size
+		}
+	}
+	return stage, true
+}
+
+// book books VM v, whose first task's data is at the datacenter — once
+// its reboot backoff, if any, has elapsed.
+func (e *Exec) book(v int) {
+	vm := &e.VMs[v]
+	if e.now < vm.notBefore {
+		if !vm.wakeQueued {
+			vm.wakeQueued = true
+			e.push(vm.notBefore, evWake, v, 0, 0)
+		}
+		return
+	}
+	vm.Booked, vm.booting, vm.BookTime = true, true, e.now
+	vm.BootDone = e.now + e.st.p.CatBootTime(vm.Cat)
+	if e.Acquire != nil {
+		// A pooled VM is already booted: its boot event fires at once so
+		// the dispatch sequence keeps its shape.
+		if age, ok := e.Acquire(vm.Cat, e.now); ok {
+			vm.Leased, vm.LeaseAge, vm.BootDone = true, age, e.now
+		}
+	}
+	e.push(vm.BootDone, evBoot, v, 0, 0)
+	if e.OnProvision != nil {
+		e.OnProvision(e.now, v, vm.Cat, vm.Leased, vm.BootDone)
+	}
 }
 
 // blameFor decides which constraint bound the start of task t on VM v.
-func (e *engine) blameFor(v int, t wf.TaskID) Blame {
-	vm := &e.vms[v]
-	dataT := e.dcReadyTime[t]
+func (e *Exec) blameFor(v int, t wf.TaskID) Blame {
+	vm := &e.VMs[v]
 	if vm.hasPrev {
-		if vm.freeAt >= dataT || !e.hasDCPred[t] {
+		if vm.freeAt >= e.dcReadyTime[t] || !e.hasDCPred[t] {
 			return Blame{Kind: BlameVMBusy, Pred: vm.prevTask}
 		}
 		return Blame{Kind: BlameDataArrival, Pred: e.dcReadyPred[t]}
 	}
-	// First task on the VM: the boot always completes after the data
-	// is at the datacenter (booking rule), so blame the data chain if
-	// there is one.
+	// First task on the VM: the boot always completes after the data is
+	// at the datacenter (booking rule), so blame the data chain if any.
 	if e.hasDCPred[t] {
 		return Blame{Kind: BlameDataArrival, Pred: e.dcReadyPred[t]}
 	}
 	return Blame{Kind: BlameNone}
 }
 
-func (e *engine) startCompute(v int, t wf.TaskID) {
-	e.times[t].ComputeStart = e.now
-	dur := e.weights[t] / e.st.p.Categories[e.vms[v].cat].Speed
-	e.push(event{time: e.now + dur, kind: evComputeDone, vm: v, task: t})
+// StartCompute starts t's computation on v, whose inputs are staged,
+// under the controller's monitoring timeout if any.
+func (e *Exec) StartCompute(v int, t wf.TaskID) {
+	vm := &e.VMs[v]
+	vm.Computing = true
+	vm.ComputeStart = e.now
+	e.Times[t].ComputeStart = e.now
+	dur := e.weights[t] / e.st.p.Categories[vm.Cat].Speed
+	if e.ctl != nil {
+		if timeout, ok := e.ctl.Timeout(v, t); ok && dur > timeout {
+			e.push(e.now+timeout, evInterrupt, v, t, vm.Epoch)
+			return
+		}
+	}
+	e.push(e.now+dur, evCompute, v, t, vm.Epoch)
 }
 
-func (e *engine) finishCompute(v int, t wf.TaskID) {
-	vm := &e.vms[v]
-	e.times[t].Finish = e.now
-	e.finishedTask[t] = true
-	e.doneCount++
-	vm.busyTime += e.now - e.times[t].StageStart
-	vm.busy = false
-	vm.freeAt = e.now
-	vm.prevTask = t
-	vm.hasPrev = true
-	if e.now > vm.end {
-		vm.end = e.now
+// ScheduleCrash makes VM v crash-stop at instant at: Controller.Crash
+// handles it then, unless the VM is dead by then.
+func (e *Exec) ScheduleCrash(v int, at float64) { e.push(at, evCrash, v, 0, 0) }
+
+func (e *Exec) finishCompute(v int, t wf.TaskID) {
+	vm := &e.VMs[v]
+	vm.Busy, vm.Computing = false, false
+	vm.Next++
+	vm.busyTime += e.now - e.Times[t].StageStart
+	vm.freeAt, vm.prevTask, vm.hasPrev = e.now, t, true
+	e.Done[t] = true
+	e.DoneCount++
+	e.Times[t].Finish = e.now
+	if e.now > vm.End {
+		vm.End = e.now
 	}
-	// Launch uploads for consumers on other VMs and external outputs.
-	for ei, edge := range e.st.outEdges[t] {
-		if e.st.s.TaskVM[edge.From] == e.st.s.TaskVM[edge.To] {
-			continue // data stays local
+	if rv := e.Replica[t]; rv >= 0 {
+		// First finisher wins; the losing replica is cancelled.
+		other := rv
+		if other == v {
+			other = e.Cur[t]
 		}
-		if edge.Size == 0 {
-			e.uploadArrived(v, edge)
+		e.Replica[t] = -1
+		e.Cur[t] = v
+		e.cancelReplica(other, t)
+	}
+	// Keep outputs for consumers on this VM; upload the others, and
+	// external outputs.
+	for _, ei := range e.st.out.of(t) {
+		if e.EdgeState[ei] == EdgeAtDC {
+			continue // checkpointed at the datacenter by an earlier run
+		}
+		to := e.st.edges[ei].To
+		if e.Cur[to] == v {
+			e.EdgeState[ei], e.EdgeVM[ei] = EdgeLocal, v
 			continue
 		}
-		e.startFlow(e.newFlow(flow{kind: flowUpload, vm: v, task: t, edge: ei, remaining: edge.Size}))
+		if e.st.edges[ei].Size == 0 {
+			e.upSrc[ei] = v
+			e.arrive(ei)
+			if !e.sweep && e.missing[to] == 0 {
+				e.tryAdvance(e.Cur[to])
+			}
+			continue
+		}
+		e.upload(ei, v)
 	}
-	if out := e.st.extOut[t]; out > 0 {
-		e.startFlow(e.newFlow(flow{kind: flowUpload, vm: v, task: t, edge: -1, remaining: out}))
+	if out := e.st.w.TasksView()[t].ExternalOut; out > 0 {
+		if at := e.send(v, out, flow{kind: flowOutput}); !e.st.fluid {
+			e.ExtDone[t] = at
+			if at > vm.End {
+				vm.End = at
+			}
+		}
 	}
-	vm.next++
-	e.tryAdvance(v)
+	if e.sweep {
+		e.AdvanceAll()
+	} else {
+		e.tryAdvance(v)
+	}
 }
 
-// uploadArrived records that edge's payload reached the datacenter and
-// wakes the consumer's VM if the consumer became ready.
-func (e *engine) uploadArrived(srcVM int, edge wf.Edge) {
-	if e.now > e.vms[srcVM].end {
-		e.vms[srcVM].end = e.now
+// cancelReplica stops the losing copy of a replicated task. Time it
+// already burned stays billed; its VM proceeds with its queue. If the
+// copy was merely queued, tryAdvance skips the finished task.
+func (e *Exec) cancelReplica(v int, t wf.TaskID) {
+	vm := &e.VMs[v]
+	if vm.Dead || !vm.Busy || vm.Current != t {
+		return
 	}
+	vm.Epoch++
+	if vm.Computing {
+		e.Wasted += e.now - vm.ComputeStart
+	}
+	e.Abandon(v)
+}
+
+// Abandon stops the task VM v is serving, if any: the VM moves on to
+// its queue and the time spent stays billed.
+func (e *Exec) Abandon(v int) {
+	e.sweep = true
+	if vm := &e.VMs[v]; vm.Busy {
+		vm.Busy, vm.Computing = false, false
+		vm.Next++
+		if e.now > vm.End {
+			vm.End = e.now
+		}
+	}
+}
+
+// AddVM appends an unbooked VM of category cat serving queue, bookable
+// from notBefore on, and returns its index.
+func (e *Exec) AddVM(cat int, queue []wf.TaskID, notBefore float64) int {
+	e.sweep = true
+	e.VMs = append(e.VMs, VM{Cat: cat, Queue: queue, notBefore: notBefore})
+	return len(e.VMs) - 1
+}
+
+// Kill crash-stops VM v at instant at: its in-flight activity events go
+// stale, the uploads it was sending die, and its uptime through at
+// stays billed.
+func (e *Exec) Kill(v int, at float64) {
+	e.sweep = true
+	vm := &e.VMs[v]
+	vm.Dead = true
+	vm.Epoch++
+	vm.Busy, vm.Computing = false, false
+	vm.End = at
+	for ei, s := range e.EdgeState {
+		if s == EdgeUploading && e.upSrc[ei] == v {
+			e.Drop(ei)
+		}
+	}
+}
+
+// Drop returns edge ei's payload to pending: it must be produced again,
+// and any upload of it in flight is void.
+func (e *Exec) Drop(ei int) {
+	e.EdgeState[ei] = EdgePending
+	e.upSeq[ei]++
+}
+
+// Invoice is VM v's bill if it lives through end: Equation (1) for a
+// fresh VM, the billing units past those already paid for a leased
+// one, and only the setup fee for a VM whose boot failed.
+func (e *Exec) Invoice(v int, end float64) float64 {
+	vm, p := &e.VMs[v], e.st.p
+	switch {
+	case vm.BootFailed:
+		return p.Categories[vm.Cat].InitCost
+	case vm.Leased:
+		return p.ExtensionCost(vm.Cat, vm.LeaseAge, vm.LeaseAge+(end-vm.BootDone))
+	}
+	return p.VMCost(vm.Cat, vm.BootDone, end)
+}
+
+// arrive records that edge ei's payload reached the datacenter.
+func (e *Exec) arrive(ei int) {
+	if src := &e.VMs[e.upSrc[ei]]; e.now > src.End {
+		src.End = e.now
+	}
+	e.EdgeState[ei] = EdgeAtDC
+	edge := e.st.edges[ei]
 	t := edge.To
 	e.missing[t]--
 	if e.now >= e.dcReadyTime[t] {
@@ -502,98 +742,179 @@ func (e *engine) uploadArrived(srcVM int, edge wf.Edge) {
 		e.dcReadyPred[t] = edge.From
 		e.hasDCPred[t] = true
 	}
-	if e.missing[t] == 0 {
-		e.tryAdvance(e.st.s.TaskVM[t])
+}
+
+// uploaded handles the arrival of an upload and wakes its consumer's VM
+// if the consumer became ready.
+func (e *Exec) uploaded(ei int) {
+	e.arrive(ei)
+	if e.sweep {
+		e.AdvanceAll()
+	} else if t := e.st.edges[ei].To; e.missing[t] == 0 {
+		e.tryAdvance(e.Cur[t])
 	}
 }
 
-func (e *engine) handleFlowDone(f *flow) {
-	if f.kind == flowStaging {
-		e.startCompute(f.vm, f.task)
+// staged handles the end of t's staging on v.
+func (e *Exec) staged(v int, t wf.TaskID) {
+	if e.Done[t] || e.Failed[t] {
+		e.abandonCurrent(v)
 		return
 	}
-	// Upload.
-	if f.edge >= 0 {
-		edges := e.st.outEdges[f.task]
-		e.uploadArrived(f.vm, edges[f.edge])
-		return
-	}
-	// External output: only extends the source VM's life.
-	if e.now > e.vms[f.vm].end {
-		e.vms[f.vm].end = e.now
+	e.StartCompute(v, t)
+}
+
+// abandonCurrent frees a VM whose in-flight task no longer needs it
+// (finished by a replica or declared failed while running).
+func (e *Exec) abandonCurrent(v int) {
+	e.Abandon(v)
+	e.tryAdvance(v)
+}
+
+// dispatch handles one event at the current instant.
+func (e *Exec) dispatch(ev Event) {
+	v, t, stamp := int(ev.id), wf.TaskID(ev.task), int(ev.stamp)
+	switch ev.kind {
+	case evBoot:
+		e.VMs[v].booting = false
+		e.VMs[v].freeAt = e.now
+		if e.ctl == nil || e.ctl.Booted(v) {
+			e.tryAdvance(v)
+		}
+	case evStage:
+		if stamp == e.VMs[v].Epoch {
+			e.staged(v, t)
+		}
+	case evCompute:
+		switch {
+		case stamp != e.VMs[v].Epoch:
+		case e.Done[t] || e.Failed[t]:
+			e.abandonCurrent(v)
+		case e.ctl == nil || e.ctl.Computed(v, t):
+			e.finishCompute(v, t)
+		}
+	case evInterrupt:
+		if vm := &e.VMs[v]; stamp != vm.Epoch || !vm.Computing || vm.Current != t || e.ctl.Interrupt(v, t) {
+			break
+		}
+		vm := &e.VMs[v] // vetoed: the computation runs to completion
+		e.push(vm.ComputeStart+e.weights[t]/e.st.p.Categories[vm.Cat].Speed, evCompute, v, t, vm.Epoch)
+	case evCrash:
+		if !e.VMs[v].Dead {
+			e.ctl.Crash(v)
+		}
+	case evWake:
+		e.VMs[v].wakeQueued = false
+		if !e.VMs[v].Dead {
+			e.tryAdvance(v)
+		}
+	case evUpload:
+		if ei := v; stamp == e.upSeq[ei] && e.EdgeState[ei] == EdgeUploading {
+			e.uploaded(ei)
+		}
 	}
 }
 
-func (e *engine) run() (*Result, error) {
-	n := e.st.w.NumTasks()
-	for v := range e.vms {
-		e.tryAdvance(v)
+// Settled reports whether every task has reached a terminal state.
+func (e *Exec) Settled() bool { return e.DoneCount+e.FailedCount >= len(e.Done) }
+
+// step counts one dispatch against the livelock guard, whose bound grows
+// with the VMs a controller adds, and moves the clock to at.
+func (e *Exec) step(at float64) error {
+	if e.steps++; e.steps > e.maxSteps {
+		reruns := 1
+		if e.ctl != nil {
+			reruns = e.ctl.Reruns()
+		}
+		if e.maxSteps = 64 * (len(e.Done) + len(e.st.edges) + len(e.VMs) + 16) * reruns; e.steps > e.maxSteps {
+			return fmt.Errorf("sim: exceeded %d steps; execution is livelocked", e.maxSteps)
+		}
 	}
-	guard := 0
-	maxSteps := e.st.maxSteps
-	for e.doneCount < n || len(e.flows) > 0 || len(e.events) > 0 {
-		guard++
-		if guard > maxSteps {
-			return nil, fmt.Errorf("sim: exceeded %d steps; schedule is livelocked", maxSteps)
-		}
-		var nextFixed float64 = math.Inf(1)
-		if len(e.events) > 0 {
-			nextFixed = e.events[0].time
-		}
-		if e.st.fluid && len(e.flows) > 0 {
-			e.assignRates()
-			nextFlow := math.Inf(1)
-			for _, f := range e.flows {
-				if c := f.remaining / f.rate; c < nextFlow {
+	if at < e.now-1e-9 {
+		return fmt.Errorf("sim: time went backwards: %v -> %v", e.now, at)
+	}
+	if at > e.now {
+		e.now = at
+	}
+	return nil
+}
+
+// Step dispatches one event a host loop hands back, in the host's
+// (time, sequence) order.
+func (e *Exec) Step(at float64, ev Event) error {
+	if err := e.step(at); err != nil {
+		return err
+	}
+	e.dispatch(ev)
+	return nil
+}
+
+// Run drives the execution on its own queue until every task has
+// settled and every transfer has landed.
+func (e *Exec) Run() error {
+	e.AdvanceAll()
+	for !e.Settled() || len(e.flows) > 0 {
+		if len(e.flows) > 0 {
+			// Equal shares of the datacenter bandwidth, each capped by the
+			// VM link: all flows have the same cap, so max-min fair sharing
+			// reduces to the minimum of the two.
+			rate := math.Min(e.st.p.Bandwidth, e.st.p.DCBandwidth/float64(len(e.flows)))
+			nextFlow, nextFixed := math.Inf(1), math.Inf(1)
+			for i := range e.flows {
+				e.flows[i].rate = rate
+				if c := e.flows[i].remaining / rate; c < nextFlow {
 					nextFlow = c
 				}
 			}
-			if e.now+nextFlow < nextFixed {
-				done := e.advanceFlows(nextFlow)
-				e.now += nextFlow
+			if at, _, ok := e.events.Peek(); ok {
+				nextFixed = at
+			}
+			// Move the flows to the first completion or fixed event.
+			first := e.now+nextFlow < nextFixed
+			if first || !math.IsInf(nextFixed, 1) {
+				dt, to := nextFixed-e.now, nextFixed
+				if first {
+					dt, to = nextFlow, e.now+nextFlow
+				}
+				done := e.advanceFlows(dt)
+				e.now = to
 				for _, f := range done {
-					e.handleFlowDone(f)
+					e.flowDone(f)
+				}
+			}
+			if first {
+				if err := e.step(e.now); err != nil {
+					return err
 				}
 				continue
 			}
-			// A fixed event comes first: advance flows to that instant.
-			if !math.IsInf(nextFixed, 1) {
-				done := e.advanceFlows(nextFixed - e.now)
-				e.now = nextFixed
-				for _, f := range done {
-					e.handleFlowDone(f)
-				}
-			}
 		}
-		if len(e.events) == 0 {
-			if e.doneCount < n && len(e.flows) == 0 {
-				return nil, errDeadlock(e.doneCount, n)
+		at, ev, ok := e.events.Pop()
+		if !ok {
+			if len(e.flows) == 0 {
+				return errDeadlock(e.DoneCount, len(e.Done))
 			}
 			continue
 		}
-		ev := e.events.pop()
-		if ev.time < e.now-1e-9 {
-			return nil, fmt.Errorf("sim: time went backwards: %v -> %v", e.now, ev.time)
+		if err := e.step(at); err != nil {
+			return err
 		}
-		if ev.time > e.now {
-			e.now = ev.time
-		}
-		switch ev.kind {
-		case evBootDone:
-			vm := &e.vms[ev.vm]
-			vm.booting = false
-			vm.freeAt = e.now
-			e.tryAdvance(ev.vm)
-		case evComputeDone:
-			e.finishCompute(ev.vm, ev.task)
-		case evFlowDone:
-			e.handleFlowDone(ev.flow)
-		}
+		e.dispatch(ev)
 	}
-	if e.doneCount < n {
-		return nil, errDeadlock(e.doneCount, n)
+	// Transfers still in flight when the last task settled (possible when
+	// consumers failed permanently) keep their source VM billed.
+	for e.events.Len() > 0 {
+		at, ev, _ := e.events.Pop()
+		ei := int(ev.id)
+		if ev.kind != evUpload || int(ev.stamp) != e.upSeq[ei] || e.EdgeState[ei] != EdgeUploading {
+			continue
+		}
+		if at > e.now {
+			e.now = at
+		}
+		e.arrive(ei)
 	}
-	return e.collect(), nil
+	return nil
 }
 
 // errDeadlock reports a schedule whose per-VM orders wait on each other
@@ -602,46 +923,49 @@ func errDeadlock(done, n int) error {
 	return fmt.Errorf("sim: deadlock with %d/%d tasks finished", done, n)
 }
 
-// collect assembles the engine's reused Result. Its slices alias the
+// Collect assembles the execution's Result. Its slices alias the
 // engine's buffers: valid until the engine is reset (one-shot entry
-// points never reset, so their Results are stable).
-func (e *engine) collect() *Result {
+// points never reset, so their Results are stable). When tasks failed,
+// only the external traffic that actually flowed is billed.
+func (e *Exec) Collect() *Result {
 	res := &e.result
-	*res = Result{Tasks: e.times, Blames: e.blames, VMs: res.VMs[:0]}
-	firstBook := math.Inf(1)
-	lastEvent := 0.0
-	for i := range e.vms {
-		vm := &e.vms[i]
-		if !vm.booked {
-			// A VM with no task never gets booked and costs nothing;
-			// Validate prevents empty VMs, so this is defensive.
-			continue
+	*res = Result{Tasks: e.Times, Blames: e.blames, VMs: res.VMs[:0]}
+	firstBook, lastEvent := math.Inf(1), 0.0
+	for i := range e.VMs {
+		vm := &e.VMs[i]
+		if !vm.Booked {
+			continue // a VM with no task never gets booked and costs nothing
 		}
-		if vm.bookTime < firstBook {
-			firstBook = vm.bookTime
+		if vm.BookTime < firstBook {
+			firstBook = vm.BookTime
 		}
-		if vm.end > lastEvent {
-			lastEvent = vm.end
+		if !vm.BootFailed && vm.End > lastEvent {
+			lastEvent = vm.End
 		}
-		cost := e.st.p.VMCost(vm.cat, vm.bootDone, vm.end)
-		res.VMs = append(res.VMs, VMUsage{
-			Cat:      vm.cat,
-			Book:     vm.bookTime,
-			Start:    vm.bootDone,
-			End:      vm.end,
-			Cost:     cost,
-			NumTasks: len(vm.queue),
-			Busy:     vm.busyTime,
-		})
+		res.VMs = append(res.VMs, VMUsage{Cat: vm.Cat, Book: vm.BookTime, Start: vm.BootDone, End: vm.End,
+			Cost: e.Invoice(i, vm.End), NumTasks: len(vm.Queue), Busy: vm.busyTime})
 	}
 	if math.IsInf(firstBook, 1) {
 		firstBook = 0
 	}
-	res.FirstBook = firstBook
-	res.LastEvent = lastEvent
-	res.Makespan = lastEvent - firstBook
-	res.DCCost = e.st.p.DCCost(e.st.dcIn, e.st.dcOut, firstBook, lastEvent)
-	res.XferCost = e.xferCost
+	if lastEvent < firstBook {
+		lastEvent = firstBook
+	}
+	dcIn, dcOut := e.st.dcIn, e.st.dcOut
+	if e.FailedCount > 0 {
+		dcIn, dcOut = 0, 0
+		for t, task := range e.st.w.TasksView() {
+			if e.started[t] {
+				dcIn += task.ExternalIn
+			}
+			if e.Done[t] {
+				dcOut += task.ExternalOut
+			}
+		}
+	}
+	res.FirstBook, res.LastEvent, res.Makespan = firstBook, lastEvent, lastEvent-firstBook
+	res.DCCost = e.st.p.DCCost(dcIn, dcOut, firstBook, lastEvent)
+	res.XferCost = e.XferCost
 	res.TotalCost = res.DCCost + res.VMCost() + res.XferCost
 	return res
 }

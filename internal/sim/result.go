@@ -28,8 +28,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"budgetwf/internal/plan"
 	"budgetwf/internal/platform"
 	"budgetwf/internal/rng"
@@ -234,14 +232,14 @@ func SampleWeightsOutliers(w *wf.Workflow, r *rng.RNG, o stoch.Outliers) []float
 
 // Run simulates the schedule with the given realized weights.
 func Run(w *wf.Workflow, p *platform.Platform, s *plan.Schedule, weights []float64) (*Result, error) {
-	if len(weights) != w.NumTasks() {
-		return nil, fmt.Errorf("sim: %d weights for %d tasks", len(weights), w.NumTasks())
-	}
-	e, err := newEngine(w, p, s, weights)
+	e, err := NewExec(w, p, s, weights)
 	if err != nil {
 		return nil, err
 	}
-	return e.run()
+	if err := e.Run(); err != nil {
+		return nil, err
+	}
+	return e.Collect(), nil
 }
 
 // RunDeterministic simulates under conservative weights (w̄+σ): the

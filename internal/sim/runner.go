@@ -12,8 +12,8 @@ import (
 )
 
 // Runner replays one schedule many times without re-allocating the
-// engine: the graph caches, event heap, flow arena and result buffers
-// are built once and rewound per execution. Monte Carlo replication
+// engine: the graph caches, event queue and result buffers are built
+// once and rewound per execution. Monte Carlo replication
 // loops (exp sweeps, the daemon's /v1/simulate, replication-based
 // objectives) should prefer a Runner over the package-level Run*
 // functions, which pay the full engine construction per call — and a
@@ -25,7 +25,7 @@ import (
 // next Run/RunStochastic/Score call. Callers that need to keep a Result
 // across replications must copy the fields they care about.
 type Runner struct {
-	eng   *engine
+	eng   *Exec
 	dists []stoch.Dist // per-task weight distributions, cached once
 	buf   []float64    // scratch realized weights, see Sample
 
@@ -50,7 +50,7 @@ func NewRunner(w *wf.Workflow, p *platform.Platform, s *plan.Schedule) (*Runner,
 		return nil, err
 	}
 	r := &Runner{
-		eng:   newEngineFromStatic(st),
+		eng:   newExec(st),
 		dists: make([]stoch.Dist, w.NumTasks()),
 		buf:   make([]float64, w.NumTasks()),
 	}
@@ -62,19 +62,15 @@ func NewRunner(w *wf.Workflow, p *platform.Platform, s *plan.Schedule) (*Runner,
 
 // Rebind points the Runner at another schedule of the same workflow
 // and platform — or at the same *plan.Schedule after the caller rewrote
-// it in place — keeping the graph caches, event heap, flow arena and
-// result buffers. s gets the full plan.Schedule.Validate; only what
+// it in place — keeping the graph caches, event queue and result
+// buffers. s gets the full plan.Schedule.Validate; only what
 // depends on the schedule is recomputed.
 //
 // The Runner reads s during every later execution, so a caller that
 // rewrites s must Rebind before the next Run — also after a failed
 // Rebind, which leaves the Runner bound to the schedule it had.
 func (r *Runner) Rebind(s *plan.Schedule) error {
-	if err := r.eng.st.bind(s); err != nil {
-		return err
-	}
-	r.eng.fit()
-	return nil
+	return r.eng.st.bind(s)
 }
 
 // Run simulates one execution under the given realized weights. The
@@ -84,13 +80,13 @@ func (r *Runner) Run(weights []float64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := r.eng.run()
-	if err != nil {
+	if err := r.eng.Run(); err != nil {
 		endReplication(sp, 0, 0, 0, err)
-	} else {
-		endReplication(sp, res.Makespan, res.TotalCost, res.NumVMs(), nil)
+		return nil, err
 	}
-	return res, err
+	res := r.eng.Collect()
+	endReplication(sp, res.Makespan, res.TotalCost, res.NumVMs(), nil)
+	return res, nil
 }
 
 // Score returns exactly the Makespan and TotalCost that Run would

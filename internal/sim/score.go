@@ -11,15 +11,15 @@ import "math"
 // (a VM's end, a task's last arrival, the first booking) is a max or a
 // min, which no processing order can change. The arithmetic is the
 // event loop's, operand for operand; run is the oracle in score_test.go.
-func (e *engine) score() (makespan, cost float64, booked int, err error) {
+func (e *Exec) score() (makespan, cost float64, booked int, err error) {
 	st, p := e.st, e.st.p
 	taskVM := st.s.TaskVM
-	if cap(e.ready) < len(e.vms) {
-		e.ready = make([]int, 0, len(e.vms))
+	if cap(e.ready) < len(e.VMs) {
+		e.ready = make([]int, 0, len(e.VMs))
 	}
 	ready := e.ready[:0]
-	for v := range e.vms {
-		if q := e.vms[v].queue; len(q) > 0 && e.missing[q[0]] == 0 {
+	for v := range e.VMs {
+		if q := e.VMs[v].Queue; len(q) > 0 && e.missing[q[0]] == 0 {
 			ready = append(ready, v)
 		}
 	}
@@ -27,22 +27,22 @@ func (e *engine) score() (makespan, cost float64, booked int, err error) {
 	for len(ready) > 0 {
 		v := ready[len(ready)-1]
 		ready = ready[:len(ready)-1]
-		vm := &e.vms[v]
-		speed := p.Categories[vm.cat].Speed
-		lat, bw := p.XferLat(vm.cat), p.CatBandwidth(vm.cat)
-		for ; vm.next < len(vm.queue); vm.next++ {
-			t := vm.queue[vm.next]
+		vm := &e.VMs[v]
+		speed := p.Categories[vm.Cat].Speed
+		lat, bw := p.XferLat(vm.Cat), p.CatBandwidth(vm.Cat)
+		for ; vm.Next < len(vm.Queue); vm.Next++ {
+			t := vm.Queue[vm.Next]
 			if e.missing[t] > 0 {
 				break // a later pop resumes here, once t's inputs are in
 			}
 			now := vm.freeAt
-			if !vm.booked {
+			if !vm.Booked {
 				// Booked the instant the first task's data is at the
 				// datacenter; the task starts when the boot ends.
-				vm.booked = true
-				vm.bookTime = e.dcReadyTime[t]
-				vm.bootDone = vm.bookTime + p.CatBootTime(vm.cat)
-				now = vm.bootDone
+				vm.Booked = true
+				vm.BookTime = e.dcReadyTime[t]
+				vm.BootDone = vm.BookTime + p.CatBootTime(vm.Cat)
+				now = vm.BootDone
 			} else if at := e.dcReadyTime[t]; at > now {
 				now = at
 			}
@@ -51,10 +51,11 @@ func (e *engine) score() (makespan, cost float64, booked int, err error) {
 			}
 			now += e.weights[t] / speed
 			vm.freeAt = now
-			if now > vm.end {
-				vm.end = now
+			if now > vm.End {
+				vm.End = now
 			}
-			for _, edge := range st.outEdges[t] {
+			for _, ei := range st.out.of(t) {
+				edge := st.edges[ei]
 				to := edge.To
 				if taskVM[to] == v {
 					continue // data stays local
@@ -63,20 +64,20 @@ func (e *engine) score() (makespan, cost float64, booked int, err error) {
 				if edge.Size != 0 {
 					at = now + lat + edge.Size/bw
 				}
-				if at > vm.end {
-					vm.end = at
+				if at > vm.End {
+					vm.End = at
 				}
 				if at > e.dcReadyTime[to] {
 					e.dcReadyTime[to] = at
 				}
 				e.missing[to]--
-				if u := &e.vms[taskVM[to]]; e.missing[to] == 0 && u.queue[u.next] == to {
+				if u := &e.VMs[taskVM[to]]; e.missing[to] == 0 && u.Queue[u.Next] == to {
 					ready = append(ready, taskVM[to])
 				}
 			}
-			if out := st.extOut[t]; out > 0 {
-				if at := now + lat + out/bw; at > vm.end {
-					vm.end = at
+			if out := st.w.TasksView()[t].ExternalOut; out > 0 {
+				if at := now + lat + out/bw; at > vm.End {
+					vm.End = at
 				}
 			}
 			done++
@@ -87,19 +88,19 @@ func (e *engine) score() (makespan, cost float64, booked int, err error) {
 	}
 	// collect's arithmetic: VM costs summed in VM-index order.
 	firstBook, lastEvent, vmCost := math.Inf(1), 0.0, 0.0
-	for i := range e.vms {
-		vm := &e.vms[i]
-		if !vm.booked {
+	for i := range e.VMs {
+		vm := &e.VMs[i]
+		if !vm.Booked {
 			continue
 		}
 		booked++
-		if vm.bookTime < firstBook {
-			firstBook = vm.bookTime
+		if vm.BookTime < firstBook {
+			firstBook = vm.BookTime
 		}
-		if vm.end > lastEvent {
-			lastEvent = vm.end
+		if vm.End > lastEvent {
+			lastEvent = vm.End
 		}
-		vmCost += p.VMCost(vm.cat, vm.bootDone, vm.end)
+		vmCost += p.VMCost(vm.Cat, vm.BootDone, vm.End)
 	}
 	if math.IsInf(firstBook, 1) {
 		firstBook = 0
