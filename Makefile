@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all build vet test bench figs figs-quick report fuzz serve serve-pool \
 	loadtest loadtest-tenants chaos clean bench-json bench-json-check bench-json-smoke \
-	bench-est results-check
+	bench-est
 
 all: build vet test
 
@@ -43,15 +43,18 @@ bench-est:
 # HEFTBUDG+ plan must allocate at most 4x the HEFTBUDG plan it refines
 # (bench.GatePlanner); for the sim suite, a 25-replication batch must
 # allocate at most 32 objects and a scored batch take at most half the
-# time of the simulated one (bench.GateSim). Run by CI.
+# time of the simulated one (bench.GateSim); for the est suite, an
+# analytic estimate must allocate at most 8 objects (bench.GateEst).
+# Run by CI.
 bench-json-check:
 	$(GO) run ./cmd/bench -check -seed 1 -out .
 
 # One-iteration smoke run of every suite into a scratch dir, then
 # validate and gate what it wrote — the step that fails CI when this
 # tree's warm hit regresses against its own cold request, a
-# refinement plan allocates per candidate again, or scoring a
-# replication allocates or is no faster than simulating it. Does not
+# refinement plan allocates per candidate again, scoring a
+# replication allocates or is no faster than simulating it, or an
+# analytic estimate allocates per task. Does not
 # touch committed files.
 bench-json-smoke:
 	rm -rf /tmp/bench-smoke && $(GO) run ./cmd/bench -benchtime 1x -seed 1 -out /tmp/bench-smoke
@@ -64,14 +67,6 @@ figs:
 # Reduced-scale smoke reproduction (seconds).
 figs-quick:
 	$(GO) run ./cmd/paperfigs -all -quick -out results-quick
-
-# The committed example outputs are assertions: each example must
-# print its RESULTS.txt byte for byte (multitenant's file opens with
-# the `$ go run …` line that produced it, which the program does not
-# print). Run by CI.
-results-check:
-	$(GO) run ./examples/spotmarket | diff - examples/spotmarket/RESULTS.txt
-	bash -c 'diff <($(GO) run ./examples/multitenant) <(tail -n +2 examples/multitenant/RESULTS.txt)'
 
 # Run the scheduling-as-a-service daemon on :8080.
 serve:

@@ -23,7 +23,7 @@ func benchCfg() budgetwf.FigureConfig {
 // HEFTBUDG over the budget grid, all three workflow families).
 func BenchmarkFigure1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := budgetwf.Figure1(benchCfg()); err != nil {
+		if _, err := budgetwf.Figure(1, benchCfg()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -35,7 +35,7 @@ func BenchmarkFigure2(b *testing.B) {
 	cfg := benchCfg()
 	cfg.GridK = 2 // the refined variants are ~100× costlier to plan
 	for i := 0; i < b.N; i++ {
-		if _, err := budgetwf.Figure2(cfg); err != nil {
+		if _, err := budgetwf.Figure(2, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -45,7 +45,7 @@ func BenchmarkFigure2(b *testing.B) {
 // extended BDT and CG competitors, including validity percentages).
 func BenchmarkFigure3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := budgetwf.Figure3(benchCfg()); err != nil {
+		if _, err := budgetwf.Figure(3, benchCfg()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -56,7 +56,7 @@ func BenchmarkFigure4(b *testing.B) {
 	cfg := benchCfg()
 	cfg.GridK = 2
 	for i := 0; i < b.N; i++ {
-		if _, err := budgetwf.Figure4(cfg); err != nil {
+		if _, err := budgetwf.Figure(4, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -154,7 +154,7 @@ func BenchmarkSimulate(b *testing.B) {
 	}
 	w = w.WithSigmaRatio(0.5)
 	p := budgetwf.DefaultPlatform()
-	s, err := budgetwf.Heft(w, p)
+	s, err := budgetwf.ScheduleWith(budgetwf.AlgHeft, w, p, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func BenchmarkSimulateContention(b *testing.B) {
 	w = w.WithSigmaRatio(0.5)
 	p := budgetwf.DefaultPlatform()
 	p.DCBandwidth = 250e6
-	s, err := budgetwf.Heft(w, p)
+	s, err := budgetwf.ScheduleWith(budgetwf.AlgHeft, w, p, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func BenchmarkOnlineExecution(b *testing.B) {
 	}
 	w = w.WithSigmaRatio(0.5)
 	p := budgetwf.DefaultPlatform()
-	s, err := budgetwf.HeftBudg(w, p, 0.07)
+	s, err := budgetwf.ScheduleWith(budgetwf.AlgHeftBudg, w, p, 0.07)
 	if err != nil {
 		b.Fatal(err)
 	}

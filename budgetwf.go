@@ -26,15 +26,20 @@
 //
 // The typical flow is: obtain a *Workflow (generate, build, or load),
 // pick a *Platform (DefaultPlatform matches the paper's Table II),
-// plan with one of the Schedule* functions under a budget, and then
-// Simulate the plan one or many times:
+// plan with ScheduleWith under a budget, naming the algorithm by one
+// of the Alg* constants, and then Simulate the plan once or
+// ReplicateBudget it many times:
 //
 //	w, _ := budgetwf.Generate(budgetwf.Montage, 90, 0)
 //	w = w.WithSigmaRatio(0.5)
 //	p := budgetwf.DefaultPlatform()
-//	s, _ := budgetwf.HeftBudg(w, p, 0.10) // a $0.10 budget
+//	s, _ := budgetwf.ScheduleWith(budgetwf.AlgHeftBudg, w, p, 0.10) // a $0.10 budget
 //	res, _ := budgetwf.ReplicateBudget(w, p, s, 25, 42, 0.10)
 //	fmt.Println(res.Makespan.Mean, res.Cost.Mean, res.ValidFrac)
+//
+// The Example functions of this package, internal/pool and
+// internal/exp are the runnable scenarios; `go test -run Example ./...`
+// runs them and checks what each prints.
 package budgetwf
 
 import (
@@ -76,17 +81,14 @@ func NewWorkflow(name string) *Workflow { return wf.New(name) }
 
 // LoadWorkflow reads a workflow from a JSON file produced by
 // (*Workflow).SaveFile or cmd/wfgen. Files ending in .dax or .xml are
-// parsed as Pegasus DAX v3 documents instead.
+// parsed as Pegasus DAX v3 documents instead — the native format of
+// the Pegasus generator behind the paper's benchmarks.
 func LoadWorkflow(path string) (*Workflow, error) {
 	if strings.HasSuffix(path, ".dax") || strings.HasSuffix(path, ".xml") {
 		return wf.LoadDAX(path)
 	}
 	return wf.LoadFile(path)
 }
-
-// LoadDAX reads a Pegasus DAX v3 workflow description — the native
-// format of the Pegasus generator behind the paper's benchmarks.
-func LoadDAX(path string) (*Workflow, error) { return wf.LoadDAX(path) }
 
 // WorkflowType selects a generator family.
 type WorkflowType = wfgen.Type
@@ -145,51 +147,10 @@ const (
 	AlgCGPlus          = sched.NameCGPlus
 )
 
-// MinMin plans with the classical budget-blind MIN-MIN heuristic.
-func MinMin(w *Workflow, p *Platform) (*Schedule, error) { return sched.MinMin(w, p) }
-
-// Heft plans with the classical budget-blind HEFT heuristic.
-func Heft(w *Workflow, p *Platform) (*Schedule, error) { return sched.Heft(w, p) }
-
-// MinMinBudg plans with the budget-aware MIN-MINBUDG (Algorithm 3).
-func MinMinBudg(w *Workflow, p *Platform, budget float64) (*Schedule, error) {
-	return sched.MinMinBudg(w, p, budget)
-}
-
-// HeftBudg plans with the budget-aware HEFTBUDG (Algorithm 4).
-func HeftBudg(w *Workflow, p *Platform, budget float64) (*Schedule, error) {
-	return sched.HeftBudg(w, p, budget)
-}
-
-// HeftBudgPlus refines a HEFTBUDG schedule by re-assigning tasks in
-// priority order to spend leftover budget (Algorithm 5).
-func HeftBudgPlus(w *Workflow, p *Platform, budget float64) (*Schedule, error) {
-	return sched.HeftBudgPlus(w, p, budget)
-}
-
-// HeftBudgPlusInv is HeftBudgPlus with reverse task order.
-func HeftBudgPlusInv(w *Workflow, p *Platform, budget float64) (*Schedule, error) {
-	return sched.HeftBudgPlusInv(w, p, budget)
-}
-
-// BDT plans with the extended Budget Distribution with Trickling
-// competitor.
-func BDT(w *Workflow, p *Platform, budget float64) (*Schedule, error) {
-	return sched.BDT(w, p, budget)
-}
-
-// CG plans with the extended Critical Greedy competitor.
-func CG(w *Workflow, p *Platform, budget float64) (*Schedule, error) {
-	return sched.CG(w, p, budget)
-}
-
-// CGPlus is CG followed by the critical-path ΔT/Δc refinement.
-func CGPlus(w *Workflow, p *Platform, budget float64) (*Schedule, error) {
-	return sched.CGPlus(w, p, budget)
-}
-
-// ScheduleWith plans using the algorithm registry; baselines ignore
-// the budget.
+// ScheduleWith plans with the named algorithm — one of the Alg*
+// constants, or any name Algorithms and AlgorithmsExtended list —
+// under the budget; the budget-blind baselines (MIN-MIN, HEFT, PEFT)
+// ignore it.
 func ScheduleWith(name AlgorithmName, w *Workflow, p *Platform, budget float64) (*Schedule, error) {
 	a, err := sched.ByName(name)
 	if err != nil {
@@ -200,9 +161,8 @@ func ScheduleWith(name AlgorithmName, w *Workflow, p *Platform, budget float64) 
 
 // ScheduleWithContext is ScheduleWith under a context: cancellation
 // and deadlines are polled between placement steps inside the
-// planners, so an abandoned request stops consuming CPU almost
-// immediately. This is the entry point the budgetwfd daemon uses to
-// enforce per-request timeouts.
+// planners, so an abandoned call stops consuming CPU almost
+// immediately.
 func ScheduleWithContext(ctx context.Context, name AlgorithmName, w *Workflow, p *Platform, budget float64) (*Schedule, error) {
 	return sched.PlanContext(ctx, name, w, p, budget)
 }
@@ -245,25 +205,14 @@ type Replication struct {
 	Budget float64
 }
 
-// Replicate runs n stochastic executions of the schedule and
-// summarizes them; budget 0 disables the validity accounting.
-func Replicate(w *Workflow, p *Platform, s *Schedule, n int, seed uint64) (*Replication, error) {
-	return ReplicateBudget(w, p, s, n, seed, 0)
-}
-
-// ReplicateBudget is Replicate with a budget-validity check.
-func ReplicateBudget(w *Workflow, p *Platform, s *Schedule, n int, seed uint64, budget float64) (*Replication, error) {
-	return ReplicateBudgetContext(context.Background(), w, p, s, n, seed, budget)
-}
-
-// ReplicateBudgetContext is ReplicateBudget under a context,
-// cancellation being polled between stochastic executions. n must be at
-// least 1. On a platform with spot categories the executions run
+// ReplicateBudget runs n (at least 1) stochastic executions of the
+// schedule and summarizes them; budget 0 disables the validity
+// accounting. On a platform with spot categories the executions run
 // through the online executor, revocations included (replication i
 // under revocation seed seed + i), and Makespan summarizes the
 // executions that completed.
-func ReplicateBudgetContext(ctx context.Context, w *Workflow, p *Platform, s *Schedule, n int, seed uint64, budget float64) (*Replication, error) {
-	b, err := replicate(ctx, w, p, s, n, seed, budget)
+func ReplicateBudget(w *Workflow, p *Platform, s *Schedule, n int, seed uint64, budget float64) (*Replication, error) {
+	b, err := replicate(w, p, s, n, seed, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -277,9 +226,9 @@ func ReplicateBudgetContext(ctx context.Context, w *Workflow, p *Platform, s *Sc
 
 // replicate is the facade's use of the repository's one replication
 // loop (DESIGN §2): Monte Carlo, weights from seed.
-func replicate(ctx context.Context, w *Workflow, p *Platform, s *Schedule, n int, seed uint64, budget float64) (exp.Batch, error) {
+func replicate(w *Workflow, p *Platform, s *Schedule, n int, seed uint64, budget float64) (exp.Batch, error) {
 	return exp.Replay{
 		Workflow: w, Platform: p, Schedule: s, Budget: budget, Reps: n,
 		Weights: rng.New(seed), FaultSeed: seed,
-	}.Run(ctx)
+	}.Run(context.Background())
 }

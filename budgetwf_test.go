@@ -2,6 +2,11 @@ package budgetwf_test
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -22,7 +27,7 @@ func TestPublicAPIFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := 1.5 * anchors.CheapCost
-	s, err := budgetwf.HeftBudg(w, p, budget)
+	s, err := budgetwf.ScheduleWith(budgetwf.AlgHeftBudg, w, p, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +52,7 @@ func TestHandBuiltWorkflowThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := budgetwf.DefaultPlatform()
-	s, err := budgetwf.MinMinBudg(w, p, 1.0)
+	s, err := budgetwf.ScheduleWith(budgetwf.AlgMinMinBudg, w, p, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +146,11 @@ func TestReplicateWithoutBudget(t *testing.T) {
 	}
 	w = w.WithSigmaRatio(0.25)
 	p := budgetwf.DefaultPlatform()
-	s, err := budgetwf.MinMin(w, p)
+	s, err := budgetwf.ScheduleWith(budgetwf.AlgMinMin, w, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := budgetwf.Replicate(w, p, s, 6, 9)
+	rep, err := budgetwf.ReplicateBudget(w, p, s, 6, 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +181,10 @@ func TestWriteTablesFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := budgetwf.WriteTables(&b, tables); err != nil {
-		t.Fatal(err)
+	for _, tab := range tables {
+		if err := tab.WriteASCII(&b); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !strings.Contains(b.String(), "Sigma sweep") {
 		t.Error("rendered tables missing title")
@@ -185,4 +192,137 @@ func TestWriteTablesFacade(t *testing.T) {
 	if got := len(budgetwf.PaperWorkflowTypes()); got != 3 {
 		t.Errorf("%d paper types", got)
 	}
+}
+
+// TestReadmeListsEveryExport: README's API table has one row for every
+// exported identifier of the root package and none for anything else,
+// and every Example, Test or Benchmark a row names as a caller exists
+// in this package and uses an identifier of that row.
+func TestReadmeListsEveryExport(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, found := strings.Cut(string(readme), "\n## API\n")
+	if !found {
+		t.Fatal(`README.md has no "## API" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	backticked := regexp.MustCompile("`([^`]+)`")
+	callerName := regexp.MustCompile(`^(Test|Benchmark)[A-Z]\w*$|^Example\w+$`)
+	type row struct{ ids, callers []string }
+	var rows []row
+	documented := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, " | ")
+		if !strings.HasPrefix(line, "| `") || len(cells) != 2 {
+			continue
+		}
+		var r row
+		for _, m := range backticked.FindAllStringSubmatch(cells[0], -1) {
+			if documented[m[1]] {
+				t.Errorf("the README's API table lists %s twice", m[1])
+			}
+			documented[m[1]] = true
+			r.ids = append(r.ids, m[1])
+		}
+		for _, m := range backticked.FindAllStringSubmatch(cells[1], -1) {
+			if callerName.MatchString(m[1]) {
+				r.callers = append(r.callers, m[1])
+			}
+		}
+		rows = append(rows, r)
+	}
+
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := map[string]bool{}
+	uses := map[string]map[string]bool{} // test function → root identifiers it names
+	for _, pkg := range pkgs {
+		for name, f := range pkg.Files {
+			if strings.HasSuffix(name, "_test.go") {
+				for _, d := range f.Decls {
+					if fn, ok := d.(*ast.FuncDecl); ok {
+						uses[fn.Name.Name] = rootIdents(fn.Body, pkg.Name == "budgetwf")
+					}
+				}
+				continue
+			}
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil && d.Name.IsExported() {
+						exported[d.Name.Name] = true
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							exported[spec.Name.Name] = spec.Name.IsExported()
+						case *ast.ValueSpec:
+							for _, n := range spec.Names {
+								exported[n.Name] = n.IsExported()
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	count := 0
+	for id, isExported := range exported {
+		if isExported {
+			count++
+			if !documented[id] {
+				t.Errorf("%s is exported but has no row in the README's API table", id)
+			}
+		}
+	}
+	if count < 40 {
+		t.Fatalf("only %d exported identifiers parsed from the root package", count)
+	}
+	for id := range documented {
+		if !exported[id] {
+			t.Errorf("the README's API table lists %s, which the root package does not export", id)
+		}
+	}
+	for _, r := range rows {
+		for _, c := range r.callers {
+			used, ok := uses[c]
+			if !ok {
+				t.Errorf("the API row of %s names %s, which this package does not define", r.ids[0], c)
+				continue
+			}
+			ok = false
+			for _, id := range r.ids {
+				ok = ok || used[id]
+			}
+			if !ok {
+				t.Errorf("the API row of %s names %s, which uses none of %v", r.ids[0], c, r.ids)
+			}
+		}
+	}
+}
+
+// rootIdents returns the root-package identifiers body names: as
+// budgetwf.X from the external test package, as bare identifiers from
+// the package itself.
+func rootIdents(body *ast.BlockStmt, internal bool) map[string]bool {
+	used := map[string]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if x, ok := n.X.(*ast.Ident); ok && x.Name == "budgetwf" {
+				used[n.Sel.Name] = true
+			}
+		case *ast.Ident:
+			if internal {
+				used[n.Name] = true
+			}
+		}
+		return true
+	})
+	return used
 }

@@ -14,8 +14,10 @@
 // same-run relations of bench.GateDaemon — a warm cache hit stays far
 // below a cold request in allocations and time — bench.GatePlanner — a
 // HEFTBUDG+ plan allocates like a list planner, not per candidate —
-// and bench.GateSim — a replication batch allocates per batch, not per
-// execution, and scoring it takes at most half of simulating it):
+// bench.GateSim — a replication batch allocates per batch, not per
+// execution, and scoring it takes at most half of simulating it — and
+// bench.GateEst — an analytic estimate allocates a fixed handful of
+// objects, never per task):
 //
 //	bench -check -out .
 package main
@@ -103,6 +105,7 @@ func selectSuites(arg string) ([]string, error) {
 // gates holds the same-run relations a suite's numbers must satisfy.
 var gates = map[string]func(*bench.File) ([]string, error){
 	"daemon":  bench.GateDaemon,
+	"est":     bench.GateEst,
 	"planner": bench.GatePlanner,
 	"sim":     bench.GateSim,
 }

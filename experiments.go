@@ -1,10 +1,7 @@
 package budgetwf
 
 import (
-	"io"
-
 	"budgetwf/internal/exp"
-	"budgetwf/internal/sched"
 	"budgetwf/internal/wfgen"
 )
 
@@ -33,35 +30,11 @@ type FigureConfig = exp.FigureConfig
 // or CSV.
 type ResultTable = exp.Table
 
-// Figure1 regenerates the data behind the paper's Figure 1 (baselines
-// vs budget-aware variants).
-func Figure1(cfg FigureConfig) ([]*ResultTable, error) { return exp.Figure1(cfg) }
-
-// Figure2 regenerates Figure 2 (refined variants).
-func Figure2(cfg FigureConfig) ([]*ResultTable, error) { return exp.Figure2(cfg) }
-
-// Figure3 regenerates Figure 3 (comparison with BDT and CG).
-func Figure3(cfg FigureConfig) ([]*ResultTable, error) { return exp.Figure3(cfg) }
-
-// Figure4 regenerates Figure 4 (refined variants vs CG+).
-func Figure4(cfg FigureConfig) ([]*ResultTable, error) { return exp.Figure4(cfg) }
-
-// TimingConfig scales the Table III reproduction.
-type TimingConfig = exp.TimingConfig
-
-// Table3a regenerates Table III(a): scheduling CPU time per budget
-// level on MONTAGE-90.
-func Table3a(cfg TimingConfig) (*ResultTable, error) {
-	return exp.Table3a(cfg, allNames())
-}
-
-// Table3b regenerates Table III(b): scheduling CPU time versus
-// workflow size under a high budget. Refined algorithms are excluded
-// at n=400 in cmd/paperfigs for run-time reasons; here the caller
-// chooses the sizes.
-func Table3b(cfg TimingConfig, sizes []int) (*ResultTable, error) {
-	return exp.Table3b(cfg, allNames(), sizes)
-}
+// Figure regenerates the data behind the paper's Figure n (1–4), one
+// table per paper workflow family: the baselines against the
+// budget-aware variants (1), the refined variants (2), the comparison
+// with BDT and CG (3), and the refined variants against CG+ (4).
+func Figure(n int, cfg FigureConfig) ([]*ResultTable, error) { return exp.Figure(n, cfg) }
 
 // SigmaSweep regenerates the extended-version uncertainty experiment:
 // budget sweeps at σ/w̄ ∈ {0.25, 0.5, 0.75, 1.0}.
@@ -75,23 +48,6 @@ func ContentionAblation(cfg FigureConfig, dcBandwidth float64) ([]*ResultTable, 
 	return exp.ContentionAblation(cfg, dcBandwidth)
 }
 
-// Ablations quantifies the contribution of each HEFTBUDG design choice
-// (conservative weights, pot, reserves) on the given workflow family.
-func Ablations(cfg FigureConfig, t WorkflowType) (*ResultTable, error) {
-	return exp.Ablations(cfg, t)
-}
-
-// WriteTables renders tables as aligned ASCII to w.
-func WriteTables(w io.Writer, tables []*ResultTable) error { return exp.WriteAll(w, tables) }
-
 // PaperWorkflowTypes lists the three Pegasus families of the
 // evaluation, in figure order.
 func PaperWorkflowTypes() []WorkflowType { return wfgen.AllPaperTypes() }
-
-func allNames() []sched.Name {
-	var out []sched.Name
-	for _, a := range sched.All() {
-		out = append(out, a.Name)
-	}
-	return out
-}

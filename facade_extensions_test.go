@@ -30,20 +30,13 @@ func TestLoadDAXThroughFacade(t *testing.T) {
 	if err := os.WriteFile(path, []byte(testDAX), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, err := budgetwf.LoadDAX(path)
+	// LoadWorkflow dispatches on the extension.
+	w, err := budgetwf.LoadWorkflow(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w.NumTasks() != 2 || w.NumEdges() != 1 {
 		t.Errorf("%d tasks, %d edges", w.NumTasks(), w.NumEdges())
-	}
-	// LoadWorkflow dispatches on the extension.
-	w2, err := budgetwf.LoadWorkflow(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w2.NumTasks() != 2 {
-		t.Error("LoadWorkflow did not dispatch to DAX")
 	}
 }
 
@@ -54,7 +47,7 @@ func TestExtendedFamiliesThroughFacade(t *testing.T) {
 			t.Fatalf("%s: %v", typ, err)
 		}
 		w = w.WithSigmaRatio(0.5)
-		s, err := budgetwf.HeftBudg(w, budgetwf.DefaultPlatform(), 10)
+		s, err := budgetwf.ScheduleWith(budgetwf.AlgHeftBudg, w, budgetwf.DefaultPlatform(), 10)
 		if err != nil {
 			t.Fatalf("%s: %v", typ, err)
 		}
@@ -71,7 +64,7 @@ func TestReplicateObjective(t *testing.T) {
 	}
 	w = w.WithSigmaRatio(0.25)
 	p := budgetwf.DefaultPlatform()
-	s, err := budgetwf.Heft(w, p)
+	s, err := budgetwf.ScheduleWith(budgetwf.AlgHeft, w, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +85,7 @@ func TestExecuteOnlineThroughFacade(t *testing.T) {
 	}
 	w = w.WithSigmaRatio(0.5)
 	p := budgetwf.DefaultPlatform()
-	s, err := budgetwf.HeftBudg(w, p, 0.03)
+	s, err := budgetwf.ScheduleWith(budgetwf.AlgHeftBudg, w, p, 0.03)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +113,7 @@ func TestGanttThroughFacadeResult(t *testing.T) {
 	}
 	w = w.WithSigmaRatio(0.25)
 	p := budgetwf.DefaultPlatform()
-	s, err := budgetwf.Heft(w, p)
+	s, err := budgetwf.ScheduleWith(budgetwf.AlgHeft, w, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +163,7 @@ func TestPeftThroughFacade(t *testing.T) {
 	}
 	w = w.WithSigmaRatio(0.5)
 	p := budgetwf.DefaultPlatform()
-	s, err := budgetwf.Peft(w, p)
+	s, err := budgetwf.ScheduleWith(budgetwf.AlgPeft, w, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,9 +172,6 @@ func TestPeftThroughFacade(t *testing.T) {
 	}
 	if got := len(budgetwf.AlgorithmsExtended()); got != 10 {
 		t.Errorf("%d extended algorithms, want 10", got)
-	}
-	if _, err := budgetwf.ScheduleWith(budgetwf.AlgPeft, w, p, 0); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -277,7 +267,7 @@ func TestReplicateSummarizesReplayBatch(t *testing.T) {
 		"default":  budgetwf.DefaultPlatform(),
 		"spot 6/h": budgetwf.DefaultPlatform().WithSpotTwins(0.6, 6),
 	} {
-		s, err := budgetwf.HeftBudg(w, p, budget)
+		s, err := budgetwf.ScheduleWith(budgetwf.AlgHeftBudg, w, p, budget)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -9,7 +9,7 @@ func TestFacadeExecuteFaulty(t *testing.T) {
 	}
 	w = w.WithSigmaRatio(0.5)
 	p := DefaultPlatform()
-	s, err := HeftBudg(w, p, 1.0)
+	s, err := ScheduleWith(AlgHeftBudg, w, p, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -315,3 +315,40 @@ func TestGateSim(t *testing.T) {
 		t.Errorf("missing case not reported: %v", err)
 	}
 }
+
+// TestGateEst: the gate passes a run at the committed baseline's four
+// allocations per op and at exactly the ceiling, fails one that
+// allocates nine on any σ, and rejects a run that lacks a case.
+func TestGateEst(t *testing.T) {
+	run := func(allocs map[float64]int64) *File {
+		f := &File{SchemaVersion: SchemaVersion, Suite: "est"}
+		for _, sigma := range simSigmas {
+			f.Results = append(f.Results, Result{Case: fmt.Sprintf("analytic/montage/n0300/sigma%.2f", sigma),
+				Iterations: 10, NsPerOp: 60e3, BytesPerOp: 4909, AllocsPerOp: allocs[sigma], OpsPerSec: 1})
+		}
+		return f
+	}
+	healthy := map[float64]int64{0: 4, 0.5: 4, 1: 4}
+	report, err := GateEst(run(healthy))
+	if err != nil {
+		t.Errorf("healthy run rejected: %v", err)
+	}
+	if len(report) != len(simSigmas) || !strings.Contains(report[0], "allocs_per_op 4 (limit 8)") {
+		t.Errorf("report lacks one line per σ: %q", report)
+	}
+	if _, err := GateEst(run(map[float64]int64{0: 8, 0.5: 8, 1: 8})); err != nil {
+		t.Errorf("exactly the ceiling rejected: %v", err)
+	}
+	_, err = GateEst(run(map[float64]int64{0: 4, 0.5: 9, 1: 4}))
+	if err == nil || !strings.Contains(err.Error(), "analytic/montage/n0300/sigma0.50 allocates 9") {
+		t.Errorf("a 9-allocation op passed the gate: %v", err)
+	}
+	if strings.Contains(err.Error(), "sigma0.00") {
+		t.Errorf("healthy case reported: %v", err)
+	}
+	missing := run(healthy)
+	missing.Results = missing.Results[:len(missing.Results)-1]
+	if _, err := GateEst(missing); err == nil || !strings.Contains(err.Error(), "missing") {
+		t.Errorf("missing case not reported: %v", err)
+	}
+}

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"budgetwf/internal/est"
@@ -58,4 +59,34 @@ func Est(seed uint64) ([]Case, error) {
 	}
 	sort.Slice(cases, func(i, j int) bool { return cases[i].Name < cases[j].Name })
 	return cases, nil
+}
+
+// maxEstAllocs caps an est-suite op: one est.Compute and its quantile
+// reads allocate a fixed handful of arrays (4 at every σ on the
+// committed baseline), never per task or per read.
+const maxEstAllocs = 8
+
+// GateEst checks, within one est-suite run, that every analytic case
+// stays within maxEstAllocs allocations per op.
+func GateEst(f *File) (report []string, err error) {
+	byCase := make(map[string]Result, len(f.Results))
+	for _, r := range f.Results {
+		byCase[r.Case] = r
+	}
+	var broken []string
+	for _, sigma := range simSigmas {
+		name := fmt.Sprintf("analytic/montage/n0300/sigma%.2f", sigma)
+		r := byCase[name]
+		if r.Case == "" {
+			return report, fmt.Errorf("bench: est gate: %s case missing", name)
+		}
+		report = append(report, fmt.Sprintf("%s: allocs_per_op %d (limit %d)", name, r.AllocsPerOp, maxEstAllocs))
+		if r.AllocsPerOp > maxEstAllocs {
+			broken = append(broken, fmt.Sprintf("%s allocates %d objects per op, more than %d", name, r.AllocsPerOp, maxEstAllocs))
+		}
+	}
+	if len(broken) > 0 {
+		return report, fmt.Errorf("bench: est gate: %s", strings.Join(broken, "; "))
+	}
+	return report, nil
 }

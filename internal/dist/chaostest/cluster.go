@@ -319,13 +319,6 @@ func (c *Cluster) KillCoordinator() {
 	c.Coord = nil
 }
 
-// RestartCoordinator kill-restarts the coordinator on the same port
-// and journal.
-func (c *Cluster) RestartCoordinator() error {
-	c.KillCoordinator()
-	return c.StartCoordinator()
-}
-
 // Stop SIGKILLs every process. Logs and the journal stay on disk for
 // inspection; callers owning a temp Dir remove it themselves.
 func (c *Cluster) Stop() {

@@ -33,9 +33,11 @@ type AblationPoint struct {
 	Point   Point
 }
 
-// AblationsData runs the ablation sweeps and returns the structured
-// measurements: for each variant, the minimum-budget point and a
-// mid-sweep point.
+// AblationsData quantifies the contribution of each design choice of
+// HEFTBUDG (DESIGN.md §3): the conservative w̄+σ weights, the leftover
+// pot, and the Algorithm-1 reserves. For every variant it runs the
+// standard budget sweep and returns the minimum-budget point and a
+// mid-sweep point; AblationsTable renders them.
 func AblationsData(cfg FigureConfig, typ wfgen.Type) ([]AblationPoint, error) {
 	cfg = cfg.Defaults()
 	var out []AblationPoint
@@ -59,20 +61,6 @@ func AblationsData(cfg FigureConfig, typ wfgen.Type) ([]AblationPoint, error) {
 			AblationPoint{Variant: v.name, Point: pts[len(pts)/2]})
 	}
 	return out, nil
-}
-
-// Ablations quantifies the contribution of each design choice of
-// HEFTBUDG (DESIGN.md §3): the conservative w̄+σ weights, the leftover
-// pot, and the Algorithm-1 reserves. For every variant it runs the
-// standard budget sweep and reports mean makespan and budget-validity
-// at the minimum budget and at a mid-sweep point.
-func Ablations(cfg FigureConfig, typ wfgen.Type) (*Table, error) {
-	cfg = cfg.Defaults()
-	data, err := AblationsData(cfg, typ)
-	if err != nil {
-		return nil, err
-	}
-	return AblationsTable(data, typ, cfg.N), nil
 }
 
 // AblationsTable renders pre-computed ablation data as a table.

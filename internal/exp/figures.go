@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"io"
 
 	"budgetwf/internal/sched"
 	"budgetwf/internal/wfgen"
@@ -107,68 +106,24 @@ func FigureAlgorithms(figure int) ([]sched.Name, error) {
 	return nil, fmt.Errorf("exp: no figure %d", figure)
 }
 
-// figure runs the given algorithm set on all three paper workflow
-// families and returns one long-format table per family.
-func figure(title string, cfg FigureConfig, names []sched.Name) ([]*Table, error) {
+// Figure reproduces paper Figure n (1–4) with the algorithm set
+// FigureAlgorithms(n) on all three paper workflow families, one
+// long-format table per family: makespan, cost and number of VMs as a
+// function of the initial budget, plus the percentage of valid
+// (budget-respecting) executions that Figure 3 plots.
+func Figure(n int, cfg FigureConfig) ([]*Table, error) {
+	names, err := FigureAlgorithms(n)
+	if err != nil {
+		return nil, err
+	}
 	cfg = cfg.Defaults()
 	sweeps, err := RunFigureSweeps(cfg, names)
 	if err != nil {
-		return nil, fmt.Errorf("exp: %s: %w", title, err)
+		return nil, fmt.Errorf("exp: Figure %d: %w", n, err)
 	}
 	var tables []*Table
 	for i, typ := range wfgen.AllPaperTypes() {
-		tables = append(tables, SweepTable(fmt.Sprintf("%s — %s, %d tasks", title, typ, cfg.N), sweeps[i]))
+		tables = append(tables, SweepTable(fmt.Sprintf("Figure %d — %s, %d tasks", n, typ, cfg.N), sweeps[i]))
 	}
 	return tables, nil
-}
-
-// Figure1 reproduces Figure 1: makespan, cost and number of VMs as a
-// function of the initial budget for MIN-MIN, HEFT, MIN-MINBUDG and
-// HEFTBUDG on CYBERSHAKE, LIGO and MONTAGE.
-func Figure1(cfg FigureConfig) ([]*Table, error) {
-	names, err := FigureAlgorithms(1)
-	if err != nil {
-		return nil, err
-	}
-	return figure("Figure 1", cfg, names)
-}
-
-// Figure2 reproduces Figure 2: the refined variants HEFTBUDG+ and
-// HEFTBUDG+INV against HEFT and HEFTBUDG.
-func Figure2(cfg FigureConfig) ([]*Table, error) {
-	names, err := FigureAlgorithms(2)
-	if err != nil {
-		return nil, err
-	}
-	return figure("Figure 2", cfg, names)
-}
-
-// Figure3 reproduces Figure 3: MIN-MINBUDG and HEFTBUDG against the
-// extended competitors BDT and CG — makespan, percentage of valid
-// (budget-respecting) executions, and actual spend versus budget.
-func Figure3(cfg FigureConfig) ([]*Table, error) {
-	names, err := FigureAlgorithms(3)
-	if err != nil {
-		return nil, err
-	}
-	return figure("Figure 3", cfg, names)
-}
-
-// Figure4 reproduces Figure 4: HEFTBUDG+ and HEFTBUDG+INV against CG+.
-func Figure4(cfg FigureConfig) ([]*Table, error) {
-	names, err := FigureAlgorithms(4)
-	if err != nil {
-		return nil, err
-	}
-	return figure("Figure 4", cfg, names)
-}
-
-// WriteAll renders tables as ASCII to w.
-func WriteAll(w io.Writer, tables []*Table) error {
-	for _, t := range tables {
-		if err := t.WriteASCII(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }

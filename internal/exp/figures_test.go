@@ -14,7 +14,7 @@ func quickCfg() FigureConfig {
 }
 
 func TestFigure1Quick(t *testing.T) {
-	tables, err := Figure1(quickCfg())
+	tables, err := Figure(1, quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,12 +33,12 @@ func TestFigure1Quick(t *testing.T) {
 }
 
 func TestFigure3IncludesCompetitors(t *testing.T) {
-	tables, err := Figure3(quickCfg())
+	tables, err := Figure(3, quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := WriteAll(&b, tables[:1]); err != nil {
+	if err := tables[0].WriteASCII(&b); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"minminbudg", "heftbudg", "bdt", "cg"} {
@@ -52,19 +52,22 @@ func TestFigure2And4RefinedVariants(t *testing.T) {
 	// Smaller grid: the refined variants are expensive.
 	cfg := quickCfg()
 	cfg.GridK = 2
-	tables2, err := Figure2(cfg)
+	tables2, err := Figure(2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables4, err := Figure4(cfg)
+	tables4, err := Figure(4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tables2) != 3 || len(tables4) != 3 {
 		t.Fatal("wrong table counts")
 	}
+	if _, err := Figure(5, cfg); err == nil {
+		t.Error("Figure 5 accepted: the paper has four figures")
+	}
 	var b strings.Builder
-	if err := WriteAll(&b, tables4[:1]); err != nil {
+	if err := tables4[0].WriteASCII(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "cg+") || !strings.Contains(b.String(), "heftbudg+inv") {

@@ -63,11 +63,6 @@ func (r *Report) AddSVG(svg string) {
 	r.sections = append(r.sections, "<figure>\n"+svg+"</figure>\n")
 }
 
-// AddProse appends a paragraph of escaped text.
-func (r *Report) AddProse(text string) {
-	r.sections = append(r.sections, fmt.Sprintf("<p>%s</p>\n", htmlEsc(text)))
-}
-
 // Write emits the full document.
 func (r *Report) Write(w io.Writer) error {
 	var b strings.Builder

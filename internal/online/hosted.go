@@ -150,10 +150,3 @@ func (h *Hosted) Releases() []Release {
 	}
 	return out
 }
-
-// Dump renders the execution's internal state for deadlock
-// diagnostics.
-func (h *Hosted) Dump() string {
-	return fmt.Sprintf("done %v\nfailed %v\ncur %v\nreplica %v\nvms %+v\nedges %v",
-		h.c.Done, h.c.Failed, h.c.Cur, h.c.Replica, h.c.VMs, h.c.EdgeState)
-}

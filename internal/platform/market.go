@@ -16,18 +16,6 @@ func (p *Platform) NumProviders() int {
 	return len(p.Providers)
 }
 
-// ProviderName returns the display name of provider i ("default" in
-// the single-provider model).
-func (p *Platform) ProviderName(i int) string {
-	if len(p.Providers) == 0 {
-		return "default"
-	}
-	return p.Providers[i]
-}
-
-// CatProvider returns the provider index of category k.
-func (p *Platform) CatProvider(k int) int { return p.Categories[k].Provider }
-
 // CatBandwidth returns the VM↔DC bandwidth of category k: its
 // provider's override when one is set, the scalar Bandwidth otherwise.
 func (p *Platform) CatBandwidth(k int) float64 {

@@ -1,8 +1,6 @@
 package budgetwf
 
 import (
-	"context"
-
 	"budgetwf/internal/online"
 	"budgetwf/internal/rng"
 	"budgetwf/internal/sim"
@@ -21,7 +19,7 @@ type ObjectiveStats = sim.ObjectiveStats
 // ReplicateObjective runs n (at least 1) stochastic executions of the
 // schedule and reports how often each criterion of the objective held.
 func ReplicateObjective(w *Workflow, p *Platform, s *Schedule, n int, seed uint64, obj Objective) (*ObjectiveStats, error) {
-	b, err := replicate(context.Background(), w, p, s, n, seed, obj.Budget)
+	b, err := replicate(w, p, s, n, seed, obj.Budget)
 	if err != nil {
 		return nil, err
 	}

@@ -28,11 +28,6 @@ func MinMinBudgWithOptions(w *Workflow, p *Platform, budget float64, opt Planner
 // resolvable via ScheduleWith and listed by AlgorithmsExtended.
 const AlgPeft = sched.NamePeft
 
-// Peft plans with the budget-blind PEFT extension baseline.
-func Peft(w *Workflow, p *Platform) (*Schedule, error) {
-	return sched.Peft(w, p)
-}
-
 // AlgorithmsExtended returns the paper's nine algorithms plus the
 // extension baselines.
 func AlgorithmsExtended() []AlgorithmName {
