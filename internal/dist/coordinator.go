@@ -15,7 +15,6 @@ import (
 
 	"budgetwf/internal/exp"
 	"budgetwf/internal/obs"
-	"budgetwf/internal/sched"
 )
 
 // Coordinator decomposes a campaign into deterministic shards and
@@ -146,70 +145,6 @@ type RunOptions struct {
 	Epoch int
 }
 
-// RunSweep executes the sweep across the fleet and merges the units;
-// the result is bit-identical to exp.RunSweepCtx on the same spec.
-func (c *Coordinator) RunSweep(ctx context.Context, spec *SweepSpec, opt RunOptions) (*exp.SweepResult, error) {
-	s := *spec
-	s.Normalize()
-	sc, algs, gridK, err := s.Scenario()
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.runShards(ctx, ShardRequest{JobSpec: JobSpec{Kind: KindSweep, Sweep: &s}}, opt)
-	if err != nil {
-		return nil, err
-	}
-	sc.Workers = 1 // merge is sequential; keep the echo deterministic
-	return exp.MergeSweepUnits(sc, algs, gridK, resp.SweepUnits)
-}
-
-// RunFaultSweep is RunSweep for λ-grid robustness sweeps.
-func (c *Coordinator) RunFaultSweep(ctx context.Context, spec *FaultSweepSpec, opt RunOptions) (*exp.FaultSweepResult, error) {
-	s := *spec
-	s.Normalize()
-	sc, err := s.Scenario()
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.runShards(ctx, ShardRequest{JobSpec: JobSpec{Kind: KindFaultSweep, FaultSweep: &s}}, opt)
-	if err != nil {
-		return nil, err
-	}
-	sc.Workers = 1
-	return exp.MergeFaultSweepUnits(sc, resp.FaultUnits)
-}
-
-// SweepRunner adapts the coordinator to exp.SweepRunner so figure
-// campaigns (exp.RunFigureSweepsUsing, cmd/paperfigs -workers) spread
-// their per-family sweeps over the fleet.
-func (c *Coordinator) SweepRunner(ctx context.Context, opt RunOptions) exp.SweepRunner {
-	return func(sc exp.Scenario, algs []sched.Algorithm, gridK int) (*exp.SweepResult, error) {
-		return c.RunSweep(ctx, SpecFromScenario(sc, algs, gridK), opt)
-	}
-}
-
-// SpecFromScenario builds the wire spec describing an in-process
-// scenario. Workers is deliberately dropped: local parallelism is each
-// executor's own business and never part of a campaign's identity.
-func SpecFromScenario(sc exp.Scenario, algs []sched.Algorithm, gridK int) *SweepSpec {
-	names := make([]string, len(algs))
-	for i, a := range algs {
-		names[i] = string(a.Name)
-	}
-	return &SweepSpec{
-		WorkflowType: string(sc.Type),
-		N:            sc.N,
-		SigmaRatio:   sc.SigmaRatio,
-		Algorithms:   names,
-		GridK:        gridK,
-		Instances:    sc.Instances,
-		Replications: sc.Reps,
-		Seed:         sc.Seed,
-		Platform:     sc.Platform,
-		Estimator:    sc.Estimator,
-	}
-}
-
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.Logf != nil {
 		c.Logf(format, args...)
@@ -321,24 +256,22 @@ type flight struct {
 	speculated bool
 }
 
-// runShards drives the dispatch loop: a bounded set of dispatcher
-// goroutines pull shards from a shared queue, place them on benched-
-// aware round-robin workers (the live fleet, re-evaluated every
-// dispatch), and feed failures back as retries, splits, speculative
-// steals, or local fallbacks. Unit coverage is the single source of
-// truth: a result is accepted only if none of its units are covered
-// yet, so duplicates from steals or previous incarnations can never
-// double-merge. It returns only when every unit of the campaign's grid
-// is covered exactly once, or on the first unrecoverable error.
-func (c *Coordinator) runShards(ctx context.Context, base ShardRequest, opt RunOptions) (*ShardResponse, error) {
-	total, err := base.Cells()
-	if err != nil {
-		return nil, err
-	}
-	merged := &ShardResponse{}
-	if total == 0 {
-		return merged, nil
-	}
+// Run executes the campaign across the fleet and returns its units,
+// every cell of the grid exactly once, for the campaign's own Merge —
+// which makes the result bit-identical to the single-process run of
+// the same spec.
+//
+// A bounded set of dispatcher goroutines pull shards from a shared
+// queue, place them on benched-aware round-robin workers (the live
+// fleet, re-evaluated every dispatch), and feed failures back as
+// retries, splits, speculative steals, or local fallbacks. Unit
+// coverage is the single source of truth: a result is accepted only if
+// none of its units are covered yet, so duplicates from steals or
+// previous incarnations can never double-merge. Run returns only when
+// every unit is covered, or on the first unrecoverable error.
+func (c *Coordinator) Run(ctx context.Context, camp *Campaign, opt RunOptions) ([]exp.Unit, error) {
+	total := camp.Cells()
+	var merged []exp.Unit
 
 	// Fold in shard results journalled by a previous incarnation:
 	// their units are covered up front and never recomputed.
@@ -352,7 +285,7 @@ func (c *Coordinator) runShards(ctx context.Context, base ShardRequest, opt RunO
 		if err := json.Unmarshal(sr.Units, &resp); err != nil {
 			continue
 		}
-		if base.covers(&resp, sr.Start, sr.End) != nil {
+		if camp.covers(resp.Units, sr.Start, sr.End) != nil {
 			continue
 		}
 		overlap := false
@@ -369,7 +302,7 @@ func (c *Coordinator) runShards(ctx context.Context, base ShardRequest, opt RunO
 			covered[i] = true
 		}
 		coveredCount += sr.End - sr.Start
-		merged.absorb(&resp)
+		merged = append(merged, resp.Units...)
 	}
 	if coveredCount > 0 {
 		c.logf("dist: resuming with %d/%d units from journalled shards", coveredCount, total)
@@ -378,28 +311,6 @@ func (c *Coordinator) runShards(ctx context.Context, base ShardRequest, opt RunO
 		}
 	}
 	if coveredCount == total {
-		return merged, nil
-	}
-
-	// No fleet and no membership: run the gaps locally.
-	if len(c.Workers) == 0 && c.Members == nil {
-		for _, gap := range uncoveredGaps(covered) {
-			span := opt.Span.Child("shard")
-			span.Set(obs.Str("mode", "local"), obs.Int("start", gap.start), obs.Int("end", gap.end))
-			req := base
-			req.Start, req.End = gap.start, gap.end
-			resp, err := ExecuteShard(ctx, &req, c.LocalWorkers)
-			span.End()
-			if err != nil {
-				return nil, err
-			}
-			merged.absorb(resp)
-			coveredCount += gap.end - gap.start
-			emitShard(opt, gap.start, gap.end, resp)
-			if opt.Progress != nil {
-				opt.Progress(coveredCount, total)
-			}
-		}
 		return merged, nil
 	}
 
@@ -488,7 +399,7 @@ func (c *Coordinator) runShards(ctx context.Context, base ShardRequest, opt RunO
 			covered[i] = true
 		}
 		coveredCount += sh.end - sh.start
-		merged.absorb(resp)
+		merged = append(merged, resp.Units...)
 		done := coveredCount
 		complete := coveredCount == total
 		mu.Unlock()
@@ -508,6 +419,21 @@ func (c *Coordinator) runShards(ctx context.Context, base ShardRequest, opt RunO
 		mu.Unlock()
 		c.statRequeued.Add(1)
 		cond.Broadcast()
+	}
+
+	// No fleet and no membership: run each gap locally as one shard.
+	if len(c.Workers) == 0 && c.Members == nil {
+		for _, gap := range uncoveredGaps(covered) {
+			span := opt.Span.Child("shard")
+			span.Set(obs.Str("mode", "local"), obs.Int("start", gap.start), obs.Int("end", gap.end))
+			units, err := camp.Run(ctx, c.LocalWorkers, gap.start, gap.end)
+			span.End()
+			if err != nil {
+				return nil, err
+			}
+			accept(shard{start: gap.start, end: gap.end}, &ShardResponse{Units: units})
+		}
+		return merged, nil
 	}
 
 	// Steal scanner: speculatively re-issue shards stuck in flight past
@@ -593,7 +519,7 @@ func (c *Coordinator) runShards(ctx context.Context, base ShardRequest, opt RunO
 					continue
 				}
 
-				c.dispatch(runCtx, ctx, base, sh, opt, dispatchHooks{
+				c.dispatch(runCtx, ctx, camp, sh, opt, dispatchHooks{
 					accept:  accept,
 					requeue: requeue,
 					fail:    fail,
@@ -672,6 +598,17 @@ func uncoveredGaps(covered []bool) []gap {
 	return out
 }
 
+// covers reports whether units are a well-formed answer to the range
+// [start, end) of the campaign: exactly the cells of the range, each
+// payload consistent with the replication count (exp.OrderUnits). Both
+// places a payload enters from outside the process — a worker's
+// response, a journalled shard — ask it, so what the merge would refuse
+// or mis-aggregate is re-run instead.
+func (c *Campaign) covers(units []exp.Unit, start, end int) error {
+	_, err := exp.OrderUnits(units, start, end, c.Reps())
+	return err
+}
+
 // emitShard delivers one accepted shard result to the OnShard hook.
 func emitShard(opt RunOptions, start, end int, resp *ShardResponse) {
 	if opt.OnShard == nil {
@@ -690,9 +627,7 @@ func emitShard(opt RunOptions, start, end int, resp *ShardResponse) {
 // their primary still owns the range. runCtx bounds the remote call
 // (it cancels when the run settles); ctx is the caller's context, used
 // to distinguish real cancellation from settle cleanup.
-func (c *Coordinator) dispatch(runCtx, ctx context.Context, base ShardRequest, sh shard, opt RunOptions, h dispatchHooks) {
-	req := base
-	req.Start, req.End = sh.start, sh.end
+func (c *Coordinator) dispatch(runCtx, ctx context.Context, camp *Campaign, sh shard, opt RunOptions, h dispatchHooks) {
 
 	if sh.attempts >= c.maxAttempts() {
 		if sh.speculative {
@@ -704,7 +639,7 @@ func (c *Coordinator) dispatch(runCtx, ctx context.Context, base ShardRequest, s
 		span.Set(obs.Str("mode", "fallback"), obs.Int("start", sh.start), obs.Int("end", sh.end))
 		c.logf("dist: shard [%d,%d) exhausted %d remote attempts; running locally", sh.start, sh.end, sh.attempts)
 		c.statLocalFB.Add(1)
-		resp, err := ExecuteShard(runCtx, &req, c.LocalWorkers)
+		units, err := camp.Run(runCtx, c.LocalWorkers, sh.start, sh.end)
 		span.End()
 		if err != nil {
 			if h.settled() {
@@ -713,7 +648,7 @@ func (c *Coordinator) dispatch(runCtx, ctx context.Context, base ShardRequest, s
 			h.fail(fmt.Errorf("dist: local fallback for shard [%d,%d): %w", sh.start, sh.end, err))
 			return
 		}
-		if !h.accept(sh, resp) {
+		if !h.accept(sh, &ShardResponse{Units: units}) {
 			span.Set(obs.Bool("duplicateDropped", true))
 		}
 		return
@@ -762,12 +697,17 @@ func (c *Coordinator) dispatch(runCtx, ctx context.Context, base ShardRequest, s
 	}
 	// Ask the worker for its compute subtree and hand it our span
 	// context, so the response stitches under this dispatch span.
-	req.Trace = span.Enabled()
+	req := ShardRequest{JobSpec: camp.Spec, Start: sh.start, End: sh.end, Trace: span.Enabled()}
 	sctx := span.SpanContext()
 	sctx.Epoch = opt.Epoch
 	id := h.track(&flight{sh: sh, worker: worker, started: time.Now()})
 	c.statDispatched.Add(1)
 	resp, retryAfter, err := c.callWorker(runCtx, worker, &req, sctx)
+	if err == nil {
+		if err = camp.covers(resp.Units, sh.start, sh.end); err != nil {
+			err = fmt.Errorf("dist: worker %s: %w", worker, err)
+		}
+	}
 	h.untrack(id)
 	if err == nil {
 		if resp.Trace != nil {
@@ -914,9 +854,6 @@ func (c *Coordinator) callWorker(ctx context.Context, baseURL string, req *Shard
 	var resp ShardResponse
 	if err := json.NewDecoder(hresp.Body).Decode(&resp); err != nil {
 		return nil, 0, fmt.Errorf("dist: worker %s: decoding shard response: %w", baseURL, err)
-	}
-	if err := req.covers(&resp, req.Start, req.End); err != nil {
-		return nil, 0, fmt.Errorf("dist: worker %s: %w", baseURL, err)
 	}
 	return &resp, 0, nil
 }

@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-
-	"budgetwf/internal/exp"
 )
 
 // FuzzJobSpecJSON drives POST /v1/jobs' pipeline — strict decode,
-// Normalize, Validate — with arbitrary bytes. It must never panic;
+// Normalize, Resolve — with arbitrary bytes. It must never panic;
 // Normalize must be idempotent and leave Hash stable; and a spec that
-// validates must resolve: what submission accepts, the run can start.
+// validates must resolve to a campaign with cells to run: what
+// submission accepts, the run can start.
 func FuzzJobSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"kind":"sweep","sweep":{"workflowType":"chain","n":8,"algorithms":["heft"],"gridK":3,"instances":2,"replications":5,"seed":42}}`))
 	f.Add([]byte(`{"kind":"sweep","sweep":{"workflowType":"montage","n":20,"estimator":"analytic","platform":{"Categories":[{"Name":"c","Speed":1e9,"CostPerSec":1e-6}],"Bandwidth":1e8,"DCBandwidth":1e9}}}`))
@@ -35,26 +34,12 @@ func FuzzJobSpecJSON(f *testing.F) {
 		if again := spec.Hash(); again != hash {
 			t.Fatalf("Normalize is not idempotent: hash %s, then %s (%s)", hash, again, data)
 		}
-		if spec.Validate() != nil {
+		camp, err := spec.Resolve()
+		if err != nil {
 			return
 		}
-		var err error
-		switch spec.Kind {
-		case KindSweep:
-			var sc exp.Scenario
-			if sc, _, _, err = spec.Sweep.Scenario(); err == nil && sc.Platform != nil {
-				err = sc.Platform.Validate()
-			}
-		case KindFaultSweep:
-			var sc exp.FaultScenario
-			if sc, err = spec.FaultSweep.Scenario(); err == nil {
-				_, err = exp.FaultCells(sc)
-			}
-		case KindFigure:
-			_, err = exp.FigureAlgorithms(spec.Figure.Figure)
-		}
-		if err != nil {
-			t.Fatalf("validated spec does not resolve: %v (%s)", err, data)
+		if camp.Cells() < 1 {
+			t.Fatalf("validated spec resolves to a campaign of %d cells (%s)", camp.Cells(), data)
 		}
 	})
 }

@@ -50,9 +50,9 @@ func TestCoordinatorStealsFromSlowWorker(t *testing.T) {
 		RetryCap:      5 * time.Millisecond,
 		LocalWorkers:  1,
 	}
-	got, err := c.RunSweep(context.Background(), testSweepSpec(), RunOptions{})
+	got, err := runSweep(context.Background(), c, testSweepSpec(), RunOptions{})
 	if err != nil {
-		t.Fatalf("RunSweep with a grey worker: %v", err)
+		t.Fatalf("runSweep with a grey worker: %v", err)
 	}
 	want := monolithic(t, testSweepSpec())
 	if !reflect.DeepEqual(stripTiming(got), stripTiming(want)) {
@@ -81,9 +81,9 @@ func TestCoordinatorDynamicMembership(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 		reg.Register(w.URL, "nonce-1")
 	}()
-	got, err := c.RunSweep(context.Background(), testSweepSpec(), RunOptions{})
+	got, err := runSweep(context.Background(), c, testSweepSpec(), RunOptions{})
 	if err != nil {
-		t.Fatalf("RunSweep with late-joining worker: %v", err)
+		t.Fatalf("runSweep with late-joining worker: %v", err)
 	}
 	want := monolithic(t, testSweepSpec())
 	if !reflect.DeepEqual(stripTiming(got), stripTiming(want)) {
@@ -137,9 +137,9 @@ func TestCoordinatorExpiryRacesCompletion(t *testing.T) {
 		RetryCap:      5 * time.Millisecond,
 		LocalWorkers:  1,
 	}
-	got, err := c.RunSweep(context.Background(), testSweepSpec(), RunOptions{})
+	got, err := runSweep(context.Background(), c, testSweepSpec(), RunOptions{})
 	if err != nil {
-		t.Fatalf("RunSweep across TTL expiry: %v", err)
+		t.Fatalf("runSweep across TTL expiry: %v", err)
 	}
 	want := monolithic(t, testSweepSpec())
 	if !reflect.DeepEqual(stripTiming(got), stripTiming(want)) {

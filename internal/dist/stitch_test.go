@@ -32,7 +32,7 @@ func tracingWorker(t *testing.T, gate func(w http.ResponseWriter, r *http.Reques
 		}
 		wt := obs.New("worker")
 		sp := wt.Root().Child("compute")
-		resp, err := ExecuteShard(r.Context(), &req, 1)
+		resp, err := executeShard(r.Context(), &req)
 		sp.End()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -84,9 +84,9 @@ func TestStitchRetriedShards(t *testing.T) {
 	}
 	tr := obs.New("job")
 	tr.SetID("job-retry")
-	got, err := c.RunSweep(context.Background(), testSweepSpec(), RunOptions{Span: tr.Root(), Epoch: 2})
+	got, err := runSweep(context.Background(), c, testSweepSpec(), RunOptions{Span: tr.Root(), Epoch: 2})
 	if err != nil {
-		t.Fatalf("RunSweep: %v", err)
+		t.Fatalf("runSweep: %v", err)
 	}
 	want := monolithic(t, testSweepSpec())
 	if !reflect.DeepEqual(stripTiming(got), stripTiming(want)) {
@@ -162,9 +162,9 @@ func TestStitchStolenShard(t *testing.T) {
 	}
 	tr := obs.New("job")
 	tr.SetID("job-steal")
-	got, err := c.RunSweep(context.Background(), testSweepSpec(), RunOptions{Span: tr.Root()})
+	got, err := runSweep(context.Background(), c, testSweepSpec(), RunOptions{Span: tr.Root()})
 	if err != nil {
-		t.Fatalf("RunSweep: %v", err)
+		t.Fatalf("runSweep: %v", err)
 	}
 	want := monolithic(t, testSweepSpec())
 	if !reflect.DeepEqual(stripTiming(got), stripTiming(want)) {
@@ -227,9 +227,8 @@ func TestDispatchTagsLateDuplicate(t *testing.T) {
 		unspeculate: func(int64) {},
 		settled:     func() bool { return false },
 	}
-	base := ShardRequest{JobSpec: JobSpec{Kind: KindSweep, Sweep: testSweepSpec()}}
-	base.Normalize()
-	c.dispatch(context.Background(), context.Background(), base,
+	camp := resolve(t, JobSpec{Kind: KindSweep, Sweep: testSweepSpec()})
+	c.dispatch(context.Background(), context.Background(), camp,
 		shard{start: 0, end: 2, speculative: true}, RunOptions{Span: tr.Root()}, h)
 	if accepted != 1 {
 		t.Fatalf("accept called %d times, want 1", accepted)

@@ -32,7 +32,11 @@ func TestFailingCellStopsSweep(t *testing.T) {
 	// Workers is 1, so the first plan is cell 0's.
 	sc := Scenario{Type: wfgen.Chain, N: 6, Instances: 10, Reps: 1, Workers: 1}
 	const gridK = 20
-	if got := SweepCells(sc, len(algs), gridK); got != 200 {
+	sweep, err := NewSweep(sc, algs, gridK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sweep.Cells(); got != 200 {
 		t.Fatalf("grid has %d cells, want 200", got)
 	}
 
@@ -44,7 +48,7 @@ func TestFailingCellStopsSweep(t *testing.T) {
 		t.Errorf("monolithic sweep planned %d cells after cell 0 failed", n)
 	}
 	plans.Store(0)
-	_, unitsErr := RunSweepUnitsCtx(context.Background(), sc, algs, gridK, 0, 200)
+	_, unitsErr := sweep.Run(context.Background(), 1, 0, 200)
 	if n := plans.Load(); n > 10 {
 		t.Errorf("units run planned %d cells after cell 0 failed", n)
 	}
@@ -89,16 +93,16 @@ func TestRunCellsErrorPolicy(t *testing.T) {
 // range, each once, in any order, and refuses payloads that would
 // aggregate wrongly.
 func TestOrderUnits(t *testing.T) {
-	sweepUnit := func(c, reps int) SweepUnitResult {
-		return SweepUnitResult{Unit: c, Batch: Batch{Reps: reps, Completed: reps, Makespans: make([]float64, reps), Costs: make([]float64, reps)}}
+	sweepUnit := func(c, reps int) Unit {
+		return Unit{Unit: c, Batch: Batch{Reps: reps, Completed: reps, Makespans: make([]float64, reps), Costs: make([]float64, reps)}}
 	}
-	got, err := OrderUnits([]SweepUnitResult{sweepUnit(6, 2), sweepUnit(4, 2), sweepUnit(5, 2)}, 4, 7, 2)
+	got, err := OrderUnits([]Unit{sweepUnit(6, 2), sweepUnit(4, 2), sweepUnit(5, 2)}, 4, 7, 2)
 	if err != nil || got[0].Unit != 4 || got[1].Unit != 5 || got[2].Unit != 6 {
 		t.Fatalf("shuffled units: %v, %v", got, err)
 	}
 	short := sweepUnit(5, 2)
 	short.Makespans = short.Makespans[:1]
-	for name, units := range map[string][]SweepUnitResult{
+	for name, units := range map[string][]Unit{
 		"shifted":   {sweepUnit(5, 2), sweepUnit(6, 2), sweepUnit(7, 2)},
 		"duplicate": {sweepUnit(4, 2), sweepUnit(4, 2), sweepUnit(6, 2)},
 		"count":     {sweepUnit(4, 2), sweepUnit(5, 2)},
@@ -110,19 +114,19 @@ func TestOrderUnits(t *testing.T) {
 		}
 	}
 
-	ok := FaultUnitResult{Unit: 0, Batch: Batch{Reps: 3, Completed: 2, Makespans: make([]float64, 2), Costs: make([]float64, 3)}}
-	if _, err := OrderUnits([]FaultUnitResult{ok}, 0, 1, 3); err != nil {
+	ok := Unit{Unit: 0, Batch: Batch{Reps: 3, Completed: 2, Makespans: make([]float64, 2), Costs: make([]float64, 3)}}
+	if _, err := OrderUnits([]Unit{ok}, 0, 1, 3); err != nil {
 		t.Fatalf("consistent fault unit refused: %v", err)
 	}
-	for name, mutate := range map[string]func(*FaultUnitResult){
-		"reps":      func(u *FaultUnitResult) { u.Reps = 2 },
-		"costs":     func(u *FaultUnitResult) { u.Costs = u.Costs[:2] },
-		"completed": func(u *FaultUnitResult) { u.Completed = 3 },
-		"makespans": func(u *FaultUnitResult) { u.Makespans = nil },
+	for name, mutate := range map[string]func(*Unit){
+		"reps":      func(u *Unit) { u.Reps = 2 },
+		"costs":     func(u *Unit) { u.Costs = u.Costs[:2] },
+		"completed": func(u *Unit) { u.Completed = 3 },
+		"makespans": func(u *Unit) { u.Makespans = nil },
 	} {
 		u := ok
 		mutate(&u)
-		if _, err := OrderUnits([]FaultUnitResult{u}, 0, 1, 3); err == nil {
+		if _, err := OrderUnits([]Unit{u}, 0, 1, 3); err == nil {
 			t.Errorf("fault unit with inconsistent %s accepted", name)
 		}
 	}
@@ -133,12 +137,12 @@ func TestOrderUnits(t *testing.T) {
 // instances in order.
 func TestFaultAggregateIndexing(t *testing.T) {
 	const instances, rates = 3, 4
-	p := &faultPrep{sc: FaultScenario{Scenario: Scenario{Instances: instances}, Rates: make([]float64, rates)}}
-	units := make([]FaultUnitResult, instances*rates)
+	p := &FaultSweep{sc: FaultScenario{Scenario: Scenario{Instances: instances}, Rates: make([]float64, rates)}}
+	units := make([]Unit, instances*rates)
 	for i := 0; i < instances; i++ {
 		for ri := 0; ri < rates; ri++ {
 			v := float64(10*ri + i)
-			units[i*rates+ri] = FaultUnitResult{Unit: i*rates + ri, Batch: Batch{Reps: 1, Completed: 1, Makespans: []float64{v}, Costs: []float64{v}, Crashes: ri}}
+			units[i*rates+ri] = Unit{Unit: i*rates + ri, Batch: Batch{Reps: 1, Completed: 1, Makespans: []float64{v}, Costs: []float64{v}, Crashes: ri}}
 		}
 	}
 	out := p.aggregate(units)

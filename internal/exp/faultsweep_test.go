@@ -155,6 +155,11 @@ func TestFaultSweepRateGrid(t *testing.T) {
 	if _, err := RunFaultSweep(sc); err == nil {
 		t.Fatal("negative rate accepted")
 	}
+	// NaN is refused by Normalize, before any instance is planned.
+	sc.Rates = []float64{math.NaN(), 0.1}
+	if _, err := sc.Normalize(); err == nil {
+		t.Fatal("NaN rate accepted")
+	}
 
 	sc.Rates = nil
 	sc.Spec.Recovery = "bogus"

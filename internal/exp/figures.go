@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"budgetwf/internal/sched"
@@ -52,41 +53,105 @@ func (c FigureConfig) scenario(t wfgen.Type) Scenario {
 	}
 }
 
-// SweepRunner evaluates one scenario over a budget grid. The default
-// is the in-process RunSweep; cmd/paperfigs substitutes a
-// dist.Coordinator-backed runner to spread figure campaigns over a
-// worker cluster (the results are bit-identical either way).
-type SweepRunner func(sc Scenario, algs []sched.Algorithm, gridK int) (*SweepResult, error)
-
-// RunFigureSweeps runs the given algorithm set on all three paper
-// workflow families and returns the raw sweep results, one per family
-// in AllPaperTypes order — the data behind both the tables and the
-// SVG panels.
-func RunFigureSweeps(cfg FigureConfig, names []sched.Name) ([]*SweepResult, error) {
-	return RunFigureSweepsUsing(cfg, names, func(sc Scenario, algs []sched.Algorithm, gridK int) (*SweepResult, error) {
-		return RunSweep(sc, algs, gridK)
-	})
+// FigureSweeps is a resolved figure campaign: paper Figure n's
+// algorithm set swept over the three paper workflow families (in
+// AllPaperTypes order), enumerated end to end. The families' grids are
+// the same size k, so family f owns cells [f·k, (f+1)·k), each numbered
+// as in its own sweep plus f·k, and a unit range shards a figure
+// exactly as it shards one sweep.
+type FigureSweeps struct {
+	sweeps []*Sweep
 }
 
-// RunFigureSweepsUsing is RunFigureSweeps with the per-scenario sweep
-// delegated to run.
-func RunFigureSweepsUsing(cfg FigureConfig, names []sched.Name, run SweepRunner) ([]*SweepResult, error) {
+// NewFigureSweeps resolves Figure n at cfg's scale; it materializes
+// nothing.
+func NewFigureSweeps(n int, cfg FigureConfig) (*FigureSweeps, error) {
+	names, err := FigureAlgorithms(n)
+	if err != nil {
+		return nil, err
+	}
+	algs := make([]sched.Algorithm, len(names))
+	for i, name := range names {
+		if algs[i], err = sched.ByName(name); err != nil {
+			return nil, err
+		}
+	}
 	cfg = cfg.Defaults()
-	algs := make([]sched.Algorithm, 0, len(names))
-	for _, n := range names {
-		a, err := sched.ByName(n)
+	f := &FigureSweeps{}
+	for _, typ := range wfgen.AllPaperTypes() {
+		s, err := NewSweep(cfg.scenario(typ), algs, cfg.GridK)
 		if err != nil {
 			return nil, err
 		}
-		algs = append(algs, a)
+		f.sweeps = append(f.sweeps, s)
 	}
-	var out []*SweepResult
-	for _, typ := range wfgen.AllPaperTypes() {
-		res, err := run(cfg.scenario(typ), algs, cfg.GridK)
-		if err != nil {
-			return nil, fmt.Errorf("exp: sweep on %s: %w", typ, err)
+	return f, nil
+}
+
+// Cells is the number of cells of all three family sweeps.
+func (f *FigureSweeps) Cells() int { return len(f.sweeps) * f.sweeps[0].Cells() }
+
+// Reps is the number of replications per cell.
+func (f *FigureSweeps) Reps() int { return f.sweeps[0].Reps() }
+
+// Run evaluates cells [start, end), materializing only the families the
+// range touches.
+func (f *FigureSweeps) Run(ctx context.Context, workers, start, end int) ([]Unit, error) {
+	if err := checkRange(start, end, f.Cells()); err != nil {
+		return nil, err
+	}
+	k := f.sweeps[0].Cells()
+	var out []Unit
+	for fam, s := range f.sweeps {
+		lo, hi := max(start, fam*k), min(end, (fam+1)*k)
+		if lo >= hi {
+			continue
 		}
-		out = append(out, res)
+		units, err := s.Run(ctx, workers, lo-fam*k, hi-fam*k)
+		if err != nil {
+			return nil, fmt.Errorf("exp: sweep on %s: %w", s.sc.Type, err)
+		}
+		for i := range units {
+			units[i].Unit += fam * k
+		}
+		out = append(out, units...)
+	}
+	return out, nil
+}
+
+// Merge reassembles units into the family sweeps RunFigureSweeps
+// returns for the same figure.
+func (f *FigureSweeps) Merge(units []Unit) ([]*SweepResult, error) {
+	ordered, err := OrderUnits(units, 0, f.Cells(), f.Reps())
+	if err != nil {
+		return nil, err
+	}
+	k := f.sweeps[0].Cells()
+	out := make([]*SweepResult, len(f.sweeps))
+	for fam, s := range f.sweeps {
+		p, err := s.prep()
+		if err != nil {
+			return nil, fmt.Errorf("exp: sweep on %s: %w", s.sc.Type, err)
+		}
+		out[fam] = p.aggregate(ordered[fam*k : (fam+1)*k])
+	}
+	return out, nil
+}
+
+// RunFigureSweeps runs paper Figure n's algorithm set on all three
+// paper workflow families and returns the raw sweep results, one per
+// family in AllPaperTypes order — the data behind both the tables and
+// the SVG panels.
+func RunFigureSweeps(n int, cfg FigureConfig) ([]*SweepResult, error) {
+	f, err := NewFigureSweeps(n, cfg)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*SweepResult, len(f.sweeps))
+	for fam, s := range f.sweeps {
+		if out[fam], err = RunSweepCtx(context.Background(), s.sc, s.algs, s.gridK); err != nil {
+			return nil, fmt.Errorf("exp: sweep on %s: %w", s.sc.Type, err)
+		}
 	}
 	return out, nil
 }
@@ -112,12 +177,8 @@ func FigureAlgorithms(figure int) ([]sched.Name, error) {
 // function of the initial budget, plus the percentage of valid
 // (budget-respecting) executions that Figure 3 plots.
 func Figure(n int, cfg FigureConfig) ([]*Table, error) {
-	names, err := FigureAlgorithms(n)
-	if err != nil {
-		return nil, err
-	}
 	cfg = cfg.Defaults()
-	sweeps, err := RunFigureSweeps(cfg, names)
+	sweeps, err := RunFigureSweeps(n, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("exp: Figure %d: %w", n, err)
 	}

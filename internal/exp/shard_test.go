@@ -54,6 +54,16 @@ func randomScenario(rnd *rand.Rand) Scenario {
 	}
 }
 
+// mustSweep resolves a sweep the test knows to be valid.
+func mustSweep(t *testing.T, sc Scenario, algs []sched.Algorithm, gridK int) *Sweep {
+	t.Helper()
+	s, err := NewSweep(sc, algs, gridK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // randomShards cuts [0, units) into random contiguous ranges.
 func randomShards(rnd *rand.Rand, units int) [][2]int {
 	var shards [][2]int
@@ -88,21 +98,20 @@ func TestShardMergeMatchesMonolithic(t *testing.T) {
 			t.Fatalf("case %d: monolithic: %v", i, err)
 		}
 
-		shards := randomShards(rnd, SweepCells(sc, len(algs), gridK))
+		sweep := mustSweep(t, sc, algs, gridK)
+		shards := randomShards(rnd, sweep.Cells())
 		rnd.Shuffle(len(shards), func(a, b int) { shards[a], shards[b] = shards[b], shards[a] })
-		var units []SweepUnitResult
+		var units []Unit
 		for _, sh := range shards {
 			// Each shard runs with its own local parallelism, like a
 			// heterogeneous worker fleet.
-			shardSc := sc
-			shardSc.Workers = 1 + rnd.Intn(4)
-			got, err := RunSweepUnitsCtx(context.Background(), shardSc, algs, gridK, sh[0], sh[1])
+			got, err := sweep.Run(context.Background(), 1+rnd.Intn(4), sh[0], sh[1])
 			if err != nil {
 				t.Fatalf("case %d: shard [%d,%d): %v", i, sh[0], sh[1], err)
 			}
 			units = append(units, got...)
 		}
-		merged, err := MergeSweepUnits(sc, algs, gridK, units)
+		merged, err := sweep.Merge(units)
 		if err != nil {
 			t.Fatalf("case %d: merge: %v", i, err)
 		}
@@ -145,21 +154,21 @@ func TestFaultShardMergeMatchesMonolithic(t *testing.T) {
 			t.Fatalf("case %d: monolithic: %v", i, err)
 		}
 
-		cells, err := FaultCells(sc)
+		fs, err := NewFaultSweep(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shards := randomShards(rnd, cells)
+		shards := randomShards(rnd, fs.Cells())
 		rnd.Shuffle(len(shards), func(a, b int) { shards[a], shards[b] = shards[b], shards[a] })
-		var units []FaultUnitResult
+		var units []Unit
 		for _, sh := range shards {
-			got, err := RunFaultSweepUnitsCtx(context.Background(), sc, sh[0], sh[1])
+			got, err := fs.Run(context.Background(), sc.Workers, sh[0], sh[1])
 			if err != nil {
 				t.Fatalf("case %d: shard [%d,%d): %v", i, sh[0], sh[1], err)
 			}
 			units = append(units, got...)
 		}
-		merged, err := MergeFaultSweepUnits(sc, units)
+		merged, err := fs.Merge(units)
 		if err != nil {
 			t.Fatalf("case %d: merge: %v", i, err)
 		}
@@ -170,6 +179,41 @@ func TestFaultShardMergeMatchesMonolithic(t *testing.T) {
 		if !reflect.DeepEqual(merged, want) {
 			t.Fatalf("case %d: merged fault sweep differs from monolithic", i)
 		}
+	}
+}
+
+// TestSpotShardMergeMatchesMonolithic is the same property for the
+// spot sweep, whose on-demand baseline is computed in the merge: units
+// evaluated in shuffled shards merge to exactly RunSpotSweep's result.
+func TestSpotShardMergeMatchesMonolithic(t *testing.T) {
+	t.Parallel()
+	sc := SpotScenario{Scenario: Scenario{Type: wfgen.Montage, N: 15, Instances: 2, Reps: 3, Seed: 4}, Rates: []float64{0.5, 2}}
+	want, err := RunSpotSweep(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spot, err := NewSpotSweep(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd := rand.New(rand.NewSource(17))
+	var units []Unit
+	for _, sh := range randomShards(rnd, spot.Cells()) {
+		got, err := spot.Run(context.Background(), 1+rnd.Intn(3), sh[0], sh[1])
+		if err != nil {
+			t.Fatalf("shard [%d,%d): %v", sh[0], sh[1], err)
+		}
+		units = append(units, got...)
+	}
+	rnd.Shuffle(len(units), func(i, j int) { units[i], units[j] = units[j], units[i] })
+	merged, err := spot.Merge(context.Background(), units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The scenario echo carries Alg.Plan, a func value.
+	merged.Scenario, want.Scenario = SpotScenario{}, SpotScenario{}
+	if !reflect.DeepEqual(merged, want) {
+		t.Fatal("merged spot sweep differs from monolithic")
 	}
 }
 
@@ -208,7 +252,7 @@ func TestSweepDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		}
 
 		// The unit enumeration itself must also be invariant.
-		if g, want := SweepCells(scp, len(algs), 3), SweepCells(sc, len(algs), 3); g != want {
+		if g, want := mustSweep(t, scp, algs, 3).Cells(), mustSweep(t, sc, algs, 3).Cells(); g != want {
 			t.Fatalf("GOMAXPROCS=%d: grid of %d cells, want %d", procs, g, want)
 		}
 	}

@@ -127,6 +127,16 @@ func TestRunSpotSweepRejects(t *testing.T) {
 	if _, err := RunSpotSweep(sc); err == nil {
 		t.Fatal("analytic estimator accepted for a spot sweep")
 	}
+	// A NaN grid point is refused by Normalize, before anything is
+	// planned, like any other out-of-range one.
+	sc = SpotScenario{Scenario: Scenario{Type: wfgen.Chain, N: 5}, Discounts: []float64{0.5, math.NaN()}}
+	if _, err := sc.Normalize(); err == nil {
+		t.Fatal("NaN spot discount accepted")
+	}
+	sc = SpotScenario{Scenario: Scenario{Type: wfgen.Chain, N: 5}, Rates: []float64{math.NaN()}}
+	if _, err := sc.Normalize(); err == nil {
+		t.Fatal("NaN revocation rate accepted")
+	}
 }
 
 // TestSweepSpotPlatform: a budget sweep over a spot market diverts to
@@ -215,16 +225,17 @@ func TestShardMergeSpotPlatform(t *testing.T) {
 		t.Fatal(err)
 	}
 	rnd := rand.New(rand.NewSource(13))
-	var units []SweepUnitResult
-	for _, shard := range randomShards(rnd, SweepCells(sc, len(algs), gridK)) {
-		part, err := RunSweepUnitsCtx(context.Background(), sc, algs, gridK, shard[0], shard[1])
+	sweep := mustSweep(t, sc, algs, gridK)
+	var units []Unit
+	for _, shard := range randomShards(rnd, sweep.Cells()) {
+		part, err := sweep.Run(context.Background(), sc.Workers, shard[0], shard[1])
 		if err != nil {
 			t.Fatal(err)
 		}
 		units = append(units, part...)
 	}
 	rnd.Shuffle(len(units), func(i, j int) { units[i], units[j] = units[j], units[i] })
-	merged, err := MergeSweepUnits(sc, algs, gridK, units)
+	merged, err := sweep.Merge(units)
 	if err != nil {
 		t.Fatal(err)
 	}

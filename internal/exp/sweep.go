@@ -200,19 +200,6 @@ type SweepResult struct {
 	Tally Batch
 }
 
-// SweepUnitResult is the outcome of one sweep unit — one (algorithm,
-// instance, budget) cell: the per-cell plan facts plus the tally of its
-// replications. It is what the sweep kernel returns, what the
-// aggregator folds, and the shard wire format.
-type SweepUnitResult struct {
-	Unit        int     `json:"unit"`
-	NumVMs      float64 `json:"numVMs"`
-	PlanSeconds float64 `json:"planSeconds"`
-	Batch
-}
-
-func (u SweepUnitResult) cell() int { return u.Unit }
-
 // instance is one materialized workflow of a scenario with its budget
 // anchors.
 type instance struct {
@@ -251,17 +238,21 @@ func commonFactors(insts []instance, gridK int) []float64 {
 	return common
 }
 
-// sweepPrep is the deterministic per-scenario state every cell
-// evaluation needs: the materialized workflow instances with their
-// budget anchors and the common budget-factor grid. Because it is a
-// pure function of (Scenario, algorithms, gridK), a distributed worker
-// recomputing it from the spec arrives at exactly the state the
-// coordinator holds — the foundation of the bit-identical sharding
-// (driver.go).
-type sweepPrep struct {
-	sc     Scenario // after Defaults()
-	algs   []sched.Algorithm
-	gridK  int
+// Sweep is a resolved budget sweep: the normalized scenario, the
+// algorithms and the budget-grid size. Its (algorithm, instance, budget)
+// cells are enumerated algorithm-major, then instance, then budget
+// index: a pure function of the counts, never of scheduling, worker
+// interleaving or GOMAXPROCS, which is what makes shard decomposition
+// deterministic.
+type Sweep struct {
+	sc    Scenario // after Defaults()
+	algs  []sched.Algorithm
+	gridK int
+	// Set by prep: the workflow instances with their budget anchors and
+	// the common budget-factor grid. They are a pure function of the
+	// fields above, so a distributed worker recomputing them from the
+	// spec arrives at exactly the state the coordinator holds — the
+	// foundation of the bit-identical sharding (driver.go).
 	insts  []instance
 	common []float64
 }
@@ -274,32 +265,50 @@ func normGridK(gridK int) int {
 	return gridK
 }
 
-// prepSweep normalizes the scenario and materializes instances,
-// anchors and the factor grid.
-func prepSweep(sc Scenario, algs []sched.Algorithm, gridK int) (*sweepPrep, error) {
+// NewSweep normalizes the scenario and checks its estimator; it
+// materializes nothing.
+func NewSweep(sc Scenario, algs []sched.Algorithm, gridK int) (*Sweep, error) {
 	sc = sc.Defaults()
 	if err := CheckEstimator(sc.Estimator, sc.simPlatform(), false); err != nil {
 		return nil, err
 	}
-	gridK = normGridK(gridK)
-	insts, err := sc.materialize()
+	return &Sweep{sc: sc, algs: algs, gridK: normGridK(gridK)}, nil
+}
+
+// prep returns a copy of s with its instances materialized.
+func (s Sweep) prep() (*Sweep, error) {
+	insts, err := s.sc.materialize()
 	if err != nil {
 		return nil, err
 	}
-	return &sweepPrep{sc: sc, algs: algs, gridK: gridK, insts: insts, common: commonFactors(insts, gridK)}, nil
+	s.insts, s.common = insts, commonFactors(insts, s.gridK)
+	return &s, nil
 }
 
-// SweepCells is the number of (algorithm, instance, budget) cells —
-// and therefore of units — in the sweep's grid, normalized exactly as
-// RunSweepCtx does. Cells are enumerated algorithm-major, then
-// instance, then budget index: a pure function of the counts, never of
-// scheduling, worker interleaving or GOMAXPROCS, which is what makes
-// shard decomposition deterministic.
-func SweepCells(sc Scenario, numAlgs, gridK int) int {
-	return numAlgs * sc.Defaults().Instances * normGridK(gridK)
+// Cells is the number of (algorithm, instance, budget) cells.
+func (s *Sweep) Cells() int { return len(s.algs) * s.sc.Instances * s.gridK }
+
+// Reps is the number of replications per cell.
+func (s *Sweep) Reps() int { return s.sc.Reps }
+
+// Run evaluates cells [start, end): the worker half of a distributed
+// sweep.
+func (s *Sweep) Run(ctx context.Context, workers, start, end int) ([]Unit, error) {
+	return runRange(ctx, workers, start, end, s.Cells(), s.prep)
 }
 
-func (p *sweepPrep) cells() int { return SweepCells(p.sc, len(p.algs), p.gridK) }
+// Merge reassembles units — arriving in any order, from any mix of
+// workers — into the SweepResult RunSweepCtx produces for the same
+// scenario. Every unit of the grid must be present exactly once. Plan
+// wall-time is the one inherently non-deterministic observable;
+// everything else is bit-identical.
+func (s *Sweep) Merge(units []Unit) (*SweepResult, error) {
+	p, ordered, err := orderAll(units, s, s.prep)
+	if err != nil {
+		return nil, err
+	}
+	return p.aggregate(ordered), nil
+}
 
 // RunSweep evaluates the given algorithms over a normalized budget
 // grid with gridK points, reproducing the paper's methodology: per
@@ -315,47 +324,15 @@ func RunSweep(sc Scenario, algs []sched.Algorithm, gridK int) (*SweepResult, err
 // timed-out or abandoned sweep request stops burning the worker pool
 // within one cell. It is every unit run and then aggregated.
 func RunSweepCtx(ctx context.Context, sc Scenario, algs []sched.Algorithm, gridK int) (*SweepResult, error) {
-	p, err := prepSweep(sc, algs, gridK)
+	s, err := NewSweep(sc, algs, gridK)
 	if err != nil {
 		return nil, err
 	}
-	units, err := runCells(ctx, p.sc.Workers, 0, p.cells(), p.runCell)
+	p, units, err := runAll(ctx, s.sc.Workers, s.Cells(), s.prep)
 	if err != nil {
 		return nil, err
 	}
 	return p.aggregate(units), nil
-}
-
-// RunSweepUnitsCtx evaluates units [start, end) of the scenario's
-// enumeration on a bounded local pool (sc.Workers goroutines) and
-// returns their outcomes ordered by unit index: the worker half of a
-// distributed sweep.
-func RunSweepUnitsCtx(ctx context.Context, sc Scenario, algs []sched.Algorithm, gridK, start, end int) ([]SweepUnitResult, error) {
-	p, err := prepSweep(sc, algs, gridK)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkRange(start, end, p.cells()); err != nil {
-		return nil, err
-	}
-	return runCells(ctx, p.sc.Workers, start, end, p.runCell)
-}
-
-// MergeSweepUnits reassembles unit outcomes — arriving in any order,
-// from any mix of workers — into the SweepResult the single-process
-// RunSweepCtx produces for the same scenario. Every unit of the grid
-// must be present exactly once. Plan wall-time is the one inherently
-// non-deterministic observable; everything else is bit-identical.
-func MergeSweepUnits(sc Scenario, algs []sched.Algorithm, gridK int, units []SweepUnitResult) (*SweepResult, error) {
-	p, err := prepSweep(sc, algs, gridK)
-	if err != nil {
-		return nil, err
-	}
-	ordered, err := OrderUnits(units, 0, p.cells(), p.sc.Reps)
-	if err != nil {
-		return nil, err
-	}
-	return p.aggregate(ordered), nil
 }
 
 // cellIndex locates the (algorithm, instance, budget) cell in the
@@ -368,7 +345,7 @@ func cellIndex(ai, i, b, instances, gridK int) int {
 // per-(algorithm, budget) Points. Cells are addressed by cellIndex, so
 // the whole aggregation is O(cells), not a rescan of the units per point
 // (TestAggregateCellsLinearInCells).
-func (p *sweepPrep) aggregate(units []SweepUnitResult) *SweepResult {
+func (p *Sweep) aggregate(units []Unit) *SweepResult {
 	instances := p.sc.Instances
 	out := &SweepResult{Scenario: p.sc}
 	for _, in := range p.insts {
@@ -417,11 +394,11 @@ func (p *sweepPrep) aggregate(units []SweepUnitResult) *SweepResult {
 // weight stream is derived solely from the scenario seed and the
 // (instance, budget, algorithm, rep) coordinates — never from which
 // worker or process computes it.
-func (p *sweepPrep) runCell(ctx context.Context, ci int) (SweepUnitResult, error) {
+func (p *Sweep) runCell(ctx context.Context, ci int) (Unit, error) {
 	sc := p.sc
 	alg, inst, budgetIx := p.algs[ci/(sc.Instances*p.gridK)], ci/p.gridK%sc.Instances, ci%p.gridK
-	fail := func(err error) (SweepUnitResult, error) {
-		return SweepUnitResult{}, fmt.Errorf("exp: %s instance %d budget %d: %w", alg.Name, inst, budgetIx, err)
+	fail := func(err error) (Unit, error) {
+		return Unit{}, fmt.Errorf("exp: %s instance %d budget %d: %w", alg.Name, inst, budgetIx, err)
 	}
 	w := p.insts[inst].w
 	budget := p.common[budgetIx] * p.insts[inst].a.CheapCost
@@ -449,7 +426,7 @@ func (p *sweepPrep) runCell(ctx context.Context, ci int) (SweepUnitResult, error
 	if err != nil {
 		return fail(err)
 	}
-	return SweepUnitResult{Unit: ci, NumVMs: float64(s.NumVMs()), PlanSeconds: planSeconds, Batch: b}, nil
+	return Unit{Unit: ci, NumVMs: float64(s.NumVMs()), PlanSeconds: planSeconds, Batch: b}, nil
 }
 
 func hashName(s string) uint64 {

@@ -17,25 +17,25 @@ import (
 // syntheticSweepInputs builds a prepared sweep and a unit slice in the
 // cell enumeration order, with per-cell values derived from the cell
 // coordinates so the aggregation can be checked exactly.
-func syntheticSweepInputs(numAlgs, instances, gridK int) (*sweepPrep, []SweepUnitResult) {
+func syntheticSweepInputs(numAlgs, instances, gridK int) (*Sweep, []Unit) {
 	algs := make([]sched.Algorithm, numAlgs)
 	for ai := range algs {
 		algs[ai] = sched.Algorithm{Name: sched.Name(fmt.Sprintf("alg%d", ai))}
 	}
-	p := &sweepPrep{sc: Scenario{Instances: instances}, algs: algs, gridK: gridK, insts: make([]instance, instances), common: make([]float64, gridK)}
+	p := &Sweep{sc: Scenario{Instances: instances}, algs: algs, gridK: gridK, insts: make([]instance, instances), common: make([]float64, gridK)}
 	for i := range p.insts {
 		p.insts[i].a = &Anchors{CheapCost: 10 + float64(i)}
 	}
 	for b := range p.common {
 		p.common[b] = 1 + float64(b)
 	}
-	units := make([]SweepUnitResult, numAlgs*instances*gridK)
+	units := make([]Unit, numAlgs*instances*gridK)
 	for ai := 0; ai < numAlgs; ai++ {
 		for i := 0; i < instances; i++ {
 			for b := 0; b < gridK; b++ {
 				base := float64(ai + i + b)
 				ci := cellIndex(ai, i, b, instances, gridK)
-				units[ci] = SweepUnitResult{
+				units[ci] = Unit{
 					Unit:        ci,
 					NumVMs:      float64(ai + 1),
 					PlanSeconds: 0.5,

@@ -244,11 +244,12 @@ func TestAnalyticSweepShardIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, err := RunSweepUnitsCtx(context.Background(), sc, algs, 3, 0, SweepCells(sc, len(algs), 3))
+	sweep := mustSweep(t, sc, algs, 3)
+	units, err := sweep.Run(context.Background(), sc.Workers, 0, sweep.Cells())
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := MergeSweepUnits(sc, algs, 3, units)
+	merged, err := sweep.Merge(units)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,14 +3,13 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 
 	"budgetwf/internal/dist"
 	"budgetwf/internal/exp"
 	"budgetwf/internal/obs"
-	"budgetwf/internal/sched"
-	"budgetwf/internal/wfgen"
 )
 
 // The async-job and shard endpoints (internal/dist glue):
@@ -218,9 +217,10 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleShard evaluates one unit range on this instance — the worker
-// side of distributed sweeps. Shards occupy one pool slot each, so a
-// worker's admission control (429 + Retry-After) throttles an eager
-// coordinator, which honors it.
+// side of distributed campaigns. The request is resolved once, before a
+// pool slot is taken; the slot then materializes what the range needs.
+// Shards occupy one pool slot each, so a worker's admission control
+// (429 + Retry-After) throttles an eager coordinator, which honors it.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r.Context())
 	var req dist.ShardRequest
@@ -229,7 +229,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Normalize()
-	if err := req.Validate(); err != nil {
+	camp, err := req.Resolve()
+	if err != nil {
 		s.fail(w, reqID, err)
 		return
 	}
@@ -237,17 +238,18 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	root := rootSpan(r.Context())
 	root.Set(obs.Str("kind", string(req.Kind)), obs.Int("start", req.Start), obs.Int("end", req.End))
 	resp, ok := s.runPooled(w, r, func(ctx context.Context) (any, error) {
-		// Workers=1: like /v1/sweep, concurrency across shards is the
-		// pool's job; one shard occupies exactly one slot.
+		// One goroutine: like /v1/sweep, concurrency across shards is
+		// the pool's job; one shard occupies exactly one slot.
 		sp := root.Child("compute")
-		out, err := dist.ExecuteShard(ctx, &req, 1)
+		units, err := camp.Run(ctx, 1, req.Start, req.End)
 		sp.End()
 		if err != nil {
 			return nil, err
 		}
-		for _, u := range out.SweepUnits {
+		for _, u := range units {
 			s.metrics.observeSpot(u.Batch)
 		}
+		out := &dist.ShardResponse{Units: units}
 		if req.Trace {
 			// Export the compute subtree for the coordinator's stitcher;
 			// timestamps stay on this process's monotonic clock.
@@ -264,97 +266,76 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// runJob is the store's RunFunc: it executes one campaign incarnation
-// through the coordinator — sharded across the fleet (static peers +
-// registered workers), or locally without any — and shapes the result
-// into the public wire formats. Each run records a span tree (root →
-// one span per shard attempt) retained in the trace ring under the
-// job's content-addressed trace id.
+// runJob is the store's RunFunc: it resolves the job's campaign,
+// executes this incarnation through the coordinator — sharded across
+// the fleet (static peers + registered workers), or locally without
+// any — and merges and shapes the result into the public wire formats.
+// Each run records a span tree (root → one span per shard attempt)
+// retained in the trace ring under the job's content-addressed trace id.
 //
-// Sweep and fault-sweep runs resume: shard results journalled by a
-// previous incarnation arrive in run.Shards and are pre-merged, and
-// every newly completed shard is journalled through run.CompleteShard,
-// so a crash-restarted coordinator re-issues only unacknowledged
-// shards. Figure jobs deliberately skip shard persistence — each
-// family sweep has its own unit numbering, so per-family ranges would
-// collide in one job-level journal; an interrupted figure job re-runs
-// from scratch.
+// Every kind resumes: shard results journalled by a previous
+// incarnation arrive in run.Shards and are pre-merged, and every newly
+// completed shard is journalled through run.CompleteShard, so a
+// crash-restarted or drained coordinator re-issues only unacknowledged
+// shards. A figure's three family sweeps are one unit enumeration, so
+// its shard ranges are job-wide like a sweep's.
 func (s *Server) runJob(ctx context.Context, run dist.JobRun) (any, error) {
 	spec := run.Spec
-	progress := run.Progress
 	tr := obs.New("job:" + string(spec.Kind))
 	tr.SetID(jobTraceID(&spec))
 	defer func() {
 		tr.EndAll()
 		s.traces.Add(tr)
 	}()
-	opt := dist.RunOptions{
-		Span:     tr.Root(),
-		Progress: progress,
-		Epoch:    run.Epoch,
+	out, err := s.executeJob(ctx, run, tr.Root())
+	if err != nil {
+		s.metrics.jobEvents.With("failed").Inc()
+		return nil, err
 	}
-	if spec.Kind == dist.KindSweep || spec.Kind == dist.KindFaultSweep {
-		opt.Completed = run.Shards
-		opt.OnShard = func(res dist.ShardResult) { run.CompleteShard(res) }
-	}
+	s.metrics.jobEvents.With("completed").Inc()
+	return out, nil
+}
 
-	switch spec.Kind {
-	case dist.KindSweep:
-		res, err := s.coord.RunSweep(ctx, spec.Sweep, opt)
+// executeJob resolves, runs and merges one job incarnation.
+func (s *Server) executeJob(ctx context.Context, run dist.JobRun, span *obs.Span) (any, error) {
+	camp, err := run.Spec.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	units, err := s.coord.Run(ctx, camp, dist.RunOptions{
+		Span:      span,
+		Progress:  run.Progress,
+		Completed: run.Shards,
+		OnShard:   func(res dist.ShardResult) { run.CompleteShard(res) },
+		Epoch:     run.Epoch,
+	})
+	if err != nil {
+		return nil, err
+	}
+	switch c := camp.Campaign.(type) {
+	case *exp.Sweep:
+		res, err := c.Merge(units)
 		if err != nil {
-			s.metrics.jobEvents.With("failed").Inc()
 			return nil, err
 		}
-		s.metrics.jobEvents.With("completed").Inc()
 		s.metrics.observeSpot(res.Tally)
 		return sweepResponseFrom(res, ""), nil
-
-	case dist.KindFaultSweep:
-		res, err := s.coord.RunFaultSweep(ctx, spec.FaultSweep, opt)
+	case *exp.FaultSweep:
+		res, err := c.Merge(units)
 		if err != nil {
-			s.metrics.jobEvents.With("failed").Inc()
 			return nil, err
 		}
-		s.metrics.jobEvents.With("completed").Inc()
 		return faultSweepResponseFrom(res), nil
-
-	case dist.KindFigure:
-		f := spec.Figure
-		names, err := exp.FigureAlgorithms(f.Figure)
+	case *exp.FigureSweeps:
+		sweeps, err := c.Merge(units)
 		if err != nil {
 			return nil, err
 		}
-		cfg := exp.FigureConfig{
-			N: f.N, SigmaRatio: f.SigmaRatio, Instances: f.Instances,
-			Reps: f.Replications, GridK: f.GridK, Seed: f.Seed,
-			Estimator: f.Estimator,
-		}
-		// The three family sweeps have identical grids; progress spans
-		// all of them.
-		perFam := exp.SweepCells(exp.Scenario{Instances: f.Instances}, len(names), f.GridK)
-		total := len(wfgen.AllPaperTypes()) * perFam
-		offset := 0
-		runner := func(sc exp.Scenario, algs []sched.Algorithm, gridK int) (*exp.SweepResult, error) {
-			famOpt := opt
-			famOpt.Progress = func(d, _ int) { progress(offset+d, total) }
-			res, err := s.coord.RunSweep(ctx, dist.SpecFromScenario(sc, algs, gridK), famOpt)
-			if err == nil {
-				offset += perFam
-				progress(offset, total)
-			}
-			return res, err
-		}
-		sweeps, err := exp.RunFigureSweepsUsing(cfg, names, runner)
-		if err != nil {
-			s.metrics.jobEvents.With("failed").Inc()
-			return nil, err
-		}
-		out := figureJobResponse{Figure: f.Figure}
+		out := figureJobResponse{Figure: run.Spec.Figure.Figure}
 		for _, res := range sweeps {
 			out.Sweeps = append(out.Sweeps, sweepResponseFrom(res, ""))
 		}
-		s.metrics.jobEvents.With("completed").Inc()
 		return out, nil
 	}
-	return nil, errors.New("unknown job kind")
+	return nil, fmt.Errorf("server: no result format for a %T campaign", camp.Campaign)
 }

@@ -205,7 +205,8 @@ func TestValidationStatuses(t *testing.T) {
 			jobBody("faultSweep", map[string]any{"workflowType": "chain", "n": 6, "rates": []float64{-1}}),
 			400, "faultSweep.rates: "},
 		{"jobs: figure below the Montage minimum", "/v1/jobs", jobBody("figure", map[string]any{"figure": 1, "n": 8}), 400, "figure.n: "},
-		{"shards: figure kind", "/v1/shards", []byte(`{"kind":"figure","figure":{"figure":1},"start":0,"end":1}`), 400, "kind: "},
+		{"jobs: figure size a family cannot generate", "/v1/jobs", jobBody("figure", map[string]any{"figure": 1, "n": 12}), 422, "figure.n: "},
+		{"shards: figure range past the grid", "/v1/shards", []byte(`{"kind":"figure","figure":{"figure":1},"start":0,"end":100000}`), 422, "end: "},
 		{"workers: relative url", "/v1/workers", []byte(`{"url":"worker-1","nonce":"x"}`), 400, "url: "},
 	}
 	for _, tc := range cases {
