@@ -41,10 +41,12 @@ bench-est:
 # cache hit must stay below 1/5 of a cold request's allocations and
 # 1/4 of its time (bench.GateDaemon); for the planner suite, a
 # HEFTBUDG+ plan must allocate at most 4x the HEFTBUDG plan it refines
-# (bench.GatePlanner); for the sim suite, a 25-replication batch must
-# allocate at most 32 objects and a scored batch take at most half the
-# time of the simulated one (bench.GateSim); for the est suite, an
-# analytic estimate must allocate at most 8 objects (bench.GateEst).
+# and a MIN-MINBUDG plan at n=1000 take at most 15x the HEFTBUDG
+# plan's time, on every family (bench.GatePlanner); for the sim
+# suite, a 25-replication batch must allocate at most 32 objects and a
+# scored batch take at most half the time of the simulated one
+# (bench.GateSim); for the est suite, an analytic estimate must
+# allocate at most 8 objects (bench.GateEst).
 # Run by CI.
 bench-json-check:
 	$(GO) run ./cmd/bench -check -seed 1 -out .
@@ -52,7 +54,8 @@ bench-json-check:
 # One-iteration smoke run of every suite into a scratch dir, then
 # validate and gate what it wrote — the step that fails CI when this
 # tree's warm hit regresses against its own cold request, a
-# refinement plan allocates per candidate again, scoring a
+# refinement plan allocates per candidate again, MIN-MINBUDG falls
+# more than 15x behind HEFTBUDG at n=1000, scoring a
 # replication allocates or is no faster than simulating it, or an
 # analytic estimate allocates per task. Does not
 # touch committed files.

@@ -183,45 +183,73 @@ func TestPlannerSuiteCoversTheGrid(t *testing.T) {
 }
 
 // TestGatePlanner: the gate passes a run in which HEFTBUDG+ allocates
-// like the list planner it starts from, fails one in which a
-// refinement plan allocates per candidate again — on whichever family
-// — and rejects a run that lacks the cases it reads.
+// like the list planner it starts from and MIN-MINBUDG stays within a
+// small factor of HEFTBUDG, fails one in which a refinement plan
+// allocates per candidate again or MIN-MINBUDG re-scans like it did
+// before its picks were cached — on whichever family — and rejects a
+// run that lacks the cases it reads.
 func TestGatePlanner(t *testing.T) {
-	run := func(refinedAllocs map[string]int64) *File {
+	run := func(refinedAllocs map[string]int64, minMinNs map[string]float64) *File {
 		f := &File{SchemaVersion: SchemaVersion, Suite: "planner"}
 		for _, typ := range plannerFamilies {
 			f.Results = append(f.Results,
 				Result{Case: fmt.Sprintf("heftbudg/%s/n0050", typ), Iterations: 10, NsPerOp: 60e3, AllocsPerOp: 240, OpsPerSec: 1},
-				Result{Case: fmt.Sprintf("heftbudg+/%s/n0050", typ), Iterations: 10, NsPerOp: 12e6, AllocsPerOp: refinedAllocs[string(typ)], OpsPerSec: 1})
+				Result{Case: fmt.Sprintf("heftbudg+/%s/n0050", typ), Iterations: 10, NsPerOp: 12e6, AllocsPerOp: refinedAllocs[string(typ)], OpsPerSec: 1},
+				Result{Case: fmt.Sprintf("heftbudg/%s/n1000", typ), Iterations: 3, NsPerOp: 10e6, AllocsPerOp: 4400, OpsPerSec: 1},
+				Result{Case: fmt.Sprintf("minminbudg/%s/n1000", typ), Iterations: 3, NsPerOp: minMinNs[string(typ)], AllocsPerOp: 9000, OpsPerSec: 1})
 		}
 		return f
 	}
-	report, err := GatePlanner(run(map[string]int64{"cybershake": 410, "ligo": 520, "montage": 700}))
+	healthyAllocs := map[string]int64{"cybershake": 410, "ligo": 520, "montage": 700}
+	healthyNs := map[string]float64{"cybershake": 60e6, "ligo": 100e6, "montage": 50e6}
+	report, err := GatePlanner(run(healthyAllocs, healthyNs))
 	if err != nil {
 		t.Errorf("healthy run rejected: %v", err)
 	}
-	if len(report) != len(plannerFamilies) {
-		t.Errorf("report has %d lines, want one per family: %q", len(report), report)
+	if len(report) != 2*len(plannerFamilies) {
+		t.Errorf("report has %d lines, want two per family: %q", len(report), report)
 	}
 	// One clone and one engine per candidate: what the suite measured
 	// before the in-place evaluator.
-	_, err = GatePlanner(run(map[string]int64{"cybershake": 410, "ligo": 520, "montage": 315_000}))
+	_, err = GatePlanner(run(map[string]int64{"cybershake": 410, "ligo": 520, "montage": 315_000}, healthyNs))
 	if err == nil || !strings.Contains(err.Error(), "heftbudg+/montage/n0050 allocates 315000") {
 		t.Errorf("per-candidate allocation not reported: %v", err)
 	}
 	if strings.Contains(err.Error(), "ligo") {
 		t.Errorf("healthy family reported: %v", err)
 	}
-	if _, err := GatePlanner(run(map[string]int64{"cybershake": 961, "ligo": 520, "montage": 700})); err == nil {
+	if _, err := GatePlanner(run(map[string]int64{"cybershake": 961, "ligo": 520, "montage": 700}, healthyNs)); err == nil {
 		t.Error("4.004x the list planner's allocations accepted")
 	}
-	if _, err := GatePlanner(run(map[string]int64{"cybershake": 960, "ligo": 520, "montage": 700})); err != nil {
+	if _, err := GatePlanner(run(map[string]int64{"cybershake": 960, "ligo": 520, "montage": 700}, healthyNs)); err != nil {
 		t.Errorf("exactly 4x rejected: %v", err)
 	}
-	missing := run(map[string]int64{"cybershake": 410, "ligo": 520, "montage": 700})
-	missing.Results = missing.Results[:len(missing.Results)-1]
-	if _, err := GatePlanner(missing); err == nil || !strings.Contains(err.Error(), "missing") {
-		t.Errorf("missing case not reported: %v", err)
+	// Every ready task's column re-scanned every round: 22–42× HEFTBUDG.
+	_, err = GatePlanner(run(healthyAllocs, map[string]float64{"cybershake": 420e6, "ligo": 100e6, "montage": 50e6}))
+	if err == nil || !strings.Contains(err.Error(), "minminbudg/cybershake/n1000 takes 420000000 ns") {
+		t.Errorf("slow MIN-MINBUDG not reported: %v", err)
+	}
+	if strings.Contains(err.Error(), "montage") {
+		t.Errorf("healthy family reported: %v", err)
+	}
+	if _, err := GatePlanner(run(healthyAllocs, map[string]float64{"cybershake": 60e6, "ligo": 150.1e6, "montage": 50e6})); err == nil {
+		t.Error("15.01x HEFTBUDG's time accepted")
+	}
+	if _, err := GatePlanner(run(healthyAllocs, map[string]float64{"cybershake": 60e6, "ligo": 150e6, "montage": 50e6})); err != nil {
+		t.Errorf("exactly 15x rejected: %v", err)
+	}
+	for _, drop := range []string{"heftbudg+/montage/n0050", "minminbudg/montage/n1000"} {
+		missing := run(healthyAllocs, healthyNs)
+		kept := missing.Results[:0]
+		for _, r := range missing.Results {
+			if r.Case != drop {
+				kept = append(kept, r)
+			}
+		}
+		missing.Results = kept
+		if _, err := GatePlanner(missing); err == nil || !strings.Contains(err.Error(), drop+" case missing") {
+			t.Errorf("missing %s not reported: %v", drop, err)
+		}
 	}
 }
 

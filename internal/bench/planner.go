@@ -99,14 +99,29 @@ func Planner(seed uint64) ([]Case, error) {
 // ≈ 1 200× — fails this by orders of magnitude, on any machine.
 const maxRefineListAllocs = 4
 
-// gateSize is the planner-suite size GatePlanner reads.
+// gateSize is the planner-suite size GatePlanner reads the
+// refinement relation at.
 const gateSize = 50
 
-// GatePlanner checks, within one planner-suite run, that HEFTBUDG+
-// allocates at most maxRefineListAllocs times what HEFTBUDG does on
-// every family at n=50 (allocation counts are deterministic), and
-// reports the time ratio — Table III's refinement factor, which grows
-// with n and the machine and is not enforced.
+// maxMinMinHeftTime bounds, within one planner-suite run, what a
+// MIN-MINBUDG plan may take relative to a HEFTBUDG plan of the same
+// workflow at n = 1000 (minMinGateSize). Table III puts the two within
+// a small factor. With each ready task's pick cached (sched.pickCache)
+// the suite reads 4–10×; re-scanning every ready task's whole column
+// every round, as MIN-MIN did before, read 22–42× and fails this.
+const maxMinMinHeftTime = 15
+
+// minMinGateSize is the planner-suite size GatePlanner reads the
+// MIN-MINBUDG/HEFTBUDG relation at.
+const minMinGateSize = 1000
+
+// GatePlanner checks two relations within one planner-suite run, on
+// every family: HEFTBUDG+ allocates at most maxRefineListAllocs times
+// what HEFTBUDG does at n=50 (allocation counts are deterministic), and
+// MIN-MINBUDG takes at most maxMinMinHeftTime times HEFTBUDG's time at
+// n=1000. It also reports the HEFTBUDG+ time ratio — Table III's
+// refinement factor, which grows with n and the machine and is not
+// enforced.
 func GatePlanner(f *File) (report []string, err error) {
 	byCase := make(map[string]Result, len(f.Results))
 	for _, r := range f.Results {
@@ -114,10 +129,17 @@ func GatePlanner(f *File) (report []string, err error) {
 	}
 	var broken []string
 	for _, typ := range plannerFamilies {
-		name := func(alg sched.Name) string { return fmt.Sprintf("%s/%s/n%04d", alg, typ, gateSize) }
-		list, refined := byCase[name(sched.NameHeftBudg)], byCase[name(sched.NameHeftBudgPlus)]
-		if list.Case == "" || refined.Case == "" {
-			return report, fmt.Errorf("bench: planner gate: %s or %s case missing", name(sched.NameHeftBudg), name(sched.NameHeftBudgPlus))
+		pair := func(alg sched.Name, n int) (Result, Result, error) {
+			name := func(alg sched.Name) string { return fmt.Sprintf("%s/%s/n%04d", alg, typ, n) }
+			a, base := byCase[name(alg)], byCase[name(sched.NameHeftBudg)]
+			if a.Case == "" || base.Case == "" {
+				return a, base, fmt.Errorf("bench: planner gate: %s or %s case missing", name(sched.NameHeftBudg), name(alg))
+			}
+			return a, base, nil
+		}
+		refined, list, err := pair(sched.NameHeftBudgPlus, gateSize)
+		if err != nil {
+			return report, err
 		}
 		ratio := float64(refined.AllocsPerOp) / float64(list.AllocsPerOp)
 		report = append(report, fmt.Sprintf("%s / %s: allocs_per_op %d/%d = %.2f (limit %d), ns_per_op %.0f/%.0f = %.0f (reported)",
@@ -126,6 +148,16 @@ func GatePlanner(f *File) (report []string, err error) {
 		if refined.AllocsPerOp > maxRefineListAllocs*list.AllocsPerOp {
 			broken = append(broken, fmt.Sprintf("%s allocates %d objects per op, more than %d× %s's %d",
 				refined.Case, refined.AllocsPerOp, maxRefineListAllocs, list.Case, list.AllocsPerOp))
+		}
+		minmin, heft, err := pair(sched.NameMinMinBudg, minMinGateSize)
+		if err != nil {
+			return report, err
+		}
+		report = append(report, fmt.Sprintf("%s / %s: ns_per_op %.0f/%.0f = %.1f (limit %d)",
+			minmin.Case, heft.Case, minmin.NsPerOp, heft.NsPerOp, minmin.NsPerOp/heft.NsPerOp, maxMinMinHeftTime))
+		if minmin.NsPerOp > maxMinMinHeftTime*heft.NsPerOp {
+			broken = append(broken, fmt.Sprintf("%s takes %.0f ns per op, more than %d× %s's %.0f",
+				minmin.Case, minmin.NsPerOp, maxMinMinHeftTime, heft.Case, heft.NsPerOp))
 		}
 	}
 	if len(broken) > 0 {

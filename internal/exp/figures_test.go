@@ -97,6 +97,10 @@ func TestTable3aQuick(t *testing.T) {
 				t.Errorf("timing cell %q missing ±", cell)
 			}
 		}
+		// Each cell carries its ratio to HEFTBUDG, which is 1 to itself.
+		if !strings.HasSuffix(row[1], "×)") || !strings.HasSuffix(row[2], " (1×)") {
+			t.Errorf("row %v: cells missing the ratio to heftbudg", row)
+		}
 	}
 }
 

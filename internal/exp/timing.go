@@ -101,19 +101,11 @@ func Table3a(cfg TimingConfig, algNames []sched.Name) (*Table, error) {
 		Columns: append([]string{"budget"}, namesToStrings(algNames)...),
 	}
 	for _, level := range []BudgetLevel{BudgetLow, BudgetMedium, BudgetHigh} {
-		row := []interface{}{string(level)}
-		for _, name := range algNames {
-			alg, err := sched.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			s, err := measurePlan(cfg, alg, 90, level, 0.5)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.4f ± %.4f", s.Mean, s.StdDev))
+		cells, err := timingRow(cfg, algNames, 90, level, func(sched.Name) bool { return false })
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow(row...)
+		t.AddRow(append([]interface{}{string(level)}, cells...)...)
 	}
 	return t, nil
 }
@@ -130,25 +122,56 @@ func Table3b(cfg TimingConfig, algNames []sched.Name, sizes []int) (*Table, erro
 		Columns: append([]string{"tasks"}, namesToStrings(algNames)...),
 	}
 	for _, n := range sizes {
-		row := []interface{}{n}
-		for _, name := range algNames {
-			if cfg.SkipExpensiveAbove > 0 && n > cfg.SkipExpensiveAbove && expensiveAlgorithm(name) {
-				row = append(row, "—")
-				continue
-			}
-			alg, err := sched.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			s, err := measurePlan(cfg, alg, n, BudgetHigh, 0.5)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.4f ± %.4f", s.Mean, s.StdDev))
+		skip := func(name sched.Name) bool {
+			return cfg.SkipExpensiveAbove > 0 && n > cfg.SkipExpensiveAbove && expensiveAlgorithm(name)
 		}
-		t.AddRow(row...)
+		cells, err := timingRow(cfg, algNames, n, BudgetHigh, skip)
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(append([]interface{}{n}, cells...)...)
 	}
 	return t, nil
+}
+
+// timingRow measures every algorithm of one Table III row and renders
+// each as "mean ± std-dev (ratio×)": seconds to three significant
+// digits, since the list planners take tenths of a millisecond, and
+// the ratio to HEFTBUDG's mean in the same row, the quantity the paper
+// compares across algorithms. The ratio is left out when the row has
+// no HEFTBUDG cell; a skipped algorithm renders as "—".
+func timingRow(cfg TimingConfig, algNames []sched.Name, n int, level BudgetLevel, skip func(sched.Name) bool) ([]interface{}, error) {
+	sums := make([]*stats.Summary, len(algNames))
+	var base *stats.Summary
+	for i, name := range algNames {
+		if skip(name) {
+			continue
+		}
+		alg, err := sched.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		s, err := measurePlan(cfg, alg, n, level, 0.5)
+		if err != nil {
+			return nil, err
+		}
+		sums[i] = &s
+		if name == sched.NameHeftBudg {
+			base = &s
+		}
+	}
+	cells := make([]interface{}, len(algNames))
+	for i, s := range sums {
+		switch {
+		case s == nil:
+			cells[i] = "—"
+		case base == nil:
+			cells[i] = fmt.Sprintf("%.3g ± %.2g", s.Mean, s.StdDev)
+		default:
+			cells[i] = fmt.Sprintf("%.3g ± %.2g (%.3g×)", s.Mean, s.StdDev, s.Mean/base.Mean)
+		}
+	}
+	return cells, nil
 }
 
 func namesToStrings(names []sched.Name) []string {

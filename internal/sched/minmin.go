@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"budgetwf/internal/plan"
 	"budgetwf/internal/platform"
@@ -33,10 +34,20 @@ func MinMinBudg(w *wf.Workflow, p *platform.Platform, budget float64) (*plan.Sch
 // eval(): a cached candidate for (t, v) only changes when VM v's
 // availability changes, and each round changes exactly one VM (the one
 // just assigned to, possibly freshly provisioned), while fresh-VM
-// candidates never change once a task is ready. Each round therefore
-// costs O(ready · p) for re-selection plus O(ready · deg) for the one
-// refreshed column. TestMinMinFastMatchesReference pins the
-// equivalence against the naive loop.
+// candidates never change once a task is ready. On top of the columns
+// it caches each ready task's pick, with the invariant that a valid
+// pickCache holds pickBest's answer on the task's column for every
+// allowance inside its interval. A round re-scans a column only when
+// the pick sat on the booked VM, when the booked VM's refreshed
+// candidate may displace it, or when the task's allowance B_T + pot
+// left the interval. A round therefore costs O(ready · deg) to refresh
+// one VM's column, O(ready) to compare picks, and O(p) per re-scan.
+// On the paper's families at n = 1000 (seed 1), 0.3–8 % of MIN-MIN's
+// picks re-scan, 0.3–19 % of MIN-MINBUDG's at the medium budget, and
+// 39–67 % at the low one: there nothing is affordable, and the booked
+// VM's refreshed candidate is often the new cheapest fallback.
+// TestMinMinFastMatchesReference* pins the plans against the naive
+// loop and TestPickCacheMatchesPickBest the cache against pickBest.
 func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Options) (*plan.Schedule, error) {
 	ctx, err := newContextOpt(w, p, opt)
 	if err != nil {
@@ -51,8 +62,10 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 	// cands[t] caches the candidate list in bestHost's enumeration
 	// order: used VMs ascending, then one fresh VM per category.
 	cands := make([][]candidate, n)
+	picks := make([]pickCache, n)
 	buildCands := func(t wf.TaskID) {
 		cands[t] = st.candidates(t)
+		picks[t] = pickCache{}
 	}
 	for t := 0; t < n; t++ {
 		remaining[t] = w.NumPred(wf.TaskID(t))
@@ -81,7 +94,11 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 			if info != nil {
 				allowance = account.allowance(info.Shares[t])
 			}
-			c := pickBest(cands[t], allowance)
+			e := &picks[t]
+			if !e.holds(allowance) {
+				e.repick(cands[t], allowance)
+			}
+			c := e.c
 			if bestTask < 0 || less(c, bestCand) {
 				bestTask, bestCand, bestAllowance = wf.TaskID(t), c, allowance
 			}
@@ -111,7 +128,8 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 		listT = append(listT, bestTask)
 		// Refresh the column of the VM that changed, for tasks that
 		// were already ready (newly ready ones get a fresh list below,
-		// built against the post-assignment state). If the assignment
+		// built against the post-assignment state), and fold the new
+		// candidate into each cached pick. If the assignment
 		// provisioned a fresh VM, its column is spliced in before the
 		// fresh-category entries to preserve the enumeration order.
 		fresh := bestCand.vm < 0
@@ -130,6 +148,7 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 			} else {
 				cands[t][vmIdx] = c
 			}
+			picks[t].refresh(c)
 		}
 		for _, e := range w.Succ(bestTask) {
 			remaining[e.To]--
@@ -145,6 +164,90 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 		out.EstCost += info.DCReserve
 	}
 	return out, nil
+}
+
+// pickCache is one ready task's pickBest result on its cached column,
+// kept across rounds with the allowances for which pickBest on the
+// unchanged column still returns it: lo ≤ a, and a < hi when capped.
+//
+//   - Feasible pick: lo is its cost. hi is the lowest cost among the
+//     candidates that would beat it, all of them too expensive (capped
+//     is false when there are none).
+//   - Fallback, nothing affordable: lo is −∞ and hi is the cheapest
+//     cost, where the first candidate turns affordable.
+//
+// A keyed heap over the picks would not do for MIN-MINBUDG: the pot
+// moves every allowance every round, so what has to be re-checked is
+// whether an allowance left its interval. The zero value holds for no
+// allowance, so a task that has just become ready is scanned.
+type pickCache struct {
+	c      candidate
+	lo, hi float64
+	capped bool
+	valid  bool
+}
+
+// holds reports whether the cached pick is still pickBest's answer
+// under allowance a. A NaN allowance fails both bounds.
+func (e *pickCache) holds(a float64) bool {
+	return e.valid && a >= e.lo && (!e.capped || a < e.hi)
+}
+
+// repick scans the column with pickBest and records the interval over
+// which its answer stands. A feasible pick is beaten exactly by the
+// candidates that finish earlier: on an EFT tie less prefers the
+// cheaper, and every candidate that beats the pick was too expensive,
+// so costs more. A NaN metric breaks the order the bounds rely on (a
+// category priced at +Inf makes a zero-size edge's upload cost 0·∞),
+// so a column holding one where it could matter is re-scanned every
+// round, as the naive loop would.
+func (e *pickCache) repick(cands []candidate, a float64) {
+	p := pickBest(cands, a)
+	*e = pickCache{c: p, lo: p.cost, valid: true}
+	if p.cost > a {
+		// Nothing affordable: p is the cheapest fallback, and stands
+		// until the first candidate turns affordable.
+		e.lo, e.hi, e.capped = math.Inf(-1), p.cost, true
+		for i := range cands {
+			if math.IsNaN(cands[i].eft) {
+				e.valid = false
+				return
+			}
+		}
+		return
+	}
+	for i := range cands {
+		c := &cands[i]
+		if c.eft > p.eft {
+			continue
+		}
+		if math.IsNaN(c.eft) || math.IsNaN(c.cost) {
+			e.valid = false
+			return
+		}
+		if c.eft < p.eft && (!e.capped || c.cost < e.hi) {
+			e.hi, e.capped = c.cost, true
+		}
+	}
+}
+
+// refresh folds the booked VM's new candidate c into the cached pick.
+// The pick is dropped when it sat on that VM, or, for a fallback, when
+// c is at least as cheap. Otherwise a c that beats the pick lowers hi
+// to its cost: c is a used VM's, so it beats the pick under less, or on
+// an exact tie from an earlier VM (pickBest keeps the first of equals).
+func (e *pickCache) refresh(c candidate) {
+	switch {
+	case !e.valid:
+	case c.vm == e.c.vm, math.IsNaN(c.eft), math.IsNaN(c.cost):
+		e.valid = false
+	case math.IsInf(e.lo, -1):
+		// Fallback: a candidate at least as cheap may take over.
+		e.valid = c.cost > e.c.cost
+	case e.capped && c.cost >= e.hi:
+	case less(c, e.c) || !less(e.c, c) && c.vm < e.c.vm:
+		e.hi, e.capped = c.cost, true
+	}
 }
 
 func errNoReadyTask(name string, done, total int) error {

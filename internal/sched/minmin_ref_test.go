@@ -1,12 +1,15 @@
 package sched
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"budgetwf/internal/plan"
 	"budgetwf/internal/platform"
+	"budgetwf/internal/stoch"
 	"budgetwf/internal/wf"
 	"budgetwf/internal/wfgen"
 )
@@ -148,6 +151,182 @@ func TestMinMinFastMatchesReferenceBaseline(t *testing.T) {
 			if !schedulesEqual(fast, slow) {
 				t.Errorf("%s seed %d: schedules differ", typ, seed)
 			}
+		}
+	}
+}
+
+// assertMinMinMatches plans w under every budget and both DisablePot
+// settings with the incremental and the naive loop and requires the
+// same plan.
+func assertMinMinMatches(t *testing.T, label string, w *wf.Workflow, p *platform.Platform, budgets []float64) {
+	t.Helper()
+	for _, budget := range budgets {
+		for _, disablePot := range []bool{false, true} {
+			opt := Options{DisablePot: disablePot}
+			info, err := computeBudgetOpt(w, p, budget, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fast, err := minMinPlan(w, p, info, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slow, err := minMinReference(w, p, info, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !schedulesEqual(fast, slow) || fast.EstCost != slow.EstCost {
+				t.Errorf("%s budget %v DisablePot %v: schedules differ", label, budget, disablePot)
+			}
+		}
+	}
+}
+
+// minMinBudgets spans a workflow's budget range: 0 (every allowance
+// is spent, so every pick is a fallback), the reserves alone, the
+// reserves plus a quarter, a half, one and two times HEFT's
+// budget-blind cost (where allowances cross candidate costs and cached
+// picks are re-checked), and no limit at all.
+func minMinBudgets(t *testing.T, w *wf.Workflow, p *platform.Platform) []float64 {
+	t.Helper()
+	info, err := ComputeBudget(w, p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reserves := info.DCReserve + info.InitReserve
+	blind, err := Heft(w, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := []float64{0, reserves}
+	for _, f := range []float64{0.25, 0.5, 1, 2} {
+		out = append(out, reserves+f*blind.EstCost)
+	}
+	return append(out, math.Inf(1))
+}
+
+// TestMinMinFastMatchesReferenceBudgeted pins the cached picks on the
+// paper's families at the sizes the figures and Table III use, across
+// the whole budget range and with the pot on and off.
+func TestMinMinFastMatchesReferenceBudgeted(t *testing.T) {
+	p := platform.Default()
+	sizes := []int{90, 300}
+	if testing.Short() || raceEnabled {
+		sizes = sizes[:1]
+	}
+	for _, typ := range wfgen.AllPaperTypes() {
+		for _, n := range sizes {
+			w := paperInstance(t, typ, n, 1)
+			assertMinMinMatches(t, fmt.Sprintf("%s n=%d", typ, n), w, p, minMinBudgets(t, w, p))
+		}
+	}
+}
+
+// tiePlatform has two categories with identical speed and price, so
+// fresh VMs of either tie exactly, and timings that are exact in
+// binary floating point.
+func tiePlatform() *platform.Platform {
+	return &platform.Platform{
+		Categories: []platform.Category{
+			{Name: "a", Speed: 1e9, CostPerSec: 0.001, InitCost: 0.0001},
+			{Name: "b", Speed: 1e9, CostPerSec: 0.001, InitCost: 0.0001},
+		},
+		Bandwidth: 1e9,
+		BootTime:  8,
+	}
+}
+
+// TestMinMinTiesMatchReference: exact EFT/cost ties between two used
+// VMs, between a used and a fresh VM, and between fresh VMs of two
+// categories must resolve as pickBest does, first in enumeration
+// order, whether a pick is scanned afresh or kept from the cache.
+//
+// Budget-blind, P (4 s) boots VM 0 at 12 s (category a ties a2), and
+// Q1, Q2 (13 s) boot VMs 1 and 2, ready at 21 s. R (20 s) follows P
+// on VM 0 over a 10 GB edge. X (24 s) follows P over a 1 GB edge,
+// which reaches the datacenter at 13 s: on VM 1 or VM 2 it stages it
+// from 21 s, and on a fresh VM it boots from 13 s, so all four end at
+// 46 s at the same cost. X takes VM 1. The budgeted runs reuse the
+// ties: every placement without an idle gap costs the same per second.
+func TestMinMinTiesMatchReference(t *testing.T) {
+	p := tiePlatform()
+	const gi = 1e9
+	w := wf.New("ties")
+	task := func(name string, seconds float64) wf.TaskID {
+		return w.AddTask(name, stoch.Dist{Mean: seconds * gi})
+	}
+	pt, q1, q2 := task("P", 4), task("Q1", 13), task("Q2", 13)
+	r, x := task("R", 20), task("X", 24)
+	w.MustAddEdge(pt, r, 10*gi)
+	w.MustAddEdge(pt, x, gi)
+
+	out, err := minMinPlan(w, p, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[wf.TaskID]int{pt: 0, q1: 1, q2: 2, r: 0, x: 1}
+	for id, vm := range want {
+		if out.TaskVM[id] != vm {
+			t.Errorf("task %s on VM %d, want %d (plan %v)", w.Task(id).Name, out.TaskVM[id], vm, out.TaskVM)
+		}
+	}
+	for vm, cat := range out.VMCats {
+		if cat != 0 {
+			t.Errorf("VM %d of category %d, want 0 (a ties a2)", vm, cat)
+		}
+	}
+	assertMinMinMatches(t, "ties", w, p, []float64{0, 0.02, 0.04, 0.06, 0.08, 0.1, math.Inf(1)})
+}
+
+// TestPickCacheMatchesPickBest drives one cached pick through random
+// column updates and allowances, the way minMinPlan does, and requires
+// pickBest's answer after every step. Metrics are drawn from a few
+// small integers, so exact EFT and cost ties, between used VMs and
+// between a used and a fresh VM, are the common case; now and then one
+// is NaN, which no order survives.
+func TestPickCacheMatchesPickBest(t *testing.T) {
+	const cats = 2
+	r := rand.New(rand.NewSource(1))
+	metric := func() float64 {
+		if r.Intn(60) == 0 {
+			return math.NaN()
+		}
+		return float64(1 + r.Intn(4))
+	}
+	for trial := 0; trial < 2000; trial++ {
+		used := r.Intn(4)
+		var col []candidate
+		for v := 0; v < used; v++ {
+			col = append(col, candidate{vm: v, cat: r.Intn(cats), eft: metric(), cost: metric(), slot: -1})
+		}
+		for k := 0; k < cats; k++ {
+			col = append(col, candidate{vm: -1, cat: k, eft: metric(), cost: metric(), slot: -1})
+		}
+		var e pickCache
+		for step := 0; step < 30; step++ {
+			a := float64(r.Intn(10)) / 2 // 0 is below every cost
+			if r.Intn(8) == 0 {
+				a = math.Inf(1)
+			}
+			if !e.holds(a) {
+				e.repick(col, a)
+			}
+			// A candidate is named by its place: used VM, or category.
+			if want := pickBest(col, a); e.c.vm != want.vm || e.c.cat != want.cat {
+				t.Fatalf("trial %d step %d, allowance %v: cached pick %+v, pickBest %+v on %+v", trial, step, a, e.c, want, col)
+			}
+			// Book one VM: an existing one gets a new candidate in
+			// place, a new one is spliced in before the fresh entries.
+			c := candidate{vm: r.Intn(used + 1), eft: metric(), cost: metric(), slot: -1}
+			if c.vm == used {
+				c.cat = r.Intn(cats)
+				col = append(col[:used], append([]candidate{c}, col[used:]...)...)
+				used++
+			} else {
+				c.cat = col[c.vm].cat
+				col[c.vm] = c
+			}
+			e.refresh(c)
 		}
 	}
 }

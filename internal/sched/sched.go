@@ -439,8 +439,10 @@ func (sel *selector) pick() candidate {
 }
 
 // pickBest applies the selection rule to a pre-built candidate list.
-// MIN-MIN keeps per-task candidate lists cached across rounds and
-// re-picks from them O(n²) times, so this stays a hand-rolled
+// MIN-MIN keeps per-task candidate lists cached across rounds, with
+// each list's pick and the allowances over which it stands (pickCache);
+// it re-scans a list with pickBest only when the pick may have changed,
+// which is the planner's inner loop still. So this stays a hand-rolled
 // index-based scan — folding through selector.add here (a non-inlined
 // call copying each candidate) measurably slowed MIN-MINBUDG down.
 // The semantics must match selector exactly; TestPickBestMatchesSelector
