@@ -2,16 +2,16 @@
 // execution engine (internal/sim, which runs every online execution
 // too) and of the multi-tenant shared pool (internal/pool).
 //
-// Events are dispatched in strict (time, insertion-sequence) order, and
-// Push assigns the sequence: the tie-break is a pure function of program
-// order. A host loop (the pool) can therefore interleave events from
-// many producers — one hosted execution per in-flight workflow, plus its
-// own timers — while keeping every producer's internal order intact,
-// which is what makes a single-tenant pool run bit-identical to a
-// standalone internal/online execution.
+// It holds one type, Queue: a heap of small event values dispatched in
+// strict (time, insertion-sequence) order, where Push assigns the
+// sequence, so the tie-break is a pure function of program order. Each
+// host owns its virtual clock and checks it against the instant Pop
+// returns. A host loop (the pool) can therefore interleave events from
+// many producers — one hosted execution per in-flight workflow, plus
+// its own timers — while keeping every producer's internal order
+// intact, which is what makes a single-tenant pool run bit-identical to
+// a standalone internal/online execution.
 package evloop
-
-import "fmt"
 
 // Queue is a binary min-heap of values ordered by (time, insertion
 // sequence): the only event heap in the repository. Once its backing
@@ -105,59 +105,4 @@ func (s *slot[V]) before(o *slot[V]) bool {
 		return s.at < o.at
 	}
 	return s.seq < o.seq
-}
-
-// Item is one schedulable event of a Loop. When is the virtual instant
-// the event fires, read once at Push: it must not change while the
-// event is queued. EvSeq/SetEvSeq expose the loop-assigned insertion
-// sequence that breaks ties.
-type Item interface {
-	When() float64
-	EvSeq() int
-	SetEvSeq(int)
-}
-
-// Loop is a deterministic event loop: a Queue of items plus a monotonic
-// virtual clock. The zero value is ready to use. Loop is not safe for
-// concurrent use; hosts serialize access (the pool's HTTP service holds
-// a mutex across a drain).
-type Loop[E Item] struct {
-	now float64
-	q   Queue[E]
-}
-
-// Now returns the virtual clock.
-func (l *Loop[E]) Now() float64 { return l.now }
-
-// Len returns the number of pending events.
-func (l *Loop[E]) Len() int { return l.q.Len() }
-
-// Push schedules an event, assigning it the next insertion sequence.
-// Scheduling in the past is legal at push time (the error surfaces at
-// Advance, where the contract is actually violated).
-func (l *Loop[E]) Push(e E) { e.SetEvSeq(l.q.Push(e.When(), e)) }
-
-// Pop removes and returns the earliest pending event.
-func (l *Loop[E]) Pop() (E, bool) {
-	_, e, ok := l.q.Pop()
-	return e, ok
-}
-
-// Peek returns the earliest pending event without removing it.
-func (l *Loop[E]) Peek() (E, bool) {
-	_, e, ok := l.q.Peek()
-	return e, ok
-}
-
-// Advance moves the clock to t. Moving backwards (beyond a small
-// absolute tolerance for float noise on tied instants) is a corrupted
-// heap or a mis-timed push, never a legal schedule: it fails loudly.
-func (l *Loop[E]) Advance(t float64) error {
-	if t < l.now-1e-9 {
-		return fmt.Errorf("evloop: time went backwards: %v -> %v", l.now, t)
-	}
-	if t > l.now {
-		l.now = t
-	}
-	return nil
 }

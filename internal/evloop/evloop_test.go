@@ -6,96 +6,66 @@ import (
 	"budgetwf/internal/rng"
 )
 
-type testEv struct {
-	at  float64
-	seq int
-	id  int
-}
-
-func (e *testEv) When() float64  { return e.at }
-func (e *testEv) EvSeq() int     { return e.seq }
-func (e *testEv) SetEvSeq(s int) { e.seq = s }
-
 func TestOrdersByTimeThenInsertion(t *testing.T) {
-	var l Loop[*testEv]
+	var q Queue[int]
 	// Three tied instants interleaved with distinct ones; ties must
 	// come out in push order.
-	l.Push(&testEv{at: 5, id: 0})
-	l.Push(&testEv{at: 1, id: 1})
-	l.Push(&testEv{at: 5, id: 2})
-	l.Push(&testEv{at: 3, id: 3})
-	l.Push(&testEv{at: 5, id: 4})
+	q.Push(5, 0)
+	q.Push(1, 1)
+	q.Push(5, 2)
+	q.Push(3, 3)
+	q.Push(5, 4)
 	want := []int{1, 3, 0, 2, 4}
 	for i, w := range want {
-		ev, ok := l.Pop()
+		_, id, ok := q.Pop()
 		if !ok {
 			t.Fatalf("pop %d: empty", i)
 		}
-		if ev.id != w {
-			t.Fatalf("pop %d: got id %d, want %d", i, ev.id, w)
+		if id != w {
+			t.Fatalf("pop %d: got id %d, want %d", i, id, w)
 		}
 	}
-	if _, ok := l.Pop(); ok {
-		t.Fatal("pop on empty loop succeeded")
-	}
-}
-
-func TestAdvanceMonotonic(t *testing.T) {
-	var l Loop[*testEv]
-	if err := l.Advance(10); err != nil {
-		t.Fatal(err)
-	}
-	if l.Now() != 10 {
-		t.Fatalf("Now() = %v, want 10", l.Now())
-	}
-	// Same instant and tiny backwards noise are fine.
-	if err := l.Advance(10); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Advance(10 - 1e-12); err != nil {
-		t.Fatal(err)
-	}
-	if l.Now() != 10 {
-		t.Fatalf("Now() = %v, want clock unmoved at 10", l.Now())
-	}
-	if err := l.Advance(9); err == nil {
-		t.Fatal("Advance(9) after Advance(10) should fail")
+	if _, _, ok := q.Pop(); ok {
+		t.Fatal("pop on empty queue succeeded")
 	}
 }
 
 func TestHeapPropertyRandomized(t *testing.T) {
 	r := rng.New(42)
 	for trial := 0; trial < 50; trial++ {
-		var l Loop[*testEv]
+		var q Queue[int]
 		n := 1 + r.Intn(200)
 		for i := 0; i < n; i++ {
-			// Coarse times force plenty of ties.
-			l.Push(&testEv{at: float64(r.Intn(20)), id: i})
+			// Coarse times force plenty of ties; the value is the
+			// sequence Push assigned, so ties must pop in value order.
+			if seq := q.Push(float64(r.Intn(20)), i); seq != i {
+				t.Fatalf("trial %d: push %d assigned sequence %d", trial, i, seq)
+			}
 		}
 		lastT, lastSeq := -1.0, -1
-		for l.Len() > 0 {
-			ev, _ := l.Pop()
-			if ev.at < lastT || (ev.at == lastT && ev.seq < lastSeq) {
+		for q.Len() > 0 {
+			at, seq, _ := q.Pop()
+			if at < lastT || (at == lastT && seq < lastSeq) {
 				t.Fatalf("trial %d: out of order: (%v,%d) after (%v,%d)",
-					trial, ev.at, ev.seq, lastT, lastSeq)
+					trial, at, seq, lastT, lastSeq)
 			}
-			lastT, lastSeq = ev.at, ev.seq
+			lastT, lastSeq = at, seq
 		}
 	}
 }
 
 func TestPeek(t *testing.T) {
-	var l Loop[*testEv]
-	if _, ok := l.Peek(); ok {
-		t.Fatal("peek on empty loop succeeded")
+	var q Queue[int]
+	if _, _, ok := q.Peek(); ok {
+		t.Fatal("peek on empty queue succeeded")
 	}
-	l.Push(&testEv{at: 2, id: 0})
-	l.Push(&testEv{at: 1, id: 1})
-	ev, ok := l.Peek()
-	if !ok || ev.id != 1 {
-		t.Fatalf("peek = (%v, %v), want id 1", ev, ok)
+	q.Push(2, 0)
+	q.Push(1, 1)
+	at, id, ok := q.Peek()
+	if !ok || id != 1 || at != 1 {
+		t.Fatalf("peek = (%v, %v, %v), want id 1 at 1", at, id, ok)
 	}
-	if l.Len() != 2 {
-		t.Fatalf("peek consumed an event: len %d", l.Len())
+	if q.Len() != 2 {
+		t.Fatalf("peek consumed an event: len %d", q.Len())
 	}
 }

@@ -131,7 +131,7 @@ type Release struct {
 // Releases lists every VM the execution actually booked, in
 // provisioning order. Valid once the execution has settled.
 func (h *Hosted) Releases() []Release {
-	var out []Release
+	out := make([]Release, 0, len(h.c.VMs))
 	for v, vm := range h.c.VMs {
 		if !vm.Booked || vm.BootFailed || vm.Dead {
 			continue

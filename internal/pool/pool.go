@@ -1,7 +1,8 @@
 // Package pool implements the multi-tenant online scheduling service:
 // a continuously-running executor that accepts a stream of workflow
 // submissions from many tenants and schedules them onto a shared VM
-// pool, all inside one deterministic event loop (internal/evloop).
+// pool, all inside one deterministic event loop: the pool's own clock
+// over an internal/evloop.Queue of event values.
 //
 // The pool exploits the billing-quantum cost model (Platform.
 // BillingQuantum, Equation (1) rounded up to whole billing periods):
@@ -16,6 +17,11 @@
 // time_to_shutdown_vm idiom of billing-period-aware cloud
 // simulators — so a machine nobody claimed never silently rolls into
 // a new paid period.
+//
+// Idle VMs are indexed by category: settlement parks a VM in its
+// category's list, and a lease or a deprovision removes it. A booking
+// scans only that list and leases the VM with the most paid time left,
+// ties going to the lowest VM id.
 //
 // Every event is dispatched in (virtual time, submission order):
 // submissions, task lifecycle events of the hosted executions
@@ -159,25 +165,6 @@ type Outcome struct {
 	SettledAt     float64 `json:"settledAt"`
 }
 
-// Decision is one entry of the pool's scheduling-decision log: the
-// sequence the determinism property test pins byte-for-byte.
-type Decision struct {
-	At     float64
-	Kind   string // submit, reject, provision, reuse, billing, release, deprovision, settle, abort
-	Tenant string
-	Sub    int // submission ID, -1 when not submission-scoped
-	VM     int // pool VM ID, -1 when not VM-scoped
-	Cat    int // platform category, -1 when not VM-scoped
-	Amount float64
-	Note   string
-}
-
-// String renders the decision canonically (used by the property test).
-func (d Decision) String() string {
-	return fmt.Sprintf("%v %s tenant=%s sub=%d vm=%d cat=%d amount=%v %s",
-		d.At, d.Kind, d.Tenant, d.Sub, d.VM, d.Cat, d.Amount, d.Note)
-}
-
 // pevKind enumerates the pool's event kinds.
 type pevKind int
 
@@ -188,20 +175,15 @@ const (
 	pevDeprovision
 )
 
-// pev is one pool-loop event.
+// pev is one pool-loop event, queued by value: its instant and tie-break
+// sequence live in the queue's heap slot.
 type pev struct {
-	at    float64
-	seq   int
 	kind  pevKind
 	sub   *submission
 	ev    online.Ev // pevExec
 	vm    *poolVM   // pevBilling, pevDeprovision
 	epoch int       // staleness guard for VM timers
 }
-
-func (e *pev) When() float64  { return e.at }
-func (e *pev) EvSeq() int     { return e.seq }
-func (e *pev) SetEvSeq(s int) { e.seq = s }
 
 // poolVM is one shared-pool VM, across all the executions it serves.
 type poolVM struct {
@@ -218,8 +200,11 @@ type poolVM struct {
 	// owner's settlement paid for (maintained while idle).
 	paidUntil float64
 	idleFrom  float64
-	idle      bool
-	gone      bool
+	// idle marks membership of the pool's idle index; slot is the VM's
+	// position in its category's list while idle.
+	idle bool
+	slot int
+	gone bool
 	// epoch invalidates in-flight billing/deprovision timers whenever
 	// the VM changes hands (lease, release, deprovision).
 	epoch  int
@@ -240,7 +225,7 @@ type submission struct {
 
 	offset       float64 // arrival instant: execution-relative 0
 	hosted       *online.Hosted
-	vmMap        map[int]*poolVM // executor VM index → pool VM
+	vmMap        []*poolVM // executor VM index → pool VM (nil until booked)
 	pendingLease *poolVM
 	liveAccrued  float64
 	outcome      *Outcome
@@ -253,9 +238,13 @@ type Pool struct {
 	plat *platform.Platform
 	seed *rng.RNG
 
-	loop    evloop.Loop[*pev]
-	subs    []*submission
-	vms     []*poolVM
+	now    float64 // virtual clock: the instant of the last dispatched event
+	events evloop.Queue[pev]
+	subs   []*submission
+	vms    []*poolVM
+	// idle indexes the leasable VMs by category: exactly the VMs with
+	// idle set (idle VMs are never gone), in no particular order.
+	idle    [][]*poolVM
 	tenants map[string]*tenant
 	order   []string // tenant registration order, for deterministic listing
 
@@ -280,18 +269,19 @@ func New(cfg Config) (*Pool, error) {
 		cfg:     cfg,
 		plat:    cfg.Platform,
 		seed:    rng.New(cfg.Seed),
+		idle:    make([][]*poolVM, len(cfg.Platform.Categories)),
 		tenants: make(map[string]*tenant),
 	}, nil
 }
 
 // Now returns the pool's virtual-time frontier.
-func (p *Pool) Now() float64 { return p.loop.Now() }
+func (p *Pool) Now() float64 { return p.now }
 
 // Decisions returns the scheduling-decision log so far.
 func (p *Pool) Decisions() []Decision { return p.decisions }
 
 func (p *Pool) decide(d Decision) {
-	d.At = p.loop.Now()
+	d.At = p.now
 	p.decisions = append(p.decisions, d)
 }
 
@@ -343,34 +333,39 @@ func (p *Pool) Enqueue(ctx context.Context, sub Submission) (*Outcome, error) {
 		weights = sim.SampleWeights(sub.Workflow, p.seed.Split(uint64(id)))
 	}
 	at := sub.At
-	if at < p.loop.Now() {
-		at = p.loop.Now()
+	if at < p.now {
+		at = p.now
 	}
 	s := &submission{
 		id: id, tenant: ten, w: sub.Workflow, alg: alg.Name,
 		budget: sub.Budget, weights: weights, schedule: schedule,
-		span:  sub.Span,
-		vmMap: make(map[int]*poolVM),
+		span: sub.Span,
 		outcome: &Outcome{
 			SubID: id, Tenant: ten.id, State: StateQueued, ArrivedAt: at,
 		},
 	}
 	p.subs = append(p.subs, s)
 	ten.submissions++
-	p.loop.Push(&pev{at: at, kind: pevSubmit, sub: s})
+	p.events.Push(at, pev{kind: pevSubmit, sub: s})
 	return s.outcome, nil
 }
 
-// step dispatches one event; ok is false when the loop is empty.
+// step dispatches one event; ok is false when the loop is empty. An
+// event earlier than the clock (beyond a small absolute tolerance for
+// float noise on tied instants) is a corrupted heap or a mis-timed
+// push, never a legal schedule: it fails loudly.
 func (p *Pool) step() (ok bool, err error) {
-	ev, ok := p.loop.Pop()
+	at, ev, ok := p.events.Pop()
 	if !ok {
 		return false, nil
 	}
-	if err := p.loop.Advance(ev.at); err != nil {
-		return false, err
+	if at < p.now-1e-9 {
+		return false, fmt.Errorf("evloop: time went backwards: %v -> %v", p.now, at)
 	}
-	p.dispatch(ev)
+	if at > p.now {
+		p.now = at
+	}
+	p.dispatch(at, &ev)
 	return true, nil
 }
 
@@ -422,7 +417,7 @@ func (p *Pool) failUnsettled() {
 	}
 }
 
-func (p *Pool) dispatch(ev *pev) {
+func (p *Pool) dispatch(at float64, ev *pev) {
 	switch ev.kind {
 	case pevSubmit:
 		p.admit(ev.sub)
@@ -439,7 +434,7 @@ func (p *Pool) dispatch(ev *pev) {
 			p.settle(s)
 		}
 	case pevBilling:
-		p.billingBoundary(ev)
+		p.billingBoundary(at, ev)
 	case pevDeprovision:
 		pv := ev.vm
 		if pv.gone || !pv.idle || ev.epoch != pv.epoch {
@@ -465,13 +460,14 @@ func (p *Pool) admit(s *submission) {
 		p.reject(s, fmt.Sprintf("tenant %s would exceed its VM cap (%d active + %d planned > %d)", ten.id, ten.activeVMs, need, ten.maxVMs))
 		return
 	}
+	s.vmMap = make([]*poolVM, 0, s.schedule.NumVMs())
 	pol := p.cfg.Policy
 	pol.Faults = nil
 	pol.Span = s.span
 	pol.Budget = p.effectiveBudget(s)
 	h, err := online.NewHosted(s.w, p.plat, s.schedule, s.weights, pol, online.HostHooks{
 		Emit: func(at float64, ev online.Ev) {
-			p.loop.Push(&pev{at: at + s.offset, kind: pevExec, sub: s, ev: ev})
+			p.events.Push(at+s.offset, pev{kind: pevExec, sub: s, ev: ev})
 		},
 		Acquire: func(cat int, at float64) (online.Lease, bool) {
 			return p.acquireFor(s, cat, at+s.offset)
@@ -484,17 +480,17 @@ func (p *Pool) admit(s *submission) {
 		p.failSub(s, err)
 		return
 	}
-	s.offset = p.loop.Now()
+	s.offset = p.now
 	s.hosted = h
 	ten.active++
 	p.decide(Decision{
 		Kind: "submit", Tenant: ten.id, Sub: s.id, VM: -1, Cat: -1,
 		Amount: s.budget,
-		Note:   fmt.Sprintf("alg=%s tasks=%d plannedVMs=%d", s.alg, s.w.NumTasks(), s.schedule.NumVMs()),
+		Note:   submitNote(s.alg, s.w.NumTasks(), s.schedule.NumVMs()),
 	})
 	if s.span != nil {
 		s.span.Event("pool-admit", obs.Int("sub", s.id), obs.Str("tenant", ten.id),
-			obs.Float("at", p.loop.Now()))
+			obs.Float("at", p.now))
 	}
 	h.Start()
 	if h.Settled() {
@@ -528,7 +524,7 @@ func (p *Pool) reject(s *submission, reason string) {
 func (p *Pool) failSub(s *submission, err error) {
 	s.outcome.State = StateFailed
 	s.outcome.Reason = err.Error()
-	s.outcome.SettledAt = p.loop.Now()
+	s.outcome.SettledAt = p.now
 	ten := s.tenant
 	if s.hosted != nil {
 		ten.active--
@@ -537,9 +533,11 @@ func (p *Pool) failSub(s *submission, err error) {
 	// Force-release the submission's VMs: nothing returns to the idle
 	// set from a failed execution (its billing state is unknown).
 	for _, pv := range s.vmMap {
-		if !pv.gone {
+		if pv != nil && !pv.gone {
+			if pv.idle {
+				p.unpark(pv)
+			}
 			pv.gone = true
-			pv.idle = false
 			pv.epoch++
 			pv.holder = nil
 			ten.activeVMs--
@@ -550,21 +548,22 @@ func (p *Pool) failSub(s *submission, err error) {
 }
 
 // acquireFor serves the hosted executor's booking hook: lease the idle
-// VM of the requested category with the most remaining paid time
-// (ties to the lowest VM id, deterministically).
+// VM of the requested category with the most remaining paid time. It
+// scans only that category's idle index, whose order is arbitrary, so
+// the tie rule is explicit: the largest paidUntil wins, and on equal
+// paidUntil the lowest VM id.
 func (p *Pool) acquireFor(s *submission, cat int, now float64) (online.Lease, bool) {
 	var best *poolVM
-	for _, pv := range p.vms {
-		if pv.idle && !pv.gone && pv.cat == cat {
-			if best == nil || pv.paidUntil > best.paidUntil {
-				best = pv
-			}
+	for _, pv := range p.idle[cat] {
+		if best == nil || pv.paidUntil > best.paidUntil ||
+			(pv.paidUntil == best.paidUntil && pv.id < best.id) {
+			best = pv
 		}
 	}
 	if best == nil {
 		return online.Lease{}, false
 	}
-	best.idle = false
+	p.unpark(best)
 	best.epoch++
 	// The idle gap [idleFrom, now] was paid by the previous owner and
 	// produced nothing: their waste, not the new holder's.
@@ -579,7 +578,7 @@ func (p *Pool) acquireFor(s *submission, cat int, now float64) (online.Lease, bo
 	p.decide(Decision{
 		Kind: "reuse", Tenant: s.tenant.id, Sub: s.id, VM: best.id, Cat: cat,
 		Amount: p.plat.Categories[cat].InitCost,
-		Note:   fmt.Sprintf("from=%s age=%v paidUntil=%v", prev, now-best.boot, best.paidUntil),
+		Note:   reuseNote(prev, now-best.boot, best.paidUntil),
 	})
 	if s.span != nil {
 		s.span.Event("pool-reuse", obs.Int("vm", best.id), obs.Int("cat", cat),
@@ -597,7 +596,7 @@ func (p *Pool) onProvision(s *submission, at float64, vmIdx, cat int, leased boo
 		pv := s.pendingLease
 		s.pendingLease = nil
 		pv.execVM = vmIdx
-		s.vmMap[vmIdx] = pv
+		s.mapVM(vmIdx, pv)
 		ten.reusedVMs++
 		s.outcome.ReusedVMs++
 		saved := p.plat.Categories[cat].InitCost
@@ -613,7 +612,7 @@ func (p *Pool) onProvision(s *submission, at float64, vmIdx, cat int, leased boo
 		boot: bootDone + s.offset, holder: s, execVM: vmIdx,
 	}
 	p.vms = append(p.vms, pv)
-	s.vmMap[vmIdx] = pv
+	s.mapVM(vmIdx, pv)
 	ten.freshVMs++
 	s.outcome.FreshVMs++
 	p.provisioned++
@@ -627,7 +626,7 @@ func (p *Pool) onProvision(s *submission, at float64, vmIdx, cat int, leased boo
 	s.liveAccrued += est
 	p.decide(Decision{
 		Kind: "provision", Tenant: ten.id, Sub: s.id, VM: pv.id, Cat: cat,
-		Amount: est, Note: fmt.Sprintf("bootDone=%v", pv.boot),
+		Amount: est, Note: floatNote("bootDone=", pv.boot),
 	})
 	if s.span != nil {
 		s.span.Event("pool-provision", obs.Int("vm", pv.id), obs.Int("cat", cat),
@@ -643,18 +642,18 @@ func (p *Pool) scheduleBilling(pv *poolVM) {
 	if q <= 0 {
 		return
 	}
-	now := p.loop.Now()
+	now := p.now
 	next := pv.boot + q
 	if now > pv.boot {
 		periods := math.Floor((now-pv.boot)/q) + 1
 		next = pv.boot + periods*q
 	}
-	p.loop.Push(&pev{at: next, kind: pevBilling, vm: pv, epoch: pv.epoch})
+	p.events.Push(next, pev{kind: pevBilling, vm: pv, epoch: pv.epoch})
 }
 
 // billingBoundary charges one billing unit of live spend to the VM's
 // current owner and re-arms the tick while the VM is held.
-func (p *Pool) billingBoundary(ev *pev) {
+func (p *Pool) billingBoundary(at float64, ev *pev) {
 	pv := ev.vm
 	if pv.gone || pv.idle || ev.epoch != pv.epoch || pv.holder == nil {
 		return
@@ -669,7 +668,7 @@ func (p *Pool) billingBoundary(ev *pev) {
 		Kind: "billing", Tenant: pv.tenant, Sub: pv.holder.id, VM: pv.id, Cat: pv.cat,
 		Amount: amt,
 	})
-	p.loop.Push(&pev{at: ev.at + q, kind: pevBilling, vm: pv, epoch: pv.epoch})
+	p.events.Push(at+q, pev{kind: pevBilling, vm: pv, epoch: pv.epoch})
 }
 
 // settle finishes a hosted execution: collect its Report, charge the
@@ -678,7 +677,7 @@ func (p *Pool) billingBoundary(ev *pev) {
 // to the next boundary is already below TimeToShutdown.
 func (p *Pool) settle(s *submission) {
 	rep := s.hosted.Finish()
-	now := p.loop.Now()
+	now := p.now
 	ten := s.tenant
 	for _, rel := range s.hosted.Releases() {
 		pv := s.vmMap[rel.VM]
@@ -695,12 +694,12 @@ func (p *Pool) settle(s *submission) {
 			p.deprovision(pv)
 			continue
 		}
-		pv.idle = true
+		p.park(pv)
 		p.decide(Decision{
 			Kind: "release", Tenant: pv.tenant, Sub: s.id, VM: pv.id, Cat: pv.cat,
-			Amount: remaining, Note: fmt.Sprintf("paidUntil=%v", pv.paidUntil),
+			Amount: remaining, Note: floatNote("paidUntil=", pv.paidUntil),
 		})
-		p.loop.Push(&pev{at: pv.paidUntil - p.cfg.TimeToShutdown, kind: pevDeprovision, vm: pv, epoch: pv.epoch})
+		p.events.Push(pv.paidUntil-p.cfg.TimeToShutdown, pev{kind: pevDeprovision, vm: pv, epoch: pv.epoch})
 	}
 	ten.active--
 	ten.billed += rep.TotalCost
@@ -718,8 +717,7 @@ func (p *Pool) settle(s *submission) {
 	p.decide(Decision{
 		Kind: "settle", Tenant: ten.id, Sub: s.id, VM: -1, Cat: -1,
 		Amount: rep.TotalCost,
-		Note: fmt.Sprintf("makespan=%v vms=%d reused=%d completed=%v",
-			rep.Makespan, rep.NumVMs, o.ReusedVMs, rep.Completed),
+		Note:   settleNote(rep.Makespan, rep.NumVMs, o.ReusedVMs, rep.Completed),
 	})
 	if s.span != nil {
 		s.span.Set(obs.Float("charged", rep.TotalCost), obs.Int("reusedVMs", o.ReusedVMs),
@@ -737,17 +735,17 @@ func (p *Pool) deprovision(pv *poolVM) {
 	if pv.idle {
 		// The stretch already elapsed idle is accounted here; the
 		// remainder of the paid tail is forfeited on shutdown.
-		waste = pv.paidUntil - p.loop.Now()
-		if gap := p.loop.Now() - pv.idleFrom; gap > 0 {
+		waste = pv.paidUntil - p.now
+		if gap := p.now - pv.idleFrom; gap > 0 {
 			p.tenants[pv.tenant].idleWaste += gap
 			p.idleWaste += gap
 		}
 		if waste < 0 {
 			waste = 0
 		}
+		p.unpark(pv)
 	}
 	pv.gone = true
-	pv.idle = false
 	pv.epoch++
 	pv.holder = nil
 	p.tenants[pv.tenant].idleWaste += waste
@@ -755,8 +753,35 @@ func (p *Pool) deprovision(pv *poolVM) {
 	p.deprovisioned++
 	p.decide(Decision{
 		Kind: "deprovision", Tenant: pv.tenant, Sub: -1, VM: pv.id, Cat: pv.cat,
-		Amount: waste, Note: fmt.Sprintf("paidUntil=%v", pv.paidUntil),
+		Amount: waste, Note: floatNote("paidUntil=", pv.paidUntil),
 	})
+}
+
+// park adds a released VM to its category's idle index.
+func (p *Pool) park(pv *poolVM) {
+	pv.idle = true
+	pv.slot = len(p.idle[pv.cat])
+	p.idle[pv.cat] = append(p.idle[pv.cat], pv)
+}
+
+// unpark removes an idle VM from its category's idle index: the last
+// entry takes its slot.
+func (p *Pool) unpark(pv *poolVM) {
+	list := p.idle[pv.cat]
+	last := list[len(list)-1]
+	list[pv.slot] = last
+	last.slot = pv.slot
+	list[len(list)-1] = nil
+	p.idle[pv.cat] = list[:len(list)-1]
+	pv.idle = false
+}
+
+// mapVM records that executor VM vmIdx of s is pool VM pv.
+func (s *submission) mapVM(vmIdx int, pv *poolVM) {
+	for len(s.vmMap) <= vmIdx {
+		s.vmMap = append(s.vmMap, nil)
+	}
+	s.vmMap[vmIdx] = pv
 }
 
 // checkBudgetField rejects budgets outside the field's domain.

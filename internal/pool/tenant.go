@@ -140,9 +140,11 @@ func (p *Pool) tenantView(ten *tenant) TenantView {
 	if ten.budget > 0 {
 		v.Remaining = math.Max(0, ten.budget-ten.billed)
 	}
-	for _, pv := range p.vms {
-		if pv.idle && !pv.gone && pv.tenant == ten.id {
-			v.IdleVMs++
+	for _, list := range p.idle {
+		for _, pv := range list {
+			if pv.tenant == ten.id {
+				v.IdleVMs++
+			}
 		}
 	}
 	return v
@@ -191,7 +193,7 @@ type Stats struct {
 // Stats snapshots the pool.
 func (p *Pool) Stats() Stats {
 	st := Stats{
-		Now: p.loop.Now(), Tenants: len(p.order),
+		Now: p.now, Tenants: len(p.order),
 		Submissions: len(p.subs),
 		Provisioned: p.provisioned, Reused: p.reused,
 		Deprovisioned: p.deprovisioned, Extensions: p.extensions,
@@ -204,10 +206,8 @@ func (p *Pool) Stats() Stats {
 		st.Failed += ten.failed
 		st.ActiveVMs += ten.activeVMs
 	}
-	for _, pv := range p.vms {
-		if pv.idle && !pv.gone {
-			st.IdleVMs++
-		}
+	for _, list := range p.idle {
+		st.IdleVMs += len(list)
 	}
 	return st
 }

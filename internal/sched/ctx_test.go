@@ -3,10 +3,13 @@ package sched
 import (
 	stdcontext "context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"budgetwf/internal/obs"
 	"budgetwf/internal/platform"
+	"budgetwf/internal/stoch"
+	"budgetwf/internal/wf"
 	"budgetwf/internal/wfgen"
 )
 
@@ -122,6 +125,51 @@ func TestPlanContextCoversRegistryAndSpotTwins(t *testing.T) {
 			}
 			if ctx.polls != ctx.after+1 {
 				t.Errorf("%s: polled %d times, want to stop at poll %d", name, ctx.polls, ctx.after+1)
+			}
+		}
+	}
+}
+
+// TestNewContextAdjacency pins the planner context's flat adjacency:
+// every task's pred and succ windows hold exactly wf.Pred/wf.Succ, in
+// the same order, and are capped so an append can never write into a
+// neighbour's window. A duplicate edge and an isolated task are
+// included.
+func TestNewContextAdjacency(t *testing.T) {
+	dup := wf.New("dup")
+	for i := 0; i < 4; i++ {
+		dup.AddTask(fmt.Sprint(i), stoch.Dist{Mean: 1})
+	}
+	dup.MustAddEdge(0, 1, 5)
+	dup.MustAddEdge(0, 2, 1)
+	dup.MustAddEdge(0, 1, 2)
+	flows := []*wf.Workflow{dup}
+	for _, typ := range wfgen.AllPaperTypes() {
+		w, err := wfgen.Generate(typ, 30, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flows = append(flows, w)
+	}
+	for _, w := range flows {
+		ctx, err := newContext(w, platform.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < w.NumTasks(); id++ {
+			tid := wf.TaskID(id)
+			for _, c := range []struct {
+				name      string
+				got, want []wf.Edge
+			}{{"pred", ctx.pred[id], w.Pred(tid)}, {"succ", ctx.succ[id], w.Succ(tid)}} {
+				if len(c.got) != len(c.want) || cap(c.got) != len(c.want) {
+					t.Fatalf("%s task %d %s: len %d cap %d, want %d", w.Name, id, c.name, len(c.got), cap(c.got), len(c.want))
+				}
+				for k := range c.want {
+					if c.got[k] != c.want[k] {
+						t.Fatalf("%s task %d %s[%d] = %+v, want %+v", w.Name, id, c.name, k, c.got[k], c.want[k])
+					}
+				}
 			}
 		}
 	}

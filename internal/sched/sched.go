@@ -131,7 +131,9 @@ type context struct {
 	p    *platform.Platform
 	cons []float64 // conservative weights w̄+σ, indexed by task
 	// Cached per-task data: wf accessors return defensive copies, and
-	// eval() sits on the planning hot path (n·p calls per plan).
+	// eval() sits on the planning hot path (n·p calls per plan). pred
+	// and succ are capped sub-slices of one shared edge array, in edge
+	// order like wf.Pred/wf.Succ; they are read-only.
 	tasks []wf.Task
 	pred  [][]wf.Edge
 	succ  [][]wf.Edge
@@ -148,18 +150,32 @@ func newContext(w *wf.Workflow, p *platform.Platform) (*context, error) {
 		return nil, err
 	}
 	n := w.NumTasks()
+	adj := make([][]wf.Edge, 2*n)
 	ctx := &context{
 		w: w, p: p,
 		cons:  make([]float64, n),
 		tasks: w.Tasks(),
-		pred:  make([][]wf.Edge, n),
-		succ:  make([][]wf.Edge, n),
+		pred:  adj[:n:n],
+		succ:  adj[n:],
 	}
 	ctx.meanSpeed = p.MeanSpeed()
+	// Every edge is stored twice, once as a predecessor and once as a
+	// successor: size each task's two windows by its degrees, then fill
+	// them in edge order.
+	edges := w.EdgesView()
+	flat := make([]wf.Edge, 2*len(edges))
+	off := 0
 	for _, t := range ctx.tasks {
 		ctx.cons[t.ID] = t.Weight.Conservative()
-		ctx.pred[t.ID] = w.Pred(t.ID)
-		ctx.succ[t.ID] = w.Succ(t.ID)
+		np, ns := w.NumPred(t.ID), w.NumSucc(t.ID)
+		ctx.pred[t.ID] = flat[off : off : off+np]
+		off += np
+		ctx.succ[t.ID] = flat[off : off : off+ns]
+		off += ns
+	}
+	for _, e := range edges {
+		ctx.pred[e.To] = append(ctx.pred[e.To], e)
+		ctx.succ[e.From] = append(ctx.succ[e.From], e)
 	}
 	return ctx, nil
 }
