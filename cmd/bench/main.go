@@ -14,7 +14,8 @@
 // same-run relations of bench.GateDaemon — a warm cache hit stays far
 // below a cold request in allocations and time — bench.GatePlanner — a
 // HEFTBUDG+ plan allocates like a list planner, not per candidate, and
-// MIN-MINBUDG stays within 15× of HEFTBUDG's time at n=1000 —
+// takes at most 40× HEFTBUDG's time at n=50, and MIN-MINBUDG stays
+// within 15× of HEFTBUDG's time at n=1000 —
 // bench.GateSim — a replication batch allocates per batch, not per
 // execution, and scoring it takes at most half of simulating it — and
 // bench.GateEst — an analytic estimate allocates a fixed handful of

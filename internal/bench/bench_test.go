@@ -183,18 +183,23 @@ func TestPlannerSuiteCoversTheGrid(t *testing.T) {
 }
 
 // TestGatePlanner: the gate passes a run in which HEFTBUDG+ allocates
-// like the list planner it starts from and MIN-MINBUDG stays within a
-// small factor of HEFTBUDG, fails one in which a refinement plan
-// allocates per candidate again or MIN-MINBUDG re-scans like it did
-// before its picks were cached — on whichever family — and rejects a
-// run that lacks the cases it reads.
+// like the list planner it starts from and takes a bounded multiple of
+// its time, and MIN-MINBUDG stays within a small factor of HEFTBUDG;
+// it fails one in which a refinement plan allocates per candidate
+// again, re-simulates every candidate in full again, or MIN-MINBUDG
+// re-scans like it did before its picks were cached — on whichever
+// family — and rejects a run that lacks the cases it reads.
 func TestGatePlanner(t *testing.T) {
-	run := func(refinedAllocs map[string]int64, minMinNs map[string]float64) *File {
+	run := func(refinedAllocs map[string]int64, minMinNs map[string]float64, refinedNs ...float64) *File {
 		f := &File{SchemaVersion: SchemaVersion, Suite: "planner"}
-		for _, typ := range plannerFamilies {
+		for i, typ := range plannerFamilies {
+			ns := 1.2e6 // 20× HEFTBUDG
+			if i < len(refinedNs) {
+				ns = refinedNs[i]
+			}
 			f.Results = append(f.Results,
 				Result{Case: fmt.Sprintf("heftbudg/%s/n0050", typ), Iterations: 10, NsPerOp: 60e3, AllocsPerOp: 240, OpsPerSec: 1},
-				Result{Case: fmt.Sprintf("heftbudg+/%s/n0050", typ), Iterations: 10, NsPerOp: 12e6, AllocsPerOp: refinedAllocs[string(typ)], OpsPerSec: 1},
+				Result{Case: fmt.Sprintf("heftbudg+/%s/n0050", typ), Iterations: 10, NsPerOp: ns, AllocsPerOp: refinedAllocs[string(typ)], OpsPerSec: 1},
 				Result{Case: fmt.Sprintf("heftbudg/%s/n1000", typ), Iterations: 3, NsPerOp: 10e6, AllocsPerOp: 4400, OpsPerSec: 1},
 				Result{Case: fmt.Sprintf("minminbudg/%s/n1000", typ), Iterations: 3, NsPerOp: minMinNs[string(typ)], AllocsPerOp: 9000, OpsPerSec: 1})
 		}
@@ -237,6 +242,20 @@ func TestGatePlanner(t *testing.T) {
 	}
 	if _, err := GatePlanner(run(healthyAllocs, map[string]float64{"cybershake": 60e6, "ligo": 150e6, "montage": 50e6})); err != nil {
 		t.Errorf("exactly 15x rejected: %v", err)
+	}
+	// Every candidate re-simulated in full: 31–78× HEFTBUDG at n = 50.
+	_, err = GatePlanner(run(healthyAllocs, healthyNs, 1.2e6, 4.68e6))
+	if err == nil || !strings.Contains(err.Error(), "heftbudg+/ligo/n0050 takes 4680000 ns") {
+		t.Errorf("slow refinement not reported: %v", err)
+	}
+	if strings.Contains(err.Error(), "cybershake") {
+		t.Errorf("healthy family reported: %v", err)
+	}
+	if _, err := GatePlanner(run(healthyAllocs, healthyNs, 2.4006e6)); err == nil {
+		t.Error("40.01x HEFTBUDG's time accepted")
+	}
+	if _, err := GatePlanner(run(healthyAllocs, healthyNs, 2.4e6)); err != nil {
+		t.Errorf("exactly 40x rejected: %v", err)
 	}
 	for _, drop := range []string{"heftbudg+/montage/n0050", "minminbudg/montage/n1000"} {
 		missing := run(healthyAllocs, healthyNs)

@@ -76,7 +76,7 @@ func ComputeBudget(w *wf.Workflow, p *platform.Platform, budget float64) (*Budge
 	if tWF <= 0 {
 		return info, nil
 	}
-	for _, t := range w.Tasks() {
+	for _, t := range w.TasksView() {
 		tT := t.Weight.Conservative()/meanSpeed + w.InputSize(t.ID)/p.Bandwidth
 		info.Shares[t.ID] = tT / tWF * info.Calc
 	}

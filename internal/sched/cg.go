@@ -123,8 +123,8 @@ func CGPlus(w *wf.Workflow, p *platform.Platform, budget float64) (*plan.Schedul
 }
 
 // cgPlusOpt is CGPlus with a cancellation hook, polled once per
-// candidate move (each move costs one deterministic evaluation of the
-// whole schedule, so this is the granularity that bounds cancellation
+// candidate move (each move costs at most one deterministic pass over
+// the schedule, so this is the granularity that bounds cancellation
 // latency).
 func cgPlusOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options) (*plan.Schedule, error) {
 	cur, err := cgOpt(w, p, budget, opt)
@@ -144,26 +144,21 @@ func cgPlusOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options
 	maxIters := 4 * w.NumTasks()
 	for iter := 0; iter < maxIters; iter++ {
 		var best struct {
-			sched                 *plan.Schedule
+			found                 bool
 			task                  wf.TaskID
-			path                  []wf.TaskID
+			vm, cat               int
 			makespan, cost, ratio float64
 		}
 		for _, t := range path {
-			err := ev.eachMove(cur, t, func(cand *plan.Schedule, candMakespan, candCost float64) {
+			// A move no faster than the incumbent has dT <= 0: cut it.
+			err := ev.eachMove(t, &makespan, func(vm, cat int, candMakespan, candCost float64) {
 				dT := makespan - candMakespan
 				dC := candCost - cost
 				if dT <= 0 || dC <= 0 || candCost > budget {
 					return
 				}
-				if ratio := dT / dC; best.sched == nil || ratio > best.ratio {
-					// Only a new best needs its critical path, which
-					// takes the event engine's blames.
-					r, err := ev.run.Run(ev.weights)
-					if err != nil {
-						return
-					}
-					best.sched, best.task, best.path = cand.Clone(), t, r.CriticalPath()
+				if ratio := dT / dC; !best.found || ratio > best.ratio {
+					best.found, best.task, best.vm, best.cat = true, t, vm, cat
 					best.makespan, best.cost, best.ratio = candMakespan, candCost, ratio
 				}
 			})
@@ -171,11 +166,20 @@ func cgPlusOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options
 				return nil, err
 			}
 		}
-		if best.sched == nil {
+		if !best.found {
 			break
 		}
-		ev.upgrade(best.task, best.sched, makespan, best.makespan, best.cost)
-		cur, path, makespan, cost = best.sched, best.path, best.makespan, best.cost
+		// The kept move's critical path takes the event engine's blames.
+		next := ev.candidate(best.task, best.vm, best.cat)
+		if err := ev.rebind(next); err != nil {
+			return nil, err
+		}
+		res, err := ev.run.Run(ev.weights)
+		if err != nil {
+			return nil, err
+		}
+		ev.upgrade(best.task, next, makespan, best.makespan, best.cost)
+		cur, path, makespan, cost = next, res.CriticalPath(), best.makespan, best.cost
 	}
 	ev.finish(makespan)
 	cur.EstMakespan = makespan

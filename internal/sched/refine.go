@@ -51,9 +51,9 @@ func refine(w *wf.Workflow, p *platform.Platform, budget float64, inverse bool, 
 
 	for _, t := range order {
 		best := cur
-		err := ev.eachMove(cur, t, func(cand *plan.Schedule, makespan, cost float64) {
+		err := ev.eachMove(t, &minMakespan, func(vm, cat int, makespan, cost float64) {
 			if makespan < minMakespan && cost < budget {
-				best = cand.Clone()
+				best = ev.candidate(t, vm, cat)
 				ev.upgrade(t, best, minMakespan, makespan, cost)
 				minMakespan = makespan
 			}
@@ -61,31 +61,35 @@ func refine(w *wf.Workflow, p *platform.Platform, budget float64, inverse bool, 
 		if err != nil {
 			return nil, err
 		}
-		cur = best
+		if best != cur {
+			cur = best
+			if err := ev.rebind(cur); err != nil {
+				return nil, err
+			}
+		}
 	}
 	ev.finish(minMakespan)
 	cur.EstMakespan = minMakespan
 	return cur, nil
 }
 
-// moveEval evaluates the candidate moves of the refinement planners
-// (HEFTBUDG+, HEFTBUDG+INV, CG+) for one plan on buffers built once:
-// the scratch schedule each move is written into (plan.Mover), one
-// simulation engine re-pointed at it (sim.Runner.Rebind, which
-// validates it in full) and one conservative-weights vector. Candidates
-// are scored (sim.Runner.Score: makespan and cost, no event loop where
-// the platform allows); the candidate schedule is overwritten by the
-// next evaluation, so a planner that accepts a move clones it first.
+// moveEval scores the candidate moves of the refinement planners
+// (HEFTBUDG+, HEFTBUDG+INV, CG+) on one simulation engine bound to the
+// incumbent (sim.Runner.ScoreMove: one forward pass resumed from the
+// moved task's rank, stopped once the move cannot win) under one
+// conservative-weights vector. A candidate schedule is built, by the
+// Mover, only when a planner keeps it.
 type moveEval struct {
 	mover   *plan.Mover
 	run     *sim.Runner
+	cur     *plan.Schedule // the incumbent run is bound to
 	weights []float64
 	numCats int
 	opt     Options
 
 	// The "refine" span and its totals; the span is nil when untraced.
-	span            *obs.Span
-	moves, upgrades int
+	span                 *obs.Span
+	moves, cut, upgrades int
 }
 
 // newMoveEval builds the evaluator and simulates the base schedule; the
@@ -98,6 +102,7 @@ func newMoveEval(w *wf.Workflow, p *platform.Platform, base *plan.Schedule, opt 
 	ev := &moveEval{
 		mover:   plan.NewMover(w.NumTasks()),
 		run:     run,
+		cur:     base,
 		weights: sim.ConservativeWeights(w),
 		numCats: p.NumCategories(),
 		opt:     opt,
@@ -110,17 +115,17 @@ func newMoveEval(w *wf.Workflow, p *platform.Platform, base *plan.Schedule, opt 
 	return ev, res, nil
 }
 
-// eachMove scores every schedule obtained by moving task t of cur to a
-// different used VM or to a fresh VM of each category (Algorithm 5,
-// line 7: (UsedVM \ sched(T)) ∪ NewVM), in that order, and hands each
-// to visit with its makespan and cost. The Runner stays bound to the
-// candidate during visit. The cancellation hook is polled once per
-// candidate; a malformed candidate (should not happen: moves keep
-// ListT-derived orders topological) is simply skipped.
-func (ev *moveEval) eachMove(cur *plan.Schedule, t wf.TaskID, visit func(cand *plan.Schedule, makespan, cost float64)) error {
-	used := cur.NumVMs()
+// eachMove scores every move of the incumbent's task t to a different
+// used VM or to a fresh VM of each category (Algorithm 5, line 7:
+// (UsedVM \ sched(T)) ∪ NewVM), in that order, and hands each to visit
+// as its target — a used VM, or -1 and a category — with its makespan
+// and cost. A move whose makespan reaches *bound, read per candidate,
+// is cut without a visit: each planner passes the makespan a kept move
+// must beat. The cancellation hook is polled once per candidate.
+func (ev *moveEval) eachMove(t wf.TaskID, bound *float64, visit func(vm, cat int, makespan, cost float64)) error {
+	used := ev.cur.NumVMs()
 	for target := 0; target < used+ev.numCats; target++ {
-		if target == cur.TaskVM[t] {
+		if target == ev.cur.TaskVM[t] {
 			continue
 		}
 		if err := ev.opt.stopErr(); err != nil {
@@ -131,15 +136,29 @@ func (ev *moveEval) eachMove(cur *plan.Schedule, t wf.TaskID, visit func(cand *p
 		if target >= used {
 			vm, cat = -1, target-used
 		}
-		cand := ev.mover.Move(cur, t, vm, cat)
-		if ev.run.Rebind(cand) != nil {
+		makespan, cost, ok, err := ev.run.ScoreMove(t, vm, cat, *bound)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			ev.cut++
 			continue
 		}
-		if makespan, cost, err := ev.run.Score(ev.weights); err == nil {
-			visit(cand, makespan, cost)
-		}
+		visit(vm, cat, makespan, cost)
 	}
 	return nil
+}
+
+// candidate returns the incumbent with task t moved to (vm, cat), as
+// eachMove named the target, in a schedule of its own.
+func (ev *moveEval) candidate(t wf.TaskID, vm, cat int) *plan.Schedule {
+	return ev.mover.Move(ev.cur, t, vm, cat).Clone()
+}
+
+// rebind makes s the incumbent, validating it in full.
+func (ev *moveEval) rebind(s *plan.Schedule) error {
+	ev.cur = s
+	return ev.run.Rebind(s)
 }
 
 // upgrade records that moving t made s the incumbent.
@@ -157,6 +176,6 @@ func (ev *moveEval) upgrade(t wf.TaskID, s *plan.Schedule, makespanBefore, makes
 
 // finish records the refinement's totals on its span.
 func (ev *moveEval) finish(makespan float64) {
-	ev.span.Set(obs.Int("movesTried", ev.moves), obs.Int("upgrades", ev.upgrades),
+	ev.span.Set(obs.Int("movesTried", ev.moves), obs.Int("movesCut", ev.cut), obs.Int("upgrades", ev.upgrades),
 		obs.Float("finalMakespan", makespan))
 }

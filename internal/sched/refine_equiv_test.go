@@ -72,7 +72,7 @@ func sameResult(a, b *sim.Result) bool {
 type moveStats struct{ moves, emptied, noops int }
 
 // checkMovesMatchReference compares, for the moves of every stride-th
-// task of base, the evaluator's in-place candidate and simulation with
+// task of base, the evaluator's scores and the candidate it builds with
 // the reference path Clone → CompactVMs → sim.Run.
 func checkMovesMatchReference(t testing.TB, w *wf.Workflow, p *platform.Platform, base *plan.Schedule, stride int, st *moveStats) {
 	t.Helper()
@@ -81,14 +81,16 @@ func checkMovesMatchReference(t testing.TB, w *wf.Workflow, p *platform.Platform
 		t.Fatal(err)
 	}
 	baseMakespan, baseCost := res.Makespan, res.TotalCost
+	unbounded := math.Inf(1)
 	for task := 0; task < w.NumTasks(); task += stride {
 		tid := wf.TaskID(task)
 		want := moveCandidatesReference(base, tid, p.NumCategories())
 		i := 0
-		err := ev.eachMove(base, tid, func(cand *plan.Schedule, makespan, cost float64) {
+		err := ev.eachMove(tid, &unbounded, func(vm, cat int, makespan, cost float64) {
 			ref := want[i]
 			i++
 			st.moves++
+			cand := ev.candidate(tid, vm, cat)
 			if !reflect.DeepEqual(cand.TaskVM, ref.TaskVM) || !reflect.DeepEqual(cand.VMCats, ref.VMCats) {
 				t.Fatalf("task %d, candidate %d: schedule differs:\n got %v %v\nwant %v %v",
 					task, i-1, cand.TaskVM, cand.VMCats, ref.TaskVM, ref.VMCats)
@@ -97,12 +99,12 @@ func checkMovesMatchReference(t testing.TB, w *wf.Workflow, p *platform.Platform
 			if err != nil {
 				t.Fatalf("task %d, candidate %d: reference simulation: %v", task, i-1, err)
 			}
-			// The evaluator scored the candidate; its engine, still bound
-			// to it, must also reproduce the reference's full Result (CG+
-			// reads the critical path off it).
-			r, err := ev.run.Run(ev.weights)
+			// The candidate the evaluator builds for a kept move must also
+			// reproduce the reference's full Result (CG+ reads the
+			// critical path off it).
+			r, err := sim.Run(w, p, cand, ev.weights)
 			if err != nil {
-				t.Fatalf("task %d, candidate %d: in-place simulation: %v", task, i-1, err)
+				t.Fatalf("task %d, candidate %d: built candidate's simulation: %v", task, i-1, err)
 			}
 			if makespan != rr.Makespan || cost != rr.TotalCost || !sameResult(r, rr) {
 				t.Fatalf("task %d, candidate %d: scored %v %v, simulated %v %v, reference %v %v (or VMs/Blames/Tasks differ)",

@@ -63,7 +63,7 @@ func refineReference(w *wf.Workflow, p *platform.Platform, budget float64, inver
 		}
 	}
 
-	moves, upgrades := 0, 0
+	moves, cut, upgrades := 0, 0, 0
 	for _, t := range order {
 		best := cur
 		for _, cand := range moveCandidatesReference(cur, t, p.NumCategories()) {
@@ -74,6 +74,9 @@ func refineReference(w *wf.Workflow, p *platform.Platform, budget float64, inver
 			r, err := sim.Run(w, p, cand, weights)
 			if err != nil {
 				continue
+			}
+			if r.Makespan >= minMakespan {
+				cut++ // what the evaluator stops early: no shorter schedule
 			}
 			if r.Makespan < minMakespan && r.TotalCost < budget {
 				best = cand
@@ -91,7 +94,7 @@ func refineReference(w *wf.Workflow, p *platform.Platform, budget float64, inver
 		}
 		cur = best
 	}
-	span.Set(obs.Int("movesTried", moves), obs.Int("upgrades", upgrades),
+	span.Set(obs.Int("movesTried", moves), obs.Int("movesCut", cut), obs.Int("upgrades", upgrades),
 		obs.Float("finalMakespan", minMakespan))
 	cur.EstMakespan = minMakespan
 	return cur, nil

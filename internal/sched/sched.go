@@ -134,7 +134,7 @@ type context struct {
 	// eval() sits on the planning hot path (n·p calls per plan). pred
 	// and succ are capped sub-slices of one shared edge array, in edge
 	// order like wf.Pred/wf.Succ; they are read-only.
-	tasks []wf.Task
+	tasks []wf.Task // read-only: the workflow's own (TasksView)
 	pred  [][]wf.Edge
 	succ  [][]wf.Edge
 	// meanSpeed caches p.MeanSpeed(), which averages over categories on
@@ -154,7 +154,7 @@ func newContext(w *wf.Workflow, p *platform.Platform) (*context, error) {
 	ctx := &context{
 		w: w, p: p,
 		cons:  make([]float64, n),
-		tasks: w.Tasks(),
+		tasks: w.TasksView(),
 		pred:  adj[:n:n],
 		succ:  adj[n:],
 	}

@@ -133,6 +133,14 @@ type engineStatic struct {
 	// exact says the scoring pass (score.go) reproduces the event loop's
 	// makespan and cost bit for bit on this platform.
 	exact bool
+	// The scoring pass's task order, worked out on first use after each
+	// bind (passOrder): listTopo says ListT is a topological permutation
+	// of every task; order is ListT when every VM's order also follows
+	// it, else Kahn's order in orderBuf.
+	ordered  bool
+	listTopo bool
+	order    []wf.TaskID
+	orderBuf []wf.TaskID
 
 	edges     []wf.Edge // the workflow's edges, read-only
 	in, out   adjacency // edge indices per consumer / producer
@@ -206,7 +214,14 @@ func (st *engineStatic) bind(s *plan.Schedule) error {
 	if err := s.ValidateBuf(st.w, st.p.NumCategories(), st.pos); err != nil {
 		return err
 	}
-	st.s = s
+	st.point(s)
+	return nil
+}
+
+// point is bind without the validation, for a schedule already bound
+// once.
+func (st *engineStatic) point(s *plan.Schedule) {
+	st.s, st.ordered = s, false
 	for t, task := range st.w.TasksView() {
 		st.stageSize[t] = task.ExternalIn
 		st.missing0[t] = 0
@@ -217,7 +232,6 @@ func (st *engineStatic) bind(s *plan.Schedule) error {
 			st.missing0[edge.To]++
 		}
 	}
-	return nil
 }
 
 // Exec is the execution engine: the one VM / transfer / task state
@@ -252,8 +266,7 @@ type Exec struct {
 	doneBuf  []flow // scratch for advanceFlows
 	sweep    bool   // wake every VM after each event (see Exec)
 
-	VMs   []VM
-	ready []int // scoring worklist: VMs whose head task has its inputs
+	VMs []VM
 
 	// Per task, indexed by TaskID.
 	Cur         []int  // the VM a task runs on: its planned one until moved
@@ -354,9 +367,9 @@ func (e *Exec) reset(weights []float64) error {
 	return nil
 }
 
-// rewind checks the weights and rewinds the state the event loop and
-// the scoring pass (score.go) share: the VM table, the outstanding
-// crossing inputs and the datacenter arrival times.
+// rewind checks the weights and rewinds the state the event loop keeps
+// and the scoring pass (score.go) borrows: the VM table, the
+// outstanding crossing inputs and the datacenter arrival times.
 func (e *Exec) rewind(weights []float64) error {
 	for t, wt := range weights {
 		if wt <= 0 || math.IsNaN(wt) || math.IsInf(wt, 0) {

@@ -152,27 +152,88 @@ func TestSimulationDeterministic(t *testing.T) {
 	}
 }
 
-// TestWeightMonotonicity: with a fixed schedule, inflating every task
-// weight cannot shorten the makespan.
+// inflatedCase is TestWeightMonotonicity's input for one seed: a random
+// case with its mean weights and the same weights each inflated by up
+// to 2×.
+func inflatedCase(seed int64) (w *wf.Workflow, s *plan.Schedule, p *platform.Platform, base, inflated []float64) {
+	r := rand.New(rand.NewSource(seed))
+	w, s, p = randomCase(r)
+	base = MeanWeights(w)
+	inflated = make([]float64, len(base))
+	for i, x := range base {
+		inflated[i] = x * (1 + r.Float64())
+	}
+	return w, s, p, base, inflated
+}
+
+// TestWeightMonotonicity: with a fixed schedule on a contention-free
+// platform, inflating every task weight cannot shorten the makespan.
+// There it is a theorem of the forward pass (score.go): every time is
+// built from the weights by rounded +, / by a positive speed and max,
+// all monotone, and the first booking is at 0. Under datacenter
+// contention it is false (TestWeightAnomalyUnderContention).
 func TestWeightMonotonicity(t *testing.T) {
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		w, s, p := randomCase(r)
-		base := MeanWeights(w)
-		inflated := make([]float64, len(base))
-		for i, x := range base {
-			inflated[i] = x * (1 + r.Float64())
-		}
+		w, s, p, base, inflated := inflatedCase(seed)
+		p.DCBandwidth = 0
 		a, err1 := Run(w, p, s, base)
 		b, err2 := Run(w, p, s, inflated)
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		return b.Makespan >= a.Makespan-1e-9
+		return b.Makespan >= a.Makespan
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestWeightAnomalyUnderContention pins the input that used to break
+// TestWeightMonotonicity when its seeds came from the clock: on a
+// fluid platform (DCBandwidth 57.9 against VM links of 50; 9 tasks on
+// 4 VMs) heavier tasks finish the workflow sooner, 99.44 → 98.82, both
+// runs booking at 0. The cause is bandwidth-sharing desynchronisation:
+// at the mean weights t1 finishes at 55.57 and uploads its 155.9-byte
+// external output while t5 and t8 stage their inputs, so the three
+// flows split the datacenter's bandwidth and t5 stages for 33.65 s; at
+// the inflated weights t1 finishes at 77.90, after t5's staging — 30.80
+// s for the same bytes — and t5 and t7, the last task, move earlier.
+// Without contention the same inputs obey monotonicity.
+func TestWeightAnomalyUnderContention(t *testing.T) {
+	w, s, p, base, inflated := inflatedCase(7084428547402602402)
+	if p.DCBandwidth == 0 || w.NumTasks() != 9 || s.NumVMs() != 4 {
+		t.Fatalf("the pinned input changed: DCBandwidth %v, %d tasks, %d VMs", p.DCBandwidth, w.NumTasks(), s.NumVMs())
+	}
+	a, err := Run(w, p, s, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(w, p, s, inflated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Makespan >= a.Makespan || a.FirstBook != 0 || b.FirstBook != 0 {
+		t.Fatalf("makespan %v → %v (first booking %v, %v): the anomaly is gone", a.Makespan, b.Makespan, a.FirstBook, b.FirstBook)
+	}
+	staging := func(r *Result, t int) float64 { return r.Tasks[t].ComputeStart - r.Tasks[t].StageStart }
+	if w.TasksView()[1].ExternalOut == 0 || a.Tasks[1].Finish >= b.Tasks[5].StageStart+staging(b, 5) ||
+		b.Tasks[1].Finish <= b.Tasks[5].StageStart+staging(b, 5) || staging(b, 5) >= staging(a, 5) {
+		t.Fatalf("t1 finishes at %v then %v; t5 stages %v → %v s from %v: not the documented mechanism",
+			a.Tasks[1].Finish, b.Tasks[1].Finish, staging(a, 5), staging(b, 5), b.Tasks[5].StageStart)
+	}
+	p.DCBandwidth = 0
+	if a, b := mustRun(t, w, p, s, base), mustRun(t, w, p, s, inflated); b < a {
+		t.Fatalf("without contention the makespan still falls: %v → %v", a, b)
+	}
+}
+
+func mustRun(t *testing.T, w *wf.Workflow, p *platform.Platform, s *plan.Schedule, weights []float64) float64 {
+	t.Helper()
+	r, err := Run(w, p, s, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.Makespan
 }
 
 // TestSigmaZeroStochasticEqualsMean: sampling with σ=0 is exactly the

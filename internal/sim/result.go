@@ -192,7 +192,7 @@ func (r *Result) CriticalPath() []wf.TaskID {
 // HEFTBUDG+, Algorithm 5's simulate()).
 func ConservativeWeights(w *wf.Workflow) []float64 {
 	out := make([]float64, w.NumTasks())
-	for _, t := range w.Tasks() {
+	for _, t := range w.TasksView() {
 		out[t.ID] = t.Weight.Conservative()
 	}
 	return out

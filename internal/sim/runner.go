@@ -31,6 +31,8 @@ type Runner struct {
 
 	span *obs.Span // optional tracing parent, see SetSpan
 	reps int       // executions since SetSpan, numbers the children
+
+	moves moveCheckpoint // ScoreMove's, built on first use
 }
 
 // SetSpan attaches a tracing span to the Runner: every subsequent
@@ -54,7 +56,7 @@ func NewRunner(w *wf.Workflow, p *platform.Platform, s *plan.Schedule) (*Runner,
 		dists: make([]stoch.Dist, w.NumTasks()),
 		buf:   make([]float64, w.NumTasks()),
 	}
-	for _, t := range w.Tasks() {
+	for _, t := range w.TasksView() {
 		r.dists[t.ID] = t.Weight
 	}
 	return r, nil
@@ -70,7 +72,11 @@ func NewRunner(w *wf.Workflow, p *platform.Platform, s *plan.Schedule) (*Runner,
 // rewrites s must Rebind before the next Run — also after a failed
 // Rebind, which leaves the Runner bound to the schedule it had.
 func (r *Runner) Rebind(s *plan.Schedule) error {
-	return r.eng.st.bind(s)
+	if err := r.eng.st.bind(s); err != nil {
+		return err
+	}
+	r.moves.valid = false
+	return nil
 }
 
 // Run simulates one execution under the given realized weights. The
@@ -93,8 +99,9 @@ func (r *Runner) Run(weights []float64) (*Result, error) {
 // report for these weights, bit for bit, for callers that read nothing
 // else of a Result. Where event order cannot change a float — no
 // datacenter bandwidth sharing and no per-byte transfer surcharge — it
-// is one forward pass over the schedule with no event loop (score.go);
-// on any other platform it runs Run. Either way it applies Run's
+// is one forward pass over the schedule in a topological order worked
+// out once per binding, with no event loop (score.go); on any other
+// platform it runs Run. Either way it applies Run's
 // checks, records the same "replication" span and invalidates the
 // previous Result.
 func (r *Runner) Score(weights []float64) (makespan, cost float64, err error) {
@@ -123,6 +130,7 @@ func (r *Runner) begin(weights []float64, rewind func([]float64) error) (*obs.Sp
 	if err := rewind(weights); err != nil {
 		return nil, err
 	}
+	r.moves.valid = false
 	if r.span == nil {
 		return nil, nil
 	}

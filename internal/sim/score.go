@@ -1,92 +1,114 @@
 package sim
 
-import "math"
+import (
+	"math"
+
+	"budgetwf/internal/wf"
+)
 
 // score computes what run would report as Result.Makespan and
 // Result.TotalCost — and how many VMs it would book — in one forward
 // pass over the bound schedule, after a rewind. It is exact only where
 // st.exact holds: without bandwidth sharing every duration is known
 // when its phase starts, so a task's times follow from its VM's
-// previous task and its inputs' arrivals alone, and every fold below
-// (a VM's end, a task's last arrival, the first booking) is a max or a
-// min, which no processing order can change. The arithmetic is the
-// event loop's, operand for operand; run is the oracle in score_test.go.
+// previous task and its inputs' arrivals alone. run is the oracle in
+// score_test.go.
 func (e *Exec) score() (makespan, cost float64, booked int, err error) {
+	order := e.passOrder()
+	if n := len(e.st.s.TaskVM); len(order) < n {
+		return 0, 0, 0, errDeadlock(len(order), n)
+	}
+	e.pass(e.VMs, order, e.st.s.TaskVM, e.dcReadyTime, math.Inf(1), 0, math.Inf(1))
+	makespan, cost, booked = e.collectScore()
+	return makespan, cost, booked, nil
+}
+
+// pass runs the tasks of order, which must be a topological order of
+// the DAG and of every VM's order under taskVM, on the VM table vms,
+// keeping each task's finish time in fin. Each task pulls its crossing
+// inputs in edge-index order: an input's arrival at the datacenter is
+// folded into its source VM's End and the task's data-ready time, and
+// its size into the staging volume, summed in bind's order. Then:
+// start = the boot's end on a VM's first task, else max(freeAt,
+// dataReady); staging adds XferLat + stageSize/CatBandwidth; compute
+// adds w/speed. The arithmetic is the event loop's, operand for
+// operand, and every fold is a max or a min, so any such order gives
+// the same bits.
+//
+// first and last carry the earliest booking and the latest VM End so
+// far. The pass stops, returning false, once last − first reaches
+// bound: last only grows, first only shrinks and rounded subtraction
+// is monotone, so the finished makespan would reach bound too.
+func (e *Exec) pass(vms []VM, order []wf.TaskID, taskVM []int, fin []float64, first, last, bound float64) (float64, float64, bool) {
 	st, p := e.st, e.st.p
-	taskVM := st.s.TaskVM
-	if cap(e.ready) < len(e.VMs) {
-		e.ready = make([]int, 0, len(e.VMs))
-	}
-	ready := e.ready[:0]
-	for v := range e.VMs {
-		if q := e.VMs[v].Queue; len(q) > 0 && e.missing[q[0]] == 0 {
-			ready = append(ready, v)
+	tasks := st.w.TasksView()
+	for _, u := range order {
+		v := taskVM[u]
+		stage, ready := tasks[u].ExternalIn, 0.0
+		for _, ei := range st.in.of(u) {
+			edge := &st.edges[ei]
+			sv := taskVM[edge.From]
+			if sv == v {
+				continue // data stays local
+			}
+			stage += edge.Size
+			src := &vms[sv]
+			at := fin[edge.From]
+			if edge.Size != 0 {
+				at = at + p.XferLat(src.Cat) + edge.Size/p.CatBandwidth(src.Cat)
+			}
+			if at > src.End {
+				src.End = at
+			}
+			if at > last {
+				last = at
+			}
+			if at > ready {
+				ready = at
+			}
 		}
-	}
-	done := 0
-	for len(ready) > 0 {
-		v := ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		vm := &e.VMs[v]
-		speed := p.Categories[vm.Cat].Speed
+		vm := &vms[v]
 		lat, bw := p.XferLat(vm.Cat), p.CatBandwidth(vm.Cat)
-		for ; vm.Next < len(vm.Queue); vm.Next++ {
-			t := vm.Queue[vm.Next]
-			if e.missing[t] > 0 {
-				break // a later pop resumes here, once t's inputs are in
+		now := vm.freeAt
+		if !vm.Booked {
+			// Booked the instant the first task's data is at the
+			// datacenter; the task starts when the boot ends.
+			vm.Booked, vm.BookTime = true, ready
+			vm.BootDone = ready + p.CatBootTime(vm.Cat)
+			now = vm.BootDone
+			if ready < first {
+				first = ready
 			}
-			now := vm.freeAt
-			if !vm.Booked {
-				// Booked the instant the first task's data is at the
-				// datacenter; the task starts when the boot ends.
-				vm.Booked = true
-				vm.BookTime = e.dcReadyTime[t]
-				vm.BootDone = vm.BookTime + p.CatBootTime(vm.Cat)
-				now = vm.BootDone
-			} else if at := e.dcReadyTime[t]; at > now {
-				now = at
+		} else if ready > now {
+			now = ready
+		}
+		if stage > 0 {
+			now = now + lat + stage/bw
+		}
+		now += e.weights[u] / p.Categories[vm.Cat].Speed
+		vm.freeAt, fin[u] = now, now
+		if now > vm.End {
+			vm.End = now
+		}
+		if out := tasks[u].ExternalOut; out > 0 {
+			if at := now + lat + out/bw; at > vm.End {
+				vm.End = at
 			}
-			if size := st.stageSize[t]; size > 0 {
-				now = now + lat + size/bw
-			}
-			now += e.weights[t] / speed
-			vm.freeAt = now
-			if now > vm.End {
-				vm.End = now
-			}
-			for _, ei := range st.out.of(t) {
-				edge := st.edges[ei]
-				to := edge.To
-				if taskVM[to] == v {
-					continue // data stays local
-				}
-				at := now
-				if edge.Size != 0 {
-					at = now + lat + edge.Size/bw
-				}
-				if at > vm.End {
-					vm.End = at
-				}
-				if at > e.dcReadyTime[to] {
-					e.dcReadyTime[to] = at
-				}
-				e.missing[to]--
-				if u := &e.VMs[taskVM[to]]; e.missing[to] == 0 && u.Queue[u.Next] == to {
-					ready = append(ready, taskVM[to])
-				}
-			}
-			if out := st.w.TasksView()[t].ExternalOut; out > 0 {
-				if at := now + lat + out/bw; at > vm.End {
-					vm.End = at
-				}
-			}
-			done++
+		}
+		if vm.End > last {
+			last = vm.End
+		}
+		if last-first >= bound {
+			return first, last, false
 		}
 	}
-	if n := st.w.NumTasks(); done < n {
-		return 0, 0, 0, errDeadlock(done, n)
-	}
-	// collect's arithmetic: VM costs summed in VM-index order.
+	return first, last, true
+}
+
+// collectScore is collect's arithmetic over the VM table: VM costs
+// summed in VM-index order, unbooked VMs skipped.
+func (e *Exec) collectScore() (makespan, cost float64, booked int) {
+	p := e.st.p
 	firstBook, lastEvent, vmCost := math.Inf(1), 0.0, 0.0
 	for i := range e.VMs {
 		vm := &e.VMs[i]
@@ -105,6 +127,84 @@ func (e *Exec) score() (makespan, cost float64, booked int, err error) {
 	if math.IsInf(firstBook, 1) {
 		firstBook = 0
 	}
-	dcCost := p.DCCost(st.dcIn, st.dcOut, firstBook, lastEvent)
-	return lastEvent - firstBook, dcCost + vmCost, booked, nil
+	dcCost := p.DCCost(e.st.dcIn, e.st.dcOut, firstBook, lastEvent)
+	return lastEvent - firstBook, dcCost + vmCost, booked
+}
+
+// passOrder returns the bound schedule's pass order, worked out once
+// per bind in O(n + e): ListT where it is a topological permutation of
+// every task that each VM's order follows — what every planner binds —
+// else Kahn's order over the DAG plus each VM's chain, which falls
+// short of n tasks exactly when the per-VM orders deadlock. It borrows
+// the engine's missing and the static's pos as scratch.
+func (e *Exec) passOrder() []wf.TaskID {
+	st := e.st
+	if st.ordered {
+		return st.order
+	}
+	st.ordered = true
+	s, rank := st.s, e.missing
+	st.listTopo = len(s.ListT) == len(rank)
+	if st.listTopo {
+		for t := range rank {
+			rank[t] = -1
+		}
+		for i, t := range s.ListT {
+			if t < 0 || int(t) >= len(rank) || rank[t] >= 0 {
+				st.listTopo = false
+				break
+			}
+			rank[t] = i
+		}
+	}
+	for i := 0; st.listTopo && i < len(st.edges); i++ {
+		st.listTopo = rank[st.edges[i].From] < rank[st.edges[i].To]
+	}
+	follows := st.listTopo
+	for _, o := range s.Order {
+		for i := 1; follows && i < len(o); i++ {
+			follows = rank[o[i-1]] < rank[o[i]]
+		}
+	}
+	if follows {
+		st.order = s.ListT
+		return st.order
+	}
+	indeg, pos := e.missing, st.pos
+	for t := range indeg {
+		indeg[t] = len(st.in.of(wf.TaskID(t)))
+	}
+	for _, o := range s.Order {
+		for i, t := range o {
+			pos[t] = i
+			if i > 0 {
+				indeg[t]++
+			}
+		}
+	}
+	if cap(st.orderBuf) < len(indeg) {
+		st.orderBuf = make([]wf.TaskID, 0, len(indeg))
+	}
+	order := st.orderBuf[:0]
+	for t, d := range indeg {
+		if d == 0 {
+			order = append(order, wf.TaskID(t))
+		}
+	}
+	release := func(t wf.TaskID) {
+		if indeg[t]--; indeg[t] == 0 {
+			order = append(order, t)
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		t := order[i]
+		for _, ei := range st.out.of(t) {
+			release(st.edges[ei].To)
+		}
+		if o := s.Order[s.TaskVM[t]]; pos[t]+1 < len(o) {
+			release(o[pos[t]+1])
+		}
+	}
+	st.order = order
+	return order
 }
