@@ -69,7 +69,7 @@ func TestCheckGatesDaemonBaseline(t *testing.T) {
 	if err := run([]string{"-check", "-suite", "daemon", "-out", dir}, &out); err != nil {
 		t.Fatalf("committed daemon baseline fails -check: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "warm/cold allocs_per_op") || !strings.Contains(out.String(), "fresh heftbudg plan") {
+	if !strings.Contains(out.String(), "warm-canonical - warm allocs_per_op") || !strings.Contains(out.String(), "fresh heftbudg plan") {
 		t.Errorf("check output lacks the gate report:\n%s", out.String())
 	}
 

@@ -150,7 +150,7 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 			}
 			picks[t].refresh(c)
 		}
-		for _, e := range w.Succ(bestTask) {
+		for _, e := range ctx.succ[bestTask] {
 			remaining[e.To]--
 			if remaining[e.To] == 0 {
 				ready[e.To] = true

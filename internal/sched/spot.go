@@ -113,7 +113,7 @@ func demoteSinksToOnDemand(w *wf.Workflow, p *platform.Platform, s *plan.Schedul
 		}
 		hostsSink := false
 		for _, t := range s.Order[v] {
-			if len(w.Succ(t)) == 0 {
+			if w.NumSucc(t) == 0 {
 				hostsSink = true
 				break
 			}

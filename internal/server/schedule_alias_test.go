@@ -479,6 +479,8 @@ func TestRejectedBodiesAreNeverAliased(t *testing.T) {
 		{"truncated JSON", []byte(`{"workflow": {"name": "x"`), http.StatusBadRequest},
 		{"unknown field", []byte(`{"workflow": {}, "algorithm": "heft", "bogus": 1}`), http.StatusBadRequest},
 		{"trailing data", append(scheduleBody(t, wfJSON, "heft", 1), " {}"...), http.StatusBadRequest},
+		{"trailing }", append(scheduleBody(t, wfJSON, "heft", 1), '}'), http.StatusBadRequest},
+		{"trailing ]", append(scheduleBody(t, wfJSON, "heft", 1), "\n]"...), http.StatusBadRequest},
 		{"negative budget", scheduleBody(t, wfJSON, "heftbudg", -1), http.StatusBadRequest},
 		{"unknown algorithm", scheduleBody(t, wfJSON, "no-such-planner", 10), http.StatusUnprocessableEntity},
 		{"cyclic workflow", scheduleBody(t, cyclic, "heft", 10), http.StatusUnprocessableEntity},

@@ -36,14 +36,14 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 }
 
 // workflowJSON renders a generated Montage instance in the wire format.
-func workflowJSON(t *testing.T, n int, seed uint64) json.RawMessage {
+func workflowJSON(t testing.TB, n int, seed uint64) json.RawMessage {
 	t.Helper()
 	return familyWorkflowJSON(t, wfgen.Montage, n, seed)
 }
 
 // familyWorkflowJSON renders a generated instance of any family in the
 // wire format.
-func familyWorkflowJSON(t *testing.T, typ wfgen.Type, n int, seed uint64) json.RawMessage {
+func familyWorkflowJSON(t testing.TB, typ wfgen.Type, n int, seed uint64) json.RawMessage {
 	t.Helper()
 	w, err := wfgen.Generate(typ, n, seed)
 	if err != nil {
@@ -57,7 +57,7 @@ func familyWorkflowJSON(t *testing.T, typ wfgen.Type, n int, seed uint64) json.R
 }
 
 // scheduleBody builds a /v1/schedule request body.
-func scheduleBody(t *testing.T, wfJSON json.RawMessage, alg string, budget float64) []byte {
+func scheduleBody(t testing.TB, wfJSON json.RawMessage, alg string, budget float64) []byte {
 	t.Helper()
 	b, err := json.Marshal(map[string]any{
 		"workflow":  wfJSON,
@@ -277,17 +277,23 @@ func TestMetricsCacheDisabledServer(t *testing.T) {
 	}
 }
 
+// malformedScheduleBodies are /v1/schedule bodies the strict decoder
+// refuses.
+var malformedScheduleBodies = map[string]string{
+	"truncated":     `{"workflow":`,
+	"not JSON":      `planning, please`,
+	"unknown field": `{"workflow": {}, "algorithm": "heft", "budge": 3}`,
+	"trailing":      `{"algorithm": "heft"} {"again": true}`,
+	"trailing }":    `{"algorithm": "heft"}}`,
+	"trailing ]":    `{"algorithm": "heft"}]`,
+}
+
 func TestScheduleMalformedJSONIs400(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for name, body := range map[string]string{
-		"truncated":     `{"workflow":`,
-		"not JSON":      `planning, please`,
-		"unknown field": `{"workflow": {}, "algorithm": "heft", "budge": 3}`,
-		"trailing":      `{"algorithm": "heft"} {"again": true}`,
-	} {
+	for name, body := range malformedScheduleBodies {
 		code, data, _ := post(t, ts, "/v1/schedule", []byte(body))
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400 (body %s)", name, code, data)

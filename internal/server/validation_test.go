@@ -217,6 +217,23 @@ func TestValidationStatuses(t *testing.T) {
 	}
 }
 
+// TestTrailingBracketsAre400: every endpoint that decodes a JSON body
+// refuses a stray closing bracket after it, as it refuses any other
+// trailing data.
+func TestTrailingBracketsAre400(t *testing.T) {
+	s := poolTestServer(t)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, path := range []string{"/v1/schedule", "/v1/simulate", "/v1/sweep", "/v1/jobs", "/v1/shards", "/v1/workers", "/v1/submit"} {
+		for _, tail := range []string{"}", "]", " \n}"} {
+			code, data, _ := post(t, ts, path, []byte("{}"+tail))
+			if code != http.StatusBadRequest || errorOf(t, data) != "malformed request body: trailing data after JSON body" {
+				t.Errorf("%s with %q after the body: %d (%s), want the 400 for trailing data", path, tail, code, data)
+			}
+		}
+	}
+}
+
 // TestFailClassifies drives the one error → status mapping directly.
 func TestFailClassifies(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})

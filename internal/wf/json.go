@@ -1,6 +1,7 @@
 package wf
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -52,11 +53,24 @@ func (wf *Workflow) WriteJSON(w io.Writer) error {
 	return enc.Encode(jw)
 }
 
-// ReadJSON parses a workflow previously produced by WriteJSON (or
-// hand-written in the same format) and validates it.
+// ReadJSON reads a workflow previously produced by WriteJSON (or
+// hand-written in the same format) to the end and decodes and
+// validates it with Decode.
 func ReadJSON(r io.Reader) (*Workflow, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("wf: decoding workflow: %w", err)
+	}
+	return Decode(b)
+}
+
+// decodeReflect is the encoding/json decoder Decode falls back on
+// whenever its one-pass path declines; that path's fuzz test holds it
+// to this one. Like any json.Decoder it reads the first JSON value and
+// ignores what follows.
+func decodeReflect(b []byte) (*Workflow, error) {
 	var jw jsonWorkflow
-	dec := json.NewDecoder(r)
+	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&jw); err != nil {
 		return nil, fmt.Errorf("wf: decoding workflow: %w", err)
@@ -94,10 +108,9 @@ func (wf *Workflow) SaveFile(path string) error {
 
 // LoadFile reads and validates a workflow from the named file.
 func LoadFile(path string) (*Workflow, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadJSON(f)
+	return Decode(b)
 }
