@@ -13,12 +13,13 @@
 // them (what CI does — schema intact, case list unchanged, and the
 // same-run relations of bench.GateDaemon — a warm cache hit allocates
 // less than a canonical-key hit by at least what decoding and hashing
-// the workflow allocate and no more than a fresh plan, stays far
+// the workflow allocate and at most 150 objects, stays far
 // below a cold request in time, and
 // the workflow decodes in at most 24 allocations — bench.GatePlanner — a
 // HEFTBUDG+ plan allocates like a list planner, not per candidate, and
-// takes at most 40× HEFTBUDG's time at n=50, and MIN-MINBUDG stays
-// within 15× of HEFTBUDG's time at n=1000 —
+// takes at most 40× HEFTBUDG's time at n=50, MIN-MINBUDG stays within
+// 15× of HEFTBUDG's time at n=1000, and HEFTBUDG, CG and BDT allocate
+// per plan, at most 2× at n=1000 what they do at n=50 —
 // bench.GateSim — a replication batch allocates per batch, not per
 // execution, and scoring it takes at most half of simulating it — and
 // bench.GateEst — an analytic estimate allocates a fixed handful of

@@ -184,11 +184,12 @@ func TestPlannerSuiteCoversTheGrid(t *testing.T) {
 
 // TestGatePlanner: the gate passes a run in which HEFTBUDG+ allocates
 // like the list planner it starts from and takes a bounded multiple of
-// its time, and MIN-MINBUDG stays within a small factor of HEFTBUDG;
-// it fails one in which a refinement plan allocates per candidate
-// again, re-simulates every candidate in full again, or MIN-MINBUDG
-// re-scans like it did before its picks were cached — on whichever
-// family — and rejects a run that lacks the cases it reads.
+// its time, MIN-MINBUDG stays within a small factor of HEFTBUDG, and
+// the list planners allocate per plan; it fails one in which a
+// refinement plan allocates per candidate again, re-simulates every
+// candidate in full again, MIN-MINBUDG re-scans like it did before its
+// picks were cached, or a list planner allocates per VM again — on
+// whichever family — and rejects a run that lacks the cases it reads.
 func TestGatePlanner(t *testing.T) {
 	run := func(refinedAllocs map[string]int64, minMinNs map[string]float64, refinedNs ...float64) *File {
 		f := &File{SchemaVersion: SchemaVersion, Suite: "planner"}
@@ -200,8 +201,21 @@ func TestGatePlanner(t *testing.T) {
 			f.Results = append(f.Results,
 				Result{Case: fmt.Sprintf("heftbudg/%s/n0050", typ), Iterations: 10, NsPerOp: 60e3, AllocsPerOp: 240, OpsPerSec: 1},
 				Result{Case: fmt.Sprintf("heftbudg+/%s/n0050", typ), Iterations: 10, NsPerOp: ns, AllocsPerOp: refinedAllocs[string(typ)], OpsPerSec: 1},
-				Result{Case: fmt.Sprintf("heftbudg/%s/n1000", typ), Iterations: 3, NsPerOp: 10e6, AllocsPerOp: 4400, OpsPerSec: 1},
-				Result{Case: fmt.Sprintf("minminbudg/%s/n1000", typ), Iterations: 3, NsPerOp: minMinNs[string(typ)], AllocsPerOp: 9000, OpsPerSec: 1})
+				Result{Case: fmt.Sprintf("heftbudg/%s/n1000", typ), Iterations: 3, NsPerOp: 10e6, AllocsPerOp: 280, OpsPerSec: 1},
+				Result{Case: fmt.Sprintf("minminbudg/%s/n1000", typ), Iterations: 3, NsPerOp: minMinNs[string(typ)], AllocsPerOp: 9000, OpsPerSec: 1},
+				Result{Case: fmt.Sprintf("cg/%s/n0050", typ), Iterations: 10, NsPerOp: 60e3, AllocsPerOp: 250, OpsPerSec: 1},
+				Result{Case: fmt.Sprintf("cg/%s/n1000", typ), Iterations: 3, NsPerOp: 10e6, AllocsPerOp: 290, OpsPerSec: 1},
+				Result{Case: fmt.Sprintf("bdt/%s/n0050", typ), Iterations: 10, NsPerOp: 60e3, AllocsPerOp: 300, OpsPerSec: 1},
+				Result{Case: fmt.Sprintf("bdt/%s/n1000", typ), Iterations: 3, NsPerOp: 10e6, AllocsPerOp: 600, OpsPerSec: 1})
+		}
+		return f
+	}
+	// withAllocs sets one case's allocations in a run.
+	withAllocs := func(f *File, name string, allocs int64) *File {
+		for i := range f.Results {
+			if f.Results[i].Case == name {
+				f.Results[i].AllocsPerOp = allocs
+			}
 		}
 		return f
 	}
@@ -211,8 +225,21 @@ func TestGatePlanner(t *testing.T) {
 	if err != nil {
 		t.Errorf("healthy run rejected: %v", err)
 	}
-	if len(report) != 2*len(plannerFamilies) {
-		t.Errorf("report has %d lines, want two per family: %q", len(report), report)
+	if len(report) != 3*len(plannerFamilies) {
+		t.Errorf("report has %d lines, want three per family: %q", len(report), report)
+	}
+	// HEFTBUDG appending per VM again: the committed suite read 150–189
+	// at n = 50 and 2717–3051 at n = 1000 before the planners allocated
+	// per plan.
+	_, err = GatePlanner(withAllocs(run(healthyAllocs, healthyNs), "heftbudg/ligo/n1000", 3051))
+	if err == nil || !strings.Contains(err.Error(), "heftbudg/ligo/n1000 allocates 3051 objects per op, more than 2× heftbudg/ligo/n0050's 240") {
+		t.Errorf("per-VM growth not reported: %v", err)
+	}
+	if strings.Contains(err.Error(), "cybershake") {
+		t.Errorf("healthy family reported: %v", err)
+	}
+	if _, err := GatePlanner(withAllocs(run(healthyAllocs, healthyNs), "bdt/montage/n1000", 601)); err == nil {
+		t.Error("2.003x BDT's allocations at n=50 accepted")
 	}
 	// One clone and one engine per candidate: what the suite measured
 	// before the in-place evaluator.
@@ -257,7 +284,7 @@ func TestGatePlanner(t *testing.T) {
 	if _, err := GatePlanner(run(healthyAllocs, healthyNs, 2.4e6)); err != nil {
 		t.Errorf("exactly 40x rejected: %v", err)
 	}
-	for _, drop := range []string{"heftbudg+/montage/n0050", "minminbudg/montage/n1000"} {
+	for _, drop := range []string{"heftbudg+/montage/n0050", "minminbudg/montage/n1000", "cg/ligo/n1000"} {
 		missing := run(healthyAllocs, healthyNs)
 		kept := missing.Results[:0]
 		for _, r := range missing.Results {
@@ -276,7 +303,7 @@ func TestGatePlanner(t *testing.T) {
 // parse and is far cheaper than a cold request and the workflow
 // decodes in a handful of allocations, and names the relation a run
 // breaks: warm allocations creeping back to a canonical hit's
-// (deterministic), both hits growing alike past a fresh plan's, warm
+// (deterministic), both hits growing alike past maxWarmAllocs, warm
 // time creeping back towards a cold request's, or the decoder
 // allocating per task again.
 func TestGateDaemon(t *testing.T) {
@@ -305,15 +332,22 @@ func TestGateDaemon(t *testing.T) {
 		t.Errorf("warm allocations at a canonical hit's passed the gate: %v", err)
 	}
 	// Growth both hits share — writing the hit, the round trip — keeps
-	// their difference and is caught against the fresh plan instead.
+	// their difference and is caught by the warm hit's own ceiling.
 	shared := run(119+60, 70_000)
 	for i, r := range shared.Results {
 		if r.Case == "schedule-warm-canonical/montage/n0050" {
 			shared.Results[i].AllocsPerOp += 60
 		}
 	}
-	if _, err := GateDaemon(shared); err == nil || !strings.Contains(err.Error(), "more than plan-fresh's") {
-		t.Errorf("warm and canonical hits grown alike past a fresh plan passed the gate: %v", err)
+	if _, err := GateDaemon(shared); err == nil || !strings.Contains(err.Error(), "schedule-warm allocates 179 objects per op, more than 150") {
+		t.Errorf("warm and canonical hits grown alike past maxWarmAllocs passed the gate: %v", err)
+	}
+	// A fresh plan cheaper than a warm hit is healthy: HEFTBUDG at n = 50
+	// allocates 32 objects since the planners allocate per plan.
+	cheapPlan := run(119, 70_000)
+	cheapPlan.Results[0].AllocsPerOp = 32
+	if _, err := GateDaemon(cheapPlan); err != nil {
+		t.Errorf("a fresh plan allocating less than a warm hit failed the gate: %v", err)
 	}
 	if _, err := GateDaemon(run(119, 560_000)); err == nil || !strings.Contains(err.Error(), "ns per op") {
 		t.Errorf("warm time at 70%% of cold passed the gate: %v", err)

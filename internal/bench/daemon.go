@@ -144,24 +144,26 @@ const spellingMark = "@spelling@"
 // net/http's) and finds the same entry, but decodes and hashes the
 // workflow first: a warm hit must allocate at least those two layers'
 // objects fewer. That difference cancels growth the two hits share —
-// writing the hit, the round trip, the alias lookup — so the warm hit
-// must also allocate no more than planning the workflow afresh does.
-// (A ratio to schedule-cold served while decoding allocated per task;
-// at 10 objects a decode no longer separates the two.) The decoder's
+// writing the hit, the round trip, the alias lookup — so the warm hit's
+// own count is bounded too, by maxWarmAllocs: it reads 116–120. (A
+// ratio to schedule-cold served while decoding allocated per task; at
+// 10 objects a decode no longer separates the two. A fresh HEFTBUDG
+// plan's count served while planning allocated per placement; at 32
+// objects a plan is far below any warm hit.) The decoder's
 // own count is absolute: its one-pass path allocates a fixed handful
 // of objects whatever the workflow's size, where encoding/json's
 // reflection allocated 271 at n = 50.
 const (
 	maxWarmColdTime = 0.25
 	maxDecodeAllocs = 24
+	maxWarmAllocs   = 150
 )
 
 // GateDaemon checks, within one daemon-suite run, that a warm hit
 // skips the parse — it saves the decode's and the canonical hash's
 // allocations over a canonical-key hit and stays well below a cold
-// request in time — that it allocates no more than a fresh plan of
-// the same workflow, and that decoding the workflow stays within
-// maxDecodeAllocs. The warm hit's time against the fresh plan's —
+// request in time — that it allocates at most maxWarmAllocs objects,
+// and that decoding the workflow stays within maxDecodeAllocs. The warm hit's time against the fresh plan's —
 // ROADMAP's "warm hit < fresh plan" figure, which includes an HTTP
 // round trip on one side only — is reported, not enforced.
 func GateDaemon(f *File) (report []string, err error) {
@@ -186,8 +188,8 @@ func GateDaemon(f *File) (report []string, err error) {
 			canonical.AllocsPerOp, warm.AllocsPerOp, canonical.AllocsPerOp-warm.AllocsPerOp, parse),
 		fmt.Sprintf("warm/cold ns_per_op %.0f/%.0f = %.3f (limit %.2f)", warm.NsPerOp, cold.NsPerOp,
 			warm.NsPerOp/cold.NsPerOp, maxWarmColdTime),
-		fmt.Sprintf("warm hit (with its HTTP round trip) / fresh heftbudg plan: ns_per_op %.0f/%.0f = %.2f, allocs_per_op %d/%d (limit: at most plan-fresh's)",
-			warm.NsPerOp, fresh.NsPerOp, warm.NsPerOp/fresh.NsPerOp, warm.AllocsPerOp, fresh.AllocsPerOp),
+		fmt.Sprintf("warm hit (with its HTTP round trip) / fresh heftbudg plan: ns_per_op %.0f/%.0f = %.2f; warm allocs_per_op %d (limit %d)",
+			warm.NsPerOp, fresh.NsPerOp, warm.NsPerOp/fresh.NsPerOp, warm.AllocsPerOp, maxWarmAllocs),
 		fmt.Sprintf("wf-decode allocs_per_op %d (limit %d)", decode.AllocsPerOp, maxDecodeAllocs),
 	}
 	if decode.AllocsPerOp > maxDecodeAllocs {
@@ -198,9 +200,9 @@ func GateDaemon(f *File) (report []string, err error) {
 		return report, fmt.Errorf("bench: daemon gate: schedule-warm allocates %d objects per op, fewer than %d below schedule-warm-canonical's %d",
 			warm.AllocsPerOp, parse, canonical.AllocsPerOp)
 	}
-	if warm.AllocsPerOp > fresh.AllocsPerOp {
-		return report, fmt.Errorf("bench: daemon gate: schedule-warm allocates %d objects per op, more than plan-fresh's %d",
-			warm.AllocsPerOp, fresh.AllocsPerOp)
+	if warm.AllocsPerOp > maxWarmAllocs {
+		return report, fmt.Errorf("bench: daemon gate: schedule-warm allocates %d objects per op, more than %d",
+			warm.AllocsPerOp, maxWarmAllocs)
 	}
 	if warm.NsPerOp > maxWarmColdTime*cold.NsPerOp {
 		return report, fmt.Errorf("bench: daemon gate: schedule-warm takes %.0f ns per op, more than %.0f%% of schedule-cold's %.0f",

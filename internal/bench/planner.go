@@ -93,42 +93,63 @@ func Planner(seed uint64) ([]Case, error) {
 // maxRefineListAllocs bounds, within one planner-suite run, what a
 // HEFTBUDG+ plan may allocate relative to the HEFTBUDG plan it starts
 // from. Refinement evaluates its candidate moves in place on one
-// reusable engine, so it adds the evaluator's buffers and a clone per
-// accepted move: 1.4–1.8× the list planner at n=50. Allocating per
-// candidate again — it was a cloned schedule and a fresh engine each,
-// ≈ 1 200× — fails this by orders of magnitude, on any machine.
+// reusable engine and keeps a move by swapping the Mover's two
+// schedules, so it adds the evaluator's buffers to a list plan that
+// itself allocates per plan (31–32 objects at n=50): the committed
+// baseline reads 2.4–2.6×. Allocating per candidate again — it was a
+// cloned schedule and a fresh engine each, ≈ 1 200× — fails this by
+// orders of magnitude, on any machine.
 const maxRefineListAllocs = 4
 
 // maxRefineListTime bounds, within one planner-suite run, what a
 // HEFTBUDG+ plan may take relative to the HEFTBUDG plan it refines at
 // n = 50 (gateSize). Scoring each candidate move by a forward pass
 // resumed from the moved task, stopped once the move cannot win,
-// reads well under it; re-simulating the whole candidate schedule, as
-// refinement did before, read 31–78× and fails it.
+// reads 8–19× in the committed baseline; re-simulating the whole
+// candidate schedule, as refinement did before, read 31–78× and fails
+// it.
 const maxRefineListTime = 40
 
 // gateSize is the planner-suite size GatePlanner reads the
-// refinement relations at.
+// refinement relations and the small end of the list planners'
+// scaling at.
 const gateSize = 50
 
 // maxMinMinHeftTime bounds, within one planner-suite run, what a
 // MIN-MINBUDG plan may take relative to a HEFTBUDG plan of the same
-// workflow at n = 1000 (minMinGateSize). Table III puts the two within
+// workflow at n = 1000 (largeGateSize). Table III puts the two within
 // a small factor. With each ready task's pick cached (sched.pickCache)
-// the suite reads 4–10×; re-scanning every ready task's whole column
-// every round, as MIN-MIN did before, read 22–42× and fails this.
+// the committed baseline reads 5.6–10.5×; re-scanning every ready
+// task's whole column every round, as MIN-MIN did before, read 22–42×
+// and fails this.
 const maxMinMinHeftTime = 15
 
-// minMinGateSize is the planner-suite size GatePlanner reads the
-// MIN-MINBUDG/HEFTBUDG relation at.
-const minMinGateSize = 1000
+// largeGateSize is the planner-suite size GatePlanner reads the
+// MIN-MINBUDG/HEFTBUDG relation and the list planners' scaling at.
+const largeGateSize = 1000
 
-// GatePlanner checks three relations within one planner-suite run, on
+// maxListScaleAllocs bounds, within one planner-suite run, what a list
+// planner's plan may allocate at n = 1000 (largeGateSize) relative to
+// its plan of the same family at n = 50 (gateSize), for each of
+// scaleGated. A list planner allocates a fixed handful of buffers per
+// plan — the context, the budget shares, its state and the schedule it
+// extracts — so the count moves only by a few appends that double: the
+// committed baseline reads 1.1–1.2×. Appending per VM or per task, as
+// the planners did when every VM kept its own task and slot lists, read
+// 15–18× and fails this.
+const maxListScaleAllocs = 2
+
+// scaleGated are the list planners GatePlanner holds to
+// maxListScaleAllocs.
+var scaleGated = []sched.Name{sched.NameHeftBudg, sched.NameCG, sched.NameBDT}
+
+// GatePlanner checks four relations within one planner-suite run, on
 // every family: HEFTBUDG+ allocates at most maxRefineListAllocs times
 // what HEFTBUDG does at n=50 (allocation counts are deterministic) and
 // takes at most maxRefineListTime times its time — Table III's
-// refinement factor — and MIN-MINBUDG takes at most maxMinMinHeftTime
-// times HEFTBUDG's time at n=1000.
+// refinement factor — MIN-MINBUDG takes at most maxMinMinHeftTime
+// times HEFTBUDG's time at n=1000, and HEFTBUDG, CG and BDT allocate
+// at n=1000 at most maxListScaleAllocs times what they do at n=50.
 func GatePlanner(f *File) (report []string, err error) {
 	byCase := make(map[string]Result, len(f.Results))
 	for _, r := range f.Results {
@@ -136,13 +157,21 @@ func GatePlanner(f *File) (report []string, err error) {
 	}
 	var broken []string
 	for _, typ := range plannerFamilies {
-		pair := func(alg sched.Name, n int) (Result, Result, error) {
-			name := func(alg sched.Name) string { return fmt.Sprintf("%s/%s/n%04d", alg, typ, n) }
-			a, base := byCase[name(alg)], byCase[name(sched.NameHeftBudg)]
-			if a.Case == "" || base.Case == "" {
-				return a, base, fmt.Errorf("bench: planner gate: %s or %s case missing", name(sched.NameHeftBudg), name(alg))
+		get := func(alg sched.Name, n int) (Result, error) {
+			name := fmt.Sprintf("%s/%s/n%04d", alg, typ, n)
+			r, ok := byCase[name]
+			if !ok {
+				return r, fmt.Errorf("bench: planner gate: %s case missing", name)
 			}
-			return a, base, nil
+			return r, nil
+		}
+		pair := func(alg sched.Name, n int) (Result, Result, error) {
+			a, err := get(alg, n)
+			if err != nil {
+				return a, a, err
+			}
+			base, err := get(sched.NameHeftBudg, n)
+			return a, base, err
 		}
 		refined, list, err := pair(sched.NameHeftBudgPlus, gateSize)
 		if err != nil {
@@ -160,7 +189,7 @@ func GatePlanner(f *File) (report []string, err error) {
 			broken = append(broken, fmt.Sprintf("%s takes %.0f ns per op, more than %d× %s's %.0f",
 				refined.Case, refined.NsPerOp, maxRefineListTime, list.Case, list.NsPerOp))
 		}
-		minmin, heft, err := pair(sched.NameMinMinBudg, minMinGateSize)
+		minmin, heft, err := pair(sched.NameMinMinBudg, largeGateSize)
 		if err != nil {
 			return report, err
 		}
@@ -170,6 +199,24 @@ func GatePlanner(f *File) (report []string, err error) {
 			broken = append(broken, fmt.Sprintf("%s takes %.0f ns per op, more than %d× %s's %.0f",
 				minmin.Case, minmin.NsPerOp, maxMinMinHeftTime, heft.Case, heft.NsPerOp))
 		}
+		var scale []string
+		for _, alg := range scaleGated {
+			small, err := get(alg, gateSize)
+			if err != nil {
+				return report, err
+			}
+			large, err := get(alg, largeGateSize)
+			if err != nil {
+				return report, err
+			}
+			scale = append(scale, fmt.Sprintf("%s %d → %d", alg, small.AllocsPerOp, large.AllocsPerOp))
+			if large.AllocsPerOp > maxListScaleAllocs*small.AllocsPerOp {
+				broken = append(broken, fmt.Sprintf("%s allocates %d objects per op, more than %d× %s's %d",
+					large.Case, large.AllocsPerOp, maxListScaleAllocs, small.Case, small.AllocsPerOp))
+			}
+		}
+		report = append(report, fmt.Sprintf("%s allocs n=%d → n=%d: %s (limit %d×)",
+			typ, gateSize, largeGateSize, strings.Join(scale, ", "), maxListScaleAllocs))
 	}
 	if len(broken) > 0 {
 		return report, fmt.Errorf("bench: planner gate: %s", strings.Join(broken, "; "))

@@ -4,24 +4,25 @@ import "budgetwf/internal/wf"
 
 // Mover builds the candidate schedules of the refinement planners
 // (Algorithm 5's "move task t to another used VM or to a fresh VM of
-// each category") in one scratch Schedule, so that evaluating a move
-// allocates nothing. A Mover is not safe for concurrent use.
+// each category") in two scratch Schedules, so that evaluating a move
+// allocates nothing and a kept move needs no copy. A Mover is not safe
+// for concurrent use.
 type Mover struct {
-	s     Schedule
+	s     [2]Schedule
+	arena [2][]wf.TaskID // s[i]'s per-VM orders
 	rank  []int
 	start []int
-	arena []wf.TaskID
 }
 
 // NewMover returns a Mover for schedules of n tasks. No candidate has
 // more than n VMs (none is empty), so nothing grows after this.
 func NewMover(n int) *Mover {
-	return &Mover{
-		s:     Schedule{Order: make([][]wf.TaskID, 0, n)},
-		rank:  make([]int, n),
-		start: make([]int, n+1),
-		arena: make([]wf.TaskID, n),
+	m := &Mover{rank: make([]int, n), start: make([]int, n+1)}
+	for i := range m.s {
+		m.s[i].Order = make([][]wf.TaskID, 0, n)
+		m.arena[i] = make([]wf.TaskID, n)
 	}
+	return m
 }
 
 // Move returns base with task t moved to VM vm — or, when vm is
@@ -31,10 +32,17 @@ func NewMover(n int) *Mover {
 // from ListT. base must have every task assigned and no empty VM (what
 // the planners produce), and vm must differ from base.TaskVM[t].
 //
-// The result is the Mover's scratch schedule: it shares base's ListT,
-// and the next Move overwrites it. Clone it to keep it.
+// The result is whichever of the Mover's two scratch schedules base is
+// not: it shares base's ListT, stays intact while it is the base of
+// the next Moves, and is overwritten by the first Move from another
+// base. So a planner that keeps a move as its next base swaps the two
+// schedules instead of cloning; Clone the result to keep it otherwise.
 func (m *Mover) Move(base *Schedule, t wf.TaskID, vm, cat int) *Schedule {
-	s := &m.s
+	i := 0
+	if base == &m.s[0] {
+		i = 1
+	}
+	s := &m.s[i]
 	s.ListT = base.ListT
 	s.EstMakespan, s.EstCost = base.EstMakespan, base.EstCost
 	s.TaskVM = append(s.TaskVM[:0], base.TaskVM...)
@@ -62,6 +70,6 @@ func (m *Mover) Move(base *Schedule, t wf.TaskID, vm, cat int) *Schedule {
 	}
 	nv := len(s.VMCats)
 	s.Order = s.Order[:nv]
-	s.fillOrder(m.rank, m.start[:nv+1], m.arena)
+	s.fillOrder(m.rank, m.start[:nv+1], m.arena[i])
 	return s
 }

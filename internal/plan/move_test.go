@@ -165,6 +165,45 @@ func TestMoverCloneDetaches(t *testing.T) {
 	}
 }
 
+// A kept candidate that becomes the next base needs no clone: moves
+// from it land in the Mover's other schedule, and the chain of kept
+// moves equals the one built from clones.
+func TestMoverSwapsKeptBase(t *testing.T) {
+	const numCats = 3
+	r := rand.New(rand.NewSource(3))
+	w, base := plan.RandomPlanCase(r)
+	plantest.CompactVMs(base)
+	m := plan.NewMover(w.NumTasks())
+	cur, ref := base, base.Clone()
+	for step := 0; step < 20; step++ {
+		task := wf.TaskID(r.Intn(w.NumTasks()))
+		target := r.Intn(cur.NumVMs() + numCats)
+		if target == cur.TaskVM[task] {
+			continue
+		}
+		vm, cat := target, 0
+		if target >= cur.NumVMs() {
+			vm, cat = -1, target-cur.NumVMs()
+		}
+		snapshot := cur.Clone()
+		next := m.Move(cur, task, vm, cat)
+		if next == cur {
+			t.Fatalf("step %d: Move wrote into its base", step)
+		}
+		if !sameSchedule(cur, snapshot) {
+			t.Fatalf("step %d: Move changed its base:\n got %+v\nwant %+v", step, cur, snapshot)
+		}
+		ref = plan.NewMover(w.NumTasks()).Move(ref, task, vm, cat).Clone()
+		if !sameSchedule(next, ref) {
+			t.Fatalf("step %d: kept chain diverged:\n got %+v\nwant %+v", step, next, ref)
+		}
+		if err := next.Validate(w, numCats); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		cur = next
+	}
+}
+
 func TestMoverDoesNotAllocate(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	w, base := plan.RandomPlanCase(r)

@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"sort"
+	"slices"
 
 	"budgetwf/internal/plan"
 	"budgetwf/internal/platform"
@@ -51,43 +51,50 @@ func bdtOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options) (
 	if err != nil {
 		return nil, err
 	}
-	level, numLevels, err := w.Levels()
+	level, _, err := w.Levels()
 	if err != nil {
 		return nil, err
 	}
-	byLevel := make([][]wf.TaskID, numLevels)
-	for t := 0; t < w.NumTasks(); t++ {
-		byLevel[level[t]] = append(byLevel[level[t]], wf.TaskID(t))
+	// The tasks by level, in ID order within a level.
+	n := w.NumTasks()
+	byLevel := make([]wf.TaskID, n)
+	for t := range byLevel {
+		byLevel[t] = wf.TaskID(t)
 	}
+	slices.SortStableFunc(byLevel, func(a, b wf.TaskID) int { return level[a] - level[b] })
 
-	st := newState(ctx)
+	st := newState(ctx, false)
 	remaining := info.Calc // trickling account, "All in" strategy
-	listT := make([]wf.TaskID, 0, w.NumTasks())
+	listT := make([]wf.TaskID, 0, n)
+	est := make([]float64, n)
+	var cands []candidate
 	totalCost := 0.0
-	for _, tasks := range byLevel {
+	for lo, hi := 0, 0; lo < n; lo = hi {
+		for hi < n && level[byLevel[hi]] == level[byLevel[lo]] {
+			hi++
+		}
 		// Sort the level by increasing earliest start time. All
 		// predecessors live in earlier levels, so the data-arrival
 		// bound is fully determined; the host-availability component
 		// is ignored at sorting time (it depends on the choice BDT is
 		// about to make).
-		est := make(map[wf.TaskID]float64, len(tasks))
+		tasks := byLevel[lo:hi]
 		for _, t := range tasks {
 			est[t] = dataReadyBound(st, t)
 		}
-		sorted := append([]wf.TaskID(nil), tasks...)
-		sort.SliceStable(sorted, func(a, b int) bool {
-			if est[sorted[a]] != est[sorted[b]] {
-				return est[sorted[a]] < est[sorted[b]]
+		slices.SortStableFunc(tasks, func(a, b wf.TaskID) int {
+			if est[a] < est[b] || est[a] == est[b] && a < b {
+				return -1
 			}
-			return sorted[a] < sorted[b]
+			return 1
 		})
 
-		for _, t := range sorted {
+		for _, t := range tasks {
 			if err := opt.stopErr(); err != nil {
 				return nil, err
 			}
 			subBudg := remaining
-			cands := st.candidates(t)
+			cands = st.appendCandidates(cands[:0], t)
 			choice := pickTCTF(cands, subBudg)
 			st.assign(t, choice)
 			remaining -= choice.cost

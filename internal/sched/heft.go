@@ -33,7 +33,7 @@ func heftPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Option
 	if err != nil {
 		return nil, err
 	}
-	st := newState(ctx)
+	st := newState(ctx, opt.Insertion)
 	account := optPot{disabled: opt.DisablePot}
 	totalCost := 0.0
 	for _, t := range order {
@@ -50,7 +50,7 @@ func heftPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Option
 			if opt.Insertion {
 				traceCandidates(opt.span, st.candidatesInsertion(t), t, allowance)
 			} else {
-				traceCandidates(opt.span, st.candidates(t), t, allowance)
+				traceCandidates(opt.span, st.appendCandidates(nil, t), t, allowance)
 			}
 		}
 		var c candidate
@@ -71,12 +71,7 @@ func heftPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Option
 			tracePlace(opt.span, t, c)
 		}
 	}
-	var out *plan.Schedule
-	if opt.Insertion {
-		out = st.extractSlotted(order)
-	} else {
-		out = st.extract(order)
-	}
+	out := st.extract(order)
 	out.EstCost = totalCost + initSpent(out, p)
 	if info != nil {
 		out.EstCost += info.DCReserve

@@ -1,11 +1,6 @@
 package sched
 
-import (
-	"sort"
-
-	"budgetwf/internal/plan"
-	"budgetwf/internal/wf"
-)
+import "budgetwf/internal/wf"
 
 // Insertion-based placement: the original HEFT formulation looks for
 // the earliest idle *gap* in a host's timeline that fits the task,
@@ -22,7 +17,7 @@ import (
 // task's data is ready, so prepending a task would shift the boot
 // earlier and planner and engine would disagree on the timeline.
 
-// slotted returns the candidate for task t inserted into the earliest
+// evalInsertion returns the candidate for task t inserted into the earliest
 // fitting gap of VM v, mirroring eval()'s cost accounting. Feasible
 // only when the VM already has at least one slot.
 func (s *state) evalInsertion(t wf.TaskID, vmIdx int) (candidate, bool) {
@@ -97,42 +92,4 @@ func (s *state) assignInsertion(t wf.TaskID, c candidate) {
 	}
 	s.taskVM[t] = c.vm
 	s.finish[t] = c.eft
-}
-
-// orderFromSlots returns the VM's tasks in execution (slot) order.
-func (vm *vmSt) orderFromSlots() []wf.TaskID {
-	out := make([]wf.TaskID, len(vm.slots))
-	for i, sl := range vm.slots {
-		out[i] = sl.task
-	}
-	return out
-}
-
-// extractSlotted builds the schedule from slot-ordered VMs; ListT is
-// the planning order (for reference), but Order comes from the slots.
-func (s *state) extractSlotted(listT []wf.TaskID) *plan.Schedule {
-	out := plan.New(s.ctx.w.NumTasks())
-	out.ListT = append([]wf.TaskID(nil), listT...)
-	for _, vm := range s.vms {
-		out.AddVM(vm.cat)
-	}
-	for i := range s.vms {
-		// Slots are kept sorted by construction; sort defensively so a
-		// future refactor cannot silently emit a misordered schedule.
-		sort.SliceStable(s.vms[i].slots, func(a, b int) bool {
-			return s.vms[i].slots[a].start < s.vms[i].slots[b].start
-		})
-		for _, t := range s.vms[i].orderFromSlots() {
-			out.Assign(t, i)
-		}
-	}
-	makespan := 0.0
-	for t := range s.finish {
-		end := s.finish[t] + s.ctx.w.Task(wf.TaskID(t)).ExternalOut/s.ctx.p.CatBandwidth(s.vms[s.taskVM[t]].cat)
-		if end > makespan {
-			makespan = end
-		}
-	}
-	out.EstMakespan = makespan
-	return out
 }

@@ -27,7 +27,7 @@ func planInsertionState(w *wf.Workflow, p *platform.Platform, budget float64) (*
 	if err != nil {
 		return nil, nil, err
 	}
-	st := newState(ctx)
+	st := newState(ctx, true)
 	var account optPot
 	for _, t := range order {
 		allowance := account.allowance(info.Shares[t])
@@ -35,7 +35,7 @@ func planInsertionState(w *wf.Workflow, p *platform.Platform, budget float64) (*
 		st.assign(t, c)
 		account.settle(allowance, c.cost)
 	}
-	return st, st.extractSlotted(order), nil
+	return st, st.extract(order), nil
 }
 
 // TestInsertionSlotTimelineInvariants is the structural property test
@@ -48,7 +48,7 @@ func planInsertionState(w *wf.Workflow, p *platform.Platform, budget float64) (*
 //     earlier than the VM's boot completes;
 //  2. every task occupies exactly one slot, whose end is the planner's
 //     recorded finish time;
-//  3. extractSlotted emits each VM's tasks in slot order;
+//  3. extract emits each VM's tasks in slot order;
 //  4. replaying the schedule in the discrete-event engine under the
 //     planner's own (conservative) weights reproduces each task's
 //     staging start and finish — planner and engine never disagree.
@@ -97,7 +97,7 @@ func TestInsertionSlotTimelineInvariants(t *testing.T) {
 				}
 				prevEnd = sl.end
 			}
-			// extractSlotted's Order must be the slot order.
+			// extract's Order must be the slot order.
 			if len(s.Order[v]) != len(vm.slots) {
 				t.Logf("seed %d: VM %d order len %d != %d slots", seed, v, len(s.Order[v]), len(vm.slots))
 				return false

@@ -53,18 +53,44 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 	if err != nil {
 		return nil, err
 	}
-	st := newState(ctx)
+	st := newState(ctx, false)
 	n := w.NumTasks()
+	numCats := p.NumCategories()
 
 	// Ready-set maintenance via remaining-predecessor counters.
 	remaining := make([]int, n)
 	ready := make([]bool, n)
-	// cands[t] caches the candidate list in bestHost's enumeration
-	// order: used VMs ascending, then one fresh VM per category.
-	cands := make([][]candidate, n)
+	// The ready tasks' candidate columns live in one matrix, a row per
+	// column and stride candidates per row, each dimension grown by
+	// doubling. A row holds one fresh VM per category, which never
+	// changes once its task is ready, then one candidate per used VM,
+	// ascending; pickBest and pickCache read the used part first,
+	// bestHost's enumeration order. An assigned task's row is recycled
+	// for the next task that becomes ready, so the columns allocate per
+	// plan, neither per task nor per VM.
+	var matrix []candidate
+	stride := 2 * numCats
+	row := make([]int, n)
+	var free []int
+	column := func(t wf.TaskID) []candidate {
+		at := row[t] * stride
+		return matrix[at : at+numCats+len(st.vms)]
+	}
 	picks := make([]pickCache, n)
 	buildCands := func(t wf.TaskID) {
-		cands[t] = st.candidates(t)
+		if k := len(free); k > 0 {
+			row[t], free = free[k-1], free[:k-1]
+		} else {
+			row[t] = len(matrix) / stride
+			matrix = append(matrix, make([]candidate, stride)...)
+		}
+		col := column(t)
+		for k := range col[:numCats] {
+			col[k] = st.eval(t, -1, k)
+		}
+		for i, vm := range st.vms {
+			col[numCats+i] = st.eval(t, i, vm.cat)
+		}
 		picks[t] = pickCache{}
 	}
 	for t := 0; t < n; t++ {
@@ -78,7 +104,6 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 	account := optPot{disabled: opt.DisablePot}
 	listT := make([]wf.TaskID, 0, n)
 	totalCost := 0.0
-	numCats := p.NumCategories()
 	for len(listT) < n {
 		if err := opt.stopErr(); err != nil {
 			return nil, err
@@ -96,7 +121,8 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 			}
 			e := &picks[t]
 			if !e.holds(allowance) {
-				e.repick(cands[t], allowance)
+				col := column(wf.TaskID(t))
+				e.repick(col[numCats:], col[:numCats], allowance)
 			}
 			c := e.c
 			if bestTask < 0 || less(c, bestCand) {
@@ -110,7 +136,9 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 		if opt.span != nil {
 			// The winning task's cached candidate column is exactly what
 			// the min-min selection saw this round.
-			traceCandidates(opt.span, cands[bestTask], bestTask, bestAllowance)
+			col := column(bestTask)
+			traceCandidates(opt.span, col[numCats:], bestTask, bestAllowance)
+			traceCandidates(opt.span, col[:numCats], bestTask, bestAllowance)
 		}
 		vmIdx := st.assign(bestTask, bestCand)
 		totalCost += bestCand.cost
@@ -124,30 +152,26 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 			tracePlace(opt.span, bestTask, bestCand)
 		}
 		ready[bestTask] = false
-		cands[bestTask] = nil
+		free = append(free, row[bestTask])
 		listT = append(listT, bestTask)
+		if numCats+len(st.vms) > stride {
+			// A fresh VM outgrew the rows: double their stride.
+			wider := make([]candidate, len(matrix)*2)
+			for at := 0; at < len(matrix); at += stride {
+				copy(wider[2*at:], matrix[at:at+stride])
+			}
+			matrix, stride = wider, 2*stride
+		}
 		// Refresh the column of the VM that changed, for tasks that
 		// were already ready (newly ready ones get a fresh list below,
 		// built against the post-assignment state), and fold the new
-		// candidate into each cached pick. If the assignment
-		// provisioned a fresh VM, its column is spliced in before the
-		// fresh-category entries to preserve the enumeration order.
-		fresh := bestCand.vm < 0
+		// candidate into each cached pick.
 		for t := 0; t < n; t++ {
 			if !ready[t] {
 				continue
 			}
 			c := st.eval(wf.TaskID(t), vmIdx, st.vms[vmIdx].cat)
-			if fresh {
-				list := cands[t]
-				at := len(list) - numCats
-				list = append(list, candidate{})
-				copy(list[at+1:], list[at:])
-				list[at] = c
-				cands[t] = list
-			} else {
-				cands[t][vmIdx] = c
-			}
+			column(wf.TaskID(t))[numCats+vmIdx] = c
 			picks[t].refresh(c)
 		}
 		for _, e := range ctx.succ[bestTask] {
@@ -193,40 +217,39 @@ func (e *pickCache) holds(a float64) bool {
 	return e.valid && a >= e.lo && (!e.capped || a < e.hi)
 }
 
-// repick scans the column with pickBest and records the interval over
-// which its answer stands. A feasible pick is beaten exactly by the
-// candidates that finish earlier: on an EFT tie less prefers the
-// cheaper, and every candidate that beats the pick was too expensive,
-// so costs more. A NaN metric breaks the order the bounds rely on (a
-// category priced at +Inf makes a zero-size edge's upload cost 0·∞),
-// so a column holding one where it could matter is re-scanned every
-// round, as the naive loop would.
-func (e *pickCache) repick(cands []candidate, a float64) {
-	p := pickBest(cands, a)
+// repick scans the column — its used part, then its fresh part — with
+// pickBest and records the interval over which its answer stands. A
+// feasible pick is beaten exactly by the candidates that finish
+// earlier: on an EFT tie less prefers the cheaper, and every candidate
+// that beats the pick was too expensive, so costs more. A NaN metric
+// breaks the order the bounds rely on (a category priced at +Inf makes
+// a zero-size edge's upload cost 0·∞), so a column holding one where
+// it could matter is re-scanned every round, as the naive loop would.
+func (e *pickCache) repick(used, fresh []candidate, a float64) {
+	p := pickBest(used, fresh, a)
 	*e = pickCache{c: p, lo: p.cost, valid: true}
-	if p.cost > a {
+	fallback := p.cost > a
+	if fallback {
 		// Nothing affordable: p is the cheapest fallback, and stands
 		// until the first candidate turns affordable.
 		e.lo, e.hi, e.capped = math.Inf(-1), p.cost, true
-		for i := range cands {
-			if math.IsNaN(cands[i].eft) {
+	}
+	for _, part := range [2][]candidate{used, fresh} {
+		for i := range part {
+			c := &part[i]
+			switch {
+			case fallback:
+				if math.IsNaN(c.eft) {
+					e.valid = false
+					return
+				}
+			case c.eft > p.eft:
+			case math.IsNaN(c.eft) || math.IsNaN(c.cost):
 				e.valid = false
 				return
+			case c.eft < p.eft && (!e.capped || c.cost < e.hi):
+				e.hi, e.capped = c.cost, true
 			}
-		}
-		return
-	}
-	for i := range cands {
-		c := &cands[i]
-		if c.eft > p.eft {
-			continue
-		}
-		if math.IsNaN(c.eft) || math.IsNaN(c.cost) {
-			e.valid = false
-			return
-		}
-		if c.eft < p.eft && (!e.capped || c.cost < e.hi) {
-			e.hi, e.capped = c.cost, true
 		}
 	}
 }

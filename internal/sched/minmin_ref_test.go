@@ -22,7 +22,7 @@ func minMinReference(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt
 	if err != nil {
 		return nil, err
 	}
-	st := newState(ctx)
+	st := newState(ctx, false)
 	n := w.NumTasks()
 	remaining := make([]int, n)
 	ready := make([]bool, n)
@@ -294,13 +294,12 @@ func TestPickCacheMatchesPickBest(t *testing.T) {
 		return float64(1 + r.Intn(4))
 	}
 	for trial := 0; trial < 2000; trial++ {
-		used := r.Intn(4)
-		var col []candidate
-		for v := 0; v < used; v++ {
-			col = append(col, candidate{vm: v, cat: r.Intn(cats), eft: metric(), cost: metric(), slot: -1})
+		var used, fresh []candidate
+		for v := r.Intn(4); v > 0; v-- {
+			used = append(used, candidate{vm: len(used), cat: r.Intn(cats), eft: metric(), cost: metric(), slot: -1})
 		}
 		for k := 0; k < cats; k++ {
-			col = append(col, candidate{vm: -1, cat: k, eft: metric(), cost: metric(), slot: -1})
+			fresh = append(fresh, candidate{vm: -1, cat: k, eft: metric(), cost: metric(), slot: -1})
 		}
 		var e pickCache
 		for step := 0; step < 30; step++ {
@@ -309,22 +308,21 @@ func TestPickCacheMatchesPickBest(t *testing.T) {
 				a = math.Inf(1)
 			}
 			if !e.holds(a) {
-				e.repick(col, a)
+				e.repick(used, fresh, a)
 			}
 			// A candidate is named by its place: used VM, or category.
-			if want := pickBest(col, a); e.c.vm != want.vm || e.c.cat != want.cat {
-				t.Fatalf("trial %d step %d, allowance %v: cached pick %+v, pickBest %+v on %+v", trial, step, a, e.c, want, col)
+			if want := pickBest(used, fresh, a); e.c.vm != want.vm || e.c.cat != want.cat {
+				t.Fatalf("trial %d step %d, allowance %v: cached pick %+v, pickBest %+v on %+v then %+v", trial, step, a, e.c, want, used, fresh)
 			}
 			// Book one VM: an existing one gets a new candidate in
-			// place, a new one is spliced in before the fresh entries.
-			c := candidate{vm: r.Intn(used + 1), eft: metric(), cost: metric(), slot: -1}
-			if c.vm == used {
+			// place, a new one is appended to the used part.
+			c := candidate{vm: r.Intn(len(used) + 1), eft: metric(), cost: metric(), slot: -1}
+			if c.vm == len(used) {
 				c.cat = r.Intn(cats)
-				col = append(col[:used], append([]candidate{c}, col[used:]...)...)
-				used++
+				used = append(used, c)
 			} else {
-				c.cat = col[c.vm].cat
-				col[c.vm] = c
+				c.cat = used[c.vm].cat
+				used[c.vm] = c
 			}
 			e.refresh(c)
 		}

@@ -54,7 +54,7 @@ func peftOpt(w *wf.Workflow, p *platform.Platform, opt Options) (*plan.Schedule,
 		rank[t] = sum / float64(k)
 	}
 
-	st := newState(ctx)
+	st := newState(ctx, false)
 	remaining := make([]int, n)
 	ready := make([]bool, n)
 	for t := 0; t < n; t++ {
@@ -62,6 +62,7 @@ func peftOpt(w *wf.Workflow, p *platform.Platform, opt Options) (*plan.Schedule,
 		ready[t] = remaining[t] == 0
 	}
 	listT := make([]wf.TaskID, 0, n)
+	var cands []candidate
 	for len(listT) < n {
 		if err := opt.stopErr(); err != nil {
 			return nil, err
@@ -77,7 +78,7 @@ func peftOpt(w *wf.Workflow, p *platform.Platform, opt Options) (*plan.Schedule,
 		}
 		t := wf.TaskID(best)
 		// Choose the candidate minimizing the optimistic EFT.
-		cands := st.candidates(t)
+		cands = st.appendCandidates(cands[:0], t)
 		choice := 0
 		bestOEFT := math.Inf(1)
 		for i, c := range cands {
@@ -111,8 +112,9 @@ func octTable(ctx *context) ([][]float64, error) {
 	k := ctx.p.NumCategories()
 	n := ctx.w.NumTasks()
 	oct := make([][]float64, n)
+	flat := make([]float64, n*k)
 	for t := range oct {
-		oct[t] = make([]float64, k)
+		oct[t] = flat[t*k : (t+1)*k : (t+1)*k]
 	}
 	for i := len(order) - 1; i >= 0; i-- {
 		t := order[i]

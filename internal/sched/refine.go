@@ -150,9 +150,11 @@ func (ev *moveEval) eachMove(t wf.TaskID, bound *float64, visit func(vm, cat int
 }
 
 // candidate returns the incumbent with task t moved to (vm, cat), as
-// eachMove named the target, in a schedule of its own.
+// eachMove named the target, in the Mover's scratch schedule that is
+// not the incumbent: the next candidate overwrites it until a rebind
+// makes it the incumbent.
 func (ev *moveEval) candidate(t wf.TaskID, vm, cat int) *plan.Schedule {
-	return ev.mover.Move(ev.cur, t, vm, cat).Clone()
+	return ev.mover.Move(ev.cur, t, vm, cat)
 }
 
 // rebind makes s the incumbent, validating it in full.

@@ -205,21 +205,25 @@ func (c *context) rankOrder() ([]wf.TaskID, error) {
 // schedule: which VMs exist, when each becomes idle, where every
 // scheduled task ran and when it finishes (under conservative
 // weights). It mirrors the execution semantics of internal/sim so that
-// planned EFTs equal deterministically simulated times.
+// planned EFTs equal deterministically simulated times. Every planner
+// assigns tasks in the order of the ListT it hands to extract, so the
+// state keeps no per-VM task list.
 type state struct {
 	ctx    *context
 	vms    []vmSt
 	taskVM []int
 	finish []float64
+	// insertion keeps each VM's slots, which only the insertion
+	// placement policy reads.
+	insertion bool
 }
 
 type vmSt struct {
 	cat     int
 	bookAt  float64
 	readyAt float64
-	tasks   []wf.TaskID
 	// slots records [stagingStart, computeEnd] occupancy intervals in
-	// start order; used by the insertion placement policy.
+	// start order, under the insertion policy only.
 	slots []slot
 }
 
@@ -229,9 +233,9 @@ type slot struct {
 	task       wf.TaskID
 }
 
-func newState(ctx *context) *state {
+func newState(ctx *context, insertion bool) *state {
 	n := ctx.w.NumTasks()
-	s := &state{ctx: ctx, taskVM: make([]int, n), finish: make([]float64, n)}
+	s := &state{ctx: ctx, taskVM: make([]int, n), finish: make([]float64, n), insertion: insertion}
 	for i := range s.taskVM {
 		s.taskVM[i] = plan.Unassigned
 	}
@@ -332,24 +336,24 @@ func (s *state) eval(t wf.TaskID, vmIdx, cat int) candidate {
 	return candidate{vm: vmIdx, cat: cat, begin: begin, eft: eft, cost: cost, slot: -1}
 }
 
-// candidates enumerates every host option for task t: each VM already
-// in use plus one fresh VM per category (§IV-A: "the set of host
-// candidates ... consists of already used VMs plus one fresh VM of
-// each category").
-func (s *state) candidates(t wf.TaskID) []candidate {
-	out := make([]candidate, 0, len(s.vms)+s.ctx.p.NumCategories())
+// appendCandidates appends every host option for task t to dst: each
+// VM already in use plus one fresh VM per category (§IV-A: "the set of
+// host candidates ... consists of already used VMs plus one fresh VM
+// of each category"). The planners that scan a candidate list pass one
+// buffer for the whole plan.
+func (s *state) appendCandidates(dst []candidate, t wf.TaskID) []candidate {
 	for i := range s.vms {
-		out = append(out, s.eval(t, i, s.vms[i].cat))
+		dst = append(dst, s.eval(t, i, s.vms[i].cat))
 	}
 	for k := range s.ctx.p.Categories {
-		out = append(out, s.eval(t, -1, k))
+		dst = append(dst, s.eval(t, -1, k))
 	}
-	return out
+	return dst
 }
 
-// candidatesInsertion is candidates with the insertion policy on used
-// VMs: each used VM contributes its earliest fitting gap (which
-// subsumes plain appending as the tail gap).
+// candidatesInsertion lists appendCandidates' options under the
+// insertion policy on used VMs: each used VM contributes its earliest
+// fitting gap (which subsumes plain appending as the tail gap).
 func (s *state) candidatesInsertion(t wf.TaskID) []candidate {
 	out := make([]candidate, 0, len(s.vms)+s.ctx.p.NumCategories())
 	for i := range s.vms {
@@ -428,23 +432,21 @@ func (sel *selector) add(c candidate) {
 		// candidate exists at all, so it can stop as soon as one does.
 		return
 	}
-	if !sel.hasCheap {
+	if !sel.hasCheap || cheaper(&c, &sel.cheapest) {
 		sel.cheapest, sel.hasCheap = c, true
-		return
 	}
-	b := sel.cheapest
-	switch {
-	case c.cost != b.cost:
-		if c.cost < b.cost {
-			sel.cheapest = c
-		}
-	case (c.vm >= 0) != (b.vm >= 0):
-		if c.vm >= 0 {
-			sel.cheapest = c
-		}
-	case c.eft < b.eft:
-		sel.cheapest = c
+}
+
+// cheaper orders the fallback fold: cost, then an existing VM before a
+// fresh one, then EFT.
+func cheaper(c, b *candidate) bool {
+	if c.cost != b.cost {
+		return c.cost < b.cost
 	}
+	if (c.vm >= 0) != (b.vm >= 0) {
+		return c.vm >= 0
+	}
+	return c.eft < b.eft
 }
 
 func (sel *selector) pick() candidate {
@@ -454,45 +456,34 @@ func (sel *selector) pick() candidate {
 	return sel.cheapest
 }
 
-// pickBest applies the selection rule to a pre-built candidate list.
-// MIN-MIN keeps per-task candidate lists cached across rounds, with
-// each list's pick and the allowances over which it stands (pickCache);
-// it re-scans a list with pickBest only when the pick may have changed,
+// pickBest applies the selection rule to a pre-built candidate list,
+// enumerated as used then fresh, the two parts of a MIN-MIN column.
+// MIN-MIN keeps per-task candidate lists cached across rounds, with each
+// list's pick and the allowances over which it stands (pickCache); it
+// re-scans a list with pickBest only when the pick may have changed,
 // which is the planner's inner loop still. So this stays a hand-rolled
-// index-based scan — folding through selector.add here (a non-inlined
-// call copying each candidate) measurably slowed MIN-MINBUDG down.
-// The semantics must match selector exactly; TestPickBestMatchesSelector
-// pins the equivalence.
-func pickBest(cands []candidate, allowance float64) candidate {
-	best := -1
-	for i, c := range cands {
-		if c.cost > allowance {
-			continue
-		}
-		if best < 0 || less(c, cands[best]) {
-			best = i
-		}
-	}
-	if best >= 0 {
-		return cands[best]
-	}
-	cheapest := 0
-	for i, c := range cands[1:] {
-		b := cands[cheapest]
-		switch {
-		case c.cost != b.cost:
-			if c.cost < b.cost {
-				cheapest = i + 1
+// scan — folding through selector.add here (a non-inlined call copying
+// each candidate) measurably slowed MIN-MINBUDG down. It is selector's
+// fold on pointers, except that a NaN cost counts as affordable;
+// TestPickBestMatchesSelector pins the equivalence.
+func pickBest(used, fresh []candidate, allowance float64) candidate {
+	var best, cheapest *candidate
+	for _, part := range [2][]candidate{used, fresh} {
+		for i := range part {
+			c := &part[i]
+			if c.cost > allowance {
+				if best == nil && (cheapest == nil || cheaper(c, cheapest)) {
+					cheapest = c
+				}
+			} else if best == nil || less(*c, *best) {
+				best = c
 			}
-		case (c.vm >= 0) != (b.vm >= 0):
-			if c.vm >= 0 {
-				cheapest = i + 1
-			}
-		case c.eft < b.eft:
-			cheapest = i + 1
 		}
 	}
-	return cands[cheapest]
+	if best != nil {
+		return *best
+	}
+	return *cheapest
 }
 
 // less orders candidates by (EFT, cost, existing-before-fresh).
@@ -523,33 +514,44 @@ func (s *state) assign(t wf.TaskID, c candidate) int {
 	} else {
 		s.vms[idx].readyAt = c.eft
 	}
-	s.vms[idx].tasks = append(s.vms[idx].tasks, t)
-	s.vms[idx].slots = append(s.vms[idx].slots, slot{start: slotStart, end: c.eft, task: t})
+	if s.insertion {
+		s.vms[idx].slots = append(s.vms[idx].slots, slot{start: slotStart, end: c.eft, task: t})
+	}
 	s.taskVM[t] = idx
 	s.finish[t] = c.eft
 	return idx
 }
 
 // extract converts the planner state into a plan.Schedule with the
-// given global priority list.
+// given global priority list, in one allocation per field. Each VM
+// runs its tasks in listT order, the order they were assigned in, or
+// under the insertion policy in slot order: RebuildOrder's bucket fill
+// then ranks the tasks by a list holding each VM's slots in turn.
 func (s *state) extract(listT []wf.TaskID) *plan.Schedule {
-	out := plan.New(s.ctx.w.NumTasks())
-	out.ListT = append([]wf.TaskID(nil), listT...)
-	for _, vm := range s.vms {
-		out.AddVM(vm.cat)
+	rankBy := listT
+	if s.insertion {
+		rankBy = make([]wf.TaskID, 0, len(listT))
+		for _, vm := range s.vms {
+			for _, sl := range vm.slots {
+				rankBy = append(rankBy, sl.task)
+			}
+		}
+	}
+	out := &plan.Schedule{
+		VMCats: make([]int, len(s.vms)),
+		TaskVM: append([]int(nil), s.taskVM...),
+		ListT:  rankBy,
 	}
 	for i, vm := range s.vms {
-		for _, t := range vm.tasks {
-			out.Assign(t, i)
+		out.VMCats[i] = vm.cat
+	}
+	out.RebuildOrder()
+	out.ListT = append([]wf.TaskID(nil), listT...)
+	for t, end := range s.finish {
+		end += s.ctx.tasks[t].ExternalOut / s.ctx.p.CatBandwidth(s.vms[s.taskVM[t]].cat)
+		if end > out.EstMakespan {
+			out.EstMakespan = end
 		}
 	}
-	makespan := 0.0
-	for t := range s.finish {
-		end := s.finish[t] + s.ctx.tasks[t].ExternalOut/s.ctx.p.CatBandwidth(s.vms[s.taskVM[t]].cat)
-		if end > makespan {
-			makespan = end
-		}
-	}
-	out.EstMakespan = makespan
 	return out
 }

@@ -11,7 +11,8 @@ import (
 // by bestHost/bestHostInsertion) implement the same selection rule.
 // Random candidate lists, with deliberate duplicate costs/EFTs to
 // exercise every tie-breaking branch, must agree on all of feasible
-// selection, the all-infeasible fallback, and first-wins ordering.
+// selection, the all-infeasible fallback, and first-wins ordering,
+// wherever pickBest's list is split into its used and fresh parts.
 func TestPickBestMatchesSelector(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	someVals := []float64{0, 1, 2.5, 7, 7, 13} // duplicates force ties
@@ -38,7 +39,8 @@ func TestPickBestMatchesSelector(t *testing.T) {
 		if r.Float64() < 0.1 {
 			allowance = math.Inf(1) // budget-blind path
 		}
-		a := pickBest(cands, allowance)
+		split := r.Intn(n + 1)
+		a := pickBest(cands[:split], cands[split:], allowance)
 		sel := newSelector(allowance)
 		for _, c := range cands {
 			sel.add(c)
