@@ -42,18 +42,6 @@ type TimingConfig struct {
 	Repeats   int
 	Instances int
 	Seed      uint64
-	// SkipExpensiveAbove, when positive, omits the O(n·(n+e)·p)
-	// algorithms (HEFTBUDG+, HEFTBUDG+INV, CG+) for workflow sizes
-	// above the threshold; their cells render as "—". The paper did
-	// run them at 400 tasks (at several hundred seconds per schedule);
-	// cmd/paperfigs enables the skip by default and offers -full.
-	SkipExpensiveAbove int
-}
-
-// expensiveAlgorithm reports whether the algorithm carries the O(n)
-// multiplicative re-simulation cost of the refined variants.
-func expensiveAlgorithm(n sched.Name) bool {
-	return n == sched.NameHeftBudgPlus || n == sched.NameHeftBudgPlusInv || n == sched.NameCGPlus
 }
 
 func (c TimingConfig) defaults() TimingConfig {
@@ -101,7 +89,7 @@ func Table3a(cfg TimingConfig, algNames []sched.Name) (*Table, error) {
 		Columns: append([]string{"budget"}, namesToStrings(algNames)...),
 	}
 	for _, level := range []BudgetLevel{BudgetLow, BudgetMedium, BudgetHigh} {
-		cells, err := timingRow(cfg, algNames, 90, level, func(sched.Name) bool { return false })
+		cells, err := timingRow(cfg, algNames, 90, level)
 		if err != nil {
 			return nil, err
 		}
@@ -122,10 +110,7 @@ func Table3b(cfg TimingConfig, algNames []sched.Name, sizes []int) (*Table, erro
 		Columns: append([]string{"tasks"}, namesToStrings(algNames)...),
 	}
 	for _, n := range sizes {
-		skip := func(name sched.Name) bool {
-			return cfg.SkipExpensiveAbove > 0 && n > cfg.SkipExpensiveAbove && expensiveAlgorithm(name)
-		}
-		cells, err := timingRow(cfg, algNames, n, BudgetHigh, skip)
+		cells, err := timingRow(cfg, algNames, n, BudgetHigh)
 		if err != nil {
 			return nil, err
 		}
@@ -139,35 +124,27 @@ func Table3b(cfg TimingConfig, algNames []sched.Name, sizes []int) (*Table, erro
 // digits, since the list planners take tenths of a millisecond, and
 // the ratio to HEFTBUDG's mean in the same row, the quantity the paper
 // compares across algorithms. The ratio is left out when the row has
-// no HEFTBUDG cell; a skipped algorithm renders as "—".
-func timingRow(cfg TimingConfig, algNames []sched.Name, n int, level BudgetLevel, skip func(sched.Name) bool) ([]interface{}, error) {
-	sums := make([]*stats.Summary, len(algNames))
+// no HEFTBUDG cell.
+func timingRow(cfg TimingConfig, algNames []sched.Name, n int, level BudgetLevel) ([]interface{}, error) {
+	sums := make([]stats.Summary, len(algNames))
 	var base *stats.Summary
 	for i, name := range algNames {
-		if skip(name) {
-			continue
-		}
 		alg, err := sched.ByName(name)
 		if err != nil {
 			return nil, err
 		}
-		s, err := measurePlan(cfg, alg, n, level, 0.5)
-		if err != nil {
+		if sums[i], err = measurePlan(cfg, alg, n, level, 0.5); err != nil {
 			return nil, err
 		}
-		sums[i] = &s
 		if name == sched.NameHeftBudg {
-			base = &s
+			base = &sums[i]
 		}
 	}
 	cells := make([]interface{}, len(algNames))
 	for i, s := range sums {
-		switch {
-		case s == nil:
-			cells[i] = "—"
-		case base == nil:
+		if base == nil {
 			cells[i] = fmt.Sprintf("%.3g ± %.2g", s.Mean, s.StdDev)
-		default:
+		} else {
 			cells[i] = fmt.Sprintf("%.3g ± %.2g (%.3g×)", s.Mean, s.StdDev, s.Mean/base.Mean)
 		}
 	}

@@ -2,8 +2,13 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
+
+	"budgetwf/internal/platform"
+	"budgetwf/internal/stoch"
+	"budgetwf/internal/wf"
 )
 
 func TestPlanCacheBasics(t *testing.T) {
@@ -107,7 +112,7 @@ func TestPlanCacheConcurrentHammer(t *testing.T) {
 	c := newPlanCache(capacity)
 	keys := make([]string, keySpace)
 	for i := range keys {
-		keys[i] = cacheKey(fmt.Sprintf("wf%d", i), "plat", "heftbudg", float64(i))
+		keys[i] = fmt.Sprintf("key%d", i)
 	}
 
 	var wg sync.WaitGroup
@@ -152,23 +157,109 @@ func TestPlanCacheConcurrentHammer(t *testing.T) {
 	}
 }
 
-func TestCacheKeyDistinguishesParts(t *testing.T) {
-	base := cacheKey("wf", "plat", "heftbudg", 10)
-	for name, other := range map[string]string{
-		"workflow":  cacheKey("wf2", "plat", "heftbudg", 10),
-		"platform":  cacheKey("wf", "plat2", "heftbudg", 10),
-		"algorithm": cacheKey("wf", "plat", "heft", 10),
-		"budget":    cacheKey("wf", "plat", "heftbudg", 10.000001),
-	} {
-		if other == base {
-			t.Errorf("cache key insensitive to %s", name)
+// keyInput is one request's keyed parts, laid out so that a test can
+// change any one field.
+type keyInput struct {
+	tasks     []wf.Task
+	edges     []wf.Edge
+	plat      *platform.Platform
+	algorithm string
+	budget    float64
+}
+
+// diamondKeyInput is a four-task diamond with every keyed number
+// distinct, on the default platform.
+func diamondKeyInput() keyInput {
+	task := func(name string, mean, in, out float64) wf.Task {
+		return wf.Task{Name: name, Weight: stoch.Dist{Mean: mean, Sigma: mean / 2}, ExternalIn: in, ExternalOut: out}
+	}
+	return keyInput{
+		tasks: []wf.Task{task("a", 1e9, 3e8, 0), task("b", 2e9, 0, 0), task("c", 3e9, 0, 0), task("d", 4e9, 0, 5e7)},
+		edges: []wf.Edge{{From: 0, To: 1, Size: 1e8}, {From: 0, To: 2, Size: 2e8}, {From: 1, To: 3, Size: 3e8}, {From: 2, To: 3, Size: 4e8}},
+		plat:  platform.Default(), algorithm: "heftbudg", budget: 10,
+	}
+}
+
+// key builds the workflow under the given label and returns its cache
+// key.
+func (k keyInput) key(t *testing.T, label string) string {
+	t.Helper()
+	w := wf.New(label)
+	for _, tk := range k.tasks {
+		id := w.AddTask(tk.Name, tk.Weight)
+		if err := w.SetExternalIO(id, tk.ExternalIn, tk.ExternalOut); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if cacheKey("wf", "plat", "heftbudg", 10) != base {
-		t.Error("cache key not deterministic")
+	for _, e := range k.edges {
+		w.MustAddEdge(e.From, e.To, e.Size)
 	}
-	// The NUL separators prevent boundary ambiguity.
-	if cacheKey("ab", "c", "x", 1) == cacheKey("a", "bc", "x", 1) {
-		t.Error("cache key has a field-boundary collision")
+	return cacheKey(w, k.plat, k.algorithm, k.budget)
+}
+
+// TestCacheKeyDistinguishesParts: the key changes with a one-ulp change
+// to any number the planner reads — each task field, each edge field,
+// the platform, the budget — and with the algorithm; it does not change
+// when the workflow or a task is renamed; and moving the boundary
+// between the task and edge lists does not collide.
+func TestCacheKeyDistinguishesParts(t *testing.T) {
+	ulp := func(v *float64) { *v = math.Nextafter(*v, math.Inf(1)) }
+	ref := diamondKeyInput().key(t, "diamond")
+	if diamondKeyInput().key(t, "diamond") != ref {
+		t.Fatal("cache key not deterministic")
+	}
+	for name, change := range map[string]func(*keyInput){
+		"task mean":         func(k *keyInput) { ulp(&k.tasks[1].Weight.Mean) },
+		"task sigma":        func(k *keyInput) { ulp(&k.tasks[2].Weight.Sigma) },
+		"task external in":  func(k *keyInput) { ulp(&k.tasks[0].ExternalIn) },
+		"task external out": func(k *keyInput) { ulp(&k.tasks[3].ExternalOut) },
+		"edge from":         func(k *keyInput) { k.edges[2].From-- },
+		"edge to":           func(k *keyInput) { k.edges[0].To++ },
+		"edge size":         func(k *keyInput) { ulp(&k.edges[3].Size) },
+		"platform":          func(k *keyInput) { ulp(&k.plat.Categories[0].CostPerSec) },
+		"algorithm":         func(k *keyInput) { k.algorithm = "heft" },
+		"budget":            func(k *keyInput) { ulp(&k.budget) },
+	} {
+		k := diamondKeyInput()
+		change(&k)
+		if k.key(t, "diamond") == ref {
+			t.Errorf("cache key insensitive to the %s", name)
+		}
+	}
+
+	renamed := diamondKeyInput()
+	for i := range renamed.tasks {
+		renamed.tasks[i].Name = fmt.Sprintf("renamed%d", i)
+	}
+	if renamed.key(t, "another label") != ref {
+		t.Error("renaming the workflow and its tasks changed the cache key")
+	}
+
+	// n tasks and e edges against n+1 tasks and e-1 edges, and against
+	// n+3 tasks and no edges, crafted so that everything after the task
+	// count is the same bytes: the three tasks are the diamond's edge
+	// count and edge records, read as floats, and the diamond's last
+	// edge carries no data, so that its last word matches the crafted
+	// workflow's edge count of zero. Only the task count tells them apart.
+	shifted := diamondKeyInput()
+	shifted.tasks = append(shifted.tasks, wf.Task{Weight: stoch.Dist{Mean: 1}})
+	shifted.edges = shifted.edges[:3]
+	if shifted.key(t, "diamond") == ref {
+		t.Error("cache key collides when a task takes the place of an edge")
+	}
+	zeroLast := diamondKeyInput()
+	zeroLast.edges[3].Size = 0
+	words := []float64{math.Float64frombits(uint64(len(zeroLast.edges)))}
+	for _, e := range zeroLast.edges[:3] {
+		words = append(words, math.Float64frombits(uint64(e.From)), math.Float64frombits(uint64(e.To)), e.Size)
+	}
+	words = append(words, math.Float64frombits(uint64(zeroLast.edges[3].From)), math.Float64frombits(uint64(zeroLast.edges[3].To)))
+	reread := diamondKeyInput()
+	reread.edges = nil
+	for w := words; len(w) > 0; w = w[4:] {
+		reread.tasks = append(reread.tasks, wf.Task{Weight: stoch.Dist{Mean: w[0], Sigma: w[1]}, ExternalIn: w[2], ExternalOut: w[3]})
+	}
+	if reread.key(t, "diamond") == zeroLast.key(t, "diamond") {
+		t.Error("cache key collides when three tasks take the place of four edges")
 	}
 }

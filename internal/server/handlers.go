@@ -99,7 +99,7 @@ func wantsPrometheus(r *http.Request) bool {
 // handleSchedule plans one workflow: the daemon's hot endpoint, and
 // the cached one. A body that repeats byte for byte is answered from
 // its alias without being parsed; any other spelling of a request
-// already planned is answered from the canonical key after decode and
+// already planned is answered from the content key after decode and
 // validation; the rest run the planner.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r.Context())
@@ -163,7 +163,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	root := rootSpan(r.Context())
 	root.Set(obs.Str("algorithm", req.Algorithm))
 
-	key := cacheKey(wfl.CanonicalHash(), plat.CanonicalHash(), req.Algorithm, req.Budget)
+	key := cacheKey(wfl, plat, req.Algorithm, req.Budget)
 	if e, ok := s.cache.get(key); ok {
 		if aliasing {
 			s.cache.aliasBody(key, digest)
@@ -261,7 +261,7 @@ func renderHit(resp scheduleResponse) ([]byte, error) {
 }
 
 // writeHit answers from a cache entry: the one writer of body-alias
-// hits (fast) and canonical-key hits, which therefore differ only in
+// hits (fast) and content-key hits, which therefore differ only in
 // the request id. Request ids are hex digits and a dash and need no
 // escaping. inline, when non-nil, is the deep-traced request's own
 // trace, appended as the trace field.

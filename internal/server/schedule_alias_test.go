@@ -19,6 +19,7 @@ import (
 	"budgetwf/internal/obs"
 	"budgetwf/internal/platform"
 	"budgetwf/internal/sched"
+	"budgetwf/internal/stoch"
 	"budgetwf/internal/wf"
 	"budgetwf/internal/wfgen"
 )
@@ -35,48 +36,42 @@ func sansRequestID(resp []byte) []byte {
 	return requestIDField.ReplaceAll(resp, []byte(`"requestId":""`))
 }
 
-// respell re-serialises a /v1/schedule body so that its bytes differ
-// from every other variant's while the planner cannot tell the
-// requests apart: the tasks are shuffled (edge indices remapped), every
-// label is renamed and the workflow is indented differently.
-func respell(t *testing.T, body []byte, variant int) []byte {
+// wireWorkflow is the workflow document of a /v1/schedule body, as
+// the tests that re-spell one take it apart.
+type wireWorkflow struct {
+	Name  string     `json:"name"`
+	Tasks []wireTask `json:"tasks"`
+	Edges []wireEdge `json:"edges"`
+}
+
+type wireTask struct {
+	Name        string  `json:"name"`
+	Mean        float64 `json:"mean"`
+	Sigma       float64 `json:"sigma"`
+	ExternalIn  float64 `json:"externalIn,omitempty"`
+	ExternalOut float64 `json:"externalOut,omitempty"`
+}
+
+type wireEdge struct {
+	From int     `json:"from"`
+	To   int     `json:"to"`
+	Size float64 `json:"size"`
+}
+
+// rewriteWorkflow applies edit to the workflow of a /v1/schedule body
+// and re-serialises the body with the workflow indented by indent.
+func rewriteWorkflow(t *testing.T, body []byte, indent string, edit func(*wireWorkflow)) []byte {
 	t.Helper()
 	var env map[string]json.RawMessage
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatal(err)
 	}
-	type task struct {
-		Name        string  `json:"name"`
-		Mean        float64 `json:"mean"`
-		Sigma       float64 `json:"sigma"`
-		ExternalIn  float64 `json:"externalIn,omitempty"`
-		ExternalOut float64 `json:"externalOut,omitempty"`
-	}
-	type edge struct {
-		From int     `json:"from"`
-		To   int     `json:"to"`
-		Size float64 `json:"size"`
-	}
-	var w struct {
-		Name  string `json:"name"`
-		Tasks []task `json:"tasks"`
-		Edges []edge `json:"edges"`
-	}
+	var w wireWorkflow
 	if err := json.Unmarshal(env["workflow"], &w); err != nil {
 		t.Fatal(err)
 	}
-	perm := rand.New(rand.NewSource(int64(variant))).Perm(len(w.Tasks))
-	shuffled := make([]task, len(w.Tasks))
-	for i, tk := range w.Tasks {
-		tk.Name = fmt.Sprintf("spelling%d-task%d", variant, i)
-		shuffled[perm[i]] = tk
-	}
-	w.Tasks = shuffled
-	for i := range w.Edges {
-		w.Edges[i].From, w.Edges[i].To = perm[w.Edges[i].From], perm[w.Edges[i].To]
-	}
-	w.Name = fmt.Sprintf("spelling%d", variant)
-	raw, err := json.MarshalIndent(w, "", strings.Repeat(" ", 1+variant%4))
+	edit(&w)
+	raw, err := json.MarshalIndent(w, "", indent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,6 +81,90 @@ func respell(t *testing.T, body []byte, variant int) []byte {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// respell re-serialises a /v1/schedule body so that its bytes differ
+// from every other variant's while the planner cannot tell the
+// requests apart: every label is renamed and the workflow is indented
+// differently. The tasks keep their order, which a plan follows.
+func respell(t *testing.T, body []byte, variant int) []byte {
+	t.Helper()
+	return rewriteWorkflow(t, body, strings.Repeat(" ", 1+variant%4), func(w *wireWorkflow) {
+		for i := range w.Tasks {
+			w.Tasks[i].Name = fmt.Sprintf("spelling%d-task%d", variant, i)
+		}
+		w.Name = fmt.Sprintf("spelling%d", variant)
+	})
+}
+
+// permuteTasks shuffles the task array of a /v1/schedule body by a
+// seeded permutation and remaps the edges, so the body describes the
+// same DAG with every task at another index.
+func permuteTasks(t *testing.T, body []byte, seed int64) []byte {
+	t.Helper()
+	return rewriteWorkflow(t, body, "", func(w *wireWorkflow) {
+		perm := rand.New(rand.NewSource(seed)).Perm(len(w.Tasks))
+		shuffled := make([]wireTask, len(w.Tasks))
+		for i, tk := range w.Tasks {
+			shuffled[perm[i]] = tk
+		}
+		w.Tasks = shuffled
+		for i := range w.Edges {
+			w.Edges[i].From, w.Edges[i].To = perm[w.Edges[i].From], perm[w.Edges[i].To]
+		}
+	})
+}
+
+// workflowOf returns the workflow document of a /v1/schedule body.
+func workflowOf(t *testing.T, body []byte) json.RawMessage {
+	t.Helper()
+	var env struct {
+		Workflow json.RawMessage `json:"workflow"`
+	}
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatal(err)
+	}
+	return env.Workflow
+}
+
+// wlTwins is the named fixture of two workflows that one-dimensional
+// Weisfeiler–Leman refinement cannot tell apart: six sources and six
+// sinks, every source feeding two sinks, wired as one 12-cycle in the
+// first and as two 6-cycles in the second. All sources, all sinks and
+// all edges carry the same numbers, so every task of either workflow
+// sees the same neighbourhood at every refinement round.
+func wlTwins(t testing.TB) (cycle12, twoCycles6 json.RawMessage) {
+	t.Helper()
+	build := func(next func(i int) int) json.RawMessage {
+		w := wf.New("wl-twin")
+		for i := 0; i < 6; i++ {
+			w.AddTask(fmt.Sprintf("source%d", i), stoch.Dist{Mean: 4e9, Sigma: 2e9})
+		}
+		for i := 0; i < 6; i++ {
+			sink := w.AddTask(fmt.Sprintf("sink%d", i), stoch.Dist{Mean: 9e9, Sigma: 4.5e9})
+			if err := w.SetExternalIO(wf.TaskID(i), 3e8, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.SetExternalIO(sink, 0, 1e8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 6; i++ {
+			w.MustAddEdge(wf.TaskID(i), wf.TaskID(6+i), 5e8)
+			w.MustAddEdge(wf.TaskID(i), wf.TaskID(6+next(i)), 5e8)
+		}
+		var buf bytes.Buffer
+		if err := w.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// Source i feeds sink i and sink next(i); sink j is fed by sources j
+	// and next⁻¹(j). One 6-cycle of next gives one 12-cycle of tasks,
+	// two 3-cycles give two 6-cycles.
+	cycle12 = build(func(i int) int { return (i + 1) % 6 })
+	twoCycles6 = build(func(i int) int { return i/3*3 + (i+1)%3 })
+	return cycle12, twoCycles6
 }
 
 // referencePlan plans the request's workflow in-process and returns
@@ -138,9 +217,10 @@ func checkAliasBound(t *testing.T, c *planCache) {
 
 // TestAliasHitEqualsCanonicalHit: for every registered base algorithm
 // on the three paper families, a byte-identical repeat (answered from
-// the alias, unparsed) and a re-spelled repeat (answered from the
-// canonical key after the full parse) get the same bytes but for the
-// request id, and those bytes carry the plan the planner returns.
+// the alias, unparsed) and a repeat with every label renamed and the
+// workflow re-indented (answered from the content key after the full
+// parse) get the same bytes but for the request id, and those bytes
+// carry the plan the planner returns.
 func TestAliasHitEqualsCanonicalHit(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
@@ -163,19 +243,19 @@ func TestAliasHitEqualsCanonicalHit(t *testing.T) {
 			if !cached || s.Metrics().Value("budgetwfd_cache_body_hits_total", "") != bodyHits+1 {
 				t.Fatalf("%s: byte-identical repeat did not take the alias", name)
 			}
-			canonicalHit, cached := postOK(t, ts, "/v1/schedule", respell(t, body, 1))
+			keyHit, cached := postOK(t, ts, "/v1/schedule", respell(t, body, 1))
 			if !cached || s.Metrics().Value("budgetwfd_cache_body_hits_total", "") != bodyHits+1 {
 				t.Fatalf("%s: re-spelled repeat: cached=%v, body hits moved=%v", name,
 					cached, s.Metrics().Value("budgetwfd_cache_body_hits_total", "") != bodyHits+1)
 			}
-			if !bytes.Equal(sansRequestID(aliasHit), sansRequestID(canonicalHit)) {
-				t.Errorf("%s: alias hit and canonical hit differ beyond the request id:\n%.200s\n%.200s",
-					name, aliasHit, canonicalHit)
+			if !bytes.Equal(sansRequestID(aliasHit), sansRequestID(keyHit)) {
+				t.Errorf("%s: alias hit and content-key hit differ beyond the request id:\n%.200s\n%.200s",
+					name, aliasHit, keyHit)
 			}
-			if bytes.Equal(aliasHit, canonicalHit) {
+			if bytes.Equal(aliasHit, keyHit) {
 				t.Errorf("%s: two hits share a request id", name)
 			}
-			for kind, resp := range map[string][]byte{"miss": first, "alias hit": aliasHit, "canonical hit": canonicalHit} {
+			for kind, resp := range map[string][]byte{"miss": first, "alias hit": aliasHit, "content-key hit": keyHit} {
 				if !bytes.Contains(resp, want) {
 					t.Errorf("%s: %s does not carry the reference plan", name, kind)
 				}
@@ -193,8 +273,64 @@ func TestAliasHitEqualsCanonicalHit(t *testing.T) {
 	checkAliasBound(t, s.cache)
 }
 
+// TestPermutedTasksPlanInTheirOwnOrder: a plan is positional — it
+// places task t at index t of the request's task array — so a request
+// whose task array permutes an earlier one's is another request. It
+// misses, and its answer is the plan of its own order, not the earlier
+// requester's plan under the new order's indices.
+func TestPermutedTasksPlanInTheirOwnOrder(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const budget = 40.0
+	for _, typ := range wfgen.AllPaperTypes() {
+		wfJSON := familyWorkflowJSON(t, typ, 30, 11)
+		body := scheduleBody(t, wfJSON, string(sched.NameHeftBudg), budget)
+		permuted := permuteTasks(t, body, 3)
+		want := referencePlan(t, workflowOf(t, permuted), sched.NameHeftBudg, budget)
+		if bytes.Contains(referencePlan(t, wfJSON, sched.NameHeftBudg, budget), want) {
+			t.Fatalf("%s: the permutation left the plan unchanged; it cannot tell the orders apart", typ)
+		}
+		postOK(t, ts, "/v1/schedule", body)
+		resp, cached := postOK(t, ts, "/v1/schedule", permuted)
+		if cached {
+			t.Errorf("%s: a permuted task array was answered from the cache", typ)
+		}
+		if !bytes.Contains(resp, want) {
+			t.Errorf("%s: a permuted task array did not get the plan of its own order", typ)
+		}
+	}
+}
+
+// TestWLTwinsPlanApart: the two workflows of wlTwins are different
+// DAGs, so the second request of the pair misses and carries its own
+// plan, whatever a graph hash makes of them.
+func TestWLTwinsPlanApart(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// A budget of six small VMs, where the sinks share them and so
+	// follow the wiring.
+	const budget = 0.1
+	cycle12, twoCycles6 := wlTwins(t)
+	want := referencePlan(t, twoCycles6, sched.NameHeftBudg, budget)
+	if bytes.Equal(referencePlan(t, cycle12, sched.NameHeftBudg, budget), want) {
+		t.Fatal("the twins plan alike at this budget; the test cannot tell their plans apart")
+	}
+	postOK(t, ts, "/v1/schedule", scheduleBody(t, cycle12, string(sched.NameHeftBudg), budget))
+	resp, cached := postOK(t, ts, "/v1/schedule", scheduleBody(t, twoCycles6, string(sched.NameHeftBudg), budget))
+	if cached {
+		t.Error("the two-6-cycles twin was answered from the 12-cycle's entry")
+	}
+	if !bytes.Contains(resp, want) {
+		t.Error("the two-6-cycles twin did not get its own plan")
+	}
+}
+
 // TestRespelledBodyBecomesAlias: a re-serialised body reaches the
-// entry through the canonical key, is then an alias of its own, and
+// entry through the content key, is then an alias of its own, and
 // the number of spellings remembered per entry stays at the cap, the
 // oldest giving way.
 func TestRespelledBodyBecomesAlias(t *testing.T) {
@@ -214,7 +350,7 @@ func TestRespelledBodyBecomesAlias(t *testing.T) {
 		t.Fatal("respell returned the same bytes")
 	}
 	if _, cached := postOK(t, ts, "/v1/schedule", spelling); !cached || m.Value("budgetwfd_cache_body_hits_total", "") != 0 {
-		t.Fatalf("new spelling: cached=%v bodyHits=%v, want a canonical-key hit", cached, m.Value("budgetwfd_cache_body_hits_total", ""))
+		t.Fatalf("new spelling: cached=%v bodyHits=%v, want a content-key hit", cached, m.Value("budgetwfd_cache_body_hits_total", ""))
 	}
 	if _, cached := postOK(t, ts, "/v1/schedule", spelling); !cached || m.Value("budgetwfd_cache_body_hits_total", "") != 1 {
 		t.Fatalf("repeated spelling: cached=%v bodyHits=%v, want an alias hit", cached, m.Value("budgetwfd_cache_body_hits_total", ""))
@@ -224,11 +360,11 @@ func TestRespelledBodyBecomesAlias(t *testing.T) {
 	}
 
 	// Fill to one spelling past the cap: every new one still hits, by
-	// the canonical key, and the index does not grow past the cap.
+	// the content key, and the index does not grow past the cap.
 	for v := 2; v <= maxBodyAliases; v++ {
 		before := m.Value("budgetwfd_cache_body_hits_total", "")
 		if _, cached := postOK(t, ts, "/v1/schedule", respell(t, original, v)); !cached || m.Value("budgetwfd_cache_body_hits_total", "") != before {
-			t.Fatalf("spelling %d: cached=%v, want a canonical-key hit", v, cached)
+			t.Fatalf("spelling %d: cached=%v, want a content-key hit", v, cached)
 		}
 		checkAliasBound(t, s.cache)
 	}
@@ -242,7 +378,7 @@ func TestRespelledBodyBecomesAlias(t *testing.T) {
 		t.Errorf("newest spelling is not an alias")
 	}
 	if _, cached := postOK(t, ts, "/v1/schedule", original); !cached || m.Value("budgetwfd_cache_body_hits_total", "") != before+1 {
-		t.Errorf("oldest spelling: cached=%v, body hits moved=%v; want a canonical-key hit",
+		t.Errorf("oldest spelling: cached=%v, body hits moved=%v; want a content-key hit",
 			cached, m.Value("budgetwfd_cache_body_hits_total", "") != before+1)
 	}
 	if misses := m.Value("budgetwfd_cache_misses_total", ""); misses != 1 {
@@ -512,7 +648,7 @@ func TestRejectedBodiesAreNeverAliased(t *testing.T) {
 }
 
 // TestTraceRequestSkipsAlias: ?trace=1 wants the spans of the full
-// path, so it goes by the canonical key even when its body is aliased,
+// path, so it goes by the content key even when its body is aliased,
 // and it still gets its trace.
 func TestTraceRequestSkipsAlias(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
@@ -568,7 +704,7 @@ func cacheHitFast(root *obs.SpanJSON) (fast, ok bool) {
 
 // TestMarketRequestTakesAlias: the alias is over the whole body, so a
 // request carrying a market spec repeats through it like any other and
-// gets the bytes its canonical hit gets.
+// gets the bytes its content-key hit gets.
 func TestMarketRequestTakesAlias(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -591,19 +727,19 @@ func TestMarketRequestTakesAlias(t *testing.T) {
 	if !cached || s.Metrics().Value("budgetwfd_cache_body_hits_total", "") != 1 {
 		t.Fatalf("market repeat: cached=%v bodyHits=%v", cached, s.Metrics().Value("budgetwfd_cache_body_hits_total", ""))
 	}
-	canonicalHit, cached := postOK(t, ts, "/v1/schedule", respell(t, body, 5))
+	keyHit, cached := postOK(t, ts, "/v1/schedule", respell(t, body, 5))
 	if !cached || s.Metrics().Value("budgetwfd_cache_body_hits_total", "") != 1 {
 		t.Fatalf("re-spelled market repeat: cached=%v bodyHits=%v", cached, s.Metrics().Value("budgetwfd_cache_body_hits_total", ""))
 	}
-	if !bytes.Equal(sansRequestID(aliasHit), sansRequestID(canonicalHit)) {
-		t.Error("market alias hit and canonical hit differ beyond the request id")
+	if !bytes.Equal(sansRequestID(aliasHit), sansRequestID(keyHit)) {
+		t.Error("market alias hit and content-key hit differ beyond the request id")
 	}
 	var a, b scheduleResponse
 	if json.Unmarshal(first, &a) != nil || json.Unmarshal(aliasHit, &b) != nil ||
 		!bytes.Equal(a.Schedule, b.Schedule) || a.EstCost != b.EstCost || a.NumVMs != b.NumVMs {
 		t.Error("market alias hit carries a different plan than the miss")
 	}
-	// Another market is another platform: no alias, no canonical hit.
+	// Another market is another platform: no alias, no content-key hit.
 	other, err := json.Marshal(map[string]any{
 		"workflow":  workflowJSON(t, 20, 3),
 		"market":    spotMarketJSON(2),

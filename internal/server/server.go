@@ -24,7 +24,7 @@
 //
 //   - a bounded worker pool with a bounded admission queue: overload
 //     yields 429 + Retry-After instead of goroutine/memory blow-up;
-//   - a content-addressed LRU plan cache keyed by canonical hashes of
+//   - a content-addressed LRU plan cache keyed by the exact content of
 //     (workflow, platform, algorithm, budget), with an alias from the
 //     digest of a raw request body to its entry so that a byte-identical
 //     repeat is answered unparsed, and hit/miss counters;

@@ -12,7 +12,10 @@
 package wf
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 
 	"budgetwf/internal/stoch"
 )
@@ -163,6 +166,28 @@ func (w *Workflow) EdgesView() []Edge { return w.edges }
 // TasksView returns the workflow's task list without copying, indexed
 // by TaskID. The caller must treat the returned slice as read-only.
 func (w *Workflow) TasksView() []Task { return w.tasks }
+
+// AppendContent appends to b everything a planner reads from the
+// workflow, in its own order and without labels: the task count, each
+// task's w̄, σ and external I/O, the edge count, each edge's endpoints
+// and size. Two workflows append the same bytes exactly when they hold
+// the same numbers (as IEEE-754 bits) at the same indices.
+func (w *Workflow) AppendContent(b []byte) []byte {
+	b = slices.Grow(b, 16+32*len(w.tasks)+24*len(w.edges))
+	b = binary.BigEndian.AppendUint64(b, uint64(len(w.tasks)))
+	for _, t := range w.tasks {
+		for _, v := range [...]float64{t.Weight.Mean, t.Weight.Sigma, t.ExternalIn, t.ExternalOut} {
+			b = binary.BigEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	b = binary.BigEndian.AppendUint64(b, uint64(len(w.edges)))
+	for _, e := range w.edges {
+		b = binary.BigEndian.AppendUint64(b, uint64(e.From))
+		b = binary.BigEndian.AppendUint64(b, uint64(e.To))
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(e.Size))
+	}
+	return b
+}
 
 // Succ returns the outgoing edges of a task.
 func (w *Workflow) Succ(id TaskID) []Edge {
