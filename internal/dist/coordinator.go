@@ -49,9 +49,6 @@ type Coordinator struct {
 	Members func() []string
 	// Client issues the shard requests; nil uses http.DefaultClient.
 	Client *http.Client
-	// MaxInFlight bounds concurrently dispatched shards; default
-	// 2×fleet size (min 2).
-	MaxInFlight int
 	// UnitsPerShard sets the shard granularity; default sizes shards
 	// so each worker receives about four.
 	UnitsPerShard int
@@ -75,18 +72,15 @@ type Coordinator struct {
 	// Logf, when set, receives retry/split/steal/fallback diagnostics.
 	Logf func(format string, args ...any)
 
-	pick int64      // round-robin cursor
-	mu   sync.Mutex // guards bench
-	// bench maps worker URL → time before which it is not offered
-	// work again.
-	bench map[string]time.Time
+	mu    sync.Mutex // guards pick and bench, which every run shares
+	pick  int        // round-robin cursor
+	bench map[string]benched
+	stats counters
+}
 
-	statDispatched atomic.Int64
-	statRequeued   atomic.Int64
-	statStolen     atomic.Int64
-	statLateDup    atomic.Int64
-	statLocalFB    atomic.Int64
-	statStitched   atomic.Int64
+// counters are the dispatch counters behind Stats.
+type counters struct {
+	dispatched, requeued, stolen, lateDup, localFB, stitched atomic.Int64
 }
 
 // CoordStats counts dispatch events over the coordinator's lifetime,
@@ -113,12 +107,12 @@ type CoordStats struct {
 // Stats snapshots the dispatch counters.
 func (c *Coordinator) Stats() CoordStats {
 	return CoordStats{
-		Dispatched:     c.statDispatched.Load(),
-		Requeued:       c.statRequeued.Load(),
-		Stolen:         c.statStolen.Load(),
-		LateDuplicates: c.statLateDup.Load(),
-		LocalFallbacks: c.statLocalFB.Load(),
-		SpansStitched:  c.statStitched.Load(),
+		Dispatched:     c.stats.dispatched.Load(),
+		Requeued:       c.stats.requeued.Load(),
+		Stolen:         c.stats.stolen.Load(),
+		LateDuplicates: c.stats.lateDup.Load(),
+		LocalFallbacks: c.stats.localFB.Load(),
+		SpansStitched:  c.stats.stitched.Load(),
 	}
 }
 
@@ -129,7 +123,7 @@ type RunOptions struct {
 	// shard attempt.
 	Span *obs.Span
 	// Progress, when non-nil, is called after each shard completes
-	// with cumulative finished units.
+	// with cumulative finished units, which strictly increase.
 	Progress func(doneUnits, totalUnits int)
 	// Completed holds shard results journalled by a previous
 	// incarnation of this job: their units are folded into the merge
@@ -138,8 +132,9 @@ type RunOptions struct {
 	// work, not a wrong result.
 	Completed []ShardResult
 	// OnShard, when non-nil, receives every newly accepted shard
-	// result (its units marshalled), in completion order — the hook
-	// the job store uses to journal shard progress.
+	// result (its units marshalled), in acceptance order — the hook
+	// the job store uses to journal shard progress. Both callbacks run
+	// on Run's goroutine and never after Run returns.
 	OnShard func(ShardResult)
 	// Epoch tags OnShard results with the run incarnation.
 	Epoch int
@@ -232,370 +227,246 @@ func (c *Coordinator) backoff(fails int) time.Duration {
 	return half + time.Duration(rand.Int63n(int64(half)+1))
 }
 
-// shard is one outstanding unit range with its remote attempt count.
-// A speculative shard is a duplicate of a still-in-flight primary: on
-// success the first result wins; on failure it is dropped silently,
-// because its primary still owns the range.
-type shard struct {
-	start, end  int
-	attempts    int
-	speculative bool
-	// parent is the flight id of the primary a speculation shadows, so
-	// a failed speculation can re-arm the primary for stealing.
-	parent int64
-	// avoid is the worker the primary is stuck on: a speculation is
-	// pointless on the same worker, so dispatch prefers any other.
-	avoid string
-}
-
-// flight is one in-flight remote dispatch, tracked for stealing.
-type flight struct {
-	sh         shard
-	worker     string
-	started    time.Time
-	speculated bool
-}
-
 // Run executes the campaign across the fleet and returns its units,
 // every cell of the grid exactly once, for the campaign's own Merge —
 // which makes the result bit-identical to the single-process run of
 // the same spec.
 //
-// A bounded set of dispatcher goroutines pull shards from a shared
-// queue, place them on benched-aware round-robin workers (the live
-// fleet, re-evaluated every dispatch), and feed failures back as
-// retries, splits, speculative steals, or local fallbacks. Unit
-// coverage is the single source of truth: a result is accepted only if
-// none of its units are covered yet, so duplicates from steals or
-// previous incarnations can never double-merge. Run returns only when
-// every unit is covered, or on the first unrecoverable error.
+// Run is the only goroutine that touches the run's state (runState).
+// It places shards on benched-aware round-robin workers (the live
+// fleet, re-evaluated every placement) through at most 2×fleet attempt
+// goroutines, each making one remote call or one local run and sending
+// back one outcome, and it folds the outcomes and a periodic steal tick
+// into the state, which answers with retries, splits, speculative
+// steals and local fallbacks. Unit coverage is the single source of
+// truth: a result is accepted only if none of its units are covered
+// yet, so duplicates from steals or previous incarnations can never
+// double-merge. Run returns once every unit is covered, or on the
+// first unrecoverable error, and only after every attempt goroutine
+// has reported.
 func (c *Coordinator) Run(ctx context.Context, camp *Campaign, opt RunOptions) ([]exp.Unit, error) {
-	total := camp.Cells()
-	var merged []exp.Unit
-
-	// Fold in shard results journalled by a previous incarnation:
-	// their units are covered up front and never recomputed.
-	covered := make([]bool, total)
-	coveredCount := 0
-	for _, sr := range opt.Completed {
-		if sr.Start < 0 || sr.End > total || sr.End <= sr.Start {
-			continue
-		}
-		var resp ShardResponse
-		if err := json.Unmarshal(sr.Units, &resp); err != nil {
-			continue
-		}
-		if camp.covers(resp.Units, sr.Start, sr.End) != nil {
-			continue
-		}
-		overlap := false
-		for i := sr.Start; i < sr.End; i++ {
-			if covered[i] {
-				overlap = true
-				break
-			}
-		}
-		if overlap {
-			continue
-		}
-		for i := sr.Start; i < sr.End; i++ {
-			covered[i] = true
-		}
-		coveredCount += sr.End - sr.Start
-		merged = append(merged, resp.Units...)
-	}
-	if coveredCount > 0 {
-		c.logf("dist: resuming with %d/%d units from journalled shards", coveredCount, total)
+	st := c.newRunState(camp, opt.Completed)
+	if st.done > 0 {
+		c.logf("dist: resuming with %d/%d units from journalled shards", st.done, st.total)
 		if opt.Progress != nil {
-			opt.Progress(coveredCount, total)
+			opt.Progress(st.done, st.total)
 		}
 	}
-	if coveredCount == total {
-		return merged, nil
-	}
-
-	fleetLen := len(c.fleet())
-	if fleetLen < 1 {
-		fleetLen = 1
-	}
-	unitsPerShard := c.UnitsPerShard
-	if unitsPerShard <= 0 {
-		unitsPerShard = (total + 4*fleetLen - 1) / (4 * fleetLen)
-	}
-	if unitsPerShard < 1 {
-		unitsPerShard = 1
-	}
-	inFlight := c.MaxInFlight
-	if inFlight <= 0 {
-		inFlight = 2 * fleetLen
-	}
-	if inFlight < 2 {
-		inFlight = 2
-	}
-
-	var (
-		mu       sync.Mutex
-		cond     = sync.NewCond(&mu)
-		queue    []shard
-		flights  = make(map[int64]*flight)
-		flightID int64
-		firstErr error
-		stopped  bool
-	)
-	for _, gap := range uncoveredGaps(covered) {
-		for start := gap.start; start < gap.end; start += unitsPerShard {
-			end := start + unitsPerShard
-			if end > gap.end {
-				end = gap.end
-			}
-			queue = append(queue, shard{start: start, end: end})
-		}
-	}
-
-	// runCtx cancels lingering dispatches the moment the run settles
-	// (complete or failed), so a hung speculative call can't hold the
-	// loop open for a full ShardTimeout.
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-
-	watch := make(chan struct{})
-	defer close(watch)
-	go func() {
-		select {
-		case <-ctx.Done():
-			mu.Lock()
-			stopped = true
-			mu.Unlock()
-			cond.Broadcast()
-		case <-watch:
-		}
-	}()
-
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancelRun()
-		cond.Broadcast()
-	}
-	// accept merges a completed shard's units unless any are already
-	// covered — the (job, shard range, epoch) dedupe that makes steal
-	// races and previous-incarnation stragglers harmless. It reports
-	// whether the result was merged, so the dispatcher can tag the
-	// shard's span as a dropped duplicate.
-	accept := func(sh shard, resp *ShardResponse) bool {
-		mu.Lock()
-		for i := sh.start; i < sh.end; i++ {
-			if covered[i] {
-				mu.Unlock()
-				c.statLateDup.Add(1)
-				c.logf("dist: dropping late duplicate shard [%d,%d)", sh.start, sh.end)
-				return false
-			}
-		}
-		for i := sh.start; i < sh.end; i++ {
-			covered[i] = true
-		}
-		coveredCount += sh.end - sh.start
-		merged = append(merged, resp.Units...)
-		done := coveredCount
-		complete := coveredCount == total
-		mu.Unlock()
-		if complete {
-			cancelRun()
-		}
-		cond.Broadcast()
-		emitShard(opt, sh.start, sh.end, resp)
-		if opt.Progress != nil {
-			opt.Progress(done, total)
-		}
-		return true
-	}
-	requeue := func(shs ...shard) {
-		mu.Lock()
-		queue = append(queue, shs...)
-		mu.Unlock()
-		c.statRequeued.Add(1)
-		cond.Broadcast()
+	if st.complete() {
+		return st.merged, nil
 	}
 
 	// No fleet and no membership: run each gap locally as one shard.
 	if len(c.Workers) == 0 && c.Members == nil {
-		for _, gap := range uncoveredGaps(covered) {
+		for _, g := range st.gaps() {
 			span := opt.Span.Child("shard")
-			span.Set(obs.Str("mode", "local"), obs.Int("start", gap.start), obs.Int("end", gap.end))
-			units, err := camp.Run(ctx, c.LocalWorkers, gap.start, gap.end)
+			span.Set(obs.Str("mode", "local"), obs.Int("start", g.start), obs.Int("end", g.end))
+			units, err := camp.Run(ctx, c.LocalWorkers, g.start, g.end)
 			span.End()
+			if err == nil {
+				err = c.settle(ctx, st, outcome{sh: shard{start: g.start, end: g.end}, resp: &ShardResponse{Units: units}}, opt)
+			}
 			if err != nil {
 				return nil, err
 			}
-			accept(shard{start: gap.start, end: gap.end}, &ShardResponse{Units: units})
 		}
-		return merged, nil
+		return st.merged, nil
 	}
 
-	// Steal scanner: speculatively re-issue shards stuck in flight past
-	// StealAfter, and immediately re-issue shards whose worker left the
-	// live fleet (heartbeat TTL expiry).
-	tick := c.stealAfter() / 8
-	if tick < 50*time.Millisecond {
-		tick = 50 * time.Millisecond
+	fleet := max(len(c.fleet()), 1)
+	perShard := c.UnitsPerShard
+	if perShard <= 0 {
+		perShard = (st.total + 4*fleet - 1) / (4 * fleet)
 	}
-	if tick > time.Second {
-		tick = time.Second
-	}
-	scanDone := make(chan struct{})
-	var scanWG sync.WaitGroup
-	scanWG.Add(1)
-	go func() {
-		defer scanWG.Done()
-		t := time.NewTicker(tick)
-		defer t.Stop()
-		for {
-			select {
-			case <-scanDone:
-				return
-			case <-t.C:
+	st.shardGaps(max(perShard, 1))
+
+	// runCtx cancels lingering attempts the moment the run settles
+	// (complete or failed), so a hung speculative call can't hold Run
+	// open for a full ShardTimeout.
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// One slot per attempt goroutine: no send blocks, even if Run
+	// stops receiving.
+	outcomes := make(chan outcome, 2*fleet)
+	tick := time.NewTicker(min(max(c.stealAfter()/8, 50*time.Millisecond), time.Second))
+	defer tick.Stop()
+	cancelled := ctx.Done()
+	var err error
+	for running := 0; ; {
+		for err == nil && running < 2*fleet {
+			sh, local, ok := st.next()
+			if !ok {
+				break
 			}
-			live := make(map[string]bool)
-			for _, w := range c.fleet() {
-				live[w] = true
-			}
-			now := time.Now()
-			var stolen []shard
-			mu.Lock()
-			for id, f := range flights {
-				if f.speculated || f.sh.speculative {
-					continue
-				}
-				slow := now.Sub(f.started) > c.stealAfter()
-				orphaned := !live[f.worker]
-				if !slow && !orphaned {
-					continue
-				}
-				f.speculated = true
-				stolen = append(stolen, shard{start: f.sh.start, end: f.sh.end, speculative: true, parent: id, avoid: f.worker})
-				c.logf("dist: stealing shard [%d,%d) from %s (slow=%v orphaned=%v)",
-					f.sh.start, f.sh.end, f.worker, slow, orphaned)
-			}
-			queue = append(queue, stolen...)
-			mu.Unlock()
-			if len(stolen) > 0 {
-				c.statStolen.Add(int64(len(stolen)))
-				cond.Broadcast()
-			}
+			c.launch(runCtx, camp, st, sh, local, opt, outcomes)
+			running++
 		}
-	}()
-
-	var wg sync.WaitGroup
-	for i := 0; i < inFlight; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				for len(queue) == 0 && coveredCount < total && !stopped && firstErr == nil {
-					cond.Wait()
-				}
-				if stopped || firstErr != nil || coveredCount == total {
-					mu.Unlock()
-					return
-				}
-				sh := queue[len(queue)-1]
-				queue = queue[:len(queue)-1]
-				// A queued shard whose units got covered in the
-				// meantime (a steal winner beat it) is obsolete.
-				obsolete := true
-				for i := sh.start; i < sh.end; i++ {
-					if !covered[i] {
-						obsolete = false
-						break
-					}
-				}
-				mu.Unlock()
-				if obsolete {
-					continue
-				}
-
-				c.dispatch(runCtx, ctx, camp, sh, opt, dispatchHooks{
-					accept:  accept,
-					requeue: requeue,
-					fail:    fail,
-					track: func(f *flight) int64 {
-						mu.Lock()
-						flightID++
-						id := flightID
-						flights[id] = f
-						mu.Unlock()
-						return id
-					},
-					untrack: func(id int64) {
-						mu.Lock()
-						delete(flights, id)
-						mu.Unlock()
-					},
-					unspeculate: func(parent int64) {
-						mu.Lock()
-						if f, ok := flights[parent]; ok {
-							f.speculated = false
-						}
-						mu.Unlock()
-					},
-					settled: func() bool {
-						mu.Lock()
-						defer mu.Unlock()
-						return stopped || firstErr != nil || coveredCount == total
-					},
-				})
+		if running == 0 {
+			break
+		}
+		select {
+		case o := <-outcomes:
+			running--
+			if err == nil {
+				err = c.settle(ctx, st, o, opt)
 			}
-		}()
+			if err != nil || st.complete() {
+				cancel()
+			}
+		case now := <-tick.C:
+			// Speculatively re-issue shards stuck in flight past
+			// StealAfter, and at once those whose worker left the live
+			// fleet (heartbeat TTL expiry).
+			if err == nil {
+				for _, sh := range st.steal(now, c.fleet()) {
+					c.logf("dist: stealing shard [%d,%d) from %s", sh.start, sh.end, sh.avoid)
+				}
+			}
+		case <-cancelled:
+			cancelled, err = nil, ctx.Err()
+		}
 	}
-	wg.Wait()
-	close(scanDone)
-	scanWG.Wait()
-
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return merged, nil
+	return st.merged, nil
 }
 
-// dispatchHooks is the dispatcher's channel back into the run state.
-type dispatchHooks struct {
-	accept      func(shard, *ShardResponse) bool
-	requeue     func(...shard)
-	fail        func(error)
-	track       func(*flight) int64
-	untrack     func(int64)
-	unspeculate func(parent int64)
-	settled     func() bool
+// outcome is what one attempt goroutine reports to Run.
+type outcome struct {
+	id     int64 // the attempt's flight; 0 when it ran locally or found no worker
+	sh     shard
+	worker string // "" when the attempt ran locally or found no worker
+	local  bool
+	// resp is the attempt's units; nil with a nil err means no live
+	// worker was there to place the shard on.
+	resp       *ShardResponse
+	retryAfter time.Duration
+	err        error
+	span       *obs.Span
 }
 
-// gap is a maximal uncovered unit range.
-type gap struct{ start, end int }
-
-// uncoveredGaps lists the maximal runs of uncovered units.
-func uncoveredGaps(covered []bool) []gap {
-	var out []gap
-	i := 0
-	for i < len(covered) {
-		if covered[i] {
-			i++
-			continue
-		}
-		j := i
-		for j < len(covered) && !covered[j] {
-			j++
-		}
-		out = append(out, gap{start: i, end: j})
-		i = j
+// launch starts the attempt goroutine for sh, which sends exactly one
+// outcome on out; Run receives every one before it returns.
+func (c *Coordinator) launch(ctx context.Context, camp *Campaign, st *runState, sh shard, local bool, opt RunOptions, out chan<- outcome) {
+	if local {
+		c.logf("dist: shard [%d,%d) exhausted %d remote attempts; running locally", sh.start, sh.end, sh.attempts)
+		go func() {
+			span := opt.Span.Child("shard")
+			span.Set(obs.Str("mode", "fallback"), obs.Int("start", sh.start), obs.Int("end", sh.end))
+			units, err := camp.Run(ctx, c.LocalWorkers, sh.start, sh.end)
+			span.End()
+			out <- outcome{sh: sh, local: true, resp: &ShardResponse{Units: units}, err: err, span: span}
+		}()
+		return
 	}
-	return out
+	fleet := c.fleet()
+	if len(fleet) == 0 {
+		// No live workers right now: wait a beat for one to register.
+		go func() { out <- outcome{sh: sh, err: sleepCtx(ctx, 250*time.Millisecond)} }()
+		return
+	}
+	now := time.Now()
+	worker, wait := c.pickWorker(fleet, sh.avoid, now)
+	id := st.dispatched(sh, worker, now.Add(wait))
+	go func() { out <- c.attempt(ctx, camp, id, sh, worker, wait, opt) }()
+}
+
+// attempt is one remote attempt of sh on worker: it waits out the
+// fleet's bench, then makes one POST /v1/shards and checks that the
+// answer covers the range, under a dispatch span the worker's own
+// subtree stitches into.
+func (c *Coordinator) attempt(ctx context.Context, camp *Campaign, id int64, sh shard, worker string, wait time.Duration, opt RunOptions) outcome {
+	o := outcome{id: id, sh: sh, worker: worker}
+	if wait > 0 {
+		// Whole fleet benched: wait for the first worker to come back.
+		if o.err = sleepCtx(ctx, wait); o.err != nil {
+			return o
+		}
+	}
+	span := opt.Span.Child("shard")
+	o.span = span
+	span.Set(obs.Str("worker", worker),
+		obs.Int("start", sh.start), obs.Int("end", sh.end), obs.Int("attempt", sh.attempts+1))
+	if opt.Epoch != 0 {
+		span.Set(obs.Int("epoch", opt.Epoch))
+	}
+	if sh.attempts > 0 {
+		span.Set(obs.Bool("retry", true))
+	}
+	if sh.speculative {
+		span.Set(obs.Bool("speculative", true), obs.Bool("stolen", true))
+	}
+	// Ask the worker for its compute subtree and hand it our span
+	// context, so the response stitches under this dispatch span.
+	req := ShardRequest{JobSpec: camp.Spec, Start: sh.start, End: sh.end, Trace: span.Enabled()}
+	sctx := span.SpanContext()
+	sctx.Epoch = opt.Epoch
+	resp, retryAfter, err := c.callWorker(ctx, worker, &req, sctx)
+	if err == nil {
+		if err = camp.covers(resp.Units, sh.start, sh.end); err != nil {
+			err = fmt.Errorf("dist: worker %s: %w", worker, err)
+		}
+	}
+	if err != nil {
+		span.Set(obs.Str("error", err.Error()))
+		span.End()
+		o.err, o.retryAfter = err, retryAfter
+		return o
+	}
+	if resp.Trace != nil {
+		// Stitch the worker's subtree under the still-open dispatch
+		// span (its envelope is the clock-alignment anchor), then strip
+		// it: the merge and the journal carry payload only.
+		c.stats.stitched.Add(int64(span.GraftRemote(resp.Trace, worker)))
+		resp.Trace = nil
+	}
+	span.End()
+	o.resp = resp
+	return o
+}
+
+// settle folds one outcome into the run on Run's goroutine, the only
+// place Progress and OnShard are called — so progress never goes
+// backwards and OnShard sees acceptance order. It returns the error
+// that ends the run, if any.
+func (c *Coordinator) settle(ctx context.Context, st *runState, o outcome, opt RunOptions) error {
+	if o.err != nil {
+		if st.complete() {
+			return nil // a straggler cancelled by the run's completion
+		}
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if o.local {
+			return fmt.Errorf("dist: local fallback for shard [%d,%d): %w", o.sh.start, o.sh.end, o.err)
+		}
+		if o.sh.speculative {
+			c.logf("dist: speculative shard [%d,%d) on %s failed: %v", o.sh.start, o.sh.end, o.worker, o.err)
+		} else {
+			c.benchWorker(o.worker, o.retryAfter, time.Now())
+			c.logf("dist: shard [%d,%d) attempt %d on %s failed: %v", o.sh.start, o.sh.end, o.sh.attempts+1, o.worker, o.err)
+		}
+		st.failed(o.id, o.sh)
+		return nil
+	}
+	if o.resp == nil {
+		st.unplaced(o.sh)
+		return nil
+	}
+	if o.worker != "" {
+		c.unbench(o.worker)
+	}
+	if !st.result(o.id, o.sh, o.resp.Units) {
+		o.span.Set(obs.Bool("duplicateDropped", true))
+		c.logf("dist: dropping late duplicate shard [%d,%d)", o.sh.start, o.sh.end)
+		return nil
+	}
+	emitShard(opt, o.sh.start, o.sh.end, o.resp)
+	if opt.Progress != nil {
+		opt.Progress(st.done, st.total)
+	}
+	return nil
 }
 
 // covers reports whether units are a well-formed answer to the range
@@ -621,162 +492,34 @@ func emitShard(opt RunOptions, start, end int, resp *ShardResponse) {
 	opt.OnShard(ShardResult{Start: start, End: end, Epoch: opt.Epoch, Units: raw})
 }
 
-// dispatch places one shard: remote while attempts remain, splitting
-// multi-unit primaries on failure so their work redistributes, then
-// the local fallback. Speculative shards drop silently on failure —
-// their primary still owns the range. runCtx bounds the remote call
-// (it cancels when the run settles); ctx is the caller's context, used
-// to distinguish real cancellation from settle cleanup.
-func (c *Coordinator) dispatch(runCtx, ctx context.Context, camp *Campaign, sh shard, opt RunOptions, h dispatchHooks) {
-
-	if sh.attempts >= c.maxAttempts() {
-		if sh.speculative {
-			return
-		}
-		// Remote attempts exhausted: the shard runs here, so no worker
-		// failure mode can lose it.
-		span := opt.Span.Child("shard")
-		span.Set(obs.Str("mode", "fallback"), obs.Int("start", sh.start), obs.Int("end", sh.end))
-		c.logf("dist: shard [%d,%d) exhausted %d remote attempts; running locally", sh.start, sh.end, sh.attempts)
-		c.statLocalFB.Add(1)
-		units, err := camp.Run(runCtx, c.LocalWorkers, sh.start, sh.end)
-		span.End()
-		if err != nil {
-			if h.settled() {
-				return
-			}
-			h.fail(fmt.Errorf("dist: local fallback for shard [%d,%d): %w", sh.start, sh.end, err))
-			return
-		}
-		if !h.accept(sh, &ShardResponse{Units: units}) {
-			span.Set(obs.Bool("duplicateDropped", true))
-		}
-		return
-	}
-
-	fleet := c.fleet()
-	if len(fleet) == 0 {
-		// No live workers right now: wait a beat for one to register,
-		// burning an attempt so a forever-empty fleet still converges
-		// to the local fallback.
-		if err := sleepCtx(runCtx, 250*time.Millisecond); err != nil {
-			if h.settled() {
-				return
-			}
-			h.fail(err)
-			return
-		}
-		sh.attempts++
-		h.requeue(sh)
-		return
-	}
-
-	worker, wait := c.pickWorker(fleet, sh.avoid)
-	if wait > 0 {
-		// Whole fleet benched: wait for the first worker to come back.
-		if err := sleepCtx(runCtx, wait); err != nil {
-			if h.settled() {
-				return
-			}
-			h.fail(err)
-			return
-		}
-	}
-
-	span := opt.Span.Child("shard")
-	span.Set(obs.Str("worker", worker),
-		obs.Int("start", sh.start), obs.Int("end", sh.end), obs.Int("attempt", sh.attempts+1))
-	if opt.Epoch != 0 {
-		span.Set(obs.Int("epoch", opt.Epoch))
-	}
-	if sh.attempts > 0 {
-		span.Set(obs.Bool("retry", true))
-	}
-	if sh.speculative {
-		span.Set(obs.Bool("speculative", true), obs.Bool("stolen", true))
-	}
-	// Ask the worker for its compute subtree and hand it our span
-	// context, so the response stitches under this dispatch span.
-	req := ShardRequest{JobSpec: camp.Spec, Start: sh.start, End: sh.end, Trace: span.Enabled()}
-	sctx := span.SpanContext()
-	sctx.Epoch = opt.Epoch
-	id := h.track(&flight{sh: sh, worker: worker, started: time.Now()})
-	c.statDispatched.Add(1)
-	resp, retryAfter, err := c.callWorker(runCtx, worker, &req, sctx)
-	if err == nil {
-		if err = camp.covers(resp.Units, sh.start, sh.end); err != nil {
-			err = fmt.Errorf("dist: worker %s: %w", worker, err)
-		}
-	}
-	h.untrack(id)
-	if err == nil {
-		if resp.Trace != nil {
-			// Stitch the worker's subtree under the still-open dispatch
-			// span (its envelope is the clock-alignment anchor), then
-			// strip it: the merge and the journal carry payload only.
-			c.statStitched.Add(int64(span.GraftRemote(resp.Trace, worker)))
-			resp.Trace = nil
-		}
-		span.End()
-		c.unbench(worker)
-		if !h.accept(sh, resp) {
-			span.Set(obs.Bool("duplicateDropped", true))
-		}
-		return
-	}
-	span.Set(obs.Str("error", err.Error()))
-	span.End()
-	if h.settled() {
-		return
-	}
-	if ctx.Err() != nil {
-		h.fail(ctx.Err())
-		return
-	}
-
-	if sh.speculative {
-		// The primary still owns this range; just re-arm it for a
-		// future steal.
-		c.logf("dist: speculative shard [%d,%d) on %s failed: %v", sh.start, sh.end, worker, err)
-		h.unspeculate(sh.parent)
-		return
-	}
-
-	c.benchWorker(worker, retryAfter)
-	sh.attempts++
-	c.logf("dist: shard [%d,%d) attempt %d on %s failed: %v", sh.start, sh.end, sh.attempts, worker, err)
-	if n := sh.end - sh.start; n > 1 {
-		// Re-shard: halves redistribute over the surviving fleet.
-		mid := sh.start + n/2
-		h.requeue(shard{start: sh.start, end: mid, attempts: sh.attempts},
-			shard{start: mid, end: sh.end, attempts: sh.attempts})
-		return
-	}
-	h.requeue(sh)
+// benched is a worker out of rotation until until; fails is its streak
+// of consecutive failures other than 429s.
+type benched struct {
+	until time.Time
+	fails int
 }
 
-// pickWorker returns the next available worker from the fleet
+// pickWorker returns the next available worker from the fleet at now
 // (benched-aware round robin). avoid, when non-empty, is used only if
 // no other worker is available — a speculation re-issued to the worker
 // it was stolen from would just hang twice. When every worker is
 // benched it returns the one that comes back first and how long until
 // then.
-func (c *Coordinator) pickWorker(fleet []string, avoid string) (string, time.Duration) {
-	now := time.Now()
+func (c *Coordinator) pickWorker(fleet []string, avoid string, now time.Time) (string, time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := len(fleet)
 	best, bestUntil := -1, time.Time{}
 	avoided := -1
 	for off := 0; off < n; off++ {
-		i := int((c.pick + int64(off)) % int64(n))
-		until := c.bench[fleet[i]]
+		i := (c.pick + off) % n
+		until := c.bench[fleet[i]].until
 		if !until.After(now) {
 			if fleet[i] == avoid {
 				avoided = i
 				continue
 			}
-			c.pick = int64(i) + 1
+			c.pick = i + 1
 			return fleet[i], 0
 		}
 		if best == -1 || until.Before(bestUntil) {
@@ -784,34 +527,31 @@ func (c *Coordinator) pickWorker(fleet []string, avoid string) (string, time.Dur
 		}
 	}
 	if avoided >= 0 {
-		c.pick = int64(avoided) + 1
+		c.pick = avoided + 1
 		return fleet[avoided], 0
 	}
-	c.pick = int64(best) + 1
+	c.pick = best + 1
 	return fleet[best], bestUntil.Sub(now)
 }
 
-// benchWorker takes a worker out of rotation after a failure. A 429's
-// Retry-After is honored exactly; otherwise the bench grows with the
-// worker's consecutive-failure streak (tracked as the remaining bench).
-func (c *Coordinator) benchWorker(worker string, retryAfter time.Duration) {
+// benchWorker takes a worker out of rotation after a failure at now. A
+// 429's Retry-After is honored exactly; any other failure lengthens the
+// worker's streak, and the bench doubles with it (jittered, capped), so
+// consecutive failures push the worker further out of rotation.
+func (c *Coordinator) benchWorker(worker string, retryAfter time.Duration, now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.bench == nil {
-		c.bench = make(map[string]time.Time)
+		c.bench = make(map[string]benched)
 	}
-	d := retryAfter
-	if d <= 0 {
-		// Double the previous bench (jittered, capped) — consecutive
-		// failures push the worker further out of rotation.
-		prev := time.Until(c.bench[worker])
-		fails := 1
-		for b := c.retryBase(); b < prev && b < c.retryCap(); b *= 2 {
-			fails++
-		}
-		d = c.backoff(fails)
+	b := c.bench[worker]
+	if retryAfter > 0 {
+		b.until = now.Add(retryAfter)
+	} else {
+		b.fails++
+		b.until = now.Add(c.backoff(b.fails))
 	}
-	c.bench[worker] = time.Now().Add(d)
+	c.bench[worker] = b
 }
 
 // unbench restores a worker to rotation after a success.

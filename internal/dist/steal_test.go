@@ -17,12 +17,12 @@ import (
 func TestPickWorkerAvoid(t *testing.T) {
 	c := &Coordinator{}
 	for i := 0; i < 4; i++ {
-		w, wait := c.pickWorker([]string{"http://a", "http://b"}, "http://a")
+		w, wait := c.pickWorker([]string{"http://a", "http://b"}, "http://a", time.Now())
 		if w != "http://b" || wait != 0 {
 			t.Fatalf("pick %d = %s (wait %v), want the non-avoided worker", i, w, wait)
 		}
 	}
-	if w, _ := c.pickWorker([]string{"http://a"}, "http://a"); w != "http://a" {
+	if w, _ := c.pickWorker([]string{"http://a"}, "http://a", time.Now()); w != "http://a" {
 		t.Fatalf("single-worker fleet pick = %s, want the avoided worker as last resort", w)
 	}
 }

@@ -208,7 +208,7 @@ func TestStitchStolenShard(t *testing.T) {
 	}
 }
 
-// TestDispatchTagsLateDuplicate drives one speculative dispatch whose
+// TestDispatchTagsLateDuplicate drives one speculative attempt whose
 // result the run refuses (its units were covered while it was in
 // flight): the span must still stitch the worker subtree and be tagged
 // duplicateDropped, so lost steal races stay visible in the trace.
@@ -217,21 +217,20 @@ func TestDispatchTagsLateDuplicate(t *testing.T) {
 	c := &Coordinator{Workers: []string{wrk.URL}}
 	tr := obs.New("job")
 	tr.SetID("job-dup")
-	accepted := 0
-	h := dispatchHooks{
-		accept:      func(sh shard, resp *ShardResponse) bool { accepted++; return false },
-		requeue:     func(...shard) { t.Error("unexpected requeue") },
-		fail:        func(err error) { t.Errorf("unexpected fail: %v", err) },
-		track:       func(*flight) int64 { return 1 },
-		untrack:     func(int64) {},
-		unspeculate: func(int64) {},
-		settled:     func() bool { return false },
-	}
+	opt := RunOptions{Span: tr.Root()}
 	camp := resolve(t, JobSpec{Kind: KindSweep, Sweep: testSweepSpec()})
-	c.dispatch(context.Background(), context.Background(), camp,
-		shard{start: 0, end: 2, speculative: true}, RunOptions{Span: tr.Root()}, h)
-	if accepted != 1 {
-		t.Fatalf("accept called %d times, want 1", accepted)
+	st := c.newRunState(camp, nil)
+	sh := shard{start: 0, end: 2, speculative: true}
+	o := c.attempt(context.Background(), camp, st.dispatched(sh, wrk.URL, time.Now()), sh, wrk.URL, 0, opt)
+	if o.err != nil {
+		t.Fatalf("attempt: %v", o.err)
+	}
+	st.cover(0, 2, o.resp.Units) // the primary won the race
+	if err := c.settle(context.Background(), st, o, opt); err != nil {
+		t.Fatalf("settle: %v", err)
+	}
+	if n := c.Stats().LateDuplicates; n != 1 {
+		t.Fatalf("LateDuplicates = %d, want 1", n)
 	}
 	shards := childrenNamed(tr.Tree().Root, "shard")
 	if len(shards) != 1 {
