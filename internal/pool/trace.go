@@ -1,10 +1,11 @@
 package pool
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"budgetwf/internal/obs"
 	"budgetwf/internal/reqerr"
@@ -108,12 +109,16 @@ func (ts TraceSpec) Generate() ([]Submission, error) {
 		return nil, err
 	}
 	base := rng.New(ts.Seed)
-	var subs []Submission
-	type key struct {
+	type keyed struct {
 		at          float64
 		tenant, idx int
+		sub         Submission
 	}
-	keys := make(map[int]key)
+	total := 0
+	for _, raw := range ts.Tenants {
+		total += raw.withDefaults().Count
+	}
+	all := make([]keyed, 0, total)
 	for i, raw := range ts.Tenants {
 		tt := raw.withDefaults()
 		family, _ := wfgen.ParseType(tt.WorkflowType)
@@ -125,33 +130,22 @@ func (ts TraceSpec) Generate() ([]Submission, error) {
 			if err != nil {
 				return nil, reqerr.Unusable("", "%v", err)
 			}
-			keys[len(subs)] = key{at: at, tenant: i, idx: j}
-			subs = append(subs, Submission{
+			all = append(all, keyed{at: at, tenant: i, idx: j, sub: Submission{
 				At:        at,
 				Tenant:    tt.Tenant,
 				Workflow:  w,
 				Algorithm: tt.Algorithm,
 				Budget:    tt.Budget,
-			})
+			}})
 		}
 	}
-	idx := make([]int, len(subs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ka, kb := keys[idx[a]], keys[idx[b]]
-		if ka.at != kb.at {
-			return ka.at < kb.at
-		}
-		if ka.tenant != kb.tenant {
-			return ka.tenant < kb.tenant
-		}
-		return ka.idx < kb.idx
+	// The keys are distinct, so any sort gives the one order.
+	slices.SortFunc(all, func(a, b keyed) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.tenant, b.tenant), cmp.Compare(a.idx, b.idx))
 	})
-	out := make([]Submission, len(subs))
-	for i, j := range idx {
-		out[i] = subs[j]
+	out := make([]Submission, len(all))
+	for i := range all {
+		out[i] = all[i].sub
 	}
 	return out, nil
 }

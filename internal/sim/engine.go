@@ -142,64 +142,34 @@ type engineStatic struct {
 	order    []wf.TaskID
 	orderBuf []wf.TaskID
 
-	edges     []wf.Edge // the workflow's edges, read-only
-	in, out   adjacency // edge indices per consumer / producer
-	dcIn      float64   // cached w.ExternalInSize(), billed by DCCost
-	dcOut     float64   // cached w.ExternalOutSize()
-	stageSize []float64 // bytes to stage before computing (incl. external in)
-	missing0  []int     // initial count of crossing inputs per task
-	pos       []int     // plan.Schedule.ValidateBuf scratch
-}
-
-// adjacency lists, per task, the indices of its edges at one endpoint in
-// edge-index order — the order wf.Succ and wf.Pred use — in one array.
-type adjacency struct{ start, idx []int }
-
-func (a adjacency) of(t wf.TaskID) []int { return a.idx[a.start[t]:a.start[t+1]] }
-
-// adjacencies indexes edges by consumer (in) and by producer (out).
-func adjacencies(n int, edges []wf.Edge) (in, out adjacency) {
-	starts, idx := make([]int, 2*(n+1)), make([]int, 2*len(edges))
-	in = adjacency{start: starts[:n+1], idx: idx[:len(edges)]}
-	out = adjacency{start: starts[n+1:], idx: idx[len(edges):]}
-	for _, e := range edges {
-		in.start[e.To+1]++
-		out.start[e.From+1]++
-	}
-	for t := 0; t < n; t++ {
-		in.start[t+1] += in.start[t]
-		out.start[t+1] += out.start[t]
-	}
-	fill := make([]int, 2*n)
-	copy(fill, in.start[:n])
-	copy(fill[n:], out.start[:n])
-	for i, e := range edges {
-		in.idx[fill[e.To]] = i
-		fill[e.To]++
-		out.idx[fill[n+int(e.From)]] = i
-		fill[n+int(e.From)]++
-	}
-	return in, out
+	edges     []wf.Edge    // the workflow's edges, read-only
+	in, out   wf.Adjacency // edge indices per consumer / producer
+	dcIn      float64      // cached w.ExternalInSize(), billed by DCCost
+	dcOut     float64      // cached w.ExternalOutSize()
+	stageSize []float64    // bytes to stage before computing (incl. external in)
+	missing0  []int        // initial count of crossing inputs per task
+	pos       []int        // plan.Schedule.ValidateBuf scratch
 }
 
 func newEngineStatic(w *wf.Workflow, p *platform.Platform, s *plan.Schedule) (*engineStatic, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	n, edges := w.NumTasks(), w.EdgesView()
+	n := w.NumTasks()
 	st := &engineStatic{
 		w:         w,
 		p:         p,
 		fluid:     p.DCBandwidth > 0,
 		exact:     p.DCBandwidth == 0 && p.MaxXferCostPerByte() == 0,
-		edges:     edges,
+		edges:     w.EdgesView(),
+		in:        w.In(),
+		out:       w.Out(),
 		dcIn:      w.ExternalInSize(),
 		dcOut:     w.ExternalOutSize(),
 		stageSize: make([]float64, n),
 		missing0:  make([]int, n),
 		pos:       make([]int, n),
 	}
-	st.in, st.out = adjacencies(n, edges)
 	if err := st.bind(s); err != nil {
 		return nil, err
 	}
@@ -397,8 +367,8 @@ func (e *Exec) Now() float64 { return e.now }
 // task's incoming and outgoing ones, in edge-index order. All three are
 // read-only.
 func (e *Exec) Edges() []wf.Edge      { return e.st.edges }
-func (e *Exec) In(t wf.TaskID) []int  { return e.st.in.of(t) }
-func (e *Exec) Out(t wf.TaskID) []int { return e.st.out.of(t) }
+func (e *Exec) In(t wf.TaskID) []int  { return e.st.in.Of(t) }
+func (e *Exec) Out(t wf.TaskID) []int { return e.st.out.Of(t) }
 
 // push schedules an event of the given kind at instant at.
 func (e *Exec) push(at float64, kind evKind, id int, t wf.TaskID, stamp int) {
@@ -527,7 +497,7 @@ func (e *Exec) tryAdvance(v int) {
 // first; one that died with its VM waits for its producer's recovery.
 func (e *Exec) stageIn(v int, t wf.TaskID) (float64, bool) {
 	stage := e.st.w.TasksView()[t].ExternalIn
-	for _, ei := range e.st.in.of(t) {
+	for _, ei := range e.st.in.Of(t) {
 		switch e.EdgeState[ei] {
 		case EdgePending, EdgeUploading:
 			return 0, false
@@ -633,7 +603,7 @@ func (e *Exec) finishCompute(v int, t wf.TaskID) {
 	}
 	// Keep outputs for consumers on this VM; upload the others, and
 	// external outputs.
-	for _, ei := range e.st.out.of(t) {
+	for _, ei := range e.st.out.Of(t) {
 		if e.EdgeState[ei] == EdgeAtDC {
 			continue // checkpointed at the datacenter by an earlier run
 		}

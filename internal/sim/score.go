@@ -45,7 +45,7 @@ func (e *Exec) pass(vms []VM, order []wf.TaskID, taskVM []int, fin []float64, fi
 	for _, u := range order {
 		v := taskVM[u]
 		stage, ready := tasks[u].ExternalIn, 0.0
-		for _, ei := range st.in.of(u) {
+		for _, ei := range st.in.Of(u) {
 			edge := &st.edges[ei]
 			sv := taskVM[edge.From]
 			if sv == v {
@@ -172,7 +172,7 @@ func (e *Exec) passOrder() []wf.TaskID {
 	}
 	indeg, pos := e.missing, st.pos
 	for t := range indeg {
-		indeg[t] = len(st.in.of(wf.TaskID(t)))
+		indeg[t] = len(st.in.Of(wf.TaskID(t)))
 	}
 	for _, o := range s.Order {
 		for i, t := range o {
@@ -198,7 +198,7 @@ func (e *Exec) passOrder() []wf.TaskID {
 	}
 	for i := 0; i < len(order); i++ {
 		t := order[i]
-		for _, ei := range st.out.of(t) {
+		for _, ei := range st.out.Of(t) {
 			release(st.edges[ei].To)
 		}
 		if o := s.Order[s.TaskVM[t]]; pos[t]+1 < len(o) {

@@ -7,39 +7,28 @@ import (
 
 // TopoOrder returns the task IDs in a topological order (Kahn's
 // algorithm). Ties are broken by ascending task ID so that the order is
-// deterministic. It returns an error if the graph has a cycle.
+// deterministic. It returns an error if the graph has a cycle. The
+// order is computed once per index; each call returns a fresh copy.
 func (w *Workflow) TopoOrder() ([]TaskID, error) {
-	n := len(w.tasks)
-	indeg := make([]int, n)
-	for i := range w.tasks {
-		indeg[i] = len(w.pred[i])
+	topo, err := w.topo()
+	if err != nil {
+		return nil, err
 	}
-	// Min-heap behaviour via sorted frontier; n is small (≤ thousands),
-	// and determinism is worth more than the log factor here.
-	frontier := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			frontier = append(frontier, i)
-		}
-	}
-	order := make([]TaskID, 0, n)
-	for len(frontier) > 0 {
-		sort.Ints(frontier)
-		next := frontier[0]
-		frontier = frontier[1:]
-		order = append(order, TaskID(next))
-		for _, e := range w.succ[next] {
-			to := int(w.edges[e].To)
-			indeg[to]--
-			if indeg[to] == 0 {
-				frontier = append(frontier, to)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("wf: workflow %q has a cycle (%d of %d tasks ordered)", w.Name, len(order), n)
+	order := make([]TaskID, len(topo))
+	for i, t := range topo {
+		order[i] = TaskID(t)
 	}
 	return order, nil
+}
+
+// topo returns the index's topological order, read-only, or the
+// error that the graph has a cycle.
+func (w *Workflow) topo() ([]int, error) {
+	x := w.index()
+	if n := len(w.tasks); len(x.topo) != n {
+		return nil, fmt.Errorf("wf: workflow %q has a cycle (%d of %d tasks ordered)", w.Name, len(x.topo), n)
+	}
+	return x.topo, nil
 }
 
 // Levels partitions tasks into levels of independent tasks, as used by
@@ -48,15 +37,16 @@ func (w *Workflow) TopoOrder() ([]TaskID, error) {
 // independent. It returns the per-task level and the total number of
 // levels, or an error if the graph has a cycle.
 func (w *Workflow) Levels() (level []int, numLevels int, err error) {
-	order, err := w.TopoOrder()
+	order, err := w.topo()
 	if err != nil {
 		return nil, 0, err
 	}
 	level = make([]int, len(w.tasks))
 	maxLevel := -1
+	in := w.In()
 	for _, id := range order {
 		l := 0
-		for _, e := range w.pred[id] {
+		for _, e := range in.Of(TaskID(id)) {
 			from := int(w.edges[e].From)
 			if level[from]+1 > l {
 				l = level[from] + 1
@@ -79,15 +69,16 @@ func (w *Workflow) Levels() (level []int, numLevels int, err error) {
 // divided by the bandwidth, per §IV-A). Exit tasks have
 // rank = exec(T). It returns an error if the graph has a cycle.
 func (w *Workflow) BottomLevels(exec func(Task) float64, comm func(Edge) float64) ([]float64, error) {
-	order, err := w.TopoOrder()
+	order, err := w.topo()
 	if err != nil {
 		return nil, err
 	}
 	rank := make([]float64, len(w.tasks))
+	out := w.Out()
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		best := 0.0
-		for _, e := range w.succ[id] {
+		for _, e := range out.Of(TaskID(id)) {
 			edge := w.edges[e]
 			v := comm(edge) + rank[edge.To]
 			if v > best {
@@ -95,29 +86,6 @@ func (w *Workflow) BottomLevels(exec func(Task) float64, comm func(Edge) float64
 			}
 		}
 		rank[id] = exec(w.tasks[id]) + best
-	}
-	return rank, nil
-}
-
-// TopLevels computes the symmetric downward rank (longest path from an
-// entry to T, excluding T's own execution), used by earliest-start-time
-// estimates and by some analyses.
-func (w *Workflow) TopLevels(exec func(Task) float64, comm func(Edge) float64) ([]float64, error) {
-	order, err := w.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	rank := make([]float64, len(w.tasks))
-	for _, id := range order {
-		best := 0.0
-		for _, e := range w.pred[id] {
-			edge := w.edges[e]
-			v := rank[edge.From] + exec(w.tasks[edge.From]) + comm(edge)
-			if v > best {
-				best = v
-			}
-		}
-		rank[id] = best
 	}
 	return rank, nil
 }
@@ -174,8 +142,6 @@ func (w *Workflow) Validate() error {
 			return fmt.Errorf("wf: task %d (%s): negative external I/O", t.ID, t.Name)
 		}
 	}
-	if _, err := w.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	_, err := w.topo()
+	return err
 }

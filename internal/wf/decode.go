@@ -1,7 +1,6 @@
 package wf
 
 import (
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,8 +11,7 @@ import (
 //
 // A document takes one pass over its bytes with no reflection: the
 // task names are copied out of it into a single string, and the
-// tasks, the edges and the adjacency are each allocated once at their
-// exact sizes. That path either returns exactly the workflow the
+// tasks and the edges are each allocated once at their exact sizes. That path either returns exactly the workflow the
 // encoding/json decoder would, or it declines and the encoding/json
 // decoder runs instead. It declines on anything it would have to
 // interpret rather than copy — a key spelled in another case or
@@ -96,7 +94,6 @@ type decodeScratch struct {
 	name  string
 	tasks []Task
 	edges []Edge
-	deg   []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
@@ -185,23 +182,17 @@ func (d *scanner) edge() (Edge, bool) {
 
 // build allocates the workflow the scratch describes, exactly as the
 // AddTask/AddEdge sequence of the reflective path would shape it, and
-// validates it. Every error of that sequence is a decline here. The
+// validates it, which derives its index. Every error of that sequence is a decline here. The
 // workflow's name and its task names are copied into one string, so
 // that the workflow does not keep the document alive.
 func (sc *decodeScratch) build() (*Workflow, bool) {
-	n, m := len(sc.tasks), len(sc.edges)
-	// deg[t] is t's in-degree, deg[n+t] its out-degree.
-	sc.deg = slices.Grow(sc.deg[:0], 2*n)[:2*n]
-	deg := sc.deg
-	clear(deg)
+	n := len(sc.tasks)
 	for _, e := range sc.edges {
 		if int(e.From) >= n || int(e.To) >= n || e.From == e.To || e.Size < 0 {
 			return nil, false
 		}
-		deg[e.To]++
-		deg[n+int(e.From)]++
 	}
-	w := &Workflow{tasks: make([]Task, n), edges: make([]Edge, m)}
+	w := &Workflow{tasks: make([]Task, n), edges: make([]Edge, len(sc.edges))}
 	copy(w.tasks, sc.tasks)
 	copy(w.edges, sc.edges)
 	size := len(sc.name)
@@ -218,24 +209,6 @@ func (sc *decodeScratch) build() (*Workflow, bool) {
 	w.Name, all = all[:len(sc.name)], all[len(sc.name):]
 	for i := range w.tasks {
 		w.tasks[i].Name, all = all[:len(w.tasks[i].Name)], all[len(w.tasks[i].Name):]
-	}
-	// Every edge index is stored twice: size each task's two windows by
-	// its degrees, then fill them in edge order. Each window is capped
-	// at its length, so a later AddEdge reallocates instead of writing
-	// into its neighbour.
-	adj := make([][]int, 2*n)
-	w.pred, w.succ = adj[:n:n], adj[n:]
-	flat := make([]int, 2*m)
-	off := 0
-	for t := range n {
-		w.pred[t] = flat[off : off : off+deg[t]]
-		off += deg[t]
-		w.succ[t] = flat[off : off : off+deg[n+t]]
-		off += deg[n+t]
-	}
-	for i, e := range w.edges {
-		w.pred[e.To] = append(w.pred[e.To], i)
-		w.succ[e.From] = append(w.succ[e.From], i)
 	}
 	if w.Validate() != nil {
 		return nil, false

@@ -38,13 +38,10 @@ func equalWorkflows(a, b *Workflow) string {
 			return fmt.Sprintf("edge %d: %+v vs %+v", i, x, y)
 		}
 	}
-	if len(a.pred) != len(a.tasks) || len(b.pred) != len(b.tasks) ||
-		len(a.succ) != len(a.tasks) || len(b.succ) != len(b.tasks) {
-		return "adjacency not sized by the task count"
-	}
-	for t := range a.tasks {
-		if !slices.Equal(a.pred[t], b.pred[t]) || !slices.Equal(a.succ[t], b.succ[t]) {
-			return fmt.Sprintf("task %d adjacency: pred %v / succ %v vs %v / %v", t, a.pred[t], a.succ[t], b.pred[t], b.succ[t])
+	for i := range a.tasks {
+		t := TaskID(i)
+		if !slices.Equal(a.In().Of(t), b.In().Of(t)) || !slices.Equal(a.Out().Of(t), b.Out().Of(t)) {
+			return fmt.Sprintf("task %d adjacency: in %v / out %v vs %v / %v", t, a.In().Of(t), a.Out().Of(t), b.In().Of(t), b.Out().Of(t))
 		}
 	}
 	return ""

@@ -37,9 +37,10 @@ import (
 // the workflow's size.
 func (w *Workflow) CanonicalHash() string {
 	n := len(w.tasks)
+	in, out := w.In(), w.Out()
 	maxDeg := 0
 	for i := range w.tasks {
-		maxDeg = max(maxDeg, len(w.pred[i]), len(w.succ[i]))
+		maxDeg = max(maxDeg, len(in.Of(TaskID(i))), len(out.Of(TaskID(i))))
 	}
 	cur := make([][sha256.Size]byte, n)
 	next := make([][sha256.Size]byte, n)
@@ -66,9 +67,9 @@ func (w *Workflow) CanonicalHash() string {
 		for i := range w.tasks {
 			rec = append(rec[:0], cur[i][:]...)
 			rec = append(rec, "pred"...)
-			rec = w.appendSortedNeighborhood(rec, items, w.pred[i], cur, true)
+			rec = w.appendSortedNeighborhood(rec, items, in.Of(TaskID(i)), cur, true)
 			rec = append(rec, "succ"...)
-			rec = w.appendSortedNeighborhood(rec, items, w.succ[i], cur, false)
+			rec = w.appendSortedNeighborhood(rec, items, out.Of(TaskID(i)), cur, false)
 			next[i] = sha256.Sum256(rec)
 		}
 		cur, next = next, cur

@@ -43,9 +43,9 @@ func canonicalHashReference(w *Workflow) string {
 			h := sha256.New()
 			h.Write(cur[i])
 			h.Write([]byte("pred"))
-			refWriteSortedNeighborhood(h, refEdgesOf(w, w.pred[i]), cur, true)
+			refWriteSortedNeighborhood(h, refEdgesOf(w, w.In().Of(TaskID(i))), cur, true)
 			h.Write([]byte("succ"))
-			refWriteSortedNeighborhood(h, refEdgesOf(w, w.succ[i]), cur, false)
+			refWriteSortedNeighborhood(h, refEdgesOf(w, w.Out().Of(TaskID(i))), cur, false)
 			next[i] = h.Sum(nil)
 		}
 		cur, next = next, cur

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"budgetwf/internal/stoch"
 )
@@ -53,14 +54,19 @@ type Edge struct {
 
 // Workflow is a DAG of tasks under construction or analysis. The zero
 // value is an empty workflow ready for use.
+//
+// The task and edge lists are the workflow's only state. Every
+// structural read (Pred, Succ, the degrees, Entries, Exits, the
+// analyses, Validate) goes through an index derived from them on first
+// use; AddTask and AddEdge drop it. Concurrent reads are safe, the
+// first one included; a change must not race with anything.
 type Workflow struct {
 	// Name labels the workflow (e.g. "MONTAGE-90-seed4").
 	Name string
 
 	tasks []Task
 	edges []Edge
-	succ  [][]int // succ[t] = indices into edges with From == t
-	pred  [][]int // pred[t] = indices into edges with To == t
+	idx   atomic.Pointer[index] // nil until the first structural read after a change
 }
 
 // New returns an empty named workflow.
@@ -79,9 +85,15 @@ func (w *Workflow) NumEdges() int { return len(w.edges) }
 func (w *Workflow) AddTask(name string, weight stoch.Dist) TaskID {
 	id := TaskID(len(w.tasks))
 	w.tasks = append(w.tasks, Task{ID: id, Name: name, Weight: weight})
-	w.succ = append(w.succ, nil)
-	w.pred = append(w.pred, nil)
+	w.idx.Store(nil)
 	return id
+}
+
+// Grow reserves room for tasks more tasks and edges more edges, so that
+// that many AddTask and AddEdge calls append without reallocating.
+func (w *Workflow) Grow(tasks, edges int) {
+	w.tasks = slices.Grow(w.tasks, tasks)
+	w.edges = slices.Grow(w.edges, edges)
 }
 
 // SetExternalIO records the external-world input and output volumes of
@@ -93,6 +105,14 @@ func (w *Workflow) SetExternalIO(id TaskID, in, out float64) error {
 	w.tasks[id].ExternalIn = in
 	w.tasks[id].ExternalOut = out
 	return nil
+}
+
+// MustSetExternalIO is SetExternalIO that panics on error; generators
+// use it on tasks they just created.
+func (w *Workflow) MustSetExternalIO(id TaskID, in, out float64) {
+	if err := w.SetExternalIO(id, in, out); err != nil {
+		panic(err)
+	}
 }
 
 // AddEdge adds the dependency (from → to) carrying size bytes.
@@ -112,10 +132,8 @@ func (w *Workflow) AddEdge(from, to TaskID, size float64) error {
 	if size < 0 {
 		return fmt.Errorf("wf: negative data size %v on edge %d->%d", size, from, to)
 	}
-	idx := len(w.edges)
 	w.edges = append(w.edges, Edge{From: from, To: to, Size: size})
-	w.succ[from] = append(w.succ[from], idx)
-	w.pred[to] = append(w.pred[to], idx)
+	w.idx.Store(nil)
 	return nil
 }
 
@@ -125,6 +143,14 @@ func (w *Workflow) MustAddEdge(from, to TaskID, size float64) {
 	if err := w.AddEdge(from, to, size); err != nil {
 		panic(err)
 	}
+}
+
+// mustID returns id, panicking if it is not a task of w.
+func (w *Workflow) mustID(id TaskID) TaskID {
+	if err := w.checkID(id); err != nil {
+		panic(err)
+	}
+	return id
 }
 
 func (w *Workflow) checkID(id TaskID) error {
@@ -137,25 +163,14 @@ func (w *Workflow) checkID(id TaskID) error {
 // Task returns the task with the given ID. It panics on an invalid ID;
 // IDs only come from AddTask, so an invalid one is a programming error.
 func (w *Workflow) Task(id TaskID) Task {
-	if err := w.checkID(id); err != nil {
-		panic(err)
-	}
-	return w.tasks[id]
+	return w.tasks[w.mustID(id)]
 }
 
 // Tasks returns a copy of the task list in ID order.
-func (w *Workflow) Tasks() []Task {
-	out := make([]Task, len(w.tasks))
-	copy(out, w.tasks)
-	return out
-}
+func (w *Workflow) Tasks() []Task { return slices.Clone(w.tasks) }
 
 // Edges returns a copy of all edges in insertion order.
-func (w *Workflow) Edges() []Edge {
-	out := make([]Edge, len(w.edges))
-	copy(out, w.edges)
-	return out
-}
+func (w *Workflow) Edges() []Edge { return slices.Clone(w.edges) }
 
 // EdgesView returns the workflow's edge list without copying. The
 // caller must treat the returned slice as read-only; hot paths (the
@@ -189,90 +204,52 @@ func (w *Workflow) AppendContent(b []byte) []byte {
 	return b
 }
 
-// Succ returns the outgoing edges of a task.
+// Succ returns the outgoing edges of a task, in edge order.
 func (w *Workflow) Succ(id TaskID) []Edge {
-	if err := w.checkID(id); err != nil {
-		panic(err)
-	}
-	out := make([]Edge, 0, len(w.succ[id]))
-	for _, e := range w.succ[id] {
-		out = append(out, w.edges[e])
-	}
-	return out
+	return w.edgesAt(w.Out().Of(w.mustID(id)))
 }
 
-// Pred returns the incoming edges of a task.
+// Pred returns the incoming edges of a task, in edge order.
 func (w *Workflow) Pred(id TaskID) []Edge {
-	if err := w.checkID(id); err != nil {
-		panic(err)
-	}
-	out := make([]Edge, 0, len(w.pred[id]))
-	for _, e := range w.pred[id] {
-		out = append(out, w.edges[e])
+	return w.edgesAt(w.In().Of(w.mustID(id)))
+}
+
+func (w *Workflow) edgesAt(idx []int) []Edge {
+	out := make([]Edge, len(idx))
+	for i, e := range idx {
+		out[i] = w.edges[e]
 	}
 	return out
 }
 
 // NumPred returns the in-degree of a task.
-func (w *Workflow) NumPred(id TaskID) int {
-	if err := w.checkID(id); err != nil {
-		panic(err)
-	}
-	return len(w.pred[id])
-}
+func (w *Workflow) NumPred(id TaskID) int { return len(w.In().Of(w.mustID(id))) }
 
 // NumSucc returns the out-degree of a task.
-func (w *Workflow) NumSucc(id TaskID) int {
-	if err := w.checkID(id); err != nil {
-		panic(err)
-	}
-	return len(w.succ[id])
-}
+func (w *Workflow) NumSucc(id TaskID) int { return len(w.Out().Of(w.mustID(id))) }
 
 // Entries returns the IDs of tasks with no predecessor.
-func (w *Workflow) Entries() []TaskID {
-	var out []TaskID
-	for i := range w.tasks {
-		if len(w.pred[i]) == 0 {
-			out = append(out, TaskID(i))
-		}
-	}
-	return out
-}
+func (w *Workflow) Entries() []TaskID { return w.In().none() }
 
 // Exits returns the IDs of tasks with no successor.
-func (w *Workflow) Exits() []TaskID {
-	var out []TaskID
-	for i := range w.tasks {
-		if len(w.succ[i]) == 0 {
-			out = append(out, TaskID(i))
-		}
-	}
-	return out
-}
+func (w *Workflow) Exits() []TaskID { return w.Out().none() }
 
 // InputSize returns size(d_pred,T): the total volume of data T receives
 // from all its workflow predecessors (Equation (6)). External input is
 // not included; it transits the datacenter before the workflow starts.
 func (w *Workflow) InputSize(id TaskID) float64 {
-	if err := w.checkID(id); err != nil {
-		panic(err)
-	}
-	total := 0.0
-	for _, e := range w.pred[id] {
-		total += w.edges[e].Size
-	}
-	return total
+	return w.sizeAt(w.In().Of(w.mustID(id)))
 }
 
 // OutputSize returns the total volume of data T sends to its workflow
 // successors.
 func (w *Workflow) OutputSize(id TaskID) float64 {
-	if err := w.checkID(id); err != nil {
-		panic(err)
-	}
+	return w.sizeAt(w.Out().Of(w.mustID(id)))
+}
+
+func (w *Workflow) sizeAt(idx []int) float64 {
 	total := 0.0
-	for _, e := range w.succ[id] {
+	for _, e := range idx {
 		total += w.edges[e].Size
 	}
 	return total
@@ -327,21 +304,11 @@ func (w *Workflow) TotalMeanWork() float64 {
 	return total
 }
 
-// Clone returns a deep copy of the workflow.
+// Clone returns a deep copy of the workflow. The copy shares the
+// original's index, which no later change to either can alter.
 func (w *Workflow) Clone() *Workflow {
-	c := New(w.Name)
-	c.tasks = make([]Task, len(w.tasks))
-	copy(c.tasks, w.tasks)
-	c.edges = make([]Edge, len(w.edges))
-	copy(c.edges, w.edges)
-	c.succ = make([][]int, len(w.succ))
-	for i, s := range w.succ {
-		c.succ[i] = append([]int(nil), s...)
-	}
-	c.pred = make([][]int, len(w.pred))
-	for i, p := range w.pred {
-		c.pred[i] = append([]int(nil), p...)
-	}
+	c := &Workflow{Name: w.Name, tasks: slices.Clone(w.tasks), edges: slices.Clone(w.edges)}
+	c.idx.Store(w.index())
 	return c
 }
 

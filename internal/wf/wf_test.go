@@ -201,24 +201,6 @@ func TestBottomLevels(t *testing.T) {
 	}
 }
 
-func TestTopLevels(t *testing.T) {
-	w, ids := diamond(t)
-	exec := func(task Task) float64 { return task.Weight.Mean }
-	comm := func(e Edge) float64 { return e.Size }
-	top, err := w.TopLevels(exec, comm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// top(A)=0; top(B)=10+100=110; top(C)=10+200=210;
-	// top(D)=max(110+20+300, 210+30+400)=640.
-	want := map[TaskID]float64{ids[0]: 0, ids[1]: 110, ids[2]: 210, ids[3]: 640}
-	for id, r := range want {
-		if top[id] != r {
-			t.Errorf("top[%d] = %v, want %v", id, top[id], r)
-		}
-	}
-}
-
 func TestCriticalPathLength(t *testing.T) {
 	w, _ := diamond(t)
 	exec := func(task Task) float64 { return task.Weight.Mean }

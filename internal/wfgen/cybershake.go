@@ -29,29 +29,25 @@ func genCyberShake(n int, r *rng.RNG) (*wf.Workflow, error) {
 	}
 	pairs := (n - 2) / 2
 	w := wf.New("cybershake")
+	w.Grow(n, 3*pairs)
+	nm := newNamer(n, "SeismogramSynthesis_")
 
 	zipSeis := w.AddTask("ZipSeis", weight(jitter(r, 5+0.1*float64(pairs), 0.2)))
 	zipPSA := w.AddTask("ZipPSA", weight(jitter(r, 5+0.1*float64(pairs), 0.2)))
 
 	for i := 0; i < pairs; i++ {
-		extract := w.AddTask(fmt.Sprintf("ExtractSGT_%d", i), weight(jitter(r, 110, 0.25)))
+		extract := w.AddTask(nm.name("ExtractSGT_", i), weight(jitter(r, 110, 0.25)))
 		// Huge SGT input from the external world: this is the "half the
 		// tasks have huge input data" trait.
-		if err := w.SetExternalIO(extract, jitter(r, 4*gb, 0.25), 0); err != nil {
-			return nil, err
-		}
-		synth := w.AddTask(fmt.Sprintf("SeismogramSynthesis_%d", i), weight(jitter(r, 80, 0.25)))
+		w.MustSetExternalIO(extract, jitter(r, 4*gb, 0.25), 0)
+		synth := w.AddTask(nm.name("SeismogramSynthesis_", i), weight(jitter(r, 80, 0.25)))
 		w.MustAddEdge(extract, synth, jitter(r, 150*mb, 0.2))
 		w.MustAddEdge(synth, zipSeis, jitter(r, 1.5*mb, 0.2))
 		w.MustAddEdge(synth, zipPSA, jitter(r, 0.5*mb, 0.2))
 	}
 
 	// The two archives are the workflow's final products.
-	if err := w.SetExternalIO(zipSeis, 0, jitter(r, float64(pairs)*1.5*mb, 0.1)); err != nil {
-		return nil, err
-	}
-	if err := w.SetExternalIO(zipPSA, 0, jitter(r, float64(pairs)*0.5*mb, 0.1)); err != nil {
-		return nil, err
-	}
+	w.MustSetExternalIO(zipSeis, 0, jitter(r, float64(pairs)*1.5*mb, 0.1))
+	w.MustSetExternalIO(zipPSA, 0, jitter(r, float64(pairs)*0.5*mb, 0.1))
 	return w, nil
 }

@@ -2,6 +2,7 @@ package wfgen
 
 import (
 	"fmt"
+	"slices"
 
 	"budgetwf/internal/rng"
 	"budgetwf/internal/wf"
@@ -13,7 +14,7 @@ import (
 // part of the paper's benchmark set.
 func genRandomLayered(n int, r *rng.RNG) (*wf.Workflow, error) {
 	w := wf.New("random")
-	numLayers := 2 + r.Intn(maxInt(2, n/4))
+	numLayers := 2 + r.Intn(max(2, n/4))
 	if numLayers > n {
 		numLayers = n
 	}
@@ -25,36 +26,35 @@ func genRandomLayered(n int, r *rng.RNG) (*wf.Workflow, error) {
 	for extra := n - numLayers; extra > 0; extra-- {
 		counts[r.Intn(numLayers)]++
 	}
-	var prev []wf.TaskID
-	made := 0
+	w.Grow(n, 3*n)
+	nm := newNamer(n, "t")
+	// IDs are dense in insertion order, so the previous layer is the ID
+	// range [prev, prev+numPrev).
+	var prev, numPrev wf.TaskID
 	for l, c := range counts {
-		var cur []wf.TaskID
+		first := wf.TaskID(w.NumTasks())
 		for i := 0; i < c; i++ {
-			id := w.AddTask(fmt.Sprintf("t%d_%d", l, i), weight(jitter(r, 10+90*r.Float64(), 0.0)))
-			made++
+			id := w.AddTask(nm.name("t", l, i), weight(jitter(r, 10+90*r.Float64(), 0.0)))
 			if l == 0 {
-				if err := w.SetExternalIO(id, jitter(r, 50*mb, 0.5), 0); err != nil {
-					return nil, err
-				}
-			} else {
-				preds := 1 + r.Intn(minInt(3, len(prev)))
-				seen := map[int]bool{}
-				for k := 0; k < preds; k++ {
-					pi := r.Intn(len(prev))
-					if seen[pi] {
-						continue
-					}
-					seen[pi] = true
-					w.MustAddEdge(prev[pi], id, jitter(r, 20*mb, 0.5))
-				}
+				w.MustSetExternalIO(id, jitter(r, 50*mb, 0.5), 0)
+				continue
 			}
-			cur = append(cur, id)
+			seen := [3]int{-1, -1, -1}
+			preds := 1 + r.Intn(min(3, int(numPrev)))
+			for k := 0; k < preds; k++ {
+				pi := r.Intn(int(numPrev))
+				if slices.Contains(seen[:k], pi) {
+					continue
+				}
+				seen[k] = pi
+				w.MustAddEdge(prev+wf.TaskID(pi), id, jitter(r, 20*mb, 0.5))
+			}
 		}
-		prev = cur
+		prev, numPrev = first, wf.TaskID(c)
 	}
-	for _, id := range w.Exits() {
-		if err := w.SetExternalIO(id, w.Task(id).ExternalIn, jitter(r, 10*mb, 0.5)); err != nil {
-			return nil, err
+	for id := range wf.TaskID(n) {
+		if w.NumSucc(id) == 0 {
+			w.MustSetExternalIO(id, w.Task(id).ExternalIn, jitter(r, 10*mb, 0.5))
 		}
 	}
 	return w, nil
@@ -64,21 +64,19 @@ func genRandomLayered(n int, r *rng.RNG) (*wf.Workflow, error) {
 // parallelism and the best case for keeping data in place on one VM.
 func genChain(n int, r *rng.RNG) (*wf.Workflow, error) {
 	w := wf.New("chain")
+	w.Grow(n, n-1)
+	nm := newNamer(n, "stage_")
 	var prev wf.TaskID
 	for i := 0; i < n; i++ {
-		id := w.AddTask(fmt.Sprintf("stage_%d", i), weight(jitter(r, 60, 0.3)))
+		id := w.AddTask(nm.name("stage_", i), weight(jitter(r, 60, 0.3)))
 		if i == 0 {
-			if err := w.SetExternalIO(id, jitter(r, 100*mb, 0.2), 0); err != nil {
-				return nil, err
-			}
+			w.MustSetExternalIO(id, jitter(r, 100*mb, 0.2), 0)
 		} else {
 			w.MustAddEdge(prev, id, jitter(r, 50*mb, 0.3))
 		}
 		prev = id
 	}
-	if err := w.SetExternalIO(prev, w.Task(prev).ExternalIn, jitter(r, 20*mb, 0.2)); err != nil {
-		return nil, err
-	}
+	w.MustSetExternalIO(prev, w.Task(prev).ExternalIn, jitter(r, 20*mb, 0.2))
 	return w, nil
 }
 
@@ -89,19 +87,17 @@ func genForkJoin(n int, r *rng.RNG) (*wf.Workflow, error) {
 		return nil, fmt.Errorf("wfgen: forkjoin needs at least 3 tasks, got %d", n)
 	}
 	w := wf.New("forkjoin")
+	w.Grow(n, 2*(n-2))
+	nm := newNamer(n, "worker_")
 	src := w.AddTask("fork", weight(jitter(r, 20, 0.2)))
-	if err := w.SetExternalIO(src, jitter(r, 200*mb, 0.2), 0); err != nil {
-		return nil, err
-	}
+	w.MustSetExternalIO(src, jitter(r, 200*mb, 0.2), 0)
 	sink := w.AddTask("join", weight(jitter(r, 20, 0.2)))
 	for i := 0; i < n-2; i++ {
-		mid := w.AddTask(fmt.Sprintf("worker_%d", i), weight(jitter(r, 120, 0.3)))
+		mid := w.AddTask(nm.name("worker_", i), weight(jitter(r, 120, 0.3)))
 		w.MustAddEdge(src, mid, jitter(r, 20*mb, 0.3))
 		w.MustAddEdge(mid, sink, jitter(r, 10*mb, 0.3))
 	}
-	if err := w.SetExternalIO(sink, 0, jitter(r, 50*mb, 0.2)); err != nil {
-		return nil, err
-	}
+	w.MustSetExternalIO(sink, 0, jitter(r, 50*mb, 0.2))
 	return w, nil
 }
 
@@ -109,25 +105,11 @@ func genForkJoin(n int, r *rng.RNG) (*wf.Workflow, error) {
 // paper says large CYBERSHAKE and LIGO instances approach.
 func genBagOfTasks(n int, r *rng.RNG) (*wf.Workflow, error) {
 	w := wf.New("bagoftasks")
+	w.Grow(n, 0)
+	nm := newNamer(n, "task_")
 	for i := 0; i < n; i++ {
-		id := w.AddTask(fmt.Sprintf("task_%d", i), weight(jitter(r, 100, 0.5)))
-		if err := w.SetExternalIO(id, jitter(r, 50*mb, 0.5), jitter(r, 10*mb, 0.5)); err != nil {
-			return nil, err
-		}
+		id := w.AddTask(nm.name("task_", i), weight(jitter(r, 100, 0.5)))
+		w.MustSetExternalIO(id, jitter(r, 50*mb, 0.5), jitter(r, 10*mb, 0.5))
 	}
 	return w, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -32,6 +32,8 @@ func genLigo(n int, r *rng.RNG) (*wf.Workflow, error) {
 	}
 	blocks := n / block
 	w := wf.New("ligo")
+	w.Grow(n, 3*g*blocks)
+	nm := newNamer(n, "TrigBank_")
 
 	// One Inspiral task in the whole workflow receives the oversized
 	// input (ratio > 100 versus the common size).
@@ -40,27 +42,23 @@ func genLigo(n int, r *rng.RNG) (*wf.Workflow, error) {
 	const commonInput = 200 * mb
 
 	for b := 0; b < blocks; b++ {
-		thinca := w.AddTask(fmt.Sprintf("Thinca_%d", b), weight(jitter(r, 6, 0.2)))
+		thinca := w.AddTask(nm.name("Thinca_", b), weight(jitter(r, 6, 0.2)))
 		for i := 0; i < g; i++ {
-			insp := w.AddTask(fmt.Sprintf("Inspiral_%d_%d", b, i), weight(jitter(r, 460, 0.2)))
+			insp := w.AddTask(nm.name("Inspiral_", b, i), weight(jitter(r, 460, 0.2)))
 			in := commonInput
 			if b == oversizedBlock && i == oversizedSlot {
 				in = 130 * commonInput // the >100× outlier
 			}
-			if err := w.SetExternalIO(insp, in, 0); err != nil {
-				return nil, err
-			}
+			w.MustSetExternalIO(insp, in, 0)
 			w.MustAddEdge(insp, thinca, jitter(r, 2*mb, 0.2))
 		}
-		thinca2 := w.AddTask(fmt.Sprintf("Thinca2_%d", b), weight(jitter(r, 6, 0.2)))
+		thinca2 := w.AddTask(nm.name("Thinca2_", b), weight(jitter(r, 6, 0.2)))
 		for i := 0; i < g; i++ {
-			trig := w.AddTask(fmt.Sprintf("TrigBank_%d_%d", b, i), weight(jitter(r, 230, 0.2)))
+			trig := w.AddTask(nm.name("TrigBank_", b, i), weight(jitter(r, 230, 0.2)))
 			w.MustAddEdge(thinca, trig, jitter(r, 2*mb, 0.2))
 			w.MustAddEdge(trig, thinca2, jitter(r, 1*mb, 0.2))
 		}
-		if err := w.SetExternalIO(thinca2, 0, jitter(r, 5*mb, 0.2)); err != nil {
-			return nil, err
-		}
+		w.MustSetExternalIO(thinca2, 0, jitter(r, 5*mb, 0.2))
 	}
 	return w, nil
 }

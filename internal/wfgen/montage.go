@@ -36,21 +36,21 @@ func genMontage(n int, r *rng.RNG) (*wf.Workflow, error) {
 		return nil, fmt.Errorf("wfgen: montage sizing bug: n=%d gives P=%d, D=%d", n, p, d)
 	}
 	w := wf.New("montage")
+	w.Grow(n, 3*d+3*p+4)
+	nm := newNamer(n, "mBackground_")
 
 	const imgSize = 15 * mb // balanced data sizes throughout
 
 	projects := make([]wf.TaskID, p)
 	for i := range projects {
-		projects[i] = w.AddTask(fmt.Sprintf("mProject_%d", i), weight(jitter(r, 25, 0.2)))
-		if err := w.SetExternalIO(projects[i], jitter(r, imgSize, 0.15), 0); err != nil {
-			return nil, err
-		}
+		projects[i] = w.AddTask(nm.name("mProject_", i), weight(jitter(r, 25, 0.2)))
+		w.MustSetExternalIO(projects[i], jitter(r, imgSize, 0.15), 0)
 	}
 
 	concat := w.AddTask("mConcatFit", weight(jitter(r, 35, 0.2)))
 	diffs := make([]wf.TaskID, d)
 	for i := range diffs {
-		diffs[i] = w.AddTask(fmt.Sprintf("mDiffFit_%d", i), weight(jitter(r, 15, 0.2)))
+		diffs[i] = w.AddTask(nm.name("mDiffFit_", i), weight(jitter(r, 15, 0.2)))
 		var a, b int
 		if i < p-1 {
 			a, b = i, i+1 // ring of adjacent overlaps
@@ -68,7 +68,7 @@ func genMontage(n int, r *rng.RNG) (*wf.Workflow, error) {
 
 	imgtbl := w.AddTask("mImgtbl", weight(jitter(r, 20, 0.2)))
 	for i := 0; i < p; i++ {
-		bg := w.AddTask(fmt.Sprintf("mBackground_%d", i), weight(jitter(r, 15, 0.2)))
+		bg := w.AddTask(nm.name("mBackground_", i), weight(jitter(r, 15, 0.2)))
 		w.MustAddEdge(projects[i], bg, jitter(r, imgSize, 0.15))
 		w.MustAddEdge(bgModel, bg, jitter(r, 0.5*mb, 0.15))
 		w.MustAddEdge(bg, imgtbl, jitter(r, imgSize, 0.15))
@@ -80,8 +80,6 @@ func genMontage(n int, r *rng.RNG) (*wf.Workflow, error) {
 	w.MustAddEdge(add, shrink, jitter(r, 40*mb, 0.15))
 	jpeg := w.AddTask("mJPEG", weight(jitter(r, 10, 0.2)))
 	w.MustAddEdge(shrink, jpeg, jitter(r, 10*mb, 0.15))
-	if err := w.SetExternalIO(jpeg, 0, jitter(r, 5*mb, 0.15)); err != nil {
-		return nil, err
-	}
+	w.MustSetExternalIO(jpeg, 0, jitter(r, 5*mb, 0.15))
 	return w, nil
 }

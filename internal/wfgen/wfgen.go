@@ -17,6 +17,7 @@ package wfgen
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"budgetwf/internal/rng"
@@ -60,35 +61,15 @@ func Generate(t Type, n int, seed uint64) (*wf.Workflow, error) {
 	if n < 4 {
 		return nil, fmt.Errorf("wfgen: need at least 4 tasks, got %d", n)
 	}
-	r := rng.New(seed ^ typeSalt(t))
-	var w *wf.Workflow
-	var err error
-	switch t {
-	case CyberShake:
-		w, err = genCyberShake(n, r)
-	case Ligo:
-		w, err = genLigo(n, r)
-	case Montage:
-		w, err = genMontage(n, r)
-	case Epigenomics:
-		w, err = genEpigenomics(n, r)
-	case Sipht:
-		w, err = genSipht(n, r)
-	case Random:
-		w, err = genRandomLayered(n, r)
-	case Chain:
-		w, err = genChain(n, r)
-	case ForkJoin:
-		w, err = genForkJoin(n, r)
-	case BagOfTasks:
-		w, err = genBagOfTasks(n, r)
-	default:
+	gen, ok := generators[t]
+	if !ok {
 		return nil, fmt.Errorf("wfgen: unknown workflow type %q", t)
 	}
+	w, err := gen(n, rng.New(seed^typeSalt(t)))
 	if err != nil {
 		return nil, err
 	}
-	w.Name = fmt.Sprintf("%s-%d-seed%d", strings.ToUpper(string(t)), n, seed)
+	w.Name = instanceName(t, n, seed)
 	if err := w.Validate(); err != nil {
 		return nil, fmt.Errorf("wfgen: generated invalid workflow: %w", err)
 	}
@@ -108,14 +89,20 @@ func MustGenerate(t Type, n int, seed uint64) *wf.Workflow {
 	return w
 }
 
+// generators maps every family to its generator.
+var generators = map[Type]func(n int, r *rng.RNG) (*wf.Workflow, error){
+	CyberShake: genCyberShake, Ligo: genLigo, Montage: genMontage,
+	Epigenomics: genEpigenomics, Sipht: genSipht, Random: genRandomLayered,
+	Chain: genChain, ForkJoin: genForkJoin, BagOfTasks: genBagOfTasks,
+}
+
 // ParseType converts a user-supplied string to a Type.
 func ParseType(s string) (Type, error) {
 	t := Type(strings.ToLower(strings.TrimSpace(s)))
-	switch t {
-	case CyberShake, Ligo, Montage, Epigenomics, Sipht, Random, Chain, ForkJoin, BagOfTasks:
-		return t, nil
+	if _, ok := generators[t]; !ok {
+		return "", fmt.Errorf("wfgen: unknown workflow type %q", s)
 	}
-	return "", fmt.Errorf("wfgen: unknown workflow type %q", s)
+	return t, nil
 }
 
 func typeSalt(t Type) uint64 {
@@ -125,6 +112,48 @@ func typeSalt(t Type) uint64 {
 		h *= 1099511628211
 	}
 	return h
+}
+
+// instanceName is "<TYPE>-<n>-seed<seed>", in one allocation. t is
+// lower-case ASCII, as ParseType leaves it.
+func instanceName(t Type, n int, seed uint64) string {
+	var buf [64]byte
+	b := buf[:0]
+	for i := 0; i < len(t); i++ {
+		b = append(b, t[i]-'a'+'A')
+	}
+	b = strconv.AppendInt(append(b, '-'), int64(n), 10)
+	b = strconv.AppendUint(append(b, "-seed"...), seed, 10)
+	return string(b)
+}
+
+// namer cuts the task names of one workflow from one buffer. Grown
+// once to a bound on their total length, the builder never moves, so
+// each String shares its bytes and a name costs no allocation.
+type namer struct{ b strings.Builder }
+
+// newNamer returns a namer for n names, none longer than prefix
+// followed by two indices below n.
+func newNamer(n int, prefix string) *namer {
+	var buf [20]byte
+	nm := new(namer)
+	nm.b.Grow(n * (len(prefix) + 2*len(strconv.AppendInt(buf[:0], int64(n), 10)) + 1))
+	return nm
+}
+
+// name returns prefix followed by the indices in decimal, joined by
+// "_": name("Inspiral_", 3, 1) is "Inspiral_3_1".
+func (nm *namer) name(prefix string, idx ...int) string {
+	start := nm.b.Len()
+	nm.b.WriteString(prefix)
+	var buf [20]byte
+	for k, i := range idx {
+		if k > 0 {
+			nm.b.WriteByte('_')
+		}
+		nm.b.Write(strconv.AppendInt(buf[:0], int64(i), 10))
+	}
+	return nm.b.String()[start:]
 }
 
 // jitter perturbs a mean multiplicatively by a uniform factor in

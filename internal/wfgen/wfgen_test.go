@@ -231,3 +231,21 @@ func TestGeneratedSigmaIsZero(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateAllocs: a generated workflow costs a fixed number of
+// allocations whatever its size — the task and edge lists are reserved
+// up front and the task names share one buffer.
+func TestGenerateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	for _, typ := range allTypes {
+		var counts [2]float64
+		for i, n := range []int{30, 1000} {
+			counts[i] = testing.AllocsPerRun(10, func() { MustGenerate(typ, n, 1) })
+		}
+		if counts[0] != counts[1] || counts[1] > 20 {
+			t.Errorf("%s: %v allocations at n = 30 and %v at n = 1000, want equal and at most 20", typ, counts[0], counts[1])
+		}
+	}
+}
