@@ -1,15 +1,20 @@
-// Command loadgen fires concurrent /v1/schedule requests at a running
-// budgetwfd and reports the status-code mix, latency spread and cache
-// behaviour. It is the load half of `make loadtest`: a few hundred
-// requests with a handful of distinct workflows demonstrates both the
-// admission control (429s under a small pool) and the plan cache
-// (most repeats served as hits).
+// Command loadgen fires concurrent requests at a running budgetwfd and
+// reports the outcome mix, latency spread and retries. Every HTTP mode
+// runs the same closed loop: -n requests over -c clients sharing one
+// http.Client, 429s answered with the server's Retry-After under a
+// capped, jittered exponential backoff, and one summary. A mode only
+// says what request i is and what it reads from the answer.
 //
-// With -jobs it instead exercises the async-job subsystem: it submits
-// sweep campaigns to POST /v1/jobs, polls each job with the same
-// capped+jittered backoff it uses for 429s until the job is terminal,
-// and reports end-to-end job latency percentiles plus the dedupe rate
-// (repeated specs collapse onto one job, like cache hits).
+// The default mode POSTs /v1/schedule: the load half of `make
+// loadtest`. A few hundred requests over a handful of distinct
+// workflows demonstrates both the admission control (429s under a
+// small pool) and the plan cache (most repeats served as hits).
+//
+// With -jobs it exercises the async-job subsystem: it submits sweep
+// campaigns to POST /v1/jobs, polls each job with the same backoff
+// until the job is terminal, and reports end-to-end job latency plus
+// the dedupe rate (repeated specs collapse onto one job, like cache
+// hits).
 //
 // With -tenants it drives the multi-tenant shared-pool service of a
 // daemon started with -pool: submissions are spread round-robin over
@@ -39,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -48,8 +54,12 @@ import (
 	"sync"
 	"time"
 
+	"budgetwf/internal/stats"
 	"budgetwf/internal/wfgen"
 )
+
+// client is the one HTTP client every request of a run goes through.
+var client = &http.Client{Timeout: 60 * time.Second}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -72,339 +82,238 @@ func run(args []string, stdout io.Writer) error {
 	jobTimeout := fs.Duration("job-timeout", 5*time.Minute, "give up polling a job after this long")
 	tenants := fs.Int("tenants", 0, "multi-tenant mode: spread submissions over this many tenants against POST /v1/submit of a pool-enabled daemon (budgetwfd -pool)")
 	chaos := fs.Bool("chaos", false, "chaos mode: boot a local multi-process cluster, kill a worker and restart the coordinator mid-sweep, and byte-diff the merged result against an undisturbed run")
-	spot := fs.Bool("spot", false, "spot-market mode: sweep a two-provider spot market via POST /v1/sweep and report revocation and rework-cost aggregates")
 	chaosWorkers := fs.Int("chaos-workers", 3, "shard workers in the -chaos cluster")
 	chaosSeed := fs.Int64("chaos-seed", 1, "seed picking which worker dies in -chaos mode")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *distinct < 1 {
-		*distinct = 1
-	}
+	*distinct = max(*distinct, 1)
+	*conc = max(*conc, 1)
 	if *chaos {
 		// -size defaults to 30 for the schedule modes; chaos needs a
 		// sweep heavy enough that the kills land mid-run, so only an
 		// explicit -size overrides the harness default sizing.
 		chaosSize := 0
-		if flagWasSet(fs, "size") {
-			chaosSize = *size
-		}
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "size" {
+				chaosSize = *size
+			}
+		})
 		return runChaos(stdout, *chaosWorkers, chaosSize, *chaosSeed, *jobTimeout)
-	}
-	if *spot {
-		// Sweeps are far heavier than single schedules; only an explicit
-		// -n overrides a spot-sized default request count.
-		spotTotal := 8
-		if flagWasSet(fs, "n") {
-			spotTotal = *total
-		}
-		spotSize := 20
-		if flagWasSet(fs, "size") {
-			spotSize = *size
-		}
-		return runSpot(stdout, *baseURL, spotTotal, *conc, spotSize, *retries, *retryCap)
 	}
 	if *jobsMode {
 		return runJobs(stdout, *baseURL, *total, *conc, *distinct, *size, *retryCap, *jobTimeout)
 	}
+	retry429 := retryPolicy{cap: *retryCap, retries: *retries}
 	if *tenants > 0 {
-		return runTenants(stdout, *baseURL, *total, *conc, *tenants, *size, *alg, *retries, *retryCap)
+		return runTenants(stdout, *baseURL, *total, *conc, *tenants, *size, *alg, retry429)
 	}
 
 	// Pre-render the request bodies: distinct Montage instances, each
 	// with a generous budget so every algorithm finds a feasible plan.
 	bodies := make([][]byte, *distinct)
 	for i := range bodies {
-		w, err := wfgen.Generate(wfgen.Montage, *size, uint64(1000+i))
-		if err != nil {
-			return err
-		}
-		var wbuf bytes.Buffer
-		if err := w.WithSigmaRatio(0.5).WriteJSON(&wbuf); err != nil {
-			return err
-		}
-		body, err := json.Marshal(map[string]any{
-			"workflow":  json.RawMessage(wbuf.Bytes()),
-			"algorithm": *alg,
-			"budget":    100.0,
-		})
+		body, err := workflowBody(1000+i, *size, map[string]any{"algorithm": *alg, "budget": 100.0})
 		if err != nil {
 			return err
 		}
 		bodies[i] = body
 	}
-
-	type result struct {
-		status  int
-		cached  bool
-		retried int
-		latency time.Duration
-		err     error
-	}
-	results := make([]result, *total)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, *conc)
-	client := &http.Client{Timeout: 60 * time.Second}
-	start := time.Now()
-	for i := 0; i < *total; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			rnd := rand.New(rand.NewSource(int64(i) + 1))
-			t0 := time.Now()
-			var resp *http.Response
-			var err error
-			retried := 0
-			for attempt := 0; ; attempt++ {
-				resp, err = client.Post(*baseURL+"/v1/schedule", "application/json",
-					bytes.NewReader(bodies[i%len(bodies)]))
-				if err != nil {
-					results[i] = result{err: err, retried: retried}
-					return
-				}
-				if resp.StatusCode != http.StatusTooManyRequests || attempt >= *retries {
-					break
-				}
-				// Admission control said no: honor its Retry-After under a
-				// capped exponential backoff with jitter, so a burst of
-				// rejected clients does not reconverge on the same instant.
-				retryAfter := resp.Header.Get("Retry-After")
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				time.Sleep(retryDelay(retryAfter, attempt, *retryCap, rnd, time.Now()))
-				retried++
-			}
-			var payload struct {
-				Cached bool `json:"cached"`
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			_ = json.Unmarshal(body, &payload)
-			results[i] = result{status: resp.StatusCode, cached: payload.Cached, retried: retried, latency: time.Since(t0)}
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	statuses := map[int]int{}
-	cached, errs := 0, 0
-	totalRetries, retriedReqs := 0, 0
-	var lats []time.Duration
-	for _, r := range results {
-		totalRetries += r.retried
-		if r.retried > 0 {
-			retriedReqs++
+	answers := make([]struct {
+		Cached bool `json:"cached"`
+	}, *total)
+	outs, wall := drive(*total, *conc, func(i int, rnd *rand.Rand) outcome {
+		return post(*baseURL+"/v1/schedule", bodies[i%len(bodies)], retry429, rnd, &answers[i])
+	})
+	hits := 0
+	for _, a := range answers {
+		if a.Cached {
+			hits++
 		}
-		if r.err != nil {
-			errs++
-			continue
-		}
-		statuses[r.status]++
-		if r.cached {
-			cached++
-		}
-		lats = append(lats, r.latency)
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) time.Duration { return percentile(lats, p) }
-
-	fmt.Fprintf(stdout, "loadgen: %d requests, concurrency %d, %d distinct workflows, %.2fs wall\n",
-		*total, *conc, *distinct, elapsed.Seconds())
-	var codes []int
-	for code := range statuses {
-		codes = append(codes, code)
-	}
-	sort.Ints(codes)
-	for _, code := range codes {
-		fmt.Fprintf(stdout, "  status %d: %d\n", code, statuses[code])
-	}
-	if errs > 0 {
-		fmt.Fprintf(stdout, "  transport errors: %d\n", errs)
-	}
-	fmt.Fprintf(stdout, "  cache hits (client-observed): %d\n", cached)
-	fmt.Fprintf(stdout, "  429 retries: %d across %d requests\n", totalRetries, retriedReqs)
-	fmt.Fprintf(stdout, "  latency p50=%v p90=%v p99=%v max=%v\n", pct(0.50), pct(0.90), pct(0.99), pct(1.0))
-	if s5 := statuses[500]; s5 > 0 {
+	mix := report(stdout, fmt.Sprintf("loadgen: %d requests, concurrency %d, %d distinct workflows, %.2fs wall",
+		*total, *conc, *distinct, wall.Seconds()), "latency", outs,
+		fmt.Sprintf("cache hits (client-observed): %d", hits), retries429(outs))
+	if s5 := mix["status 500"]; s5 > 0 {
 		return fmt.Errorf("%d requests returned 500", s5)
 	}
 	return nil
 }
 
-// runJobs is the -jobs mode: n async sweep-job submissions with
-// distinct seed specs (repeats past -distinct dedupe server-side onto
-// the same job id), each polled to a terminal state with the shared
-// capped+jittered backoff, reporting end-to-end job latency.
-//
-// Transport errors on submit or poll (connection refused/reset — the
-// coordinator restarting mid-run) are treated exactly like a 503:
-// retried under the capped+jittered backoff until the -job-timeout
-// deadline, never surfaced as failures, and counted as reconnects in
-// the summary. A journal-backed coordinator restores the job on
-// restart, so the same job id resolves once it is back.
-func runJobs(stdout io.Writer, baseURL string, total, conc, distinct, size int, retryCap, jobTimeout time.Duration) error {
-	type jobResult struct {
-		state      string
-		deduped    bool
-		traceID    string
-		polls      int
-		reconnects int
-		latency    time.Duration
-		err        error
+// workflowBody renders a request body holding a σ/w̄ = 0.5 Montage
+// instance of the given size and seed as "workflow", next to fields.
+func workflowBody(seed, size int, fields map[string]any) ([]byte, error) {
+	w, err := wfgen.Generate(wfgen.Montage, size, uint64(seed))
+	if err != nil {
+		return nil, err
 	}
-	client := &http.Client{Timeout: 60 * time.Second}
-	results := make([]jobResult, total)
+	var wbuf bytes.Buffer
+	if err := w.WithSigmaRatio(0.5).WriteJSON(&wbuf); err != nil {
+		return nil, err
+	}
+	fields["workflow"] = json.RawMessage(wbuf.Bytes())
+	return json.Marshal(fields)
+}
+
+// outcome is what one request of a closed-loop run came to.
+type outcome struct {
+	class   string        // "status 200", or a job's final state; "" if it has none
+	retried int           // backoff sleeps before the final answer
+	latency time.Duration // first send to final answer; 0 leaves it out of the latency summary
+	err     error         // the transport error that ended it
+}
+
+// drive is the closed loop every HTTP mode runs: n requests over c
+// clients, request i made by do with a jitter source seeded by i, so a
+// rerun backs off on the same schedule. It returns the outcomes in
+// request order and the wall time.
+func drive(n, c int, do func(i int, rnd *rand.Rand) outcome) ([]outcome, time.Duration) {
+	outs := make([]outcome, n)
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, conc)
+	sem := make(chan struct{}, c)
 	start := time.Now()
-	for i := 0; i < total; i++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			rnd := rand.New(rand.NewSource(int64(i) + 1))
-			// A deliberately small sweep so the run is about the job
-			// machinery, not the experiment; the seed cycles through
-			// -distinct values so repeats hit the dedupe path.
-			body, _ := json.Marshal(map[string]any{
-				"kind": "sweep",
-				"sweep": map[string]any{
-					"workflowType": "montage",
-					"n":            size,
-					"gridK":        2,
-					"instances":    1,
-					"replications": 2,
-					"seed":         1000 + i%distinct,
-				},
-			})
-			t0 := time.Now()
-			deadline := time.Now().Add(jobTimeout)
-			reconnects := 0
-			var sub struct {
-				JobID   string `json:"jobId"`
-				Deduped bool   `json:"deduped"`
-				TraceID string `json:"traceId"`
-			}
-			for attempt := 0; ; attempt++ {
-				resp, err := client.Post(baseURL+"/v1/jobs", "application/json", bytes.NewReader(body))
-				if err != nil || transientStatus(resp.StatusCode) {
-					retryAfter := ""
-					if err == nil {
-						retryAfter = resp.Header.Get("Retry-After")
-						io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
-					}
-					if time.Now().After(deadline) {
-						results[i] = jobResult{reconnects: reconnects, err: fmt.Errorf("submit: coordinator unreachable for %v: %v", jobTimeout, err)}
-						return
-					}
-					reconnects++
-					time.Sleep(retryDelay(retryAfter, attempt, retryCap, rnd, time.Now()))
-					continue
-				}
-				raw, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusAccepted {
-					results[i] = jobResult{reconnects: reconnects, err: fmt.Errorf("submit: status %d: %s", resp.StatusCode, raw)}
-					return
-				}
-				if err := json.Unmarshal(raw, &sub); err != nil || sub.JobID == "" {
-					results[i] = jobResult{reconnects: reconnects, err: fmt.Errorf("submit: bad body %q", raw)}
-					return
-				}
-				break
-			}
-			// Poll with the same backoff schedule used for 429s: no
-			// Retry-After hint, so 100ms doubling to the cap, jittered.
-			for attempt := 0; ; attempt++ {
-				if time.Now().After(deadline) {
-					results[i] = jobResult{state: "timeout", deduped: sub.Deduped, polls: attempt, reconnects: reconnects, err: fmt.Errorf("job %s: not terminal after %v", sub.JobID, jobTimeout)}
-					return
-				}
-				time.Sleep(retryDelay("", attempt, retryCap, rnd, time.Now()))
-				st, err := client.Get(baseURL + "/v1/jobs/" + sub.JobID)
-				if err != nil {
-					reconnects++
-					continue
-				}
-				raw, _ := io.ReadAll(st.Body)
-				st.Body.Close()
-				if transientStatus(st.StatusCode) {
-					reconnects++
-					continue
-				}
-				var view struct {
-					State string `json:"state"`
-					Error string `json:"error"`
-				}
-				if err := json.Unmarshal(raw, &view); err != nil {
-					results[i] = jobResult{err: fmt.Errorf("poll: bad body %q", raw), polls: attempt + 1, reconnects: reconnects}
-					return
-				}
-				switch view.State {
-				case "done", "failed", "cancelled":
-					r := jobResult{state: view.State, deduped: sub.Deduped, traceID: sub.TraceID, polls: attempt + 1, reconnects: reconnects, latency: time.Since(t0)}
-					if view.Error != "" {
-						r.err = fmt.Errorf("job %s: %s", sub.JobID, view.Error)
-					}
-					results[i] = r
-					return
-				}
-			}
+			outs[i] = do(i, rand.New(rand.NewSource(int64(i)+1)))
 		}(i)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
+	return outs, time.Since(start)
+}
 
-	states := map[string]int{}
-	deduped, errs, polls, reconnects := 0, 0, 0, 0
-	var lats []time.Duration
-	for _, r := range results {
-		polls += r.polls
-		reconnects += r.reconnects
-		if r.deduped {
-			deduped++
+// post is one request of the schedule and tenant modes: body POSTed
+// to url under p, the final answer decoded into answer as far as it
+// fits (a 429 or an error body leaves it zero).
+func post(url string, body []byte, p retryPolicy, rnd *rand.Rand, answer any) outcome {
+	t0 := time.Now()
+	status, raw, retried, err := send(url, body, p, rnd)
+	if err != nil {
+		return outcome{retried: retried, err: err}
+	}
+	_ = json.Unmarshal(raw, answer)
+	return outcome{class: fmt.Sprintf("status %d", status), retried: retried, latency: time.Since(t0)}
+}
+
+// get GETs url and decodes its JSON answer into v. A non-2xx answer
+// is an error naming the status and the body; status is 0 after a
+// transport error.
+func get(url string, v any) (status int, err error) {
+	resp, err := client.Get(url)
+	if err != nil {
+		return 0, err
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	switch {
+	case resp.StatusCode/100 != 2:
+		return resp.StatusCode, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
+	case err == nil && json.Unmarshal(raw, v) != nil:
+		err = fmt.Errorf("bad body %q", raw)
+	}
+	return resp.StatusCode, err
+}
+
+// retryPolicy says which answers send retries. Both policies sleep
+// retryDelay between attempts.
+type retryPolicy struct {
+	cap      time.Duration
+	retries  int       // without a deadline: retry a 429 at most this many times
+	deadline time.Time // when set: retry transport errors and transientStatus answers until then
+}
+
+// send POSTs body to url until p stops retrying, and returns the final
+// answer and the retries it took. The error is the transport error
+// that ended it or, past p's deadline, the last failure: that
+// transport error or the last status.
+func send(url string, body []byte, p retryPolicy, rnd *rand.Rand) (status int, raw []byte, retried int, err error) {
+	for ; ; retried++ {
+		resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+		retryAfter := ""
+		if err == nil {
+			status, retryAfter = resp.StatusCode, resp.Header.Get("Retry-After")
+			raw, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
 		}
-		if r.err != nil {
+		if p.deadline.IsZero() {
+			if err != nil || status != http.StatusTooManyRequests || retried >= p.retries {
+				return status, raw, retried, err
+			}
+		} else if err == nil && !transientStatus(status) {
+			return status, raw, retried, nil
+		} else if time.Now().After(p.deadline) {
+			if err == nil {
+				err = fmt.Errorf("last status %d", status)
+			}
+			return status, raw, retried, err
+		}
+		time.Sleep(retryDelay(retryAfter, retried, p.cap, rnd, time.Now()))
+	}
+}
+
+// report prints a run's summary and returns its class mix: the header,
+// how many outcomes ended in each class, the transport errors, the
+// mode's own lines, and the p50/p90/p99/max latency under label.
+func report(w io.Writer, header, label string, outs []outcome, own ...string) map[string]int {
+	mix := map[string]int{}
+	var classes []string
+	var ms []float64
+	errs := 0
+	for _, o := range outs {
+		if o.class != "" {
+			if mix[o.class] == 0 {
+				classes = append(classes, o.class)
+			}
+			mix[o.class]++
+		}
+		if o.err != nil {
 			errs++
 		}
-		if r.state != "" {
-			states[r.state]++
-		}
-		if r.state == "done" {
-			lats = append(lats, r.latency)
+		if o.latency > 0 {
+			ms = append(ms, float64(o.latency)/float64(time.Millisecond))
 		}
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) time.Duration { return percentile(lats, p) }
-
-	fmt.Fprintf(stdout, "loadgen -jobs: %d submissions, concurrency %d, %d distinct specs, %.2fs wall\n",
-		total, conc, distinct, elapsed.Seconds())
-	var names []string
-	for s := range states {
-		names = append(names, s)
-	}
-	sort.Strings(names)
-	for _, s := range names {
-		fmt.Fprintf(stdout, "  %s: %d\n", s, states[s])
-	}
-	fmt.Fprintf(stdout, "  deduped submissions: %d\n", deduped)
-	fmt.Fprintf(stdout, "  polls: %d total\n", polls)
-	fmt.Fprintf(stdout, "  reconnects (transport errors / 5xx retried): %d\n", reconnects)
-	fmt.Fprintf(stdout, "  job e2e latency p50=%v p90=%v p99=%v max=%v\n", pct(0.50), pct(0.90), pct(0.99), pct(1.0))
-	// Per-phase latency from one sampled done job's stitched trace.
-	for _, r := range results {
-		if r.state == "done" && r.traceID != "" {
-			reportJobPhases(stdout, client, baseURL, r.traceID)
-			break
-		}
+	fmt.Fprintln(w, header)
+	sort.Strings(classes)
+	for _, c := range classes {
+		fmt.Fprintf(w, "  %s: %d\n", c, mix[c])
 	}
 	if errs > 0 {
-		return fmt.Errorf("%d jobs errored", errs)
+		fmt.Fprintf(w, "  transport errors: %d\n", errs)
 	}
-	return nil
+	for _, line := range own {
+		fmt.Fprintf(w, "  %s\n", line)
+	}
+	q := func(p float64) time.Duration { return percentile(ms, p) }
+	fmt.Fprintf(w, "  %s p50=%v p90=%v p99=%v max=%v\n", label, q(50), q(90), q(99), q(100))
+	return mix
+}
+
+// retries429 is the retry line of the schedule and tenant modes.
+func retries429(outs []outcome) string {
+	n, reqs := 0, 0
+	for _, o := range outs {
+		n += o.retried
+		if o.retried > 0 {
+			reqs++
+		}
+	}
+	return fmt.Sprintf("429 retries: %d across %d requests", n, reqs)
+}
+
+// percentile returns the p-th percentile (0..100) of latencies given in
+// milliseconds, as a duration; 0 when there are none.
+func percentile(ms []float64, p float64) time.Duration {
+	return fromMs(stats.Percentile(ms, p))
+}
+
+// fromMs converts milliseconds back to a duration, to the nearest
+// nanosecond.
+func fromMs(ms float64) time.Duration {
+	return time.Duration(math.Round(ms * float64(time.Millisecond)))
 }
 
 // transientStatus reports whether an HTTP status from the coordinator
@@ -418,40 +327,6 @@ func transientStatus(code int) bool {
 		return true
 	}
 	return false
-}
-
-// flagWasSet reports whether the user set the named flag explicitly.
-func flagWasSet(fs *flag.FlagSet, name string) bool {
-	set := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-// percentile returns the p-quantile (0 ≤ p ≤ 1) of an ascending-sorted
-// latency sample by linear interpolation between the two nearest order
-// statistics (the same estimator numpy and most load tools default
-// to). An empty sample reports 0; p outside [0,1] is clamped.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p * float64(len(sorted)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo] + time.Duration(frac*float64(sorted[lo+1]-sorted[lo]))
 }
 
 // retryDelay computes the sleep before the (attempt+1)-th try of a

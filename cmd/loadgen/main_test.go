@@ -107,35 +107,36 @@ func TestRunReportsExhaustedRetries(t *testing.T) {
 	}
 }
 
-// TestPercentile pins the interpolating percentile estimator against
-// hand-computed values.
+// TestPercentile pins the latency quantiles loadgen reports against
+// hand-computed values: millisecond samples in, the interpolated
+// percentile out as a duration.
 func TestPercentile(t *testing.T) {
 	ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
-	four := []time.Duration{ms(10), ms(20), ms(30), ms(40)}
+	four := []float64{10, 20, 30, 40}
 	cases := []struct {
-		name   string
-		sorted []time.Duration
-		p      float64
-		want   time.Duration
+		name    string
+		samples []float64
+		p       float64
+		want    time.Duration
 	}{
-		{"empty", nil, 0.5, 0},
-		{"single", []time.Duration{ms(7)}, 0.99, ms(7)},
+		{"empty", nil, 50, 0},
+		{"single", []float64{7}, 99, ms(7)},
 		{"min", four, 0, ms(10)},
-		{"max", four, 1, ms(40)},
-		{"clamp-low", four, -0.5, ms(10)},
-		{"clamp-high", four, 1.5, ms(40)},
+		{"max", four, 100, ms(40)},
+		{"clamp-low", four, -50, ms(10)},
+		{"clamp-high", four, 150, ms(40)},
 		// rank 0.5*(4-1)=1.5 → halfway between 20 and 30.
-		{"median-interpolated", four, 0.5, ms(25)},
+		{"median-interpolated", four, 50, ms(25)},
 		// rank 0.9*3=2.7 → 30 + 0.7*(40-30).
-		{"p90", four, 0.9, ms(37)},
+		{"p90", four, 90, ms(37)},
 		// odd length: rank 0.5*2=1 lands exactly on an element.
-		{"median-exact", []time.Duration{ms(1), ms(2), ms(100)}, 0.5, ms(2)},
+		{"median-exact", []float64{1, 2, 100}, 50, ms(2)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := percentile(tc.sorted, tc.p)
+			got := percentile(tc.samples, tc.p)
 			if diff := got - tc.want; diff < -time.Microsecond || diff > time.Microsecond {
-				t.Errorf("percentile(%v, %g) = %v, want %v", tc.sorted, tc.p, got, tc.want)
+				t.Errorf("percentile(%v, %g) = %v, want %v", tc.samples, tc.p, got, tc.want)
 			}
 		})
 	}

@@ -1,11 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
-	"sort"
 	"time"
 
 	"budgetwf/internal/obs"
@@ -33,8 +30,7 @@ func extractPhases(tr *obs.TraceJSON) (jobPhases, error) {
 	if tr == nil || tr.Root == nil {
 		return jobPhases{}, fmt.Errorf("empty trace")
 	}
-	us := func(v float64) time.Duration { return time.Duration(v * float64(time.Microsecond)) }
-	var disp, comp []time.Duration
+	var dispMs, compMs []float64
 	lastEndUs := 0.0
 	for _, c := range tr.Root.Children {
 		if c.Name != "shard" {
@@ -52,22 +48,20 @@ func extractPhases(tr *obs.TraceJSON) (jobPhases, error) {
 		if computeUs <= 0 || computeUs > c.DurUs {
 			continue
 		}
-		comp = append(comp, us(computeUs))
-		disp = append(disp, us(c.DurUs-computeUs))
+		compMs = append(compMs, computeUs/1e3)
+		dispMs = append(dispMs, (c.DurUs-computeUs)/1e3)
 	}
-	if len(comp) == 0 {
+	if len(compMs) == 0 {
 		return jobPhases{}, fmt.Errorf("no stitched shard spans in trace %q", tr.ID)
 	}
-	sort.Slice(disp, func(i, j int) bool { return disp[i] < disp[j] })
-	sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-	merge := us(tr.Root.DurUs - lastEndUs)
+	merge := fromMs((tr.Root.DurUs - lastEndUs) / 1e3)
 	if merge < 0 {
 		merge = 0
 	}
 	return jobPhases{
-		shards:      len(comp),
-		dispatchP50: percentile(disp, 0.50),
-		computeP50:  percentile(comp, 0.50),
+		shards:      len(compMs),
+		dispatchP50: percentile(dispMs, 50),
+		computeP50:  percentile(compMs, 50),
 		merge:       merge,
 	}, nil
 }
@@ -76,21 +70,10 @@ func extractPhases(tr *obs.TraceJSON) (jobPhases, error) {
 // the per-phase breakdown. A missing or unstitched trace (the ring
 // evicted it, or the job ran without remote workers) is reported as a
 // note, never as an error — the phases are a bonus, not the result.
-func reportJobPhases(stdout io.Writer, client *http.Client, baseURL, traceID string) {
-	resp, err := client.Get(baseURL + "/v1/traces/" + traceID)
-	if err != nil {
-		fmt.Fprintf(stdout, "  phases: trace %s unavailable (%v)\n", traceID, err)
-		return
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fmt.Fprintf(stdout, "  phases: trace %s unavailable (status %d)\n", traceID, resp.StatusCode)
-		return
-	}
+func reportJobPhases(stdout io.Writer, baseURL, traceID string) {
 	var tr obs.TraceJSON
-	if err := json.Unmarshal(raw, &tr); err != nil {
-		fmt.Fprintf(stdout, "  phases: trace %s unreadable (%v)\n", traceID, err)
+	if _, err := get(baseURL+"/v1/traces/"+traceID, &tr); err != nil {
+		fmt.Fprintf(stdout, "  phases: trace %s unavailable (%v)\n", traceID, err)
 		return
 	}
 	ph, err := extractPhases(&tr)

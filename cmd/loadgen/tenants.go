@@ -1,46 +1,22 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"net/http"
-	"sort"
-	"sync"
-	"time"
-
-	"budgetwf/internal/wfgen"
 )
 
-// runTenants is the -tenants mode: n workflow submissions spread
-// round-robin over that many tenant identities against POST /v1/submit
-// of a pool-enabled daemon (budgetwfd -pool). Afterwards it pulls the
-// authoritative ledgers from GET /v1/tenants and reports, per tenant,
-// what the shared pool did: how many VMs were leased from other
-// tenants' already-paid billing periods, how much provisioning cost
-// that reuse saved, and what each tenant was actually billed.
-func runTenants(stdout io.Writer, baseURL string, total, conc, tenants, size int, alg string, retries int, retryCap time.Duration) error {
-	if tenants < 1 {
-		tenants = 1
-	}
+// runTenants is the -tenants mode: submission i goes to POST
+// /v1/submit as tenant i mod tenants, and the tenant ledgers from GET
+// /v1/tenants close the report.
+func runTenants(stdout io.Writer, baseURL string, total, conc, tenants, size int, alg string, p retryPolicy) error {
 	// Distinct workflows per request: the pool path plans every arrival
 	// against the live pool snapshot (never the plan cache), so there
 	// is nothing to gain from repeats — vary the instances instead.
 	bodies := make([][]byte, total)
 	for i := range bodies {
-		w, err := wfgen.Generate(wfgen.Montage, size, uint64(2000+i))
-		if err != nil {
-			return err
-		}
-		var wbuf bytes.Buffer
-		if err := w.WithSigmaRatio(0.5).WriteJSON(&wbuf); err != nil {
-			return err
-		}
-		body, err := json.Marshal(map[string]any{
+		body, err := workflowBody(2000+i, size, map[string]any{
 			"tenant":    map[string]any{"id": fmt.Sprintf("tenant-%d", i%tenants)},
-			"workflow":  json.RawMessage(wbuf.Bytes()),
 			"algorithm": alg,
 			"budget":    100.0,
 		})
@@ -49,130 +25,40 @@ func runTenants(stdout io.Writer, baseURL string, total, conc, tenants, size int
 		}
 		bodies[i] = body
 	}
-
-	type result struct {
-		status  int
-		state   string
-		reused  int
-		saved   float64
-		charged float64
-		retried int
-		latency time.Duration
-		err     error
+	// What each answer says the shared pool did for it; fair-share
+	// admission 429s (tenant VM or queue cap) are retried under p.
+	type lease struct {
+		ReusedVMs     int     `json:"reusedVMs"`
+		SavedInitCost float64 `json:"savedInitCost"`
+		Charged       float64 `json:"charged"`
 	}
-	results := make([]result, total)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, conc)
-	client := &http.Client{Timeout: 60 * time.Second}
-	start := time.Now()
-	for i := 0; i < total; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			rnd := rand.New(rand.NewSource(int64(i) + 1))
-			t0 := time.Now()
-			var resp *http.Response
-			var err error
-			retried := 0
-			for attempt := 0; ; attempt++ {
-				resp, err = client.Post(baseURL+"/v1/submit", "application/json", bytes.NewReader(bodies[i]))
-				if err != nil {
-					results[i] = result{err: err, retried: retried}
-					return
-				}
-				if resp.StatusCode != http.StatusTooManyRequests || attempt >= retries {
-					break
-				}
-				// Fair-share admission said no (tenant VM or queue cap):
-				// honor Retry-After with the shared capped+jittered backoff.
-				retryAfter := resp.Header.Get("Retry-After")
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				time.Sleep(retryDelay(retryAfter, attempt, retryCap, rnd, time.Now()))
-				retried++
-			}
-			var payload struct {
-				State         string  `json:"state"`
-				ReusedVMs     int     `json:"reusedVMs"`
-				SavedInitCost float64 `json:"savedInitCost"`
-				Charged       float64 `json:"charged"`
-			}
-			raw, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			_ = json.Unmarshal(raw, &payload)
-			results[i] = result{
-				status: resp.StatusCode, state: payload.State,
-				reused: payload.ReusedVMs, saved: payload.SavedInitCost,
-				charged: payload.Charged, retried: retried, latency: time.Since(t0),
-			}
-		}(i)
+	leases := make([]lease, total)
+	outs, wall := drive(total, conc, func(i int, rnd *rand.Rand) outcome {
+		return post(baseURL+"/v1/submit", bodies[i], p, rnd, &leases[i])
+	})
+	var sum lease
+	for _, l := range leases {
+		sum.ReusedVMs += l.ReusedVMs
+		sum.SavedInitCost += l.SavedInitCost
+		sum.Charged += l.Charged
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	statuses := map[int]int{}
-	errs, retriedReqs, totalRetries, reused := 0, 0, 0, 0
-	saved, charged := 0.0, 0.0
-	var lats []time.Duration
-	for _, r := range results {
-		totalRetries += r.retried
-		if r.retried > 0 {
-			retriedReqs++
-		}
-		if r.err != nil {
-			errs++
-			continue
-		}
-		statuses[r.status]++
-		reused += r.reused
-		saved += r.saved
-		charged += r.charged
-		lats = append(lats, r.latency)
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) time.Duration { return percentile(lats, p) }
-
-	fmt.Fprintf(stdout, "loadgen -tenants: %d submissions across %d tenants, concurrency %d, %.2fs wall\n",
-		total, tenants, conc, elapsed.Seconds())
-	var codes []int
-	for code := range statuses {
-		codes = append(codes, code)
-	}
-	sort.Ints(codes)
-	for _, code := range codes {
-		fmt.Fprintf(stdout, "  status %d: %d\n", code, statuses[code])
-	}
-	if errs > 0 {
-		fmt.Fprintf(stdout, "  transport errors: %d\n", errs)
-	}
-	fmt.Fprintf(stdout, "  VMs leased across tenants: %d (saved %.4f in provisioning cost)\n", reused, saved)
-	fmt.Fprintf(stdout, "  total charged: %.4f\n", charged)
-	fmt.Fprintf(stdout, "  429 retries: %d across %d requests\n", totalRetries, retriedReqs)
-	fmt.Fprintf(stdout, "  latency p50=%v p90=%v p99=%v max=%v\n", pct(0.50), pct(0.90), pct(0.99), pct(1.0))
+	mix := report(stdout, fmt.Sprintf("loadgen -tenants: %d submissions across %d tenants, concurrency %d, %.2fs wall",
+		total, tenants, conc, wall.Seconds()), "latency", outs,
+		fmt.Sprintf("VMs leased across tenants: %d (saved %.4f in provisioning cost)", sum.ReusedVMs, sum.SavedInitCost),
+		fmt.Sprintf("total charged: %.4f", sum.Charged), retries429(outs))
 
 	// The server-side ledgers are the ground truth: print each tenant's
 	// billing line so the run doubles as a shared-pool demo.
-	if err := printTenantLedgers(stdout, client, baseURL); err != nil {
-		fmt.Fprintf(stdout, "  (ledger fetch failed: %v)\n", err)
-	}
-	if s5 := statuses[500]; s5 > 0 {
+	printTenantLedgers(stdout, baseURL)
+	if s5 := mix["status 500"]; s5 > 0 {
 		return fmt.Errorf("%d submissions returned 500", s5)
 	}
 	return nil
 }
 
-// printTenantLedgers renders GET /v1/tenants as one line per tenant.
-func printTenantLedgers(stdout io.Writer, client *http.Client, baseURL string) error {
-	resp, err := client.Get(baseURL + "/v1/tenants")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
+// printTenantLedgers renders GET /v1/tenants as one line per tenant,
+// or a note saying why it could not.
+func printTenantLedgers(stdout io.Writer, baseURL string) {
 	var view struct {
 		Tenants []struct {
 			ID            string  `json:"id"`
@@ -189,8 +75,9 @@ func printTenantLedgers(stdout io.Writer, client *http.Client, baseURL string) e
 			SavedInitCost float64 `json:"savedInitCost"`
 		} `json:"pool"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		return err
+	if _, err := get(baseURL+"/v1/tenants", &view); err != nil {
+		fmt.Fprintf(stdout, "  (ledger fetch failed: %v)\n", err)
+		return
 	}
 	fmt.Fprintf(stdout, "  tenant ledgers (server-side):\n")
 	for _, t := range view.Tenants {
@@ -199,5 +86,4 @@ func printTenantLedgers(stdout io.Writer, client *http.Client, baseURL string) e
 	}
 	fmt.Fprintf(stdout, "    pool total: billed=%.4f reusedVMs=%d savedInit=%.4f\n",
 		view.Pool.BilledTotal, view.Pool.Reused, view.Pool.SavedInitCost)
-	return nil
 }

@@ -67,20 +67,32 @@ func TestSummarizeMatchesDirectFormulas(t *testing.T) {
 }
 
 func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40}
-	cases := []struct{ p, want float64 }{
-		{0, 10}, {100, 40}, {50, 25}, {25, 17.5}, {-5, 10}, {200, 40},
+	four := []float64{10, 20, 30, 40}
+	cases := []struct {
+		name    string
+		xs      []float64
+		p, want float64
+	}{
+		{"empty", nil, 50, 0},
+		{"single", []float64{7}, 99, 7},
+		{"min", four, 0, 10},
+		{"max", four, 100, 40},
+		{"clamp-low", four, -5, 10},
+		{"clamp-high", four, 200, 40},
+		// rank 0.5·(4−1) = 1.5: halfway between 20 and 30.
+		{"median-interpolated", four, 50, 25},
+		{"p25", four, 25, 17.5},
+		// rank 0.9·3 = 2.7: 30 + 0.7·(40−30).
+		{"p90", four, 90, 37},
+		// odd length: rank 0.5·2 = 1 lands exactly on an element.
+		{"median-exact", []float64{1, 2, 100}, 50, 2},
 	}
 	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almost(got, c.want, 1e-12) {
-			t.Errorf("P%.0f = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile must be 0")
-	}
-	if Percentile([]float64{7}, 99) != 7 {
-		t.Error("single-element percentile must be the element")
+		t.Run(c.name, func(t *testing.T) {
+			if got := Percentile(c.xs, c.p); !almost(got, c.want, 1e-12) {
+				t.Errorf("Percentile(%v, %g) = %v, want %v", c.xs, c.p, got, c.want)
+			}
+		})
 	}
 }
 
