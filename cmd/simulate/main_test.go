@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -43,18 +46,41 @@ func TestRunWithDeadline(t *testing.T) {
 	}
 }
 
+// The view tests pin the bytes of each rendering of the first execution
+// of -type montage -n 30 -alg heftbudg -reps 2 against testdata/ (md5s
+// 6e368eb2…, 017084cb… and df2b21a9… for the stdout, SVG and Chrome
+// files). Run with -update to regenerate, then read the diff.
+var updateGolden = flag.Bool("update", false, "rewrite testdata/views.* from this run")
+
+var viewArgs = []string{"-type", "montage", "-n", "30", "-alg", "heftbudg", "-reps", "2"}
+
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from the golden file (%d bytes, want %d)\ngot:\n%s", path, len(got), len(want), got)
+	}
+}
+
 func TestRunGanttAndTrace(t *testing.T) {
 	var out strings.Builder
-	err := run([]string{"-type", "montage", "-n", "30", "-alg", "heftbudg", "-reps", "2", "-gantt", "-print-trace"}, &out)
-	if err != nil {
+	if err := run(append(viewArgs, "-gantt", "-print-trace"), &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "Gantt:") {
-		t.Error("gantt missing")
-	}
-	if !strings.Contains(out.String(), "compute_start") {
-		t.Error("trace missing")
-	}
+	checkGolden(t, "views.gantt-trace.txt", []byte(out.String()))
 }
 
 func TestRunScheduleRoundTrip(t *testing.T) {
@@ -115,33 +141,27 @@ func TestRunRejectsMismatchedSchedule(t *testing.T) {
 func TestRunChromeTrace(t *testing.T) {
 	path := t.TempDir() + "/trace.json"
 	var out strings.Builder
-	err := run([]string{"-type", "montage", "-n", "30", "-alg", "heftbudg", "-reps", "1", "-chrome-trace", path}, &out)
-	if err != nil {
+	if err := run(append(viewArgs, "-chrome-trace", path), &out); err != nil {
 		t.Fatal(err)
 	}
 	data, err := readFileHelper(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(data, "traceEvents") {
-		t.Error("chrome trace missing traceEvents")
-	}
+	checkGolden(t, "views.chrome.json", []byte(data))
 }
 
 func TestRunSVGGantt(t *testing.T) {
 	path := t.TempDir() + "/gantt.svg"
 	var out strings.Builder
-	err := run([]string{"-type", "ligo", "-n", "30", "-alg", "heftbudg", "-reps", "1", "-svg-gantt", path}, &out)
-	if err != nil {
+	if err := run(append(viewArgs, "-svg-gantt", path), &out); err != nil {
 		t.Fatal(err)
 	}
 	data, err := readFileHelper(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(data, "<svg") {
-		t.Errorf("not SVG: %.40s", data)
-	}
+	checkGolden(t, "views.gantt.svg", []byte(data))
 }
 
 func TestRunFaultInjection(t *testing.T) {
