@@ -3,8 +3,8 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
-	"time"
 )
 
 // The Chrome trace-event format: the JSON document consumed by
@@ -54,143 +54,91 @@ func MetaProcessName(pid int, name string) ChromeEvent {
 // ChromeTrace renders the span tree as a trace-event document: every
 // span becomes an "X" complete event and every event an "i" instant.
 //
-// A single-process trace stays on one thread track (the viewer nests
-// same-track slices by their timestamps, reproducing the tree) and the
-// document is byte-identical to what this exporter always produced. A
-// stitched trace — one whose spans carry ProcessAttr — instead gets a
-// synthetic pid per remote process (coordinator = 0, workers numbered
-// by sorted process name) and a tid per concurrent span lane, so the
-// viewer renders one swimlane per worker.
+// A single-process trace stays on one thread track: the viewer nests
+// same-track slices by their timestamps, reproducing the tree. A
+// stitched trace — one whose spans carry ProcessAttr — is the same
+// document with a synthetic pid per remote process (coordinator = 0,
+// workers numbered by sorted process name), process_name metadata, and
+// a tid per concurrent span lane, so the viewer renders one swimlane
+// per worker.
 func (t *Trace) ChromeTrace() *ChromeTrace {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := t.now()
+	root, _, _ := t.root.snapshot()
+	var procs []string
+	var collect func(*SpanWire)
+	collect = func(s *SpanWire) {
+		if p := processOf(s); p != "" {
+			procs = append(procs, p)
+		}
+		for _, c := range s.Children {
+			collect(c)
+		}
+	}
+	collect(root)
+	sort.Strings(procs)
+	procs = slices.Compact(procs)
+
 	doc := &ChromeTrace{DisplayTimeUnit: "ms"}
-	if procs := t.processes(); len(procs) > 0 {
-		t.chromeLanes(doc, now, procs)
-	} else {
-		doc.TraceEvents = append(doc.TraceEvents,
-			MetaThreadName(0, 0, t.name))
-		t.root.chrome(doc, now)
+	if len(procs) > 0 {
+		doc.TraceEvents = append(doc.TraceEvents, MetaProcessName(0, "coordinator"))
 	}
-	if t.dropped > 0 {
-		// Tag the root slice (the first "X" event) with the drop count
-		// so truncation is visible in the viewer.
-		for i := range doc.TraceEvents {
-			if doc.TraceEvents[i].Ph != "X" {
-				continue
-			}
-			if doc.TraceEvents[i].Args == nil {
-				doc.TraceEvents[i].Args = make(map[string]any, 1)
-			}
-			doc.TraceEvents[i].Args[DroppedAttr] = t.dropped
-			break
-		}
-	}
-	return doc
-}
-
-// processes collects the distinct ProcessAttr values of the tree,
-// sorted, so pid assignment is deterministic (caller holds the mutex).
-func (t *Trace) processes() []string {
-	set := make(map[string]bool)
-	collectProcesses(t.root, set)
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func collectProcesses(s *Span, set map[string]bool) {
-	for _, a := range s.attrs {
-		if a.Key == ProcessAttr && a.kind == kindStr && a.s != "" {
-			set[a.s] = true
-		}
-	}
-	for _, c := range s.children {
-		collectProcesses(c, set)
-	}
-}
-
-// processAttr returns the span's own ProcessAttr value, if any.
-func (s *Span) processAttr() string {
-	for _, a := range s.attrs {
-		if a.Key == ProcessAttr && a.kind == kindStr {
-			return a.s
-		}
-	}
-	return ""
-}
-
-// chromeLanes emits the multi-process document (caller holds the
-// mutex): process_name metadata for the coordinator (pid 0) and each
-// remote process, then the span tree with per-process pids and greedy
-// per-lane tids.
-func (t *Trace) chromeLanes(doc *ChromeTrace, now time.Duration, procs []string) {
+	doc.TraceEvents = append(doc.TraceEvents, MetaThreadName(0, 0, t.name))
 	pidOf := make(map[string]int, len(procs))
-	doc.TraceEvents = append(doc.TraceEvents,
-		MetaProcessName(0, "coordinator"),
-		MetaThreadName(0, 0, t.name))
 	for i, p := range procs {
 		pidOf[p] = i + 1
 		doc.TraceEvents = append(doc.TraceEvents, MetaProcessName(i+1, p))
 	}
 	// lanes[pid] holds, per tid, the end of the last slice placed
 	// there; a lane root takes the first lane free at its start time.
-	lanes := make(map[int][]time.Duration)
-	t.chromeLane(doc, t.root, now, pidOf, lanes, 0, 0, false)
-}
+	lanes := make(map[int][]int64)
 
-// chromeLane emits one span on an assigned (pid, tid) and recurses.
-// A span opens a new lane when it hops processes (carries ProcessAttr)
-// or is a direct child of the root — those are the concurrent shard
-// dispatches; everything deeper inherits its parent's lane, which is
-// correct because within one process the subtree intervals nest.
-func (t *Trace) chromeLane(doc *ChromeTrace, s *Span, now time.Duration, pidOf map[string]int, lanes map[int][]time.Duration, pid, tid int, newLane bool) {
-	const us = float64(time.Microsecond)
-	if p := s.processAttr(); p != "" {
-		if id, ok := pidOf[p]; ok {
-			pid = id
-			newLane = true
+	// emit places one span on (pid, tid) and recurses. A span opens a
+	// new lane when it hops processes (carries ProcessAttr) or, in a
+	// stitched trace, is a direct child of the root — those are the
+	// concurrent shard dispatches; everything deeper inherits its
+	// parent's lane, which is correct because within one process the
+	// subtree intervals nest.
+	var emit func(s *SpanWire, pid, tid int, newLane bool)
+	emit = func(s *SpanWire, pid, tid int, newLane bool) {
+		if id, ok := pidOf[processOf(s)]; ok {
+			pid, newLane = id, true
+		}
+		if newLane {
+			tid = allocLane(lanes, pid, s.StartNs, s.EndNs)
+		}
+		doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
+			Name: s.Name, Cat: "span", Ph: "X",
+			TS: micros(s.StartNs), Dur: micros(s.EndNs - s.StartNs),
+			PID: pid, TID: tid, Args: attrMap(s.Attrs),
+		})
+		for _, e := range s.Events {
+			doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
+				Name: e.Name, Cat: "event", Ph: "i", Scope: "t",
+				TS: micros(e.AtNs), PID: pid, TID: tid, Args: attrMap(e.Attrs),
+			})
+		}
+		for _, c := range s.Children {
+			emit(c, pid, tid, s == root && len(procs) > 0)
 		}
 	}
-	end := s.end
-	if !s.ended && !s.frozen {
-		end = now
+	emit(root, 0, 0, false)
+	return doc
+}
+
+// processOf returns the span's own ProcessAttr value, if any.
+func processOf(s *SpanWire) string {
+	for _, a := range s.Attrs {
+		if a.Key == ProcessAttr && a.Kind == "s" {
+			return a.Str
+		}
 	}
-	if newLane {
-		tid = allocLane(lanes, pid, s.start, end)
-	}
-	doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
-		Name: s.name, Cat: "span", Ph: "X",
-		TS:  float64(s.start) / us,
-		Dur: float64(end-s.start) / us,
-		PID: pid, TID: tid,
-		Args: attrMap(s.attrs),
-	})
-	for _, e := range s.events {
-		doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
-			Name: e.Name, Cat: "event", Ph: "i", Scope: "t",
-			TS:  float64(e.At) / us,
-			PID: pid, TID: tid,
-			Args: attrMap(e.Attrs),
-		})
-	}
-	for _, c := range s.children {
-		t.chromeLane(doc, c, now, pidOf, lanes, pid, tid, s == t.root)
-	}
+	return ""
 }
 
 // allocLane places [start, end] on the first lane of pid whose last
 // slice has finished, extending the lane set otherwise. Lane roots
 // arrive in start order (children are appended under the trace mutex
 // with monotonic starts), so first-fit keeps lanes non-overlapping.
-func allocLane(lanes map[int][]time.Duration, pid int, start, end time.Duration) int {
+func allocLane(lanes map[int][]int64, pid int, start, end int64) int {
 	ls := lanes[pid]
 	for i, last := range ls {
 		if last <= start {
@@ -206,29 +154,4 @@ func allocLane(lanes map[int][]time.Duration, pid int, start, end time.Duration)
 // the output loads in chrome://tracing and Perfetto.
 func (t *Trace) WriteChrome(w io.Writer) error {
 	return t.ChromeTrace().Write(w)
-}
-
-// chrome appends one span's events (caller holds the trace mutex).
-func (s *Span) chrome(doc *ChromeTrace, now time.Duration) {
-	const us = float64(time.Microsecond)
-	end := s.end
-	if !s.ended && !s.frozen {
-		end = now
-	}
-	doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
-		Name: s.name, Cat: "span", Ph: "X",
-		TS:   float64(s.start) / us,
-		Dur:  float64(end-s.start) / us,
-		Args: attrMap(s.attrs),
-	})
-	for _, e := range s.events {
-		doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
-			Name: e.Name, Cat: "event", Ph: "i", Scope: "t",
-			TS:   float64(e.At) / us,
-			Args: attrMap(e.Attrs),
-		})
-	}
-	for _, c := range s.children {
-		c.chrome(doc, now)
-	}
 }

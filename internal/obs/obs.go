@@ -10,15 +10,15 @@
 // degenerates to a nil check, so the hot paths pay near-zero cost
 // (the planner/sim bench baselines guard this).
 //
-// Exporters:
-//
-//   - Tree renders the span tree as JSON-ready SpanJSON (the daemon's
-//     inline ?trace=1 responses and GET /v1/traces/{id});
-//   - ChromeTrace/WriteChrome render the Chrome trace-event JSON
-//     consumed by chrome://tracing and Perfetto (see chrome.go);
-//   - Log replays the tree into an slog.Logger (see slog.go);
-//   - Ring keeps the most recent traces in bounded memory (see
-//     ring.go).
+// Exporters: one snapshot feeds them all. Span.Export copies a subtree
+// into the wire form (SpanWire, see wire.go) under one hold of the
+// trace mutex — the only code that reads span fields to export them.
+// Tree (SpanJSON: the daemon's ?trace=1 responses and GET
+// /v1/traces/{id}), ChromeTrace/WriteChrome (trace-event JSON for
+// chrome://tracing and Perfetto, see chrome.go) and Log (an
+// slog.Logger, see slog.go) render the root's copy without the lock,
+// so a slow log sink stalls no span. Ring keeps the most recent traces
+// in bounded memory (see ring.go).
 //
 // Timestamps are monotonic durations since the trace epoch
 // (time.Since on the epoch time.Time, which carries the monotonic
@@ -89,20 +89,8 @@ func Bool(key string, v bool) Attr {
 	return a
 }
 
-// Value returns the attribute's payload as an interface value (used
-// by the exporters, off the hot path).
-func (a Attr) Value() any {
-	switch a.kind {
-	case kindInt:
-		return a.i
-	case kindFloat:
-		return a.f
-	case kindBool:
-		return a.i != 0
-	default:
-		return a.s
-	}
-}
+// Value returns the attribute's payload as an interface value.
+func (a Attr) Value() any { return a.wire().value() }
 
 // Event is one timestamped point annotation inside a span.
 type Event struct {
@@ -296,56 +284,39 @@ type TraceJSON struct {
 // Tree snapshots the span tree. It is safe to call while spans are
 // still being added; the snapshot is a deep copy.
 func (t *Trace) Tree() *TraceJSON {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := t.now()
-	root := t.root.tree(now)
-	if t.dropped > 0 {
-		// Surface truncation on the tree itself, not only in the
-		// envelope: a grafted or re-exported root keeps the signal.
-		if root.Attrs == nil {
-			root.Attrs = make(map[string]any, 1)
-		}
-		root.Attrs[DroppedAttr] = t.dropped
-	}
-	return &TraceJSON{ID: t.id, Name: t.name, Dropped: t.dropped, Root: root}
+	root, id, dropped := t.root.snapshot()
+	return &TraceJSON{ID: id, Name: t.name, Dropped: dropped, Root: spanJSON(root)}
 }
 
-// tree renders one span (caller holds the trace mutex).
-func (s *Span) tree(now time.Duration) *SpanJSON {
-	end := s.end
-	inFlight := !s.ended
-	if inFlight && !s.frozen {
-		end = now
-	}
+// spanJSON converts one snapshot span and its subtree to the JSON form.
+func spanJSON(w *SpanWire) *SpanJSON {
 	out := &SpanJSON{
-		Name:     s.name,
-		StartUs:  float64(s.start) / float64(time.Microsecond),
-		DurUs:    float64(end-s.start) / float64(time.Microsecond),
-		InFlight: inFlight,
-		Attrs:    attrMap(s.attrs),
+		Name:     w.Name,
+		StartUs:  micros(w.StartNs),
+		DurUs:    micros(w.EndNs - w.StartNs),
+		InFlight: w.InFlight,
+		Attrs:    attrMap(w.Attrs),
 	}
-	for _, e := range s.events {
-		out.Events = append(out.Events, EventJSON{
-			Name:  e.Name,
-			AtUs:  float64(e.At) / float64(time.Microsecond),
-			Attrs: attrMap(e.Attrs),
-		})
+	for _, e := range w.Events {
+		out.Events = append(out.Events, EventJSON{Name: e.Name, AtUs: micros(e.AtNs), Attrs: attrMap(e.Attrs)})
 	}
-	for _, c := range s.children {
-		out.Children = append(out.Children, c.tree(now))
+	for _, c := range w.Children {
+		out.Children = append(out.Children, spanJSON(c))
 	}
 	return out
 }
 
+// micros converts snapshot nanoseconds to the exporters' microseconds.
+func micros(ns int64) float64 { return float64(ns) / float64(time.Microsecond) }
+
 // attrMap renders attributes as a JSON object; nil for none.
-func attrMap(attrs []Attr) map[string]any {
+func attrMap(attrs []WireAttr) map[string]any {
 	if len(attrs) == 0 {
 		return nil
 	}
 	m := make(map[string]any, len(attrs))
 	for _, a := range attrs {
-		m[a.Key] = a.Value()
+		m[a.Key] = a.value()
 	}
 	return m
 }

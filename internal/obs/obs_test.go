@@ -200,6 +200,41 @@ func TestSlogBridge(t *testing.T) {
 	}
 }
 
+// lockingHandler is a slog handler that records a span attribute on
+// the trace it is logging — it deadlocks if Log holds the trace mutex
+// while it calls the handler.
+type lockingHandler struct{ span *Span }
+
+func (h lockingHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h lockingHandler) Handle(context.Context, slog.Record) error {
+	h.span.Set(Bool("logged", true))
+	return nil
+}
+func (h lockingHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h lockingHandler) WithGroup(string) slog.Handler      { return h }
+
+// TestLogReleasesTraceLock checks that Log calls the handler without
+// the trace mutex: a slow sink must not stall span operations, and a
+// handler that touches the trace must not deadlock.
+func TestLogReleasesTraceLock(t *testing.T) {
+	tr := New("op")
+	tr.Root().Child("plan").End()
+	tr.EndAll()
+	done := make(chan struct{})
+	go func() {
+		tr.Log(slog.New(lockingHandler{tr.Root()}))
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Log still holds the trace mutex while calling the handler")
+	}
+	if got := tr.Tree().Root.Attrs["logged"]; got != true {
+		t.Fatalf("handler's Set did not land: logged = %v", got)
+	}
+}
+
 func TestConcurrentSpans(t *testing.T) {
 	tr := New("par")
 	root := tr.Root()

@@ -158,6 +158,35 @@ func (w *SpanWire) Nodes() int {
 	return n
 }
 
+// wire converts one in-memory attribute to the wire form.
+func (a Attr) wire() WireAttr {
+	switch a.kind {
+	case kindInt:
+		return WireAttr{Key: a.Key, Kind: "i", Int: a.i}
+	case kindFloat:
+		return WireAttr{Key: a.Key, Kind: "f", Float: a.f}
+	case kindBool:
+		return WireAttr{Key: a.Key, Kind: "b", Bool: a.i != 0}
+	default:
+		return WireAttr{Key: a.Key, Kind: "s", Str: a.s}
+	}
+}
+
+// value returns the payload as an interface value: int64, float64,
+// bool or string.
+func (a WireAttr) value() any {
+	switch a.Kind {
+	case "i":
+		return a.Int
+	case "f":
+		return a.Float
+	case "b":
+		return a.Bool
+	default:
+		return a.Str
+	}
+}
+
 // wireAttrs converts in-memory attributes to the wire form.
 func wireAttrs(attrs []Attr) []WireAttr {
 	if len(attrs) == 0 {
@@ -165,22 +194,7 @@ func wireAttrs(attrs []Attr) []WireAttr {
 	}
 	out := make([]WireAttr, len(attrs))
 	for i, a := range attrs {
-		wa := WireAttr{Key: a.Key}
-		switch a.kind {
-		case kindInt:
-			wa.Kind = "i"
-			wa.Int = a.i
-		case kindFloat:
-			wa.Kind = "f"
-			wa.Float = a.f
-		case kindBool:
-			wa.Kind = "b"
-			wa.Bool = a.i != 0
-		default:
-			wa.Kind = "s"
-			wa.Str = a.s
-		}
-		out[i] = wa
+		out[i] = a.wire()
 	}
 	return out
 }
@@ -217,17 +231,28 @@ func (s *Span) Export() *SpanWire {
 	if s == nil {
 		return nil
 	}
-	t := s.trace
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	w := s.exportLocked(t.now())
-	if t.dropped > 0 {
-		w.Attrs = append(w.Attrs, WireAttr{Key: DroppedAttr, Kind: "i", Int: int64(t.dropped)})
-	}
+	w, _, _ := s.snapshot()
 	return w
 }
 
-// exportLocked renders one span (caller holds the trace mutex).
+// snapshot is the one reader of span fields for export: under a single
+// hold of the trace mutex it copies the subtree into the wire form,
+// tags its root with DroppedAttr when the node cap dropped nodes, and
+// reads the trace id and drop count alongside. Tree, ChromeTrace and
+// Log render the root's snapshot without the lock.
+func (s *Span) snapshot() (root *SpanWire, id string, dropped int) {
+	t := s.trace
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	root = s.exportLocked(t.now())
+	if t.dropped > 0 {
+		root.Attrs = append(root.Attrs, WireAttr{Key: DroppedAttr, Kind: "i", Int: int64(t.dropped)})
+	}
+	return root, t.id, t.dropped
+}
+
+// exportLocked copies one span and its subtree for snapshot (caller
+// holds the trace mutex).
 func (s *Span) exportLocked(now time.Duration) *SpanWire {
 	end := s.end
 	inFlight := !s.ended

@@ -3,8 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"log/slog"
 	"math/rand"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
@@ -215,7 +218,8 @@ func findAttr(attrs []Attr, key string) (Attr, bool) {
 
 // TestGraftNodeCap checks the cap accounting: a graft into a full trace
 // stores nothing, counts every would-be node as dropped, and the drop
-// stays visible on the tree, the export, and the process counter.
+// stays visible on the tree, the export, the log, and the process
+// counter.
 func TestGraftNodeCap(t *testing.T) {
 	tr := New("full")
 	root := tr.Root()
@@ -233,12 +237,18 @@ func TestGraftNodeCap(t *testing.T) {
 	if got := DroppedTotal() - before; got != int64(w.Nodes()) {
 		t.Fatalf("DroppedTotal moved by %d, want %d", got, w.Nodes())
 	}
-	if got := tr.Tree().Root.Attrs[DroppedAttr]; got != w.Nodes() {
+	if got := tr.Tree().Root.Attrs[DroppedAttr]; got != int64(w.Nodes()) {
 		t.Fatalf("tree root %s = %v, want %d", DroppedAttr, got, w.Nodes())
 	}
 	exp := root.Export()
 	last := exp.Attrs[len(exp.Attrs)-1]
 	if last.Key != DroppedAttr || last.Int != int64(w.Nodes()) {
 		t.Fatalf("export root lacks %s=%d: %+v", DroppedAttr, w.Nodes(), exp.Attrs)
+	}
+	var logs bytes.Buffer
+	tr.Log(slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelDebug})))
+	first, _, _ := strings.Cut(logs.String(), "\n")
+	if want := fmt.Sprintf(" %s=%d", DroppedAttr, w.Nodes()); !strings.HasSuffix(first, want) {
+		t.Fatalf("root log record lacks%s: %s", want, first)
 	}
 }
