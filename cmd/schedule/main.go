@@ -30,7 +30,6 @@ import (
 	"budgetwf/internal/obs"
 	"budgetwf/internal/platform"
 	"budgetwf/internal/sched"
-	"budgetwf/internal/wf"
 	"budgetwf/internal/wfgen"
 )
 
@@ -48,10 +47,10 @@ func run(args []string, stdout io.Writer) error {
 		typ     = fs.String("type", "montage", "generated workflow family")
 		n       = fs.Int("n", 30, "generated workflow size")
 		seed    = fs.Uint64("seed", 0, "generator seed")
-		sigma   = fs.Float64("sigma", 0.5, "σ/w̄ ratio")
-		algName = fs.String("alg", "heftbudg", "algorithm: minmin|heft|minminbudg|heftbudg|heftbudg+|heftbudg+inv|bdt|cg|cg+")
+		sigma   = fs.Float64("sigma", exp.DefaultSigmaRatio, "σ/w̄ ratio")
+		algName = fs.String("alg", "heftbudg", "algorithm: "+algNames()+", each also as <name>-spot (the spot-aware twin)")
 		budget  = fs.Float64("budget", 0, "budget in dollars")
-		factor  = fs.Float64("budget-factor", 1.5, "budget as a multiple of the cheapest-schedule cost (used when -budget is 0)")
+		factor  = fs.Float64("budget-factor", exp.DefaultBudgetFactor, "budget as a multiple of the cheapest-schedule cost (used when -budget is 0)")
 		out     = fs.String("out", "", "write the schedule JSON here")
 		traceTo = fs.String("trace", "", "write a Chrome trace-event JSON of the planner's decisions here")
 	)
@@ -59,7 +58,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	w, err := loadWorkflow(*wfPath, *typ, *n, *seed, *sigma)
+	w, err := wfgen.Load(*wfPath, *typ, *n, *seed, *sigma)
 	if err != nil {
 		return err
 	}
@@ -132,20 +131,11 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-func loadWorkflow(path, typ string, n int, seed uint64, sigma float64) (*wf.Workflow, error) {
-	if path != "" {
-		if strings.HasSuffix(path, ".dax") || strings.HasSuffix(path, ".xml") {
-			return wf.LoadDAX(path)
-		}
-		return wf.LoadFile(path)
+// algNames lists the planner registry for -alg's help, "|"-separated.
+func algNames() string {
+	var names []string
+	for _, a := range sched.AllExtended() {
+		names = append(names, string(a.Name))
 	}
-	t, err := wfgen.ParseType(typ)
-	if err != nil {
-		return nil, err
-	}
-	w, err := wfgen.Generate(t, n, seed)
-	if err != nil {
-		return nil, err
-	}
-	return w.WithSigmaRatio(sigma), nil
+	return strings.Join(names, "|")
 }

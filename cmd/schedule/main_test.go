@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"budgetwf/internal/plan"
+	"budgetwf/internal/sched"
+	"budgetwf/internal/wfgen"
 )
 
 func TestRunGeneratedWorkflow(t *testing.T) {
@@ -74,8 +76,41 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestAlgHelpFollowsTheRegistry checks that -alg's help names every
+// algorithm in the registry (PEFT included) and that each one's -spot
+// twin, which the help promises, resolves.
+func TestAlgHelpFollowsTheRegistry(t *testing.T) {
+	help := "|" + algNames() + "|"
+	for _, a := range sched.AllExtended() {
+		if !strings.Contains(help, "|"+string(a.Name)+"|") {
+			t.Errorf("-alg help %q misses %s", help, a.Name)
+		}
+		if _, err := sched.ByName(a.Name + "-spot"); err != nil {
+			t.Errorf("%s-spot does not resolve: %v", a.Name, err)
+		}
+	}
+	if !strings.Contains(help, "|"+string(sched.NamePeft)+"|") {
+		t.Errorf("-alg help %q misses %s", help, sched.NamePeft)
+	}
+}
+
+// TestDefaultsAreThePapers checks that -sigma and -budget-factor
+// default to σ/w̄ = 0.5 and β = 1.5.
+func TestDefaultsAreThePapers(t *testing.T) {
+	var implicit, explicit strings.Builder
+	if err := run([]string{"-type", "ligo", "-n", "30"}, &implicit); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-type", "ligo", "-n", "30", "-sigma", "0.5", "-budget-factor", "1.5"}, &explicit); err != nil {
+		t.Fatal(err)
+	}
+	if implicit.String() != explicit.String() {
+		t.Errorf("defaults differ from -sigma 0.5 -budget-factor 1.5:\n%s\nvs\n%s", implicit.String(), explicit.String())
+	}
+}
+
 func writeGenerated(path string) error {
-	w, err := loadWorkflow("", "montage", 30, 0, 0.5)
+	w, err := wfgen.Load("", "montage", 30, 0, 0.5)
 	if err != nil {
 		return err
 	}

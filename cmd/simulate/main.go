@@ -132,7 +132,7 @@ func run(args []string, stdout io.Writer) error {
 		return runFaultSweep(stdout, *faultSweep, *typ, *n, *sigma, *seed, *reps, *algName, *factor, spec)
 	}
 
-	w, err := loadWorkflow(*wfPath, *typ, *n, *seed, *sigma)
+	w, err := wfgen.Load(*wfPath, *typ, *n, *seed, *sigma)
 	if err != nil {
 		return err
 	}
@@ -378,22 +378,4 @@ func parseRates(s string) ([]float64, error) {
 		return nil, fmt.Errorf("-fault-sweep lists no rates")
 	}
 	return rates, nil
-}
-
-func loadWorkflow(path, typ string, n int, seed uint64, sigma float64) (*wf.Workflow, error) {
-	if path != "" {
-		if strings.HasSuffix(path, ".dax") || strings.HasSuffix(path, ".xml") {
-			return wf.LoadDAX(path)
-		}
-		return wf.LoadFile(path)
-	}
-	t, err := wfgen.ParseType(typ)
-	if err != nil {
-		return nil, err
-	}
-	w, err := wfgen.Generate(t, n, seed)
-	if err != nil {
-		return nil, err
-	}
-	return w.WithSigmaRatio(sigma), nil
 }

@@ -16,6 +16,7 @@ import (
 	"budgetwf/internal/rng"
 	"budgetwf/internal/sched"
 	"budgetwf/internal/stats"
+	"budgetwf/internal/wfgen"
 )
 
 func TestRunPlansAndSimulates(t *testing.T) {
@@ -86,7 +87,7 @@ func TestRunGanttAndTrace(t *testing.T) {
 func TestRunScheduleRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	wfPath := dir + "/w.json"
-	w, err := loadWorkflow("", "cybershake", 30, 1, 0.5)
+	w, err := wfgen.Load("", "cybershake", 30, 1, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestRunScheduleRoundTrip(t *testing.T) {
 func TestRunRejectsMismatchedSchedule(t *testing.T) {
 	dir := t.TempDir()
 	wfPath := dir + "/w.json"
-	w, err := loadWorkflow("", "montage", 30, 0, 0.5)
+	w, err := wfgen.Load("", "montage", 30, 0, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestRunRejectsMismatchedSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A schedule for a DIFFERENT (larger) workflow must be rejected.
-	big, err := loadWorkflow("", "montage", 60, 0, 0.5)
+	big, err := wfgen.Load("", "montage", 60, 0, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +364,7 @@ func TestRunAnalyticEstimatorFlagErrors(t *testing.T) {
 // the CLI prints the one replication loop's tally, it does not keep one
 // of its own.
 func TestRunPrintsReplayBatch(t *testing.T) {
-	w, err := loadWorkflow("", "montage", 20, 0, exp.DefaultSigmaRatio)
+	w, err := wfgen.Load("", "montage", 20, 0, exp.DefaultSigmaRatio)
 	if err != nil {
 		t.Fatal(err)
 	}

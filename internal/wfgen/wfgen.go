@@ -89,6 +89,28 @@ func MustGenerate(t Type, n int, seed uint64) *wf.Workflow {
 	return w
 }
 
+// Load returns the workflow that the commands' -wf and generator flags
+// name: the file at path (Pegasus DAX when it ends in .dax or .xml,
+// JSON otherwise) or, when path is empty, the generated instance of
+// family typ with n tasks and the given seed, with σ = sigma·w̄.
+func Load(path, typ string, n int, seed uint64, sigma float64) (*wf.Workflow, error) {
+	if path != "" {
+		if strings.HasSuffix(path, ".dax") || strings.HasSuffix(path, ".xml") {
+			return wf.LoadDAX(path)
+		}
+		return wf.LoadFile(path)
+	}
+	t, err := ParseType(typ)
+	if err != nil {
+		return nil, err
+	}
+	w, err := Generate(t, n, seed)
+	if err != nil {
+		return nil, err
+	}
+	return w.WithSigmaRatio(sigma), nil
+}
+
 // generators maps every family to its generator.
 var generators = map[Type]func(n int, r *rng.RNG) (*wf.Workflow, error){
 	CyberShake: genCyberShake, Ligo: genLigo, Montage: genMontage,

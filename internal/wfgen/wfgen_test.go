@@ -1,6 +1,7 @@
 package wfgen
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -247,5 +248,34 @@ func TestGenerateAllocs(t *testing.T) {
 		if counts[0] != counts[1] || counts[1] > 20 {
 			t.Errorf("%s: %v allocations at n = 30 and %v at n = 1000, want equal and at most 20", typ, counts[0], counts[1])
 		}
+	}
+}
+
+// TestLoad covers the three sources the commands' workflow flags name:
+// a generated instance with σ applied, a JSON file and a DAX file.
+func TestLoad(t *testing.T) {
+	gen, err := Load("", "Montage", 30, 2, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := MustGenerate(Montage, 30, 2).WithSigmaRatio(0.5)
+	if gen.Name != want.Name || gen.Task(0) != want.Task(0) {
+		t.Fatalf("generated %s %+v, want %s %+v", gen.Name, gen.Task(0), want.Name, want.Task(0))
+	}
+	path := filepath.Join(t.TempDir(), "w.json")
+	if err := gen.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	for file, tasks := range map[string]int{path: 30, "../../testdata/blackdiamond.dax": 4} {
+		got, err := Load(file, "ignored", 0, 0, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		if got.NumTasks() != tasks {
+			t.Fatalf("%s: %d tasks, want %d", file, got.NumTasks(), tasks)
+		}
+	}
+	if _, err := Load("", "bogus", 30, 0, 0.5); err == nil {
+		t.Fatal("unknown family accepted")
 	}
 }
