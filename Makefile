@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all build vet test bench figs figs-quick report fuzz serve serve-pool \
 	loadtest loadtest-tenants chaos clean bench-json bench-json-check bench-json-smoke \
-	bench-est
+	bench-est lines
 
 all: build vet test
 
@@ -13,6 +13,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# The deletion ledger's count (ROADMAP item 14): non-test Go lines
+# outside benchmark/, per directory and in total. Reports only.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); by[d] += $$1; sum += $$1 } \
+			END { for (d in by) printf "%7d %s\n", by[d], d; printf "%7d total\n", sum }' | sort -k2
 
 test:
 	$(GO) test ./...

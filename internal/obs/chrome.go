@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"slices"
-	"sort"
 )
 
 // The Chrome trace-event format: the JSON document consumed by
@@ -66,15 +65,17 @@ func (t *Trace) ChromeTrace() *ChromeTrace {
 	var procs []string
 	var collect func(*SpanWire)
 	collect = func(s *SpanWire) {
-		if p := processOf(s); p != "" {
-			procs = append(procs, p)
+		for _, a := range s.Attrs {
+			if a.Key == ProcessAttr && a.Kind == "s" && a.Str != "" {
+				procs = append(procs, a.Str)
+			}
 		}
 		for _, c := range s.Children {
 			collect(c)
 		}
 	}
 	collect(root)
-	sort.Strings(procs)
+	slices.Sort(procs)
 	procs = slices.Compact(procs)
 
 	doc := &ChromeTrace{DisplayTimeUnit: "ms"}
