@@ -44,7 +44,6 @@ package budgetwf
 
 import (
 	"context"
-	"strings"
 
 	"budgetwf/internal/exp"
 	"budgetwf/internal/plan"
@@ -83,12 +82,7 @@ func NewWorkflow(name string) *Workflow { return wf.New(name) }
 // (*Workflow).SaveFile or cmd/wfgen. Files ending in .dax or .xml are
 // parsed as Pegasus DAX v3 documents instead — the native format of
 // the Pegasus generator behind the paper's benchmarks.
-func LoadWorkflow(path string) (*Workflow, error) {
-	if strings.HasSuffix(path, ".dax") || strings.HasSuffix(path, ".xml") {
-		return wf.LoadDAX(path)
-	}
-	return wf.LoadFile(path)
-}
+func LoadWorkflow(path string) (*Workflow, error) { return wf.Load(path) }
 
 // WorkflowType selects a generator family.
 type WorkflowType = wfgen.Type

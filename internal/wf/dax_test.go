@@ -119,6 +119,36 @@ func TestLoadDAXFile(t *testing.T) {
 	}
 }
 
+// TestLoadDispatchesOnSuffix: Load reads .dax and .xml files as DAX
+// and anything else as JSON.
+func TestLoadDispatchesOnSuffix(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"w.dax", "w.xml"} {
+		if err := writeFile(dir+"/"+name, sampleDAX); err != nil {
+			t.Fatal(err)
+		}
+		if w, err := Load(dir + "/" + name); err != nil || w.NumTasks() != 4 {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	if err := writeFile(dir+"/w.json", sampleDAX); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(dir + "/w.json"); err == nil {
+		t.Error("DAX document read as JSON")
+	}
+	w, err := ReadDAX(strings.NewReader(sampleDAX))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.SaveFile(dir + "/w.json"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Load(dir + "/w.json"); err != nil || got.NumTasks() != 4 {
+		t.Errorf("w.json: %v", err)
+	}
+}
+
 func TestDAXDependencyWithoutSharedFile(t *testing.T) {
 	// A control dependency with no data: edge of size 0.
 	doc := `<adag name="x">

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"budgetwf/internal/stoch"
 )
@@ -104,6 +105,15 @@ func (wf *Workflow) SaveFile(path string) error {
 		return err
 	}
 	return f.Close()
+}
+
+// Load reads a workflow from the named file: a Pegasus DAX document
+// when the name ends in .dax or .xml, the JSON format otherwise.
+func Load(path string) (*Workflow, error) {
+	if strings.HasSuffix(path, ".dax") || strings.HasSuffix(path, ".xml") {
+		return LoadDAX(path)
+	}
+	return LoadFile(path)
 }
 
 // LoadFile reads and validates a workflow from the named file.

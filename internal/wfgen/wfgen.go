@@ -95,10 +95,7 @@ func MustGenerate(t Type, n int, seed uint64) *wf.Workflow {
 // family typ with n tasks and the given seed, with σ = sigma·w̄.
 func Load(path, typ string, n int, seed uint64, sigma float64) (*wf.Workflow, error) {
 	if path != "" {
-		if strings.HasSuffix(path, ".dax") || strings.HasSuffix(path, ".xml") {
-			return wf.LoadDAX(path)
-		}
-		return wf.LoadFile(path)
+		return wf.Load(path)
 	}
 	t, err := ParseType(typ)
 	if err != nil {
