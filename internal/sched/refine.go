@@ -39,7 +39,9 @@ func refine(w *wf.Workflow, p *platform.Platform, budget float64, inverse bool, 
 		return nil, fmt.Errorf("sched: simulating HEFTBUDG schedule: %w", err)
 	}
 	defer ev.span.End()
-	minMakespan := res.Makespan
+	// The incumbent's figures, copied out of res as CG+ does: the
+	// evaluator's next simulation overwrites it.
+	minMakespan, cost := res.Makespan, res.TotalCost
 	ev.span.Set(obs.Bool("inverse", inverse), obs.Float("baseMakespan", minMakespan))
 
 	order := append([]wf.TaskID(nil), cur.ListT...)
@@ -51,11 +53,11 @@ func refine(w *wf.Workflow, p *platform.Platform, budget float64, inverse bool, 
 
 	for _, t := range order {
 		best := cur
-		err := ev.eachMove(t, &minMakespan, func(vm, cat int, makespan, cost float64) {
-			if makespan < minMakespan && cost < budget {
+		err := ev.eachMove(t, &minMakespan, func(vm, cat int, makespan, moveCost float64) {
+			if makespan < minMakespan && moveCost < budget {
 				best = ev.candidate(t, vm, cat)
-				ev.upgrade(t, best, minMakespan, makespan, cost)
-				minMakespan = makespan
+				ev.upgrade(t, best, minMakespan, makespan, moveCost)
+				minMakespan, cost = makespan, moveCost
 			}
 		})
 		if err != nil {
@@ -70,6 +72,7 @@ func refine(w *wf.Workflow, p *platform.Platform, budget float64, inverse bool, 
 	}
 	ev.finish(minMakespan)
 	cur.EstMakespan = minMakespan
+	cur.EstCost = cost
 	return cur, nil
 }
 

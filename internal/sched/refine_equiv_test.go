@@ -384,3 +384,50 @@ func TestHeftBudgPlusAllocations(t *testing.T) {
 		t.Errorf("HEFTBUDG+ allocates %.0f objects per plan, want <= 2000", allocs)
 	}
 }
+
+// TestRefinedEstimatesAreSimulated: HEFTBUDG+, HEFTBUDG+INV and CG+
+// report the deterministic simulation of the plan they return —
+// EstMakespan and EstCost both equal sim.RunDeterministic's — whether
+// or not refinement moved a task. Refinement used to keep HEFTBUDG's
+// own EstCost on every plan it changed.
+func TestRefinedEstimatesAreSimulated(t *testing.T) {
+	p := platform.Default()
+	moved := 0
+	for _, typ := range wfgen.AllPaperTypes() {
+		for seed := uint64(0); seed < 3; seed++ {
+			w := paperInstance(t, typ, 40, seed)
+			cheap := cheapBudget(t, w, p)
+			for _, factor := range []float64{1, 1.3, 2, 4} {
+				budget := factor * cheap
+				base, err := HeftBudg(w, p, budget)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, alg := range []Name{NameHeftBudgPlus, NameHeftBudgPlusInv, NameCGPlus} {
+					a, err := ByName(alg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s, err := a.Plan(w, p, budget)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r, err := sim.RunDeterministic(w, p, s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if s.EstMakespan != r.Makespan || s.EstCost != r.TotalCost {
+						t.Errorf("%s %s seed %d ×%v: estimates (%v, %v), simulated (%v, %v)",
+							alg, typ, seed, factor, s.EstMakespan, s.EstCost, r.Makespan, r.TotalCost)
+					}
+					if alg != NameCGPlus && !reflect.DeepEqual(s.TaskVM, base.TaskVM) {
+						moved++
+					}
+				}
+			}
+		}
+	}
+	if moved == 0 {
+		t.Error("refinement moved no task: the stale-estimate case went unexercised")
+	}
+}

@@ -50,7 +50,7 @@ func refineReference(w *wf.Workflow, p *platform.Platform, budget float64, inver
 	if err != nil {
 		return nil, fmt.Errorf("sched: simulating HEFTBUDG schedule: %w", err)
 	}
-	minMakespan := res.Makespan
+	minMakespan, cost := res.Makespan, res.TotalCost
 
 	span := opt.span.Child("refine")
 	span.Set(obs.Bool("inverse", inverse), obs.Float("baseMakespan", minMakespan))
@@ -89,7 +89,7 @@ func refineReference(w *wf.Workflow, p *platform.Platform, budget float64, inver
 						obs.Float("makespanAfter", r.Makespan),
 						obs.Float("cost", r.TotalCost))
 				}
-				minMakespan = r.Makespan
+				minMakespan, cost = r.Makespan, r.TotalCost
 			}
 		}
 		cur = best
@@ -97,6 +97,7 @@ func refineReference(w *wf.Workflow, p *platform.Platform, budget float64, inver
 	span.Set(obs.Int("movesTried", moves), obs.Int("movesCut", cut), obs.Int("upgrades", upgrades),
 		obs.Float("finalMakespan", minMakespan))
 	cur.EstMakespan = minMakespan
+	cur.EstCost = cost
 	return cur, nil
 }
 
