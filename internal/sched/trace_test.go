@@ -183,7 +183,7 @@ func TestPlanContextWithoutSpanEmitsNothing(t *testing.T) {
 }
 
 // TestMinMinBudgTrace covers the MIN-MINBUDG emission sites: the
-// chosen task's candidate column plus guard and place per round.
+// chosen task's candidates plus guard and place per round.
 func TestMinMinBudgTrace(t *testing.T) {
 	w := wfgen.MustGenerate(wfgen.Montage, 20, 3).WithSigmaRatio(0.5)
 	p := platform.Default()
