@@ -177,14 +177,9 @@ func FigureAlgorithms(figure int) ([]sched.Name, error) {
 // function of the initial budget, plus the percentage of valid
 // (budget-respecting) executions that Figure 3 plots.
 func Figure(n int, cfg FigureConfig) ([]*Table, error) {
-	cfg = cfg.Defaults()
 	sweeps, err := RunFigureSweeps(n, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("exp: Figure %d: %w", n, err)
 	}
-	var tables []*Table
-	for i, typ := range wfgen.AllPaperTypes() {
-		tables = append(tables, SweepTable(fmt.Sprintf("Figure %d — %s, %d tasks", n, typ, cfg.N), sweeps[i]))
-	}
-	return tables, nil
+	return figureTables(n, cfg, sweeps), nil
 }

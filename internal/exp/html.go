@@ -48,13 +48,10 @@ func (r *Report) AddHeading(h string) {
 }
 
 // AddTable appends a table section.
-func (r *Report) AddTable(t *Table) error {
+func (r *Report) AddTable(t *Table) {
 	var b strings.Builder
-	if err := t.WriteHTML(&b); err != nil {
-		return err
-	}
+	t.WriteHTML(&b) // writing to a strings.Builder cannot fail
 	r.sections = append(r.sections, b.String())
-	return nil
 }
 
 // AddSVG inlines a rendered SVG figure. The document is trusted (we

@@ -8,10 +8,6 @@ import (
 	"budgetwf/internal/wfgen"
 )
 
-// defaultPlatform is a tiny indirection so the timing helpers share
-// one Table II instantiation.
-func defaultPlatform() *platform.Platform { return platform.Default() }
-
 // SigmaSweep reproduces the extended-version experiment discussed in
 // §V-B: the impact of the amount of uncertainty. For each σ/w̄ ratio
 // in {0.25, 0.50, 0.75, 1.00} it sweeps the budget and reports the

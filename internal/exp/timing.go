@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"budgetwf/internal/platform"
 	"budgetwf/internal/sched"
 	"budgetwf/internal/stats"
 	"budgetwf/internal/wfgen"
@@ -60,7 +61,7 @@ func (c TimingConfig) defaults() TimingConfig {
 // measurePlan times alg on the given instances/budgets and returns a
 // summary in seconds.
 func measurePlan(cfg TimingConfig, alg sched.Algorithm, n int, level BudgetLevel, sigma float64) (stats.Summary, error) {
-	p := defaultPlatform()
+	p := platform.Default()
 	insts, err := Scenario{Type: cfg.Type, N: n, SigmaRatio: sigma, Platform: p, Instances: cfg.Instances, Seed: cfg.Seed}.materialize()
 	if err != nil {
 		return stats.Summary{}, err

@@ -4,10 +4,6 @@ import (
 	"encoding/xml"
 	"strings"
 	"testing"
-
-	"budgetwf/internal/exp"
-	"budgetwf/internal/sched"
-	"budgetwf/internal/wfgen"
 )
 
 func sampleChart() *LineChart {
@@ -143,42 +139,5 @@ func TestFormatTick(t *testing.T) {
 		if got := formatTick(in); got != want {
 			t.Errorf("formatTick(%v) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestSweepChartFromRealSweep(t *testing.T) {
-	algs := []sched.Algorithm{}
-	for _, n := range []sched.Name{sched.NameHeft, sched.NameHeftBudg} {
-		a, err := sched.ByName(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		algs = append(algs, a)
-	}
-	res, err := exp.RunSweep(exp.Scenario{
-		Type: wfgen.Montage, N: 30, SigmaRatio: 0.5, Instances: 1, Reps: 3, Workers: 2,
-	}, algs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	panels, err := SweepPanels(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(panels) != 3 {
-		t.Fatalf("%d panels", len(panels))
-	}
-	for _, p := range panels {
-		var b strings.Builder
-		if err := p.RenderSVG(&b); err != nil {
-			t.Fatalf("%s: %v", p.Title, err)
-		}
-		if !strings.Contains(b.String(), "heftbudg") {
-			t.Errorf("%s: missing series", p.Title)
-		}
-	}
-	// Identity-stable slots.
-	if algorithmSlot[sched.NameHeft] != 2 || algorithmSlot[sched.NameCGPlus] != 8 {
-		t.Error("algorithm slot mapping changed — figures lose cross-figure identity")
 	}
 }
