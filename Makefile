@@ -57,7 +57,7 @@ bench-est:
 # planner suite, a
 # HEFTBUDG+ plan must allocate at most 4x and take at most 40x the
 # HEFTBUDG plan it refines at n=50, a MIN-MINBUDG plan at n=1000
-# take at most 14x the HEFTBUDG plan's time and allocate at most 4x its
+# take at most 8.5x the HEFTBUDG plan's time and allocate at most 4x its
 # bytes, and HEFTBUDG, CG and BDT
 # allocate at most 2x at n=1000 what they do at n=50, on every family
 # (bench.GatePlanner); for the sim
@@ -75,7 +75,7 @@ bench-json-check:
 # 150 objects, the workflow decoder allocates per task again, a
 # refinement plan allocates per candidate again or falls more than
 # 40x behind HEFTBUDG at n=50, MIN-MINBUDG falls
-# more than 14x behind HEFTBUDG at n=1000 or allocates more than 4x its
+# more than 8.5x behind HEFTBUDG at n=1000 or allocates more than 4x its
 # bytes (its candidate matrix back), a list planner allocates
 # per VM or per task again, scoring a
 # replication allocates or is no faster than simulating it, or an

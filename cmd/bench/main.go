@@ -18,7 +18,7 @@
 // the workflow decodes in at most 24 allocations — bench.GatePlanner — a
 // HEFTBUDG+ plan allocates like a list planner, not per candidate, and
 // takes at most 40× HEFTBUDG's time at n=50, MIN-MINBUDG stays within
-// 14× of HEFTBUDG's time and 4× of its bytes at n=1000, and HEFTBUDG,
+// 8.5× of HEFTBUDG's time and 4× of its bytes at n=1000, and HEFTBUDG,
 // CG and BDT allocate
 // per plan, at most 2× at n=1000 what they do at n=50 —
 // bench.GateSim — a replication batch allocates per batch, not per

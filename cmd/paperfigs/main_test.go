@@ -71,6 +71,45 @@ func TestRunTable3bQuick(t *testing.T) {
 	}
 }
 
+// TestRunSizeReachesSizedTables: -n is the one size of Table III(b)
+// and of the budget-gap table, whose quick sizes are 30 and 60.
+func TestRunSizeReachesSizedTables(t *testing.T) {
+	for _, args := range [][]string{{"-table", "3b"}, {"-fig", "budgetgap"}} {
+		dir := t.TempDir()
+		var out, errw strings.Builder
+		if err := run(append(args, "-quick", "-n", "30", "-out", dir), &out, &errw); err != nil {
+			t.Fatal(err)
+		}
+		csvs, err := filepath.Glob(filepath.Join(dir, args[1]+"_*.csv"))
+		if err != nil || len(csvs) != 1 {
+			t.Fatalf("%v: %d CSVs written (%v), want 1", args, len(csvs), err)
+		}
+		f, err := os.Open(csvs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := csv.NewReader(f).ReadAll()
+		f.Close()
+		if err != nil || len(rows) < 2 {
+			t.Fatalf("%v: %d CSV rows (%v)", args, len(rows), err)
+		}
+		col := -1
+		for i, name := range rows[0] {
+			if name == "tasks" {
+				col = i
+			}
+		}
+		if col < 0 {
+			t.Fatalf("%v: no tasks column in %v", args, rows[0])
+		}
+		for _, row := range rows[1:] {
+			if row[col] != "30" {
+				t.Errorf("%v -n 30: a row for %s tasks", args, row[col])
+			}
+		}
+	}
+}
+
 func TestRunSelectionErrors(t *testing.T) {
 	var out, errw strings.Builder
 	if err := run([]string{"-out", t.TempDir()}, &out, &errw); err == nil {

@@ -249,6 +249,9 @@ type Pool struct {
 	order   []string // tenant registration order, for deterministic listing
 
 	decisions []Decision
+	// noLog keeps the decision log empty: a long-running service would
+	// otherwise hold every decision it ever made.
+	noLog bool
 
 	provisioned   int
 	reused        int
@@ -281,6 +284,9 @@ func (p *Pool) Now() float64 { return p.now }
 func (p *Pool) Decisions() []Decision { return p.decisions }
 
 func (p *Pool) decide(d Decision) {
+	if p.noLog {
+		return
+	}
 	d.At = p.now
 	p.decisions = append(p.decisions, d)
 }
@@ -519,6 +525,7 @@ func (p *Pool) reject(s *submission, reason string) {
 	if s.span != nil {
 		s.span.Event("pool-reject", obs.Int("sub", s.id), obs.Str("reason", reason))
 	}
+	s.release()
 }
 
 func (p *Pool) failSub(s *submission, err error) {
@@ -545,6 +552,7 @@ func (p *Pool) failSub(s *submission, err error) {
 		}
 	}
 	p.decide(Decision{Kind: "abort", Tenant: ten.id, Sub: s.id, VM: -1, Cat: -1, Note: err.Error()})
+	s.release()
 }
 
 // acquireFor serves the hosted executor's booking hook: lease the idle
@@ -723,6 +731,16 @@ func (p *Pool) settle(s *submission) {
 		s.span.Set(obs.Float("charged", rep.TotalCost), obs.Int("reusedVMs", o.ReusedVMs),
 			obs.Int("freshVMs", o.FreshVMs), obs.Float("savedInitCost", o.SavedInitCost))
 	}
+	s.release()
+}
+
+// release drops what only a live execution needs — the workflow, its
+// weights and plan, the hosted executor and its VM map — once the
+// submission has reached a terminal state: the pool keeps every
+// submission's record, so a long-running service would otherwise keep
+// all of them reachable.
+func (s *submission) release() {
+	s.w, s.weights, s.schedule, s.hosted, s.vmMap = nil, nil, nil, nil, nil
 }
 
 // deprovision releases a VM for good; the unused remainder of its paid

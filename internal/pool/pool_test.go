@@ -473,6 +473,46 @@ func TestServiceConcurrentSubmits(t *testing.T) {
 	}
 }
 
+// TestServiceKeepsNoSettledState: a service that has served N
+// submissions, done and rejected at admission, holds no
+// decision and, for none of them, the workflow, weights, plan, hosted
+// executor or VM map.
+func TestServiceKeepsNoSettledState(t *testing.T) {
+	svc, err := NewService(Config{Platform: testPlatform(3600), Policy: testPolicy(), TimeToShutdown: 360})
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := map[string]int{}
+	for i := 0; i < 8; i++ {
+		w, err := wfgen.Generate(wfgen.Chain, 6, uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Tenant c's budget is spent by its first submission: the
+		// later ones are rejected.
+		o, err := svc.Submit(context.Background(), Submission{
+			Tenant:    TenantSpec{ID: []string{"a", "b", "c"}[i%3], Budget: []float64{0, 0, 1e-12}[i%3]},
+			Workflow:  w,
+			Algorithm: "heft",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		states[o.State]++
+	}
+	if n := len(svc.p.decisions); n != 0 {
+		t.Errorf("service holds %d decisions, want none", n)
+	}
+	for _, s := range svc.p.subs {
+		if s.w != nil || s.weights != nil || s.schedule != nil || s.hosted != nil || s.vmMap != nil {
+			t.Errorf("submission %d (%s) keeps its execution state", s.id, s.outcome.State)
+		}
+	}
+	if states[StateDone] == 0 || states[StateRejected] == 0 {
+		t.Errorf("outcomes %v, want done and rejected submissions", states)
+	}
+}
+
 // hourlyTrace is a 3-tenant × 200-submission trace on an hourly-billed
 // platform (hourlyConfig), dense enough that most arrivals find idle
 // VMs of the category they need, with caps high enough that nothing is

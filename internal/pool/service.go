@@ -16,12 +16,14 @@ type Service struct {
 	p  *Pool
 }
 
-// NewService builds a service around a fresh pool.
+// NewService builds a service around a fresh pool that keeps no
+// decision log: a daemon serves submissions without end.
 func NewService(cfg Config) (*Service, error) {
 	p, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
+	p.noLog = true
 	return &Service{p: p}, nil
 }
 
@@ -64,13 +66,4 @@ func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.p.Stats()
-}
-
-// Decisions returns a copy of the decision log (for diagnostics).
-func (s *Service) Decisions() []Decision {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Decision, len(s.p.decisions))
-	copy(out, s.p.decisions)
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"budgetwf/internal/obs"
 	"budgetwf/internal/plan"
 	"budgetwf/internal/platform"
 	"budgetwf/internal/wf"
@@ -32,27 +33,29 @@ func MinMinBudg(w *wf.Workflow, p *platform.Platform, budget float64) (*plan.Sch
 // A naive implementation re-evaluates every (ready task, host) pair
 // each round: O(n² · p · deg). This one keeps nothing per (task, host)
 // pair. It keeps each ready task's last two picks, with the invariant
-// that a valid pickCache holds pickBest's answer on the task's
+// that a pickCache holding a pick has pickBest's answer on the task's
 // candidates for every allowance inside its interval; the second one
 // catches the pot swinging an allowance back across a cost. Each round
 // changes exactly one VM's availability (the one just assigned to,
 // possibly freshly provisioned), so a round folds that VM's new
-// candidate into every cached pick, and re-scans a task only when
-// neither pick holds: a pick sat on the booked VM, the booked VM's
-// candidate may displace it, or the task's allowance B_T + pot left its
-// interval. A task whose floor, or cached pick below its interval
+// candidate into every cache, and re-scans a task only when neither
+// pick holds — the booked VM's candidate may displace a pick, or the
+// task's allowance B_T + pot left its interval — and the task could
+// win the round. A task whose floor, or a bound its caches keep
 // (pickCache.bound), already finishes after the round's best pick so
-// far cannot win, so its re-scan waits. A re-scan lays the task's
+// far cannot win, so its re-scan waits; a pick whose VM was booked
+// becomes such a bound rather than nothing. A re-scan lays the task's
 // candidates out in one buffer reused for the whole plan, and costs
 // O(deg + p): eval's predecessor pass runs once (state.prepare), and
 // every used VM that runs no predecessor of the task is placed from it
 // in O(1). A round therefore costs O(ready · deg) to refresh the booked
 // VM's candidates, O(ready) to compare picks, and O(deg + p) per
 // re-scan, and a plan holds O(n + p) memory. On the paper's families at
-// n = 1000 (seed 1), 0.3–0.9 % of MIN-MIN's task visits re-scan,
-// 0.3–5 % of MIN-MINBUDG's at the medium budget, and 39–67 % at the
-// low one: there nothing is affordable, and the booked VM's refreshed
-// candidate is often the new cheapest fallback.
+// n = 1000 (seed 1), 0.3–0.7 % of MIN-MIN's task visits re-scan,
+// 0.3–1.3 % of MIN-MINBUDG's at the medium budget, and 16–45 % at the
+// low one: there nearly every pick is a fallback, and one whose VM
+// another task books for a later, no cheaper candidate is dropped. A
+// traced plan records the counts on its span (rescans, deferred).
 // TestMinMinFastMatchesReference* pins the plans against the naive
 // loop on plain eval, TestPlaceMatchesEval the O(1) placement against
 // eval, and TestPickCacheMatchesPickBest the cache against pickBest.
@@ -104,6 +107,7 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 	listT := make([]wf.TaskID, 0, n)
 	totalCost := 0.0
 	var traced []candidate
+	rescans, deferred := 0, 0
 	for len(listT) < n {
 		if err := opt.stopErr(); err != nil {
 			return nil, err
@@ -127,12 +131,14 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 			case bestTask >= 0 && max(floor[t], e.bound(allowance), alt.bound(allowance)) > bestCand.eft:
 				// t cannot win this round: its re-scan waits for a
 				// round where it can.
+				deferred++
 				continue
 			default:
-				if e.valid {
+				if e.state == cachePick {
 					*alt = *e
 				}
 				repick(e, wf.TaskID(t), allowance)
+				rescans++
 			}
 			c := e.c
 			if bestTask < 0 || less(c, bestCand) {
@@ -166,7 +172,7 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 		// every task that was already ready (newly ready ones are
 		// scanned against the post-assignment state).
 		for t := 0; t < n; t++ {
-			if e := &picks[t]; ready[t] && (e[0].valid || e[1].valid) {
+			if e := &picks[t]; ready[t] && (e[0].state != cacheEmpty || e[1].state != cacheEmpty) {
 				c := st.eval(wf.TaskID(t), vmIdx, st.vms[vmIdx].cat)
 				e[0].refresh(c)
 				e[1].refresh(c)
@@ -179,6 +185,9 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 			}
 		}
 	}
+	if opt.span != nil {
+		opt.span.Set(obs.Int("rescans", rescans), obs.Int("deferred", deferred))
+	}
 	out := st.extract(listT)
 	out.EstCost = totalCost + initSpent(out, p)
 	if info != nil {
@@ -187,45 +196,71 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 	return out, nil
 }
 
-// pickCache is one ready task's pickBest result on its candidates,
-// kept across rounds with the allowances for which pickBest on the
-// unchanged candidates still returns it: lo ≤ a, and a < hi when capped.
+// pickCache is what one ready task knows of pickBest's answer on its
+// candidates, kept across rounds for an interval of allowances: lo ≤ a,
+// and a < hi when capped. It is in one of three states:
 //
-//   - Feasible pick: lo is its cost. hi is the lowest cost among the
-//     candidates that would beat it, all of them too expensive (capped
-//     is false when there are none).
-//   - Fallback, nothing affordable: lo is −∞ and hi is the cheapest
-//     cost, where the first candidate turns affordable.
+//   - cacheEmpty, the zero value: it knows nothing, so a task that has
+//     just become ready is scanned.
+//   - cachePick: c is pickBest's answer for every allowance in the
+//     interval. For a feasible pick lo is its cost, and hi the lowest
+//     cost among the candidates that would beat it, all of them too
+//     expensive (capped is false when there are none). For a fallback,
+//     nothing affordable, lo is −∞ and hi the cheapest cost, where the
+//     first candidate turns affordable.
+//   - cacheBound: a feasible pick whose VM has been booked since, kept
+//     as a lower bound. c.vm is that VM and lo the cost of its current
+//     candidate, so under any allowance in the interval something is
+//     affordable and pickBest does not fall back. Below hi no candidate
+//     that beat the lost pick is affordable, and c.eft is the lost
+//     pick's EFT lowered to that of every candidate folded in since, so
+//     pickBest's answer finishes no earlier than c.eft.
 //
 // A keyed heap over the picks would not do for MIN-MINBUDG: the pot
 // moves every allowance every round, so what has to be re-checked is
-// whether an allowance left its interval. The zero value holds for no
-// allowance, so a task that has just become ready is scanned.
+// whether an allowance left its interval.
 type pickCache struct {
 	c      candidate
 	lo, hi float64
 	capped bool
-	valid  bool
+	state  cacheState
 }
+
+type cacheState uint8
+
+const (
+	cacheEmpty cacheState = iota
+	cachePick
+	cacheBound
+)
 
 // holds reports whether the cached pick is still pickBest's answer
 // under allowance a. A NaN allowance fails both bounds.
 func (e *pickCache) holds(a float64) bool {
-	return e.valid && a >= e.lo && (!e.capped || a < e.hi)
+	return e.state == cachePick && a >= e.lo && (!e.capped || a < e.hi)
 }
 
 // bound is a lower bound on the EFT of pickBest's answer under an
-// allowance a the cache does not hold for. When the cache holds at lo,
-// no candidate affordable there beats the pick. Below lo, every
-// candidate affordable under a was affordable at lo, and a fallback
-// under a costs at most the pick, so none finishes before the pick
-// does. Elsewhere, or when refresh has emptied the interval, it knows
-// none: −∞.
+// allowance a the cache does not hold for. A cacheBound gives its
+// bound inside its interval. Below a pick's lo, when the pick holds
+// there, no candidate affordable at lo beats the pick; every candidate
+// affordable under a was affordable at lo, and a fallback under a
+// costs at most the pick, so none finishes before the pick does.
+// Elsewhere it knows none: −∞.
 func (e *pickCache) bound(a float64) float64 {
-	if a < e.lo && e.holds(e.lo) {
-		return e.c.eft
+	// x is the allowance held against the cap: a inside a cacheBound's
+	// interval, lo below a pick's.
+	x := e.lo
+	switch {
+	case e.state == cacheBound && a >= e.lo:
+		x = a
+	case e.state != cachePick || !(a < e.lo):
+		return -infinite
 	}
-	return math.Inf(-1)
+	if e.capped && !(x < e.hi) {
+		return -infinite
+	}
+	return e.c.eft
 }
 
 // repick scans a task's candidates — those on used VMs, then the fresh
@@ -239,8 +274,8 @@ func (e *pickCache) bound(a float64) float64 {
 // round, as the naive loop would.
 func (e *pickCache) repick(used, fresh []candidate, a float64) {
 	p := pickBest(used, fresh, a)
-	*e = pickCache{c: p, lo: p.cost, valid: true}
-	fallback := p.cost > a
+	*e = pickCache{c: p, lo: p.cost, state: cachePick}
+	fallback := !(p.cost <= a)
 	if fallback {
 		// Nothing affordable: p is the cheapest fallback, and stands
 		// until the first candidate turns affordable.
@@ -251,13 +286,13 @@ func (e *pickCache) repick(used, fresh []candidate, a float64) {
 			c := &part[i]
 			switch {
 			case fallback:
-				if math.IsNaN(c.eft) {
-					e.valid = false
+				if math.IsNaN(c.eft) || math.IsNaN(c.cost) {
+					e.state = cacheEmpty
 					return
 				}
 			case c.eft > p.eft:
 			case math.IsNaN(c.eft) || math.IsNaN(c.cost):
-				e.valid = false
+				e.state = cacheEmpty
 				return
 			case c.eft < p.eft && (!e.capped || c.cost < e.hi):
 				e.hi, e.capped = c.cost, true
@@ -266,19 +301,37 @@ func (e *pickCache) repick(used, fresh []candidate, a float64) {
 	}
 }
 
-// refresh folds the booked VM's new candidate c into the cached pick.
-// The pick is dropped when it sat on that VM, or, for a fallback, when
-// c is at least as cheap. Otherwise a c that beats the pick lowers hi
-// to its cost: c is a used VM's, so it beats the pick under less, or on
-// an exact tie from an earlier VM (pickBest keeps the first of equals).
+// refresh folds the booked VM's new candidate c into the cache. c is a
+// used VM's, so on an exact tie with a candidate of a later VM it comes
+// first, as in pickBest.
+//
+//   - A feasible pick whose VM was booked becomes a cacheBound.
+//     Otherwise a c that beats the pick lowers hi to its cost.
+//   - A fallback passes to c when cheaper ranks c first. When c
+//     replaces the fallback on its own VM and ranks behind it, another
+//     candidate may be the cheapest now: the cache is emptied.
+//   - A cacheBound lowers its bound to c's EFT, and lo follows the cost
+//     on its VM.
 func (e *pickCache) refresh(c candidate) {
 	switch {
-	case !e.valid:
-	case c.vm == e.c.vm, math.IsNaN(c.eft), math.IsNaN(c.cost):
-		e.valid = false
+	case e.state == cacheEmpty:
+	case math.IsNaN(c.eft), math.IsNaN(c.cost):
+		e.state = cacheEmpty
+	case e.state == cacheBound:
+		e.c.eft = min(e.c.eft, c.eft)
+		if c.vm == e.c.vm {
+			e.lo = c.cost
+		}
 	case math.IsInf(e.lo, -1):
-		// Fallback: a candidate at least as cheap may take over.
-		e.valid = c.cost > e.c.cost
+		switch {
+		case c.vm == e.c.vm && cheaper(&e.c, &c):
+			e.state = cacheEmpty
+		case c.vm == e.c.vm, cheaper(&c, &e.c), !cheaper(&e.c, &c) && c.vm < e.c.vm:
+			e.c, e.hi = c, c.cost
+		}
+	case c.vm == e.c.vm:
+		e.state, e.lo = cacheBound, c.cost
+		e.c.eft = min(e.c.eft, c.eft)
 	case e.capped && c.cost >= e.hi:
 	case less(c, e.c) || !less(e.c, c) && c.vm < e.c.vm:
 		e.hi, e.capped = c.cost, true

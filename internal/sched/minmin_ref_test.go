@@ -306,12 +306,16 @@ func TestMinMinTiesMatchReference(t *testing.T) {
 	assertMinMinMatches(t, "ties", w, p, []float64{0, 0.02, 0.04, 0.06, 0.08, 0.1, math.Inf(1)})
 }
 
-// TestPickCacheMatchesPickBest drives one cached pick through random
-// candidate updates and allowances, the way minMinPlan does, and requires
-// pickBest's answer after every step. Metrics are drawn from a few
-// small integers, so exact EFT and cost ties, between used VMs and
-// between a used and a fresh VM, are the common case; now and then one
-// is NaN, which no order survives.
+// TestPickCacheMatchesPickBest drives a ready task's two cached picks
+// through random candidate updates and allowances the way minMinPlan
+// does — use the first pick, else swap in the second, else re-scan —
+// and requires pickBest's answer after every step. Wherever the caches
+// bound the answer's EFT from below, pickBest's answer must finish no
+// earlier. Metrics are drawn from a few small integers, so exact EFT
+// and cost ties, between used VMs and between a used and a fresh VM,
+// are the common case; now and then one is NaN, which no order
+// survives. The updates are not monotone: a booked VM's candidate may
+// finish earlier or cost less than before.
 func TestPickCacheMatchesPickBest(t *testing.T) {
 	const cats = 2
 	r := rand.New(rand.NewSource(1))
@@ -321,7 +325,11 @@ func TestPickCacheMatchesPickBest(t *testing.T) {
 		}
 		return float64(1 + r.Intn(4))
 	}
-	for trial := 0; trial < 2000; trial++ {
+	// finite counts the steps with a finite bound, bounded those where
+	// a cacheBound gave it, kept the refreshes where a fallback
+	// survived a candidate at least as cheap; both new states must occur.
+	steps, finite, bounded, kept := 0, 0, 0, 0
+	for trial := 0; trial < 20000; trial++ {
 		var used, fresh []candidate
 		for v := r.Intn(4); v > 0; v-- {
 			used = append(used, candidate{vm: len(used), cat: r.Intn(cats), eft: metric(), cost: metric(), slot: -1})
@@ -329,17 +337,41 @@ func TestPickCacheMatchesPickBest(t *testing.T) {
 		for k := 0; k < cats; k++ {
 			fresh = append(fresh, candidate{vm: -1, cat: k, eft: metric(), cost: metric(), slot: -1})
 		}
-		var e pickCache
+		var picks [2]pickCache
+		e, alt := &picks[0], &picks[1]
 		for step := 0; step < 30; step++ {
+			steps++
 			a := float64(r.Intn(10)) / 2 // 0 is below every cost
 			if r.Intn(8) == 0 {
 				a = math.Inf(1)
 			}
-			if !e.holds(a) {
+			lb := max(e.bound(a), alt.bound(a))
+			want := pickBest(used, fresh, a)
+			if !math.IsInf(lb, -1) {
+				finite++
+				if e.state == cacheBound && e.bound(a) == lb || alt.state == cacheBound && alt.bound(a) == lb {
+					bounded++
+				}
+				if !(want.eft >= lb) {
+					t.Fatalf("trial %d step %d, allowance %v: bound %v above pickBest %+v on %+v then %+v", trial, step, a, lb, want, used, fresh)
+				}
+			}
+			deferred := false
+			switch {
+			case e.holds(a):
+			case alt.holds(a):
+				*e, *alt = *alt, *e
+			case !math.IsInf(lb, -1) && r.Intn(2) == 0:
+				// minMinPlan defers a task whose bound loses the round:
+				// no re-scan, the caches live on.
+				deferred = true
+			default:
+				if e.state == cachePick {
+					*alt = *e
+				}
 				e.repick(used, fresh, a)
 			}
-			// A candidate is named by its place: used VM, or category.
-			if want := pickBest(used, fresh, a); e.c.vm != want.vm || e.c.cat != want.cat {
+			if !deferred && !sameBits(e.c, want) {
 				t.Fatalf("trial %d step %d, allowance %v: cached pick %+v, pickBest %+v on %+v then %+v", trial, step, a, e.c, want, used, fresh)
 			}
 			// Book one VM: an existing one gets a new candidate in
@@ -352,7 +384,31 @@ func TestPickCacheMatchesPickBest(t *testing.T) {
 				c.cat = used[c.vm].cat
 				used[c.vm] = c
 			}
-			e.refresh(c)
+			for _, p := range []*pickCache{e, alt} {
+				fallback := p.state == cachePick && math.IsInf(p.lo, -1) && c.cost <= p.c.cost
+				p.refresh(c)
+				if fallback && p.state == cachePick {
+					kept++
+				}
+			}
 		}
+	}
+	t.Logf("%d steps: bound finite at %d, %d of them from a cacheBound; a fallback kept %d refreshes", steps, finite, bounded, kept)
+	if bounded == 0 || kept == 0 {
+		t.Errorf("the random walk missed a cache state: %d bounded steps, %d kept fallbacks", bounded, kept)
+	}
+}
+
+// TestMinMinFastMatchesReferenceNaNCost plans random DAGs with
+// zero-size edges on a platform with a +Inf-priced category, where a
+// placement there costs 0·∞, NaN. Both loops must count such a
+// candidate as unaffordable, as Algorithm 2's selector does.
+func TestMinMinFastMatchesReferenceNaNCost(t *testing.T) {
+	p := infPricedPlatform()
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 40; i++ {
+		w := zeroEdgeWorkflow(r)
+		cheap := cheapBudget(t, w, p)
+		assertMinMinMatches(t, fmt.Sprintf("zero-edges/%d", i), w, p, []float64{0, cheap, 2 * cheap, 4 * cheap, math.Inf(1)})
 	}
 }

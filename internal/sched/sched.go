@@ -568,14 +568,14 @@ func (sel *selector) pick() candidate {
 // inner loop still. So this stays a hand-rolled scan — folding through
 // selector.add here (a non-inlined call copying each candidate)
 // measurably slowed MIN-MINBUDG down. It is selector's fold on
-// pointers, except that a NaN cost counts as affordable;
+// pointers, NaN costs included (never affordable);
 // TestPickBestMatchesSelector pins the equivalence.
 func pickBest(used, fresh []candidate, allowance float64) candidate {
 	var best, cheapest *candidate
 	for _, part := range [2][]candidate{used, fresh} {
 		for i := range part {
 			c := &part[i]
-			if c.cost > allowance {
+			if !(c.cost <= allowance) {
 				if best == nil && (cheapest == nil || cheaper(c, cheapest)) {
 					cheapest = c
 				}

@@ -12,10 +12,11 @@ import (
 // Random candidate lists, with deliberate duplicate costs/EFTs to
 // exercise every tie-breaking branch, must agree on all of feasible
 // selection, the all-infeasible fallback, and first-wins ordering,
-// wherever pickBest's list is split into its used and fresh parts.
+// wherever pickBest's list is split into its used and fresh parts. A
+// NaN metric (a +Inf price times a zero-size edge) is among the values.
 func TestPickBestMatchesSelector(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	someVals := []float64{0, 1, 2.5, 7, 7, 13} // duplicates force ties
+	someVals := []float64{0, 1, 2.5, 7, 7, 13, math.NaN()} // duplicates force ties
 	for trial := 0; trial < 5000; trial++ {
 		n := 1 + r.Intn(8)
 		cands := make([]candidate, n)
@@ -46,7 +47,7 @@ func TestPickBestMatchesSelector(t *testing.T) {
 			sel.add(c)
 		}
 		b := sel.pick()
-		if a != b {
+		if !sameBits(a, b) {
 			t.Fatalf("trial %d: pickBest=%+v selector=%+v (allowance %v, cands %+v)",
 				trial, a, b, allowance, cands)
 		}
