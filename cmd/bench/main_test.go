@@ -52,7 +52,7 @@ func TestRunSimSuiteThenCheck(t *testing.T) {
 }
 
 // TestCheckGatesDaemonBaseline: -check is a gate, not a parser. The
-// committed daemon baseline passes it and prints the ratios; the same
+// committed daemon baseline passes it and prints its limits; the same
 // file with schedule-warm's allocations raised to where a hit that
 // parses again would put them fails it.
 func TestCheckGatesDaemonBaseline(t *testing.T) {
@@ -69,8 +69,9 @@ func TestCheckGatesDaemonBaseline(t *testing.T) {
 	if err := run([]string{"-check", "-suite", "daemon", "-out", dir}, &out); err != nil {
 		t.Fatalf("committed daemon baseline fails -check: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "warm-canonical - warm allocs_per_op") || !strings.Contains(out.String(), "fresh heftbudg plan") {
-		t.Errorf("check output lacks the gate report:\n%s", out.String())
+	if !strings.Contains(out.String(), "schedule-warm/montage/n0050 + wf-decode/montage/n0050 + wf-content-key/montage/n0050 allocs_per_op") ||
+		strings.Count(out.String(), ": ok\n") != 4 {
+		t.Errorf("check output lacks the gate report, one line per limit:\n%s", out.String())
 	}
 
 	f, err := bench.ReadFile(path)
@@ -91,7 +92,7 @@ func TestCheckGatesDaemonBaseline(t *testing.T) {
 }
 
 // TestCheckGatesPlannerBaseline: the committed planner baseline passes
-// -check and prints one ratio line per family; the same file with a
+// -check and prints its seven limits per family; the same file with a
 // HEFTBUDG+ case allocating per candidate again (a clone and an engine
 // for each of its moves — what the suite read before the in-place
 // evaluator) fails it.
@@ -109,8 +110,8 @@ func TestCheckGatesPlannerBaseline(t *testing.T) {
 	if err := run([]string{"-check", "-suite", "planner", "-out", dir}, &out); err != nil {
 		t.Fatalf("committed planner baseline fails -check: %v\n%s", err, out.String())
 	}
-	if got := strings.Count(out.String(), "allocs_per_op"); got != 3 {
-		t.Errorf("check output has %d gate lines, want one per family:\n%s", got, out.String())
+	if got := strings.Count(out.String(), ": ok\n"); got != 21 {
+		t.Errorf("check output has %d gate lines, want seven per family:\n%s", got, out.String())
 	}
 
 	f, err := bench.ReadFile(path)

@@ -23,10 +23,6 @@ import (
 	"budgetwf/internal/wfgen"
 )
 
-func discardLogger() *slog.Logger {
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
-}
-
 // daemonWorkflowSize keeps a daemon op dominated by request handling
 // (decode, cache, encode) rather than planning, so the suite tracks
 // the serving stack's overhead.
@@ -55,7 +51,7 @@ const daemonWorkflowSize = 50
 //     hashing its content (its part of the cache key), and planning it
 //     from scratch — what a warm hit has to beat for the cache to pay.
 //
-// GateDaemon holds the relations between these cases that
+// daemonLimits holds the relations between these cases that
 // cmd/bench -check enforces.
 func Daemon(seed uint64) ([]Case, error) {
 	w, err := wfgen.Generate(wfgen.Montage, daemonWorkflowSize, seed)
@@ -137,87 +133,12 @@ func Daemon(seed uint64) ([]Case, error) {
 // spelling number goes.
 const spellingMark = "@spelling@"
 
-// The daemon gate's limits, all machine-independent. A warm hit is
-// compared with the content-key hit of the same run, which crosses the
-// same HTTP path (about 80 of a warm op's 117 objects are the client's
-// and net/http's) and finds the same entry, but decodes the workflow
-// and derives its content key first. In time a healthy warm hit read
-// 0.28–0.61 of it over 30 runs at 1x and 10x, one that parses again
-// 0.82–1.16 (0.32–0.72 and 0.71–1.44 at 1000x); against a cold request
-// the two overlap. In allocations a warm hit must save at least the
-// decode's and the content key's objects; wf-content-key times only
-// the workflow's part of the key, to which cacheKey adds 4 objects, so
-// the clause asks that many fewer than a content-key hit spends. That
-// difference cancels growth the two hits share — writing the hit, the
-// round trip, the alias lookup — so the warm hit's own count is bounded
-// too, by maxWarmAllocs: it reads 117. The decoder's count is absolute:
-// its one-pass path allocates a fixed handful of objects whatever the
-// workflow's size, where encoding/json's reflection allocated 271 at
-// n = 50.
-const (
-	maxWarmCanonicalTime = 0.75
-	maxDecodeAllocs      = 24
-	maxWarmAllocs        = 150
-)
-
-// GateDaemon checks, within one daemon-suite run, that a warm hit
-// skips the parse — it saves the decode's and the content key's
-// allocations over a content-key hit and takes at most
-// maxWarmCanonicalTime of its time — that it allocates at most
-// maxWarmAllocs objects, and that decoding the workflow stays within
-// maxDecodeAllocs. The warm hit's time against the fresh plan's —
-// ROADMAP's "warm hit < fresh plan" figure, which includes an HTTP
-// round trip on one side only — is reported, not enforced.
-func GateDaemon(f *File) (report []string, err error) {
-	byCase := make(map[string]Result, len(f.Results))
-	for _, r := range f.Results {
-		byCase[r.Case] = r
-	}
-	warm := byCase["schedule-warm/montage/n0050"]
-	canonical := byCase["schedule-warm-canonical/montage/n0050"]
-	fresh := byCase["plan-fresh/heftbudg/montage/n0050"]
-	decode := byCase["wf-decode/montage/n0050"]
-	key := byCase["wf-content-key/montage/n0050"]
-	for _, r := range []Result{warm, canonical, fresh, decode, key} {
-		if r.Case == "" {
-			return nil, fmt.Errorf("bench: daemon gate: a schedule-warm, schedule-warm-canonical, plan-fresh, wf-decode or wf-content-key case is missing")
-		}
-	}
-	parse := decode.AllocsPerOp + key.AllocsPerOp
-	report = []string{
-		fmt.Sprintf("warm-canonical - warm allocs_per_op %d-%d = %d (at least wf-decode + wf-content-key = %d)",
-			canonical.AllocsPerOp, warm.AllocsPerOp, canonical.AllocsPerOp-warm.AllocsPerOp, parse),
-		fmt.Sprintf("warm/warm-canonical ns_per_op %.0f/%.0f = %.3f (limit %.2f)", warm.NsPerOp, canonical.NsPerOp,
-			warm.NsPerOp/canonical.NsPerOp, maxWarmCanonicalTime),
-		fmt.Sprintf("warm hit (with its HTTP round trip) / fresh heftbudg plan: ns_per_op %.0f/%.0f = %.2f; warm allocs_per_op %d (limit %d)",
-			warm.NsPerOp, fresh.NsPerOp, warm.NsPerOp/fresh.NsPerOp, warm.AllocsPerOp, maxWarmAllocs),
-		fmt.Sprintf("wf-decode allocs_per_op %d (limit %d)", decode.AllocsPerOp, maxDecodeAllocs),
-	}
-	if decode.AllocsPerOp > maxDecodeAllocs {
-		return report, fmt.Errorf("bench: daemon gate: wf-decode allocates %d objects per op, more than %d",
-			decode.AllocsPerOp, maxDecodeAllocs)
-	}
-	if canonical.AllocsPerOp-warm.AllocsPerOp < parse {
-		return report, fmt.Errorf("bench: daemon gate: schedule-warm allocates %d objects per op, fewer than %d below schedule-warm-canonical's %d",
-			warm.AllocsPerOp, parse, canonical.AllocsPerOp)
-	}
-	if warm.AllocsPerOp > maxWarmAllocs {
-		return report, fmt.Errorf("bench: daemon gate: schedule-warm allocates %d objects per op, more than %d",
-			warm.AllocsPerOp, maxWarmAllocs)
-	}
-	if warm.NsPerOp > maxWarmCanonicalTime*canonical.NsPerOp {
-		return report, fmt.Errorf("bench: daemon gate: schedule-warm takes %.0f ns per op, more than %.0f%% of schedule-warm-canonical's %.0f",
-			warm.NsPerOp, 100*maxWarmCanonicalTime, canonical.NsPerOp)
-	}
-	return report, nil
-}
-
 // benchServer measures POST /v1/schedule round trips against a fresh
 // in-process server. One op = one request, fully read and checked;
 // bodyAt gives the body of the i-th op.
 func benchServer(b *testing.B, bodyAt func(i int64) []byte, cfg server.Config, parallel bool) {
 	b.Helper()
-	cfg.Logger = discardLogger()
+	cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	s := server.New(cfg)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"testing"
 
 	"budgetwf/internal/exp"
@@ -11,10 +10,6 @@ import (
 	"budgetwf/internal/sched"
 	"budgetwf/internal/wfgen"
 )
-
-// plannerSigma is the uncertainty level the planner suite plans under
-// (the paper's central σ/w̄ value).
-const plannerSigma = 0.5
 
 // plannerSizes is the workflow-size axis of the planner grid.
 var plannerSizes = []int{50, 300, 1000}
@@ -58,7 +53,7 @@ func Planner(seed uint64) ([]Case, error) {
 			if err != nil {
 				return nil, err
 			}
-			w = w.WithSigmaRatio(plannerSigma)
+			w = w.WithSigmaRatio(0.5) // the paper's central σ/w̄
 			anchors, err := exp.ComputeAnchors(w, p)
 			if err != nil {
 				return nil, err
@@ -74,7 +69,7 @@ func Planner(seed uint64) ([]Case, error) {
 				}
 				plan := a.Plan
 				cases = append(cases, Case{
-					Name: fmt.Sprintf("%s/%s/n%04d", alg, typ, n),
+					Name: plannerCase(alg, typ, n),
 					Bench: func(b *testing.B) {
 						for i := 0; i < b.N; i++ {
 							if _, err := plan(w, p, budget); err != nil {
@@ -90,155 +85,7 @@ func Planner(seed uint64) ([]Case, error) {
 	return cases, nil
 }
 
-// maxRefineListAllocs bounds, within one planner-suite run, what a
-// HEFTBUDG+ plan may allocate relative to the HEFTBUDG plan it starts
-// from. Refinement evaluates its candidate moves in place on one
-// reusable engine and keeps a move by swapping the Mover's two
-// schedules, so it adds the evaluator's buffers to a list plan that
-// itself allocates per plan (31–32 objects at n=50): the committed
-// baseline reads 2.4–2.6×. Allocating per candidate again — it was a
-// cloned schedule and a fresh engine each, ≈ 1 200× — fails this by
-// orders of magnitude, on any machine.
-const maxRefineListAllocs = 4
-
-// maxRefineListTime bounds, within one planner-suite run, what a
-// HEFTBUDG+ plan may take relative to the HEFTBUDG plan it refines at
-// n = 50 (gateSize). Scoring each candidate move by a forward pass
-// resumed from the moved task, stopped once the move cannot win,
-// reads 8–19× in the committed baseline; re-simulating the whole
-// candidate schedule, as refinement did before, read 31–78× and fails
-// it.
-const maxRefineListTime = 40
-
-// gateSize is the planner-suite size GatePlanner reads the
-// refinement relations and the small end of the list planners'
-// scaling at.
-const gateSize = 50
-
-// maxMinMinHeftTime bounds, within one planner-suite run, what a
-// MIN-MINBUDG plan may take relative to a HEFTBUDG plan of the same
-// workflow at n = 1000 (largeGateSize). Table III puts the two within
-// a small factor. With each ready task's last two picks cached
-// (sched.pickCache), a pick whose VM is booked kept as a lower bound,
-// and every host placed in O(1) from inputs computed once per task,
-// the committed baseline reads 1.7–5.4×, and single runs on a 2-core
-// host 1.4–6.4×; forgetting such a pick, as MIN-MIN did before, read
-// 2.1–9.0× (LIGO and Montage 7–10× in single runs), and re-scanning
-// every ready task's whole column every round, as it did before its
-// picks were cached, 22–42×.
-const maxMinMinHeftTime = 8.5
-
-// maxMinMinHeftBytes bounds, within one planner-suite run, what a
-// MIN-MINBUDG plan may allocate in bytes relative to a HEFTBUDG plan of
-// the same workflow at n = 1000: both hold O(n + VMs) memory, and the
-// committed baseline reads 1.6–1.9×. Keeping every ready task's
-// candidate on every VM, the matrix MIN-MIN kept before, read 70–130×
-// and fails this.
-const maxMinMinHeftBytes = 4
-
-// largeGateSize is the planner-suite size GatePlanner reads the
-// MIN-MINBUDG/HEFTBUDG relation and the list planners' scaling at.
-const largeGateSize = 1000
-
-// maxListScaleAllocs bounds, within one planner-suite run, what a list
-// planner's plan may allocate at n = 1000 (largeGateSize) relative to
-// its plan of the same family at n = 50 (gateSize), for each of
-// scaleGated. A list planner allocates a fixed handful of buffers per
-// plan — the context, the budget shares, its state and the schedule it
-// extracts — so the count moves only by a few appends that double: the
-// committed baseline reads 1.1–1.2×. Appending per VM or per task, as
-// the planners did when every VM kept its own task and slot lists, read
-// 15–18× and fails this.
-const maxListScaleAllocs = 2
-
-// scaleGated are the list planners GatePlanner holds to
-// maxListScaleAllocs.
-var scaleGated = []sched.Name{sched.NameHeftBudg, sched.NameCG, sched.NameBDT}
-
-// GatePlanner checks five relations within one planner-suite run, on
-// every family: HEFTBUDG+ allocates at most maxRefineListAllocs times
-// what HEFTBUDG does at n=50 (allocation counts are deterministic) and
-// takes at most maxRefineListTime times its time — Table III's
-// refinement factor — MIN-MINBUDG takes at most maxMinMinHeftTime
-// times HEFTBUDG's time at n=1000 and allocates at most
-// maxMinMinHeftBytes times its bytes, and HEFTBUDG, CG and BDT
-// allocate at n=1000 at most maxListScaleAllocs times what they do at
-// n=50.
-func GatePlanner(f *File) (report []string, err error) {
-	byCase := make(map[string]Result, len(f.Results))
-	for _, r := range f.Results {
-		byCase[r.Case] = r
-	}
-	var broken []string
-	for _, typ := range plannerFamilies {
-		get := func(alg sched.Name, n int) (Result, error) {
-			name := fmt.Sprintf("%s/%s/n%04d", alg, typ, n)
-			r, ok := byCase[name]
-			if !ok {
-				return r, fmt.Errorf("bench: planner gate: %s case missing", name)
-			}
-			return r, nil
-		}
-		pair := func(alg sched.Name, n int) (Result, Result, error) {
-			a, err := get(alg, n)
-			if err != nil {
-				return a, a, err
-			}
-			base, err := get(sched.NameHeftBudg, n)
-			return a, base, err
-		}
-		refined, list, err := pair(sched.NameHeftBudgPlus, gateSize)
-		if err != nil {
-			return report, err
-		}
-		ratio := float64(refined.AllocsPerOp) / float64(list.AllocsPerOp)
-		report = append(report, fmt.Sprintf("%s / %s: allocs_per_op %d/%d = %.2f (limit %d), ns_per_op %.0f/%.0f = %.1f (limit %d)",
-			refined.Case, list.Case, refined.AllocsPerOp, list.AllocsPerOp, ratio, maxRefineListAllocs,
-			refined.NsPerOp, list.NsPerOp, refined.NsPerOp/list.NsPerOp, maxRefineListTime))
-		if refined.AllocsPerOp > maxRefineListAllocs*list.AllocsPerOp {
-			broken = append(broken, fmt.Sprintf("%s allocates %d objects per op, more than %d× %s's %d",
-				refined.Case, refined.AllocsPerOp, maxRefineListAllocs, list.Case, list.AllocsPerOp))
-		}
-		if refined.NsPerOp > maxRefineListTime*list.NsPerOp {
-			broken = append(broken, fmt.Sprintf("%s takes %.0f ns per op, more than %d× %s's %.0f",
-				refined.Case, refined.NsPerOp, maxRefineListTime, list.Case, list.NsPerOp))
-		}
-		minmin, heft, err := pair(sched.NameMinMinBudg, largeGateSize)
-		if err != nil {
-			return report, err
-		}
-		report = append(report, fmt.Sprintf("%s / %s: ns_per_op %.0f/%.0f = %.1f (limit %g), bytes_per_op %d/%d = %.2f (limit %d)",
-			minmin.Case, heft.Case, minmin.NsPerOp, heft.NsPerOp, minmin.NsPerOp/heft.NsPerOp, maxMinMinHeftTime,
-			minmin.BytesPerOp, heft.BytesPerOp, float64(minmin.BytesPerOp)/float64(heft.BytesPerOp), maxMinMinHeftBytes))
-		if minmin.NsPerOp > maxMinMinHeftTime*heft.NsPerOp {
-			broken = append(broken, fmt.Sprintf("%s takes %.0f ns per op, more than %g× %s's %.0f",
-				minmin.Case, minmin.NsPerOp, maxMinMinHeftTime, heft.Case, heft.NsPerOp))
-		}
-		if minmin.BytesPerOp > maxMinMinHeftBytes*heft.BytesPerOp {
-			broken = append(broken, fmt.Sprintf("%s allocates %d bytes per op, more than %d× %s's %d",
-				minmin.Case, minmin.BytesPerOp, maxMinMinHeftBytes, heft.Case, heft.BytesPerOp))
-		}
-		var scale []string
-		for _, alg := range scaleGated {
-			small, err := get(alg, gateSize)
-			if err != nil {
-				return report, err
-			}
-			large, err := get(alg, largeGateSize)
-			if err != nil {
-				return report, err
-			}
-			scale = append(scale, fmt.Sprintf("%s %d → %d", alg, small.AllocsPerOp, large.AllocsPerOp))
-			if large.AllocsPerOp > maxListScaleAllocs*small.AllocsPerOp {
-				broken = append(broken, fmt.Sprintf("%s allocates %d objects per op, more than %d× %s's %d",
-					large.Case, large.AllocsPerOp, maxListScaleAllocs, small.Case, small.AllocsPerOp))
-			}
-		}
-		report = append(report, fmt.Sprintf("%s allocs n=%d → n=%d: %s (limit %d×)",
-			typ, gateSize, largeGateSize, strings.Join(scale, ", "), maxListScaleAllocs))
-	}
-	if len(broken) > 0 {
-		return report, fmt.Errorf("bench: planner gate: %s", strings.Join(broken, "; "))
-	}
-	return report, nil
+// plannerCase names the planner-suite case of alg on a family at size n.
+func plannerCase(alg sched.Name, typ wfgen.Type, n int) string {
+	return fmt.Sprintf("%s/%s/n%04d", alg, typ, n)
 }

@@ -3,16 +3,17 @@ package bench
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"testing"
 
 	"budgetwf/internal/exp"
 	"budgetwf/internal/fault"
 	"budgetwf/internal/online"
+	"budgetwf/internal/plan"
 	"budgetwf/internal/platform"
 	"budgetwf/internal/rng"
 	"budgetwf/internal/sched"
 	"budgetwf/internal/sim"
+	"budgetwf/internal/wf"
 	"budgetwf/internal/wfgen"
 )
 
@@ -38,29 +39,24 @@ const onlineSigma = 0.5
 func Sim(seed uint64) ([]Case, error) {
 	var cases []Case
 	for _, sigma := range simSigmas {
-		w, err := wfgen.Generate(wfgen.Montage, 300, seed)
-		if err != nil {
-			return nil, err
-		}
-		w = w.WithSigmaRatio(sigma)
-		p := platform.Default()
-		anchors, err := exp.ComputeAnchors(w, p)
-		if err != nil {
-			return nil, err
-		}
-		s, err := sched.HeftBudg(w, p, (anchors.CheapCost+anchors.High)/2)
+		w, p, s, budget, err := replay(seed, sigma)
 		if err != nil {
 			return nil, err
 		}
 		batch := func(name string, one func(r *sim.Runner, rand *rng.RNG) error) {
 			cases = append(cases, Case{
-				Name: fmt.Sprintf("%s%d/montage/n0300/sigma%.2f", name, simReps, sigma),
+				Name: simCase(name, sigma),
 				Bench: func(b *testing.B) {
 					runner, err := sim.NewRunner(w, p, s)
 					if err != nil {
 						b.Fatal(err)
 					}
 					stream := rng.New(seed).Split(uint64(sigma * 100))
+					// Grow the runner's buffers before the clock starts, so a
+					// one-batch run counts what a long one does per batch.
+					if err := one(runner, stream.Split(simReps)); err != nil {
+						b.Fatal(err)
+					}
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						for rep := 0; rep < simReps; rep++ {
@@ -83,7 +79,6 @@ func Sim(seed uint64) ([]Case, error) {
 		if sigma != onlineSigma {
 			continue
 		}
-		budget := (anchors.CheapCost + anchors.High) / 2
 		batch("online", func(_ *sim.Runner, rand *rng.RNG) error {
 			_, err := online.ExecuteStochastic(w, p, s, rand, online.DefaultPolicy(budget))
 			return err
@@ -100,73 +95,24 @@ func Sim(seed uint64) ([]Case, error) {
 	return cases, nil
 }
 
-// What GateSim holds a sim-suite run to. A batch draws one split RNG
-// stream per replication and nothing else (26 allocations at most), so
-// the ceiling catches an evaluator that allocates even once per call
-// (≥ 50), deterministically. The time ratio is between two cases of the
-// same run on the same weights, which makes it machine-independent
-// enough to gate: scoring measures about 1/20 to 1/10 of the event
-// engine here (the rest is sampling); at 1/2 it would no longer be
-// worth a second code path. A one-shot online execution builds the
-// engine and its controller and collects a Report — a few dozen
-// allocations — and replays the schedule on the same event engine, so
-// a batch of them stays within twice the reused engine's time.
-const (
-	maxSimBatchAllocs   = 32
-	maxScoreRunTime     = 0.5
-	maxOnlineRunTime    = 2
-	maxOnlineExecAllocs = 400
-)
+// simCase names the sim-suite batch of kind at σ/w̄ = sigma.
+func simCase(kind string, sigma float64) string {
+	return fmt.Sprintf("%s%d/montage/n0300/sigma%.2f", kind, simReps, sigma)
+}
 
-// GateSim checks, within one sim-suite run, that no replication batch
-// allocates per execution, that scoring a batch takes at most
-// maxScoreRunTime of simulating it in full at equal σ, and that a batch
-// of one-shot online executions takes at most maxOnlineRunTime of the
-// simulated one and maxOnlineExecAllocs allocations per execution.
-func GateSim(f *File) (report []string, err error) {
-	byCase := make(map[string]Result, len(f.Results))
-	for _, r := range f.Results {
-		byCase[r.Case] = r
+// replay plans the schedule the sim and est suites replay: HEFTBUDG on
+// Montage n = 300 at σ/w̄ = sigma, at the mid-range budget.
+func replay(seed uint64, sigma float64) (*wf.Workflow, *platform.Platform, *plan.Schedule, float64, error) {
+	w, err := wfgen.Generate(wfgen.Montage, 300, seed)
+	if err != nil {
+		return nil, nil, nil, 0, err
 	}
-	name := func(kind string, sigma float64) string {
-		return fmt.Sprintf("%s%d/montage/n0300/sigma%.2f", kind, simReps, sigma)
+	w, p := w.WithSigmaRatio(sigma), platform.Default()
+	anchors, err := exp.ComputeAnchors(w, p)
+	if err != nil {
+		return nil, nil, nil, 0, err
 	}
-	var broken []string
-	for _, sigma := range simSigmas {
-		run, score := byCase[name("mc", sigma)], byCase[name("score", sigma)]
-		if run.Case == "" || score.Case == "" {
-			return report, fmt.Errorf("bench: sim gate: %s or %s case missing", name("mc", sigma), name("score", sigma))
-		}
-		report = append(report, fmt.Sprintf("%s / %s: ns_per_op %.0f/%.0f = %.3f (limit %.2f), allocs_per_op %d and %d (limit %d)",
-			score.Case, run.Case, score.NsPerOp, run.NsPerOp, score.NsPerOp/run.NsPerOp, maxScoreRunTime,
-			score.AllocsPerOp, run.AllocsPerOp, maxSimBatchAllocs))
-		for _, r := range []Result{run, score} {
-			if r.AllocsPerOp > maxSimBatchAllocs {
-				broken = append(broken, fmt.Sprintf("%s allocates %d objects per batch of %d, more than %d",
-					r.Case, r.AllocsPerOp, simReps, maxSimBatchAllocs))
-			}
-		}
-		if score.NsPerOp > maxScoreRunTime*run.NsPerOp {
-			broken = append(broken, fmt.Sprintf("%s takes %.0f ns per op, more than %.0f%% of %s's %.0f",
-				score.Case, score.NsPerOp, 100*maxScoreRunTime, run.Case, run.NsPerOp))
-		}
-	}
-	run, onl := byCase[name("mc", onlineSigma)], byCase[name("online", onlineSigma)]
-	if onl.Case == "" {
-		return report, fmt.Errorf("bench: sim gate: %s case missing", name("online", onlineSigma))
-	}
-	report = append(report, fmt.Sprintf("%s / %s: ns_per_op %.0f/%.0f = %.3f (limit %d), %d allocations per execution (limit %d)",
-		onl.Case, run.Case, onl.NsPerOp, run.NsPerOp, onl.NsPerOp/run.NsPerOp, maxOnlineRunTime, onl.AllocsPerOp/simReps, maxOnlineExecAllocs))
-	if onl.NsPerOp > maxOnlineRunTime*run.NsPerOp {
-		broken = append(broken, fmt.Sprintf("%s takes %.0f ns per op, more than %d× %s's %.0f",
-			onl.Case, onl.NsPerOp, maxOnlineRunTime, run.Case, run.NsPerOp))
-	}
-	if onl.AllocsPerOp > maxOnlineExecAllocs*simReps {
-		broken = append(broken, fmt.Sprintf("%s allocates %d objects per batch of %d, more than %d per execution",
-			onl.Case, onl.AllocsPerOp, simReps, maxOnlineExecAllocs))
-	}
-	if len(broken) > 0 {
-		return report, fmt.Errorf("bench: sim gate: %s", strings.Join(broken, "; "))
-	}
-	return report, nil
+	budget := (anchors.CheapCost + anchors.High) / 2
+	s, err := sched.HeftBudg(w, p, budget)
+	return w, p, s, budget, err
 }
