@@ -69,58 +69,63 @@ func failing(report []string) []string {
 	return out
 }
 
-// TestLimits holds each suite's table to its rows, on the committed
+// TestGatePlanner, TestGateDaemon, TestGateSim and TestGateEst hold
+// each suite's limit table to its rows; see checkLimits.
+func TestGatePlanner(t *testing.T) { checkLimits(t, "planner", 7*len(plannerFamilies)) }
+func TestGateDaemon(t *testing.T)  { checkLimits(t, "daemon", 4) }
+func TestGateSim(t *testing.T)     { checkLimits(t, "sim", 3*len(simSigmas)+2) }
+func TestGateEst(t *testing.T)     { checkLimits(t, "est", 3) }
+
+// checkLimits holds a suite's table to its rows, on the committed
 // baseline: that passes every row; for every row, a reading of its
 // first case exactly at the bound keeps the row ok and the next reading
 // past it breaks the row, naming it; a run that lacks a case a row
 // reads fails with the case's name; and each regression a limit was
 // written against breaks exactly the rows it should.
-func TestLimits(t *testing.T) {
-	rows := map[string]int{"daemon": 4, "est": 3, "planner": 7 * len(plannerFamilies), "sim": 3*len(simSigmas) + 2}
-	for name, s := range Suites() {
-		if len(s.Limits) != rows[name] {
-			t.Errorf("%s: %d limits, want %d", name, len(s.Limits), rows[name])
+func checkLimits(t *testing.T, name string, rows int) {
+	s := Suites()[name]
+	if len(s.Limits) != rows {
+		t.Errorf("%s: %d limits, want %d", name, len(s.Limits), rows)
+	}
+	base := committed(t, name)
+	if report, err := s.Check(base, nil); err != nil {
+		t.Fatalf("committed %s baseline breaks a limit: %v\n%s", name, err, strings.Join(report, "\n"))
+	}
+	for i, l := range s.Limits {
+		y := 1.0
+		if len(l.Y) > 0 {
+			y = 0
+			for _, c := range l.Y {
+				y += l.Metric.of(find(base, c))
+			}
 		}
-		base := committed(t, name)
-		if report, err := s.Check(base, nil); err != nil {
-			t.Fatalf("committed %s baseline breaks a limit: %v\n%s", name, err, strings.Join(report, "\n"))
+		at := l.Max * y
+		for _, c := range l.X[1:] {
+			at -= l.Metric.of(find(base, c))
 		}
-		for i, l := range s.Limits {
-			y := 1.0
-			if len(l.Y) > 0 {
-				y = 0
-				for _, c := range l.Y {
-					y += l.Metric.of(find(base, c))
-				}
+		past := at + 1
+		if l.Metric == NsPerOp {
+			past = math.Nextafter(at, math.Inf(1))
+		}
+		for _, tc := range []struct {
+			v    float64
+			want string
+		}{{at, ": ok"}, {past, ": FAIL"}} {
+			f := clone(base)
+			edit{cas: l.X[0], metric: l.Metric, plus: tc.v}.apply(f)
+			report, err := s.Check(f, nil)
+			if !strings.HasSuffix(report[i], tc.want) {
+				t.Errorf("%s row %d at %v: %s, want%s", name, i, tc.v, report[i], tc.want)
 			}
-			at := l.Max * y
-			for _, c := range l.X[1:] {
-				at -= l.Metric.of(find(base, c))
+			if tc.want == ": FAIL" && (err == nil || !strings.Contains(err.Error(), report[i])) {
+				t.Errorf("%s row %d past its bound: error %v does not name it", name, i, err)
 			}
-			past := at + 1
-			if l.Metric == NsPerOp {
-				past = math.Nextafter(at, math.Inf(1))
-			}
-			for _, tc := range []struct {
-				v    float64
-				want string
-			}{{at, ": ok"}, {past, ": FAIL"}} {
-				f := clone(base)
-				edit{cas: l.X[0], metric: l.Metric, plus: tc.v}.apply(f)
-				report, err := s.Check(f, nil)
-				if !strings.HasSuffix(report[i], tc.want) {
-					t.Errorf("%s row %d at %v: %s, want%s", name, i, tc.v, report[i], tc.want)
-				}
-				if tc.want == ": FAIL" && (err == nil || !strings.Contains(err.Error(), report[i])) {
-					t.Errorf("%s row %d past its bound: error %v does not name it", name, i, err)
-				}
-			}
-			for _, c := range append(append([]string(nil), l.X...), l.Y...) {
-				f := clone(base)
-				f.Results = drop(f.Results, c)
-				if _, err := s.Check(f, nil); err == nil || !strings.Contains(err.Error(), c+" case missing") {
-					t.Errorf("%s without %s: %v", name, c, err)
-				}
+		}
+		for _, c := range append(append([]string(nil), l.X...), l.Y...) {
+			f := clone(base)
+			f.Results = drop(f.Results, c)
+			if _, err := s.Check(f, nil); err == nil || !strings.Contains(err.Error(), c+" case missing") {
+				t.Errorf("%s without %s: %v", name, c, err)
 			}
 		}
 	}
@@ -183,11 +188,14 @@ func TestLimits(t *testing.T) {
 			[]edit{{cas: estCase(0.5), metric: AllocsPerOp, plus: 9}},
 			[]string{estCase(0.5) + " allocs_per_op"}},
 	} {
-		f := clone(committed(t, m.suite))
+		if m.suite != name {
+			continue
+		}
+		f := clone(base)
 		for _, e := range m.edits {
 			e.apply(f)
 		}
-		report, err := Suites()[m.suite].Check(f, nil)
+		report, err := s.Check(f, nil)
 		got := failing(report)
 		if err == nil || len(got) != len(m.breaks) {
 			t.Errorf("%s: breaks %q (%v), want %d rows", m.why, got, err, len(m.breaks))
