@@ -5,9 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -22,7 +23,10 @@ import (
 // jobs come back with their results, unfinished ones re-enter the run
 // queue with their already-completed shards pre-merged. Appends are
 // synchronous and line-atomic; a torn final line (crash mid-write) is
-// skipped on replay.
+// skipped on replay, and the next record never shares its line: when
+// the file does not end on a newline — a torn line left by a crash, or
+// the prefix a failed write left behind — the next Append starts with
+// one.
 //
 // Long-lived daemons do not replay unbounded logs: Compact writes the
 // full store state to a snapshot file next to the journal
@@ -54,13 +58,19 @@ type Journal struct {
 	// (the snapshot then holds everything the failed writes would have).
 	appendErrors int64
 	lossy        bool
+	// torn is set while the file does not end on a newline.
+	torn bool
 }
+
+// writeJournal writes journal bytes; tests replace it to tear a write.
+var writeJournal = (*os.File).Write
 
 // Journal operations. submit carries the spec; done/failed/cancelled
 // are terminal; requeue marks a job interrupted by a draining
 // shutdown, to be resumed by the next process; start records a run
 // incarnation (epoch bump); shard persists one completed shard's
-// partial aggregates so a restarted coordinator skips it.
+// partial aggregates so a restarted coordinator skips it; evict drops
+// a terminal job to keep the store within MaxJobs.
 const (
 	opSubmit    = "submit"
 	opDone      = "done"
@@ -69,6 +79,7 @@ const (
 	opRequeue   = "requeue"
 	opStart     = "start"
 	opShard     = "shard"
+	opEvict     = "evict"
 )
 
 type journalRecord struct {
@@ -117,8 +128,11 @@ func overlapsShards(shards []ShardResult, start, end int) bool {
 	return false
 }
 
-// RestoredJob is one job reconstructed from a journal replay. It is
-// also the snapshot entry format, so its fields carry JSON tags.
+// RestoredJob is a job's durable state: what the journal records,
+// what replay reconstructs and what a snapshot holds, so its fields
+// carry JSON tags. The store embeds it in each live job and changes it
+// only through apply. State is running only inside a live store or a
+// replay; snapshot records a running job as pending.
 type RestoredJob struct {
 	ID        string          `json:"id"`
 	Seq       int             `json:"seq"`
@@ -193,16 +207,15 @@ func OpenJournalWith(path string, opts JournalOptions) (*Journal, []RestoredJob,
 	}
 	j := &Journal{f: f, path: path, lockPath: lockPath}
 
-	byID := make(map[string]*RestoredJob)
+	t := newJobTable()
 	if snap, ok := readSnapshot(snapshotPath(path)); ok {
 		j.seq = snap.Seq
 		j.snapTime = snap.Time
 		if fi, err := os.Stat(snapshotPath(path)); err == nil {
 			j.snapBytes = fi.Size()
 		}
-		for i := range snap.Jobs {
-			job := snap.Jobs[i]
-			byID[job.ID] = &job
+		for _, rj := range snap.Jobs {
+			t.insert(&job{RestoredJob: rj})
 		}
 	}
 	baseSeq := j.seq
@@ -224,36 +237,100 @@ func OpenJournalWith(path string, opts JournalOptions) (*Journal, []RestoredJob,
 		if rec.Seq > j.seq {
 			j.seq = rec.Seq
 		}
-		applyRecord(byID, rec)
+		t.apply(rec)
 	}
-	if err := sc.Err(); err != nil {
+	end, err := f.Seek(0, io.SeekEnd)
+	if err := errors.Join(sc.Err(), err); err != nil {
 		f.Close()
 		releaseJournalLock(lockPath)
 		return nil, nil, fmt.Errorf("dist: replaying journal: %w", err)
 	}
-	jobs := make([]RestoredJob, 0, len(byID))
-	for _, job := range byID {
-		jobs = append(jobs, *job)
-	}
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].Seq < jobs[k].Seq })
-	return j, jobs, nil
+	// The scan counted a newline after every line: a count past the
+	// end means the last line is torn.
+	j.torn, j.tailBytes = j.tailBytes > end, end
+	return j, t.snapshot(), nil
 }
 
-// applyRecord folds one journal record into the replay state. Every
-// case is idempotent: replaying a record twice (or on top of a
-// snapshot that already holds its effect) changes nothing, and a
-// stale drain re-queue can never resurrect a job that later reached a
-// terminal state.
-func applyRecord(byID map[string]*RestoredJob, rec journalRecord) {
+// jobTable is the set of jobs a journal describes, in submission
+// order. The live store and replay both change it only through apply,
+// so a restarted store holds exactly the jobs the live one held.
+type jobTable struct {
+	jobs   map[string]*job
+	order  []string          // submission order, for eviction
+	byHash map[string]string // spec hash → newest job id
+}
+
+func newJobTable() jobTable {
+	return jobTable{jobs: make(map[string]*job), byHash: make(map[string]string)}
+}
+
+// insert adds a job unless its id is already present.
+func (t *jobTable) insert(j *job) bool {
+	if _, ok := t.jobs[j.ID]; ok {
+		return false
+	}
+	t.jobs[j.ID] = j
+	t.order = append(t.order, j.ID)
+	t.byHash[j.Hash] = j.ID
+	return true
+}
+
+// apply folds one record into the job it names: a submit adds the job,
+// an evict removes it, every other record changes it in place. It
+// reports whether the record took effect.
+func (t *jobTable) apply(rec journalRecord) bool {
+	j := t.jobs[rec.ID]
+	if j == nil {
+		if rec.Op != opSubmit {
+			return false
+		}
+		j = &job{}
+	}
+	if !j.apply(rec) {
+		return false
+	}
 	switch rec.Op {
 	case opSubmit:
-		if rec.Spec == nil {
-			return
+		t.insert(j)
+	case opEvict:
+		delete(t.jobs, j.ID)
+		if t.byHash[j.Hash] == j.ID {
+			delete(t.byHash, j.Hash)
 		}
-		if _, ok := byID[rec.ID]; ok {
-			return // duplicate submit replay
+		t.order = slices.DeleteFunc(t.order, func(id string) bool { return id == j.ID })
+	}
+	return true
+}
+
+// snapshot lists every job's durable state in submission order, as a
+// snapshot or a restart sees it: a run dies with its process, so a
+// running job is recorded as pending.
+func (t *jobTable) snapshot() []RestoredJob {
+	out := make([]RestoredJob, 0, len(t.order))
+	for _, id := range t.order {
+		rj := t.jobs[id].RestoredJob
+		if rj.State == StateRunning {
+			rj.State = StatePending
 		}
-		byID[rec.ID] = &RestoredJob{
+		out = append(out, rj)
+	}
+	return out
+}
+
+// apply is the job state machine: it folds one journal record into the
+// job and reports whether the record changed it. The store changes a
+// job only through it and journals only the records it accepts;
+// replay folds the journal through it. Every case is idempotent:
+// replaying a record twice (or on top of a snapshot that already holds
+// its effect) changes nothing, a terminal job takes no record but its
+// eviction, and a stale drain re-queue never resurrects it.
+func (j *RestoredJob) apply(rec journalRecord) bool {
+	switch rec.Op {
+	case opSubmit:
+		if j.ID != "" || rec.Spec == nil {
+			return false // duplicate submit replay
+		}
+		*j = RestoredJob{
 			ID:        rec.ID,
 			Seq:       seqOf(rec.ID),
 			Hash:      rec.Hash,
@@ -261,48 +338,56 @@ func applyRecord(byID map[string]*RestoredJob, rec journalRecord) {
 			State:     StatePending,
 			Submitted: rec.Time,
 		}
+		return true
+	case opEvict:
+		return j.State.Terminal()
+	}
+	if j.State.Terminal() {
+		return false
+	}
+	switch rec.Op {
 	case opStart:
-		if j := byID[rec.ID]; j != nil && !j.State.Terminal() && rec.Epoch > j.Epoch {
-			j.Epoch = rec.Epoch
+		// A new incarnation; a restart resumes a job that was running
+		// when its process died, so running jobs take a start too.
+		if rec.Epoch <= j.Epoch {
+			return false
 		}
+		j.State, j.Epoch = StateRunning, rec.Epoch
 	case opShard:
-		j := byID[rec.ID]
-		if j == nil || j.State.Terminal() {
-			return
-		}
 		if rec.End <= rec.Start || overlapsShards(j.Shards, rec.Start, rec.End) {
-			return // duplicate or malformed shard replay
+			return false // late duplicate or malformed shard
 		}
 		j.Shards = append(j.Shards, ShardResult{Start: rec.Start, End: rec.End, Epoch: rec.Epoch, Units: rec.Units})
 	case opDone:
-		if j := byID[rec.ID]; j != nil {
-			j.State, j.Result, j.Finished = StateDone, rec.Result, rec.Time
-			j.Shards = nil
-		}
+		j.State, j.Result = StateDone, rec.Result
 	case opFailed:
-		if j := byID[rec.ID]; j != nil {
-			j.State, j.Error, j.Finished = StateFailed, rec.Error, rec.Time
-			j.Shards = nil
-		}
+		j.State, j.Error = StateFailed, rec.Error
 	case opCancelled:
-		if j := byID[rec.ID]; j != nil {
-			j.State, j.Finished = StateCancelled, rec.Time
-			j.Shards = nil
-		}
+		j.State = StateCancelled
 	case opRequeue:
-		// A drain re-queue resumes an unfinished job; replayed against
-		// a job that already finished (a stale tail record, or the same
-		// drain record appended twice) it must NOT re-run it.
-		if j := byID[rec.ID]; j != nil && !j.State.Terminal() {
-			j.State, j.Finished, j.Error, j.Result = StatePending, time.Time{}, "", nil
+		// A drain re-queue hands a running job to the next process.
+		if j.State != StateRunning {
+			return false
 		}
+		j.State = StatePending
+	default:
+		return false
 	}
+	if j.State.Terminal() {
+		j.Finished = rec.Time
+		j.Shards = nil // the terminal record supersedes partial results
+	}
+	return true
 }
 
-// Append writes one record and syncs it to disk before returning, so
-// an acknowledged submit survives an immediate crash. The record's
-// monotonic sequence number is assigned here.
-func (j *Journal) Append(rec journalRecord) (err error) {
+// Append writes records in one write and syncs them to disk before
+// returning, so an acknowledged submit survives an immediate crash.
+// Each record's monotonic sequence number is assigned here; a number
+// is never reused, even after a failed write.
+func (j *Journal) Append(recs ...journalRecord) (err error) {
+	if len(recs) == 0 {
+		return nil
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	defer func() {
@@ -311,18 +396,33 @@ func (j *Journal) Append(rec journalRecord) (err error) {
 			j.lossy = true
 		}
 	}()
-	rec.Seq = j.seq + 1
-	b, err := json.Marshal(rec)
+	var b []byte
+	if j.torn {
+		b = append(b, '\n')
+	}
+	for _, rec := range recs {
+		j.seq++
+		rec.Seq = j.seq
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return err
+		}
+		if b == nil {
+			b = line // one record, the common case: no copy
+		} else {
+			b = append(b, line...)
+		}
+		b = append(b, '\n')
+	}
+	n, err := writeJournal(j.f, b)
+	j.tailBytes += int64(n)
+	if n > 0 {
+		j.torn = b[n-1] != '\n'
+	}
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	if _, err := j.f.Write(b); err != nil {
-		return err
-	}
-	j.seq = rec.Seq
-	j.tailRecords++
-	j.tailBytes += int64(len(b))
+	j.tailRecords += len(recs)
 	return j.f.Sync()
 }
 
@@ -402,7 +502,7 @@ func (j *Journal) Compact(jobs []RestoredJob) (err error) {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("dist: syncing truncated journal: %w", err)
 	}
-	j.tailRecords, j.tailBytes = 0, 0
+	j.tailRecords, j.tailBytes, j.torn = 0, 0, false
 	j.snapBytes = int64(len(b))
 	j.snapTime = snap.Time
 	return nil

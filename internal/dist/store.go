@@ -58,31 +58,18 @@ type JobRun struct {
 // (marshalled to JSON for the job record).
 type RunFunc func(ctx context.Context, run JobRun) (any, error)
 
-// job is the store's internal record.
+// job is the store's record of one job: its durable state, which
+// changes only through Store.commitLocked, and what dies with the
+// process.
 type job struct {
-	id        string
-	spec      JobSpec
-	hash      string
-	state     State
-	submitted time.Time
+	RestoredJob
 	started   time.Time
-	finished  time.Time
 	unitsDone int
 	unitsTot  int
-	errMsg    string
-	result    json.RawMessage
 	cancel    context.CancelFunc
-	// epoch counts run incarnations: it bumps (and journals) every
-	// time a runner picks the job up, so late shard results can be
-	// attributed to the incarnation that computed them.
-	epoch int
-	// shards holds the completed-shard results journalled so far for
-	// the in-flight run; cleared when the job reaches a terminal state
-	// (the result supersedes them), kept across drain re-queues.
-	shards []ShardResult
-	// requeued marks a job whose run was interrupted by a draining
-	// shutdown: it journals as re-queued (resumed on restart) rather
-	// than cancelled or failed.
+	// requeued marks a job a draining shutdown handed to the next
+	// process: its interrupted run leaves it pending, not cancelled or
+	// failed, and a queued run does not start.
 	requeued bool
 }
 
@@ -111,51 +98,28 @@ type JobView struct {
 
 func (j *job) view() JobView {
 	v := JobView{
-		ID:         j.id,
-		Kind:       j.spec.Kind,
-		SpecHash:   j.hash,
-		State:      j.state,
-		Submitted:  j.submitted,
+		ID:         j.ID,
+		Kind:       j.Spec.Kind,
+		SpecHash:   j.Hash,
+		State:      j.State,
+		Submitted:  j.Submitted,
 		UnitsDone:  j.unitsDone,
 		UnitsTotal: j.unitsTot,
-		Epoch:      j.epoch,
-		ShardsDone: len(j.shards),
-		Error:      j.errMsg,
-		Result:     j.result,
-		Spec:       j.spec,
+		Epoch:      j.Epoch,
+		ShardsDone: len(j.Shards),
+		Error:      j.Error,
+		Result:     j.Result,
+		Spec:       j.Spec,
 	}
 	if !j.started.IsZero() {
 		t := j.started
 		v.Started = &t
 	}
-	if !j.finished.IsZero() {
-		t := j.finished
+	if !j.Finished.IsZero() {
+		t := j.Finished
 		v.Finished = &t
 	}
 	return v
-}
-
-// restored converts the job to its snapshot/restore form. A running
-// job snapshots as pending — on restore it re-enters the run queue and
-// resumes from its journalled shards.
-func (j *job) restored() RestoredJob {
-	state := j.state
-	if state == StateRunning {
-		state = StatePending
-	}
-	return RestoredJob{
-		ID:        j.id,
-		Seq:       seqOf(j.id),
-		Hash:      j.hash,
-		Spec:      j.spec,
-		State:     state,
-		Submitted: j.submitted,
-		Finished:  j.finished,
-		Error:     j.errMsg,
-		Result:    j.result,
-		Epoch:     j.epoch,
-		Shards:    append([]ShardResult(nil), j.shards...),
-	}
 }
 
 // StoreOptions configures a Store.
@@ -191,10 +155,9 @@ type Store struct {
 	snapshotEvery int
 	logf          func(string, ...any)
 
-	mu         sync.Mutex
-	jobs       map[string]*job
-	order      []string          // submission order, for eviction
-	byHash     map[string]string // spec hash → live or done job id
+	mu sync.Mutex
+	// jobTable holds the jobs; it changes only through commitLocked.
+	jobTable
 	seq        int
 	accepting  bool
 	lateShards int64
@@ -229,8 +192,7 @@ func NewStore(opts StoreOptions) *Store {
 		journal:       opts.Journal,
 		snapshotEvery: snapEvery,
 		logf:          logf,
-		jobs:          make(map[string]*job),
-		byHash:        make(map[string]string),
+		jobTable:      newJobTable(),
 		accepting:     true,
 		sem:           make(chan struct{}, conc),
 	}
@@ -249,56 +211,51 @@ func (s *Store) Submit(spec JobSpec) (JobView, bool, error) {
 	if !s.accepting {
 		return JobView{}, false, ErrNotAccepting
 	}
-	if id, ok := s.byHash[hash]; ok {
-		if j, ok := s.jobs[id]; ok && (j.state == StatePending || j.state == StateRunning || j.state == StateDone) {
-			return j.view(), false, nil
-		}
+	if j := s.jobs[s.byHash[hash]]; j != nil && j.State != StateFailed && j.State != StateCancelled {
+		return j.view(), false, nil
 	}
-	if err := s.evictLocked(); err != nil {
-		return JobView{}, false, err
+	recs := s.evictionsLocked(1)
+	if len(s.jobs)-len(recs) >= s.maxJobs {
+		return JobView{}, false, ErrStoreFull
 	}
 	s.seq++
-	j := &job{
-		id:        fmt.Sprintf("j%05d-%s", s.seq, hash[:8]),
-		spec:      spec,
-		hash:      hash,
-		state:     StatePending,
-		submitted: time.Now().UTC(),
-	}
-	s.insertLocked(j)
-	s.append(journalRecord{Op: opSubmit, ID: j.id, Hash: j.hash, Spec: &j.spec, Time: j.submitted})
+	id := fmt.Sprintf("j%05d-%s", s.seq, hash[:8])
+	// The evictions go out in the submit's write and fsync.
+	s.commitLocked(append(recs, journalRecord{Op: opSubmit, ID: id, Hash: hash, Spec: &spec, Time: time.Now().UTC()})...)
+	j := s.jobs[id]
 	s.startLocked(j)
 	return j.view(), true, nil
 }
 
-// insertLocked adds the job to the maps and hash index.
-func (s *Store) insertLocked(j *job) {
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.byHash[j.hash] = j.id
+// evictionsLocked returns evict records for the oldest terminal jobs:
+// as many as room more jobs need to fit in MaxJobs, or as many as
+// there are.
+func (s *Store) evictionsLocked(room int) []journalRecord {
+	var recs []journalRecord
+	for _, id := range s.order {
+		if len(s.jobs)+room-len(recs) <= s.maxJobs {
+			break
+		}
+		if s.jobs[id].State.Terminal() {
+			recs = append(recs, journalRecord{Op: opEvict, ID: id, Time: time.Now().UTC()})
+		}
+	}
+	return recs
 }
 
-// evictLocked frees one slot if the store is at capacity, preferring
-// the oldest terminal job.
-func (s *Store) evictLocked() error {
-	if len(s.jobs) < s.maxJobs {
-		return nil
-	}
-	for i, id := range s.order {
-		j, ok := s.jobs[id]
-		if !ok {
-			continue
-		}
-		if j.state.Terminal() {
-			delete(s.jobs, id)
-			if s.byHash[j.hash] == id {
-				delete(s.byHash, j.hash)
-			}
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			return nil
+// commitLocked is the one way a job's durable state changes: it
+// applies each record with the code replay uses (jobTable.apply) and
+// journals the records that took effect, all in one write and one
+// fsync. It reports whether every record took effect.
+func (s *Store) commitLocked(recs ...journalRecord) bool {
+	applied := recs[:0]
+	for _, rec := range recs {
+		if s.apply(rec) {
+			applied = append(applied, rec)
 		}
 	}
-	return ErrStoreFull
+	s.append(applied...)
+	return len(applied) == len(recs)
 }
 
 // startLocked launches the job's runner goroutine.
@@ -320,21 +277,20 @@ func (s *Store) runJob(ctx context.Context, j *job) {
 		return
 	}
 	s.mu.Lock()
-	if j.state != StatePending { // cancelled while queued
+	// New incarnation: bump and journal the epoch so results from the
+	// previous run (or process) are attributable. A job cancelled or
+	// re-queued while it waited does not start.
+	now := time.Now().UTC()
+	if j.requeued || !s.commitLocked(journalRecord{Op: opStart, ID: j.ID, Epoch: j.Epoch + 1, Time: now}) {
 		s.mu.Unlock()
 		return
 	}
-	j.state = StateRunning
-	j.started = time.Now().UTC()
-	// New incarnation: bump and journal the epoch so results from the
-	// previous run (or process) are attributable.
-	j.epoch++
-	s.append(journalRecord{Op: opStart, ID: j.id, Epoch: j.epoch, Time: j.started})
+	j.started = now
 	run := JobRun{
-		ID:     j.id,
-		Epoch:  j.epoch,
-		Spec:   j.spec,
-		Shards: append([]ShardResult(nil), j.shards...),
+		ID:     j.ID,
+		Epoch:  j.Epoch,
+		Spec:   j.Spec,
+		Shards: append([]ShardResult(nil), j.Shards...),
 		Progress: func(done, total int) {
 			s.mu.Lock()
 			j.unitsDone, j.unitsTot = done, total
@@ -348,79 +304,48 @@ func (s *Store) runJob(ctx context.Context, j *job) {
 	s.finishJob(j, result, err)
 }
 
-// completeShard accepts one finished shard: dedupes against already
-// accepted ranges (first result wins — losers of a steal race and
-// stragglers from previous incarnations are dropped), journals the
-// winner, and triggers compaction when the journal tail is due.
+// completeShard accepts one finished shard: the first result for a
+// range wins, and apply refuses the rest — losers of a steal race and
+// stragglers from previous incarnations — which count as late.
+// Journalling the winner may trigger compaction.
 func (s *Store) completeShard(j *job, res ShardResult) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j.state != StateRunning {
-		return false
-	}
-	if res.End <= res.Start || overlapsShards(j.shards, res.Start, res.End) {
-		s.lateShards++
-		return false
-	}
-	j.shards = append(j.shards, res)
-	s.append(journalRecord{
-		Op: opShard, ID: j.id, Epoch: res.Epoch,
+	ok := s.commitLocked(journalRecord{
+		Op: opShard, ID: j.ID, Epoch: res.Epoch,
 		Start: res.Start, End: res.End, Units: res.Units,
 		Time: time.Now().UTC(),
 	})
-	return true
+	if !ok {
+		s.lateShards++
+	}
+	return ok
 }
 
-// finishJob records the outcome and journals it. Interrupted jobs
-// resolve to cancelled — or back to pending when a draining shutdown
-// re-queued them for the next process.
+// finishJob records the run's outcome. An interrupted run resolves to
+// cancelled — or, when a draining shutdown re-queued the job for the
+// next process, leaves it pending with its journalled shards intact so
+// the next process computes only the gaps.
 func (s *Store) finishJob(j *job, result any, err error) {
-	now := time.Now().UTC()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j.state.Terminal() {
-		return
-	}
+	rec := journalRecord{Op: opDone, ID: j.ID, Time: time.Now().UTC()}
 	switch {
 	case err == nil:
-		raw, merr := json.Marshal(result)
-		if merr != nil {
-			j.state = StateFailed
-			j.errMsg = fmt.Sprintf("marshalling result: %v", merr)
-		} else {
-			j.state = StateDone
-			j.result = raw
-			j.unitsDone = j.unitsTot
+		if rec.Result, err = json.Marshal(result); err != nil {
+			rec.Op, rec.Error = opFailed, fmt.Sprintf("marshalling result: %v", err)
 		}
-	case j.requeued:
-		// Draining shutdown: the journal already holds the re-queue
-		// record; the next process resumes the job from pending, with
-		// its journalled shards intact so it computes only the gaps.
-		j.state = StatePending
-		j.started = time.Time{}
-		j.unitsDone = 0
-		return
 	case errors.Is(err, context.Canceled):
-		j.state = StateCancelled
+		rec.Op = opCancelled
 	default:
-		j.state = StateFailed
-		j.errMsg = err.Error()
+		rec.Op, rec.Error = opFailed, err.Error()
 	}
-	j.finished = now
-	j.shards = nil // the terminal record supersedes partial results
-	switch j.state {
-	case StateDone:
-		s.append(journalRecord{Op: opDone, ID: j.id, Result: j.result, Time: now})
-	case StateFailed:
-		s.append(journalRecord{Op: opFailed, ID: j.id, Error: j.errMsg, Time: now})
-		if s.byHash[j.hash] == j.id {
-			delete(s.byHash, j.hash)
-		}
-	case StateCancelled:
-		s.append(journalRecord{Op: opCancelled, ID: j.id, Time: now})
-		if s.byHash[j.hash] == j.id {
-			delete(s.byHash, j.hash)
-		}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j.requeued && rec.Op != opDone {
+		j.started, j.unitsDone = time.Time{}, 0
+		return
+	}
+	if s.commitLocked(rec) && rec.Op == opDone {
+		j.unitsDone = j.unitsTot
 	}
 }
 
@@ -458,20 +383,10 @@ func (s *Store) Cancel(id string) (JobView, bool) {
 		s.mu.Unlock()
 		return JobView{}, false
 	}
-	var cancel context.CancelFunc
-	if j.state == StatePending {
-		j.state = StateCancelled
-		j.finished = time.Now().UTC()
-		j.shards = nil
-		s.append(journalRecord{Op: opCancelled, ID: j.id, Time: j.finished})
-		if s.byHash[j.hash] == j.id {
-			delete(s.byHash, j.hash)
-		}
-		cancel = j.cancel
-	} else if j.state == StateRunning {
-		cancel = j.cancel
+	if j.State == StatePending {
+		s.commitLocked(journalRecord{Op: opCancelled, ID: id, Time: time.Now().UTC()})
 	}
-	v := j.view()
+	v, cancel := j.view(), j.cancel
 	s.mu.Unlock()
 	if cancel != nil {
 		cancel()
@@ -485,7 +400,7 @@ func (s *Store) Counts() map[State]int {
 	defer s.mu.Unlock()
 	out := make(map[State]int, 5)
 	for _, j := range s.jobs {
-		out[j.state]++
+		out[j.State]++
 	}
 	return out
 }
@@ -510,7 +425,7 @@ func (s *Store) StopAccepting() {
 // first, the stragglers are re-queued to the journal — so the next
 // process resumes them — and then interrupted. A drained store never
 // loses a submitted job: it is either finished (journalled terminal)
-// or journalled as re-queued.
+// or left pending in the journal.
 func (s *Store) Drain(ctx context.Context) error {
 	s.StopAccepting()
 	done := make(chan struct{})
@@ -525,16 +440,18 @@ func (s *Store) Drain(ctx context.Context) error {
 	}
 	// Requeue and interrupt the stragglers.
 	s.mu.Lock()
+	var requeues []journalRecord
 	var cancels []context.CancelFunc
-	for _, j := range s.jobs {
-		if j.state == StatePending || j.state == StateRunning {
+	for _, id := range s.order {
+		if j := s.jobs[id]; !j.State.Terminal() {
 			j.requeued = true
-			s.append(journalRecord{Op: opRequeue, ID: j.id, Time: time.Now().UTC()})
+			requeues = append(requeues, journalRecord{Op: opRequeue, ID: id, Time: time.Now().UTC()})
 			if j.cancel != nil {
 				cancels = append(cancels, j.cancel)
 			}
 		}
 	}
+	s.commitLocked(requeues...)
 	s.mu.Unlock()
 	for _, cancel := range cancels {
 		cancel()
@@ -543,59 +460,46 @@ func (s *Store) Drain(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Restore replays journalled jobs into the store: terminal jobs come
-// back as records, unfinished ones re-enter the run queue carrying
-// the shard results their previous incarnation already journalled.
+// Restore loads replayed jobs into the store: terminal jobs come back
+// as records, unfinished ones re-enter the run queue carrying the
+// shard results their previous incarnation already journalled. The
+// oldest terminal jobs past MaxJobs are evicted as Submit would have
+// (a journal written before evictions were journalled holds them).
 // Call once, before serving traffic.
 func (s *Store) Restore(entries []RestoredJob) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var pending []*job
 	for _, e := range entries {
-		if _, ok := s.jobs[e.ID]; ok {
+		j := &job{RestoredJob: e}
+		if !s.insert(j) {
 			continue
 		}
-		j := &job{
-			id:        e.ID,
-			spec:      e.Spec,
-			hash:      e.Hash,
-			state:     e.State,
-			submitted: e.Submitted,
-			finished:  e.Finished,
-			errMsg:    e.Error,
-			result:    e.Result,
-			epoch:     e.Epoch,
-			shards:    append([]ShardResult(nil), e.Shards...),
-		}
-		if j.state == StateDone {
+		if j.State == StateDone {
 			j.unitsDone, j.unitsTot = 1, 1
 		}
-		// Keep seq ahead of restored ids so new ids never collide.
-		if e.Seq > s.seq {
-			s.seq = e.Seq
+		if j.State == StatePending {
+			pending = append(pending, j)
 		}
-		s.insertLocked(j)
-		if j.state == StateFailed || j.state == StateCancelled {
-			if s.byHash[j.hash] == j.id {
-				delete(s.byHash, j.hash)
-			}
-		}
-		if j.state == StatePending {
-			s.startLocked(j)
-		}
+		s.seq = max(s.seq, e.Seq) // new ids never collide with restored ones
+	}
+	s.commitLocked(s.evictionsLocked(0)...)
+	for _, j := range pending {
+		s.startLocked(j)
 	}
 }
 
-// append writes a journal record, logging (not failing) on error: a
+// append writes journal records, logging (not failing) on error: a
 // full disk should degrade durability, not reject sweeps. When the
 // tail crosses the compaction threshold, the store checkpoints itself
 // and truncates the journal — all appends happen under s.mu, so the
 // snapshot is a consistent cut.
-func (s *Store) append(rec journalRecord) {
+func (s *Store) append(recs ...journalRecord) {
 	if s.journal == nil {
 		return
 	}
-	if err := s.journal.Append(rec); err != nil {
-		s.logf("dist: journal append (%s %s): %v", rec.Op, rec.ID, err)
+	if err := s.journal.Append(recs...); err != nil {
+		s.logf("dist: journal append (%s %s): %v", recs[len(recs)-1].Op, recs[len(recs)-1].ID, err)
 	}
 	if s.snapshotEvery > 0 && s.journal.TailRecords() >= s.snapshotEvery {
 		s.compactLocked()
@@ -605,13 +509,7 @@ func (s *Store) append(rec journalRecord) {
 // compactLocked checkpoints every job to the snapshot file and
 // truncates the journal. Caller holds s.mu.
 func (s *Store) compactLocked() {
-	jobs := make([]RestoredJob, 0, len(s.order))
-	for _, id := range s.order {
-		if j, ok := s.jobs[id]; ok {
-			jobs = append(jobs, j.restored())
-		}
-	}
-	if err := s.journal.Compact(jobs); err != nil {
+	if err := s.journal.Compact(s.snapshot()); err != nil {
 		s.logf("dist: journal compact: %v", err)
 	}
 }

@@ -49,9 +49,6 @@ func (g Gauss) Plus(o Gauss) Gauss { return Gauss{Mean: g.Mean + o.Mean, Var: g.
 // Scale multiplies the variable by a non-negative constant.
 func (g Gauss) Scale(c float64) Gauss { return Gauss{Mean: g.Mean * c, Var: g.Var * c * c} }
 
-// Neg returns the negated variable.
-func (g Gauss) Neg() Gauss { return Gauss{Mean: -g.Mean, Var: g.Var} }
-
 // Quantile returns the p-quantile (0 < p < 1; p is clamped to that
 // open interval). A point mass returns its location for every p.
 func (g Gauss) Quantile(p float64) float64 {
@@ -150,42 +147,3 @@ func stdPDF(x float64) float64 { return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi) 
 
 // stdCDF is the standard normal distribution function Φ.
 func stdCDF(x float64) float64 { return 0.5 * (1 + math.Erf(x/math.Sqrt2)) }
-
-// domSigmas is the domination shortcut of Max: when the means are this
-// many summed standard deviations apart, the larger operand is
-// returned unchanged. Beyond 8σ the discarded operand's contribution
-// to the max is below 1e-15 relative; short-circuiting keeps point
-// masses exactly point masses, so σ = 0 schedules reproduce the
-// simulator bit for bit.
-const domSigmas = 8
-
-// Max returns Clark's moment-matching Gaussian approximation of
-// max(X, Y) for independent X, Y.
-func Max(x, y Gauss) Gauss {
-	a2 := x.Var + y.Var
-	if a2 == 0 {
-		if x.Mean >= y.Mean {
-			return x
-		}
-		return y
-	}
-	a := math.Sqrt(a2)
-	if x.Mean-y.Mean >= domSigmas*a {
-		return x
-	}
-	if y.Mean-x.Mean >= domSigmas*a {
-		return y
-	}
-	alpha := (x.Mean - y.Mean) / a
-	cdf, ncdf, pdf := stdCDF(alpha), stdCDF(-alpha), stdPDF(alpha)
-	mean := x.Mean*cdf + y.Mean*ncdf + a*pdf
-	m2 := (x.Mean*x.Mean+x.Var)*cdf + (y.Mean*y.Mean+y.Var)*ncdf + (x.Mean+y.Mean)*a*pdf
-	v := m2 - mean*mean
-	if v < 0 {
-		v = 0
-	}
-	return Gauss{Mean: mean, Var: v}
-}
-
-// Min returns the moment-matched minimum via min(X,Y) = −max(−X,−Y).
-func Min(x, y Gauss) Gauss { return Max(x.Neg(), y.Neg()).Neg() }

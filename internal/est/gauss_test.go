@@ -3,8 +3,6 @@ package est
 import (
 	"math"
 	"testing"
-
-	"budgetwf/internal/rng"
 )
 
 func TestGaussAlgebra(t *testing.T) {
@@ -20,61 +18,6 @@ func TestGaussAlgebra(t *testing.T) {
 	}
 	if g.Sigma() != 2 {
 		t.Errorf("Sigma: %v", g.Sigma())
-	}
-}
-
-func TestMaxDeterministic(t *testing.T) {
-	a := Gauss{Mean: 5}
-	b := Gauss{Mean: 7}
-	if got := Max(a, b); got != b {
-		t.Errorf("Max point masses: %+v", got)
-	}
-	if got := Min(a, b); got != a {
-		t.Errorf("Min point masses: %+v", got)
-	}
-	// Domination shortcut: a point mass far below a stochastic operand
-	// must not perturb it (this is what keeps σ=0 paths exact even when
-	// joined against stochastic ones).
-	c := Gauss{Mean: 100, Var: 1}
-	if got := Max(a, c); got != c {
-		t.Errorf("Max dominated: %+v", got)
-	}
-}
-
-// TestMaxAgainstMC checks Clark's approximation against brute-force
-// maxima of independent Gaussian samples across regimes (close means,
-// far means, unequal variances).
-func TestMaxAgainstMC(t *testing.T) {
-	cases := []struct{ a, b Gauss }{
-		{Gauss{Mean: 0, Var: 1}, Gauss{Mean: 0, Var: 1}},
-		{Gauss{Mean: 0, Var: 1}, Gauss{Mean: 1, Var: 4}},
-		{Gauss{Mean: 10, Var: 9}, Gauss{Mean: 12, Var: 1}},
-		{Gauss{Mean: 5, Var: 0}, Gauss{Mean: 5, Var: 2}},
-		{Gauss{Mean: 0, Var: 1}, Gauss{Mean: 3, Var: 1}},
-	}
-	r := rng.New(17)
-	const n = 400000
-	for _, c := range cases {
-		got := Max(c.a, c.b)
-		sum, sumSq := 0.0, 0.0
-		for i := 0; i < n; i++ {
-			x := c.a.Mean + c.a.Sigma()*r.NormFloat64()
-			y := c.b.Mean + c.b.Sigma()*r.NormFloat64()
-			m := math.Max(x, y)
-			sum += m
-			sumSq += m * m
-		}
-		mean := sum / n
-		variance := sumSq/n - mean*mean
-		scale := math.Max(1, math.Abs(mean))
-		if math.Abs(got.Mean-mean)/scale > 0.01 {
-			t.Errorf("Max(%+v, %+v) mean %.4f, MC %.4f", c.a, c.b, got.Mean, mean)
-		}
-		// Clark matches the first two moments of the true max exactly for
-		// two operands; the tolerance covers MC noise only.
-		if vScale := math.Max(0.05, variance); math.Abs(got.Var-variance)/vScale > 0.05 {
-			t.Errorf("Max(%+v, %+v) var %.4f, MC %.4f", c.a, c.b, got.Var, variance)
-		}
 	}
 }
 

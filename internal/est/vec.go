@@ -7,8 +7,7 @@ import "math"
 // operand instead of blending. At 5 spreads the discarded operand
 // shifts the mean by a·(φ(5) − 5·(1−Φ(5))) ≈ 4e-8·a — far below the
 // estimator's validated tolerance — and the cut keeps every Φ/φ table
-// lookup inside [−5, 5]. (The public Gauss.Max/Min keep the stricter
-// 8σ domSigmas cut; they are not on the hot path.)
+// lookup inside [−5, 5].
 const joinCut = 5.0
 
 // softJoinCut is the sketch regime's cheaper domination threshold: past

@@ -208,26 +208,3 @@ func (o Outliers) Sample(d Dist, weights, decisions *rng.RNG) float64 {
 	}
 	return w
 }
-
-// Estimate recovers distribution parameters from a sample, the way a
-// user would calibrate task profiles "for example by sampling" (§III-A).
-func Estimate(samples []float64) (Dist, error) {
-	if len(samples) < 2 {
-		return Dist{}, fmt.Errorf("stoch: need at least 2 samples, got %d", len(samples))
-	}
-	mean := 0.0
-	for _, s := range samples {
-		mean += s
-	}
-	mean /= float64(len(samples))
-	variance := 0.0
-	for _, s := range samples {
-		variance += (s - mean) * (s - mean)
-	}
-	variance /= float64(len(samples) - 1)
-	d := Dist{Mean: mean, Sigma: math.Sqrt(variance)}
-	if err := d.Validate(); err != nil {
-		return Dist{}, err
-	}
-	return d, nil
-}

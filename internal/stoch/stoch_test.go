@@ -96,33 +96,6 @@ func TestWithSigmaRatio(t *testing.T) {
 	}
 }
 
-func TestEstimateRoundTrip(t *testing.T) {
-	d := Dist{Mean: 500, Sigma: 50}
-	samples := d.SampleN(rng.New(11), 20000)
-	got, err := Estimate(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.Mean-500) > 2 {
-		t.Errorf("estimated mean %v", got.Mean)
-	}
-	if math.Abs(got.Sigma-50) > 2 {
-		t.Errorf("estimated sigma %v", got.Sigma)
-	}
-}
-
-func TestEstimateErrors(t *testing.T) {
-	if _, err := Estimate(nil); err == nil {
-		t.Error("Estimate(nil) should fail")
-	}
-	if _, err := Estimate([]float64{1}); err == nil {
-		t.Error("Estimate of one sample should fail")
-	}
-	if _, err := Estimate([]float64{-5, -6}); err == nil {
-		t.Error("Estimate of negative samples should fail (invalid mean)")
-	}
-}
-
 // TestTruncationBias is the regression test for the truncation-bias
 // fix: at σ/w̄ = 1.0 the floor at MinWeightFraction·Mean cuts ≈16% of
 // the Gaussian's mass, so the distribution Sample actually draws from
