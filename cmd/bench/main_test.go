@@ -110,8 +110,8 @@ func TestCheckGatesPlannerBaseline(t *testing.T) {
 	if err := run([]string{"-check", "-suite", "planner", "-out", dir}, &out); err != nil {
 		t.Fatalf("committed planner baseline fails -check: %v\n%s", err, out.String())
 	}
-	if got := strings.Count(out.String(), ": ok\n"); got != 21 {
-		t.Errorf("check output has %d gate lines, want seven per family:\n%s", got, out.String())
+	if got := strings.Count(out.String(), ": ok\n"); got != 24 {
+		t.Errorf("check output has %d gate lines, want eight per family:\n%s", got, out.String())
 	}
 
 	f, err := bench.ReadFile(path)

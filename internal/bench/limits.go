@@ -165,9 +165,10 @@ func plannerLimits() []Limit {
 			// Table III puts MIN-MINBUDG and HEFTBUDG within a small
 			// factor. With each ready task's last two picks cached
 			// (sched.pickCache), a pick whose VM is booked kept as a lower
-			// bound, and every host placed in O(1) from inputs computed
-			// once per task, the committed baseline reads 1.7–5.4×, and
-			// single runs on a 2-core host 1.4–6.4×; forgetting such a
+			// bound, and both planners reading the readiness index, which
+			// sped HEFTBUDG up more, the committed baseline reads
+			// 2.1–6.4×, and single runs on a 2-core host 1.7–7.1×
+			// (1.7–5.4× and 1.4–6.4× before the index); forgetting such a
 			// pick, as MIN-MIN did before, read 2.1–9.0× (LIGO and Montage
 			// 7–10× in single runs), and re-scanning every ready task's
 			// whole column every round, as it did before its picks were
@@ -176,7 +177,15 @@ func plannerLimits() []Limit {
 			// Both hold O(n + VMs) memory, and the committed baseline reads
 			// 1.6–1.9×. Keeping every ready task's candidate on every VM,
 			// the matrix MIN-MIN kept before, read 70–130×.
-			ratio(BytesPerOp, at(sched.NameMinMinBudg, 1000), 4, at(sched.NameHeftBudg, 1000)))
+			ratio(BytesPerOp, at(sched.NameMinMinBudg, 1000), 4, at(sched.NameHeftBudg, 1000)),
+			// The same relation at the low budget, where nearly every pick
+			// is a fallback and MIN-MINBUDG re-scans 16–45 % of its task
+			// visits, each walking the VMs ready after the task's data.
+			// Re-scanning from the readiness index reads 24–37× in the
+			// committed baseline and 21–42× in single runs on a 2-core
+			// host, so 60 leaves the headroom the row above has; scanning
+			// every used VM, as both planners did before, read 32–80×.
+			ratio(NsPerOp, plannerLowCase(sched.NameMinMinBudg, typ), 60, plannerLowCase(sched.NameHeftBudg, typ)))
 		// A list planner allocates a fixed handful of buffers per plan —
 		// the context, the budget shares, its state and the schedule it
 		// extracts — so the count moves only by a few appends that

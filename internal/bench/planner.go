@@ -37,11 +37,18 @@ var refinePlanners = map[sched.Name]bool{
 	sched.NameHeftBudgPlus: true, sched.NameHeftBudgPlusInv: true, sched.NameCGPlus: true,
 }
 
+// lowAlgs are the list planners measured at n = 1000 under the low
+// budget too, where nearly every selection finds nothing affordable and
+// falls back to the cheapest host.
+var lowAlgs = []sched.Name{sched.NameHeftBudg, sched.NameMinMinBudg, sched.NameCG}
+
 // Planner builds the planner suite: every budget-aware algorithm of
 // the paper over CyberShake/LIGO/Montage at n ∈ {50, 300, 1000}
 // (refinement algorithms capped at n=300, see refineCap). Each case
 // plans one fixed seeded instance at the mid-range budget
-// (CheapCost+High)/2, where the budget actually constrains placement.
+// (CheapCost+High)/2, where the budget actually constrains placement;
+// at n = 1000 the lowAlgs also plan at the low budget, CheapCost
+// (plannerLowCase).
 func Planner(seed uint64) ([]Case, error) {
 	p := platform.Default()
 	var cases []Case
@@ -58,18 +65,14 @@ func Planner(seed uint64) ([]Case, error) {
 			if err != nil {
 				return nil, err
 			}
-			budget := (anchors.CheapCost + anchors.High) / 2
-			for _, alg := range plannerAlgs {
-				if refinePlanners[alg] && n > refineCap {
-					continue
-				}
+			add := func(name string, alg sched.Name, budget float64) error {
 				a, err := sched.ByName(alg)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				plan := a.Plan
 				cases = append(cases, Case{
-					Name: plannerCase(alg, typ, n),
+					Name: name,
 					Bench: func(b *testing.B) {
 						for i := 0; i < b.N; i++ {
 							if _, err := plan(w, p, budget); err != nil {
@@ -78,6 +81,23 @@ func Planner(seed uint64) ([]Case, error) {
 						}
 					},
 				})
+				return nil
+			}
+			for _, alg := range plannerAlgs {
+				if refinePlanners[alg] && n > refineCap {
+					continue
+				}
+				if err := add(plannerCase(alg, typ, n), alg, (anchors.CheapCost+anchors.High)/2); err != nil {
+					return nil, err
+				}
+			}
+			if n != 1000 {
+				continue
+			}
+			for _, alg := range lowAlgs {
+				if err := add(plannerLowCase(alg, typ), alg, anchors.CheapCost); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
@@ -88,4 +108,10 @@ func Planner(seed uint64) ([]Case, error) {
 // plannerCase names the planner-suite case of alg on a family at size n.
 func plannerCase(alg sched.Name, typ wfgen.Type, n int) string {
 	return fmt.Sprintf("%s/%s/n%04d", alg, typ, n)
+}
+
+// plannerLowCase names the case of alg on a family at n = 1000 under
+// the low budget.
+func plannerLowCase(alg sched.Name, typ wfgen.Type) string {
+	return fmt.Sprintf("%s/%s/low/n1000", alg, typ)
 }

@@ -47,8 +47,8 @@ func TestBaselinesEqualBudgetVariantsAtInfiniteBudget(t *testing.T) {
 			base     func() (*plan.Schedule, error)
 			budgeted func() (*plan.Schedule, error)
 		}{
-			{"minmin", func() (*plan.Schedule, error) { return MinMin(w, p) },
-				func() (*plan.Schedule, error) { return MinMinBudg(w, p, huge) }},
+			{"minmin", func() (*plan.Schedule, error) { return mustByName(NameMinMin).Plan(w, p, 0) },
+				func() (*plan.Schedule, error) { return mustByName(NameMinMinBudg).Plan(w, p, huge) }},
 			{"heft", func() (*plan.Schedule, error) { return Heft(w, p) },
 				func() (*plan.Schedule, error) { return HeftBudg(w, p, huge) }},
 		}
@@ -90,7 +90,7 @@ func TestBudgetRespectedDeterministically(t *testing.T) {
 			for _, factor := range []float64{1.0, 1.05, 1.2, 1.6, 2.5, 8} {
 				budget := cheap * factor
 				for name, alg := range map[string]func(*wf.Workflow, *platform.Platform, float64) (*plan.Schedule, error){
-					"minminbudg": MinMinBudg, "heftbudg": HeftBudg,
+					"minminbudg": mustByName(NameMinMinBudg).Plan, "heftbudg": HeftBudg,
 				} {
 					s, err := alg(w, p, budget)
 					if err != nil {
@@ -162,7 +162,7 @@ func TestRefinementNeverWorsens(t *testing.T) {
 				t.Fatal(err)
 			}
 			for name, refined := range map[string]func(*wf.Workflow, *platform.Platform, float64) (*plan.Schedule, error){
-				"heftbudg+": HeftBudgPlus, "heftbudg+inv": HeftBudgPlusInv,
+				"heftbudg+": mustByName(NameHeftBudgPlus).Plan, "heftbudg+inv": mustByName(NameHeftBudgPlusInv).Plan,
 			} {
 				s, err := refined(w, p, budget)
 				if err != nil {
@@ -190,7 +190,7 @@ func TestCGPlusImprovesWithinBudget(t *testing.T) {
 	w := paperInstance(t, wfgen.Montage, 30, 0)
 	cheap := cheapBudget(t, w, p)
 	budget := cheap * 2
-	cg, err := CG(w, p, budget)
+	cg, err := mustByName(NameCG).Plan(w, p, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestCGPlusImprovesWithinBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cgp, err := CGPlus(w, p, budget)
+	cgp, err := mustByName(NameCGPlus).Plan(w, p, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestCGHugsCheapSchedule(t *testing.T) {
 	w := paperInstance(t, wfgen.Ligo, 30, 0)
 	cheap := cheapBudget(t, w, p)
 	budget := cheap * 1.05
-	cg, err := CG(w, p, budget)
+	cg, err := mustByName(NameCG).Plan(w, p, budget)
 	if err != nil {
 		t.Fatal(err)
 	}

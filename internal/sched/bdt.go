@@ -8,7 +8,7 @@ import (
 	"budgetwf/internal/wf"
 )
 
-// BDT implements Budget Distribution with Trickling (Arabnejad &
+// bdtOpt implements Budget Distribution with Trickling (Arabnejad &
 // Barbosa), extended to this paper's application/platform model as
 // described in §V-D1:
 //
@@ -35,13 +35,8 @@ import (
 // producing the shortest makespans when it does fit. To keep the
 // comparison fair, BDT is given the same conservative task weights and
 // the same datacenter/initialization reserves as the paper's own
-// algorithms.
-func BDT(w *wf.Workflow, p *platform.Platform, budget float64) (*plan.Schedule, error) {
-	return bdtOpt(w, p, budget, Options{})
-}
-
-// bdtOpt is BDT with a cancellation hook (the only Options field BDT
-// honours; ablation knobs are specific to the paper's own algorithms).
+// algorithms. Of the Options it honours only the cancellation hook:
+// the ablation knobs are specific to the paper's own algorithms.
 func bdtOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options) (*plan.Schedule, error) {
 	ctx, err := newContext(w, p)
 	if err != nil {
@@ -63,7 +58,7 @@ func bdtOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options) (
 	}
 	slices.SortStableFunc(byLevel, func(a, b wf.TaskID) int { return level[a] - level[b] })
 
-	st := newState(ctx, false)
+	st := newScanState(ctx)
 	remaining := info.Calc // trickling account, "All in" strategy
 	listT := make([]wf.TaskID, 0, n)
 	est := make([]float64, n)

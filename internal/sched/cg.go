@@ -10,7 +10,7 @@ import (
 	"budgetwf/internal/wf"
 )
 
-// CG implements Critical Greedy (Wu et al.), extended to this paper's
+// cgOpt implements Critical Greedy (Wu et al.), extended to this paper's
 // model as described in §V-D2. CG first computes a global budget
 // factor
 //
@@ -25,11 +25,6 @@ import (
 // ordering is not specified in the original, so the paper (and we) use
 // HEFT rank order. The original has no data transfers; the extension
 // inherits this package's transfer-aware EFT and cost accounting.
-func CG(w *wf.Workflow, p *platform.Platform, budget float64) (*plan.Schedule, error) {
-	return cgOpt(w, p, budget, Options{})
-}
-
-// cgOpt is CG with a cancellation hook.
 func cgOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options) (*plan.Schedule, error) {
 	ctx, err := newContext(w, p)
 	if err != nil {
@@ -78,6 +73,9 @@ func cgOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options) (*
 		st.assign(t, choice)
 		totalCost += choice.cost
 	}
+	if opt.span != nil {
+		opt.span.Set(obs.Int("walked", st.walked))
+	}
 	out := st.extract(order)
 	out.EstCost = totalCost + initSpent(out, p) + info.DCReserve
 	return out, nil
@@ -97,16 +95,13 @@ func closestCategory(ctx *context, t wf.TaskID, share float64) int {
 }
 
 // bestOfCategory returns the min-EFT candidate among used VMs of the
-// given category plus one fresh VM of that category.
+// given category plus one fresh VM of that category, from the hosts an
+// infinite allowance reads.
 func bestOfCategory(st *state, t wf.TaskID, cat int) candidate {
 	in, terms := st.prepare(t)
-	best := st.placeFresh(in, terms[cat], cat)
-	var c candidate
-	for i := range st.vms {
-		if st.vms[i].cat != cat {
-			continue
-		}
-		st.place(&c, t, in, terms, i)
+	used, fresh := st.hosts(t, in, terms, infinite, cat)
+	best := fresh[0]
+	for _, c := range used {
 		if less(c, best) {
 			best = c
 		}
@@ -114,21 +109,15 @@ func bestOfCategory(st *state, t wf.TaskID, cat int) candidate {
 	return best
 }
 
-// CGPlus is CG followed by the CG+ refinement (§V-D2): repeatedly
+// cgPlusOpt is CG followed by the CG+ refinement (§V-D2): repeatedly
 // re-assign one task of the schedule's critical path to the VM pair
 // maximizing ΔT/Δc — the makespan decrease per unit of extra cost —
 // until the budget is exhausted or no profitable move remains.
 // Faithfully to the original (and to the paper's criticism of it), a
 // move that decreases both time and cost has a negative ratio and is
-// never selected.
-func CGPlus(w *wf.Workflow, p *platform.Platform, budget float64) (*plan.Schedule, error) {
-	return cgPlusOpt(w, p, budget, Options{})
-}
-
-// cgPlusOpt is CGPlus with a cancellation hook, polled once per
-// candidate move (each move costs at most one deterministic pass over
-// the schedule, so this is the granularity that bounds cancellation
-// latency).
+// never selected. The cancellation hook is polled once per candidate
+// move: each costs at most one deterministic pass over the schedule,
+// so this is the granularity that bounds cancellation latency.
 func cgPlusOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options) (*plan.Schedule, error) {
 	cur, err := cgOpt(w, p, budget, opt)
 	if err != nil {

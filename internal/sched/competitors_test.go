@@ -95,7 +95,7 @@ func TestCGGlobalFactorExtremes(t *testing.T) {
 	w := paperInstance(t, wfgen.Montage, 30, 0)
 	// gb clamps to 0 at (sub-)minimal budgets → cheapest category for
 	// every task; to 1 at huge budgets → most expensive category.
-	low, err := CG(w, p, 0.001)
+	low, err := mustByName(NameCG).Plan(w, p, 0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestCGGlobalFactorExtremes(t *testing.T) {
 			t.Fatalf("low-budget CG used category %d", cat)
 		}
 	}
-	high, err := CG(w, p, 1e6)
+	high, err := mustByName(NameCG).Plan(w, p, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestCGGlobalFactorExtremes(t *testing.T) {
 func TestBDTLevelOrdering(t *testing.T) {
 	p := platform.Default()
 	w := paperInstance(t, wfgen.Montage, 30, 0)
-	s, err := BDT(w, p, 1)
+	s, err := mustByName(NameBDT).Plan(w, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestCGPlusTerminates(t *testing.T) {
 	p := platform.Default()
 	w := paperInstance(t, wfgen.CyberShake, 30, 1)
 	for _, budget := range []float64{0.001, 5, 1e5} {
-		s, err := CGPlus(w, p, budget)
+		s, err := mustByName(NameCGPlus).Plan(w, p, budget)
 		if err != nil {
 			t.Fatalf("budget %v: %v", budget, err)
 		}
@@ -159,7 +159,7 @@ func TestBDTEagerOverspendSignature(t *testing.T) {
 	p := platform.Default()
 	w := paperInstance(t, wfgen.Montage, 30, 0)
 	cheap := cheapBudget(t, w, p)
-	bdt, err := BDT(w, p, cheap)
+	bdt, err := mustByName(NameBDT).Plan(w, p, cheap)
 	if err != nil {
 		t.Fatal(err)
 	}

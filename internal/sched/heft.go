@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"budgetwf/internal/obs"
 	"budgetwf/internal/plan"
 	"budgetwf/internal/platform"
 	"budgetwf/internal/wf"
@@ -70,6 +71,9 @@ func heftPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Option
 			}
 			tracePlace(opt.span, t, c)
 		}
+	}
+	if opt.span != nil {
+		opt.span.Set(obs.Int("walked", st.walked))
 	}
 	out := st.extract(order)
 	out.EstCost = totalCost + initSpent(out, p)

@@ -1,0 +1,182 @@
+package sched
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"budgetwf/internal/platform"
+	"budgetwf/internal/stoch"
+	"budgetwf/internal/wf"
+)
+
+// indexPlatforms are the platforms FuzzIndexedPickMatchesScan draws
+// from: the paper's, the two-provider market (per-category bandwidth,
+// transfer latency), and the paper's with a free first category, on
+// which every VM of it ready by the data costs the same.
+func indexPlatforms(t testing.TB) []*platform.Platform {
+	free := platform.Default()
+	free.Categories[0].CostPerSec = 0
+	eq := equivPlatforms(t)
+	return []*platform.Platform{eq["scalar"], eq["market"], free}
+}
+
+// randomIndexedState books the producers of a random bipartite
+// workflow on random VMs and returns the state with the consumers left
+// to place. VMs become ready at a few values, their neighbours one ulp
+// away, and repeats of both, so readiness ties and near-ties are
+// common, as are EFT ties between VMs ready at different times; each
+// consumer reads from several producers, whose VMs lie in several
+// categories.
+func randomIndexedState(t *testing.T, r *rand.Rand, p *platform.Platform) (*state, []wf.TaskID) {
+	w := wf.New("indexed")
+	nProd, nCons := 4+r.Intn(40), 1+r.Intn(4)
+	for i := 0; i < nProd+nCons; i++ {
+		w.AddTask("t", stoch.Dist{Mean: 1e9 * (1 + r.Float64()*80), Sigma: 1e9 * r.Float64()})
+	}
+	var cons []wf.TaskID
+	for c := nProd; c < nProd+nCons; c++ {
+		id := wf.TaskID(c)
+		cons = append(cons, id)
+		for _, from := range r.Perm(nProd)[:1+r.Intn(min(6, nProd))] {
+			size := 0.0
+			if r.Intn(3) > 0 {
+				size = r.Float64() * 400e6
+			}
+			if err := w.AddEdge(wf.TaskID(from), id, size); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r.Intn(2) == 0 {
+			if err := w.SetExternalIO(id, r.Float64()*200e6, r.Float64()*200e6); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ctx, err := newContext(w, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newState(ctx, false)
+	// Half the values lie just under a power of two, so that a task's
+	// EFT on VMs one ulp apart may round to one value.
+	pool := make([]float64, 1+r.Intn(6))
+	for i := range pool {
+		pool[i] = float64(r.Intn(40)) * 50 * (1 + r.Float64())
+		if r.Intn(2) == 0 {
+			pool[i] = math.Ldexp(1, 8+r.Intn(4)) - r.Float64()*100
+		}
+	}
+	readyAt := func() float64 {
+		v := pool[r.Intn(len(pool))]
+		switch r.Intn(4) {
+		case 0:
+			v = math.Nextafter(v, math.Inf(1))
+		case 1:
+			v = math.Nextafter(v, math.Inf(-1))
+		}
+		return max(v, 0)
+	}
+	for pt := 0; pt < nProd; pt++ {
+		c := candidate{vm: -1, cat: r.Intn(p.NumCategories()), slot: -1}
+		if len(st.vms) > 0 && r.Intn(2) == 0 {
+			c.vm = r.Intn(len(st.vms))
+			c.cat = st.vms[c.vm].cat
+			c.begin = st.vms[c.vm].readyAt
+		}
+		c.eft = max(readyAt(), c.begin)
+		st.assign(wf.TaskID(pt), c)
+	}
+	return st, cons
+}
+
+// checkIndex fails unless each category's run lists exactly its used
+// VMs, ordered by (readyAt, index), with their readyAt alongside.
+func checkIndex(t *testing.T, st *state) {
+	seen := 0
+	for k := range st.terms {
+		vms, ats := st.catVMs(k)
+		for j, i := range vms {
+			if st.vms[i].cat != k || ats[j] != st.vms[i].readyAt {
+				t.Fatalf("category %d run %v at %v: VM %d is of category %d, ready at %v", k, vms, ats, i, st.vms[i].cat, st.vms[i].readyAt)
+			}
+			if j > 0 && (ats[j-1] > ats[j] || ats[j-1] == ats[j] && vms[j-1] > i) {
+				t.Fatalf("category %d run %v at %v is out of order", k, vms, ats)
+			}
+		}
+		seen += len(vms)
+	}
+	if seen != len(st.vms) {
+		t.Fatalf("the index holds %d VMs, the state %d", seen, len(st.vms))
+	}
+}
+
+// FuzzIndexedPickMatchesScan: on random states, the selections that
+// read the readiness index answer as the scans over every host do, bit
+// for bit — bestHost as the selector over plain eval, bestOfCategory as
+// the EFT fold over the category's VMs, and pickCache.repick over
+// the index's candidates with the same pick, lo, hi, capped and state
+// as over every candidate. The allowances include each candidate's
+// exact cost and the floats either side of it, 0, +Inf and NaN.
+func FuzzIndexedPickMatchesScan(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed))
+	}
+	// States on which dropping a tie from the walks changed the pick:
+	// an EFT tie after the data (201), a cost tie among VMs ready after
+	// it on the free category (-380).
+	f.Add(int64(201), uint8(156))
+	f.Add(int64(-380), uint8(215))
+	plats := indexPlatforms(f)
+	f.Fuzz(func(t *testing.T, seed int64, plat uint8) {
+		r := rand.New(rand.NewSource(seed))
+		p := plats[int(plat)%len(plats)]
+		st, cons := randomIndexedState(t, r, p)
+		checkIndex(t, st)
+		for _, id := range cons {
+			var used, fresh []candidate
+			for i := range st.vms {
+				used = append(used, st.eval(id, i, st.vms[i].cat))
+			}
+			for k := range p.Categories {
+				fresh = append(fresh, st.eval(id, -1, k))
+			}
+			allowances := []float64{0, math.Inf(1), math.NaN()}
+			for _, part := range [][]candidate{used, fresh} {
+				for _, c := range part {
+					allowances = append(allowances, c.cost, math.Nextafter(c.cost, math.Inf(1)), math.Nextafter(c.cost, math.Inf(-1)))
+				}
+			}
+			for _, a := range allowances {
+				label := fmt.Sprintf("seed %d platform %d task %d allowance %v", seed, plat, id, a)
+				if got, want := st.bestHost(id, a), evalBestHost(st, id, a); !sameBits(got, want) {
+					t.Fatalf("%s: bestHost %+v, scan %+v", label, got, want)
+				}
+				var scan, indexed pickCache
+				scan.repick(used, fresh, a)
+				in, terms := st.prepare(id)
+				if !st.finite(in, terms) {
+					t.Fatalf("%s: the index does not serve a finite platform", label)
+				}
+				iu, ifr := st.hosts(id, in, terms, a, -1)
+				indexed.repick(iu, ifr, a)
+				if !sameBits(indexed.c, scan.c) || indexed.state != scan.state || indexed.capped != scan.capped ||
+					math.Float64bits(indexed.lo) != math.Float64bits(scan.lo) || math.Float64bits(indexed.hi) != math.Float64bits(scan.hi) {
+					t.Fatalf("%s: repick over the index %+v, over every host %+v", label, indexed, scan)
+				}
+			}
+			for k := range p.Categories {
+				want := fresh[k]
+				for i := range st.vms {
+					if st.vms[i].cat == k && less(used[i], want) {
+						want = used[i]
+					}
+				}
+				if got := bestOfCategory(st, id, k); !sameBits(got, want) {
+					t.Fatalf("seed %d platform %d task %d category %d: bestOfCategory %+v, scan %+v", seed, plat, id, k, got, want)
+				}
+			}
+		}
+	})
+}

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"budgetwf/internal/obs"
 	"budgetwf/internal/plan"
@@ -10,25 +11,15 @@ import (
 	"budgetwf/internal/wf"
 )
 
-// MinMin is the classical MIN-MIN list scheduler: among all ready
-// tasks, repeatedly pick the (task, host) pair with the smallest
-// earliest finish time. It is budget-blind — equivalently, MIN-MINBUDG
-// with an infinite budget, which is exactly how the paper uses it as a
-// baseline ("given an infinite initial budget, MIN-MIN ... give[s] the
-// same schedule as MIN-MINBUDG", §V-B).
-func MinMin(w *wf.Workflow, p *platform.Platform) (*plan.Schedule, error) {
-	return minMinPlan(w, p, nil, Options{})
-}
-
-// MinMinBudg is Algorithm 3: MIN-MIN extended with the budget
-// decomposition of Algorithm 1. Each task's candidate hosts are
-// filtered by its allowance B_T + pot before the min-min selection.
-func MinMinBudg(w *wf.Workflow, p *platform.Platform, budget float64) (*plan.Schedule, error) {
-	return MinMinBudgOpt(w, p, budget, Options{})
-}
-
-// minMinPlan is the shared MIN-MIN loop. A nil info plans budget-blind
-// (infinite allowance).
+// minMinPlan is the shared MIN-MIN loop. MIN-MIN, the classical list
+// scheduler, repeatedly picks among all ready tasks the (task, host)
+// pair with the smallest earliest finish time. MIN-MINBUDG (Algorithm
+// 3) filters each task's candidate hosts by its allowance B_T + pot,
+// from the budget decomposition of Algorithm 1, before the min-min
+// selection. A nil info plans budget-blind (infinite allowance): that
+// is MIN-MIN, exactly how the paper uses it as a baseline ("given an
+// infinite initial budget, MIN-MIN ... give[s] the same schedule as
+// MIN-MINBUDG", §V-B).
 //
 // A naive implementation re-evaluates every (ready task, host) pair
 // each round: O(n² · p · deg). This one keeps nothing per (task, host)
@@ -44,21 +35,30 @@ func MinMinBudg(w *wf.Workflow, p *platform.Platform, budget float64) (*plan.Sch
 // win the round. A task whose floor, or a bound its caches keep
 // (pickCache.bound), already finishes after the round's best pick so
 // far cannot win, so its re-scan waits; a pick whose VM was booked
-// becomes such a bound rather than nothing. A re-scan lays the task's
-// candidates out in one buffer reused for the whole plan, and costs
-// O(deg + p): eval's predecessor pass runs once (state.prepare), and
-// every used VM that runs no predecessor of the task is placed from it
-// in O(1). A round therefore costs O(ready · deg) to refresh the booked
-// VM's candidates, O(ready) to compare picks, and O(deg + p) per
-// re-scan, and a plan holds O(n + p) memory. On the paper's families at
-// n = 1000 (seed 1), 0.3–0.7 % of MIN-MIN's task visits re-scan,
-// 0.3–1.3 % of MIN-MINBUDG's at the medium budget, and 16–45 % at the
-// low one: there nearly every pick is a fallback, and one whose VM
-// another task books for a later, no cheaper candidate is dropped. A
-// traced plan records the counts on its span (rescans, deferred).
+// becomes such a bound rather than nothing. A re-scan reads the
+// candidates the readiness index yields (state.hosts), laid out in
+// one buffer reused for the whole plan: eval's predecessor pass runs
+// once (state.prepare), each VM that runs a predecessor takes a full
+// eval, each category costs O(log p) to find the VMs ready by the
+// task's data, and every VM the walk visits is placed in O(1) — in each
+// category the last one ready by the data with its cost ties, and those
+// ready later up to the first affordable one, all of them only when
+// nothing is affordable. The booked VM's candidate is evaluated only
+// for a task whose caches it can move (pickCache.unmovedBy), in
+// O(deg). A round therefore costs O(ready) to compare picks and skip
+// the booked VM, O(deg) per cache it moves, plus the re-scans, and a
+// plan holds O(n + p) memory. On the paper's
+// families at n = 1000 (seed 1), 0.3–0.7 % of MIN-MIN's task visits
+// re-scan, 0.3–1.3 % of MIN-MINBUDG's at the medium budget, and 16–45 %
+// at the low one: there nearly every pick is a fallback, and one whose
+// VM another task books for a later, no cheaper candidate is dropped.
+// A traced plan records the counts on its span (rescans, deferred, and
+// walked, the used-VM placements the re-scans evaluated).
 // TestMinMinFastMatchesReference* pins the plans against the naive
 // loop on plain eval, TestPlaceMatchesEval the O(1) placement against
-// eval, and TestPickCacheMatchesPickBest the cache against pickBest.
+// eval, TestPickCacheMatchesPickBest the cache against pickBest, and
+// FuzzIndexedPickMatchesScan a re-scan from the index against one over
+// every host.
 func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Options) (*plan.Schedule, error) {
 	ctx, err := newContextOpt(w, p, opt)
 	if err != nil {
@@ -67,27 +67,41 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 	st := newState(ctx, false)
 	n := w.NumTasks()
 
-	// Ready-set maintenance via remaining-predecessor counters. A task
-	// that becomes ready records its floor, a lower bound on the EFT of
-	// every candidate it has: no host starts it before its last
+	// Ready-set maintenance via remaining-predecessor counters. ready
+	// lists the ready tasks by ID, the order in which a round visits
+	// them, so that the first of equal picks wins as in the naive loop.
+	// A task that becomes ready records its floor, a lower bound on the
+	// EFT of every candidate it has: no host starts it before its last
 	// predecessor finishes (the data reaches the datacenter later, and a
 	// VM that ran the predecessor is busy until then), nor computes it
-	// faster than the fastest category does.
+	// in less than fast, its time on the fastest category. fast is NaN
+	// when one of the task's inputs or terms is not finite, where a
+	// candidate may have a NaN metric.
 	remaining := make([]int, n)
-	ready := make([]bool, n)
+	ready := make([]wf.TaskID, 0, n)
 	picks := make([][2]pickCache, n)
-	floor := make([]float64, n)
+	type readyTask struct{ floor, fast float64 }
+	rt := make([]readyTask, n)
 	fastest := 0.0
 	for _, c := range p.Categories {
 		fastest = max(fastest, c.Speed)
 	}
 	setReady := func(t wf.TaskID) {
-		ready[t] = true
+		i, _ := slices.BinarySearch(ready, t)
+		ready = slices.Insert(ready, i, t)
 		last := 0.0
 		for _, e := range ctx.pred[t] {
 			last = max(last, st.finish[e.From])
 		}
-		floor[t] = last + ctx.cons[t]/fastest
+		fast := ctx.cons[t] / fastest
+		rt[t].floor = last + fast
+		in := st.inputs(t, -1)
+		x := in.missing + in.dcReady + in.srcCost
+		for k := range p.Categories {
+			kt := st.catTerms(t, in, k)
+			x += kt.work + kt.chost + kt.out
+		}
+		rt[t].fast = fast + (x - x)
 	}
 	for t := 0; t < n; t++ {
 		remaining[t] = w.NumPred(wf.TaskID(t))
@@ -95,12 +109,11 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 			setReady(wf.TaskID(t))
 		}
 	}
-	// repick re-scans t's candidates, laid out used VMs then fresh ones
-	// in the plan's one buffer.
-	var buf []candidate
+	// repick re-scans t's candidates, laid out used VMs then fresh ones.
 	repick := func(e *pickCache, t wf.TaskID, allowance float64) {
-		buf = st.appendCandidates(buf[:0], t)
-		e.repick(buf[:len(st.vms)], buf[len(st.vms):], allowance)
+		in, terms := st.prepare(t)
+		used, fresh := st.hosts(t, in, terms, allowance, -1)
+		e.repick(used, fresh, allowance)
 	}
 
 	account := optPot{disabled: opt.DisablePot}
@@ -108,6 +121,13 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 	totalCost := 0.0
 	var traced []candidate
 	rescans, deferred := 0, 0
+	// booked is the VM the last round assigned to, and bookedAt its new
+	// readiness: each ready task folds its candidate there into its
+	// caches before it competes (newly ready tasks, scanned against the
+	// state after the assignment, hold none). The candidate finishes no
+	// earlier than bookedAt plus the task's fast, and a cache that no
+	// such candidate moves is skipped.
+	booked, bookedAt := -1, 0.0
 	for len(listT) < n {
 		if err := opt.stopErr(); err != nil {
 			return nil, err
@@ -115,20 +135,22 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 		bestTask := wf.TaskID(-1)
 		var bestCand candidate
 		var bestAllowance float64
-		for t := 0; t < n; t++ {
-			if !ready[t] {
-				continue
+		for _, t := range ready {
+			e, alt := &picks[t][0], &picks[t][1]
+			if lb := bookedAt + rt[t].fast; booked >= 0 && !(lb-lb == 0 && e.unmovedBy(booked, lb) && alt.unmovedBy(booked, lb)) {
+				c := st.eval(t, booked, st.vms[booked].cat)
+				e.refresh(c)
+				alt.refresh(c)
 			}
 			allowance := infinite
 			if info != nil {
 				allowance = account.allowance(info.Shares[t])
 			}
-			e, alt := &picks[t][0], &picks[t][1]
 			switch {
 			case e.holds(allowance):
 			case alt.holds(allowance):
 				*e, *alt = *alt, *e
-			case bestTask >= 0 && max(floor[t], e.bound(allowance), alt.bound(allowance)) > bestCand.eft:
+			case bestTask >= 0 && max(rt[t].floor, e.bound(allowance), alt.bound(allowance)) > bestCand.eft:
 				// t cannot win this round: its re-scan waits for a
 				// round where it can.
 				deferred++
@@ -137,12 +159,12 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 				if e.state == cachePick {
 					*alt = *e
 				}
-				repick(e, wf.TaskID(t), allowance)
+				repick(e, t, allowance)
 				rescans++
 			}
 			c := e.c
 			if bestTask < 0 || less(c, bestCand) {
-				bestTask, bestCand, bestAllowance = wf.TaskID(t), c, allowance
+				bestTask, bestCand, bestAllowance = t, c, allowance
 			}
 		}
 		if bestTask < 0 {
@@ -166,18 +188,10 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 			}
 			tracePlace(opt.span, bestTask, bestCand)
 		}
-		ready[bestTask] = false
+		i, _ := slices.BinarySearch(ready, bestTask)
+		ready = slices.Delete(ready, i, i+1)
 		listT = append(listT, bestTask)
-		// Fold the booked VM's new candidate into the cached pick of
-		// every task that was already ready (newly ready ones are
-		// scanned against the post-assignment state).
-		for t := 0; t < n; t++ {
-			if e := &picks[t]; ready[t] && (e[0].state != cacheEmpty || e[1].state != cacheEmpty) {
-				c := st.eval(wf.TaskID(t), vmIdx, st.vms[vmIdx].cat)
-				e[0].refresh(c)
-				e[1].refresh(c)
-			}
-		}
+		booked, bookedAt = vmIdx, st.vms[vmIdx].readyAt
 		for _, e := range ctx.succ[bestTask] {
 			remaining[e.To]--
 			if remaining[e.To] == 0 {
@@ -186,7 +200,7 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 		}
 	}
 	if opt.span != nil {
-		opt.span.Set(obs.Int("rescans", rescans), obs.Int("deferred", deferred))
+		opt.span.Set(obs.Int("rescans", rescans), obs.Int("deferred", deferred), obs.Int("walked", st.walked))
 	}
 	out := st.extract(listT)
 	out.EstCost = totalCost + initSpent(out, p)
@@ -299,6 +313,14 @@ func (e *pickCache) repick(used, fresh []candidate, a float64) {
 			}
 		}
 	}
+}
+
+// unmovedBy reports whether refresh leaves the cache as it is for any
+// candidate on VM vm that finishes after eft, with no NaN metric: it
+// is empty, or a feasible pick or a cacheBound on another VM that
+// finishes by eft. A fallback compares costs, so it is never skipped.
+func (e *pickCache) unmovedBy(vm int, eft float64) bool {
+	return e.state == cacheEmpty || e.c.vm != vm && !math.IsInf(e.lo, -1) && eft > e.c.eft
 }
 
 // refresh folds the booked VM's new candidate c into the cache. c is a

@@ -412,3 +412,42 @@ func TestMinMinFastMatchesReferenceNaNCost(t *testing.T) {
 		assertMinMinMatches(t, fmt.Sprintf("zero-edges/%d", i), w, p, []float64{0, cheap, 2 * cheap, 4 * cheap, math.Inf(1)})
 	}
 }
+
+// TestUnmovedByLeavesCache: whenever unmovedBy says that no candidate
+// on a VM finishing after a bound moves a cache, refreshing the cache
+// with such a candidate changes nothing. The caches come from random
+// candidate lists, re-scans and refreshes, as in
+// TestPickCacheMatchesPickBest, with integer metrics so that the
+// candidate often finishes exactly at the bound.
+func TestUnmovedByLeavesCache(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	metric := func() float64 { return float64(1 + r.Intn(4)) }
+	skipped := 0
+	for trial := 0; trial < 20000; trial++ {
+		var used, fresh []candidate
+		for v := r.Intn(4); v > 0; v-- {
+			used = append(used, candidate{vm: len(used), cat: r.Intn(2), eft: metric(), cost: metric(), slot: -1})
+		}
+		for k := 0; k < 2; k++ {
+			fresh = append(fresh, candidate{vm: -1, cat: k, eft: metric(), cost: metric(), slot: -1})
+		}
+		var e pickCache
+		e.repick(used, fresh, float64(r.Intn(10))/2)
+		for step := 0; step < 5; step++ {
+			c := candidate{vm: r.Intn(len(used) + 1), cat: r.Intn(2), eft: metric(), cost: metric(), slot: -1}
+			lb := c.eft - float64(r.Intn(2))
+			before := e
+			moved := !e.unmovedBy(c.vm, lb)
+			e.refresh(c)
+			if !moved {
+				skipped++
+				if e != before {
+					t.Fatalf("trial %d: unmovedBy(%d, %v) on %+v, but refresh(%+v) made it %+v", trial, c.vm, lb, before, c, e)
+				}
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Error("no refresh was ever skippable")
+	}
+}

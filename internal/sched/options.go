@@ -54,7 +54,8 @@ func (o Options) stopErr() error {
 	return o.stop()
 }
 
-// MinMinBudgOpt is MinMinBudg with ablation options.
+// MinMinBudgOpt is MIN-MINBUDG (Algorithm 3, minMinPlan) with ablation
+// options.
 func MinMinBudgOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options) (*plan.Schedule, error) {
 	info, err := computeBudgetOpt(w, p, budget, opt)
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 	"budgetwf/internal/wf"
 )
 
-// Peft implements PEFT (Arabnejad & Barbosa, "List Scheduling
+// peftOpt implements PEFT (Arabnejad & Barbosa, "List Scheduling
 // Algorithm for Heterogeneous Systems by an Optimistic Cost Table",
 // TPDS 2014) as an extension baseline beyond the paper's algorithm
 // set: HEFT's direct successor in the literature, and by the same
@@ -24,11 +24,6 @@ import (
 // minimizing EFT + OCT(t, cat(host)) — favouring hosts that keep the
 // *descendants* fast, which plain HEFT cannot see. Budget-blind, like
 // the other baselines.
-func Peft(w *wf.Workflow, p *platform.Platform) (*plan.Schedule, error) {
-	return peftOpt(w, p, Options{})
-}
-
-// peftOpt is Peft with a cancellation hook.
 func peftOpt(w *wf.Workflow, p *platform.Platform, opt Options) (*plan.Schedule, error) {
 	ctx, err := newContext(w, p)
 	if err != nil {
@@ -54,7 +49,7 @@ func peftOpt(w *wf.Workflow, p *platform.Platform, opt Options) (*plan.Schedule,
 		rank[t] = sum / float64(k)
 	}
 
-	st := newState(ctx, false)
+	st := newScanState(ctx)
 	remaining := make([]int, n)
 	ready := make([]bool, n)
 	for t := 0; t < n; t++ {

@@ -46,7 +46,7 @@ func TestPeftProducesValidSchedules(t *testing.T) {
 	p := platform.Default()
 	for _, typ := range append(wfgen.AllPaperTypes(), wfgen.ExtendedTypes()...) {
 		w := wfgen.MustGenerate(typ, 30, 1).WithSigmaRatio(0.5)
-		s, err := Peft(w, p)
+		s, err := mustByName(NamePeft).Plan(w, p, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", typ, err)
 		}
@@ -80,7 +80,7 @@ func TestPeftCompetitiveWithHeft(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ps, err := Peft(w, p)
+			ps, err := mustByName(NamePeft).Plan(w, p, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

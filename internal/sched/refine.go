@@ -10,25 +10,16 @@ import (
 	"budgetwf/internal/wf"
 )
 
-// HeftBudgPlus is Algorithm 5 (HEFTBUDG+): starting from the HEFTBUDG
+// refine is Algorithm 5 (HEFTBUDG+): starting from the HEFTBUDG
 // schedule, reconsider every task in priority (ListT) order; for each,
 // try moving it to every other used VM and to a fresh VM of each
 // category, re-simulate the whole schedule deterministically, and keep
 // the move with the shortest makespan that still respects the initial
 // budget. This spends the budget fraction left over by HEFTBUDG's
-// conservative reservations, at an O(n) multiplicative CPU cost.
-func HeftBudgPlus(w *wf.Workflow, p *platform.Platform, budget float64) (*plan.Schedule, error) {
-	return refine(w, p, budget, false, Options{})
-}
-
-// HeftBudgPlusInv is HEFTBUDG+INV: identical to HEFTBUDG+ but
-// re-considering tasks in reverse priority order, which the paper
-// found to help when leftover budget is best spent near the workflow's
-// end.
-func HeftBudgPlusInv(w *wf.Workflow, p *platform.Platform, budget float64) (*plan.Schedule, error) {
-	return refine(w, p, budget, true, Options{})
-}
-
+// conservative reservations, at an O(n) multiplicative CPU cost. With
+// inverse it is HEFTBUDG+INV, which re-considers tasks in reverse
+// priority order: the paper found it to help when leftover budget is
+// best spent near the workflow's end.
 func refine(w *wf.Workflow, p *platform.Platform, budget float64, inverse bool, opt Options) (*plan.Schedule, error) {
 	cur, err := HeftBudgOpt(w, p, budget, Options{stop: opt.stop, span: opt.span})
 	if err != nil {

@@ -142,7 +142,7 @@ func TestMoveEvalMatchesReference(t *testing.T) {
 	var st moveStats
 	check := func(name string, w *wf.Workflow, p *platform.Platform, budget float64, stride int) {
 		for algName, base := range map[string]func(*wf.Workflow, *platform.Platform, float64) (*plan.Schedule, error){
-			"heftbudg": HeftBudg, "cg": CG,
+			"heftbudg": HeftBudg, "cg": mustByName(NameCG).Plan,
 		} {
 			s, err := base(w, p, budget)
 			if err != nil {
@@ -375,7 +375,7 @@ func TestHeftBudgPlusAllocations(t *testing.T) {
 	p := platform.Default()
 	budget := 2 * cheapBudget(t, w, p)
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := HeftBudgPlus(w, p, budget); err != nil {
+		if _, err := mustByName(NameHeftBudgPlus).Plan(w, p, budget); err != nil {
 			t.Fatal(err)
 		}
 	})

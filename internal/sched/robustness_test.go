@@ -106,7 +106,7 @@ func TestNaNBudgetRejected(t *testing.T) {
 	if _, err := HeftBudg(w, p, math.NaN()); err == nil {
 		t.Error("NaN budget accepted")
 	}
-	if _, err := MinMinBudg(w, p, math.NaN()); err == nil {
+	if _, err := mustByName(NameMinMinBudg).Plan(w, p, math.NaN()); err == nil {
 		t.Error("NaN budget accepted by MIN-MINBUDG")
 	}
 }

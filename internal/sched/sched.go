@@ -219,6 +219,13 @@ type state struct {
 	insertion bool
 	// terms holds prepare's per-category terms, one per category.
 	terms []catTerms
+	// index is the readiness index (index.go), empty without one;
+	// picked is the buffer of hosts.
+	index  readiness
+	picked []candidate
+	// walked counts the used-VM placements the selections evaluated,
+	// which a traced plan records on its span.
+	walked int
 }
 
 type vmSt struct {
@@ -231,6 +238,10 @@ type vmSt struct {
 	// mark is t+1 when the VM was last marked as running a
 	// predecessor of task t (prepare); 0 when never marked.
 	mark wf.TaskID
+	// at is the VM's place in its category's run of the readiness index
+	// when a selection last read it or it last moved: a hint, which
+	// moves of other VMs leave stale.
+	at int
 }
 
 // slot is one busy interval of a VM (staging + computation of a task).
@@ -239,14 +250,43 @@ type slot struct {
 	task       wf.TaskID
 }
 
+// newState returns the empty state of a plan. Unless the plan places
+// by insertion, it keeps the readiness index.
 func newState(ctx *context, insertion bool) *state {
-	n := ctx.w.NumTasks()
-	s := &state{ctx: ctx, taskVM: make([]int, n), finish: make([]float64, n), insertion: insertion,
-		terms: make([]catTerms, ctx.p.NumCategories())}
+	s := &state{ctx: ctx, insertion: insertion}
+	s.alloc(!insertion)
+	return s
+}
+
+// newScanState is newState for the planners that enumerate every host
+// of each task with appendCandidates (BDT, PEFT): it keeps no index.
+func newScanState(ctx *context) *state {
+	s := &state{ctx: ctx}
+	s.alloc(false)
+	return s
+}
+
+// alloc sizes an empty state's buffers. The readiness index shares
+// the slabs of taskVM and finish, and the buffer of hosts holds the
+// most predecessors a task has, two VMs per category and a few ties.
+func (s *state) alloc(index bool) {
+	n, cats := s.ctx.w.NumTasks(), s.ctx.p.NumCategories()
+	if !index {
+		s.taskVM, s.finish = make([]int, n), make([]float64, n)
+	} else {
+		ints, floats := make([]int, 2*n+cats+1), make([]float64, 2*n)
+		s.taskVM, s.finish = ints[:n:n], floats[:n:n]
+		s.index = readiness{vms: ints[n : 2*n : 2*n], at: floats[n:], bounds: ints[2*n:]}
+		deg := 0
+		for _, p := range s.ctx.pred {
+			deg = max(deg, len(p))
+		}
+		s.picked = make([]candidate, 0, deg+2*cats+8)
+	}
+	s.terms = make([]catTerms, cats)
 	for i := range s.taskVM {
 		s.taskVM[i] = plan.Unassigned
 	}
-	return s
 }
 
 // candidate is one (task, host) placement option with its planner
@@ -440,13 +480,24 @@ func (s *state) runsPred(i int, t wf.TaskID) bool { return s.vms[i].mark == t+1 
 // buffer for the whole plan.
 func (s *state) appendCandidates(dst []candidate, t wf.TaskID) []candidate {
 	in, terms := s.prepare(t)
-	at := len(dst)
-	dst = slices.Grow(dst, len(s.vms)+len(terms))[:at+len(s.vms)]
+	return s.appendPlaced(dst, t, in, terms, -1)
+}
+
+// appendPlaced appends task t's candidates on every used VM, then on a
+// fresh VM of each category, after prepare(t) returned in and terms;
+// only, when not -1, keeps one category.
+func (s *state) appendPlaced(dst []candidate, t wf.TaskID, in taskInputs, terms []catTerms, only int) []candidate {
+	dst = slices.Grow(dst, len(s.vms)+len(terms))
 	for i := range s.vms {
-		s.place(&dst[at+i], t, in, terms, i)
+		if only < 0 || s.vms[i].cat == only {
+			dst = append(dst, candidate{})
+			s.place(&dst[len(dst)-1], t, in, terms, i)
+		}
 	}
 	for k, kt := range terms {
-		dst = append(dst, s.placeFresh(in, kt, k))
+		if only < 0 || k == only {
+			dst = append(dst, s.placeFresh(in, kt, k))
+		}
 	}
 	return dst
 }
@@ -469,6 +520,7 @@ func (s *state) candidatesInsertion(t wf.TaskID) []candidate {
 
 // bestHostInsertion is bestHost over insertion candidates.
 func (s *state) bestHostInsertion(t wf.TaskID, allowance float64) candidate {
+	s.walked += len(s.vms)
 	sel := newSelector(allowance)
 	for i := range s.vms {
 		if c, ok := s.evalInsertion(t, i); ok {
@@ -486,26 +538,23 @@ func (s *state) bestHostInsertion(t wf.TaskID, allowance float64) candidate {
 // When no candidate fits, it falls back to the cheapest one (ties on
 // EFT): the schedule is always completed, and the overrun surfaces in
 // the simulated cost — exactly how the paper counts invalid schedules.
-// Candidates are folded through a selector as they are evaluated:
-// materializing the candidate slice per selection was the planners'
-// dominant allocation. The predecessor pass runs once, so a selection
-// costs O(deg + VMs + categories).
+// The predecessor pass runs once, and the hosts come from the readiness
+// index (state.hosts): a selection costs O(deg) per VM that runs a
+// predecessor, O(log VMs) per category to find the VMs ready by the
+// data, and O(1) per VM it walks — in each category the last one ready
+// by the data with its cost ties, and those ready later up to the first
+// affordable one, all of them only when nothing is affordable. A
+// selection the index cannot serve (a term is not finite) places every
+// host, in O(deg + VMs + categories).
 func (s *state) bestHost(t wf.TaskID, allowance float64) candidate {
 	in, terms := s.prepare(t)
-	sel := newSelector(allowance)
-	var c candidate
-	for i := range s.vms {
-		s.place(&c, t, in, terms, i)
-		sel.add(c)
-	}
-	for k, kt := range terms {
-		sel.add(s.placeFresh(in, kt, k))
-	}
-	return sel.pick()
+	used, fresh := s.hosts(t, in, terms, allowance, -1)
+	return pickBest(used, fresh, allowance)
 }
 
 // selector streams Algorithm 2's selection rule over candidates in
-// enumeration order, replacing slice materialization on the hot path.
+// enumeration order, for the insertion policy, whose candidates are
+// not laid out.
 // Feasible candidates (cost ≤ allowance) compete on less(); when none
 // is feasible the fallback fold minimizes the damage: the cheapest
 // candidate, ties preferring an existing VM over booting a fresh one
@@ -561,15 +610,13 @@ func (sel *selector) pick() candidate {
 }
 
 // pickBest applies the selection rule to a pre-built candidate list,
-// enumerated as used then fresh, as every planner enumerates hosts.
-// MIN-MIN keeps each ready task's pick and the allowances over which it
-// stands (pickCache); it lays out and re-scans a task's candidates with
-// pickBest only when the pick may have changed, which is the planner's
-// inner loop still. So this stays a hand-rolled scan — folding through
-// selector.add here (a non-inlined call copying each candidate)
-// measurably slowed MIN-MINBUDG down. It is selector's fold on
-// pointers, NaN costs included (never affordable);
-// TestPickBestMatchesSelector pins the equivalence.
+// enumerated as used then fresh, as every planner enumerates hosts: the
+// list state.hosts lays out for bestHost and for MIN-MIN's re-scans
+// (pickCache.repick). It stays a hand-rolled scan — folding through
+// selector.add (a non-inlined call copying each candidate) measurably
+// slowed MIN-MINBUDG down. It is selector's fold on pointers, NaN costs
+// included (never affordable); TestPickBestMatchesSelector pins the
+// equivalence.
 func pickBest(used, fresh []candidate, allowance float64) candidate {
 	var best, cheapest *candidate
 	for _, part := range [2][]candidate{used, fresh} {
@@ -611,11 +658,17 @@ func (s *state) assign(t wf.TaskID, c candidate) int {
 	}
 	idx := c.vm
 	slotStart := c.begin
-	if idx < 0 {
+	switch {
+	case idx < 0:
 		s.vms = append(s.vms, vmSt{cat: c.cat, bookAt: c.begin, readyAt: c.eft})
 		idx = len(s.vms) - 1
 		slotStart = c.begin + s.ctx.p.CatBootTime(c.cat)
-	} else {
+		if s.index.vms != nil {
+			s.enter(idx)
+		}
+	case s.index.vms != nil:
+		s.advance(idx, c.eft)
+	default:
 		s.vms[idx].readyAt = c.eft
 	}
 	if s.insertion {

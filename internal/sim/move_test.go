@@ -114,10 +114,12 @@ func moveIncumbents(t *testing.T, check func(name string, w *wf.Workflow, p *pla
 				if n > 30 {
 					stride = n / 12
 				}
-				for alg, plan := range map[string]func(*wf.Workflow, *platform.Platform, float64) (*plan.Schedule, error){
-					"heftbudg": sched.HeftBudg, "cg": sched.CG,
-				} {
-					s, err := plan(w, pl.p, 2*anchors.CheapCost)
+				for _, alg := range []sched.Name{sched.NameHeftBudg, sched.NameCG} {
+					a, err := sched.ByName(alg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s, err := a.Plan(w, pl.p, 2*anchors.CheapCost)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -2,7 +2,7 @@ package wf
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // TopoOrder returns the task IDs in a topological order (Kahn's
@@ -116,12 +116,16 @@ func RankOrder(rank []float64) []TaskID {
 	for i := range ids {
 		ids[i] = TaskID(i)
 	}
-	sort.SliceStable(ids, func(a, b int) bool {
-		ra, rb := rank[ids[a]], rank[ids[b]]
-		if ra != rb {
-			return ra > rb
+	// The generic stable sort runs sort.SliceStable's algorithm without
+	// its reflective swaps, so it orders even NaN ranks as that did.
+	slices.SortStableFunc(ids, func(a, b TaskID) int {
+		if ra, rb := rank[a], rank[b]; ra != rb {
+			if ra > rb {
+				return -1
+			}
+			return 1
 		}
-		return ids[a] < ids[b]
+		return int(a - b)
 	})
 	return ids
 }
