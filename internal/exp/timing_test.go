@@ -47,7 +47,10 @@ func TestMinMinBudgRescans(t *testing.T) {
 // HEFTBUDG plan of Montage n = 1000 (seed 1) at the medium budget
 // records on its span how many used-VM placements its selections
 // evaluated. The plan uses 331 VMs, most of them booked early, and
-// scanning every used VM placed 276 per task; the index places 3.8.
+// scanning every used VM placed 276 per task; the index placed 3.8,
+// and 2.7 once the VMs that run a predecessor are evaluated in EFT
+// floor order only until a floor passes the earliest affordable finish
+// (TestFanInReadsFewPredEdges).
 func TestHeftBudgWalksFewVMs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("plans n = 1000")
@@ -67,6 +70,39 @@ func TestHeftBudgWalksFewVMs(t *testing.T) {
 	t.Logf("%d placements on used VMs, %.1f per task", walked, perTask)
 	if perTask >= 20 {
 		t.Errorf("%.1f used-VM placements per task, want fewer than 20", perTask)
+	}
+}
+
+// TestFanInReadsFewPredEdges pins the EFT floor's saving: traced plans
+// at n = 1000 (seed 1, medium budget) record on their spans how many
+// predecessor edges the selections' full evaluations read. Evaluating
+// every VM that runs a predecessor of a fan-in task read each of its
+// edges once per such VM: HEFTBUDG read 498 501 edges on CyberShake and
+// 187 021 on Montage, against |E| = 1 497 and 1 993. Evaluated in floor
+// order until a floor passes the earliest affordable finish, a task's
+// edges are read about once per selection.
+func TestFanInReadsFewPredEdges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("plans n = 1000")
+	}
+	p := platform.Default()
+	for _, typ := range []wfgen.Type{wfgen.CyberShake, wfgen.Montage} {
+		w := wfgen.MustGenerate(typ, 1000, 1).WithSigmaRatio(0.5)
+		a, err := ComputeAnchors(w, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range []sched.Name{sched.NameHeftBudg, sched.NameHeft, sched.NameCG, sched.NameMinMin} {
+			span := tracedPlan(t, alg, w, p, levelBudget(BudgetMedium, a))
+			read, ok := span.Attrs["predEdges"].(int64)
+			if !ok {
+				t.Fatalf("%s %s: span attrs %v lack an integer predEdges count", typ, alg, span.Attrs)
+			}
+			t.Logf("%s %s: %d predecessor edges read, |E| = %d", typ, alg, read, w.NumEdges())
+			if read > int64(2*w.NumEdges()) {
+				t.Errorf("%s %s: %d predecessor edges read, want at most 2·|E| = %d", typ, alg, read, 2*w.NumEdges())
+			}
+		}
 	}
 }
 

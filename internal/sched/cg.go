@@ -74,7 +74,7 @@ func cgOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options) (*
 		totalCost += choice.cost
 	}
 	if opt.span != nil {
-		opt.span.Set(obs.Int("walked", st.walked))
+		opt.span.Set(obs.Int("walked", st.walked), obs.Int("predEdges", st.predEdges))
 	}
 	out := st.extract(order)
 	out.EstCost = totalCost + initSpent(out, p) + info.DCReserve

@@ -73,7 +73,7 @@ func heftPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Option
 		}
 	}
 	if opt.span != nil {
-		opt.span.Set(obs.Int("walked", st.walked))
+		opt.span.Set(obs.Int("walked", st.walked), obs.Int("predEdges", st.predEdges))
 	}
 	out := st.extract(order)
 	out.EstCost = totalCost + initSpent(out, p)

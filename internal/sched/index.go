@@ -148,8 +148,11 @@ func (s *state) finite(in taskInputs, terms []catTerms) bool {
 // -1 keeps every category. When the state has no index or a term is not
 // finite they are every host; otherwise they come from the index:
 //
-//   - each VM that runs a predecessor of t, evaluated in full;
 //   - each fresh VM;
+//   - of the VMs that run a predecessor of t, visited in order of their
+//     EFT floors (eftFloor) until a floor exceeds the earliest
+//     affordable EFT so far, each one visited, evaluated in full: every
+//     one left finishes strictly later than an affordable one kept;
 //   - in each category, the last VM ready by D and the VMs of equal
 //     cost below it: the cheapest of that group, at its one EFT;
 //   - in each category, of the VMs ready after D, visited in readiness
@@ -166,7 +169,8 @@ func (s *state) finite(in taskInputs, terms []catTerms) bool {
 // reads to bound its interval. So pickBest, repick and the EFT fold of
 // bestOfCategory over them answer as over every host, by construction;
 // FuzzIndexedPickMatchesScan checks it field for field. Each used-VM
-// placement counts in walked.
+// placement counts in walked, and each full evaluation adds deg(t) to
+// predEdges.
 func (s *state) hosts(t wf.TaskID, in taskInputs, terms []catTerms, a float64, only int) (used, fresh []candidate) {
 	buf := s.picked[:0]
 	if s.index.vms == nil || !s.finite(in, terms) {
@@ -178,6 +182,11 @@ func (s *state) hosts(t wf.TaskID, in taskInputs, terms []catTerms, a float64, o
 		}
 		used, fresh = buf[:len(buf)-nFresh], buf[len(buf)-nFresh:]
 		s.walked += len(used)
+		for _, i := range s.g.onVM {
+			if only < 0 || s.vms[i].cat == only {
+				s.predEdges += len(s.g.from)
+			}
+		}
 		return used, fresh
 	}
 	bound := infinite // the earliest EFT among affordable candidates so far
@@ -191,27 +200,37 @@ func (s *state) hosts(t wf.TaskID, in taskInputs, terms []catTerms, a float64, o
 		}
 	}
 	nFresh := len(buf)
-	// A VM that runs several predecessors is evaluated once: its mark is
-	// flipped until every predecessor has been seen.
-	pred := s.ctx.pred[t]
-	for _, e := range pred {
-		i := s.taskVM[e.From]
-		if v := &s.vms[i]; v.mark == t+1 {
-			v.mark = -v.mark
-			if only >= 0 && v.cat != only {
-				continue
-			}
-			c := s.eval(t, i, v.cat)
-			if c.cost <= a && c.eft < bound {
-				bound = c.eft
-			}
-			buf = append(buf, c)
-			s.walked++
+	// The VMs that run a predecessor, in order of their EFT floors until
+	// one's floor exceeds the bound: those left finish after it. The
+	// floors wait, as candidates holding only vm and eft, after the
+	// evaluated VMs, and each evaluation takes the place of the least.
+	g := &s.g
+	for p, i := range g.onVM {
+		if only < 0 || s.vms[i].cat == only {
+			buf = append(buf, candidate{vm: i, eft: s.eftFloor(t, in, p)})
 		}
 	}
-	for _, e := range pred {
-		s.vms[s.taskVM[e.From]].mark = t + 1
+	done := nFresh
+	for ; done < len(buf); done++ {
+		j := done
+		for m := done + 1; m < len(buf); m++ {
+			if buf[m].eft < buf[j].eft {
+				j = m
+			}
+		}
+		if buf[j].eft > bound {
+			break
+		}
+		i := buf[j].vm
+		buf[j] = buf[done]
+		buf[done] = s.eval(t, i, s.vms[i].cat)
+		if c := &buf[done]; c.cost <= a && c.eft < bound {
+			bound = c.eft
+		}
+		s.walked++
+		s.predEdges += len(g.from)
 	}
+	buf = buf[:done]
 	for k, kt := range terms {
 		if only >= 0 && k != only {
 			continue

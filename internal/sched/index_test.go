@@ -91,6 +91,124 @@ func randomIndexedState(t *testing.T, r *rand.Rand, p *platform.Platform) (*stat
 	return st, cons
 }
 
+// randomFanInState books a random number of VMs, at least 8, then the
+// producers of a fan-in task, at least 20, and returns the state with
+// the fan-in task left to place. shape chooses the data:
+//
+//   - 0: edge sizes spread over 0 to 1e12 (a quarter of them 0), the
+//     producers over every VM;
+//   - 1: the same, with an ExternalIn larger than all edges;
+//   - 2: every producer but one on a single VM, whose local bytes
+//     nearly equal the fresh-VM total, so that their difference
+//     cancels;
+//   - 3: the producers over every VM, edge sizes of a few magnitudes
+//     that sum inexactly.
+func randomFanInState(t *testing.T, r *rand.Rand, p *platform.Platform, shape int) (*state, wf.TaskID) {
+	w := wf.New("fan-in")
+	nVM, nProd := 8+r.Intn(12), 20+r.Intn(40)
+	for i := 0; i < nVM+nProd+1; i++ {
+		w.AddTask("t", stoch.Dist{Mean: 1e9 * (1 + r.Float64()*80), Sigma: 1e9 * r.Float64()})
+	}
+	sink := wf.TaskID(nVM + nProd)
+	size := func() float64 {
+		switch {
+		case r.Intn(4) == 0:
+			return 0
+		case shape == 3:
+			return math.Ldexp(1+r.Float64(), 10*r.Intn(4)) / 3
+		}
+		return math.Pow(10, 12*r.Float64()) * r.Float64()
+	}
+	largest := 0.0
+	for k := 0; k < nProd; k++ {
+		x := size()
+		if shape == 2 {
+			x = 1e11 + 9e11*r.Float64()
+			if k == 0 {
+				x = r.Float64() * 1e3
+			}
+		}
+		largest = max(largest, x)
+		if err := w.AddEdge(wf.TaskID(nVM+k), sink, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in := 0.0
+	switch {
+	case shape == 1:
+		in = largest * (1 + r.Float64()*1e3)
+	case r.Intn(2) == 0:
+		in = size()
+	}
+	if err := w.SetExternalIO(sink, in, r.Float64()*200e6); err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := newContext(w, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newState(ctx, false)
+	// The first nVM tasks open the VMs. Producer k runs on VM k when
+	// k < nVM and on a random VM after, except under shape 2, where the
+	// first runs on a random VM but VM 0 and every other on VM 0.
+	for i := 0; i < nVM+nProd; i++ {
+		c := candidate{vm: -1, cat: r.Intn(p.NumCategories()), slot: -1}
+		if i >= nVM {
+			switch k := i - nVM; {
+			case shape == 2 && k == 0:
+				c.vm = 1 + r.Intn(nVM-1)
+			case shape == 2:
+				c.vm = 0
+			case k < nVM:
+				c.vm = k
+			default:
+				c.vm = r.Intn(nVM)
+			}
+			c.cat, c.begin = st.vms[c.vm].cat, st.vms[c.vm].readyAt
+		}
+		c.eft = c.begin + r.Float64()*2000
+		st.assign(wf.TaskID(i), c)
+	}
+	return st, sink
+}
+
+// FuzzEFTFloorBelowEval: on random states with a fan-in task, the EFT
+// floor of every VM that runs a predecessor is no later than eval's EFT
+// there, and eval after prepare, which reads the gathered edges, is
+// eval on the predecessor edges bit for bit on every VM.
+func FuzzEFTFloorBelowEval(f *testing.F) {
+	for seed := int64(0); seed < 12; seed++ {
+		f.Add(seed, uint8(seed), uint8(seed/3))
+	}
+	plats := indexPlatforms(f)
+	f.Fuzz(func(t *testing.T, seed int64, plat, shape uint8) {
+		r := rand.New(rand.NewSource(seed))
+		p := plats[int(plat)%len(plats)]
+		st, sink := randomFanInState(t, r, p, int(shape%4))
+		label := fmt.Sprintf("seed %d platform %d shape %d", seed, plat, shape%4)
+		walked := make([]candidate, len(st.vms))
+		for i := range st.vms {
+			walked[i] = st.eval(sink, i, st.vms[i].cat)
+		}
+		in, _ := st.prepare(sink)
+		for i := range st.vms {
+			if got := st.eval(sink, i, st.vms[i].cat); !sameBits(got, walked[i]) {
+				t.Fatalf("%s VM %d: eval over the gathered edges %+v, over the edges %+v", label, i, got, walked[i])
+			}
+		}
+		if len(st.g.onVM) < 2 {
+			t.Fatalf("%s: the predecessors run on %d VMs", label, len(st.g.onVM))
+		}
+		for k, i := range st.g.onVM {
+			floor, want := st.eftFloor(sink, in, k), walked[i].eft
+			if !(floor <= want) {
+				t.Fatalf("%s VM %d: floor %v above eval's EFT %v (%d predecessors, %v bytes in all, %v local)",
+					label, i, floor, want, len(st.g.from), in.missing, st.g.loc[k])
+			}
+		}
+	})
+}
+
 // checkIndex fails unless each category's run lists exactly its used
 // VMs, ordered by (readyAt, index), with their readyAt alongside.
 func checkIndex(t *testing.T, st *state) {
@@ -118,21 +236,33 @@ func checkIndex(t *testing.T, st *state) {
 // the EFT fold over the category's VMs, and pickCache.repick over
 // the index's candidates with the same pick, lo, hi, capped and state
 // as over every candidate. The allowances include each candidate's
-// exact cost and the floats either side of it, 0, +Inf and NaN.
+// exact cost and the floats either side of it, 0, +Inf and NaN. A
+// nonzero fanIn (mod 5) places the fan-in task of randomFanInState
+// instead, of shape fanIn%5 − 1, whose hosts skip the VMs that run a
+// predecessor by their EFT floors.
 func FuzzIndexedPickMatchesScan(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
-		f.Add(seed, uint8(seed))
+		f.Add(seed, uint8(seed), uint8(0))
+		f.Add(seed, uint8(seed), uint8(1+seed%4))
 	}
 	// States on which dropping a tie from the walks changed the pick:
 	// an EFT tie after the data (201), a cost tie among VMs ready after
 	// it on the free category (-380).
-	f.Add(int64(201), uint8(156))
-	f.Add(int64(-380), uint8(215))
+	f.Add(int64(201), uint8(156), uint8(0))
+	f.Add(int64(-380), uint8(215), uint8(0))
 	plats := indexPlatforms(f)
-	f.Fuzz(func(t *testing.T, seed int64, plat uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, plat, fanIn uint8) {
 		r := rand.New(rand.NewSource(seed))
 		p := plats[int(plat)%len(plats)]
-		st, cons := randomIndexedState(t, r, p)
+		var st *state
+		var cons []wf.TaskID
+		if fanIn%5 == 0 {
+			st, cons = randomIndexedState(t, r, p)
+		} else {
+			var sink wf.TaskID
+			st, sink = randomFanInState(t, r, p, int(fanIn%5)-1)
+			cons = []wf.TaskID{sink}
+		}
 		checkIndex(t, st)
 		for _, id := range cons {
 			var used, fresh []candidate
@@ -149,7 +279,7 @@ func FuzzIndexedPickMatchesScan(f *testing.F) {
 				}
 			}
 			for _, a := range allowances {
-				label := fmt.Sprintf("seed %d platform %d task %d allowance %v", seed, plat, id, a)
+				label := fmt.Sprintf("seed %d platform %d fan-in %d task %d allowance %v", seed, plat, fanIn, id, a)
 				if got, want := st.bestHost(id, a), evalBestHost(st, id, a); !sameBits(got, want) {
 					t.Fatalf("%s: bestHost %+v, scan %+v", label, got, want)
 				}
@@ -174,7 +304,7 @@ func FuzzIndexedPickMatchesScan(f *testing.F) {
 					}
 				}
 				if got := bestOfCategory(st, id, k); !sameBits(got, want) {
-					t.Fatalf("seed %d platform %d task %d category %d: bestOfCategory %+v, scan %+v", seed, plat, id, k, got, want)
+					t.Fatalf("seed %d platform %d fan-in %d task %d category %d: bestOfCategory %+v, scan %+v", seed, plat, fanIn, id, k, got, want)
 				}
 			}
 		}

@@ -25,58 +25,39 @@ func (s *state) evalInsertion(t wf.TaskID, vmIdx int) (candidate, bool) {
 	if len(vm.slots) == 0 {
 		return candidate{}, false
 	}
-	p := s.ctx.p
-	task := s.ctx.tasks[t]
-	missing := task.ExternalIn
-	dcReady := 0.0
-	srcCost := 0.0
+	in := taskInputs{missing: s.ctx.tasks[t].ExternalIn}
 	for _, e := range s.ctx.pred[t] {
-		fromVM := s.taskVM[e.From]
-		if fromVM == vmIdx {
+		from, arr, cost := s.upload(e)
+		if from != vmIdx {
+			in.add(e.Size, arr, cost)
+		} else if s.finish[e.From] > in.dcReady {
 			// Local data exists only once the predecessor has computed
 			// — the append policy got this for free (readyAt bounds
 			// everything on the VM), insertion must enforce it.
-			if s.finish[e.From] > dcReady {
-				dcReady = s.finish[e.From]
-			}
-			continue
+			in.dcReady = s.finish[e.From]
 		}
-		missing += e.Size
-		srcCat := s.vms[fromVM].cat
-		arr := s.finish[e.From] + p.XferLat(srcCat) + e.Size/p.CatBandwidth(srcCat)
-		if arr > dcReady {
-			dcReady = arr
-		}
-		srcCost += e.Size / p.CatBandwidth(srcCat) * p.Categories[srcCat].CostPerSec
 	}
-	cat := p.Categories[vm.cat]
-	bw := p.CatBandwidth(vm.cat)
-	work := missing/bw + s.ctx.cons[t]/cat.Speed
-	if missing > 0 {
-		work = p.XferLat(vm.cat) + work
-	}
+	k := s.catTerms(t, in, vm.cat)
 
 	// Walk the gaps between consecutive slots, then the open tail.
 	for i := 1; i <= len(vm.slots); i++ {
 		gapStart := vm.slots[i-1].end
 		begin := gapStart
-		if dcReady > begin {
-			begin = dcReady
+		if in.dcReady > begin {
+			begin = in.dcReady
 		}
-		eft := begin + work
+		eft := begin + k.work
 		if i < len(vm.slots) {
 			if eft > vm.slots[i].start {
 				continue // does not fit; try the next gap
 			}
 			// Inside an existing gap: the VM is alive anyway, so only
 			// the transfer side costs are charged.
-			cost := srcCost + task.ExternalOut/bw*cat.CostPerSec
-			return candidate{vm: vmIdx, cat: vm.cat, begin: begin, eft: eft, cost: cost, slot: i}, true
+			return candidate{vm: vmIdx, cat: vm.cat, begin: begin, eft: eft, cost: in.srcCost + k.out, slot: i}, true
 		}
 		// Tail: identical to the append policy.
 		billed := eft - vm.readyAt
-		cost := billed*cat.CostPerSec + srcCost + task.ExternalOut/bw*cat.CostPerSec
-		return candidate{vm: vmIdx, cat: vm.cat, begin: begin, eft: eft, cost: cost, slot: i}, true
+		return candidate{vm: vmIdx, cat: vm.cat, begin: begin, eft: eft, cost: billed*k.chost + in.srcCost + k.out, slot: i}, true
 	}
 	return candidate{}, false
 }

@@ -38,13 +38,14 @@ import (
 // becomes such a bound rather than nothing. A re-scan reads the
 // candidates the readiness index yields (state.hosts), laid out in
 // one buffer reused for the whole plan: eval's predecessor pass runs
-// once (state.prepare), each VM that runs a predecessor takes a full
-// eval, each category costs O(log p) to find the VMs ready by the
-// task's data, and every VM the walk visits is placed in O(1) — in each
-// category the last one ready by the data with its cost ties, and those
-// ready later up to the first affordable one, all of them only when
-// nothing is affordable. The booked VM's candidate is evaluated only
-// for a task whose caches it can move (pickCache.unmovedBy), in
+// once (state.prepare), a VM that runs a predecessor takes a full eval
+// only when its EFT floor is not beaten by an affordable candidate
+// already found, each category costs O(log p) to find the VMs ready by
+// the task's data, and every VM the walk visits is placed in O(1) — in
+// each category the last one ready by the data with its cost ties, and
+// those ready later up to the first affordable one, all of them only
+// when nothing is affordable. The booked VM's candidate is evaluated
+// only for a task whose caches it can move (pickCache.unmovedBy), in
 // O(deg). A round therefore costs O(ready) to compare picks and skip
 // the booked VM, O(deg) per cache it moves, plus the re-scans, and a
 // plan holds O(n + p) memory. On the paper's
@@ -52,8 +53,9 @@ import (
 // re-scan, 0.3–1.3 % of MIN-MINBUDG's at the medium budget, and 16–45 %
 // at the low one: there nearly every pick is a fallback, and one whose
 // VM another task books for a later, no cheaper candidate is dropped.
-// A traced plan records the counts on its span (rescans, deferred, and
-// walked, the used-VM placements the re-scans evaluated).
+// A traced plan records the counts on its span (rescans, deferred,
+// walked, the used-VM placements the re-scans evaluated, and
+// predEdges, the predecessor edges their full evaluations read).
 // TestMinMinFastMatchesReference* pins the plans against the naive
 // loop on plain eval, TestPlaceMatchesEval the O(1) placement against
 // eval, TestPickCacheMatchesPickBest the cache against pickBest, and
@@ -95,10 +97,9 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 		}
 		fast := ctx.cons[t] / fastest
 		rt[t].floor = last + fast
-		in := st.inputs(t, -1)
+		in, terms := st.prepare(t)
 		x := in.missing + in.dcReady + in.srcCost
-		for k := range p.Categories {
-			kt := st.catTerms(t, in, k)
+		for _, kt := range terms {
 			x += kt.work + kt.chost + kt.out
 		}
 		rt[t].fast = fast + (x - x)
@@ -200,7 +201,7 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 		}
 	}
 	if opt.span != nil {
-		opt.span.Set(obs.Int("rescans", rescans), obs.Int("deferred", deferred), obs.Int("walked", st.walked))
+		opt.span.Set(obs.Int("rescans", rescans), obs.Int("deferred", deferred), obs.Int("walked", st.walked), obs.Int("predEdges", st.predEdges))
 	}
 	out := st.extract(listT)
 	out.EstCost = totalCost + initSpent(out, p)

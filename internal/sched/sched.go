@@ -223,9 +223,31 @@ type state struct {
 	// picked is the buffer of hosts.
 	index  readiness
 	picked []candidate
-	// walked counts the used-VM placements the selections evaluated,
-	// which a traced plan records on its span.
-	walked int
+	// g is prepare's copy of the last prepared task's predecessor edges.
+	g gathered
+	// walked counts the used-VM placements the selections evaluated, and
+	// predEdges the predecessor edges their full evaluations read; a
+	// traced plan records both on its span.
+	walked, predEdges int
+}
+
+// gathered is what prepare(t) reads once of task t's predecessor edges
+// for the selections that follow: each edge's producer VM, arrival at
+// the datacenter and upload cost (upload's terms, so that a full
+// evaluation from them is eval bit for bit); the distinct VMs that run
+// a predecessor, in first-edge order, with the bytes each holds (loc);
+// and the latest arrival, first, from VM firstVM, and second, the
+// latest from any other VM, so that a VM's dcReady is second on firstVM
+// and first elsewhere. Its slices live in the state's slabs, sized by
+// the largest in-degree.
+type gathered struct {
+	task          wf.TaskID // t+1 after prepare(t), 0 before any
+	from          []int
+	arr, cost     []float64
+	onVM          []int
+	loc           []float64
+	first, second float64
+	firstVM       int
 }
 
 type vmSt struct {
@@ -235,9 +257,10 @@ type vmSt struct {
 	// slots records [stagingStart, computeEnd] occupancy intervals in
 	// start order, under the insertion policy only.
 	slots []slot
-	// mark is t+1 when the VM was last marked as running a
-	// predecessor of task t (prepare); 0 when never marked.
-	mark wf.TaskID
+	// pred is the VM's place in gathered.onVM when prepare last found
+	// it running a predecessor: a hint, which another task's prepare
+	// leaves stale (runsPred).
+	pred int
 	// at is the VM's place in its category's run of the readiness index
 	// when a selection last read it or it last moved: a hint, which
 	// moves of other VMs leave stale.
@@ -266,27 +289,39 @@ func newScanState(ctx *context) *state {
 	return s
 }
 
-// alloc sizes an empty state's buffers. The readiness index shares
-// the slabs of taskVM and finish, and the buffer of hosts holds the
-// most predecessors a task has, two VMs per category and a few ties.
+// alloc sizes an empty state's buffers. The readiness index and the
+// gathered edges share the slabs of taskVM and finish, and the buffer
+// of hosts holds the most predecessors a task has, two VMs per
+// category and a few ties.
 func (s *state) alloc(index bool) {
 	n, cats := s.ctx.w.NumTasks(), s.ctx.p.NumCategories()
-	if !index {
-		s.taskVM, s.finish = make([]int, n), make([]float64, n)
-	} else {
-		ints, floats := make([]int, 2*n+cats+1), make([]float64, 2*n)
-		s.taskVM, s.finish = ints[:n:n], floats[:n:n]
-		s.index = readiness{vms: ints[n : 2*n : 2*n], at: floats[n:], bounds: ints[2*n:]}
-		deg := 0
-		for _, p := range s.ctx.pred {
-			deg = max(deg, len(p))
-		}
+	deg := 0
+	for _, p := range s.ctx.pred {
+		deg = max(deg, len(p))
+	}
+	idxInts, idxFloats := 0, 0
+	if index {
+		idxInts, idxFloats = n+cats+1, n
+	}
+	ints, floats := make([]int, n+2*deg+idxInts), make([]float64, n+3*deg+idxFloats)
+	s.taskVM, s.finish = carve(&ints, n), carve(&floats, n)
+	s.g = gathered{from: carve(&ints, deg)[:0], onVM: carve(&ints, deg)[:0],
+		arr: carve(&floats, deg)[:0], cost: carve(&floats, deg)[:0], loc: carve(&floats, deg)[:0]}
+	if index {
+		s.index = readiness{vms: carve(&ints, n), at: floats, bounds: ints}
 		s.picked = make([]candidate, 0, deg+2*cats+8)
 	}
 	s.terms = make([]catTerms, cats)
 	for i := range s.taskVM {
 		s.taskVM[i] = plan.Unassigned
 	}
+}
+
+// carve cuts the next l values off the front of a slab.
+func carve[T any](slab *[]T, l int) []T {
+	head := (*slab)[:l:l]
+	*slab = (*slab)[l:]
+	return head
 }
 
 // candidate is one (task, host) placement option with its planner
@@ -358,7 +393,7 @@ type catTerms struct {
 // per task (prepare) and places each used VM with place: every VM that
 // runs no predecessor of t from prepare's results, bit-identical to
 // eval by construction; only the at most deg(t) VMs that do run one
-// take a full eval.
+// take a full eval, over the edges prepare gathered.
 func (s *state) eval(t wf.TaskID, vmIdx, cat int) candidate {
 	in := s.inputs(t, vmIdx)
 	k := s.catTerms(t, in, cat)
@@ -370,31 +405,53 @@ func (s *state) eval(t wf.TaskID, vmIdx, cat int) candidate {
 }
 
 // inputs is eval's predecessor pass for task t on VM vmIdx, or on a
-// fresh VM when vmIdx < 0.
+// fresh VM when vmIdx < 0. After prepare(t) it reads the gathered
+// edges; otherwise it walks t's predecessor edges.
 func (s *state) inputs(t wf.TaskID, vmIdx int) taskInputs {
-	p := s.ctx.p
 	in := taskInputs{missing: s.ctx.tasks[t].ExternalIn}
+	if g := &s.g; g.task == t+1 {
+		pred, arr, cost := s.ctx.pred[t][:len(g.from)], g.arr[:len(g.from)], g.cost[:len(g.from)]
+		for j, from := range g.from {
+			if from != vmIdx { // else produced locally
+				in.add(pred[j].Size, arr[j], cost[j])
+			}
+		}
+		return in
+	}
 	for _, e := range s.ctx.pred[t] {
-		fromVM := s.taskVM[e.From]
-		if fromVM == plan.Unassigned {
-			panic(fmt.Sprintf("sched: evaluating task %d before its predecessor %d is scheduled", t, e.From))
+		if from, arr, cost := s.upload(e); from != vmIdx {
+			in.add(e.Size, arr, cost)
 		}
-		if fromVM == vmIdx && vmIdx >= 0 {
-			continue // produced locally
-		}
-		in.missing += e.Size
-		// The producer's upload crosses its own provider's link: its
-		// bandwidth plus the inter-provider latency. Both degenerate to
-		// the scalar model (CatBandwidth == Bandwidth, XferLat == 0) on
-		// single-provider platforms.
-		srcCat := s.vms[fromVM].cat
-		arr := s.finish[e.From] + p.XferLat(srcCat) + e.Size/p.CatBandwidth(srcCat)
-		if arr > in.dcReady {
-			in.dcReady = arr
-		}
-		in.srcCost += e.Size / p.CatBandwidth(srcCat) * p.Categories[srcCat].CostPerSec
 	}
 	return in
+}
+
+// upload is what edge e contributes to a placement away from the VM
+// that ran its producer: that VM, when the data reaches the datacenter
+// and the producer's upload cost. The upload crosses the producer's own
+// provider's link: its bandwidth plus the inter-provider latency. Both
+// degenerate to the scalar model (CatBandwidth == Bandwidth, XferLat ==
+// 0) on single-provider platforms.
+func (s *state) upload(e wf.Edge) (vm int, arr, cost float64) {
+	vm = s.taskVM[e.From]
+	if vm == plan.Unassigned {
+		panic(fmt.Sprintf("sched: evaluating task %d before its predecessor %d is scheduled", e.To, e.From))
+	}
+	p := s.ctx.p
+	cat := s.vms[vm].cat
+	xfer := e.Size / p.CatBandwidth(cat)
+	// The conversion keeps the product rounded on its own, so that a sum
+	// of the stored costs is the sum eval computes.
+	return vm, s.finish[e.From] + p.XferLat(cat) + xfer, float64(xfer * p.Categories[cat].CostPerSec)
+}
+
+// add counts one edge staged from elsewhere.
+func (in *taskInputs) add(size, arr, cost float64) {
+	in.missing += size
+	if arr > in.dcReady {
+		in.dcReady = arr
+	}
+	in.srcCost += cost
 }
 
 // catTerms computes task t's terms on category cat given its inputs.
@@ -426,9 +483,9 @@ func (s *state) onVM(in taskInputs, k catTerms, i int) (begin, eft, cost float64
 }
 
 // place sets c to task t's placement on used VM i, after prepare(t)
-// returned in and terms: a full eval on a VM that runs a predecessor of
-// t, and on any other VM, where t sees its fresh-VM inputs, onVM on
-// prepare's results in O(1). It writes c field by field: a candidate
+// returned in and terms: a full eval over the gathered edges on a VM
+// that runs a predecessor of t, and on any other VM, where t sees its
+// fresh-VM inputs, onVM on prepare's results in O(1). It writes c field by field: a candidate
 // built as a value and then copied out stalls on store forwarding,
 // which measured up to 3× slower in the planners' loops over the used
 // VMs.
@@ -453,25 +510,96 @@ func (s *state) placeFresh(in taskInputs, k catTerms, cat int) candidate {
 
 // prepare runs the part of every placement of task t that does not
 // depend on the host: its fresh-VM inputs and its terms on every
-// category (in a buffer of the state, valid until the next prepare). It
-// also marks the used VMs that run a predecessor of t (runsPred). The
-// set is fixed once t's predecessors are placed, so a mark never needs
-// clearing: another task's prepare overwrites it, and the next
-// prepare(t) restores it.
+// category (in a buffer of the state, valid until the next prepare). In
+// the same pass over t's edges it gathers them (gathered): the full
+// evaluations that follow read that copy, and it names the VMs that run
+// a predecessor of t (runsPred) with what each holds, which is all
+// eftFloor reads.
 func (s *state) prepare(t wf.TaskID) (taskInputs, []catTerms) {
-	in := s.inputs(t, -1)
+	g := &s.g
+	pred := s.ctx.pred[t]
+	g.task = t + 1
+	g.from, g.arr, g.cost = g.from[:len(pred)], g.arr[:len(pred)], g.cost[:len(pred)]
+	g.onVM, g.loc = g.onVM[:0], g.loc[:0]
+	g.first, g.second, g.firstVM = 0, 0, -1
+	in := taskInputs{missing: s.ctx.tasks[t].ExternalIn}
+	for j, e := range pred {
+		vm, arr, cost := s.upload(e)
+		g.from[j], g.arr[j], g.cost[j] = vm, arr, cost
+		in.add(e.Size, arr, cost)
+		v := &s.vms[vm]
+		if !s.listed(vm) {
+			v.pred = len(g.onVM)
+			g.onVM, g.loc = append(g.onVM, vm), append(g.loc, 0)
+		}
+		g.loc[v.pred] += e.Size
+		// The latest arrival and the latest from another VM, both from 0
+		// and skipping NaN, as inputs' maximum does.
+		switch {
+		case arr > g.first:
+			if vm != g.firstVM {
+				g.second = g.first
+			}
+			g.first, g.firstVM = arr, vm
+		case vm != g.firstVM && arr > g.second:
+			g.second = arr
+		}
+	}
 	for k := range s.terms {
 		s.terms[k] = s.catTerms(t, in, k)
-	}
-	for _, e := range s.ctx.pred[t] {
-		s.vms[s.taskVM[e.From]].mark = t + 1
 	}
 	return in, s.terms
 }
 
+// listed reports whether used VM i is in the last prepare's onVM.
+func (s *state) listed(i int) bool {
+	p := s.vms[i].pred
+	return p < len(s.g.onVM) && s.g.onVM[p] == i
+}
+
 // runsPred reports whether used VM i runs a predecessor of t, after
 // prepare(t).
-func (s *state) runsPred(i int, t wf.TaskID) bool { return s.vms[i].mark == t+1 }
+func (s *state) runsPred(i int, t wf.TaskID) bool { return s.g.task == t+1 && s.listed(i) }
+
+// eftFloor bounds from below the EFT of task t on used VM i, the p-th
+// of onVM, after prepare(t) returned in. It places t on i with i's
+// exact dcReady (first, or second on firstVM) and no more bytes to
+// stage than eval counts there, through the same catTerms and onVM,
+// which are monotone in the bytes (a floor of 0 bytes drops the
+// staging latency, which is not negative): it finishes no later.
+//
+// The floor stages T − loc_i − (d+2)·2⁻⁵⁰·T, at least 0, where T is
+// in.missing, the fresh-VM bytes, and d = deg(t). Eval stages
+// missing_i, and that is at least as much: with u = 2⁻⁵³, T, loc_i and
+// missing_i are sums in edge order of at most d+1 non-negative floats,
+// so each lies within γ = d·u/(1 − d·u) of its exact value S, L_i or
+// S − L_i, relative to that value. Hence
+//
+//	missing_i ≥ (S − L_i)(1 − γ) ≥ S − L_i − γS
+//	T − loc_i ≤ S(1 + γ) − L_i(1 − γ) ≤ S − L_i + 2γS
+//
+// so missing_i ≥ T − loc_i − 3γS, with S ≤ T/(1 − γ). The rounded
+// T − loc_i exceeds the exact one by at most u·max(T, loc_i) ≤
+// u·T(1 + γ)/(1 − γ), and the margin ((d+2)·2⁻⁵⁰ is exact) rounds to at
+// least 8(d+2)·u·T·(1 − u) away from underflow. For d·u ≤ 2⁻¹⁰,
+//
+//	3γ/(1 − γ) + u(1 + γ)/(1 − γ) ≤ (3.01d + 1.01)·u < 8(d+2)(1 − u)·u
+//
+// so the exact difference of the rounded operands is at most
+// missing_i, a float, and the last subtraction, rounding monotonically,
+// stays at or below it. FuzzEFTFloorBelowEval checks the bound, also
+// where T − loc_i cancels and only the margin keeps it.
+func (s *state) eftFloor(t wf.TaskID, in taskInputs, p int) float64 {
+	g := &s.g
+	i := g.onVM[p]
+	margin := float64(len(g.from)+2) * 0x1p-50 * in.missing
+	lo := taskInputs{missing: max(0, in.missing-g.loc[p]-margin), dcReady: g.first}
+	if i == g.firstVM {
+		lo.dcReady = g.second
+	}
+	_, eft, _ := s.onVM(lo, s.catTerms(t, lo, s.vms[i].cat), i)
+	return eft
+}
 
 // appendCandidates appends every host option for task t to dst: each
 // VM already in use plus one fresh VM per category (§IV-A: "the set of
@@ -538,14 +666,17 @@ func (s *state) bestHostInsertion(t wf.TaskID, allowance float64) candidate {
 // When no candidate fits, it falls back to the cheapest one (ties on
 // EFT): the schedule is always completed, and the overrun surfaces in
 // the simulated cost — exactly how the paper counts invalid schedules.
-// The predecessor pass runs once, and the hosts come from the readiness
-// index (state.hosts): a selection costs O(deg) per VM that runs a
-// predecessor, O(log VMs) per category to find the VMs ready by the
-// data, and O(1) per VM it walks — in each category the last one ready
-// by the data with its cost ties, and those ready later up to the first
-// affordable one, all of them only when nothing is affordable. A
+// The predecessor pass runs once (prepare), and the hosts come from the
+// readiness index (state.hosts): a selection costs O(deg) for that pass
+// and the EFT floors of the k VMs that run a predecessor, O(k) plus a
+// full O(deg) evaluation for each of those whose floor the earliest
+// affordable finish so far does not beat (about one per task on
+// CyberShake and Montage), O(log VMs) per category to find the VMs ready by
+// the data, and O(1) per VM it walks — in each category the last one
+// ready by the data with its cost ties, and those ready later up to the
+// first affordable one, all of them only when nothing is affordable. A
 // selection the index cannot serve (a term is not finite) places every
-// host, in O(deg + VMs + categories).
+// host, in O(deg·(k+1) + VMs + categories).
 func (s *state) bestHost(t wf.TaskID, allowance float64) candidate {
 	in, terms := s.prepare(t)
 	used, fresh := s.hosts(t, in, terms, allowance, -1)
