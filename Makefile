@@ -107,6 +107,7 @@ fuzz:
 	$(GO) test -fuzz FuzzJobSpecJSON -fuzztime 30s ./internal/dist/
 	$(GO) test -fuzz FuzzRefineMatchesReference -fuzztime 30s ./internal/sched/
 	$(GO) test -fuzz FuzzIndexedPickMatchesScan -fuzztime 30s ./internal/sched/
+	$(GO) test -fuzz FuzzTCTFMatchesScan -fuzztime 30s ./internal/sched/
 	$(GO) test -fuzz FuzzEFTFloorBelowEval -fuzztime 30s ./internal/sched/
 	$(GO) test -fuzz FuzzScoreMatchesRun -fuzztime 30s ./internal/sim/
 	$(GO) test -fuzz FuzzScoreMoveMatchesScore -fuzztime 30s ./internal/sim/

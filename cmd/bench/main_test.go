@@ -92,7 +92,7 @@ func TestCheckGatesDaemonBaseline(t *testing.T) {
 }
 
 // TestCheckGatesPlannerBaseline: the committed planner baseline passes
-// -check and prints its seven limits per family; the same file with a
+// -check and prints its nine limits per family; the same file with a
 // HEFTBUDG+ case allocating per candidate again (a clone and an engine
 // for each of its moves — what the suite read before the in-place
 // evaluator) fails it.
@@ -110,8 +110,8 @@ func TestCheckGatesPlannerBaseline(t *testing.T) {
 	if err := run([]string{"-check", "-suite", "planner", "-out", dir}, &out); err != nil {
 		t.Fatalf("committed planner baseline fails -check: %v\n%s", err, out.String())
 	}
-	if got := strings.Count(out.String(), ": ok\n"); got != 24 {
-		t.Errorf("check output has %d gate lines, want eight per family:\n%s", got, out.String())
+	if got := strings.Count(out.String(), ": ok\n"); got != 27 {
+		t.Errorf("check output has %d gate lines, want nine per family:\n%s", got, out.String())
 	}
 
 	f, err := bench.ReadFile(path)

@@ -71,7 +71,7 @@ func failing(report []string) []string {
 
 // TestGatePlanner, TestGateDaemon, TestGateSim and TestGateEst hold
 // each suite's limit table to its rows; see checkLimits.
-func TestGatePlanner(t *testing.T) { checkLimits(t, "planner", 8*len(plannerFamilies)) }
+func TestGatePlanner(t *testing.T) { checkLimits(t, "planner", 9*len(plannerFamilies)) }
 func TestGateDaemon(t *testing.T)  { checkLimits(t, "daemon", 4) }
 func TestGateSim(t *testing.T)     { checkLimits(t, "sim", 3*len(simSigmas)+2) }
 func TestGateEst(t *testing.T)     { checkLimits(t, "est", 3) }
@@ -160,6 +160,9 @@ func checkLimits(t *testing.T, name string, rows int) {
 		{"planner", "MIN-MINBUDG scanning every used VM at the low budget (Montage read 79–80×)",
 			[]edit{{cas: "minminbudg/montage/low/n1000", metric: NsPerOp, of: "heftbudg/montage/low/n1000", times: 79}},
 			[]string{"minminbudg/montage/low/n1000 ns_per_op"}},
+		{"planner", "BDT placing every used VM for every task (LIGO read 5.1×)",
+			[]edit{{cas: "bdt/ligo/n1000", metric: NsPerOp, of: "heftbudg/ligo/n1000", times: 5.1}},
+			[]string{"bdt/ligo/n1000 ns_per_op"}},
 		{"planner", "MIN-MIN's candidate matrix (37.5 MB at n = 1000)",
 			[]edit{{cas: "minminbudg/cybershake/n1000", metric: BytesPerOp, plus: 37_489_872}},
 			[]string{"minminbudg/cybershake/n1000 bytes_per_op"}},

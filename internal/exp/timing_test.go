@@ -43,14 +43,16 @@ func TestMinMinBudgRescans(t *testing.T) {
 	}
 }
 
-// TestHeftBudgWalksFewVMs pins the readiness index's saving: a traced
-// HEFTBUDG plan of Montage n = 1000 (seed 1) at the medium budget
-// records on its span how many used-VM placements its selections
-// evaluated. The plan uses 331 VMs, most of them booked early, and
-// scanning every used VM placed 276 per task; the index placed 3.8,
-// and 2.7 once the VMs that run a predecessor are evaluated in EFT
-// floor order only until a floor passes the earliest affordable finish
-// (TestFanInReadsFewPredEdges).
+// TestHeftBudgWalksFewVMs pins the readiness index's saving: traced
+// HEFTBUDG and BDT plans of Montage n = 1000 (seed 1) at the medium
+// budget record on their spans how many used-VM placements their
+// selections evaluated. The HEFTBUDG plan uses 331 VMs, most of them
+// booked early, and scanning every used VM placed 276 per task; the
+// index placed 3.8, and 2.7 once the VMs that run a predecessor are
+// evaluated in EFT floor order only until a floor passes the earliest
+// affordable finish (TestFanInReadsFewPredEdges). BDT, whose TCTF score
+// reads every host's EFT and cost range, placed every used VM for every
+// task until its selection read the index too.
 func TestHeftBudgWalksFewVMs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("plans n = 1000")
@@ -61,15 +63,17 @@ func TestHeftBudgWalksFewVMs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	span := tracedPlan(t, sched.NameHeftBudg, w, p, levelBudget(BudgetMedium, a))
-	walked, ok := span.Attrs["walked"].(int64)
-	if !ok {
-		t.Fatalf("span attrs %v lack an integer walked count", span.Attrs)
-	}
-	perTask := float64(walked) / float64(w.NumTasks())
-	t.Logf("%d placements on used VMs, %.1f per task", walked, perTask)
-	if perTask >= 20 {
-		t.Errorf("%.1f used-VM placements per task, want fewer than 20", perTask)
+	for _, alg := range []sched.Name{sched.NameHeftBudg, sched.NameBDT} {
+		span := tracedPlan(t, alg, w, p, levelBudget(BudgetMedium, a))
+		walked, ok := span.Attrs["walked"].(int64)
+		if !ok {
+			t.Fatalf("%s: span attrs %v lack an integer walked count", alg, span.Attrs)
+		}
+		perTask := float64(walked) / float64(w.NumTasks())
+		t.Logf("%s: %d placements on used VMs, %.1f per task", alg, walked, perTask)
+		if perTask >= 20 {
+			t.Errorf("%s: %.1f used-VM placements per task, want fewer than 20", alg, perTask)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package sched
 import (
 	"slices"
 
+	"budgetwf/internal/obs"
 	"budgetwf/internal/plan"
 	"budgetwf/internal/platform"
 	"budgetwf/internal/wf"
@@ -35,8 +36,16 @@ import (
 // producing the shortest makespans when it does fit. To keep the
 // comparison fair, BDT is given the same conservative task weights and
 // the same datacenter/initialization reserves as the paper's own
-// algorithms. Of the Options it honours only the cancellation hook:
-// the ablation knobs are specific to the paper's own algorithms.
+// algorithms. Of the Options it honours only the cancellation hook and
+// the trace span, which records walked and predEdges: the ablation
+// knobs are specific to the paper's own algorithms.
+//
+// Each selection is pickTCTF's over every host, read from the
+// readiness index (state.tctfHost): the VMs that run a predecessor and
+// the fresh ones are placed, and of each category's other used VMs the
+// few that hold an extremum of ECT or cost or may win: O(deg·k +
+// categories·log VMs), with k the VMs that run a predecessor, plus the
+// VMs it walks and the cost bands it scans.
 func bdtOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options) (*plan.Schedule, error) {
 	ctx, err := newContext(w, p)
 	if err != nil {
@@ -58,11 +67,10 @@ func bdtOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options) (
 	}
 	slices.SortStableFunc(byLevel, func(a, b wf.TaskID) int { return level[a] - level[b] })
 
-	st := newScanState(ctx)
+	st := newState(ctx, false)
 	remaining := info.Calc // trickling account, "All in" strategy
 	listT := make([]wf.TaskID, 0, n)
 	est := make([]float64, n)
-	var cands []candidate
 	totalCost := 0.0
 	for lo, hi := 0, 0; lo < n; lo = hi {
 		for hi < n && level[byLevel[hi]] == level[byLevel[lo]] {
@@ -89,27 +97,32 @@ func bdtOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options) (
 			if err := opt.stopErr(); err != nil {
 				return nil, err
 			}
-			subBudg := remaining
-			cands = st.appendCandidates(cands[:0], t)
-			choice := pickTCTF(cands, subBudg)
+			choice := st.tctfHost(t, remaining)
 			st.assign(t, choice)
 			remaining -= choice.cost
 			totalCost += choice.cost
 			listT = append(listT, t)
 		}
 	}
+	if opt.span != nil {
+		opt.span.Set(obs.Int("walked", st.walked), obs.Int("predEdges", st.predEdges))
+	}
 	out := st.extract(listT)
 	out.EstCost = totalCost + initSpent(out, p) + info.DCReserve
 	return out, nil
 }
 
-// pickTCTF selects the candidate maximizing the time-cost trade-off
-// factor under the sub-budget, falling back to the smallest-ECT
-// candidate (eagerly overspending) when none is affordable.
+// pickTCTF selects, from every host of a task in enumeration order,
+// the candidate maximizing the time-cost trade-off factor under the
+// sub-budget, ties broken by less and then by that order, falling back
+// to the smallest-ECT candidate under less (eagerly overspending) when
+// none is affordable. A NaN cost (a +Inf price times a zero-size edge)
+// is never affordable, and NaNs are skipped by the ECT and ct_min
+// folds. It is tctfHost's oracle, and its answer where the index
+// cannot serve.
 func pickTCTF(cands []candidate, subBudg float64) candidate {
-	ectMin, ectMax := cands[0].eft, cands[0].eft
-	ctMin := cands[0].cost
-	for _, c := range cands[1:] {
+	ectMin, ectMax, ctMin := infinite, -infinite, infinite
+	for _, c := range cands {
 		if c.eft < ectMin {
 			ectMin = c.eft
 		}
@@ -123,7 +136,7 @@ func pickTCTF(cands []candidate, subBudg float64) candidate {
 	best := -1
 	bestTCTF := 0.0
 	for i, c := range cands {
-		if c.cost > subBudg {
+		if !(c.cost <= subBudg) {
 			continue
 		}
 		tctf := tctfValue(c, subBudg, ctMin, ectMin, ectMax)

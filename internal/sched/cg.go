@@ -95,11 +95,17 @@ func closestCategory(ctx *context, t wf.TaskID, share float64) int {
 }
 
 // bestOfCategory returns the min-EFT candidate among used VMs of the
-// given category plus one fresh VM of that category, from the hosts an
-// infinite allowance reads.
+// given category plus one fresh VM of that category.
 func bestOfCategory(st *state, t wf.TaskID, cat int) candidate {
 	in, terms := st.prepare(t)
-	used, fresh := st.hosts(t, in, terms, infinite, cat)
+	return st.fastest(t, in, terms, cat)
+}
+
+// fastest returns task t's first candidate under less among the used
+// VMs of category cat and a fresh one, after prepare(t) returned in and
+// terms, from the hosts an infinite allowance reads.
+func (s *state) fastest(t wf.TaskID, in taskInputs, terms []catTerms, cat int) candidate {
+	used, fresh := s.hosts(t, in, terms, infinite, cat)
 	best := fresh[0]
 	for _, c := range used {
 		if less(c, best) {

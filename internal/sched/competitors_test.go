@@ -67,6 +67,26 @@ func TestPickTCTFFallbackIsEager(t *testing.T) {
 	}
 }
 
+// TestPickTCTFNaNCostIsUnaffordable: a NaN cost (a +Inf price times a
+// zero-size edge) is never within the sub-budget, and it sets neither
+// ct_min nor, as the first candidate, the folds' start: the pick is
+// the fresh VM that pickBest also takes, not the NaN one on EFT.
+func TestPickTCTFNaNCostIsUnaffordable(t *testing.T) {
+	cands := []candidate{
+		{vm: 0, eft: 50, cost: math.NaN()},
+		{vm: 1, eft: 100, cost: 1},
+		{vm: -1, eft: 60, cost: 2},
+	}
+	got := pickTCTF(cands, 10)
+	if want := pickBest(cands[:2], cands[2:], 10); !sameBits(got, want) || got.vm != -1 {
+		t.Errorf("picked %+v, want the fresh VM %+v", got, want)
+	}
+	// Nothing else affordable: the eager fallback takes the fastest.
+	if got := pickTCTF(cands, 0.5); got.vm != 0 {
+		t.Errorf("fallback picked %+v, want the fastest (VM 0)", got)
+	}
+}
+
 func TestClosestCategory(t *testing.T) {
 	p := budgetPlatform() // speeds 10 (cost 1/s) and 30 (cost 4/s)
 	w := wf.New("c")

@@ -26,13 +26,14 @@ import (
 
 // readiness is the index: the used VMs ordered by (category, readyAt,
 // index), with their readyAt alongside. Category k's VMs are the run
-// vms[bounds[k]:bounds[k+1]]. newState takes vms and bounds from the
-// slab of taskVM and at from that of finish, so the index costs a plan
-// no allocation of its own.
+// vms[bounds[k]:bounds[k+1]], of which tctfHost notes in split[k] how
+// many are ready by the data. newState takes vms, split and bounds from
+// the slab of taskVM and at from that of finish, so the index costs a
+// plan no allocation of its own.
 type readiness struct {
-	vms    []int
-	at     []float64
-	bounds []int
+	vms, split []int
+	at         []float64
+	bounds     []int
 }
 
 // catVMs returns category k's used VMs and their readyAt, in order.
@@ -172,23 +173,15 @@ func (s *state) finite(in taskInputs, terms []catTerms) bool {
 // placement counts in walked, and each full evaluation adds deg(t) to
 // predEdges.
 func (s *state) hosts(t wf.TaskID, in taskInputs, terms []catTerms, a float64, only int) (used, fresh []candidate) {
-	buf := s.picked[:0]
 	if s.index.vms == nil || !s.finite(in, terms) {
-		buf = s.appendPlaced(buf, t, in, terms, only)
-		s.picked = buf[:0]
+		all := s.placeAll(t, in, terms, only)
 		nFresh := len(terms)
 		if only >= 0 {
 			nFresh = 1
 		}
-		used, fresh = buf[:len(buf)-nFresh], buf[len(buf)-nFresh:]
-		s.walked += len(used)
-		for _, i := range s.g.onVM {
-			if only < 0 || s.vms[i].cat == only {
-				s.predEdges += len(s.g.from)
-			}
-		}
-		return used, fresh
+		return all[:len(all)-nFresh], all[len(all)-nFresh:]
 	}
+	buf := s.picked[:0]
 	bound := infinite // the earliest EFT among affordable candidates so far
 	for k, kt := range terms {
 		if only < 0 || k == only {
@@ -308,4 +301,217 @@ func (s *state) hosts(t wf.TaskID, in taskInputs, terms []catTerms, a float64, o
 		s.picked = buf[:0]
 	}
 	return used, buf[:nFresh]
+}
+
+// placeAll places task t on every host, after prepare(t) returned in
+// and terms, in the state's buffer and in enumeration order (used VMs
+// by index, then fresh VMs by category), restricted to category only
+// unless it is -1, and counts the placements in walked and predEdges.
+func (s *state) placeAll(t wf.TaskID, in taskInputs, terms []catTerms, only int) []candidate {
+	buf := s.appendPlaced(s.picked[:0], t, in, terms, only)
+	s.picked = buf[:0]
+	for i := range s.vms {
+		if only < 0 || s.vms[i].cat == only {
+			s.walked++
+			if s.runsPred(i, t) {
+				s.predEdges += len(s.g.from)
+			}
+		}
+	}
+	return buf
+}
+
+// tctfHost is pickTCTF's choice among every host of task t under
+// sub-budget S, BDT's selection, read from the readiness index. A
+// selection the index cannot serve (a term or S is not finite) places
+// every host and folds pickTCTF over them. Otherwise the VMs that run a
+// predecessor of t and the fresh VMs are placed, and in each category's
+// run of the other used VMs, where the EFT does not fall as readyAt
+// rises:
+//
+//   - ECT_min and ECT_max are the EFTs of the run's first and last VM
+//     that runs no predecessor;
+//   - among the VMs ready by D the cost falls as readyAt rises, so the
+//     group's last is its cheapest, and the first within S, found by
+//     bisection, has its highest TCTF: it and the VMs after it of equal
+//     TCTF are placed;
+//   - the VMs ready after D are billed about t's work, within the band
+//     billedBand bounds. Their costs are scanned for ct_min only when
+//     the band's lower cost is below ct_min so far and within S. They
+//     are placed in readiness order until the TCTF that the VM's EFT
+//     would have at the band's highest affordable cost falls below the
+//     best TCTF so far: each VM left finishes no earlier and costs no
+//     more, so its TCTF is lower still. Exact ties stop nothing.
+//
+// When ct_min exceeds S nothing is affordable, and the eager fallback,
+// the fastest host under less, is pickBest's over the hosts an infinite
+// allowance reads. Ties on TCTF fall to less and then to enumeration
+// order, as in the fold over every host; FuzzTCTFMatchesScan checks the
+// answer field for field.
+func (s *state) tctfHost(t wf.TaskID, S float64) candidate {
+	in, terms := s.prepare(t)
+	if s.index.vms == nil || !s.finite(in, terms) || S-S != 0 {
+		return pickTCTF(s.placeAll(t, in, terms, -1), S)
+	}
+	g := &s.g
+	buf := s.picked[:0]
+	for k, kt := range terms {
+		buf = append(buf, s.placeFresh(in, kt, k))
+	}
+	for _, i := range g.onVM {
+		buf = append(buf, s.eval(t, i, s.vms[i].cat))
+	}
+	s.walked += len(g.onVM)
+	s.predEdges += len(g.onVM) * len(g.from)
+	ectMin, ectMax, ctMin := infinite, -infinite, infinite
+	for _, c := range buf {
+		ectMin, ectMax, ctMin = min(ectMin, c.eft), max(ectMax, c.eft), min(ctMin, c.cost)
+	}
+	split := s.index.split
+	for k, kt := range terms {
+		vms, ats := s.catVMs(k)
+		split[k] = readyBy(ats, in.dcReady)
+		first := s.skipPred(vms, t, 0, 1)
+		if first == len(vms) {
+			continue
+		}
+		_, eft, _ := s.onVM(in, kt, vms[first])
+		ectMin = min(ectMin, eft)
+		_, eft, _ = s.onVM(in, kt, vms[s.skipPred(vms, t, len(vms)-1, -1)])
+		ectMax = max(ectMax, eft)
+		s.walked += 2
+		if j := s.skipPred(vms, t, split[k]-1, -1); j >= 0 {
+			_, _, cost := s.onVM(in, kt, vms[j])
+			ctMin = min(ctMin, cost)
+			s.walked++
+		}
+	}
+	for k, kt := range terms {
+		vms, ats := s.catVMs(k)
+		if split[k] == len(vms) {
+			continue
+		}
+		lo, _ := billedBand(kt.work, ats[len(ats)-1])
+		if c := kt.charge(in, lo); c >= ctMin || c > S {
+			continue
+		}
+		for j := split[k]; j < len(vms); j++ {
+			r := ats[j]
+			if c := kt.charge(in, r+kt.work-r); c < ctMin && !s.runsPred(vms[j], t) {
+				ctMin = c
+			}
+		}
+		s.walked += len(vms) - split[k]
+	}
+	if !(ctMin <= S) {
+		used, fresh := s.hosts(t, in, terms, infinite, -1)
+		return pickBest(used, fresh, infinite)
+	}
+
+	best, bestT := candidate{}, -1.0 // every affordable TCTF is at least 0
+	consider := func(c candidate, v float64) {
+		if v > bestT || v == bestT && ahead(&c, &best) {
+			best, bestT = c, v
+		}
+	}
+	value := func(eft, cost float64) float64 {
+		return tctfValue(candidate{eft: eft, cost: cost}, S, ctMin, ectMin, ectMax)
+	}
+	for _, c := range buf {
+		if c.cost <= S {
+			consider(c, value(c.eft, c.cost))
+		}
+	}
+	for k, kt := range terms {
+		vms, ats := s.catVMs(k)
+		eftD := in.dcReady + kt.work
+		lo, hi := 0, split[k]
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if kt.charge(in, eftD-ats[m]) <= S {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		for j := s.skipPred(vms, t, lo, 1); j < split[k]; j = s.skipPred(vms, t, j+1, 1) {
+			begin, eft, cost := s.onVM(in, kt, vms[j])
+			s.walked++
+			v := value(eft, cost)
+			if v < bestT {
+				break
+			}
+			consider(candidate{vm: vms[j], cat: k, begin: begin, eft: eft, cost: cost, slot: -1}, v)
+		}
+	}
+	for k, kt := range terms {
+		vms, ats := s.catVMs(k)
+		if split[k] == len(vms) {
+			continue
+		}
+		lo, hi := billedBand(kt.work, ats[len(ats)-1])
+		if kt.charge(in, lo) > S {
+			continue
+		}
+		dearest := min(kt.charge(in, hi), S)
+		for j := s.skipPred(vms, t, split[k], 1); j < len(vms); j = s.skipPred(vms, t, j+1, 1) {
+			begin, eft, cost := s.onVM(in, kt, vms[j])
+			s.walked++
+			if value(eft, dearest) < bestT {
+				break
+			}
+			if cost <= S {
+				consider(candidate{vm: vms[j], cat: k, begin: begin, eft: eft, cost: cost, slot: -1}, value(eft, cost))
+			}
+		}
+	}
+	return best
+}
+
+// skipPred returns the first place from j on, stepping by step, whose
+// VM in the run vms runs no predecessor of t: -1 or len(vms) when none.
+func (s *state) skipPred(vms []int, t wf.TaskID, j, step int) int {
+	for j >= 0 && j < len(vms) && s.runsPred(vms[j], t) {
+		j += step
+	}
+	return j
+}
+
+// ahead reports whether candidate c comes before b among candidates of
+// one score: by less, then in enumeration order (used VMs by index,
+// then fresh VMs by category).
+func ahead(c, b *candidate) bool {
+	switch {
+	case less(*c, *b):
+		return true
+	case less(*b, *c):
+		return false
+	case c.vm >= 0:
+		return c.vm < b.vm
+	}
+	return c.cat < b.cat
+}
+
+// billedBand bounds the time billed to a used VM ready at r > D, in
+// [0, last], for a task of work w: fl(fl(r+w) − r), where the task
+// starts when the VM is ready. With u = 2⁻⁵³ and E = last + w, the sum
+// e = fl(r+w) is (r+w)(1+δ), |δ| ≤ u (exact when subnormal), and
+// e ≥ r, so the billed time fl(e − r) lies within u·(e − r) of
+// e − r = w + δ(r+w), and as w ≤ E,
+//
+//	|fl(e − r) − w| ≤ uE + u(w + uE) ≤ (2+u)·uE.
+//
+// The margin m = fl(2⁻⁵⁰·fl(E)) is at least 8uE(1−u) − 2⁻¹⁰⁷⁵ (the
+// product is exact unless subnormal). When E < 2⁻¹⁰²² both sums are
+// exact and the billed time is w; otherwise 2⁻¹⁰⁷⁵ ≤ uE, so
+// m ≥ (7−8u)·uE, and the bounds, each rounded once,
+//
+//	fl(w + m) ≥ (w + m)(1−u) ≥ w − uE + (7−8u)(1−u)·uE > w + (2+u)·uE
+//	fl(w − m) ≤ (w − m)(1+u) ≤ w + uE − (7−8u)·uE < w − (2+u)·uE
+//
+// hold the billed time between them (the lower one is taken at least 0,
+// which the billed time is too).
+func billedBand(w, last float64) (lo, hi float64) {
+	m := 0x1p-50 * (last + w)
+	return max(0, w-m), w + m
 }

@@ -310,3 +310,101 @@ func FuzzIndexedPickMatchesScan(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTCTFMatchesScan: on FuzzIndexedPickMatchesScan's states (its
+// generator, seeds and fanIn), BDT's selection from the readiness index
+// (tctfHost) answers as pickTCTF over every host, placed by plain eval,
+// field for field. Each task is also placed with zero work: no weight
+// and no bytes to stage, so that a VM ready after the data is billed
+// nothing and finishes when it is ready. The sub-budgets include 0 and
+// +Inf, each candidate's exact cost and the floats either side of it,
+// the costs a few ulps and a relative 2⁻⁴⁰ of the spread above, where
+// S − cost cancels into the eps clamp, and halfway between ct_min and
+// each cost.
+func FuzzTCTFMatchesScan(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed), uint8(0))
+		f.Add(seed, uint8(seed), uint8(1+seed%4))
+	}
+	f.Add(int64(201), uint8(156), uint8(0))
+	f.Add(int64(-380), uint8(215), uint8(0))
+	// States on which a broken selection answered otherwise: stopping
+	// the walk after the VMs ready by the data at an exact TCTF tie
+	// (303), and reading ECT_max off a run's last VM although it runs a
+	// predecessor (22).
+	f.Add(int64(303), uint8(101), uint8(100))
+	f.Add(int64(22), uint8(227), uint8(55))
+	plats := indexPlatforms(f)
+	f.Fuzz(func(t *testing.T, seed int64, plat, fanIn uint8) {
+		r := rand.New(rand.NewSource(seed))
+		p := plats[int(plat)%len(plats)]
+		var st *state
+		var cons []wf.TaskID
+		if fanIn%5 == 0 {
+			st, cons = randomIndexedState(t, r, p)
+		} else {
+			var sink wf.TaskID
+			st, sink = randomFanInState(t, r, p, int(fanIn%5)-1)
+			cons = []wf.TaskID{sink}
+		}
+		for _, zero := range []bool{false, true} {
+			for _, id := range cons {
+				if zero {
+					st.ctx.cons[id] = 0
+					for j := range st.ctx.pred[id] {
+						st.ctx.pred[id][j].Size = 0
+					}
+					if err := st.ctx.w.SetExternalIO(id, 0, st.ctx.tasks[id].ExternalOut); err != nil {
+						t.Fatal(err)
+					}
+					st.prepare(id) // eval reads the edges prepare gathered
+				}
+				var all []candidate
+				for i := range st.vms {
+					all = append(all, st.eval(id, i, st.vms[i].cat))
+				}
+				for k := range p.Categories {
+					all = append(all, st.eval(id, -1, k))
+				}
+				ctMin := infinite
+				for _, c := range all {
+					ctMin = min(ctMin, c.cost)
+				}
+				budgets := []float64{0, math.Inf(1)}
+				for _, c := range all {
+					up := c.cost
+					for range 3 {
+						up = math.Nextafter(up, math.Inf(1))
+					}
+					budgets = append(budgets, c.cost, math.Nextafter(c.cost, math.Inf(1)), math.Nextafter(c.cost, math.Inf(-1)),
+						up, c.cost+(c.cost-ctMin)*0x1p-40, ctMin+(c.cost-ctMin)/2)
+				}
+				for _, S := range budgets {
+					if got, want := st.tctfHost(id, S), pickTCTF(all, S); !sameBits(got, want) {
+						t.Fatalf("seed %d platform %d fan-in %d task %d zero work %v sub-budget %v: index %+v, scan %+v",
+							seed, plat, fanIn, id, zero, S, got, want)
+					}
+				}
+				// PEFT's selection on an OCT row whose entries often tie, or
+				// offset two categories' fastest EFTs exactly.
+				oct := make([]float64, len(p.Categories))
+				for k := range oct {
+					oct[k] = float64(r.Intn(3)) * 100
+					if r.Intn(3) == 0 {
+						oct[k] = all[r.Intn(len(all))].eft
+					}
+				}
+				want := 0
+				for i, c := range all {
+					if oeft, best := c.eft+oct[c.cat], all[want].eft+oct[all[want].cat]; oeft < best || oeft == best && less(c, all[want]) {
+						want = i
+					}
+				}
+				if got := st.peftHost(id, oct); !sameBits(got, all[want]) {
+					t.Fatalf("seed %d platform %d fan-in %d task %d zero work %v OCT %v: PEFT's index %+v, scan %+v",
+						seed, plat, fanIn, id, zero, oct, got, all[want])
+				}
+			}
+		}
+	})
+}

@@ -49,7 +49,7 @@ func peftOpt(w *wf.Workflow, p *platform.Platform, opt Options) (*plan.Schedule,
 		rank[t] = sum / float64(k)
 	}
 
-	st := newScanState(ctx)
+	st := newState(ctx, false)
 	remaining := make([]int, n)
 	ready := make([]bool, n)
 	for t := 0; t < n; t++ {
@@ -57,7 +57,6 @@ func peftOpt(w *wf.Workflow, p *platform.Platform, opt Options) (*plan.Schedule,
 		ready[t] = remaining[t] == 0
 	}
 	listT := make([]wf.TaskID, 0, n)
-	var cands []candidate
 	for len(listT) < n {
 		if err := opt.stopErr(); err != nil {
 			return nil, err
@@ -72,18 +71,7 @@ func peftOpt(w *wf.Workflow, p *platform.Platform, opt Options) (*plan.Schedule,
 			return nil, errNoReadyTask(w.Name, len(listT), n)
 		}
 		t := wf.TaskID(best)
-		// Choose the candidate minimizing the optimistic EFT.
-		cands = st.appendCandidates(cands[:0], t)
-		choice := 0
-		bestOEFT := math.Inf(1)
-		for i, c := range cands {
-			oeft := c.eft + oct[t][c.cat]
-			if oeft < bestOEFT || (oeft == bestOEFT && less(c, cands[choice])) {
-				bestOEFT = oeft
-				choice = i
-			}
-		}
-		st.assign(t, cands[choice])
+		st.assign(t, st.peftHost(t, oct[t]))
 		ready[best] = false
 		listT = append(listT, t)
 		for _, e := range ctx.succ[t] {
@@ -96,6 +84,36 @@ func peftOpt(w *wf.Workflow, p *platform.Platform, opt Options) (*plan.Schedule,
 	out := st.extract(listT)
 	out.EstCost = initSpent(out, p)
 	return out, nil
+}
+
+// peftHost returns the host of task t minimizing its optimistic EFT,
+// EFT + oct[cat], ties broken by less and then by enumeration order, as
+// the fold over every host does. Within a category OEFT rises with the
+// EFT, so the fold needs only each category's fastest host under less.
+// A selection with a non-finite term, where a NaN breaks that order,
+// folds over every host.
+func (s *state) peftHost(t wf.TaskID, oct []float64) candidate {
+	in, terms := s.prepare(t)
+	if !s.finite(in, terms) {
+		all := s.placeAll(t, in, terms, -1)
+		choice := 0
+		bestOEFT := math.Inf(1)
+		for i, c := range all {
+			if oeft := c.eft + oct[c.cat]; oeft < bestOEFT || (oeft == bestOEFT && less(c, all[choice])) {
+				bestOEFT, choice = oeft, i
+			}
+		}
+		return all[choice]
+	}
+	var best candidate
+	bestOEFT := math.Inf(1)
+	for k := range terms {
+		c := s.fastest(t, in, terms, k)
+		if oeft := c.eft + oct[k]; k == 0 || oeft < bestOEFT || oeft == bestOEFT && ahead(&c, &best) {
+			best, bestOEFT = c, oeft
+		}
+	}
+	return best
 }
 
 // octTable computes OCT(t, cat) by reverse topological traversal.

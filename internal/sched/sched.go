@@ -281,14 +281,6 @@ func newState(ctx *context, insertion bool) *state {
 	return s
 }
 
-// newScanState is newState for the planners that enumerate every host
-// of each task with appendCandidates (BDT, PEFT): it keeps no index.
-func newScanState(ctx *context) *state {
-	s := &state{ctx: ctx}
-	s.alloc(false)
-	return s
-}
-
 // alloc sizes an empty state's buffers. The readiness index and the
 // gathered edges share the slabs of taskVM and finish, and the buffer
 // of hosts holds the most predecessors a task has, two VMs per
@@ -301,14 +293,14 @@ func (s *state) alloc(index bool) {
 	}
 	idxInts, idxFloats := 0, 0
 	if index {
-		idxInts, idxFloats = n+cats+1, n
+		idxInts, idxFloats = n+2*cats+1, n
 	}
 	ints, floats := make([]int, n+2*deg+idxInts), make([]float64, n+3*deg+idxFloats)
 	s.taskVM, s.finish = carve(&ints, n), carve(&floats, n)
 	s.g = gathered{from: carve(&ints, deg)[:0], onVM: carve(&ints, deg)[:0],
 		arr: carve(&floats, deg)[:0], cost: carve(&floats, deg)[:0], loc: carve(&floats, deg)[:0]}
 	if index {
-		s.index = readiness{vms: carve(&ints, n), at: floats, bounds: ints}
+		s.index = readiness{vms: carve(&ints, n), split: carve(&ints, cats), at: floats, bounds: ints}
 		s.picked = make([]candidate, 0, deg+2*cats+8)
 	}
 	s.terms = make([]catTerms, cats)
@@ -478,8 +470,14 @@ func (s *state) onVM(in taskInputs, k catTerms, i int) (begin, eft, cost float64
 		begin = in.dcReady
 	}
 	eft = begin + k.work
-	billed := eft - ready // idle gap + staging + compute
-	return begin, eft, billed*k.chost + in.srcCost + k.out
+	return begin, eft, k.charge(in, eft-ready) // idle gap + staging + compute
+}
+
+// charge is the cost of a placement that bills the host for billed
+// seconds: that time at the category's price, the producers' uploads
+// and the final upload. It is monotone in billed.
+func (k catTerms) charge(in taskInputs, billed float64) float64 {
+	return billed*k.chost + in.srcCost + k.out
 }
 
 // place sets c to task t's placement on used VM i, after prepare(t)
