@@ -152,15 +152,19 @@ func plannerLimits() []Limit {
 			// reusable engine and keeps a move by swapping the Mover's two
 			// schedules, so it adds the evaluator's buffers to a list plan
 			// that itself allocates per plan: the committed baseline reads
-			// 2.4–2.6×. Allocating per candidate again — it was a cloned
+			// 2.7–2.8× (the tails of the forward pass's bound add two
+			// buffers). Allocating per candidate again — it was a cloned
 			// schedule and a fresh engine each, ≈ 1 200× — fails this by
 			// orders of magnitude, on any machine.
 			ratio(AllocsPerOp, at(sched.NameHeftBudgPlus, 50), 4, at(sched.NameHeftBudg, 50)),
 			// Table III's refinement factor. Scoring each candidate move by
-			// a forward pass resumed from the moved task, stopped once the
-			// move cannot win, reads 8–19× in the committed baseline;
+			// a forward pass resumed from the moved task, stopped once a
+			// finish plus the longest compute path still to come after it
+			// shows the move cannot win, reads 6.5 / 27.5 / 9.3× on
+			// CyberShake / LIGO / Montage in the committed baseline; stopped
+			// only once the latest VM End showed it, 12.1 / 32.4 / 19.6×;
 			// re-simulating the whole candidate schedule, as refinement did
-			// before, read 31–78×.
+			// before that, read 31–78×.
 			ratio(NsPerOp, at(sched.NameHeftBudgPlus, 50), 40, at(sched.NameHeftBudg, 50)),
 			// Table III puts MIN-MINBUDG and HEFTBUDG within a small
 			// factor. With each ready task's last two picks cached

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"budgetwf/internal/platform"
@@ -121,5 +122,63 @@ func TestPeftInRegistry(t *testing.T) {
 	w := paperInstance(t, wfgen.Montage, 30, 0)
 	if _, err := a.Plan(w, platform.Default(), 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadyHeapMatchesScan: popping PEFT's ready heap while tasks are
+// released gives the pick of the scan it replaced — the ready task of
+// highest rank, the lowest ID among equal ranks — on ranks drawn from a
+// few values (ties everywhere) and ±Inf.
+func TestReadyHeapMatchesScan(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	values := []float64{math.Inf(-1), -1, 0, 0.5, 2, math.Inf(1)}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(60)
+		rank := make([]float64, n)
+		for i := range rank {
+			rank[i] = values[r.Intn(len(values))]
+		}
+		h := readyHeap{rank: rank}
+		ready := make([]bool, n)
+		next := 0
+		release := func() {
+			for k := r.Intn(4); k >= 0 && next < n; k-- {
+				ready[next] = true
+				h.push(wf.TaskID(next))
+				next++
+			}
+		}
+		release()
+		for len(h.tasks) > 0 {
+			want := -1
+			for u := 0; u < n; u++ {
+				if ready[u] && (want < 0 || rank[u] > rank[want]) {
+					want = u
+				}
+			}
+			if got := h.pop(); int(got) != want {
+				t.Fatalf("trial %d: heap picks %d (rank %v), scan %d (rank %v)", trial, got, rank[got], want, rank[want])
+			}
+			ready[want] = false
+			release()
+		}
+		if next != n {
+			t.Fatalf("trial %d: %d of %d tasks released", trial, next, n)
+		}
+	}
+}
+
+// BenchmarkPeft times PEFT's plans at n = 1000 on the paper's families.
+func BenchmarkPeft(b *testing.B) {
+	p := platform.Default()
+	for _, typ := range wfgen.AllPaperTypes() {
+		w := wfgen.MustGenerate(typ, 1000, 1).WithSigmaRatio(0.5)
+		b.Run(string(typ), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := peftOpt(w, p, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -170,8 +170,11 @@ func (ev *moveEval) upgrade(t wf.TaskID, s *plan.Schedule, makespanBefore, makes
 	}
 }
 
-// finish records the refinement's totals on its span.
+// finish records the refinement's totals on its span: beside the moves
+// tried, cut and kept, the tasks the move passes ran and the cuts the
+// tail bound made (sim.Runner.MoveCounts).
 func (ev *moveEval) finish(makespan float64) {
-	ev.span.Set(obs.Int("movesTried", ev.moves), obs.Int("movesCut", ev.cut), obs.Int("upgrades", ev.upgrades),
-		obs.Float("finalMakespan", makespan))
+	scored, byBound := ev.run.MoveCounts()
+	ev.span.Set(obs.Int("movesTried", ev.moves), obs.Int("movesCut", ev.cut), obs.Int("cutByBound", byBound),
+		obs.Int("upgrades", ev.upgrades), obs.Int("scored", scored), obs.Float("finalMakespan", makespan))
 }

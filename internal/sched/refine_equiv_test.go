@@ -291,7 +291,10 @@ func refineTrace(t *testing.T, planFn func(Options) (*plan.Schedule, error)) *ob
 
 // TestRefineTraceMatchesReference: the upgrade events and the totals of
 // the refine span are what the reference path records, and the
-// untraced plan counts its upgrades too (it used not to).
+// untraced plan counts its upgrades too (it used not to). The span's
+// cutByBound and scored count the forward pass's work, which the
+// reference, simulating every candidate, has no counterpart of: only
+// the attrs the reference records are compared.
 func TestRefineTraceMatchesReference(t *testing.T) {
 	w := paperInstance(t, wfgen.Montage, 40, 1)
 	p := platform.Default()
@@ -311,8 +314,15 @@ func TestRefineTraceMatchesReference(t *testing.T) {
 					got.Events[i].Name, got.Events[i].Attrs, want.Events[i].Attrs, want.Events[i].Attrs)
 			}
 		}
-		if !reflect.DeepEqual(got.Attrs, want.Attrs) {
-			t.Errorf("inverse=%v: refine span attrs %v, reference %v", inverse, got.Attrs, want.Attrs)
+		for key, v := range want.Attrs {
+			if !reflect.DeepEqual(got.Attrs[key], v) {
+				t.Errorf("inverse=%v: refine span %s = %v, reference %v", inverse, key, got.Attrs[key], v)
+			}
+		}
+		for _, key := range []string{"cutByBound", "scored"} {
+			if _, ok := got.Attrs[key]; !ok {
+				t.Errorf("inverse=%v: refine span lacks %q: %v", inverse, key, got.Attrs)
+			}
 		}
 	}
 
@@ -328,6 +338,63 @@ func TestRefineTraceMatchesReference(t *testing.T) {
 	}
 	if n, ok := span.Attrs["upgrades"].(int64); !ok || int(n) != len(span.Events) || n == 0 {
 		t.Errorf("cg+ refine span: upgrades = %v, %d upgrade events", span.Attrs["upgrades"], len(span.Events))
+	}
+}
+
+// mediumBudget is the sweeps' medium budget, (CheapCost + High)/2 of
+// exp.ComputeAnchors, which this package cannot import.
+func mediumBudget(t *testing.T, w *wf.Workflow, p *platform.Platform) float64 {
+	t.Helper()
+	cheap := cheapBudget(t, w, p)
+	s, err := Heft(w, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := sim.RunDeterministic(w, p, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	high := max(cheap+2*(base.TotalCost-cheap), 1.02*base.TotalCost, 1.05*cheap)
+	return (cheap + high) / 2
+}
+
+// TestRefinementScoresFewSteps holds the tasks the move passes of
+// HEFTBUDG+ and +INV run (the refine span's scored) at n = 90, medium
+// budget, seed 7, to a third of what the same passes ran when a move
+// was cut only once its latest VM End reached the bound (parent, read
+// with the tail bound switched off). Measured with the bound:
+// 16 499 / 20 235 on Montage and 6 576 / 10 492 on CyberShake, 18–26 %;
+// +INV keeps its restarts from rank 0, which no bound shortens. Every
+// cut still means makespan ≥ bound: the plans are the reference's
+// (TestRefinePlansMatchReference).
+func TestRefinementScoresFewSteps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("plans four refinements at n = 90")
+	}
+	const frac = 1.0 / 3
+	p := platform.Default()
+	for _, c := range []struct {
+		typ     wfgen.Type
+		inverse bool
+		parent  int64
+	}{
+		{wfgen.Montage, false, 90565},
+		{wfgen.Montage, true, 94249},
+		{wfgen.CyberShake, false, 36243},
+		{wfgen.CyberShake, true, 40159},
+	} {
+		w := paperInstance(t, c.typ, 90, 7)
+		budget := mediumBudget(t, w, p)
+		span := refineTrace(t, func(o Options) (*plan.Schedule, error) { return refine(w, p, budget, c.inverse, o) })
+		scored, ok := span.Attrs["scored"].(int64)
+		if !ok {
+			t.Fatalf("%s inverse=%v: no scored on the refine span: %v", c.typ, c.inverse, span.Attrs)
+		}
+		t.Logf("%s inverse=%v: %d tasks scored, %.1f %% of the parent's %d; %v moves cut by the tail bound",
+			c.typ, c.inverse, scored, 100*float64(scored)/float64(c.parent), c.parent, span.Attrs["cutByBound"])
+		if float64(scored) > frac*float64(c.parent) {
+			t.Errorf("%s inverse=%v: %d tasks scored, more than %.2f of the parent's %d", c.typ, c.inverse, scored, frac, c.parent)
+		}
 	}
 }
 

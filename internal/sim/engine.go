@@ -237,6 +237,8 @@ type Exec struct {
 	sweep    bool   // wake every VM after each event (see Exec)
 
 	VMs []VM
+	// The scoring pass's VM table (score.go), which no event reads.
+	scoreVMs []scoreVM
 
 	// Per task, indexed by TaskID.
 	Cur         []int  // the VM a task runs on: its planned one until moved
@@ -318,6 +320,14 @@ func (e *Exec) reset(weights []float64) error {
 	if err := e.rewind(weights); err != nil {
 		return err
 	}
+	s := e.st.s
+	if cap(e.VMs) < s.NumVMs() {
+		e.VMs = make([]VM, s.NumVMs())
+	}
+	e.VMs = e.VMs[:s.NumVMs()]
+	for i := range e.VMs {
+		e.VMs[i] = VM{Cat: s.VMCats[i], Queue: s.Order[i]}
+	}
 	e.now, e.steps, e.maxSteps, e.sweep = 0, 0, 0, false
 	e.events.Reset()
 	e.flows = e.flows[:0]
@@ -338,8 +348,9 @@ func (e *Exec) reset(weights []float64) error {
 }
 
 // rewind checks the weights and rewinds the state the event loop keeps
-// and the scoring pass (score.go) borrows: the VM table, the
-// outstanding crossing inputs and the datacenter arrival times.
+// and the scoring pass (score.go) borrows: the outstanding crossing
+// inputs and the datacenter arrival times. reset and the scoring pass
+// each set up their own VM table.
 func (e *Exec) rewind(weights []float64) error {
 	for t, wt := range weights {
 		if wt <= 0 || math.IsNaN(wt) || math.IsInf(wt, 0) {
@@ -347,14 +358,6 @@ func (e *Exec) rewind(weights []float64) error {
 		}
 	}
 	e.weights = weights
-	s := e.st.s
-	if cap(e.VMs) < s.NumVMs() {
-		e.VMs = make([]VM, s.NumVMs())
-	}
-	e.VMs = e.VMs[:s.NumVMs()]
-	for i := range e.VMs {
-		e.VMs[i] = VM{Cat: s.VMCats[i], Queue: s.Order[i]}
-	}
 	copy(e.missing, e.st.missing0)
 	clear(e.dcReadyTime)
 	return nil

@@ -28,14 +28,33 @@ func moveTarget(i, used int) (vm, cat int) {
 // checkScoreMoves holds ScoreMove, for every move of every stride-th
 // task of s, to Mover.Move → Rebind → Score bit for bit: unbounded, it
 // scores every candidate; bounded by the incumbent's makespan, it cuts
-// only candidates whose full makespan reaches that bound. The bounded
-// and unbounded calls alternate, and tasks come in ID order, not ListT
-// order, so every checkpoint is restored many times.
+// only candidates whose full makespan reaches that bound; bounded one
+// ulp above the candidate's own makespan, where a lower bound without
+// its rounding margin could reach the bound, it cuts none. The calls
+// alternate, and tasks come in ID order, not ListT order, so every
+// checkpoint is restored many times. The Runner first scores a move of
+// every task on one VM of the cheapest category, whose tails are longer
+// than s's, and is then rebound to s.
 func checkScoreMoves(t testing.TB, name string, w *wf.Workflow, p *platform.Platform, s *plan.Schedule, stride int) (moves, cut int) {
 	t.Helper()
 	weights := sim.ConservativeWeights(w)
-	r, err := sim.NewRunner(w, p, s)
+	serial := plan.New(w.NumTasks())
+	serial.ListT = s.ListT
+	one := serial.AddVM(p.Cheapest())
+	for _, u := range s.ListT {
+		serial.Assign(u, one)
+	}
+	r, err := sim.NewRunner(w, p, serial)
 	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if _, _, err := r.Score(weights); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if _, _, _, err := r.ScoreMove(s.ListT[0], -1, 0, math.Inf(1)); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if err := r.Rebind(s); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	ref, err := sim.NewRunner(w, p, s)
@@ -81,6 +100,13 @@ func checkScoreMoves(t testing.TB, name string, w *wf.Workflow, p *platform.Plat
 			case math.Float64bits(mk) != math.Float64bits(wantMk) || math.Float64bits(cost) != math.Float64bits(wantCost):
 				t.Fatalf("%s: task %d → (%d, %d), bound %v: ScoreMove = (%v, %v), Score = (%v, %v)",
 					name, task, vm, cat, bound, mk, cost, wantMk, wantCost)
+			}
+			above := math.Nextafter(wantMk, math.Inf(1))
+			mk, cost, ok, err = r.ScoreMove(tid, vm, cat, above)
+			if err != nil || !ok || math.Float64bits(mk) != math.Float64bits(wantMk) ||
+				math.Float64bits(cost) != math.Float64bits(wantCost) {
+				t.Fatalf("%s: task %d → (%d, %d), bound %v one ulp above its makespan: ScoreMove = (%v, %v, %v, %v), Score = (%v, %v)",
+					name, task, vm, cat, above, mk, cost, ok, err, wantMk, wantCost)
 			}
 		}
 	}

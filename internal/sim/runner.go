@@ -79,6 +79,14 @@ func (r *Runner) Rebind(s *plan.Schedule) error {
 	return nil
 }
 
+// MoveCounts returns ScoreMove's totals since NewRunner: the tasks its
+// passes ran, checkpoint advances included, and the moves cut by a
+// task's finish plus its tail (buildTail) before the latest VM End
+// alone reached the bound.
+func (r *Runner) MoveCounts() (scored, cutByBound int) {
+	return r.moves.scored, r.moves.byBound
+}
+
 // Run simulates one execution under the given realized weights. The
 // weights slice is only read during the call.
 func (r *Runner) Run(weights []float64) (*Result, error) {

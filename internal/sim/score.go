@@ -18,9 +18,33 @@ func (e *Exec) score() (makespan, cost float64, booked int, err error) {
 	if n := len(e.st.s.TaskVM); len(order) < n {
 		return 0, 0, 0, errDeadlock(len(order), n)
 	}
-	e.pass(e.VMs, order, e.st.s.TaskVM, e.dcReadyTime, math.Inf(1), 0, math.Inf(1))
+	e.scoreVMs = e.scoreTable(e.scoreVMs, 0)
+	e.pass(e.scoreVMs, order, e.st.s.TaskVM, e.dcReadyTime, math.Inf(1), 0, math.Inf(1), nil)
 	makespan, cost, booked = e.collectScore()
 	return makespan, cost, booked, nil
+}
+
+// scoreVM is the scoring pass's view of a VM: what the makespan and the
+// cost read, and no pointer, so that ScoreMove copies a table of them
+// as plain memory.
+type scoreVM struct {
+	cat                             int
+	booked                          bool
+	bookTime, bootDone, end, freeAt float64
+}
+
+// scoreTable returns vms holding the bound schedule's VMs, unbooked,
+// with room for at least room of them: a Runner grows it once.
+func (e *Exec) scoreTable(vms []scoreVM, room int) []scoreVM {
+	s := e.st.s
+	if c := max(s.NumVMs(), room); cap(vms) < c {
+		vms = make([]scoreVM, 0, c)
+	}
+	vms = vms[:0]
+	for _, cat := range s.VMCats {
+		vms = append(vms, scoreVM{cat: cat})
+	}
+	return vms
 }
 
 // pass runs the tasks of order, which must be a topological order of
@@ -33,16 +57,21 @@ func (e *Exec) score() (makespan, cost float64, booked int, err error) {
 // dataReady); staging adds XferLat + stageSize/CatBandwidth; compute
 // adds w/speed. The arithmetic is the event loop's, operand for
 // operand, and every fold is a max or a min, so any such order gives
-// the same bits.
+// the same bits. It returns first and last as they stand and how many
+// tasks of order ran.
 //
 // first and last carry the earliest booking and the latest VM End so
 // far. The pass stops, returning false, once last − first reaches
 // bound: last only grows, first only shrinks and rounded subtraction
-// is monotone, so the finished makespan would reach bound too.
-func (e *Exec) pass(vms []VM, order []wf.TaskID, taskVM []int, fin []float64, first, last, bound float64) (float64, float64, bool) {
+// is monotone, so the finished makespan would reach bound too. With a
+// tail it also stops, last − first still short of bound, once fin[u] +
+// tail[u], less the rounding margin proved at moveCheckpoint.buildTail,
+// minus first reaches bound; that needs order to run to ListT's end and
+// tail[u] to bound the work after u (ScoreMove's). Score passes none.
+func (e *Exec) pass(vms []scoreVM, order []wf.TaskID, taskVM []int, fin []float64, first, last, bound float64, tail []float64) (float64, float64, int, bool) {
 	st, p := e.st, e.st.p
 	tasks := st.w.TasksView()
-	for _, u := range order {
+	for i, u := range order {
 		v := taskVM[u]
 		stage, ready := tasks[u].ExternalIn, 0.0
 		for _, ei := range st.in.Of(u) {
@@ -55,10 +84,10 @@ func (e *Exec) pass(vms []VM, order []wf.TaskID, taskVM []int, fin []float64, fi
 			src := &vms[sv]
 			at := fin[edge.From]
 			if edge.Size != 0 {
-				at = at + p.XferLat(src.Cat) + edge.Size/p.CatBandwidth(src.Cat)
+				at = at + p.XferLat(src.cat) + edge.Size/p.CatBandwidth(src.cat)
 			}
-			if at > src.End {
-				src.End = at
+			if at > src.end {
+				src.end = at
 			}
 			if at > last {
 				last = at
@@ -68,14 +97,14 @@ func (e *Exec) pass(vms []VM, order []wf.TaskID, taskVM []int, fin []float64, fi
 			}
 		}
 		vm := &vms[v]
-		lat, bw := p.XferLat(vm.Cat), p.CatBandwidth(vm.Cat)
+		lat, bw := p.XferLat(vm.cat), p.CatBandwidth(vm.cat)
 		now := vm.freeAt
-		if !vm.Booked {
+		if !vm.booked {
 			// Booked the instant the first task's data is at the
 			// datacenter; the task starts when the boot ends.
-			vm.Booked, vm.BookTime = true, ready
-			vm.BootDone = ready + p.CatBootTime(vm.Cat)
-			now = vm.BootDone
+			vm.booked, vm.bookTime = true, ready
+			vm.bootDone = ready + p.CatBootTime(vm.cat)
+			now = vm.bootDone
 			if ready < first {
 				first = ready
 			}
@@ -85,24 +114,33 @@ func (e *Exec) pass(vms []VM, order []wf.TaskID, taskVM []int, fin []float64, fi
 		if stage > 0 {
 			now = now + lat + stage/bw
 		}
-		now += e.weights[u] / p.Categories[vm.Cat].Speed
+		now += e.weights[u] / p.Categories[vm.cat].Speed
 		vm.freeAt, fin[u] = now, now
-		if now > vm.End {
-			vm.End = now
+		if now > vm.end {
+			vm.end = now
 		}
 		if out := tasks[u].ExternalOut; out > 0 {
-			if at := now + lat + out/bw; at > vm.End {
-				vm.End = at
+			if at := now + lat + out/bw; at > vm.end {
+				vm.end = at
 			}
 		}
-		if vm.End > last {
-			last = vm.End
+		if vm.end > last {
+			last = vm.end
 		}
 		if last-first >= bound {
-			return first, last, false
+			return first, last, i + 1, false
+		}
+		if tail != nil {
+			// The margin only lowers lb: test without it first. At
+			// most len(order)-1-i tasks follow u on any path.
+			if lb := now + tail[u]; lb-first >= bound {
+				if lb -= lb * (float64(len(order)-i+1) * 0x1p-52); lb-first >= bound {
+					return first, last, i + 1, false
+				}
+			}
 		}
 	}
-	return first, last, true
+	return first, last, len(order), true
 }
 
 // collectScore is collect's arithmetic over the VM table: VM costs
@@ -110,19 +148,19 @@ func (e *Exec) pass(vms []VM, order []wf.TaskID, taskVM []int, fin []float64, fi
 func (e *Exec) collectScore() (makespan, cost float64, booked int) {
 	p := e.st.p
 	firstBook, lastEvent, vmCost := math.Inf(1), 0.0, 0.0
-	for i := range e.VMs {
-		vm := &e.VMs[i]
-		if !vm.Booked {
+	for i := range e.scoreVMs {
+		vm := &e.scoreVMs[i]
+		if !vm.booked {
 			continue
 		}
 		booked++
-		if vm.BookTime < firstBook {
-			firstBook = vm.BookTime
+		if vm.bookTime < firstBook {
+			firstBook = vm.bookTime
 		}
-		if vm.End > lastEvent {
-			lastEvent = vm.End
+		if vm.end > lastEvent {
+			lastEvent = vm.end
 		}
-		vmCost += p.VMCost(vm.Cat, vm.BootDone, vm.End)
+		vmCost += p.VMCost(vm.cat, vm.bootDone, vm.end)
 	}
 	if math.IsInf(firstBook, 1) {
 		firstBook = 0
