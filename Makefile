@@ -106,6 +106,7 @@ fuzz:
 	$(GO) test -fuzz FuzzMarketSpecJSON -fuzztime 30s ./internal/market/
 	$(GO) test -fuzz FuzzJobSpecJSON -fuzztime 30s ./internal/dist/
 	$(GO) test -fuzz FuzzRefineMatchesReference -fuzztime 30s ./internal/sched/
+	$(GO) test -fuzz FuzzMinMinMatchesReference -fuzztime 30s ./internal/sched/
 	$(GO) test -fuzz FuzzIndexedPickMatchesScan -fuzztime 30s ./internal/sched/
 	$(GO) test -fuzz FuzzTCTFMatchesScan -fuzztime 30s ./internal/sched/
 	$(GO) test -fuzz FuzzEFTFloorBelowEval -fuzztime 30s ./internal/sched/

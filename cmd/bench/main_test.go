@@ -110,8 +110,8 @@ func TestCheckGatesPlannerBaseline(t *testing.T) {
 	if err := run([]string{"-check", "-suite", "planner", "-out", dir}, &out); err != nil {
 		t.Fatalf("committed planner baseline fails -check: %v\n%s", err, out.String())
 	}
-	if got := strings.Count(out.String(), ": ok\n"); got != 27 {
-		t.Errorf("check output has %d gate lines, want nine per family:\n%s", got, out.String())
+	if got := strings.Count(out.String(), ": ok\n"); got != 33 {
+		t.Errorf("check output has %d gate lines, want eleven per family:\n%s", got, out.String())
 	}
 
 	f, err := bench.ReadFile(path)

@@ -156,8 +156,8 @@ func TestSuiteDefinitionsAreStable(t *testing.T) {
 
 // TestPlannerSuiteCoversTheGrid pins the advertised coverage: seven
 // algorithms, three families, sizes {50, 300, 1000} with the three
-// refinement algorithms capped at n=300, and the lowAlgs at n = 1000
-// under the low budget too.
+// refinement algorithms capped at n=300, the lowAlgs at n = 1000
+// under the low budget too, and MIN-MIN at n = 1000.
 func TestPlannerSuiteCoversTheGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds planner instances and anchors")
@@ -166,7 +166,7 @@ func TestPlannerSuiteCoversTheGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 4*3*3 + 3*3*2 + len(lowAlgs)*3; len(cases) != want {
+	if want := 4*3*3 + 3*3*2 + len(lowAlgs)*3 + 3; len(cases) != want {
 		t.Fatalf("%d cases, want %d", len(cases), want)
 	}
 	refined := 0

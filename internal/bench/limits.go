@@ -160,40 +160,55 @@ func plannerLimits() []Limit {
 			// Table III's refinement factor. Scoring each candidate move by
 			// a forward pass resumed from the moved task, stopped once a
 			// finish plus the longest compute path still to come after it
-			// shows the move cannot win, reads 6.5 / 27.5 / 9.3× on
+			// shows the move cannot win, reads 7.6 / 24.4 / 7.5× on
 			// CyberShake / LIGO / Montage in the committed baseline; stopped
 			// only once the latest VM End showed it, 12.1 / 32.4 / 19.6×;
 			// re-simulating the whole candidate schedule, as refinement did
 			// before that, read 31–78×.
 			ratio(NsPerOp, at(sched.NameHeftBudgPlus, 50), 40, at(sched.NameHeftBudg, 50)),
+			// MIN-MIN against HEFTBUDG. A MIN-MIN round skips every ready
+			// task whose allowance-free key finishes after the round's best
+			// so far, a block of them at a time (sched.readyRow): the
+			// committed baseline reads 1.95 / 1.82 / 1.92× (CyberShake /
+			// LIGO / Montage), and 2.9 is 1.5 times the highest; single
+			// runs on a 2-core host read 1.5–2.1×. Running every ready
+			// task's round in full, as MIN-MIN did before, read 5.0 / 3.5
+			// / 3.1× in same-session medians.
+			ratio(NsPerOp, at(sched.NameMinMin, 1000), 2.9, at(sched.NameHeftBudg, 1000)),
+			// Table III's ordering: MIN-MINBUDG takes no less time than
+			// HEFTBUDG, in every family. The committed baseline reads
+			// HEFTBUDG at 0.29 / 0.15 / 0.38 of MIN-MINBUDG.
+			ratio(NsPerOp, at(sched.NameHeftBudg, 1000), 1, at(sched.NameMinMinBudg, 1000)),
 			// Table III puts MIN-MINBUDG and HEFTBUDG within a small
 			// factor. With each ready task's last two picks cached
 			// (sched.pickCache), a pick whose VM is booked kept as a lower
-			// bound, and both planners reading the readiness index, which
-			// sped HEFTBUDG up more, the committed baseline reads
-			// 2.1–6.4×, and single runs on a 2-core host 1.7–7.1×
-			// (1.7–5.4× and 1.4–6.4× before the index); forgetting such a
-			// pick, as MIN-MIN did before, read 2.1–9.0× (LIGO and Montage
-			// 7–10× in single runs), and re-scanning every ready task's
-			// whole column every round, as it did before its picks were
-			// cached, 22–42×.
+			// bound, both planners reading the readiness index, and the
+			// tasks whose key loses the round skipped, the committed
+			// baseline reads 3.4 / 6.5 / 2.6× (CyberShake / LIGO /
+			// Montage; 6.1–6.9 and 4.2–4.4× on CyberShake and Montage in
+			// same-session pairs before the key). LIGO's key skips a third
+			// of its visits at this budget, so its reading barely moves
+			// and the row keeps 8.5. Forgetting such a pick, as MIN-MIN
+			// did before, read 2.1–9.0× (LIGO and Montage 7–10× in single
+			// runs), and re-scanning every ready task's whole column every
+			// round, as it did before its picks were cached, 22–42×.
 			ratio(NsPerOp, at(sched.NameMinMinBudg, 1000), 8.5, at(sched.NameHeftBudg, 1000)),
 			// Both hold O(n + VMs) memory, and the committed baseline reads
-			// 1.6–1.9×. Keeping every ready task's candidate on every VM,
+			// 1.5–1.6×. Keeping every ready task's candidate on every VM,
 			// the matrix MIN-MIN kept before, read 70–130×.
 			ratio(BytesPerOp, at(sched.NameMinMinBudg, 1000), 4, at(sched.NameHeftBudg, 1000)),
 			// The same relation at the low budget, where nearly every pick
 			// is a fallback and MIN-MINBUDG re-scans 16–45 % of its task
 			// visits, each walking the VMs ready after the task's data.
-			// Re-scanning from the readiness index reads 24–37× in the
-			// committed baseline and 21–42× in single runs on a 2-core
+			// Re-scanning from the readiness index reads 27–44× in the
+			// committed baseline and 21–47× in single runs on a 2-core
 			// host, so 60 leaves the headroom the row above has; scanning
 			// every used VM, as both planners did before, read 32–80×.
 			ratio(NsPerOp, plannerLowCase(sched.NameMinMinBudg, typ), 60, plannerLowCase(sched.NameHeftBudg, typ)),
 			// Table III puts BDT's CPU time in the list planners' order.
 			// BDT's TCTF selection reads the readiness index as HEFTBUDG's
 			// does, placing every VM that runs a predecessor and a few per
-			// category: the committed baseline reads 3.1 / 1.1 / 1.9×
+			// category: the committed baseline reads 2.7 / 1.0 / 1.8×
 			// (CyberShake / LIGO / Montage), and single runs on a 2-core
 			// host 1.0–3.2×, so 4.5 leaves the headroom of the low-budget
 			// row above. Placing every used VM for every task, as BDT did

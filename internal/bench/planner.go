@@ -48,7 +48,7 @@ var lowAlgs = []sched.Name{sched.NameHeftBudg, sched.NameMinMinBudg, sched.NameC
 // plans one fixed seeded instance at the mid-range budget
 // (CheapCost+High)/2, where the budget actually constrains placement;
 // at n = 1000 the lowAlgs also plan at the low budget, CheapCost
-// (plannerLowCase).
+// (plannerLowCase), and MIN-MIN, which no budget constrains, plans too.
 func Planner(seed uint64) ([]Case, error) {
 	p := platform.Default()
 	var cases []Case
@@ -93,6 +93,11 @@ func Planner(seed uint64) ([]Case, error) {
 			}
 			if n != 1000 {
 				continue
+			}
+			// MIN-MIN, the budget-blind baseline Table III times beside
+			// MIN-MINBUDG, plans at the largest size only.
+			if err := add(plannerCase(sched.NameMinMin, typ, n), sched.NameMinMin, (anchors.CheapCost+anchors.High)/2); err != nil {
+				return nil, err
 			}
 			for _, alg := range lowAlgs {
 				if err := add(plannerLowCase(alg, typ), alg, anchors.CheapCost); err != nil {

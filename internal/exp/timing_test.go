@@ -12,13 +12,21 @@ import (
 )
 
 // TestMinMinBudgRescans pins how often MIN-MINBUDG re-scans a ready
-// task's candidates, the work its cached picks exist to avoid: a traced
-// plan of Montage n = 300 (seed 1) records the counts on its span. They
-// are the counts measured when the caches learned to keep a lower
-// bound once a pick's VM is booked (medium) and a fallback pick once a
-// cheaper candidate appears (low); the cache before that re-scanned
-// 1 190 and 10 002 times. A re-scan reads the readiness index, which
-// changes how it is done but not when, so the counts are exact.
+// task's candidates, the work its cached picks exist to avoid, and how
+// many task visits its allowance-free key skips: a traced plan of
+// Montage n = 300 (seed 1) records the counts on its span. The cache
+// before it learned to keep a lower bound once a pick's VM is booked
+// (medium) and a fallback pick once a cheaper candidate appears (low)
+// re-scanned 1 190 and 10 002 times. A re-scan reads the readiness
+// index, which changes how it is done but not when, so the counts are
+// exact. The key skips a task whose every candidate finishes after the
+// round's best so far, which the full round would have deferred or
+// seen lose: 11 650 deferrals at the medium budget and 417 at the low
+// one before it, 553 and none with it.
+//
+// The plan visits 17 808 ready tasks over its 300 rounds at the medium
+// budget. Before the key each of them ran the full round; with it at
+// most five per round may compete (neither skipped nor deferred).
 func TestMinMinBudgRescans(t *testing.T) {
 	p := platform.Default()
 	w := wfgen.MustGenerate(wfgen.Montage, 300, 1).WithSigmaRatio(0.5)
@@ -26,19 +34,27 @@ func TestMinMinBudgRescans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const visits = 17808 // Σ ready tasks over the medium-budget plan's rounds
 	for _, c := range []struct {
-		level             BudgetLevel
-		rescans, deferred int64
-	}{{BudgetMedium, 590, 11650}, {BudgetLow, 6768, 417}} {
+		level                      BudgetLevel
+		rescans, deferred, skipped int64
+	}{{BudgetMedium, 587, 553, 15822}, {BudgetLow, 6768, 0, 1383}} {
 		span := tracedPlan(t, sched.NameMinMinBudg, w, p, levelBudget(c.level, a))
-		rescans, ok := span.Attrs["rescans"].(int64)
-		deferred, hasDeferred := span.Attrs["deferred"].(int64)
-		if !ok || !hasDeferred {
-			t.Fatalf("%s budget: span attrs %v lack integer rescans and deferred counts", c.level, span.Attrs)
+		var got [3]int64
+		for i, k := range []string{"rescans", "deferred", "skipped"} {
+			v, ok := span.Attrs[k].(int64)
+			if !ok {
+				t.Fatalf("%s budget: span attrs %v lack an integer %s count", c.level, span.Attrs, k)
+			}
+			got[i] = v
 		}
-		t.Logf("%s budget: %d re-scans, %d deferred", c.level, rescans, deferred)
-		if rescans != c.rescans || deferred != c.deferred {
-			t.Errorf("%s budget: %d re-scans and %d deferred, want %d and %d", c.level, rescans, deferred, c.rescans, c.deferred)
+		t.Logf("%s budget: %d re-scans, %d deferred, %d skipped", c.level, got[0], got[1], got[2])
+		if got != [3]int64{c.rescans, c.deferred, c.skipped} {
+			t.Errorf("%s budget: %d re-scans, %d deferred and %d skipped, want %d, %d and %d",
+				c.level, got[0], got[1], got[2], c.rescans, c.deferred, c.skipped)
+		}
+		if competed := visits - got[1] - got[2]; c.level == BudgetMedium && competed > 5*int64(w.NumTasks()) {
+			t.Errorf("medium budget: %d of %d task visits competed, more than five per round", competed, visits)
 		}
 	}
 }

@@ -235,7 +235,8 @@ func checkIndex(t *testing.T, st *state) {
 // for bit — bestHost as the selector over plain eval, bestOfCategory as
 // the EFT fold over the category's VMs, and pickCache.repick over
 // the index's candidates with the same pick, lo, hi, capped and state
-// as over every candidate. The allowances include each candidate's
+// as over every candidate, and the same lowest EFT, which minMinPlan
+// takes as a re-scanned task's key. The allowances include each candidate's
 // exact cost and the floats either side of it, 0, +Inf and NaN. A
 // nonzero fanIn (mod 5) places the fan-in task of randomFanInState
 // instead, of shape fanIn%5 − 1, whose hosts skip the VMs that run a
@@ -290,10 +291,15 @@ func FuzzIndexedPickMatchesScan(f *testing.F) {
 					t.Fatalf("%s: the index does not serve a finite platform", label)
 				}
 				iu, ifr := st.hosts(id, in, terms, a, -1)
-				indexed.repick(iu, ifr, a)
+				low := indexed.repick(iu, ifr, a)
 				if !sameBits(indexed.c, scan.c) || indexed.state != scan.state || indexed.capped != scan.capped ||
 					math.Float64bits(indexed.lo) != math.Float64bits(scan.lo) || math.Float64bits(indexed.hi) != math.Float64bits(scan.hi) {
 					t.Fatalf("%s: repick over the index %+v, over every host %+v", label, indexed, scan)
+				}
+				// minMinPlan's key after a re-scan: the lowest EFT the
+				// index lists is the lowest over every host.
+				if want := lowestEFT(used, fresh); math.Float64bits(low) != math.Float64bits(want) || lowestEFT(iu, ifr) != want {
+					t.Fatalf("%s: lowest EFT %v over the index (repick %v), %v over every host", label, lowestEFT(iu, ifr), low, want)
 				}
 			}
 			for k := range p.Categories {
@@ -407,4 +413,15 @@ func FuzzTCTFMatchesScan(f *testing.F) {
 			}
 		}
 	})
+}
+
+// lowestEFT is the lowest EFT among the candidates.
+func lowestEFT(used, fresh []candidate) float64 {
+	low := math.Inf(1)
+	for _, part := range [2][]candidate{used, fresh} {
+		for _, c := range part {
+			low = min(low, c.eft)
+		}
+	}
+	return low
 }

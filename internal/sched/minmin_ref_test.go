@@ -177,6 +177,74 @@ func TestMinMinFastMatchesReferenceBaseline(t *testing.T) {
 	}
 }
 
+// FuzzMinMinMatchesReference: on the generators of
+// TestMinMinFastMatchesReference*, MIN-MIN and MIN-MINBUDG plan as the
+// naive loop does, decision for decision and to the bit of the cost
+// estimate. gen picks the workflow and platform: a random DAG on the
+// paper's platform or on the two-provider market, a DAG with zero-size
+// edges on a platform with a +Inf-priced category, or a paper family at
+// n = 20–40. level picks the budget: 0, the cheapest plan's cost, up to
+// twice HEFT's budget-blind cost (frac), or no limit.
+func FuzzMinMinMatchesReference(f *testing.F) {
+	for seed := int64(0); seed < 6; seed++ {
+		for gen := uint8(0); gen < 4; gen++ {
+			f.Add(seed, gen, uint8(seed), 0.3*float64(seed), seed%2 == 0)
+		}
+	}
+	plats := equivPlatforms(f)
+	inf := infPricedPlatform()
+	f.Fuzz(func(t *testing.T, seed int64, gen, level uint8, frac float64, disablePot bool) {
+		r := rand.New(rand.NewSource(seed))
+		var w *wf.Workflow
+		p := plats["scalar"]
+		switch gen % 4 {
+		case 0:
+			w = randomWorkflow(r)
+		case 1:
+			w, p = randomWorkflow(r), plats["market"]
+		case 2:
+			w, p = zeroEdgeWorkflow(r), inf
+		default:
+			types := wfgen.AllPaperTypes()
+			w = paperInstance(t, types[r.Intn(len(types))], 20+10*r.Intn(3), uint64(r.Intn(100)))
+			if r.Intn(2) == 0 {
+				p = plats["market"]
+			}
+		}
+		budget := math.Inf(1)
+		switch level % 4 {
+		case 0:
+			budget = 0
+		case 1:
+			budget = cheapBudget(t, w, p)
+		case 2:
+			blind, err := Heft(w, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if frac = math.Abs(frac); !(frac <= 2) {
+				frac = 2
+			}
+			budget = cheapBudget(t, w, p) + frac*blind.EstCost
+		}
+		opt := Options{DisablePot: disablePot}
+		info, err := computeBudgetOpt(w, p, budget, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range []*BudgetInfo{nil, info} {
+			fast, err1 := minMinPlan(w, p, in, opt)
+			slow, err2 := minMinReference(w, p, in, opt)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("seed %d gen %d: errors %v and %v", seed, gen, err1, err2)
+			}
+			if !schedulesEqual(fast, slow) || math.Float64bits(fast.EstCost) != math.Float64bits(slow.EstCost) {
+				t.Fatalf("seed %d gen %d budget %v DisablePot %v budgeted %v: plans differ", seed, gen, budget, disablePot, in != nil)
+			}
+		}
+	})
+}
+
 // assertMinMinMatches plans w under every budget and both DisablePot
 // settings with the incremental and the naive loop and requires the
 // same plan.
