@@ -14,12 +14,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The deletion ledger's count (ROADMAP item 14): non-test Go lines
-# outside benchmark/, per directory and in total. Reports only.
+# The deletion ledger's count (ROADMAP item 15): non-test Go lines
+# outside benchmark/, per directory and in total, then on the last line
+# the test-Go total outside benchmark/. Reports only.
 lines:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); by[d] += $$1; sum += $$1 } \
 			END { for (d in by) printf "%7d %s\n", by[d], d; printf "%7d total\n", sum }' | sort -k2
+	@find . -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l | \
+		awk '{ printf "%7d test total\n", $$1 }'
 
 test:
 	$(GO) test ./...

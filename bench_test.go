@@ -203,32 +203,6 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
-// BenchmarkInsertionPolicy compares the append placement (the paper's)
-// with the original HEFT insertion policy — the cost of gap search.
-func BenchmarkInsertionPolicy(b *testing.B) {
-	w, err := budgetwf.Generate(budgetwf.Montage, 90, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w = w.WithSigmaRatio(0.5)
-	p := budgetwf.DefaultPlatform()
-	for _, mode := range []struct {
-		name string
-		opt  budgetwf.PlannerOptions
-	}{
-		{"append", budgetwf.PlannerOptions{}},
-		{"insertion", budgetwf.PlannerOptions{Insertion: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := budgetwf.HeftBudgWithOptions(w, p, 0.1, mode.opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkOnlineExecution measures the monitored executor against the
 // plain simulator on the same realized weights.
 func BenchmarkOnlineExecution(b *testing.B) {

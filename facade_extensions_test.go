@@ -144,11 +144,11 @@ func TestPlannerOptionsThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins, err := budgetwf.HeftBudgWithOptions(w, p, 0.03, budgetwf.PlannerOptions{Insertion: true})
+	noRes, err := budgetwf.HeftBudgWithOptions(w, p, 0.03, budgetwf.PlannerOptions{DisableReserves: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.NumVMs() == 0 || ins.NumVMs() == 0 {
+	if base.NumVMs() == 0 || noRes.NumVMs() == 0 {
 		t.Error("degenerate schedules")
 	}
 	if _, err := budgetwf.MinMinBudgWithOptions(w, p, 0.03, budgetwf.PlannerOptions{DisablePot: true}); err != nil {

@@ -224,18 +224,6 @@ func (s *Spec) providerIndex(name string) int {
 	return -1
 }
 
-// HasSpot reports whether any category has a spot section.
-func (s *Spec) HasSpot() bool {
-	for _, p := range s.Providers {
-		for _, c := range p.Categories {
-			if c.Spot != nil {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Compile flattens the market onto a platform.Platform: one platform
 // category per (provider, category) pair, plus a discounted spot twin
 // for every category with a spot section, the whole list stably

@@ -99,9 +99,6 @@ func (h *Hosted) Step(ev Ev) error { return h.c.Step(ev.at, ev.ev) }
 // Settled reports whether every task has reached a terminal state.
 func (h *Hosted) Settled() bool { return h.c.Settled() }
 
-// Now returns the execution-relative clock.
-func (h *Hosted) Now() float64 { return h.c.Now() }
-
 // Finish collects the Report — identical in shape and, for a lone
 // submission on an empty pool, in every bit to Execute's. Call it
 // exactly once, after Settled.

@@ -263,7 +263,7 @@ func TestBestHostRespectsAllowance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := newState(ctx, false)
+	st := newState(ctx)
 	// Task a (conservative 100, extIn 500): on cheap VM the charged
 	// cost is (500/10 + 100/10)·1 = 60; on the fast VM
 	// (50 + 100/30)·4 ≈ 213.3. With allowance 100 only the cheap VM
@@ -291,7 +291,7 @@ func TestBestHostFallbackPrefersCheapest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := newState(ctx, false)
+	st := newState(ctx)
 	got := st.bestHost(wf.TaskID(0), 0) // nothing is affordable
 	cands := st.appendCandidates(nil, wf.TaskID(0))
 	for _, c := range cands {

@@ -67,7 +67,7 @@ func bdtOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options) (
 	}
 	slices.SortStableFunc(byLevel, func(a, b wf.TaskID) int { return level[a] - level[b] })
 
-	st := newState(ctx, false)
+	st := newState(ctx)
 	remaining := info.Calc // trickling account, "All in" strategy
 	listT := make([]wf.TaskID, 0, n)
 	est := make([]float64, n)

@@ -61,7 +61,7 @@ func cgOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options) (*
 	}
 	gb = math.Max(0, math.Min(1, gb))
 
-	st := newState(ctx, false)
+	st := newState(ctx)
 	totalCost := 0.0
 	for _, t := range order {
 		if err := opt.stopErr(); err != nil {

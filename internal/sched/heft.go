@@ -34,7 +34,7 @@ func heftPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Option
 	if err != nil {
 		return nil, err
 	}
-	st := newState(ctx, opt.Insertion)
+	st := newState(ctx)
 	account := optPot{disabled: opt.DisablePot}
 	totalCost := 0.0
 	for _, t := range order {
@@ -48,18 +48,9 @@ func heftPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Option
 		if opt.span != nil {
 			// Re-enumerate off the hot selector: the cost is only paid
 			// when a trace was requested.
-			if opt.Insertion {
-				traceCandidates(opt.span, st.candidatesInsertion(t), t, allowance)
-			} else {
-				traceCandidates(opt.span, st.appendCandidates(nil, t), t, allowance)
-			}
+			traceCandidates(opt.span, st.appendCandidates(nil, t), t, allowance)
 		}
-		var c candidate
-		if opt.Insertion {
-			c = st.bestHostInsertion(t, allowance)
-		} else {
-			c = st.bestHost(t, allowance)
-		}
+		c := st.bestHost(t, allowance)
 		st.assign(t, c)
 		totalCost += c.cost
 		if info != nil {

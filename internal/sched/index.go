@@ -20,9 +20,7 @@ import (
 //
 // Both hold in floating point, because rounding is monotone and prices
 // are not negative, as long as every term is finite: an infinite price
-// or input volume makes some cost NaN, which no order survives. Under
-// the insertion policy a VM's gaps break the order, and the state keeps
-// no index.
+// or input volume makes some cost NaN, which no order survives.
 
 // readiness is the index: the used VMs ordered by (category, readyAt,
 // index), with their readyAt alongside. Category k's VMs are the run
@@ -146,8 +144,8 @@ func (s *state) finite(in taskInputs, terms []catTerms) bool {
 // allowance a reads, after prepare(t) returned in and terms, in the
 // state's buffer: used VMs by index, then fresh VMs by category, as the
 // scan enumerates them. only restricts them to one category (CG), and
-// -1 keeps every category. When the state has no index or a term is not
-// finite they are every host; otherwise they come from the index:
+// -1 keeps every category. When a term is not finite they are every
+// host; otherwise they come from the index:
 //
 //   - each fresh VM;
 //   - of the VMs that run a predecessor of t, visited in order of their
@@ -173,7 +171,7 @@ func (s *state) finite(in taskInputs, terms []catTerms) bool {
 // placement counts in walked, and each full evaluation adds deg(t) to
 // predEdges.
 func (s *state) hosts(t wf.TaskID, in taskInputs, terms []catTerms, a float64, only int) (used, fresh []candidate) {
-	if s.index.vms == nil || !s.finite(in, terms) {
+	if !s.finite(in, terms) {
 		all := s.placeAll(t, in, terms, only)
 		nFresh := len(terms)
 		if only >= 0 {
@@ -232,7 +230,7 @@ func (s *state) hosts(t wf.TaskID, in taskInputs, terms []catTerms, a float64, o
 		split := readyBy(ats, in.dcReady)
 		// keep appends VM i's candidate, noting its place j for advance.
 		keep := func(i, j int, begin, eft, cost float64) {
-			buf = append(buf, candidate{vm: i, cat: k, begin: begin, eft: eft, cost: cost, slot: -1})
+			buf = append(buf, candidate{vm: i, cat: k, begin: begin, eft: eft, cost: cost})
 			s.vms[i].at = j
 		}
 		// Ready by D: one EFT, and the cost falls as readyAt rises.
@@ -350,7 +348,7 @@ func (s *state) placeAll(t wf.TaskID, in taskInputs, terms []catTerms, only int)
 // answer field for field.
 func (s *state) tctfHost(t wf.TaskID, S float64) candidate {
 	in, terms := s.prepare(t)
-	if s.index.vms == nil || !s.finite(in, terms) || S-S != 0 {
+	if !s.finite(in, terms) || S-S != 0 {
 		return pickTCTF(s.placeAll(t, in, terms, -1), S)
 	}
 	g := &s.g
@@ -441,7 +439,7 @@ func (s *state) tctfHost(t wf.TaskID, S float64) candidate {
 			if v < bestT {
 				break
 			}
-			consider(candidate{vm: vms[j], cat: k, begin: begin, eft: eft, cost: cost, slot: -1}, v)
+			consider(candidate{vm: vms[j], cat: k, begin: begin, eft: eft, cost: cost}, v)
 		}
 	}
 	for k, kt := range terms {
@@ -461,7 +459,7 @@ func (s *state) tctfHost(t wf.TaskID, S float64) candidate {
 				break
 			}
 			if cost <= S {
-				consider(candidate{vm: vms[j], cat: k, begin: begin, eft: eft, cost: cost, slot: -1}, value(eft, cost))
+				consider(candidate{vm: vms[j], cat: k, begin: begin, eft: eft, cost: cost}, value(eft, cost))
 			}
 		}
 	}

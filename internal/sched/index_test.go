@@ -58,7 +58,7 @@ func randomIndexedState(t *testing.T, r *rand.Rand, p *platform.Platform) (*stat
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := newState(ctx, false)
+	st := newState(ctx)
 	// Half the values lie just under a power of two, so that a task's
 	// EFT on VMs one ulp apart may round to one value.
 	pool := make([]float64, 1+r.Intn(6))
@@ -79,7 +79,7 @@ func randomIndexedState(t *testing.T, r *rand.Rand, p *platform.Platform) (*stat
 		return max(v, 0)
 	}
 	for pt := 0; pt < nProd; pt++ {
-		c := candidate{vm: -1, cat: r.Intn(p.NumCategories()), slot: -1}
+		c := candidate{vm: -1, cat: r.Intn(p.NumCategories())}
 		if len(st.vms) > 0 && r.Intn(2) == 0 {
 			c.vm = r.Intn(len(st.vms))
 			c.cat = st.vms[c.vm].cat
@@ -147,12 +147,12 @@ func randomFanInState(t *testing.T, r *rand.Rand, p *platform.Platform, shape in
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := newState(ctx, false)
+	st := newState(ctx)
 	// The first nVM tasks open the VMs. Producer k runs on VM k when
 	// k < nVM and on a random VM after, except under shape 2, where the
 	// first runs on a random VM but VM 0 and every other on VM 0.
 	for i := 0; i < nVM+nProd; i++ {
-		c := candidate{vm: -1, cat: r.Intn(p.NumCategories()), slot: -1}
+		c := candidate{vm: -1, cat: r.Intn(p.NumCategories())}
 		if i >= nVM {
 			switch k := i - nVM; {
 			case shape == 2 && k == 0:

@@ -102,7 +102,7 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 	if err != nil {
 		return nil, err
 	}
-	st := newState(ctx, false)
+	st := newState(ctx)
 	n := w.NumTasks()
 
 	// Ready-set maintenance via remaining-predecessor counters: a ready

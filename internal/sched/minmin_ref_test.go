@@ -24,7 +24,7 @@ func minMinReference(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt
 	if err != nil {
 		return nil, err
 	}
-	st := newState(ctx, false)
+	st := newState(ctx)
 	n := w.NumTasks()
 	remaining := make([]int, n)
 	ready := make([]bool, n)
@@ -400,10 +400,10 @@ func TestPickCacheMatchesPickBest(t *testing.T) {
 	for trial := 0; trial < 20000; trial++ {
 		var used, fresh []candidate
 		for v := r.Intn(4); v > 0; v-- {
-			used = append(used, candidate{vm: len(used), cat: r.Intn(cats), eft: metric(), cost: metric(), slot: -1})
+			used = append(used, candidate{vm: len(used), cat: r.Intn(cats), eft: metric(), cost: metric()})
 		}
 		for k := 0; k < cats; k++ {
-			fresh = append(fresh, candidate{vm: -1, cat: k, eft: metric(), cost: metric(), slot: -1})
+			fresh = append(fresh, candidate{vm: -1, cat: k, eft: metric(), cost: metric()})
 		}
 		var picks [2]pickCache
 		e, alt := &picks[0], &picks[1]
@@ -444,7 +444,7 @@ func TestPickCacheMatchesPickBest(t *testing.T) {
 			}
 			// Book one VM: an existing one gets a new candidate in
 			// place, a new one is appended to the used part.
-			c := candidate{vm: r.Intn(len(used) + 1), eft: metric(), cost: metric(), slot: -1}
+			c := candidate{vm: r.Intn(len(used) + 1), eft: metric(), cost: metric()}
 			if c.vm == len(used) {
 				c.cat = r.Intn(cats)
 				used = append(used, c)
@@ -494,15 +494,15 @@ func TestUnmovedByLeavesCache(t *testing.T) {
 	for trial := 0; trial < 20000; trial++ {
 		var used, fresh []candidate
 		for v := r.Intn(4); v > 0; v-- {
-			used = append(used, candidate{vm: len(used), cat: r.Intn(2), eft: metric(), cost: metric(), slot: -1})
+			used = append(used, candidate{vm: len(used), cat: r.Intn(2), eft: metric(), cost: metric()})
 		}
 		for k := 0; k < 2; k++ {
-			fresh = append(fresh, candidate{vm: -1, cat: k, eft: metric(), cost: metric(), slot: -1})
+			fresh = append(fresh, candidate{vm: -1, cat: k, eft: metric(), cost: metric()})
 		}
 		var e pickCache
 		e.repick(used, fresh, float64(r.Intn(10))/2)
 		for step := 0; step < 5; step++ {
-			c := candidate{vm: r.Intn(len(used) + 1), cat: r.Intn(2), eft: metric(), cost: metric(), slot: -1}
+			c := candidate{vm: r.Intn(len(used) + 1), cat: r.Intn(2), eft: metric(), cost: metric()}
 			lb := c.eft - float64(r.Intn(2))
 			before := e
 			moved := !e.unmovedBy(c.vm, lb)

@@ -20,15 +20,10 @@ import (
 //   - DisableReserves skips Algorithm 1's datacenter and
 //     initialization reserves, splitting the whole budget across
 //     tasks.
-//   - Insertion switches the HEFT-family placement from the paper's
-//     append policy to the original HEFT insertion policy: a task may
-//     fill an idle gap between two tasks already placed on a VM (an
-//     extension knob, not an ablation of a paper safeguard).
 type Options struct {
 	PlanWithMeanWeights bool
 	DisablePot          bool
 	DisableReserves     bool
-	Insertion           bool
 
 	// stop, when non-nil, is polled between placement steps (one per
 	// task for the list schedulers, one per candidate move for the

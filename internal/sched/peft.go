@@ -52,7 +52,7 @@ func peftOpt(w *wf.Workflow, p *platform.Platform, opt Options) (*plan.Schedule,
 	// The next task is the ready one of highest rank, the lowest ID
 	// among equals: the heap's top. Every OCT entry is a maximum from 0
 	// of minima that a NaN term never wins, so no rank is NaN.
-	st := newState(ctx, false)
+	st := newState(ctx)
 	remaining := make([]int, n)
 	heap := readyHeap{rank: rank, tasks: make([]wf.TaskID, 0, n)}
 	for t := 0; t < n; t++ {

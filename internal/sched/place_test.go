@@ -16,7 +16,7 @@ import (
 // sameBits reports whether two candidates name the same host with the
 // same begin, EFT and cost, bit for bit (NaN included).
 func sameBits(a, b candidate) bool {
-	return a.vm == b.vm && a.cat == b.cat && a.slot == b.slot &&
+	return a.vm == b.vm && a.cat == b.cat &&
 		math.Float64bits(a.begin) == math.Float64bits(b.begin) &&
 		math.Float64bits(a.eft) == math.Float64bits(b.eft) &&
 		math.Float64bits(a.cost) == math.Float64bits(b.cost)
@@ -94,7 +94,7 @@ func TestPlaceMatchesEval(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := newState(ctx, false)
+			st := newState(ctx)
 			for _, id := range order {
 				label := fmt.Sprintf("%s %s task %d", pn, inst.name, id)
 				onVM := make(map[int]bool)

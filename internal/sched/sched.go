@@ -214,13 +214,10 @@ type state struct {
 	vms    []vmSt
 	taskVM []int
 	finish []float64
-	// insertion keeps each VM's slots, which only the insertion
-	// placement policy reads.
-	insertion bool
 	// terms holds prepare's per-category terms, one per category.
 	terms []catTerms
-	// index is the readiness index (index.go), empty without one;
-	// picked is the buffer of hosts.
+	// index is the readiness index (index.go); picked is the buffer of
+	// hosts.
 	index  readiness
 	picked []candidate
 	// g is prepare's copy of the last prepared task's predecessor edges.
@@ -254,9 +251,6 @@ type vmSt struct {
 	cat     int
 	bookAt  float64
 	readyAt float64
-	// slots records [stagingStart, computeEnd] occupancy intervals in
-	// start order, under the insertion policy only.
-	slots []slot
 	// pred is the VM's place in gathered.onVM when prepare last found
 	// it running a predecessor: a hint, which another task's prepare
 	// leaves stale (runsPred).
@@ -267,17 +261,13 @@ type vmSt struct {
 	at int
 }
 
-// slot is one busy interval of a VM (staging + computation of a task).
-type slot struct {
-	start, end float64
-	task       wf.TaskID
-}
-
-// newState returns the empty state of a plan. Unless the plan places
-// by insertion, it keeps the readiness index.
-func newState(ctx *context, insertion bool) *state {
-	s := &state{ctx: ctx, insertion: insertion}
-	s.alloc(!insertion)
+// newState returns the empty state of a plan, readiness index included.
+// It stays small enough to inline, so that the state itself does not
+// escape to the heap: folding alloc into it costs every plan two
+// allocations (TestCommittedAllocs).
+func newState(ctx *context) *state {
+	s := &state{ctx: ctx}
+	s.alloc()
 	return s
 }
 
@@ -285,24 +275,18 @@ func newState(ctx *context, insertion bool) *state {
 // gathered edges share the slabs of taskVM and finish, and the buffer
 // of hosts holds the most predecessors a task has, two VMs per
 // category and a few ties.
-func (s *state) alloc(index bool) {
+func (s *state) alloc() {
 	n, cats := s.ctx.w.NumTasks(), s.ctx.p.NumCategories()
 	deg := 0
 	for _, p := range s.ctx.pred {
 		deg = max(deg, len(p))
 	}
-	idxInts, idxFloats := 0, 0
-	if index {
-		idxInts, idxFloats = n+2*cats+1, n
-	}
-	ints, floats := make([]int, n+2*deg+idxInts), make([]float64, n+3*deg+idxFloats)
+	ints, floats := make([]int, 2*n+2*deg+2*cats+1), make([]float64, 2*n+3*deg)
 	s.taskVM, s.finish = carve(&ints, n), carve(&floats, n)
 	s.g = gathered{from: carve(&ints, deg)[:0], onVM: carve(&ints, deg)[:0],
 		arr: carve(&floats, deg)[:0], cost: carve(&floats, deg)[:0], loc: carve(&floats, deg)[:0]}
-	if index {
-		s.index = readiness{vms: carve(&ints, n), split: carve(&ints, cats), at: floats, bounds: ints}
-		s.picked = make([]candidate, 0, deg+2*cats+8)
-	}
+	s.index = readiness{vms: carve(&ints, n), split: carve(&ints, cats), at: floats, bounds: ints}
+	s.picked = make([]candidate, 0, deg+2*cats+8)
 	s.terms = make([]catTerms, cats)
 	for i := range s.taskVM {
 		s.taskVM[i] = plan.Unassigned
@@ -324,9 +308,6 @@ type candidate struct {
 	begin float64
 	eft   float64
 	cost  float64
-	// slot is the insertion index for the insertion policy; -1 (the
-	// default from eval) means plain append.
-	slot int
 }
 
 // infinite is the allowance used by budget-blind baselines.
@@ -393,7 +374,7 @@ func (s *state) eval(t wf.TaskID, vmIdx, cat int) candidate {
 		return s.placeFresh(in, k, cat)
 	}
 	begin, eft, cost := s.onVM(in, k, vmIdx)
-	return candidate{vm: vmIdx, cat: cat, begin: begin, eft: eft, cost: cost, slot: -1}
+	return candidate{vm: vmIdx, cat: cat, begin: begin, eft: eft, cost: cost}
 }
 
 // inputs is eval's predecessor pass for task t on VM vmIdx, or on a
@@ -494,7 +475,7 @@ func (s *state) place(c *candidate, t wf.TaskID, in taskInputs, terms []catTerms
 		return
 	}
 	c.begin, c.eft, c.cost = s.onVM(in, terms[cat], i)
-	c.vm, c.cat, c.slot = i, cat, -1
+	c.vm, c.cat = i, cat
 }
 
 // placeFresh places a task on a fresh VM of category cat: it boots
@@ -503,7 +484,7 @@ func (s *state) placeFresh(in taskInputs, k catTerms, cat int) candidate {
 	begin := in.dcReady
 	eft := begin + s.ctx.p.CatBootTime(cat) + k.work
 	cost := k.work*k.chost + in.srcCost + k.out
-	return candidate{vm: -1, cat: cat, begin: begin, eft: eft, cost: cost, slot: -1}
+	return candidate{vm: -1, cat: cat, begin: begin, eft: eft, cost: cost}
 }
 
 // prepare runs the part of every placement of task t that does not
@@ -628,37 +609,6 @@ func (s *state) appendPlaced(dst []candidate, t wf.TaskID, in taskInputs, terms 
 	return dst
 }
 
-// candidatesInsertion lists appendCandidates' options under the
-// insertion policy on used VMs: each used VM contributes its earliest
-// fitting gap (which subsumes plain appending as the tail gap).
-func (s *state) candidatesInsertion(t wf.TaskID) []candidate {
-	out := make([]candidate, 0, len(s.vms)+s.ctx.p.NumCategories())
-	for i := range s.vms {
-		if c, ok := s.evalInsertion(t, i); ok {
-			out = append(out, c)
-		}
-	}
-	for k := range s.ctx.p.Categories {
-		out = append(out, s.eval(t, -1, k))
-	}
-	return out
-}
-
-// bestHostInsertion is bestHost over insertion candidates.
-func (s *state) bestHostInsertion(t wf.TaskID, allowance float64) candidate {
-	s.walked += len(s.vms)
-	sel := newSelector(allowance)
-	for i := range s.vms {
-		if c, ok := s.evalInsertion(t, i); ok {
-			sel.add(c)
-		}
-	}
-	for k := range s.ctx.p.Categories {
-		sel.add(s.eval(t, -1, k))
-	}
-	return sel.pick()
-}
-
 // bestHost implements getBestHost (Algorithm 2): the candidate with
 // the smallest EFT among those whose cost respects the allowance.
 // When no candidate fits, it falls back to the cheapest one (ties on
@@ -681,46 +631,11 @@ func (s *state) bestHost(t wf.TaskID, allowance float64) candidate {
 	return pickBest(used, fresh, allowance)
 }
 
-// selector streams Algorithm 2's selection rule over candidates in
-// enumeration order, for the insertion policy, whose candidates are
-// not laid out.
-// Feasible candidates (cost ≤ allowance) compete on less(); when none
-// is feasible the fallback fold minimizes the damage: the cheapest
-// candidate, ties preferring an existing VM over booting a fresh one
-// (a fresh VM's initialization cost is pre-reserved and thus absent
-// from ct, but when the budget is already blown the reserve is gone
-// too), then the earliest finish time.
-type selector struct {
-	allowance float64
-	best      candidate
-	hasBest   bool
-	cheapest  candidate
-	hasCheap  bool
-}
-
-func newSelector(allowance float64) selector {
-	return selector{allowance: allowance}
-}
-
-func (sel *selector) add(c candidate) {
-	if c.cost <= sel.allowance {
-		if !sel.hasBest || less(c, sel.best) {
-			sel.best, sel.hasBest = c, true
-		}
-		return
-	}
-	if sel.hasBest {
-		// The fallback fold's result is only consulted when no feasible
-		// candidate exists at all, so it can stop as soon as one does.
-		return
-	}
-	if !sel.hasCheap || cheaper(&c, &sel.cheapest) {
-		sel.cheapest, sel.hasCheap = c, true
-	}
-}
-
-// cheaper orders the fallback fold: cost, then an existing VM before a
-// fresh one, then EFT.
+// cheaper orders the fallback fold, which picks when no candidate is
+// affordable: cost, then an existing VM before a fresh one (a fresh
+// VM's initialization cost is pre-reserved and thus absent from ct,
+// but when the budget is already blown the reserve is gone too), then
+// EFT.
 func cheaper(c, b *candidate) bool {
 	if c.cost != b.cost {
 		return c.cost < b.cost
@@ -731,21 +646,14 @@ func cheaper(c, b *candidate) bool {
 	return c.eft < b.eft
 }
 
-func (sel *selector) pick() candidate {
-	if sel.hasBest {
-		return sel.best
-	}
-	return sel.cheapest
-}
-
 // pickBest applies the selection rule to a pre-built candidate list,
 // enumerated as used then fresh, as every planner enumerates hosts: the
 // list state.hosts lays out for bestHost and for MIN-MIN's re-scans
-// (pickCache.repick). It stays a hand-rolled scan — folding through
-// selector.add (a non-inlined call copying each candidate) measurably
-// slowed MIN-MINBUDG down. It is selector's fold on pointers, NaN costs
-// included (never affordable); TestPickBestMatchesSelector pins the
-// equivalence.
+// (pickCache.repick). Affordable candidates (cost ≤ allowance, so never
+// a NaN cost) compete on less; when none is affordable the fallback
+// fold keeps the cheapest, and stops folding once one is.
+// TestPickBestMatchesSelector holds it to the streaming reference fold
+// of selector_test.go.
 func pickBest(used, fresh []candidate, allowance float64) candidate {
 	var best, cheapest *candidate
 	for _, part := range [2][]candidate{used, fresh} {
@@ -778,30 +686,15 @@ func less(a, b candidate) bool {
 }
 
 // assign commits a candidate placement for task t and returns the VM
-// index actually used (allocating a fresh VM if needed). Insertion
-// candidates (slot ≥ 0) are routed to assignInsertion.
+// index actually used (allocating a fresh VM if needed).
 func (s *state) assign(t wf.TaskID, c candidate) int {
-	if c.slot >= 0 {
-		s.assignInsertion(t, c)
-		return c.vm
-	}
 	idx := c.vm
-	slotStart := c.begin
-	switch {
-	case idx < 0:
+	if idx < 0 {
 		s.vms = append(s.vms, vmSt{cat: c.cat, bookAt: c.begin, readyAt: c.eft})
 		idx = len(s.vms) - 1
-		slotStart = c.begin + s.ctx.p.CatBootTime(c.cat)
-		if s.index.vms != nil {
-			s.enter(idx)
-		}
-	case s.index.vms != nil:
+		s.enter(idx)
+	} else {
 		s.advance(idx, c.eft)
-	default:
-		s.vms[idx].readyAt = c.eft
-	}
-	if s.insertion {
-		s.vms[idx].slots = append(s.vms[idx].slots, slot{start: slotStart, end: c.eft, task: t})
 	}
 	s.taskVM[t] = idx
 	s.finish[t] = c.eft
@@ -810,29 +703,17 @@ func (s *state) assign(t wf.TaskID, c candidate) int {
 
 // extract converts the planner state into a plan.Schedule with the
 // given global priority list, in one allocation per field. Each VM
-// runs its tasks in listT order, the order they were assigned in, or
-// under the insertion policy in slot order: RebuildOrder's bucket fill
-// then ranks the tasks by a list holding each VM's slots in turn.
+// runs its tasks in listT order, the order they were assigned in.
 func (s *state) extract(listT []wf.TaskID) *plan.Schedule {
-	rankBy := listT
-	if s.insertion {
-		rankBy = make([]wf.TaskID, 0, len(listT))
-		for _, vm := range s.vms {
-			for _, sl := range vm.slots {
-				rankBy = append(rankBy, sl.task)
-			}
-		}
-	}
 	out := &plan.Schedule{
 		VMCats: make([]int, len(s.vms)),
 		TaskVM: append([]int(nil), s.taskVM...),
-		ListT:  rankBy,
+		ListT:  append([]wf.TaskID(nil), listT...),
 	}
 	for i, vm := range s.vms {
 		out.VMCats[i] = vm.cat
 	}
 	out.RebuildOrder()
-	out.ListT = append([]wf.TaskID(nil), listT...)
 	for t, end := range s.finish {
 		end += s.ctx.tasks[t].ExternalOut / s.ctx.p.CatBandwidth(s.vms[s.taskVM[t]].cat)
 		if end > out.EstMakespan {

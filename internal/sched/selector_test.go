@@ -6,9 +6,50 @@ import (
 	"testing"
 )
 
-// TestPickBestMatchesSelector: the index-based pickBest (used on
-// MIN-MIN's cached candidate slices) and the streaming selector (used
-// by bestHost/bestHostInsertion) implement the same selection rule.
+// selector is Algorithm 2's selection rule as a streaming fold over
+// candidates in enumeration order: the tests' reference for pickBest
+// (TestPickBestMatchesSelector) and the fold of minMinReference.
+// Feasible candidates (cost ≤ allowance) compete on less; when none is
+// feasible the fallback fold keeps the cheapest under cheaper.
+type selector struct {
+	allowance float64
+	best      candidate
+	hasBest   bool
+	cheapest  candidate
+	hasCheap  bool
+}
+
+func newSelector(allowance float64) selector {
+	return selector{allowance: allowance}
+}
+
+func (sel *selector) add(c candidate) {
+	if c.cost <= sel.allowance {
+		if !sel.hasBest || less(c, sel.best) {
+			sel.best, sel.hasBest = c, true
+		}
+		return
+	}
+	if sel.hasBest {
+		// The fallback fold's result is only consulted when no feasible
+		// candidate exists at all, so it can stop as soon as one does.
+		return
+	}
+	if !sel.hasCheap || cheaper(&c, &sel.cheapest) {
+		sel.cheapest, sel.hasCheap = c, true
+	}
+}
+
+func (sel *selector) pick() candidate {
+	if sel.hasBest {
+		return sel.best
+	}
+	return sel.cheapest
+}
+
+// TestPickBestMatchesSelector: pickBest (used by bestHost and on
+// MIN-MIN's cached candidate slices) and the streaming selector above
+// implement the same selection rule.
 // Random candidate lists, with deliberate duplicate costs/EFTs to
 // exercise every tie-breaking branch, must agree on all of feasible
 // selection, the all-infeasible fallback, and first-wins ordering,
@@ -30,7 +71,6 @@ func TestPickBestMatchesSelector(t *testing.T) {
 				cat:  r.Intn(3),
 				eft:  someVals[r.Intn(len(someVals))],
 				cost: someVals[r.Intn(len(someVals))],
-				slot: -1,
 			}
 		}
 		allowance := someVals[r.Intn(len(someVals))]

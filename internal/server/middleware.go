@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -120,10 +119,4 @@ func (s *Server) nextRequestID() string {
 // writeError emits the uniform JSON error body.
 func writeError(w http.ResponseWriter, status int, msg, reqID string) {
 	writeJSON(w, status, apiError{Error: msg, RequestID: reqID})
-}
-
-// defaultLogger builds the fallback structured logger (JSON to
-// stderr); tests inject a quiet one.
-func defaultLogger() *slog.Logger {
-	return slog.Default()
 }

@@ -109,15 +109,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	var acc Accumulator
-	for _, x := range xs {
-		acc.Add(x)
-	}
-	return acc.StdDev()
-}
-
 // Percentile returns the p-th percentile (0..100) of xs using linear
 // interpolation between closest ranks. It returns 0 for an empty slice.
 // The input is not modified.

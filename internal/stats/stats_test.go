@@ -111,7 +111,11 @@ func TestMeanStdDevHelpers(t *testing.T) {
 	if !almost(Mean([]float64{1, 2, 3}), 2, 1e-12) {
 		t.Error("Mean wrong")
 	}
-	if !almost(StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}), math.Sqrt(32.0/7.0), 1e-12) {
+	var acc Accumulator
+	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
+		acc.Add(x)
+	}
+	if !almost(acc.StdDev(), math.Sqrt(32.0/7.0), 1e-12) {
 		t.Error("StdDev wrong")
 	}
 }

@@ -4,20 +4,18 @@ import "budgetwf/internal/sched"
 
 // PlannerOptions switches individual design choices of the
 // budget-aware planners on or off — the knobs behind the ablation
-// study (`paperfigs -fig ablations`) and the insertion-policy
-// extension. The zero value is the paper's algorithm.
+// study (`paperfigs -fig ablations`). The zero value is the paper's
+// algorithm.
 type PlannerOptions = sched.Options
 
 // HeftBudgWithOptions is HeftBudg under the given options: disable the
 // conservative weights, the pot, or the Algorithm-1 reserves to
-// measure their contribution, or enable the original HEFT insertion
-// placement policy.
+// measure their contribution.
 func HeftBudgWithOptions(w *Workflow, p *Platform, budget float64, opt PlannerOptions) (*Schedule, error) {
 	return sched.HeftBudgOpt(w, p, budget, opt)
 }
 
-// MinMinBudgWithOptions is MinMinBudg under the given options
-// (the insertion policy is HEFT-family only and is ignored here).
+// MinMinBudgWithOptions is MinMinBudg under the given options.
 func MinMinBudgWithOptions(w *Workflow, p *Platform, budget float64, opt PlannerOptions) (*Schedule, error) {
 	return sched.MinMinBudgOpt(w, p, budget, opt)
 }
