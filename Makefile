@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all build vet test bench figs figs-quick report fuzz serve serve-pool \
 	loadtest loadtest-tenants chaos clean bench-json bench-json-check bench-json-smoke \
-	bench-est lines
+	bench-est lines deadcode
 
 all: build vet test
 
@@ -99,23 +99,22 @@ loadtest-tenants:
 chaos:
 	$(GO) run ./cmd/loadgen -chaos
 
+# Every fuzz target of the module, 20 s each. The list comes from
+# `go test -list`, so a new target runs here, and in CI, unasked.
 fuzz:
-	$(GO) test -fuzz FuzzReadJSON -fuzztime 30s ./internal/wf/
-	$(GO) test -fuzz FuzzDecodeMatchesReflect -fuzztime 30s ./internal/wf/
-	$(GO) test -fuzz FuzzScheduleRequest -fuzztime 30s ./internal/server/
-	$(GO) test -fuzz FuzzReadDAX -fuzztime 30s ./internal/wf/
-	$(GO) test -fuzz FuzzReadJSON -fuzztime 30s ./internal/plan/
-	$(GO) test -fuzz FuzzSpecJSON -fuzztime 30s ./internal/fault/
-	$(GO) test -fuzz FuzzMarketSpecJSON -fuzztime 30s ./internal/market/
-	$(GO) test -fuzz FuzzJobSpecJSON -fuzztime 30s ./internal/dist/
-	$(GO) test -fuzz FuzzRefineMatchesReference -fuzztime 30s ./internal/sched/
-	$(GO) test -fuzz FuzzMinMinMatchesReference -fuzztime 30s ./internal/sched/
-	$(GO) test -fuzz FuzzIndexedPickMatchesScan -fuzztime 30s ./internal/sched/
-	$(GO) test -fuzz FuzzTCTFMatchesScan -fuzztime 30s ./internal/sched/
-	$(GO) test -fuzz FuzzEFTFloorBelowEval -fuzztime 30s ./internal/sched/
-	$(GO) test -fuzz FuzzScoreMatchesRun -fuzztime 30s ./internal/sim/
-	$(GO) test -fuzz FuzzScoreMoveMatchesScore -fuzztime 30s ./internal/sim/
-	$(GO) test -fuzz FuzzReplayBackendsAgree -fuzztime 30s ./internal/exp/
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	echo "$$list" | awk '/^Fuzz/ { t[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }' | \
+	while read pkg target; do \
+		echo "$$pkg $$target"; \
+		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 20s $$pkg || exit 1; \
+	done
+
+# Fails naming file:line for every function that no binary links
+# (cmd/deadcode; its allowlist.txt names the test helpers, test seams
+# and oracles that stay). It builds every binary, so CI runs it as a
+# step of its own, outside `go test ./...`.
+deadcode:
+	$(GO) run ./cmd/deadcode
 
 clean:
 	rm -rf results-quick

@@ -37,8 +37,8 @@
 //	res, _ := budgetwf.ReplicateBudget(w, p, s, 25, 42, 0.10)
 //	fmt.Println(res.Makespan.Mean, res.Cost.Mean, res.ValidFrac)
 //
-// The Example functions of this package, internal/pool and
-// internal/exp are the runnable scenarios; `go test -run Example ./...`
+// The Example functions of this package and internal/pool are the
+// runnable scenarios; `go test -run Example ./...`
 // runs them and checks what each prints.
 package budgetwf
 

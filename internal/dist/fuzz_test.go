@@ -2,8 +2,9 @@ package dist
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
+
+	"budgetwf/internal/reqerr"
 )
 
 // FuzzJobSpecJSON drives POST /v1/jobs' pipeline — strict decode,
@@ -22,10 +23,8 @@ func FuzzJobSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"kind":"sweep"}`))
 	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
 		var spec JobSpec
-		if dec.Decode(&spec) != nil {
+		if reqerr.DecodeStrict(bytes.NewReader(data), &spec) != nil {
 			return
 		}
 		spec.Normalize()

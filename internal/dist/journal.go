@@ -172,7 +172,7 @@ type JournalStats struct {
 	Durable       bool      `json:"durable"`
 }
 
-// JournalOptions configures OpenJournalWith.
+// JournalOptions configures OpenJournal.
 type JournalOptions struct {
 	// Takeover acquires the journal even when its lock file names a
 	// live process — the standby-coordinator path: a new process
@@ -190,12 +190,7 @@ var ErrJournalLocked = errors.New("dist: journal locked by a live process")
 // OpenJournal opens (creating if needed) the journal at path, replays
 // snapshot + tail, and returns the journal ready for appending plus
 // the reconstructed jobs in submission order.
-func OpenJournal(path string) (*Journal, []RestoredJob, error) {
-	return OpenJournalWith(path, JournalOptions{})
-}
-
-// OpenJournalWith is OpenJournal with explicit options.
-func OpenJournalWith(path string, opts JournalOptions) (*Journal, []RestoredJob, error) {
+func OpenJournal(path string, opts JournalOptions) (*Journal, []RestoredJob, error) {
 	lockPath, err := acquireJournalLock(path, opts.Takeover)
 	if err != nil {
 		return nil, nil, err

@@ -103,7 +103,7 @@ func TestStoreReplayMatchesLive(t *testing.T) {
 func checkReplayMatchesLive(t *testing.T, seed int64) {
 	const maxJobs = 4
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	jr, _, err := OpenJournal(path)
+	jr, _, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func checkReplayMatchesLive(t *testing.T, seed int64) {
 	}
 	jr.Close()
 
-	jr2, replayed, err := OpenJournal(path)
+	jr2, replayed, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func checkReplayMatchesLive(t *testing.T, seed int64) {
 	s2.Drain(ctx2)
 	live2 := liveSnapshot(s2)
 	jr2.Close()
-	jr3, replayed2, err := OpenJournal(path)
+	jr3, replayed2, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func checkReplayMatchesLive(t *testing.T, seed int64) {
 // evictions are journalled so the next restart agrees.
 func TestStoreRestoreKeepsMaxJobs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	jr, _, err := OpenJournal(path)
+	jr, _, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestStoreRestoreKeepsMaxJobs(t *testing.T) {
 	jr.Close()
 
 	for restart := 0; restart < 2; restart++ {
-		jr, restored, err := OpenJournal(path)
+		jr, restored, err := OpenJournal(path, JournalOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func countWrites(t *testing.T) *int {
 // journals the eviction it causes in the same write (and fsync).
 func TestStoreEvictionSharesSubmitWrite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	jr, _, err := OpenJournal(path)
+	jr, _, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestStoreEvictionSharesSubmitWrite(t *testing.T) {
 // record must still start on its own line and survive replay.
 func TestJournalShortWriteKeepsNextRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	jr, _, err := OpenJournal(path)
+	jr, _, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestJournalShortWriteKeepsNextRecord(t *testing.T) {
 	}
 	jr.Close()
 
-	_, restored, err := OpenJournal(path)
+	_, restored, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestJournalAppendAfterTornLine(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"op":"submit","seq":1,"id":"j00001-aaaa`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	jr, restored, err := OpenJournal(path)
+	jr, restored, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestJournalAppendAfterTornLine(t *testing.T) {
 	}
 	jr.Close()
 
-	_, restored, err = OpenJournal(path)
+	_, restored, err = OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

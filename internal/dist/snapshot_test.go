@@ -26,7 +26,7 @@ func fileSize(t *testing.T, path string) int64 {
 // state plus whatever tail accrued after the compaction.
 func TestJournalCompactTruncates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	j, _, err := OpenJournal(path)
+	j, _, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestJournalCompactTruncates(t *testing.T) {
 	j.Close()
 
 	// Recovery = snapshot + bounded tail.
-	j2, restored, err := OpenJournal(path)
+	j2, restored, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestJournalCompactTruncates(t *testing.T) {
 // re-queue must not resurrect a job the snapshot knows finished.
 func TestJournalStaleTailSkippedBySeq(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	j, _, err := OpenJournal(path)
+	j, _, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestJournalStaleTailSkippedBySeq(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, restored, err := OpenJournal(path)
+	_, restored, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestJournalStaleTailSkippedBySeq(t *testing.T) {
 // in the right state, never a duplicate re-run.
 func TestJournalDoubleRequeueIdempotent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	j, _, err := OpenJournal(path)
+	j, _, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestJournalDoubleRequeueIdempotent(t *testing.T) {
 	j.Append(journalRecord{Op: opRequeue, ID: id, Time: time.Now()})
 	j.Close()
 
-	j2, restored, err := OpenJournal(path)
+	j2, restored, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestJournalDoubleRequeueIdempotent(t *testing.T) {
 	j2.Append(journalRecord{Op: opRequeue, ID: id, Time: time.Now()})
 	j2.Close()
 
-	_, restored, err = OpenJournal(path)
+	_, restored, err = OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestJournalDoubleRequeueIdempotent(t *testing.T) {
 // only the torn line.
 func TestJournalTornLineAfterCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	j, _, err := OpenJournal(path)
+	j, _, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestJournalTornLineAfterCompaction(t *testing.T) {
 	f.WriteString(`{"op":"done","seq":9,"id":"j00002-ffffffff","resu`) // crash mid-write
 	f.Close()
 
-	_, restored, err := OpenJournal(path)
+	_, restored, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestJournalTornLineAfterCompaction(t *testing.T) {
 // restart must restore every job from that pair.
 func TestStoreSnapshotEvery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	j, _, err := OpenJournal(path)
+	j, _, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestStoreSnapshotEvery(t *testing.T) {
 	}
 	j.Close()
 
-	j2, restored, err := OpenJournal(path)
+	j2, restored, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func mustJSON(t *testing.T, v any) string {
 // appends and stops calling itself durable until a compaction succeeds.
 func TestJournalWriteFailureIsCounted(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	j, _, err := OpenJournal(path)
+	j, _, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func TestStoreCancel(t *testing.T) {
 // and a fresh store replaying that journal resumes them to completion.
 func TestStoreDrainRequeuesToJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	j, restored, err := OpenJournal(path)
+	j, restored, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestStoreDrainRequeuesToJournal(t *testing.T) {
 	j.Close()
 
 	// Next process: replay and resume.
-	j2, restored, err := OpenJournal(path)
+	j2, restored, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestStoreDrainRequeuesToJournal(t *testing.T) {
 	j2.Close()
 
 	// Third replay: the job is terminal with its result persisted.
-	_, restored, err = OpenJournal(path)
+	_, restored, err = OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestStoreDrainRequeuesToJournal(t *testing.T) {
 // line; replay drops it and keeps everything before it.
 func TestJournalSkipsTornLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	j, _, err := OpenJournal(path)
+	j, _, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestJournalSkipsTornLine(t *testing.T) {
 	f.WriteString(`{"op":"done","id":"j00001-aaaaaaaa","resu`) // torn mid-crash
 	f.Close()
 
-	_, restored, err := OpenJournal(path)
+	_, restored, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,11 @@
 // The cell driver. Every sweep of this package has one shape: a
 // deterministic grid of cells — (algorithm, instance, budget) for
-// budget sweeps, (instance, rate) for fault sweeps, (condition,
-// instance) for spot sweeps, a figure's three family sweeps end to end —
-// each planned once and replayed Reps times. The enumeration is a pure
-// function of the normalized scenario, and every replication's random
-// streams are split by index from per-cell parents, so a cell computed
-// on any worker, in any order, produces exactly the bytes it produces
-// inside a single-process run.
+// budget sweeps, (instance, rate) for fault sweeps, a figure's three
+// family sweeps end to end — each planned once and replayed Reps
+// times. The enumeration is a pure function of the normalized scenario,
+// and every replication's random streams are split by index from
+// per-cell parents, so a cell computed on any worker, in any order,
+// produces exactly the bytes it produces inside a single-process run.
 //
 // A *unit* — what a distributed coordinator (internal/dist) schedules,
 // ships and journals — is one cell, replications included. The
@@ -148,8 +147,8 @@ type Unit struct {
 	Batch
 }
 
-// Campaign is a resolved campaign — a Sweep, FaultSweep, FigureSweeps or
-// SpotSweep — as a distributed coordinator sees it: a grid of Cells
+// Campaign is a resolved campaign — a Sweep, FaultSweep or FigureSweeps
+// — as a distributed coordinator sees it: a grid of Cells
 // cells, each replicated Reps times, and a way to run any range of them.
 // Resolving one materializes nothing; Run materializes what its range
 // needs. Each kind merges its units with its own typed Merge.

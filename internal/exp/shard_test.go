@@ -182,41 +182,6 @@ func TestFaultShardMergeMatchesMonolithic(t *testing.T) {
 	}
 }
 
-// TestSpotShardMergeMatchesMonolithic is the same property for the
-// spot sweep, whose on-demand baseline is computed in the merge: units
-// evaluated in shuffled shards merge to exactly RunSpotSweep's result.
-func TestSpotShardMergeMatchesMonolithic(t *testing.T) {
-	t.Parallel()
-	sc := SpotScenario{Scenario: Scenario{Type: wfgen.Montage, N: 15, Instances: 2, Reps: 3, Seed: 4}, Rates: []float64{0.5, 2}}
-	want, err := RunSpotSweep(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spot, err := NewSpotSweep(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rnd := rand.New(rand.NewSource(17))
-	var units []Unit
-	for _, sh := range randomShards(rnd, spot.Cells()) {
-		got, err := spot.Run(context.Background(), 1+rnd.Intn(3), sh[0], sh[1])
-		if err != nil {
-			t.Fatalf("shard [%d,%d): %v", sh[0], sh[1], err)
-		}
-		units = append(units, got...)
-	}
-	rnd.Shuffle(len(units), func(i, j int) { units[i], units[j] = units[j], units[i] })
-	merged, err := spot.Merge(context.Background(), units)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The scenario echo carries Alg.Plan, a func value.
-	merged.Scenario, want.Scenario = SpotScenario{}, SpotScenario{}
-	if !reflect.DeepEqual(merged, want) {
-		t.Fatal("merged spot sweep differs from monolithic")
-	}
-}
-
 // TestSweepDeterministicAcrossGOMAXPROCS pins that the cell
 // enumeration and the full sweep result are independent of
 // GOMAXPROCS: the same scenario run under 1, 2 and 8 procs (with the

@@ -24,11 +24,7 @@
 package fault
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"math"
-	"strings"
 
 	"budgetwf/internal/reqerr"
 )
@@ -149,24 +145,4 @@ func (s *Spec) RecoveryPolicy() Recovery {
 		r.Kind, _ = ParseRecoveryKind(s.Recovery)
 	}
 	return r
-}
-
-// ParseSpec decodes a Spec from JSON, rejecting unknown fields and
-// trailing garbage (the same strictness as the daemon's envelope).
-func ParseSpec(r io.Reader) (*Spec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return nil, err
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("fault: trailing data after spec")
-	}
-	return &s, nil
-}
-
-// ParseSpecBytes is ParseSpec over a byte slice.
-func ParseSpecBytes(b []byte) (*Spec, error) {
-	return ParseSpec(strings.NewReader(string(b)))
 }

@@ -161,10 +161,13 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 	}
 }
 
+// TestParseSpecStrict: a fault spec goes through the strict decode of
+// every request body, which rejects unknown fields, trailing data and
+// non-JSON.
 func TestParseSpecStrict(t *testing.T) {
 	good := `{"crashRatePerHour":[0.1],"bootFailProb":0.05,"recovery":"replicate","maxRetries":2}`
-	s, err := ParseSpec(strings.NewReader(good))
-	if err != nil {
+	var s Spec
+	if err := reqerr.DecodeStrict(strings.NewReader(good), &s); err != nil {
 		t.Fatalf("good spec rejected: %v", err)
 	}
 	if s.Recovery != "replicate" || s.MaxRetries != 2 {
@@ -175,7 +178,7 @@ func TestParseSpecStrict(t *testing.T) {
 		"trailing":      `{"bootFailProb":0.1} {}`,
 		"not json":      `λ=0.1`,
 	} {
-		if _, err := ParseSpecBytes([]byte(bad)); err == nil {
+		if err := reqerr.DecodeStrict(strings.NewReader(bad), new(Spec)); err == nil {
 			t.Errorf("%s: accepted %q", name, bad)
 		}
 	}

@@ -1,8 +1,11 @@
 package market
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
+
+	"budgetwf/internal/reqerr"
 )
 
 // FuzzMarketSpecJSON drives the market-spec path of every endpoint —
@@ -25,8 +28,8 @@ func FuzzMarketSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"providers":[]}`))
 	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := ParseSpecBytes(data)
-		if err != nil {
+		s := new(Spec)
+		if reqerr.DecodeStrict(bytes.NewReader(data), s) != nil {
 			return
 		}
 		verdict := s.Validate()
@@ -43,8 +46,8 @@ func FuzzMarketSpecJSON(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted spec does not marshal: %v (%s)", err, data)
 		}
-		s2, err := ParseSpecBytes(out)
-		if err != nil {
+		s2 := new(Spec)
+		if err := reqerr.DecodeStrict(bytes.NewReader(out), s2); err != nil {
 			t.Fatalf("round trip rejected: %v (%s)", err, out)
 		}
 		if verdict2 := s2.Validate(); (verdict == nil) != (verdict2 == nil) {

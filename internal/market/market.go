@@ -22,11 +22,8 @@
 package market
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"strings"
 
 	"budgetwf/internal/fault"
 	"budgetwf/internal/platform"
@@ -392,26 +389,4 @@ func MergeRevocations(user *fault.Spec, p *platform.Platform, seed uint64) *faul
 	}
 	merged.CrashRatePerHour = rev
 	return &merged
-}
-
-// ParseSpec decodes a Spec from JSON, rejecting unknown fields and
-// trailing garbage (the same strictness as the daemon's envelope), so
-// a misspelled field is a loud 400 — never a silently on-demand-only
-// market.
-func ParseSpec(r io.Reader) (*Spec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return nil, err
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("market: trailing data after spec")
-	}
-	return &s, nil
-}
-
-// ParseSpecBytes is ParseSpec over a byte slice.
-func ParseSpecBytes(b []byte) (*Spec, error) {
-	return ParseSpec(strings.NewReader(string(b)))
 }

@@ -109,14 +109,21 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// TestParseSpecStrict: a market spec goes through the strict decode of
+// every request body, so a misspelled field is a loud 400, never a
+// silently on-demand-only market.
 func TestParseSpecStrict(t *testing.T) {
-	if _, err := ParseSpecBytes([]byte(`{"providers": [], "discounts": 1}`)); err == nil || !strings.Contains(err.Error(), `unknown field "discounts"`) {
+	parse := func(b string) (*Spec, error) {
+		s := new(Spec)
+		return s, reqerr.DecodeStrict(strings.NewReader(b), s)
+	}
+	if _, err := parse(`{"providers": [], "discounts": 1}`); err == nil || !strings.Contains(err.Error(), `unknown field "discounts"`) {
 		t.Errorf("unknown field: got %v", err)
 	}
-	if _, err := ParseSpecBytes([]byte(`{"providers": []} garbage`)); err == nil {
+	if _, err := parse(`{"providers": []} garbage`); err == nil {
 		t.Error("trailing data: want error, got nil")
 	}
-	s, err := ParseSpecBytes([]byte(`{"providers": [{"name": "a", "categories": [{"name": "c", "speed": 1e9, "costPerSec": 1e-6}]}]}`))
+	s, err := parse(`{"providers": [{"name": "a", "categories": [{"name": "c", "speed": 1e9, "costPerSec": 1e-6}]}]}`)
 	if err != nil {
 		t.Fatal(err)
 	}

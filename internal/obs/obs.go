@@ -89,9 +89,6 @@ func Bool(key string, v bool) Attr {
 	return a
 }
 
-// Value returns the attribute's payload as an interface value.
-func (a Attr) Value() any { return a.wire().value() }
-
 // Event is one timestamped point annotation inside a span.
 type Event struct {
 	Name  string
@@ -163,13 +160,6 @@ func (t *Trace) Name() string { return t.name }
 // Root returns the root span.
 func (t *Trace) Root() *Span { return t.root }
 
-// Dropped reports how many spans/events the node cap discarded.
-func (t *Trace) Dropped() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // now returns the monotonic offset since the epoch.
 func (t *Trace) now() time.Duration { return time.Since(t.epoch) }
 
@@ -224,14 +214,6 @@ func (s *Span) Event(name string, attrs ...Attr) {
 // Enabled reports whether the span records anything; instrumentation
 // whose mere argument preparation is expensive should guard on it.
 func (s *Span) Enabled() bool { return s != nil }
-
-// Trace returns the owning trace (nil on a nil span).
-func (s *Span) Trace() *Trace {
-	if s == nil {
-		return nil
-	}
-	return s.trace
-}
 
 // End closes the span at the current instant. Ending twice keeps the
 // first end time.

@@ -93,9 +93,6 @@ func TestNilSpanIsSafeAndFree(t *testing.T) {
 	if c != nil {
 		t.Fatal("nil span spawned a real child")
 	}
-	if s.Trace() != nil {
-		t.Fatal("nil span has a trace")
-	}
 }
 
 func TestNodeCapBoundsMemory(t *testing.T) {
@@ -104,7 +101,7 @@ func TestNodeCapBoundsMemory(t *testing.T) {
 	for i := 0; i < maxNodes+500; i++ {
 		root.Event("e", Int("i", i))
 	}
-	if d := tr.Dropped(); d < 500 {
+	if d := tr.Tree().Dropped; d < 500 {
 		t.Fatalf("dropped = %d, want ≥ 500", d)
 	}
 	// A child created past the cap is the nil tracer.
@@ -280,9 +277,6 @@ func TestRing(t *testing.T) {
 			t.Errorf("trace %q not retrievable", id)
 		}
 	}
-	if got := r.Len(); got != 3 {
-		t.Errorf("Len = %d, want 3", got)
-	}
 	ids := r.IDs()
 	if len(ids) != 3 || ids[0] != "d" || ids[2] != "b" {
 		t.Errorf("IDs = %v, want [d c b]", ids)
@@ -303,7 +297,7 @@ func TestRing(t *testing.T) {
 	// A nil ring (capacity < 1) is inert.
 	var nr *Ring = NewRing(0)
 	nr.Add(mk("z"))
-	if nr.Len() != 0 {
+	if len(nr.IDs()) != 0 {
 		t.Error("nil ring stored a trace")
 	}
 	if _, ok := nr.Get("z"); ok {

@@ -58,16 +58,6 @@ func (r *Ring) Get(id string) (*Trace, bool) {
 	return t, ok
 }
 
-// Len reports how many traces are currently stored.
-func (r *Ring) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
 // IDs lists the stored trace IDs, most recent first.
 func (r *Ring) IDs() []string {
 	if r == nil {

@@ -18,9 +18,9 @@ import (
 //     slices, integer-nanosecond timestamps and typed attribute kinds,
 //     so that export → import → re-export is byte-stable (the map-based
 //     SpanJSON form cannot promise that).
-//   - Graft/GraftRemote import a wire subtree under a local span;
-//     GraftRemote additionally reconciles the remote monotonic clock
-//     against the local one using the dispatch/response envelope.
+//   - GraftRemote imports a wire subtree under a local span,
+//     reconciling the remote monotonic clock against the local one
+//     using the dispatch/response envelope.
 //
 // Timestamps on the wire are nanoseconds since the *origin process's*
 // trace epoch — a monotonic-clock anchor, meaningless across machines
@@ -279,24 +279,13 @@ func (s *Span) exportLocked(now time.Duration) *SpanWire {
 	return w
 }
 
-// Graft imports a wire subtree as a new child of s, shifting every
-// timestamp by offset onto this trace's timeline. Imported spans are
-// frozen: their (shifted) end timestamps are final even when marked
-// in-flight, so a grafted subtree re-exports byte-identically at
-// offset zero. The node cap applies — spans/events beyond it are
-// counted as dropped, never stored. Returns the number of nodes
-// actually grafted.
-func (s *Span) Graft(w *SpanWire, offset time.Duration) int {
-	if s == nil || w == nil {
-		return 0
-	}
-	t := s.trace
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.graftLocked(s, w, offset)
-}
-
-// graftLocked imports one wire span (caller holds the trace mutex).
+// graftLocked imports a wire subtree as a new child of parent,
+// shifting every timestamp by offset onto this trace's timeline; the
+// caller holds the trace mutex. Imported spans are frozen: their
+// (shifted) end timestamps are final even when marked in-flight, so a
+// grafted subtree re-exports byte-identically at offset zero. The node
+// cap applies — spans/events beyond it are counted as dropped, never
+// stored. Returns the number of nodes actually grafted.
 func (t *Trace) graftLocked(parent *Span, w *SpanWire, offset time.Duration) int {
 	if t.nodes >= maxNodes {
 		d := w.Nodes()

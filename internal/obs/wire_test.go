@@ -12,6 +12,18 @@ import (
 	"time"
 )
 
+// Graft is graftLocked under the trace mutex: it places a wire subtree
+// at an explicit offset, where the daemon's GraftRemote derives the
+// offset from the dispatch envelope.
+func (s *Span) Graft(w *SpanWire, offset time.Duration) int {
+	if s == nil || w == nil {
+		return 0
+	}
+	s.trace.mu.Lock()
+	defer s.trace.mu.Unlock()
+	return s.trace.graftLocked(s, w, offset)
+}
+
 func TestSpanContextRoundTrip(t *testing.T) {
 	cases := []SpanContext{
 		{TraceID: "job-abc123", SpanID: 1, Epoch: 0},

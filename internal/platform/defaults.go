@@ -45,17 +45,3 @@ func Default() *Platform {
 		DCBandwidth:         0, // unbounded: the paper's assumption
 	}
 }
-
-// Homogeneous returns a single-category platform, useful in tests where
-// heterogeneity would obscure the property under test.
-func Homogeneous(speed, costPerSec, initCost float64) *Platform {
-	return &Platform{
-		Categories: []Category{
-			{Name: "only", Speed: speed, CostPerSec: costPerSec, InitCost: initCost},
-		},
-		Bandwidth:           125e6,
-		BootTime:            0,
-		DCCostPerSec:        0,
-		TransferCostPerByte: 0,
-	}
-}

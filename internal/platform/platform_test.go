@@ -150,16 +150,6 @@ func TestVMCostBillingQuantum(t *testing.T) {
 	}
 }
 
-func TestHomogeneous(t *testing.T) {
-	p := Homogeneous(1e9, 1e-5, 0)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if p.NumCategories() != 1 || p.BootTime != 0 {
-		t.Error("homogeneous platform misconfigured")
-	}
-}
-
 func TestPaidHorizonAndExtensionCost(t *testing.T) {
 	p := Default()
 	p.BillingQuantum = 3600

@@ -1,6 +1,8 @@
-// Package reqerr is the one error type request validation returns,
-// whichever package does the validating (fault, market, pool, dist, the
-// server's own helpers). It carries the repo's two rejection classes:
+// Package reqerr is the strict JSON decode every request body goes
+// through (DecodeStrict), and the one error type request validation
+// returns, whichever package does the validating (fault, market, pool,
+// dist, the server's own helpers). The error carries the repo's two
+// rejection classes:
 //
 //   - a scalar-domain violation — a NaN or negative budget, a grid
 //     dimension over its ceiling, an unknown enum name — is malformed
@@ -13,7 +15,36 @@
 // nothing else in the repository chooses between 400 and 422.
 package reqerr
 
-import "fmt"
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+)
+
+// DecodeStrict decodes JSON from r into v, rejecting unknown fields
+// and anything but whitespace after the value. Its errors are
+// syntactic (HTTP 400) or the body limit's (HTTP 413); the server
+// tells them apart.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	// Only the end of the input may follow. (Decoder.More would let a
+	// stray '}' or ']' through.)
+	_, err := dec.Token()
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, &tooLarge):
+		return err
+	}
+	return fmt.Errorf("trailing data after JSON body")
+}
 
 // Error names the request field that failed validation. Field is the
 // dotted path from the body's root as far as the validator knows it (a

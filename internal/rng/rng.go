@@ -157,21 +157,3 @@ func (r *RNG) seedFrom(parent *RNG, label uint64) {
 	p := &parent.s
 	r.seed(p[0] ^ rotl(p[1], 13) ^ rotl(p[2], 29) ^ rotl(p[3], 43) ^ (label * 0x9e3779b97f4a7c15))
 }
-
-// Shuffle pseudo-randomly permutes indices [0, n) using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}

@@ -160,23 +160,6 @@ func TestSplitReproducible(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(77)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestMul64(t *testing.T) {
 	cases := []struct{ a, b, hi, lo uint64 }{
 		{0, 0, 0, 0},

@@ -65,7 +65,10 @@ func TestZeroSizeEdgesEverywhere(t *testing.T) {
 // TestSingleCategoryPlatform: with one VM type, the budget only
 // controls the degree of parallelism.
 func TestSingleCategoryPlatform(t *testing.T) {
-	p := platform.Homogeneous(1e9, 1e-5, 0.0001)
+	p := &platform.Platform{
+		Categories: []platform.Category{{Name: "only", Speed: 1e9, CostPerSec: 1e-5, InitCost: 0.0001}},
+		Bandwidth:  125e6,
+	}
 	w := paperInstance(t, wfgen.Montage, 30, 0)
 	for _, alg := range All() {
 		s, err := alg.Plan(w, p, 10)

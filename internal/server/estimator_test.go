@@ -99,10 +99,10 @@ func TestSimulateAnalyticEstimator(t *testing.T) {
 		t.Errorf("analytic cost mean %.2f vs MC %.2f (rel %.3f)", analytic.Cost.Mean, mc.Cost.Mean, rel)
 	}
 
-	if got := s.Metrics().Value("budgetwfd_estimator_requests_total", "analytic"); got != 2 {
+	if got := s.metrics.reg.Value("budgetwfd_estimator_requests_total", "analytic"); got != 2 {
 		t.Errorf("EstimatorCount(analytic) = %v, want 2", got)
 	}
-	if got := s.Metrics().Value("budgetwfd_estimator_requests_total", "mc"); got != 1 {
+	if got := s.metrics.reg.Value("budgetwfd_estimator_requests_total", "mc"); got != 1 {
 		t.Errorf("EstimatorCount(mc) = %v, want 1", got)
 	}
 

@@ -134,7 +134,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	var req scheduleRequest
 	wfl, ok := decodeScheduleFast(buf.Bytes(), &req)
 	if !ok {
-		if err := decodeStrict(bytes.NewReader(buf.Bytes()), &req); err != nil {
+		if err := reqerr.DecodeStrict(bytes.NewReader(buf.Bytes()), &req); err != nil {
 			writeDecodeError(w, err, reqID)
 			return
 		}
@@ -288,7 +288,7 @@ func writeHit(w http.ResponseWriter, r *http.Request, e *cacheEntry, fast bool, 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r.Context())
 	var req simulateRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := reqerr.DecodeStrict(r.Body, &req); err != nil {
 		writeDecodeError(w, err, reqID)
 		return
 	}
@@ -420,7 +420,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r.Context())
 	var spec dist.SweepSpec
-	if err := decodeStrict(r.Body, &spec); err != nil {
+	if err := reqerr.DecodeStrict(r.Body, &spec); err != nil {
 		writeDecodeError(w, err, reqID)
 		return
 	}

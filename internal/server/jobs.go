@@ -10,6 +10,7 @@ import (
 	"budgetwf/internal/dist"
 	"budgetwf/internal/exp"
 	"budgetwf/internal/obs"
+	"budgetwf/internal/reqerr"
 )
 
 // The async-job and shard endpoints (internal/dist glue):
@@ -146,7 +147,7 @@ func jobTraceID(spec *dist.JobSpec) string { return "job-" + spec.Hash()[:12] }
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r.Context())
 	var spec dist.JobSpec
-	if err := decodeStrict(r.Body, &spec); err != nil {
+	if err := reqerr.DecodeStrict(r.Body, &spec); err != nil {
 		writeDecodeError(w, err, reqID)
 		return
 	}
@@ -224,7 +225,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r.Context())
 	var req dist.ShardRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := reqerr.DecodeStrict(r.Body, &req); err != nil {
 		writeDecodeError(w, err, reqID)
 		return
 	}

@@ -124,7 +124,7 @@ func TestJobLifecycle(t *testing.T) {
 	if !sub2.Deduped || sub2.JobID != sub.JobID {
 		t.Errorf("resubmit: deduped=%v id=%s, want dedupe onto %s", sub2.Deduped, sub2.JobID, sub.JobID)
 	}
-	if n := s.Metrics().Value("budgetwfd_jobs_total", "deduped"); n != 1 {
+	if n := s.metrics.reg.Value("budgetwfd_jobs_total", "deduped"); n != 1 {
 		t.Errorf("deduped metric = %v, want 1", n)
 	}
 
@@ -181,7 +181,7 @@ func TestClusterJobMatchesLocal(t *testing.T) {
 	if view.State != dist.StateDone {
 		t.Fatalf("cluster job = %s (%s), want done", view.State, view.Error)
 	}
-	if n := w1.Metrics().Value("budgetwfd_requests_total", "shards") + w2.Metrics().Value("budgetwfd_requests_total", "shards"); n == 0 {
+	if n := w1.metrics.reg.Value("budgetwfd_requests_total", "shards") + w2.metrics.reg.Value("budgetwfd_requests_total", "shards"); n == 0 {
 		t.Error("no shards reached the workers — the job did not distribute")
 	}
 
@@ -423,7 +423,7 @@ func TestServerDrainRequeuesJobs(t *testing.T) {
 	ts.Close()
 
 	// The next daemon replays the journal and resumes the job.
-	j, restored, err := dist.OpenJournal(journal)
+	j, restored, err := dist.OpenJournal(journal, dist.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +488,7 @@ func TestFigureJobResumesAfterDrain(t *testing.T) {
 	}
 	ts.Close()
 
-	j, restored, err := dist.OpenJournal(journal)
+	j, restored, err := dist.OpenJournal(journal, dist.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +549,7 @@ func TestJournalFailureIsVisible(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, JournalPath: filepath.Join(t.TempDir(), "jobs.jsonl")})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	m := s.Metrics()
+	m := s.metrics.reg
 	if readyz(ts)["durable"] != true || m.Value("budgetwfd_journal_durable", "") != 1 || m.Value("budgetwfd_journal_append_errors_total", "") != 0 {
 		t.Fatalf("healthy journal: readyz %v, durable gauge %v, append errors %v", readyz(ts),
 			m.Value("budgetwfd_journal_durable", ""), m.Value("budgetwfd_journal_append_errors_total", ""))
@@ -574,8 +574,8 @@ func TestJournalFailureIsVisible(t *testing.T) {
 	unopened := newTestServer(t, Config{Workers: 1, JournalPath: filepath.Join(t.TempDir(), "no-such-dir", "jobs.jsonl")})
 	tsU := httptest.NewServer(unopened.Handler())
 	defer tsU.Close()
-	if readyz(tsU)["durable"] != false || unopened.Metrics().Value("budgetwfd_journal_durable", "") != 0 {
-		t.Errorf("journal that did not open: readyz %v, durable gauge %v", readyz(tsU), unopened.Metrics().Value("budgetwfd_journal_durable", ""))
+	if readyz(tsU)["durable"] != false || unopened.metrics.reg.Value("budgetwfd_journal_durable", "") != 0 {
+		t.Errorf("journal that did not open: readyz %v, durable gauge %v", readyz(tsU), unopened.metrics.reg.Value("budgetwfd_journal_durable", ""))
 	}
 
 	plain := newTestServer(t, Config{Workers: 1})

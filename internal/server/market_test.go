@@ -246,7 +246,7 @@ func TestSweepMarketSpot(t *testing.T) {
 		t.Error("no sweep point recorded a revocation at rate 6/h")
 	}
 
-	if got := s.Metrics().Value("budgetwfd_spot_revocations_total", ""); got <= 0 {
+	if got := s.metrics.reg.Value("budgetwfd_spot_revocations_total", ""); got <= 0 {
 		t.Errorf("spot revocation counter = %v, want > 0", got)
 	}
 	code, metrics := get(t, ts, "/metrics?format=prometheus")
@@ -383,7 +383,7 @@ func TestJobSweepMarketSpot(t *testing.T) {
 	if !strings.Contains(string(view.Result), `"spotVMs"`) {
 		t.Errorf("job result carries no spot aggregates: %s", view.Result)
 	}
-	if got := s.Metrics().Value("budgetwfd_spot_revocations_total", ""); got <= 0 {
+	if got := s.metrics.reg.Value("budgetwfd_spot_revocations_total", ""); got <= 0 {
 		t.Errorf("spot revocation counter = %v after spot job, want > 0", got)
 	}
 }

@@ -410,7 +410,7 @@ func TestReadmeListsEveryFamily(t *testing.T) {
 	// Every family is present on a server with a journal and the pool.
 	s := newTestServer(t, Config{Workers: 1, EnablePool: true, JournalPath: filepath.Join(t.TempDir(), "jobs.jsonl")})
 	var buf bytes.Buffer
-	s.Metrics().WritePrometheus(&buf)
+	s.metrics.reg.WritePrometheus(&buf)
 	declared := map[string]bool{}
 	for _, line := range strings.Split(buf.String(), "\n") {
 		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {

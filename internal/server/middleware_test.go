@@ -132,7 +132,7 @@ func TestPanicRecoveryLogsAndResponds(t *testing.T) {
 	if rec.Header().Get("X-Request-Id") != e.RequestID {
 		t.Errorf("header ID %q != body ID %q", rec.Header().Get("X-Request-Id"), e.RequestID)
 	}
-	if got := s.Metrics().Value("budgetwfd_panics_total", ""); got != 1 {
+	if got := s.metrics.reg.Value("budgetwfd_panics_total", ""); got != 1 {
 		t.Errorf("panic counter = %v, want 1", got)
 	}
 
@@ -162,10 +162,10 @@ func TestPanicRecoveryLogsAndResponds(t *testing.T) {
 	// The request still produced metrics and the server still serves.
 	rec2 := httptest.NewRecorder()
 	h.ServeHTTP(rec2, httptest.NewRequest("GET", "/boom", nil))
-	if got := s.Metrics().Value("budgetwfd_panics_total", ""); got != 2 {
+	if got := s.metrics.reg.Value("budgetwfd_panics_total", ""); got != 2 {
 		t.Errorf("second panic not counted: %v", got)
 	}
-	if got := s.Metrics().Value("budgetwfd_responses_total", "500"); got != 2 {
+	if got := s.metrics.reg.Value("budgetwfd_responses_total", "500"); got != 2 {
 		t.Errorf("status 500 count = %v, want 2", got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"budgetwf/internal/obs"
 	"budgetwf/internal/online"
 	"budgetwf/internal/pool"
+	"budgetwf/internal/reqerr"
 )
 
 // The multi-tenant shared-pool surface: POST /v1/submit feeds one
@@ -116,7 +117,7 @@ func toSubmitResponse(o *pool.Outcome, reqID string) submitResponse {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r.Context())
 	var req submitRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := reqerr.DecodeStrict(r.Body, &req); err != nil {
 		writeDecodeError(w, err, reqID)
 		return
 	}

@@ -55,7 +55,7 @@ func TestSubmitTwoTenants(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	hits0, miss0 := s.Metrics().Value("budgetwfd_cache_hits_total", ""), s.Metrics().Value("budgetwfd_cache_misses_total", "")
+	hits0, miss0 := s.metrics.reg.Value("budgetwfd_cache_hits_total", ""), s.metrics.reg.Value("budgetwfd_cache_misses_total", "")
 
 	var first, second submitResponse
 	status, body, _ := post(t, ts, "/v1/submit", submitBody(t, map[string]any{"id": "alice"}, workflowJSON(t, 12, 1), "heftbudg", 5))
@@ -84,9 +84,9 @@ func TestSubmitTwoTenants(t *testing.T) {
 	// The pool path never touches the plan cache: a cached plan's
 	// estimates assume a private pool, not whatever VMs happen to be
 	// idle at this arrival.
-	if s.Metrics().Value("budgetwfd_cache_hits_total", "") != hits0 || s.Metrics().Value("budgetwfd_cache_misses_total", "") != miss0 {
+	if s.metrics.reg.Value("budgetwfd_cache_hits_total", "") != hits0 || s.metrics.reg.Value("budgetwfd_cache_misses_total", "") != miss0 {
 		t.Fatalf("submit moved plan-cache counters: hits %v→%v, misses %v→%v",
-			hits0, s.Metrics().Value("budgetwfd_cache_hits_total", ""), miss0, s.Metrics().Value("budgetwfd_cache_misses_total", ""))
+			hits0, s.metrics.reg.Value("budgetwfd_cache_hits_total", ""), miss0, s.metrics.reg.Value("budgetwfd_cache_misses_total", ""))
 	}
 
 	// Ledgers: both tenants listed, each billed what its outcome said.

@@ -234,19 +234,19 @@ func TestAliasHitEqualsCanonicalHit(t *testing.T) {
 			body := scheduleBody(t, wfJSON, string(alg.Name), budget)
 			want := referencePlan(t, wfJSON, alg.Name, budget)
 
-			bodyHits := s.Metrics().Value("budgetwfd_cache_body_hits_total", "")
+			bodyHits := s.metrics.reg.Value("budgetwfd_cache_body_hits_total", "")
 			first, cached := postOK(t, ts, "/v1/schedule", body)
 			if cached {
 				t.Fatalf("%s: first request reported cached", name)
 			}
 			aliasHit, cached := postOK(t, ts, "/v1/schedule", body)
-			if !cached || s.Metrics().Value("budgetwfd_cache_body_hits_total", "") != bodyHits+1 {
+			if !cached || s.metrics.reg.Value("budgetwfd_cache_body_hits_total", "") != bodyHits+1 {
 				t.Fatalf("%s: byte-identical repeat did not take the alias", name)
 			}
 			keyHit, cached := postOK(t, ts, "/v1/schedule", respell(t, body, 1))
-			if !cached || s.Metrics().Value("budgetwfd_cache_body_hits_total", "") != bodyHits+1 {
+			if !cached || s.metrics.reg.Value("budgetwfd_cache_body_hits_total", "") != bodyHits+1 {
 				t.Fatalf("%s: re-spelled repeat: cached=%v, body hits moved=%v", name,
-					cached, s.Metrics().Value("budgetwfd_cache_body_hits_total", "") != bodyHits+1)
+					cached, s.metrics.reg.Value("budgetwfd_cache_body_hits_total", "") != bodyHits+1)
 			}
 			if !bytes.Equal(sansRequestID(aliasHit), sansRequestID(keyHit)) {
 				t.Errorf("%s: alias hit and content-key hit differ beyond the request id:\n%.200s\n%.200s",
@@ -337,7 +337,7 @@ func TestRespelledBodyBecomesAlias(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	m := s.Metrics()
+	m := s.metrics.reg
 
 	original := scheduleBody(t, workflowJSON(t, 20, 7), "heftbudg", 50)
 	postOK(t, ts, "/v1/schedule", original)
@@ -587,7 +587,7 @@ func TestConcurrentIdenticalColdBodies(t *testing.T) {
 	if s.cache.stats().Size != 1 || s.cache.stats().Aliases != 1 {
 		t.Errorf("%d entries, %d aliases, want 1 and 1", s.cache.stats().Size, s.cache.stats().Aliases)
 	}
-	m := s.Metrics()
+	m := s.metrics.reg
 	if m.Value("budgetwfd_cache_hits_total", "")+m.Value("budgetwfd_cache_misses_total", "") != clients {
 		t.Errorf("hits %v + misses %v != %v requests", m.Value("budgetwfd_cache_hits_total", ""), m.Value("budgetwfd_cache_misses_total", ""), clients)
 	}
@@ -642,7 +642,7 @@ func TestRejectedBodiesAreNeverAliased(t *testing.T) {
 	if s.cache.stats().Aliases != 0 || s.cache.stats().Size != 0 {
 		t.Errorf("rejected bodies left %d aliases and %d entries", s.cache.stats().Aliases, s.cache.stats().Size)
 	}
-	if h := s.Metrics().Value("budgetwfd_cache_hits_total", ""); h != 0 {
+	if h := s.metrics.reg.Value("budgetwfd_cache_hits_total", ""); h != 0 {
 		t.Errorf("rejected bodies counted %v hits", h)
 	}
 }
@@ -658,7 +658,7 @@ func TestTraceRequestSkipsAlias(t *testing.T) {
 	body := scheduleBody(t, workflowJSON(t, 15, 6), "heftbudg", 50)
 	postOK(t, ts, "/v1/schedule", body)
 	plain, _ := postOK(t, ts, "/v1/schedule", body)
-	if got := s.Metrics().Value("budgetwfd_cache_body_hits_total", ""); got != 1 {
+	if got := s.metrics.reg.Value("budgetwfd_cache_body_hits_total", ""); got != 1 {
 		t.Fatalf("body hits = %v, want 1 before the traced request", got)
 	}
 
@@ -666,7 +666,7 @@ func TestTraceRequestSkipsAlias(t *testing.T) {
 	if !cached {
 		t.Fatal("traced repeat was not a cache hit")
 	}
-	if got := s.Metrics().Value("budgetwfd_cache_body_hits_total", ""); got != 1 {
+	if got := s.metrics.reg.Value("budgetwfd_cache_body_hits_total", ""); got != 1 {
 		t.Errorf("traced request took the alias (body hits = %v)", got)
 	}
 	var resp scheduleResponse
@@ -724,12 +724,12 @@ func TestMarketRequestTakesAlias(t *testing.T) {
 		t.Fatal("first market request reported cached")
 	}
 	aliasHit, cached := postOK(t, ts, "/v1/schedule", body)
-	if !cached || s.Metrics().Value("budgetwfd_cache_body_hits_total", "") != 1 {
-		t.Fatalf("market repeat: cached=%v bodyHits=%v", cached, s.Metrics().Value("budgetwfd_cache_body_hits_total", ""))
+	if !cached || s.metrics.reg.Value("budgetwfd_cache_body_hits_total", "") != 1 {
+		t.Fatalf("market repeat: cached=%v bodyHits=%v", cached, s.metrics.reg.Value("budgetwfd_cache_body_hits_total", ""))
 	}
 	keyHit, cached := postOK(t, ts, "/v1/schedule", respell(t, body, 5))
-	if !cached || s.Metrics().Value("budgetwfd_cache_body_hits_total", "") != 1 {
-		t.Fatalf("re-spelled market repeat: cached=%v bodyHits=%v", cached, s.Metrics().Value("budgetwfd_cache_body_hits_total", ""))
+	if !cached || s.metrics.reg.Value("budgetwfd_cache_body_hits_total", "") != 1 {
+		t.Fatalf("re-spelled market repeat: cached=%v bodyHits=%v", cached, s.metrics.reg.Value("budgetwfd_cache_body_hits_total", ""))
 	}
 	if !bytes.Equal(sansRequestID(aliasHit), sansRequestID(keyHit)) {
 		t.Error("market alias hit and content-key hit differ beyond the request id")
@@ -763,7 +763,7 @@ func TestAliasHitKeepsMiddleware(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	m := s.Metrics()
+	m := s.metrics.reg
 
 	body := scheduleBody(t, workflowJSON(t, 15, 8), "heftbudg", 50)
 	postOK(t, ts, "/v1/schedule", body)
@@ -877,10 +877,10 @@ func TestAliasHitAllocations(t *testing.T) {
 	if rec := serve(); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"cached":true`) {
 		t.Fatalf("repeat = %d, not a cached response", rec.Code)
 	}
-	before := s.Metrics().Value("budgetwfd_cache_body_hits_total", "")
+	before := s.metrics.reg.Value("budgetwfd_cache_body_hits_total", "")
 	const runs = 50
 	allocs := testing.AllocsPerRun(runs, func() { serve() })
-	if got := s.Metrics().Value("budgetwfd_cache_body_hits_total", "") - before; got != runs+1 { // AllocsPerRun warms up once
+	if got := s.metrics.reg.Value("budgetwfd_cache_body_hits_total", "") - before; got != runs+1 { // AllocsPerRun warms up once
 		t.Fatalf("%v of %v measured requests took the alias", got, runs+1)
 	}
 	if allocs > 64 {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"budgetwf/internal/reqerr"
 	"budgetwf/internal/wf"
 	"budgetwf/internal/wfgen"
 )
@@ -68,16 +69,16 @@ func serveMissBody(t testing.TB, typ wfgen.Type, n int, seed uint64) []byte {
 }
 
 // checkScheduleDecode is the differential property of the one-pass
-// envelope: whenever it accepts a body, decodeStrict and parseWorkflow
-// accept it too, with the same algorithm, budget and workflow and no
-// platform or market; whenever they refuse it, it declines; and when it
-// declines, it leaves the request untouched.
+// envelope: whenever it accepts a body, reqerr.DecodeStrict and
+// parseWorkflow accept it too, with the same algorithm, budget and
+// workflow and no platform or market; whenever they refuse it, it
+// declines; and when it declines, it leaves the request untouched.
 func checkScheduleDecode(t *testing.T, body []byte) (fast bool) {
 	t.Helper()
 	var got scheduleRequest
 	gotWf, ok := decodeScheduleFast(body, &got)
 	var want scheduleRequest
-	err := decodeStrict(bytes.NewReader(body), &want)
+	err := reqerr.DecodeStrict(bytes.NewReader(body), &want)
 	var wantWf *wf.Workflow
 	if err == nil {
 		wantWf, err = parseWorkflow(want.Workflow)
@@ -103,7 +104,7 @@ func checkScheduleDecode(t *testing.T, body []byte) (fast bool) {
 }
 
 // FuzzScheduleRequest holds the one-pass /v1/schedule envelope to
-// decodeStrict and parseWorkflow, the path it replaces.
+// reqerr.DecodeStrict and parseWorkflow, the path it replaces.
 func FuzzScheduleRequest(f *testing.F) {
 	for _, body := range malformedScheduleBodies {
 		f.Add([]byte(body))

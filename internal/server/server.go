@@ -219,7 +219,7 @@ func New(cfg Config) *Server {
 	// coordinators corrupting one log (-takeover overrides).
 	var restored []dist.RestoredJob
 	if cfg.JournalPath != "" {
-		j, rs, err := dist.OpenJournalWith(cfg.JournalPath, dist.JournalOptions{Takeover: cfg.JournalTakeover})
+		j, rs, err := dist.OpenJournal(cfg.JournalPath, dist.JournalOptions{Takeover: cfg.JournalTakeover})
 		if err != nil {
 			s.log.Error("job journal unavailable", "path", cfg.JournalPath, "error", err.Error())
 		} else {
@@ -297,10 +297,6 @@ func (s *Server) routes() {
 
 // Handler returns the root handler (for httptest and for embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Metrics exposes the server's metrics registry (tests read series
-// through its Value).
-func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 
 // Traces exposes the server's trace ring, so the daemon can seed it
 // with process-level traces (a worker's heartbeat flight recorder).

@@ -199,7 +199,7 @@ func TestScheduleHappyPathAndCache(t *testing.T) {
 		t.Errorf("cached response diverges: %v/%v vs %v/%v",
 			second.EstMakespan, second.EstCost, first.EstMakespan, first.EstCost)
 	}
-	if got := s.Metrics().Value("budgetwfd_cache_hits_total", ""); got != 1 {
+	if got := s.metrics.reg.Value("budgetwfd_cache_hits_total", ""); got != 1 {
 		t.Errorf("cache hits = %v, want 1", got)
 	}
 
@@ -271,9 +271,9 @@ func TestMetricsCacheDisabledServer(t *testing.T) {
 		t.Errorf("expvar cache hits/misses = %d/%d, want 0/0 on a disabled cache",
 			mv.Cache.Hits, mv.Cache.Misses)
 	}
-	if s.cache.stats().Aliases != 0 || s.Metrics().Value("budgetwfd_cache_body_hits_total", "") != 0 {
+	if s.cache.stats().Aliases != 0 || s.metrics.reg.Value("budgetwfd_cache_body_hits_total", "") != 0 {
 		t.Errorf("disabled cache: %v aliases, %v body hits, want none",
-			s.cache.stats().Aliases, s.Metrics().Value("budgetwfd_cache_body_hits_total", ""))
+			s.cache.stats().Aliases, s.metrics.reg.Value("budgetwfd_cache_body_hits_total", ""))
 	}
 }
 
@@ -549,10 +549,10 @@ func TestClientGoneProducesNo500(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := s.Metrics().Value("budgetwfd_responses_total", "500"); got != 0 {
+	if got := s.metrics.reg.Value("budgetwfd_responses_total", "500"); got != 0 {
 		t.Errorf("500 count = %v, want 0", got)
 	}
-	if got := s.Metrics().Value("budgetwfd_responses_total", "504"); got != 0 {
+	if got := s.metrics.reg.Value("budgetwfd_responses_total", "504"); got != 0 {
 		t.Errorf("504 count = %v, want 0", got)
 	}
 }
@@ -646,8 +646,8 @@ func TestPanicIsolation(t *testing.T) {
 	if !strings.Contains(string(body), "internal error") {
 		t.Errorf("panic response body = %s", body)
 	}
-	if s.Metrics().Value("budgetwfd_panics_total", "") != 1 {
-		t.Errorf("panic counter = %v, want 1", s.Metrics().Value("budgetwfd_panics_total", ""))
+	if s.metrics.reg.Value("budgetwfd_panics_total", "") != 1 {
+		t.Errorf("panic counter = %v, want 1", s.metrics.reg.Value("budgetwfd_panics_total", ""))
 	}
 }
 
@@ -726,7 +726,7 @@ func TestBodyTooLargeRejected(t *testing.T) {
 			t.Errorf("%s: 413 says %q (request id %q)", tc.path, e.Error, e.RequestID)
 		}
 	}
-	if got := s.Metrics().Value("budgetwfd_responses_total", "413"); got != 8 {
+	if got := s.metrics.reg.Value("budgetwfd_responses_total", "413"); got != 8 {
 		t.Errorf("413 count = %v, want 8", got)
 	}
 	if s.cache.stats().Aliases != 0 {

@@ -257,7 +257,7 @@ func TestShardTraceExportAndFlightRecorder(t *testing.T) {
 	if out.Trace.EndNs < out.Trace.StartNs {
 		t.Errorf("exported compute span runs backwards: [%d,%d]", out.Trace.StartNs, out.Trace.EndNs)
 	}
-	if got := s.Metrics().Value("budgetwfd_trace_spans_exported_total", ""); got < 1 {
+	if got := s.metrics.reg.Value("budgetwfd_trace_spans_exported_total", ""); got < 1 {
 		t.Errorf("TraceSpansExported = %v, want >= 1", got)
 	}
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 
@@ -237,29 +236,6 @@ type apiError struct {
 	RequestID string `json:"requestId,omitempty"`
 }
 
-// decodeStrict decodes JSON from r into v, rejecting unknown fields
-// and anything but whitespace after the value. Errors from it are
-// syntactic (HTTP 400) or the body limit's (HTTP 413);
-// writeDecodeError tells them apart.
-func decodeStrict(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	// Only the end of the input may follow. (Decoder.More would let a
-	// stray '}' or ']' through.)
-	_, err := dec.Token()
-	var tooLarge *http.MaxBytesError
-	switch {
-	case err == io.EOF:
-		return nil
-	case errors.As(err, &tooLarge):
-		return err
-	}
-	return fmt.Errorf("trailing data after JSON body")
-}
-
 // writeDecodeError answers a request whose body could not be read or
 // strictly decoded: 413 when it ran into the MaxBodyBytes limit — the
 // JSON may be fine, there is just too much of it — and 400 with the
@@ -291,7 +267,7 @@ func parseWorkflow(raw json.RawMessage) (*wf.Workflow, error) {
 // decodeScheduleFast decodes a /v1/schedule body that carries only a
 // workflow, an algorithm and a budget in wf.DecodeEnvelope's one pass.
 // When it reports false, req is untouched and the body takes
-// decodeStrict and parseWorkflow instead, which decide every
+// reqerr.DecodeStrict and parseWorkflow instead, which decide every
 // body this one declines — a platform or market, any error — exactly
 // as they would have.
 func decodeScheduleFast(body []byte, req *scheduleRequest) (*wf.Workflow, bool) {
@@ -313,8 +289,8 @@ func resolvePlatform(platformRaw, marketRaw json.RawMessage) (*platform.Platform
 	case rawPresent(marketRaw) && rawPresent(platformRaw):
 		return nil, reqerr.Invalid("market", "mutually exclusive with platform")
 	case rawPresent(marketRaw):
-		spec, err := market.ParseSpecBytes(marketRaw)
-		if err != nil {
+		var spec market.Spec
+		if err := reqerr.DecodeStrict(bytes.NewReader(marketRaw), &spec); err != nil {
 			return nil, reqerr.Invalid("market", "%v", err)
 		}
 		return spec.Compile()
@@ -322,7 +298,7 @@ func resolvePlatform(platformRaw, marketRaw json.RawMessage) (*platform.Platform
 		return platform.Default(), nil
 	}
 	var p platform.Platform
-	err := decodeStrict(bytes.NewReader(platformRaw), &p)
+	err := reqerr.DecodeStrict(bytes.NewReader(platformRaw), &p)
 	if err == nil {
 		err = p.Validate()
 	}

@@ -25,7 +25,7 @@ import (
 func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r.Context())
 	var req dist.RegisterRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := reqerr.DecodeStrict(r.Body, &req); err != nil {
 		writeDecodeError(w, err, reqID)
 		return
 	}

@@ -130,7 +130,7 @@ func TestDynamicWorkerJob(t *testing.T) {
 	if view.State != dist.StateDone {
 		t.Fatalf("job = %s (%s), want done", view.State, view.Error)
 	}
-	if n := worker.Metrics().Value("budgetwfd_requests_total", "shards"); n == 0 {
+	if n := worker.metrics.reg.Value("budgetwfd_requests_total", "shards"); n == 0 {
 		t.Error("no shards reached the dynamically registered worker")
 	}
 

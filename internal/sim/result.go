@@ -95,14 +95,6 @@ type VMUsage struct {
 	Busy float64
 }
 
-// Utilization is the busy fraction of the VM's billed lifetime.
-func (v VMUsage) Utilization() float64 {
-	if span := v.End - v.Start; span > 0 {
-		return v.Busy / span
-	}
-	return 0
-}
-
 // Result is the outcome of one simulated execution.
 type Result struct {
 	// Makespan is H_end,last − H_start,first.

@@ -162,8 +162,8 @@ func endReplication(sp *obs.Span, makespan, cost float64, vms int, err error) {
 }
 
 // Sample draws one realization of every task weight into the Runner's
-// weight buffer and returns it, for Run or Score; the next Sample or
-// RunDeterministic overwrites it.
+// weight buffer and returns it, for Run or Score; the next Sample
+// overwrites it.
 func (r *Runner) Sample(rand *rng.RNG) []float64 {
 	for t, d := range r.dists {
 		r.buf[t] = d.Sample(rand)
@@ -175,12 +175,4 @@ func (r *Runner) Sample(rand *rng.RNG) []float64 {
 // simulates one execution.
 func (r *Runner) RunStochastic(rand *rng.RNG) (*Result, error) {
 	return r.Run(r.Sample(rand))
-}
-
-// RunDeterministic simulates under conservative weights (w̄+σ).
-func (r *Runner) RunDeterministic() (*Result, error) {
-	for t, d := range r.dists {
-		r.buf[t] = d.Conservative()
-	}
-	return r.Run(r.buf)
 }

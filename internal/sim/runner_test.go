@@ -62,8 +62,8 @@ func TestRunnerMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestRunnerDeterministicMatches: Runner.RunDeterministic equals
-// RunDeterministic, and explicit-weights Run equals package Run.
+// TestRunnerDeterministicMatches: Runner.Run on conservative weights
+// equals RunDeterministic, and explicit-weights Run equals package Run.
 func TestRunnerDeterministicMatches(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	w, s, p := randomCase(r)
@@ -71,7 +71,7 @@ func TestRunnerDeterministicMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := runner.RunDeterministic()
+	a, err := runner.Run(ConservativeWeights(w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestRunnerRejectsBadWeights(t *testing.T) {
 	if _, err := runner.Run(bad); err == nil {
 		t.Error("negative weight accepted")
 	}
-	if _, err := runner.RunDeterministic(); err != nil {
+	if _, err := runner.Run(MeanWeights(w)); err != nil {
 		t.Errorf("runner unusable after rejected input: %v", err)
 	}
 }
@@ -129,11 +129,11 @@ func TestRunnerResultAliased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := runner.RunDeterministic()
+	a, err := runner.Run(MeanWeights(w))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runner.RunDeterministic()
+	b, err := runner.Run(MeanWeights(w))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,6 @@ func TestUtilizationSingleTask(t *testing.T) {
 	if !almostEq(vm.Busy, 12) {
 		t.Errorf("busy %v, want 12", vm.Busy)
 	}
-	if !almostEq(vm.Utilization(), 12.0/13.0) {
-		t.Errorf("utilization %v", vm.Utilization())
-	}
 	if !almostEq(res.FleetUtilization(), 12.0/13.0) {
 		t.Errorf("fleet utilization %v", res.FleetUtilization())
 	}
@@ -58,7 +55,7 @@ func TestUtilizationCapturesIdleGap(t *testing.T) {
 	if !almostEq(vm1u.Busy, 10) {
 		t.Errorf("vm1 busy %v, want 10", vm1u.Busy)
 	}
-	if vm1u.Utilization() > 0.5 {
-		t.Errorf("vm1 utilization %v should expose the idle gap", vm1u.Utilization())
+	if u := vm1u.Busy / (vm1u.End - vm1u.Start); u > 0.5 {
+		t.Errorf("vm1 utilization %v should expose the idle gap", u)
 	}
 }
