@@ -97,7 +97,7 @@ loadtest-tenants:
 # kill-restart the coordinator mid-sweep, and verify the merged result
 # is byte-identical to an undisturbed run (see internal/dist/chaostest).
 chaos:
-	$(GO) run ./cmd/loadgen -chaos
+	$(GO) test -run '^TestChaosCluster$$' -count=1 -v ./internal/dist/chaostest
 
 # Every fuzz target of the module, 20 s each. The list comes from
 # `go test -list`, so a new target runs here, and in CI, unasked.

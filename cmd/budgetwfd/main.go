@@ -7,7 +7,6 @@
 // Usage:
 //
 //	budgetwfd -addr :8080 -workers 4 -queue 64 -cache-size 512 -timeout 30s
-//	budgetwfd -pprof                     # also mount /debug/pprof/ on the API listener
 //	budgetwfd -debug-addr 127.0.0.1:6060 # pprof + expvar on a separate private listener
 //
 // Cluster mode (see README "Operating the cluster"): start shard
@@ -79,7 +78,6 @@ func run(args []string) error {
 	queue := fs.Int("queue", 64, "admission queue depth (-1 = no queue)")
 	cacheSize := fs.Int("cache-size", 512, "plan cache entries (-1 = disable)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request timeout (-1s = none)")
-	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof and expvar on this separate listener (unauthenticated; bind to localhost or a private interface only)")
 	traceRing := fs.Int("trace-ring", 64, "recent request traces retained for GET /v1/traces/{id} (-1 = disable retention)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown grace period")
@@ -116,7 +114,6 @@ func run(args []string) error {
 		QueueDepth:      *queue,
 		CacheSize:       *cacheSize,
 		RequestTimeout:  *timeout,
-		EnablePprof:     *pprofOn,
 		TraceRingSize:   *traceRing,
 		Peers:           splitPeers(*peers),
 		HeartbeatTTL:    *heartbeatTTL,

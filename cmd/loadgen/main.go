@@ -23,19 +23,11 @@
 // VMs each tenant leased from other tenants' already-paid billing
 // periods, and how much provisioning cost the sharing saved.
 //
-// With -chaos it ignores -url, builds budgetwfd from the enclosing
-// module, boots a real multi-process cluster (one journal-backed
-// coordinator plus -chaos-workers shard workers), submits a sweep job,
-// SIGKILLs a random worker and kill-restarts the coordinator mid-run,
-// and verifies the merged result is byte-identical to an undisturbed
-// single-process /v1/sweep (see internal/dist/chaostest).
-//
 // Usage:
 //
 //	loadgen -url http://localhost:8080 -n 200 -c 16 -distinct 4
 //	loadgen -url http://localhost:8080 -jobs -n 8 -c 4 -distinct 4
 //	loadgen -url http://localhost:8080 -tenants 3 -n 30 -c 4
-//	loadgen -chaos -chaos-workers 3 -size 60
 package main
 
 import (
@@ -81,26 +73,11 @@ func run(args []string, stdout io.Writer) error {
 	jobsMode := fs.Bool("jobs", false, "async-job mode: submit sweep campaigns to /v1/jobs and poll to completion")
 	jobTimeout := fs.Duration("job-timeout", 5*time.Minute, "give up polling a job after this long")
 	tenants := fs.Int("tenants", 0, "multi-tenant mode: spread submissions over this many tenants against POST /v1/submit of a pool-enabled daemon (budgetwfd -pool)")
-	chaos := fs.Bool("chaos", false, "chaos mode: boot a local multi-process cluster, kill a worker and restart the coordinator mid-sweep, and byte-diff the merged result against an undisturbed run")
-	chaosWorkers := fs.Int("chaos-workers", 3, "shard workers in the -chaos cluster")
-	chaosSeed := fs.Int64("chaos-seed", 1, "seed picking which worker dies in -chaos mode")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	*distinct = max(*distinct, 1)
 	*conc = max(*conc, 1)
-	if *chaos {
-		// -size defaults to 30 for the schedule modes; chaos needs a
-		// sweep heavy enough that the kills land mid-run, so only an
-		// explicit -size overrides the harness default sizing.
-		chaosSize := 0
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "size" {
-				chaosSize = *size
-			}
-		})
-		return runChaos(stdout, *chaosWorkers, chaosSize, *chaosSeed, *jobTimeout)
-	}
 	if *jobsMode {
 		return runJobs(stdout, *baseURL, *total, *conc, *distinct, *size, *retryCap, *jobTimeout)
 	}

@@ -8,9 +8,8 @@
 // and the journal must have been compacted to a snapshot plus a
 // bounded tail.
 //
-// Both the automated chaos test (chaos_test.go) and `loadgen -chaos`
-// drive clusters through this package, so the interactive harness and
-// CI exercise the same code path.
+// The package is test-only: `make chaos` runs TestChaosCluster
+// (chaos_test.go) on its own, and CI runs it with the other tests.
 package chaostest
 
 import (

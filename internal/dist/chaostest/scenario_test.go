@@ -19,21 +19,15 @@ import (
 type Scenario struct {
 	// Workers is the cluster size (default 3).
 	Workers int
-	// Sweep is the sweep spec, as the JSON object POST /v1/sweep
-	// accepts. It must be big enough that the failures land mid-run;
-	// DefaultSweep(size) is tuned for a few seconds of wall clock.
-	Sweep map[string]any
 	// Seed picks which worker dies (default 1).
 	Seed int64
-	// Timeout bounds the whole scenario (default 3m).
-	Timeout time.Duration
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
-
-	// KeepDir preserves the scratch directory (logs, journal) instead
-	// of removing it on success. Failures always preserve it.
-	KeepDir bool
 }
+
+// scenarioTimeout bounds the whole scenario. The scratch directory
+// (logs, journal) is removed on success and preserved on failure.
+const scenarioTimeout = 3 * time.Minute
 
 // Report is the outcome of one chaos scenario.
 type Report struct {
@@ -63,23 +57,20 @@ type Report struct {
 	TraceWorkerPids int // distinct non-coordinator pids among them
 }
 
-// DefaultSweep returns a sweep spec sized so a 3-worker cluster chews
-// on it for over a second (96 units, ~25 status polls) — long enough
-// that a worker SIGKILL and a coordinator restart both land strictly
-// mid-run, with shards left for the restarted coordinator to dispatch.
-func DefaultSweep(size int) map[string]any {
-	if size <= 0 {
-		size = 90
-	}
-	return map[string]any{
-		"workflowType": "montage",
-		"n":            size,
-		"algorithms":   []string{"heft", "heftbudg"},
-		"gridK":        6,
-		"instances":    8,
-		"replications": 400,
-		"seed":         42,
-	}
+// chaosSweep is the scenario's sweep spec, as the JSON object POST
+// /v1/sweep accepts, sized so a 3-worker cluster chews on it for over
+// a second (96 units, ~25 status polls) — long enough that a worker
+// SIGKILL and a coordinator restart both land strictly mid-run, with
+// shards left for the restarted coordinator to dispatch. It is only
+// read.
+var chaosSweep = map[string]any{
+	"workflowType": "montage",
+	"n":            90,
+	"algorithms":   []string{"heft", "heftbudg"},
+	"gridK":        6,
+	"instances":    8,
+	"replications": 400,
+	"seed":         42,
 }
 
 // Run executes the scenario against a freshly started cluster:
@@ -105,14 +96,8 @@ func Run(sc Scenario) (*Report, error) {
 	if sc.Workers == 0 {
 		sc.Workers = 3
 	}
-	if sc.Sweep == nil {
-		sc.Sweep = DefaultSweep(0)
-	}
 	if sc.Seed == 0 {
 		sc.Seed = 1
-	}
-	if sc.Timeout == 0 {
-		sc.Timeout = 3 * time.Minute
 	}
 	logf := sc.Logf
 	if logf == nil {
@@ -127,17 +112,17 @@ func Run(sc Scenario) (*Report, error) {
 	rep := &Report{Dir: cluster.Config.Dir}
 	keepDir := true
 	defer func() {
-		if !keepDir && !sc.KeepDir {
+		if !keepDir {
 			os.RemoveAll(cluster.Config.Dir)
 			rep.Dir = ""
 		}
 	}()
 
 	client := &http.Client{Timeout: 30 * time.Second}
-	deadline := time.Now().Add(sc.Timeout)
+	deadline := time.Now().Add(scenarioTimeout)
 
 	// 1. Submit the sweep as an async job.
-	body, err := json.Marshal(map[string]any{"kind": "sweep", "sweep": sc.Sweep})
+	body, err := json.Marshal(map[string]any{"kind": "sweep", "sweep": chaosSweep})
 	if err != nil {
 		return rep, err
 	}
@@ -171,7 +156,7 @@ func Run(sc Scenario) (*Report, error) {
 	for {
 		if time.Now().After(deadline) {
 			return rep, fmt.Errorf("job %s not terminal after %v (worker killed: %v, coordinator restarted: %v)",
-				sub.JobID, sc.Timeout, killedWorker, restarted)
+				sub.JobID, scenarioTimeout, killedWorker, restarted)
 		}
 		time.Sleep(50 * time.Millisecond)
 		rep.Polls++
@@ -247,7 +232,7 @@ func Run(sc Scenario) (*Report, error) {
 	if survivor == nil {
 		return rep, fmt.Errorf("no surviving worker for the reference run")
 	}
-	specBody, _ := json.Marshal(sc.Sweep)
+	specBody, _ := json.Marshal(chaosSweep)
 	refResp, err := client.Post(survivor.URL+"/v1/sweep", "application/json", bytes.NewReader(specBody))
 	if err != nil {
 		return rep, fmt.Errorf("reference sweep: %w", err)

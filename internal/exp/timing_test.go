@@ -153,3 +153,79 @@ func planSpan(s *obs.SpanJSON, name string) *obs.SpanJSON {
 	}
 	return nil
 }
+
+// TestTracedPlansRecordEveryTask: traced HEFTBUDG and MIN-MINBUDG plans
+// of Montage n = 1000 (seed 1, medium budget) keep every trace node,
+// record one place and one budget-guard event per task, and list each
+// placed host among the task's candidate events. The candidates are
+// the hosts the selection read from the readiness index, a few per
+// task, so that a plan of 1 000 tasks stays within obs's node cap,
+// which every used VM per task would overrun. Tracing leaves the work
+// counts of the selections where an untraced plan has them: the
+// winner's walk that MIN-MINBUDG traces is not counted.
+func TestTracedPlansRecordEveryTask(t *testing.T) {
+	if testing.Short() {
+		t.Skip("plans n = 1000")
+	}
+	p := platform.Default()
+	w := wfgen.MustGenerate(wfgen.Montage, 1000, 1).WithSigmaRatio(0.5)
+	a, err := ComputeAnchors(w, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		alg    sched.Name
+		walked int64
+	}{{sched.NameHeftBudg, 2718}, {sched.NameMinMinBudg, 10817}} {
+		tr := obs.New("t")
+		if _, err := sched.PlanContext(obs.WithSpan(context.Background(), tr.Root()), c.alg, w, p, levelBudget(BudgetMedium, a)); err != nil {
+			t.Fatal(err)
+		}
+		tr.EndAll()
+		tree := tr.Tree()
+		if tree.Dropped != 0 {
+			t.Errorf("%s: %d trace nodes dropped", c.alg, tree.Dropped)
+		}
+		span := planSpan(tree.Root, "plan:"+string(c.alg))
+		if span == nil {
+			t.Fatalf("no %s plan span", c.alg)
+		}
+		if walked := span.Attrs["walked"]; walked != c.walked {
+			t.Errorf("%s: walked %v, want %d", c.alg, walked, c.walked)
+		}
+		// host is a placement's task, VM, category, EFT and cost.
+		type host struct {
+			task, vm, cat int64
+			eft, cost     float64
+		}
+		of := func(e obs.EventJSON) host {
+			h := host{eft: e.Attrs["eft"].(float64), cost: e.Attrs["cost"].(float64)}
+			h.task, h.vm, h.cat = e.Attrs["task"].(int64), e.Attrs["vm"].(int64), e.Attrs["cat"].(int64)
+			return h
+		}
+		events := map[string][]obs.EventJSON{}
+		for _, e := range span.Events {
+			events[e.Name] = append(events[e.Name], e)
+		}
+		listed := map[host]bool{}
+		for _, e := range events["candidate"] {
+			listed[of(e)] = true
+		}
+		for _, name := range []string{"place", "budget-guard"} {
+			tasks := map[int64]bool{}
+			for _, e := range events[name] {
+				tasks[e.Attrs["task"].(int64)] = true
+			}
+			if len(events[name]) != w.NumTasks() || len(tasks) != w.NumTasks() {
+				t.Errorf("%s: %d %s events over %d tasks, want one for each of %d", c.alg, len(events[name]), name, len(tasks), w.NumTasks())
+			}
+		}
+		for _, e := range events["place"] {
+			if h := of(e); !listed[h] {
+				t.Errorf("%s: task %d placed on %+v, which no candidate event lists", c.alg, h.task, h)
+				break
+			}
+		}
+		t.Logf("%s: %d candidate events", c.alg, len(events["candidate"]))
+	}
+}

@@ -69,7 +69,7 @@ func cgOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options) (*
 		}
 		share := tMin[t] + (tMax[t]-tMin[t])*gb
 		cat := closestCategory(ctx, t, share)
-		choice := bestOfCategory(st, t, cat)
+		choice := st.cgHost(t, cat)
 		st.assign(t, choice)
 		totalCost += choice.cost
 	}
@@ -94,18 +94,12 @@ func closestCategory(ctx *context, t wf.TaskID, share float64) int {
 	return best
 }
 
-// bestOfCategory returns the min-EFT candidate among used VMs of the
-// given category plus one fresh VM of that category.
-func bestOfCategory(st *state, t wf.TaskID, cat int) candidate {
-	in, terms := st.prepare(t)
-	return st.fastest(t, in, terms, cat)
-}
-
-// fastest returns task t's first candidate under less among the used
-// VMs of category cat and a fresh one, after prepare(t) returned in and
-// terms, from the hosts an infinite allowance reads.
-func (s *state) fastest(t wf.TaskID, in taskInputs, terms []catTerms, cat int) candidate {
-	used, fresh := s.hosts(t, in, terms, infinite, cat)
+// cgHost returns task t's first candidate under less among the used
+// VMs of category cat and a fresh one, from the hosts an infinite
+// allowance reads (state.hosts).
+func (s *state) cgHost(t wf.TaskID, cat int) candidate {
+	in, terms := s.prepare(t)
+	used, fresh := s.hosts(t, in, terms, infinite, cat, nil)
 	best := fresh[0]
 	for _, c := range used {
 		if less(c, best) {

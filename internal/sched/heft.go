@@ -24,7 +24,9 @@ func HeftBudg(w *wf.Workflow, p *platform.Platform, budget float64) (*plan.Sched
 }
 
 // heftPlan is the shared HEFT loop. A nil info plans budget-blind
-// (infinite allowance).
+// (infinite allowance). Each task takes pickBest over the hosts the
+// readiness index yields (state.hosts), and a traced plan records that
+// list as the task's candidates.
 func heftPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Options) (*plan.Schedule, error) {
 	ctx, err := newContextOpt(w, p, opt)
 	if err != nil {
@@ -45,12 +47,12 @@ func heftPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Option
 		if info != nil {
 			allowance = account.allowance(info.Shares[t])
 		}
+		in, terms := st.prepare(t)
+		used, fresh := st.hosts(t, in, terms, allowance, -1, nil)
+		c := pickBest(used, fresh, allowance)
 		if opt.span != nil {
-			// Re-enumerate off the hot selector: the cost is only paid
-			// when a trace was requested.
-			traceCandidates(opt.span, st.appendCandidates(nil, t), t, allowance)
+			traceCandidates(opt.span, t, allowance, used, fresh)
 		}
-		c := st.bestHost(t, allowance)
 		st.assign(t, c)
 		totalCost += c.cost
 		if info != nil {

@@ -25,12 +25,13 @@ import (
 // readiness is the index: the used VMs ordered by (category, readyAt,
 // index), with their readyAt alongside. Category k's VMs are the run
 // vms[bounds[k]:bounds[k+1]], of which tctfHost notes in split[k] how
-// many are ready by the data. newState takes vms, split and bounds from
-// the slab of taskVM and at from that of finish, so the index costs a
-// plan no allocation of its own.
+// many are ready by the data, and zero, all zeros, is hosts' offset
+// when its caller gives none. newState takes vms, split and bounds from
+// the slab of taskVM and at and zero from that of finish, so the index
+// costs a plan no allocation of its own.
 type readiness struct {
 	vms, split []int
-	at         []float64
+	at, zero   []float64
 	bounds     []int
 }
 
@@ -143,9 +144,11 @@ func (s *state) finite(in taskInputs, terms []catTerms) bool {
 // hosts lays out the candidates of task t that a selection under
 // allowance a reads, after prepare(t) returned in and terms, in the
 // state's buffer: used VMs by index, then fresh VMs by category, as the
-// scan enumerates them. only restricts them to one category (CG), and
-// -1 keeps every category. When a term is not finite they are every
-// host; otherwise they come from the index:
+// scan enumerates them: the one walk behind HEFT's, MIN-MIN's, CG's and
+// PEFT's selections. only restricts them to one category (CG), and -1
+// keeps every category; off, unless nil, adds off[k] to every EFT of
+// category k that the walk compares (PEFT's OCT row). When a term is
+// not finite they are every host; otherwise they come from the index:
 //
 //   - each fresh VM;
 //   - of the VMs that run a predecessor of t, visited in order of their
@@ -160,17 +163,26 @@ func (s *state) finite(in taskInputs, terms []catTerms) bool {
 //     first affordable one and its exact EFT ties are among them, and
 //     when nothing is affordable every one is visited.
 //
-// They hold pickBest's answer on all candidates: the earliest
-// affordable one, or the cheapest when nothing is affordable, with its
-// exact ties, so that enumeration order settles it as in the scan. For
-// every candidate that finishes before it they also hold one that
-// finishes no later at no higher cost, which is all pickCache.repick
-// reads to bound its interval. So pickBest, repick and the EFT fold of
-// bestOfCategory over them answer as over every host, by construction;
-// FuzzIndexedPickMatchesScan checks it field for field. Each used-VM
-// placement counts in walked, and each full evaluation adds deg(t) to
-// predEdges.
-func (s *state) hosts(t wf.TaskID, in taskInputs, terms []catTerms, a float64, only int) (used, fresh []candidate) {
+// Without an offset they hold pickBest's answer on all candidates: the
+// earliest affordable one, or the cheapest when nothing is affordable,
+// with its exact ties, so that enumeration order settles it as in the
+// scan. For every candidate that finishes before it they also hold one
+// that finishes no later at no higher cost, which is all
+// pickCache.repick reads to bound its interval. So pickBest, repick and
+// cgHost's EFT fold over them answer as over every host, by
+// construction. An offset keeps the EFT's order within a category
+// (rounding is monotone), so under an infinite allowance every host
+// dropped finishes strictly later once shifted than one kept, or ties
+// it and loses on less: peftHost's fold answers as over every host.
+// FuzzIndexedPickMatchesScan checks each of them field for field. Each
+// used-VM placement counts in walked, and each full evaluation adds
+// deg(t) to predEdges. A selection costs O(deg) for prepare's pass and
+// the floors, a full O(deg) evaluation per VM that runs a predecessor
+// whose floor the bound does not beat, O(log VMs) per category to find
+// the VMs ready by the data and O(1) per VM walked; one the index
+// cannot serve places every host, in O(deg·(k+1) + VMs + categories)
+// for k VMs that run a predecessor.
+func (s *state) hosts(t wf.TaskID, in taskInputs, terms []catTerms, a float64, only int, off []float64) (used, fresh []candidate) {
 	if !s.finite(in, terms) {
 		all := s.placeAll(t, in, terms, only)
 		nFresh := len(terms)
@@ -179,26 +191,29 @@ func (s *state) hosts(t wf.TaskID, in taskInputs, terms []catTerms, a float64, o
 		}
 		return all[:len(all)-nFresh], all[len(all)-nFresh:]
 	}
+	if off == nil {
+		off = s.index.zero
+	}
 	buf := s.picked[:0]
-	bound := infinite // the earliest EFT among affordable candidates so far
+	bound := infinite // the earliest shifted EFT among affordable candidates so far
 	for k, kt := range terms {
 		if only < 0 || k == only {
 			c := s.placeFresh(in, kt, k)
-			if c.cost <= a && c.eft < bound {
-				bound = c.eft
+			if c.cost <= a && c.eft+off[k] < bound {
+				bound = c.eft + off[k]
 			}
 			buf = append(buf, c)
 		}
 	}
 	nFresh := len(buf)
-	// The VMs that run a predecessor, in order of their EFT floors until
-	// one's floor exceeds the bound: those left finish after it. The
-	// floors wait, as candidates holding only vm and eft, after the
+	// The VMs that run a predecessor, in order of their shifted EFT
+	// floors until one exceeds the bound: those left finish after it.
+	// The floors wait, as candidates holding only vm and eft, after the
 	// evaluated VMs, and each evaluation takes the place of the least.
 	g := &s.g
 	for p, i := range g.onVM {
-		if only < 0 || s.vms[i].cat == only {
-			buf = append(buf, candidate{vm: i, eft: s.eftFloor(t, in, p)})
+		if k := s.vms[i].cat; only < 0 || k == only {
+			buf = append(buf, candidate{vm: i, eft: s.eftFloor(t, in, p) + off[k]})
 		}
 	}
 	done := nFresh
@@ -215,8 +230,8 @@ func (s *state) hosts(t wf.TaskID, in taskInputs, terms []catTerms, a float64, o
 		i := buf[j].vm
 		buf[j] = buf[done]
 		buf[done] = s.eval(t, i, s.vms[i].cat)
-		if c := &buf[done]; c.cost <= a && c.eft < bound {
-			bound = c.eft
+		if c := &buf[done]; c.cost <= a && c.eft+off[c.cat] < bound {
+			bound = c.eft + off[c.cat]
 		}
 		s.walked++
 		s.predEdges += len(g.from)
@@ -227,7 +242,7 @@ func (s *state) hosts(t wf.TaskID, in taskInputs, terms []catTerms, a float64, o
 			continue
 		}
 		vms, ats := s.catVMs(k)
-		split := readyBy(ats, in.dcReady)
+		split, shift := readyBy(ats, in.dcReady), off[k]
 		// keep appends VM i's candidate, noting its place j for advance.
 		keep := func(i, j int, begin, eft, cost float64) {
 			buf = append(buf, candidate{vm: i, cat: k, begin: begin, eft: eft, cost: cost})
@@ -242,11 +257,11 @@ func (s *state) hosts(t wf.TaskID, in taskInputs, terms []catTerms, a float64, o
 			}
 			begin, eft, cost := s.onVM(in, kt, i)
 			s.walked++
-			if first && eft > bound || !first && cost != buf[len(buf)-1].cost {
+			if first && eft+shift > bound || !first && cost != buf[len(buf)-1].cost {
 				break
 			}
-			if first && cost <= a && eft < bound {
-				bound = eft
+			if first && cost <= a && eft+shift < bound {
+				bound = eft + shift
 			}
 			keep(i, j, begin, eft, cost)
 			first = false
@@ -264,9 +279,9 @@ func (s *state) hosts(t wf.TaskID, in taskInputs, terms []catTerms, a float64, o
 			begin, eft, cost := s.onVM(in, kt, i)
 			s.walked++
 			switch {
-			case eft > bound:
+			case eft+shift > bound:
 			case cost <= a:
-				bound = eft
+				bound = eft + shift
 				keep(i, j, begin, eft, cost)
 				continue
 			case cost < lowCost, cost == lowCost && eft == lowEFT && i < lowVM:
@@ -306,16 +321,23 @@ func (s *state) hosts(t wf.TaskID, in taskInputs, terms []catTerms, a float64, o
 // by index, then fresh VMs by category), restricted to category only
 // unless it is -1, and counts the placements in walked and predEdges.
 func (s *state) placeAll(t wf.TaskID, in taskInputs, terms []catTerms, only int) []candidate {
-	buf := s.appendPlaced(s.picked[:0], t, in, terms, only)
-	s.picked = buf[:0]
+	buf := slices.Grow(s.picked[:0], len(s.vms)+len(terms))
 	for i := range s.vms {
 		if only < 0 || s.vms[i].cat == only {
+			buf = append(buf, candidate{})
+			s.place(&buf[len(buf)-1], t, in, terms, i)
 			s.walked++
 			if s.runsPred(i, t) {
 				s.predEdges += len(s.g.from)
 			}
 		}
 	}
+	for k, kt := range terms {
+		if only < 0 || k == only {
+			buf = append(buf, s.placeFresh(in, kt, k))
+		}
+	}
+	s.picked = buf[:0]
 	return buf
 }
 
@@ -344,8 +366,8 @@ func (s *state) placeAll(t wf.TaskID, in taskInputs, terms []catTerms, only int)
 // When ct_min exceeds S nothing is affordable, and the eager fallback,
 // the fastest host under less, is pickBest's over the hosts an infinite
 // allowance reads. Ties on TCTF fall to less and then to enumeration
-// order, as in the fold over every host; FuzzTCTFMatchesScan checks the
-// answer field for field.
+// order, as in the fold over every host; FuzzIndexedPickMatchesScan
+// checks the answer field for field.
 func (s *state) tctfHost(t wf.TaskID, S float64) candidate {
 	in, terms := s.prepare(t)
 	if !s.finite(in, terms) || S-S != 0 {
@@ -402,7 +424,7 @@ func (s *state) tctfHost(t wf.TaskID, S float64) candidate {
 		s.walked += len(vms) - split[k]
 	}
 	if !(ctMin <= S) {
-		used, fresh := s.hosts(t, in, terms, infinite, -1)
+		used, fresh := s.hosts(t, in, terms, infinite, -1, nil)
 		return pickBest(used, fresh, infinite)
 	}
 

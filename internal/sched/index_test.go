@@ -232,15 +232,28 @@ func checkIndex(t *testing.T, st *state) {
 
 // FuzzIndexedPickMatchesScan: on random states, the selections that
 // read the readiness index answer as the scans over every host do, bit
-// for bit — bestHost as the selector over plain eval, bestOfCategory as
-// the EFT fold over the category's VMs, and pickCache.repick over
-// the index's candidates with the same pick, lo, hi, capped and state
-// as over every candidate, and the same lowest EFT, which minMinPlan
-// takes as a re-scanned task's key. The allowances include each candidate's
-// exact cost and the floats either side of it, 0, +Inf and NaN. A
-// nonzero fanIn (mod 5) places the fan-in task of randomFanInState
-// instead, of shape fanIn%5 − 1, whose hosts skip the VMs that run a
-// predecessor by their EFT floors.
+// for bit, each placed by plain eval:
+//
+//   - bestHost as the selector;
+//   - pickCache.repick over the index's candidates with the same pick,
+//     lo, hi, capped and state as over every candidate, and the same
+//     lowest EFT, which minMinPlan takes as a re-scanned task's key;
+//   - cgHost as the EFT fold over the category's VMs;
+//   - tctfHost, BDT's selection, as pickTCTF;
+//   - peftHost, the walk shifted by an OCT row, as the OEFT fold.
+//
+// The allowances include each candidate's exact cost and the floats
+// either side of it, 0, +Inf and NaN. The sub-budgets include 0 and
+// +Inf, each candidate's exact cost and the floats either side of it,
+// the costs a few ulps and a relative 2⁻⁴⁰ of the spread above, where
+// S − cost cancels into the eps clamp, and halfway between ct_min and
+// each cost. The OCT rows' entries often tie, or offset two categories'
+// fastest EFTs exactly. A nonzero fanIn (mod 5) places the fan-in task
+// of randomFanInState instead, of shape fanIn%5 − 1, whose hosts skip
+// the VMs that run a predecessor by their EFT floors. Each task is then
+// placed again with zero work: no weight and no bytes to stage, so that
+// a VM ready after the data is billed nothing and finishes when it is
+// ready.
 func FuzzIndexedPickMatchesScan(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, uint8(seed), uint8(0))
@@ -251,93 +264,10 @@ func FuzzIndexedPickMatchesScan(f *testing.F) {
 	// it on the free category (-380).
 	f.Add(int64(201), uint8(156), uint8(0))
 	f.Add(int64(-380), uint8(215), uint8(0))
-	plats := indexPlatforms(f)
-	f.Fuzz(func(t *testing.T, seed int64, plat, fanIn uint8) {
-		r := rand.New(rand.NewSource(seed))
-		p := plats[int(plat)%len(plats)]
-		var st *state
-		var cons []wf.TaskID
-		if fanIn%5 == 0 {
-			st, cons = randomIndexedState(t, r, p)
-		} else {
-			var sink wf.TaskID
-			st, sink = randomFanInState(t, r, p, int(fanIn%5)-1)
-			cons = []wf.TaskID{sink}
-		}
-		checkIndex(t, st)
-		for _, id := range cons {
-			var used, fresh []candidate
-			for i := range st.vms {
-				used = append(used, st.eval(id, i, st.vms[i].cat))
-			}
-			for k := range p.Categories {
-				fresh = append(fresh, st.eval(id, -1, k))
-			}
-			allowances := []float64{0, math.Inf(1), math.NaN()}
-			for _, part := range [][]candidate{used, fresh} {
-				for _, c := range part {
-					allowances = append(allowances, c.cost, math.Nextafter(c.cost, math.Inf(1)), math.Nextafter(c.cost, math.Inf(-1)))
-				}
-			}
-			for _, a := range allowances {
-				label := fmt.Sprintf("seed %d platform %d fan-in %d task %d allowance %v", seed, plat, fanIn, id, a)
-				if got, want := st.bestHost(id, a), evalBestHost(st, id, a); !sameBits(got, want) {
-					t.Fatalf("%s: bestHost %+v, scan %+v", label, got, want)
-				}
-				var scan, indexed pickCache
-				scan.repick(used, fresh, a)
-				in, terms := st.prepare(id)
-				if !st.finite(in, terms) {
-					t.Fatalf("%s: the index does not serve a finite platform", label)
-				}
-				iu, ifr := st.hosts(id, in, terms, a, -1)
-				low := indexed.repick(iu, ifr, a)
-				if !sameBits(indexed.c, scan.c) || indexed.state != scan.state || indexed.capped != scan.capped ||
-					math.Float64bits(indexed.lo) != math.Float64bits(scan.lo) || math.Float64bits(indexed.hi) != math.Float64bits(scan.hi) {
-					t.Fatalf("%s: repick over the index %+v, over every host %+v", label, indexed, scan)
-				}
-				// minMinPlan's key after a re-scan: the lowest EFT the
-				// index lists is the lowest over every host.
-				if want := lowestEFT(used, fresh); math.Float64bits(low) != math.Float64bits(want) || lowestEFT(iu, ifr) != want {
-					t.Fatalf("%s: lowest EFT %v over the index (repick %v), %v over every host", label, lowestEFT(iu, ifr), low, want)
-				}
-			}
-			for k := range p.Categories {
-				want := fresh[k]
-				for i := range st.vms {
-					if st.vms[i].cat == k && less(used[i], want) {
-						want = used[i]
-					}
-				}
-				if got := bestOfCategory(st, id, k); !sameBits(got, want) {
-					t.Fatalf("seed %d platform %d fan-in %d task %d category %d: bestOfCategory %+v, scan %+v", seed, plat, fanIn, id, k, got, want)
-				}
-			}
-		}
-	})
-}
-
-// FuzzTCTFMatchesScan: on FuzzIndexedPickMatchesScan's states (its
-// generator, seeds and fanIn), BDT's selection from the readiness index
-// (tctfHost) answers as pickTCTF over every host, placed by plain eval,
-// field for field. Each task is also placed with zero work: no weight
-// and no bytes to stage, so that a VM ready after the data is billed
-// nothing and finishes when it is ready. The sub-budgets include 0 and
-// +Inf, each candidate's exact cost and the floats either side of it,
-// the costs a few ulps and a relative 2⁻⁴⁰ of the spread above, where
-// S − cost cancels into the eps clamp, and halfway between ct_min and
-// each cost.
-func FuzzTCTFMatchesScan(f *testing.F) {
-	for seed := int64(0); seed < 8; seed++ {
-		f.Add(seed, uint8(seed), uint8(0))
-		f.Add(seed, uint8(seed), uint8(1+seed%4))
-	}
-	f.Add(int64(201), uint8(156), uint8(0))
-	f.Add(int64(-380), uint8(215), uint8(0))
-	// States on which a broken selection answered otherwise: stopping
-	// the walk after the VMs ready by the data at an exact TCTF tie
-	// (303), and reading ECT_max off a run's last VM although it runs a
-	// predecessor (22).
+	// States on which a broken BDT selection answered otherwise:
+	// stopping the walk after the VMs ready by the data at an exact TCTF
+	// tie (303), and reading ECT_max off a run's last VM although it
+	// runs a predecessor (22).
 	f.Add(int64(303), uint8(101), uint8(100))
 	f.Add(int64(22), uint8(227), uint8(55))
 	plats := indexPlatforms(f)
@@ -353,6 +283,7 @@ func FuzzTCTFMatchesScan(f *testing.F) {
 			st, sink = randomFanInState(t, r, p, int(fanIn%5)-1)
 			cons = []wf.TaskID{sink}
 		}
+		checkIndex(t, st)
 		for _, zero := range []bool{false, true} {
 			for _, id := range cons {
 				if zero {
@@ -365,32 +296,17 @@ func FuzzTCTFMatchesScan(f *testing.F) {
 					}
 					st.prepare(id) // eval reads the edges prepare gathered
 				}
-				var all []candidate
+				label := fmt.Sprintf("seed %d platform %d fan-in %d task %d zero work %v", seed, plat, fanIn, id, zero)
+				var used, fresh []candidate
 				for i := range st.vms {
-					all = append(all, st.eval(id, i, st.vms[i].cat))
+					used = append(used, st.eval(id, i, st.vms[i].cat))
 				}
 				for k := range p.Categories {
-					all = append(all, st.eval(id, -1, k))
+					fresh = append(fresh, st.eval(id, -1, k))
 				}
-				ctMin := infinite
-				for _, c := range all {
-					ctMin = min(ctMin, c.cost)
-				}
-				budgets := []float64{0, math.Inf(1)}
-				for _, c := range all {
-					up := c.cost
-					for range 3 {
-						up = math.Nextafter(up, math.Inf(1))
-					}
-					budgets = append(budgets, c.cost, math.Nextafter(c.cost, math.Inf(1)), math.Nextafter(c.cost, math.Inf(-1)),
-						up, c.cost+(c.cost-ctMin)*0x1p-40, ctMin+(c.cost-ctMin)/2)
-				}
-				for _, S := range budgets {
-					if got, want := st.tctfHost(id, S), pickTCTF(all, S); !sameBits(got, want) {
-						t.Fatalf("seed %d platform %d fan-in %d task %d zero work %v sub-budget %v: index %+v, scan %+v",
-							seed, plat, fanIn, id, zero, S, got, want)
-					}
-				}
+				all := append(append([]candidate(nil), used...), fresh...)
+				checkEFTSelections(t, label, st, id, used, fresh)
+				checkTCTF(t, label, st, id, all)
 				// PEFT's selection on an OCT row whose entries often tie, or
 				// offset two categories' fastest EFTs exactly.
 				oct := make([]float64, len(p.Categories))
@@ -400,19 +316,96 @@ func FuzzTCTFMatchesScan(f *testing.F) {
 						oct[k] = all[r.Intn(len(all))].eft
 					}
 				}
-				want := 0
-				for i, c := range all {
-					if oeft, best := c.eft+oct[c.cat], all[want].eft+oct[all[want].cat]; oeft < best || oeft == best && less(c, all[want]) {
-						want = i
-					}
-				}
-				if got := st.peftHost(id, oct); !sameBits(got, all[want]) {
-					t.Fatalf("seed %d platform %d fan-in %d task %d zero work %v OCT %v: PEFT's index %+v, scan %+v",
-						seed, plat, fanIn, id, zero, oct, got, all[want])
+				if got, want := st.peftHost(id, oct), peftScan(all, oct); !sameBits(got, want) {
+					t.Fatalf("%s OCT %v: PEFT's index %+v, scan %+v", label, oct, got, want)
 				}
 			}
 		}
 	})
+}
+
+// checkEFTSelections holds bestHost, pickCache.repick, its lowest EFT
+// and cgHost on task id to the scans over the candidates used and
+// fresh, placed by plain eval, under every allowance of
+// FuzzIndexedPickMatchesScan.
+func checkEFTSelections(t *testing.T, label string, st *state, id wf.TaskID, used, fresh []candidate) {
+	allowances := []float64{0, math.Inf(1), math.NaN()}
+	for _, part := range [][]candidate{used, fresh} {
+		for _, c := range part {
+			allowances = append(allowances, c.cost, math.Nextafter(c.cost, math.Inf(1)), math.Nextafter(c.cost, math.Inf(-1)))
+		}
+	}
+	for _, a := range allowances {
+		label := fmt.Sprintf("%s allowance %v", label, a)
+		if got, want := st.bestHost(id, a), evalBestHost(st, id, a); !sameBits(got, want) {
+			t.Fatalf("%s: bestHost %+v, scan %+v", label, got, want)
+		}
+		var scan, indexed pickCache
+		scan.repick(used, fresh, a)
+		in, terms := st.prepare(id)
+		if !st.finite(in, terms) {
+			t.Fatalf("%s: the index does not serve a finite platform", label)
+		}
+		iu, ifr := st.hosts(id, in, terms, a, -1, nil)
+		low := indexed.repick(iu, ifr, a)
+		if !sameBits(indexed.c, scan.c) || indexed.state != scan.state || indexed.capped != scan.capped ||
+			math.Float64bits(indexed.lo) != math.Float64bits(scan.lo) || math.Float64bits(indexed.hi) != math.Float64bits(scan.hi) {
+			t.Fatalf("%s: repick over the index %+v, over every host %+v", label, indexed, scan)
+		}
+		// minMinPlan's key after a re-scan: the lowest EFT the
+		// index lists is the lowest over every host.
+		if want := lowestEFT(used, fresh); math.Float64bits(low) != math.Float64bits(want) || lowestEFT(iu, ifr) != want {
+			t.Fatalf("%s: lowest EFT %v over the index (repick %v), %v over every host", label, lowestEFT(iu, ifr), low, want)
+		}
+	}
+	for k := range fresh {
+		want := fresh[k]
+		for i := range st.vms {
+			if st.vms[i].cat == k && less(used[i], want) {
+				want = used[i]
+			}
+		}
+		if got := st.cgHost(id, k); !sameBits(got, want) {
+			t.Fatalf("%s category %d: cgHost %+v, scan %+v", label, k, got, want)
+		}
+	}
+}
+
+// checkTCTF holds tctfHost on task id to pickTCTF over all, every host
+// placed by plain eval, under every sub-budget of
+// FuzzIndexedPickMatchesScan.
+func checkTCTF(t *testing.T, label string, st *state, id wf.TaskID, all []candidate) {
+	ctMin := infinite
+	for _, c := range all {
+		ctMin = min(ctMin, c.cost)
+	}
+	budgets := []float64{0, math.Inf(1)}
+	for _, c := range all {
+		up := c.cost
+		for range 3 {
+			up = math.Nextafter(up, math.Inf(1))
+		}
+		budgets = append(budgets, c.cost, math.Nextafter(c.cost, math.Inf(1)), math.Nextafter(c.cost, math.Inf(-1)),
+			up, c.cost+(c.cost-ctMin)*0x1p-40, ctMin+(c.cost-ctMin)/2)
+	}
+	for _, S := range budgets {
+		if got, want := st.tctfHost(id, S), pickTCTF(all, S); !sameBits(got, want) {
+			t.Fatalf("%s sub-budget %v: index %+v, scan %+v", label, S, got, want)
+		}
+	}
+}
+
+// peftScan is PEFT's selection over every host, all enumerated as used
+// VMs then fresh ones: the least EFT + oct[cat], ties broken by less
+// and then by enumeration order.
+func peftScan(all []candidate, oct []float64) candidate {
+	want := 0
+	for i, c := range all {
+		if oeft, best := c.eft+oct[c.cat], all[want].eft+oct[all[want].cat]; oeft < best || oeft == best && less(c, all[want]) {
+			want = i
+		}
+	}
+	return all[want]
 }
 
 // lowestEFT is the lowest EFT among the candidates.

@@ -155,14 +155,13 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 			x += kt.work + kt.chost + kt.out
 		}
 		rows[t].fast = ctx.cons[t]/fastest + (x - x)
-		used, fresh := st.hosts(t, in, terms, allowance, -1)
+		used, fresh := st.hosts(t, in, terms, allowance, -1, nil)
 		return e.repick(used, fresh, allowance)
 	}
 
 	account := optPot{disabled: opt.DisablePot}
 	listT := make([]wf.TaskID, 0, n)
 	totalCost := 0.0
-	var traced []candidate
 	rescans, deferred, skipped := 0, 0, 0
 	// booked is the VM the last round assigned to, and bookedAt its new
 	// readiness: each ready task folds its candidate there into its
@@ -234,10 +233,13 @@ func minMinPlan(w *wf.Workflow, p *platform.Platform, info *BudgetInfo, opt Opti
 			return nil, errNoReadyTask(w.Name, len(listT), n)
 		}
 		if opt.span != nil {
-			// The winning task's candidates are exactly what the
-			// min-min selection saw this round.
-			traced = st.appendCandidates(traced[:0], bestTask)
-			traceCandidates(opt.span, traced, bestTask, bestAllowance)
+			// The winner's candidates as a re-scan this round reads them;
+			// the walk is the trace's, so its work is not counted.
+			walked, predEdges := st.walked, st.predEdges
+			in, terms := st.prepare(bestTask)
+			used, fresh := st.hosts(bestTask, in, terms, bestAllowance, -1, nil)
+			traceCandidates(opt.span, bestTask, bestAllowance, used, fresh)
+			st.walked, st.predEdges = walked, predEdges
 		}
 		vmIdx := st.assign(bestTask, bestCand)
 		totalCost += bestCand.cost

@@ -127,30 +127,21 @@ func (h *readyHeap) pop() wf.TaskID {
 }
 
 // peftHost returns the host of task t minimizing its optimistic EFT,
-// EFT + oct[cat], ties broken by less and then by enumeration order, as
-// the fold over every host does. Within a category OEFT rises with the
-// EFT, so the fold needs only each category's fastest host under less.
-// A selection with a non-finite term, where a NaN breaks that order,
-// folds over every host.
+// EFT + oct[cat], ties broken by less and then by enumeration order:
+// the fold over every host, run over the hosts state.hosts reads with
+// the OCT row as its offset (every host when a term is not finite).
 func (s *state) peftHost(t wf.TaskID, oct []float64) candidate {
 	in, terms := s.prepare(t)
-	if !s.finite(in, terms) {
-		all := s.placeAll(t, in, terms, -1)
-		choice := 0
-		bestOEFT := math.Inf(1)
-		for i, c := range all {
-			if oeft := c.eft + oct[c.cat]; oeft < bestOEFT || (oeft == bestOEFT && less(c, all[choice])) {
-				bestOEFT, choice = oeft, i
-			}
-		}
-		return all[choice]
+	used, fresh := s.hosts(t, in, terms, infinite, -1, oct)
+	best, bestOEFT := fresh[0], math.Inf(1)
+	if len(used) > 0 {
+		best = used[0]
 	}
-	var best candidate
-	bestOEFT := math.Inf(1)
-	for k := range terms {
-		c := s.fastest(t, in, terms, k)
-		if oeft := c.eft + oct[k]; k == 0 || oeft < bestOEFT || oeft == bestOEFT && ahead(&c, &best) {
-			best, bestOEFT = c, oeft
+	for _, part := range [2][]candidate{used, fresh} {
+		for _, c := range part {
+			if oeft := c.eft + oct[c.cat]; oeft < bestOEFT || oeft == bestOEFT && less(c, best) {
+				best, bestOEFT = c, oeft
+			}
 		}
 	}
 	return best

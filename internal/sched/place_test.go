@@ -55,7 +55,7 @@ func zeroEdgeWorkflow(r *rand.Rand) *wf.Workflow {
 // prepare's fresh-VM inputs equals eval, by math.Float64bits, on every
 // used VM that runs no predecessor of the task and on every fresh VM;
 // runsPred names exactly the VMs that run one; and the enumerations
-// built on place (appendCandidates, bestHost, bestOfCategory) equal
+// built on place (appendCandidates, bestHost, cgHost, peftHost) equal
 // the same enumerations on plain eval. It covers the paper's families,
 // a two-provider market (per-category bandwidth, transfer latency) and
 // a +Inf-priced category under zero-size edges, whose upload cost is
@@ -149,9 +149,16 @@ func TestPlaceMatchesEval(t *testing.T) {
 							ref = want[i]
 						}
 					}
-					if got := bestOfCategory(st, id, k); !sameBits(got, ref) {
-						t.Fatalf("%s category %d: bestOfCategory %+v, on eval %+v", label, k, got, ref)
+					if got := st.cgHost(id, k); !sameBits(got, ref) {
+						t.Fatalf("%s category %d: cgHost %+v, on eval %+v", label, k, got, ref)
 					}
+				}
+				oct := make([]float64, p.NumCategories())
+				for k := range oct {
+					oct[k] = float64((int(id)+k)%3) * 100 // ties and offsets, without a draw
+				}
+				if got, ref := st.peftHost(id, oct), peftScan(want, oct); !sameBits(got, ref) {
+					t.Fatalf("%s OCT %v: peftHost %+v, on eval %+v", label, oct, got, ref)
 				}
 				// Grow the state: a random used VM, or a fresh one.
 				pick := r.Intn(len(want))
@@ -165,4 +172,22 @@ func TestPlaceMatchesEval(t *testing.T) {
 	if checked == 0 || nan == 0 {
 		t.Errorf("%d placements on used VMs checked, %d of them NaN: the NaN case went unexercised", checked, nan)
 	}
+}
+
+// appendCandidates appends every host option for task t to dst: each
+// VM already in use plus one fresh VM per category (§IV-A: "the set of
+// host candidates ... consists of already used VMs plus one fresh VM
+// of each category"). It is the scan the tests hold the selections
+// that read the readiness index to.
+func (s *state) appendCandidates(dst []candidate, t wf.TaskID) []candidate {
+	in, terms := s.prepare(t)
+	return append(dst, s.placeAll(t, in, terms, -1)...)
+}
+
+// bestHost is HEFT's selection of task t under the allowance
+// (heftPlan): pickBest over the hosts the readiness index yields.
+func (s *state) bestHost(t wf.TaskID, allowance float64) candidate {
+	in, terms := s.prepare(t)
+	used, fresh := s.hosts(t, in, terms, allowance, -1, nil)
+	return pickBest(used, fresh, allowance)
 }

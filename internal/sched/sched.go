@@ -17,7 +17,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"budgetwf/internal/plan"
 	"budgetwf/internal/platform"
@@ -281,11 +280,11 @@ func (s *state) alloc() {
 	for _, p := range s.ctx.pred {
 		deg = max(deg, len(p))
 	}
-	ints, floats := make([]int, 2*n+2*deg+2*cats+1), make([]float64, 2*n+3*deg)
+	ints, floats := make([]int, 2*n+2*deg+2*cats+1), make([]float64, 2*n+3*deg+cats)
 	s.taskVM, s.finish = carve(&ints, n), carve(&floats, n)
 	s.g = gathered{from: carve(&ints, deg)[:0], onVM: carve(&ints, deg)[:0],
 		arr: carve(&floats, deg)[:0], cost: carve(&floats, deg)[:0], loc: carve(&floats, deg)[:0]}
-	s.index = readiness{vms: carve(&ints, n), split: carve(&ints, cats), at: floats, bounds: ints}
+	s.index = readiness{vms: carve(&ints, n), split: carve(&ints, cats), at: carve(&floats, n), zero: floats, bounds: ints}
 	s.picked = make([]candidate, 0, deg+2*cats+8)
 	s.terms = make([]catTerms, cats)
 	for i := range s.taskVM {
@@ -580,57 +579,6 @@ func (s *state) eftFloor(t wf.TaskID, in taskInputs, p int) float64 {
 	return eft
 }
 
-// appendCandidates appends every host option for task t to dst: each
-// VM already in use plus one fresh VM per category (§IV-A: "the set of
-// host candidates ... consists of already used VMs plus one fresh VM
-// of each category"). The planners that scan a candidate list pass one
-// buffer for the whole plan.
-func (s *state) appendCandidates(dst []candidate, t wf.TaskID) []candidate {
-	in, terms := s.prepare(t)
-	return s.appendPlaced(dst, t, in, terms, -1)
-}
-
-// appendPlaced appends task t's candidates on every used VM, then on a
-// fresh VM of each category, after prepare(t) returned in and terms;
-// only, when not -1, keeps one category.
-func (s *state) appendPlaced(dst []candidate, t wf.TaskID, in taskInputs, terms []catTerms, only int) []candidate {
-	dst = slices.Grow(dst, len(s.vms)+len(terms))
-	for i := range s.vms {
-		if only < 0 || s.vms[i].cat == only {
-			dst = append(dst, candidate{})
-			s.place(&dst[len(dst)-1], t, in, terms, i)
-		}
-	}
-	for k, kt := range terms {
-		if only < 0 || k == only {
-			dst = append(dst, s.placeFresh(in, kt, k))
-		}
-	}
-	return dst
-}
-
-// bestHost implements getBestHost (Algorithm 2): the candidate with
-// the smallest EFT among those whose cost respects the allowance.
-// When no candidate fits, it falls back to the cheapest one (ties on
-// EFT): the schedule is always completed, and the overrun surfaces in
-// the simulated cost — exactly how the paper counts invalid schedules.
-// The predecessor pass runs once (prepare), and the hosts come from the
-// readiness index (state.hosts): a selection costs O(deg) for that pass
-// and the EFT floors of the k VMs that run a predecessor, O(k) plus a
-// full O(deg) evaluation for each of those whose floor the earliest
-// affordable finish so far does not beat (about one per task on
-// CyberShake and Montage), O(log VMs) per category to find the VMs ready by
-// the data, and O(1) per VM it walks — in each category the last one
-// ready by the data with its cost ties, and those ready later up to the
-// first affordable one, all of them only when nothing is affordable. A
-// selection the index cannot serve (a term is not finite) places every
-// host, in O(deg·(k+1) + VMs + categories).
-func (s *state) bestHost(t wf.TaskID, allowance float64) candidate {
-	in, terms := s.prepare(t)
-	used, fresh := s.hosts(t, in, terms, allowance, -1)
-	return pickBest(used, fresh, allowance)
-}
-
 // cheaper orders the fallback fold, which picks when no candidate is
 // affordable: cost, then an existing VM before a fresh one (a fresh
 // VM's initialization cost is pre-reserved and thus absent from ct,
@@ -646,12 +594,14 @@ func cheaper(c, b *candidate) bool {
 	return c.eft < b.eft
 }
 
-// pickBest applies the selection rule to a pre-built candidate list,
+// pickBest implements getBestHost (Algorithm 2) on a candidate list
 // enumerated as used then fresh, as every planner enumerates hosts: the
-// list state.hosts lays out for bestHost and for MIN-MIN's re-scans
-// (pickCache.repick). Affordable candidates (cost ≤ allowance, so never
-// a NaN cost) compete on less; when none is affordable the fallback
-// fold keeps the cheapest, and stops folding once one is.
+// list state.hosts lays out for HEFT's selection and for MIN-MIN's
+// re-scans (pickCache.repick). Affordable candidates (cost ≤ allowance,
+// so never a NaN cost) compete on less. When none is affordable the
+// fallback fold keeps the cheapest, and stops folding once one is: the
+// schedule is always completed, and the overrun surfaces in the
+// simulated cost, which is how the paper counts invalid schedules.
 // TestPickBestMatchesSelector holds it to the streaming reference fold
 // of selector_test.go.
 func pickBest(used, fresh []candidate, allowance float64) candidate {

@@ -47,7 +47,7 @@ func (sel *selector) pick() candidate {
 	return sel.cheapest
 }
 
-// TestPickBestMatchesSelector: pickBest (used by bestHost and on
+// TestPickBestMatchesSelector: pickBest (HEFT's selection, and on
 // MIN-MIN's cached candidate slices) and the streaming selector above
 // implement the same selection rule.
 // Random candidate lists, with deliberate duplicate costs/EFTs to

@@ -8,8 +8,8 @@ import (
 // Planner tracing (internal/obs). Every helper takes the Options span
 // and is only invoked behind a nil check at the call site, so with
 // tracing disabled the planners pay one pointer comparison per
-// placement step; with tracing enabled the helpers may re-enumerate
-// candidates freely — the caller opted into the cost.
+// placement step. With tracing enabled, the candidates recorded are
+// the hosts the selection read (state.hosts), not every host.
 
 // traceBudgetInfo records the Algorithm 1 decomposition on the plan
 // span: the reserves, B_calc and the sequential-execution estimate.
@@ -22,18 +22,21 @@ func traceBudgetInfo(span *obs.Span, info *BudgetInfo) {
 		obs.Float("seqDuration", info.SeqDuration))
 }
 
-// traceCandidates records every host option evaluated for task t with
-// its EFT, charged cost and feasibility under the allowance — the raw
-// material of Algorithm 2's selection.
-func traceCandidates(span *obs.Span, cands []candidate, t wf.TaskID, allowance float64) {
-	for _, c := range cands {
-		span.Event("candidate",
-			obs.Int("task", int(t)),
-			obs.Int("vm", c.vm),
-			obs.Int("cat", c.cat),
-			obs.Float("eft", c.eft),
-			obs.Float("cost", c.cost),
-			obs.Bool("feasible", c.cost <= allowance))
+// traceCandidates records the host options a selection read for task
+// t, used VMs then fresh ones, with their EFT, charged cost and
+// feasibility under the allowance — the raw material of Algorithm 2's
+// selection.
+func traceCandidates(span *obs.Span, t wf.TaskID, allowance float64, used, fresh []candidate) {
+	for _, part := range [2][]candidate{used, fresh} {
+		for _, c := range part {
+			span.Event("candidate",
+				obs.Int("task", int(t)),
+				obs.Int("vm", c.vm),
+				obs.Int("cat", c.cat),
+				obs.Float("eft", c.eft),
+				obs.Float("cost", c.cost),
+				obs.Bool("feasible", c.cost <= allowance))
+		}
 	}
 }
 

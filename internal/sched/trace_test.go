@@ -4,6 +4,7 @@ import (
 	"bytes"
 	stdcontext "context"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"budgetwf/internal/obs"
@@ -156,28 +157,33 @@ func TestHeftBudgPlusTraceShape(t *testing.T) {
 
 // TestPlanContextWithoutSpanEmitsNothing pins the disabled path: a
 // bare context must plan identically to the traced one and leave no
-// way for the planners to observe a tracer.
+// way for the planners to observe a tracer. It plans every registered
+// planner on the paper's platform, and a spot-aware twin on a market
+// platform with a spot category.
 func TestPlanContextWithoutSpanEmitsNothing(t *testing.T) {
 	w := wfgen.MustGenerate(wfgen.Montage, 30, 2).WithSigmaRatio(0.5)
-	p := platform.Default()
-	budget := 2 * cheapBudget(t, w, p)
-
-	plain, err := PlanContext(stdcontext.Background(), NameHeftBudg, w, p, budget)
-	if err != nil {
-		t.Fatalf("plain plan: %v", err)
+	type run struct {
+		name Name
+		p    *platform.Platform
 	}
-	tr := obs.New("t")
-	traced, err := PlanContext(obs.WithSpan(stdcontext.Background(), tr.Root()), NameHeftBudg, w, p, budget)
-	if err != nil {
-		t.Fatalf("traced plan: %v", err)
+	var runs []run
+	for _, a := range AllExtended() {
+		runs = append(runs, run{a.Name, platform.Default()})
 	}
-	if len(plain.TaskVM) != len(traced.TaskVM) {
-		t.Fatalf("plan sizes differ")
-	}
-	for i := range plain.TaskVM {
-		if plain.TaskVM[i] != traced.TaskVM[i] {
-			t.Fatalf("task %d placed on %d traced vs %d plain: tracing changed the plan",
-				i, traced.TaskVM[i], plain.TaskVM[i])
+	runs = append(runs, run{NameHeftBudg + spotSuffix, equivPlatforms(t)["market"]})
+	for _, r := range runs {
+		budget := 2 * cheapBudget(t, w, r.p)
+		plain, err := PlanContext(stdcontext.Background(), r.name, w, r.p, budget)
+		if err != nil {
+			t.Fatalf("%s: plain plan: %v", r.name, err)
+		}
+		tr := obs.New("t")
+		traced, err := PlanContext(obs.WithSpan(stdcontext.Background(), tr.Root()), r.name, w, r.p, budget)
+		if err != nil {
+			t.Fatalf("%s: traced plan: %v", r.name, err)
+		}
+		if !reflect.DeepEqual(plain, traced) {
+			t.Errorf("%s: tracing changed the plan:\ntraced %+v\nplain  %+v", r.name, traced, plain)
 		}
 	}
 }

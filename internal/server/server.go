@@ -35,7 +35,7 @@
 //     IDs, and metrics declared once in an obs.Registry and served as
 //     JSON or Prometheus text (request/status/algorithm counters,
 //     per-endpoint latency histograms, cache hit rate, queue depth,
-//     in-flight gauge), plus optional net/http/pprof.
+//     in-flight gauge).
 package server
 
 import (
@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"runtime"
 	"sync/atomic"
@@ -77,8 +76,6 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MaxBodyBytes bounds request bodies; default 32 MiB.
 	MaxBodyBytes int64
-	// EnablePprof mounts net/http/pprof under /debug/pprof/.
-	EnablePprof bool
 	// TraceRingSize bounds how many recent request traces are retained
 	// for GET /v1/traces/{requestId}; default 64, -1 disables retention
 	// (inline ?trace=1 responses still work).
@@ -285,13 +282,6 @@ func (s *Server) routes() {
 		s.mux.Handle("POST /v1/submit", s.wrap("submit", s.handleSubmit))
 		s.mux.Handle("GET /v1/tenants", s.wrap("tenants", s.handleTenants))
 		s.mux.Handle("GET /v1/tenants/{id}", s.wrap("tenants", s.handleTenantGet))
-	}
-	if s.cfg.EnablePprof {
-		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
 }
 
