@@ -366,8 +366,8 @@ func (s *state) placeAll(t wf.TaskID, in taskInputs, terms []catTerms, only int)
 // When ct_min exceeds S nothing is affordable, and the eager fallback,
 // the fastest host under less, is pickBest's over the hosts an infinite
 // allowance reads. Ties on TCTF fall to less and then to enumeration
-// order, as in the fold over every host; FuzzIndexedPickMatchesScan
-// checks the answer field for field.
+// order, as in the fold over every host; FuzzTCTFMatchesScan checks
+// the answer field for field.
 func (s *state) tctfHost(t wf.TaskID, S float64) candidate {
 	in, terms := s.prepare(t)
 	if !s.finite(in, terms) || S-S != 0 {

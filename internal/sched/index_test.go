@@ -11,7 +11,7 @@ import (
 	"budgetwf/internal/wf"
 )
 
-// indexPlatforms are the platforms FuzzIndexedPickMatchesScan draws
+// indexPlatforms are the platforms fuzzIndexedStates draws
 // from: the paper's, the two-provider market (per-category bandwidth,
 // transfer latency), and the paper's with a free first category, on
 // which every VM of it ready by the data costs the same.
@@ -230,31 +230,16 @@ func checkIndex(t *testing.T, st *state) {
 	}
 }
 
-// FuzzIndexedPickMatchesScan: on random states, the selections that
-// read the readiness index answer as the scans over every host do, bit
-// for bit, each placed by plain eval:
-//
-//   - bestHost as the selector;
-//   - pickCache.repick over the index's candidates with the same pick,
-//     lo, hi, capped and state as over every candidate, and the same
-//     lowest EFT, which minMinPlan takes as a re-scanned task's key;
-//   - cgHost as the EFT fold over the category's VMs;
-//   - tctfHost, BDT's selection, as pickTCTF;
-//   - peftHost, the walk shifted by an OCT row, as the OEFT fold.
-//
-// The allowances include each candidate's exact cost and the floats
-// either side of it, 0, +Inf and NaN. The sub-budgets include 0 and
-// +Inf, each candidate's exact cost and the floats either side of it,
-// the costs a few ulps and a relative 2⁻⁴⁰ of the spread above, where
-// S − cost cancels into the eps clamp, and halfway between ct_min and
-// each cost. The OCT rows' entries often tie, or offset two categories'
-// fastest EFTs exactly. A nonzero fanIn (mod 5) places the fan-in task
-// of randomFanInState instead, of shape fanIn%5 − 1, whose hosts skip
-// the VMs that run a predecessor by their EFT floors. Each task is then
-// placed again with zero work: no weight and no bytes to stage, so that
-// a VM ready after the data is billed nothing and finishes when it is
-// ready.
-func FuzzIndexedPickMatchesScan(f *testing.F) {
+// fuzzIndexedStates seeds f with the corpus that the index's fuzz
+// targets share and runs check on random states: on every task that
+// the state of seed, plat and fanIn places, first as generated and
+// then with zero work, no weight and no bytes to stage, so that a VM
+// ready after the data is billed nothing and finishes when it is
+// ready. A nonzero fanIn (mod 5) places the fan-in task of
+// randomFanInState, of shape fanIn%5 − 1, whose hosts skip the VMs that
+// run a predecessor by their EFT floors. check gets every host placed
+// by plain eval: the used VMs then one fresh VM per category.
+func fuzzIndexedStates(f *testing.F, check func(t *testing.T, label string, r *rand.Rand, st *state, id wf.TaskID, used, fresh []candidate)) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, uint8(seed), uint8(0))
 		f.Add(seed, uint8(seed), uint8(1+seed%4))
@@ -296,7 +281,6 @@ func FuzzIndexedPickMatchesScan(f *testing.F) {
 					}
 					st.prepare(id) // eval reads the edges prepare gathered
 				}
-				label := fmt.Sprintf("seed %d platform %d fan-in %d task %d zero work %v", seed, plat, fanIn, id, zero)
 				var used, fresh []candidate
 				for i := range st.vms {
 					used = append(used, st.eval(id, i, st.vms[i].cat))
@@ -304,23 +288,54 @@ func FuzzIndexedPickMatchesScan(f *testing.F) {
 				for k := range p.Categories {
 					fresh = append(fresh, st.eval(id, -1, k))
 				}
-				all := append(append([]candidate(nil), used...), fresh...)
-				checkEFTSelections(t, label, st, id, used, fresh)
-				checkTCTF(t, label, st, id, all)
-				// PEFT's selection on an OCT row whose entries often tie, or
-				// offset two categories' fastest EFTs exactly.
-				oct := make([]float64, len(p.Categories))
-				for k := range oct {
-					oct[k] = float64(r.Intn(3)) * 100
-					if r.Intn(3) == 0 {
-						oct[k] = all[r.Intn(len(all))].eft
-					}
-				}
-				if got, want := st.peftHost(id, oct), peftScan(all, oct); !sameBits(got, want) {
-					t.Fatalf("%s OCT %v: PEFT's index %+v, scan %+v", label, oct, got, want)
-				}
+				label := fmt.Sprintf("seed %d platform %d fan-in %d task %d zero work %v", seed, plat, fanIn, id, zero)
+				check(t, label, r, st, id, used, fresh)
 			}
 		}
+	})
+}
+
+// FuzzIndexedPickMatchesScan: on fuzzIndexedStates' states, the
+// selections that state.hosts serves answer as the scans over every
+// host do, bit for bit:
+//
+//   - bestHost as the selector;
+//   - pickCache.repick over the index's candidates with the same pick,
+//     lo, hi, capped and state as over every candidate, and the same
+//     lowest EFT, which minMinPlan takes as a re-scanned task's key;
+//   - cgHost as the EFT fold over the category's VMs;
+//   - peftHost, the walk shifted by an OCT row, as the OEFT fold.
+//
+// The allowances include each candidate's exact cost and the floats
+// either side of it, 0, +Inf and NaN. The OCT rows' entries often tie,
+// or offset two categories' fastest EFTs exactly.
+func FuzzIndexedPickMatchesScan(f *testing.F) {
+	fuzzIndexedStates(f, func(t *testing.T, label string, r *rand.Rand, st *state, id wf.TaskID, used, fresh []candidate) {
+		checkEFTSelections(t, label, st, id, used, fresh)
+		all := append(append([]candidate(nil), used...), fresh...)
+		oct := make([]float64, len(fresh))
+		for k := range oct {
+			oct[k] = float64(r.Intn(3)) * 100
+			if r.Intn(3) == 0 {
+				oct[k] = all[r.Intn(len(all))].eft
+			}
+		}
+		if got, want := st.peftHost(id, oct), peftScan(all, oct); !sameBits(got, want) {
+			t.Fatalf("%s OCT %v: PEFT's index %+v, scan %+v", label, oct, got, want)
+		}
+	})
+}
+
+// FuzzTCTFMatchesScan: on fuzzIndexedStates' states, BDT's selection
+// from the readiness index (tctfHost), which reads extremes over every
+// host and so walks apart from state.hosts, answers as pickTCTF over
+// every host, field for field. The sub-budgets include 0 and +Inf, each
+// candidate's exact cost and the floats either side of it, the costs a
+// few ulps and a relative 2⁻⁴⁰ of the spread above, where S − cost
+// cancels into the eps clamp, and halfway between ct_min and each cost.
+func FuzzTCTFMatchesScan(f *testing.F) {
+	fuzzIndexedStates(f, func(t *testing.T, label string, _ *rand.Rand, st *state, id wf.TaskID, used, fresh []candidate) {
+		checkTCTF(t, label, st, id, append(append([]candidate(nil), used...), fresh...))
 	})
 }
 
@@ -373,7 +388,7 @@ func checkEFTSelections(t *testing.T, label string, st *state, id wf.TaskID, use
 
 // checkTCTF holds tctfHost on task id to pickTCTF over all, every host
 // placed by plain eval, under every sub-budget of
-// FuzzIndexedPickMatchesScan.
+// FuzzTCTFMatchesScan.
 func checkTCTF(t *testing.T, label string, st *state, id wf.TaskID, all []candidate) {
 	ctMin := infinite
 	for _, c := range all {
